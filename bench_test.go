@@ -23,8 +23,10 @@ import (
 	"dixq/internal/bench"
 	"dixq/internal/core"
 	"dixq/internal/engine"
+	"dixq/internal/index"
 	"dixq/internal/interval"
 	"dixq/internal/sqlgen"
+	"dixq/internal/stats"
 	"dixq/internal/store"
 	"dixq/internal/update"
 	"dixq/internal/xmark"
@@ -258,7 +260,7 @@ func BenchmarkSQLGeneration(b *testing.B) {
 
 // BenchmarkAblationPipeline isolates streaming path-chain fusion: Q13's
 // plan is almost entirely path extraction, evaluated with the fused
-// iterators of package pipeline versus one materialized relation per
+// batch kernels of package pipeline versus one materialized relation per
 // operator.
 func BenchmarkAblationPipeline(b *testing.B) {
 	doc := xmark.Generate(xmark.Config{ScaleFactor: 0.01, Seed: 20030609})
@@ -282,11 +284,12 @@ func BenchmarkAblationPipeline(b *testing.B) {
 }
 
 // BenchmarkStore measures the persistence substrate: serialize and
-// deserialize an encoded document.
+// deserialize an encoded document with its index and statistics.
 func BenchmarkStore(b *testing.B) {
 	rel := interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: 0.01, Seed: 5}))
+	ix, st := index.Build(rel), stats.Collect(rel)
 	var buf bytes.Buffer
-	if err := store.Write(&buf, rel); err != nil {
+	if err := store.WriteFull(&buf, rel, ix, st); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -294,7 +297,7 @@ func BenchmarkStore(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
 			var w bytes.Buffer
-			if err := store.Write(&w, rel); err != nil {
+			if err := store.WriteFull(&w, rel, ix, st); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -302,7 +305,7 @@ func BenchmarkStore(b *testing.B) {
 	b.Run("read", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
-			if _, err := store.Read(bytes.NewReader(data)); err != nil {
+			if _, _, _, err := store.ReadFull(bytes.NewReader(data)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -356,28 +359,19 @@ func BenchmarkShred(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchChain compares the batch-at-a-time path-chain runtime
-// against the tuple-at-a-time iterators it replaced (core's
-// ScalarPipeline switch) on Q13, the path-and-construction workload whose
-// chains dominate. Run with -benchmem: the batched side's win is chiefly
-// allocations (chunked columnar buffers vs per-tuple key views).
+// BenchmarkBatchChain measures the batch-at-a-time path-chain runtime on
+// Q13, the path-and-construction workload whose chains dominate. Run with
+// -benchmem: the chunked columnar buffers keep allocations per query flat.
 func BenchmarkBatchChain(b *testing.B) {
 	doc := xmark.Generate(xmark.Config{ScaleFactor: 0.002, Seed: 20030609})
 	cat := core.Catalog{"auction.xml": interval.Encode(doc)}
 	q := core.Compile(xq.MustParse(xmark.Q13), core.Options{})
-	for _, v := range []struct {
-		name   string
-		scalar bool
-	}{{"batched", false}, {"scalar", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			opts := core.Options{ForceJoinMode: core.ModeMSJ, ScalarPipeline: v.scalar}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := q.Eval(cat, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	opts := core.Options{ForceJoinMode: core.ModeMSJ}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := q.Eval(cat, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"dixq/internal/bench"
-	"dixq/internal/bench/live"
 	"dixq/internal/cliflags"
 	"dixq/internal/obs"
 )
@@ -41,64 +40,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "dibench: metricsdump: %v\n", err)
 			}
 		}()
-	}
-
-	if cfg.BenchJSON != "" {
-		if err := bench.WriteBenchJSON(cfg.BenchJSON, cfg.BenchScale, os.Stderr); err != nil {
-			fatal("%v", err)
-		}
-		return
-	}
-	if cfg.BenchJSON3 != "" {
-		if err := bench.WriteBenchPR3JSON(cfg.BenchJSON3, cfg.BenchScale, os.Stderr); err != nil {
-			fatal("%v", err)
-		}
-		return
-	}
-	if cfg.BenchJSON5 != "" {
-		if err := bench.WriteBenchPR5JSON(cfg.BenchJSON5, cfg.BenchScale, os.Stderr); err != nil {
-			fatal("%v", err)
-		}
-		return
-	}
-	if cfg.BenchJSON9 != "" {
-		if err := bench.WriteBenchPR9JSON(cfg.BenchJSON9, cfg.BenchScale, os.Stderr); err != nil {
-			fatal("%v", err)
-		}
-		return
-	}
-	if cfg.BenchJSON6 != "" || cfg.BenchJSON7 != "" || cfg.BenchJSON10 != "" {
-		var sfs []float64
-		for _, s := range strings.Split(cfg.BenchScales, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil || v <= 0 {
-				fatal("bad -benchscales factor %q", s)
-			}
-			sfs = append(sfs, v)
-		}
-		if cfg.BenchJSON6 != "" {
-			if err := bench.WriteBenchPR6JSON(cfg.BenchJSON6, sfs, os.Stderr); err != nil {
-				fatal("%v", err)
-			}
-		}
-		if cfg.BenchJSON7 != "" {
-			if err := bench.WriteBenchPR7JSON(cfg.BenchJSON7, sfs, os.Stderr); err != nil {
-				fatal("%v", err)
-			}
-		}
-		if cfg.BenchJSON10 != "" {
-			if err := bench.WriteBenchPR10JSON(cfg.BenchJSON10, sfs, os.Stderr); err != nil {
-				fatal("%v", err)
-			}
-		}
-		return
-	}
-	if cfg.BenchJSON8 != "" {
-		if err := live.WriteBenchPR8JSON(cfg.BenchJSON8, cfg.Bench8Scale, cfg.Bench8Duration,
-			cfg.Bench8Readers, cfg.Bench8Writers, os.Stderr); err != nil {
-			fatal("%v", err)
-		}
-		return
 	}
 
 	scales := bench.DefaultScales

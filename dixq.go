@@ -267,13 +267,6 @@ type Options struct {
 	// queries, so a query may be granted fewer. Results are digit-identical
 	// at any setting and any grant.
 	Parallelism int
-	// LegacyKeys selects the per-key-allocation operator implementations
-	// instead of the flat shared-buffer layout (DI engines; output is
-	// identical — the switch exists for differential benchmarking).
-	LegacyKeys bool
-	// NoPipeline disables streaming fusion of path-operator chains, forcing
-	// every operator to materialize its output (DI engines).
-	NoPipeline bool
 	// MemBudget bounds the accounted in-memory footprint of the structural
 	// sorts and merge-join sort state, in bytes (DI engines); inputs over
 	// the budget are sorted externally, spilling runs to SpillDir. Zero
@@ -287,10 +280,6 @@ type Options struct {
 	// BatchSize is the chunk row count of the batch-executed path chains
 	// (DI engines; 0 selects the default of 256).
 	BatchSize int
-	// ScalarPipeline executes path chains through the tuple-at-a-time
-	// iterators instead of the batch kernels (DI engines; output is
-	// identical — the switch exists for differential benchmarking).
-	ScalarPipeline bool
 }
 
 // coreOptions maps the public Options onto the internal executor's
@@ -300,19 +289,16 @@ type Options struct {
 // cardinalities.
 func (opts *Options) coreOptions(mode core.Mode, snap *Snapshot) core.Options {
 	return core.Options{
-		ForceJoinMode:  mode,
-		Indexes:        snap.idx,
-		DocStats:       snap.st,
-		Timeout:        opts.Timeout,
-		MaxTuples:      opts.MaxTuples,
-		Trace:          opts.Trace,
-		Parallelism:    opts.Parallelism,
-		LegacyKeys:     opts.LegacyKeys,
-		NoPipeline:     opts.NoPipeline,
-		MemBudget:      opts.MemBudget,
-		SpillDir:       opts.SpillDir,
-		BatchSize:      opts.BatchSize,
-		ScalarPipeline: opts.ScalarPipeline,
+		ForceJoinMode: mode,
+		Indexes:       snap.idx,
+		DocStats:      snap.st,
+		Timeout:       opts.Timeout,
+		MaxTuples:     opts.MaxTuples,
+		Trace:         opts.Trace,
+		Parallelism:   opts.Parallelism,
+		MemBudget:     opts.MemBudget,
+		SpillDir:      opts.SpillDir,
+		BatchSize:     opts.BatchSize,
 	}
 }
 
@@ -451,7 +437,7 @@ func (q *Query) PlanText(opts *Options) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("dixq: plans exist for the DI engines only, got %s", opts.Engine)
 	}
-	return q.q.Plan(core.Options{ForceJoinMode: mode, NoPipeline: opts.NoPipeline}).Tree(), nil
+	return q.q.Plan(core.Options{ForceJoinMode: mode}).Tree(), nil
 }
 
 // OptimizerReport is the cost-based optimizer's account of one planning

@@ -15,7 +15,9 @@ import (
 
 	"dixq"
 	"dixq/internal/core"
+	"dixq/internal/index"
 	"dixq/internal/interval"
+	"dixq/internal/stats"
 	"dixq/internal/store"
 	"dixq/internal/update"
 	"dixq/internal/xmltree"
@@ -38,14 +40,14 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "people.dixq")
-	if err := store.Save(path, rel); err != nil {
+	if err := store.SaveFull(path, rel, index.Build(rel), stats.Collect(rel)); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("stored", path)
 
 	// Load and update the relation directly: insert a person between the
 	// two existing ones.
-	rel, err = store.Load(path)
+	rel, _, _, err = store.LoadFull(path)
 	if err != nil {
 		log.Fatal(err)
 	}

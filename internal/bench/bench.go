@@ -69,9 +69,6 @@ type Config struct {
 	Timeout time.Duration
 	// MaxTuples bounds materialization in DI plans; zero means none.
 	MaxTuples int64
-	// LegacyKeys runs the DI systems on the per-key-allocation layout
-	// instead of the flat shared-buffer layout (before/after comparisons).
-	LegacyKeys bool
 	// Parallelism bounds the DI systems' intra-query workers (0 resolves
 	// to GOMAXPROCS, 1 is serial — the same semantics as core.Options).
 	Parallelism int
@@ -122,7 +119,6 @@ func (w *Workload) Run(sys System, cfg Config) Outcome {
 			Stats:         stats,
 			Timeout:       cfg.Timeout,
 			MaxTuples:     cfg.MaxTuples,
-			LegacyKeys:    cfg.LegacyKeys,
 			Parallelism:   cfg.Parallelism,
 		})
 		out.Stats = stats

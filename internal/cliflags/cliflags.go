@@ -72,27 +72,13 @@ func Dixqd(fs *flag.FlagSet) *DixqdConfig {
 
 // DibenchConfig holds the parsed dibench command line.
 type DibenchConfig struct {
-	Exp            string
-	Scales         string
-	Systems        string
-	Timeout        time.Duration
-	MaxTuples      int64
-	BenchJSON      string
-	BenchJSON3     string
-	BenchJSON5     string
-	BenchJSON6     string
-	BenchJSON7     string
-	BenchJSON8     string
-	BenchJSON9     string
-	BenchJSON10    string
-	BenchScale     float64
-	BenchScales    string
-	Bench8Scale    float64
-	Bench8Duration time.Duration
-	Bench8Readers  int
-	Bench8Writers  int
-	MetricsDump    string
-	Parallelism    int
+	Exp         string
+	Scales      string
+	Systems     string
+	Timeout     time.Duration
+	MaxTuples   int64
+	MetricsDump string
+	Parallelism int
 }
 
 // Dibench registers the dibench flags on fs and returns the destination
@@ -105,20 +91,6 @@ func Dibench(fs *flag.FlagSet, experiments []string) *DibenchConfig {
 	fs.StringVar(&c.Systems, "systems", "", "comma-separated systems (default: all)")
 	fs.DurationVar(&c.Timeout, "timeout", 60*time.Second, "per-run budget; exceeding runs report DNF")
 	fs.Int64Var(&c.MaxTuples, "maxtuples", 40_000_000, "per-run materialization budget for DI plans (0 = unlimited)")
-	fs.StringVar(&c.BenchJSON, "benchjson", "", "write before/after key-layout micro-benchmarks (Q8/Q9/Q13) to this JSON file and exit")
-	fs.StringVar(&c.BenchJSON3, "benchjson3", "", "write scalar-vs-batched pipeline micro-benchmarks (Q8/Q9/Q13, plus bounded-memory spill runs) to this JSON file and exit")
-	fs.StringVar(&c.BenchJSON5, "benchjson5", "", "write parallel scale-up micro-benchmarks (Q8/Q9/Q13 at 1/2/4/8 workers) to this JSON file and exit")
-	fs.StringVar(&c.BenchJSON6, "benchjson6", "", "write scan-vs-index access-path micro-benchmarks (Q8/Q9/Q13 across -benchscales) to this JSON file and exit")
-	fs.StringVar(&c.BenchJSON7, "benchjson7", "", "write cost-based-vs-forced-mode micro-benchmarks (Q8/Q9/Q13 across -benchscales) to this JSON file and exit")
-	fs.StringVar(&c.BenchJSON8, "benchjson8", "", "drive a sustained mixed read/update HTTP load against a live server and write the latency/admission report to this JSON file and exit")
-	fs.StringVar(&c.BenchJSON9, "benchjson9", "", "write parallel-operator scale-up micro-benchmarks (Q8/Q9/Q13: serial baseline plus the parallel plan at 1/2/4-worker grants) to this JSON file and exit")
-	fs.StringVar(&c.BenchJSON10, "benchjson10", "", "write the full-suite XMark table (Q1-Q20 across -benchscales: DI-OPT wall/allocs plus identity against forced modes and the interpreter) to this JSON file and exit")
-	fs.Float64Var(&c.BenchScale, "benchscale", 0.01, "XMark scale factor for -benchjson, -benchjson3, -benchjson5 and -benchjson9")
-	fs.StringVar(&c.BenchScales, "benchscales", "0.1,1", "comma-separated XMark scale factors for -benchjson6, -benchjson7 and -benchjson10")
-	fs.Float64Var(&c.Bench8Scale, "bench8scale", 1, "XMark scale factor for -benchjson8")
-	fs.DurationVar(&c.Bench8Duration, "bench8duration", 10*time.Second, "load duration for -benchjson8")
-	fs.IntVar(&c.Bench8Readers, "bench8readers", 4, "concurrent query clients for -benchjson8")
-	fs.IntVar(&c.Bench8Writers, "bench8writers", 2, "concurrent document-writer clients for -benchjson8")
 	fs.StringVar(&c.MetricsDump, "metricsdump", "", "write cumulative runtime metrics (Prometheus text format) to this file on exit")
 	fs.IntVar(&c.Parallelism, "parallelism", 1, "intra-query worker bound for DI harness runs (0 = GOMAXPROCS, 1 = serial)")
 	return c

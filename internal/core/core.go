@@ -82,7 +82,9 @@ type Options struct {
 	// yielding the fully literal translation (used by tests).
 	NoRewrites bool
 	// NoPipeline disables streaming fusion of path-operator chains; every
-	// operator then materializes its output (used by the ablation bench).
+	// operator then materializes its output through the engine package's
+	// reference operators — the unfused plan shape sqlgen/run.go translates
+	// and the differential tests' baseline. Not exposed outside internal/.
 	NoPipeline bool
 	// Trace, when non-nil, collects per-operator execution statistics
 	// (calls, output rows, time) — the engine's EXPLAIN ANALYZE.
@@ -97,10 +99,6 @@ type Options struct {
 	// granted fewer. Results are digit-identical at any setting and any
 	// grant.
 	Parallelism int
-	// LegacyKeys selects the per-key-allocation operator implementations
-	// instead of the flat shared-buffer layout. Output is identical; the
-	// switch exists for differential testing and before/after benchmarks.
-	LegacyKeys bool
 	// MemBudget bounds the accounted in-memory footprint of the structural
 	// sort and merge-join sort state, in bytes; inputs over the budget are
 	// sorted externally, spilling runs to SpillDir (0 = unbounded, never
@@ -113,10 +111,6 @@ type Options struct {
 	// BatchSize is the chunk row count of the batch-executed path chains
 	// (0 = pipeline.DefaultBatchSize).
 	BatchSize int
-	// ScalarPipeline executes path chains through the tuple-at-a-time
-	// iterators instead of the batch kernels. Output is identical; the
-	// switch exists for differential testing and before/after benchmarks.
-	ScalarPipeline bool
 	// Analyze, when non-nil, collects per-plan-node actuals (calls, rows,
 	// exclusive wall time, allocated bytes) during evaluation — the input
 	// of the analyze form of Explain. The caller passes an empty RunStats;

@@ -68,10 +68,6 @@ type evaluator struct {
 	opts   Options
 	stats  *Stats
 	budget *engine.Budget
-	// ops is the physical key layout in effect: the flat builder-backed
-	// operators by default, the per-key-allocation twins under
-	// Options.LegacyKeys.
-	ops *opset
 	// inCond marks evaluation happening on behalf of a condition or join
 	// key; all such work is attributed to the Join phase (Figure 10 counts
 	// predicate evaluation as part of the join).
@@ -91,47 +87,6 @@ type evaluator struct {
 	src    pipeline.RelationBatches
 	rsrc   pipeline.RangeBatches
 	chainB pipeline.Chain
-}
-
-// opset is the dispatch table for the operators that construct new keys,
-// in both physical layouts. Operators that only select or share tuples
-// have a single implementation and are called directly.
-type opset struct {
-	embedOuter  func(engine.Index, int, int, *interval.Relation, *engine.Budget) (*interval.Relation, error)
-	bindVar     func(domain, roots *interval.Relation, depth, newDepth int) *interval.Relation
-	positions   func(roots *interval.Relation, oldDepth, newDepth int) *interval.Relation
-	construct   func(engine.Index, int, string, *interval.Relation) *interval.Relation
-	concat      func(engine.Index, int, *interval.Relation, *interval.Relation) *interval.Relation
-	count       func(engine.Index, int, *interval.Relation) *interval.Relation
-	reverse     func(*interval.Relation, int) *interval.Relation
-	sortTrees   func(rel *interval.Relation, depth, parallelism int) *interval.Relation
-	subtreesDFS func(*interval.Relation, int) *interval.Relation
-}
-
-var flatOps = opset{
-	embedOuter:  engine.EmbedOuter,
-	bindVar:     engine.BindVar,
-	positions:   engine.Positions,
-	construct:   engine.Construct,
-	concat:      engine.Concat,
-	count:       engine.Count,
-	reverse:     engine.Reverse,
-	sortTrees:   engine.SortTreesP,
-	subtreesDFS: engine.SubtreesDFS,
-}
-
-var legacyOps = opset{
-	embedOuter: engine.EmbedOuterLegacy,
-	bindVar:    engine.BindVarLegacy,
-	positions:  engine.PositionsLegacy,
-	construct:  engine.ConstructLegacy,
-	concat:     engine.ConcatLegacy,
-	count:      engine.CountLegacy,
-	reverse:    engine.ReverseLegacy,
-	sortTrees: func(rel *interval.Relation, depth, _ int) *interval.Relation {
-		return engine.SortTreesLegacy(rel, depth)
-	},
-	subtreesDFS: engine.SubtreesDFSLegacy,
 }
 
 // phaseDur returns the duration to charge: the given phase normally, the
@@ -158,10 +113,7 @@ func newEvaluator(cat Catalog, opts Options) *evaluator {
 	// default, 1 keeps evaluation single-threaded, larger values bound the
 	// query's workers. Everything downstream sees the resolved value.
 	opts.Parallelism = exec.Resolve(opts.Parallelism)
-	ev := &evaluator{docs: cat, opts: opts, stats: opts.Stats, ops: &flatOps}
-	if opts.LegacyKeys {
-		ev.ops = &legacyOps
-	}
+	ev := &evaluator{docs: cat, opts: opts, stats: opts.Stats}
 	if ev.stats == nil {
 		ev.stats = &Stats{}
 	}
@@ -321,7 +273,7 @@ func (ev *evaluator) execNode(n *plan.Node, en *env) (*table, error) {
 		// clause can have emptied it.
 		defer track(ev.phaseDur(&ev.stats.Construction))()
 		rel := interval.Encode(n.Value)
-		out, err := ev.ops.embedOuter(en.index, 0, en.depth, rel, ev.budget)
+		out, err := engine.EmbedOuter(en.index, 0, en.depth, rel, ev.budget)
 		if err != nil {
 			return nil, err
 		}
@@ -384,7 +336,7 @@ func (ev *evaluator) evalVar(name string, en *env) (*table, error) {
 	}
 	defer track(&ev.stats.Join)()
 	start := ev.now()
-	rel, err := ev.ops.embedOuter(en.index, b.depth, en.depth, b.tab.rel, ev.budget)
+	rel, err := engine.EmbedOuter(en.index, b.depth, en.depth, b.tab.rel, ev.budget)
 	if err != nil {
 		return nil, err
 	}
@@ -425,7 +377,7 @@ func (ev *evaluator) execIndexPath(n *plan.Node, en *env) (*table, error) {
 				out.Tuples = append(out.Tuples, sk.Rel.Tuples[r[0]:r[1]]...)
 			}
 			if en.depth != 0 || len(en.index) != 1 {
-				embedded, err := ev.ops.embedOuter(en.index, 0, en.depth, out, ev.budget)
+				embedded, err := engine.EmbedOuter(en.index, 0, en.depth, out, ev.budget)
 				if err != nil {
 					return nil, err
 				}
@@ -454,10 +406,7 @@ func (ev *evaluator) addSkipped(n *plan.Node, skipped int64) {
 // fragments of Section 5 — materializing only the chain's final output.
 // Since the compiler marks every path operator Streamable, single-step
 // chains stream too; only NoPipeline plans fall back to the materializing
-// engine. The chain runs batch-at-a-time over columnar chunks by default;
-// Options.ScalarPipeline (and LegacyKeys, which promises the per-key
-// physical layout) select the tuple-at-a-time iterators instead. Both
-// paths produce digit-identical output.
+// engine. The chain runs batch-at-a-time over columnar chunks.
 func (ev *evaluator) execStreamChain(head *plan.Node, en *env) (*table, error) {
 	var chain []*plan.Node
 	cur := head
@@ -477,9 +426,6 @@ func (ev *evaluator) execStreamChain(head *plan.Node, en *env) (*table, error) {
 		return nil, err
 	}
 	defer track(ev.phaseDur(&ev.stats.Paths))()
-	if ev.opts.ScalarPipeline || ev.opts.LegacyKeys {
-		return ev.runScalarChain(chain, input, en)
-	}
 	return ev.runBatchChain(chain, input, en)
 }
 
@@ -487,13 +433,13 @@ func (ev *evaluator) execStreamChain(head *plan.Node, en *env) (*table, error) {
 // servable index seek: the resolved row ranges stream straight into the
 // chain's batch chunks, so neither the seek result nor any intermediate
 // relation is materialized. The path is restricted to the plain serial
-// batch runtime; the scalar, analyze, and parallel variants materialize
+// batch runtime; the analyze and parallel variants materialize
 // the seek through execIndexPath instead, which counts the seek the same
 // way, so the choice is purely mechanical.
 func (ev *evaluator) tryIndexedChain(chain []*plan.Node, en *env) (*table, bool, error) {
 	bottom := chain[len(chain)-1].Inputs[0]
 	if bottom.Op != plan.OpIndexPath || ev.an != nil || ev.opts.Trace != nil ||
-		ev.opts.ScalarPipeline || ev.opts.LegacyKeys || ev.opts.Parallelism >= 2 {
+		ev.opts.Parallelism >= 2 {
 		return nil, false, nil
 	}
 	sk := bottom.Seek
@@ -548,59 +494,6 @@ func (ev *evaluator) buildStages(chain []*plan.Node, en *env) []pipeline.Stage {
 		n++
 	}
 	return ev.stages[:n]
-}
-
-// runScalarChain is the tuple-at-a-time execution of a fused chain,
-// preserved as the differential oracle for the batch runtime.
-func (ev *evaluator) runScalarChain(chain []*plan.Node, input *table, en *env) (*table, error) {
-	var it pipeline.Iterator = pipeline.NewScan(input.rel)
-	// Inner chain stages never materialize; in analyze mode a counting
-	// pass-through records their per-stage row counts (their time stays
-	// attributed to the chain head, which does the fused work).
-	type stage struct {
-		node *plan.Node
-		ctr  *pipeline.Counter
-	}
-	var stages []stage
-	for i := len(chain) - 1; i >= 0; i-- {
-		op := chain[i]
-		switch {
-		case op.Op == plan.OpRoots:
-			it = pipeline.NewRoots(it)
-		case op.Step == plan.StepSelect:
-			it = pipeline.NewSelectLabel(op.Label, it)
-		case op.Step == plan.StepSelText:
-			it = pipeline.NewSelectText(it)
-		case op.Step == plan.StepChildren:
-			it = pipeline.NewChildren(it)
-		case op.Step == plan.StepData:
-			it = pipeline.NewData(it)
-		case op.Step == plan.StepHead:
-			it = pipeline.NewHead(it, en.depth)
-		case op.Step == plan.StepTail:
-			it = pipeline.NewTail(it, en.depth)
-		}
-		if ev.an != nil && i > 0 {
-			c := &pipeline.Counter{In: it}
-			it = c
-			stages = append(stages, stage{node: op, ctr: c})
-		}
-	}
-	// Every fused operator preserves intervals, so the local width is the
-	// input's.
-	start := ev.now()
-	out := pipeline.Materialize(it)
-	if ev.opts.Trace != nil {
-		ev.note(fmt.Sprintf("pipeline[%d ops]", len(chain)), start, out.Len())
-	}
-	for _, s := range stages {
-		if s.node.ID >= 0 && s.node.ID < len(ev.an.stats.Nodes) {
-			ns := &ev.an.stats.Nodes[s.node.ID]
-			ns.Calls++
-			ns.Rows += int64(s.ctr.N)
-		}
-	}
-	return &table{rel: out, local: input.local}, nil
 }
 
 // runBatchChain is the batch-at-a-time execution of a fused chain: the
@@ -751,15 +644,15 @@ func (ev *evaluator) applyOp(n *plan.Node, args []*table, en *env) (*table, erro
 	switch n.Op {
 	case plan.OpConstruct:
 		defer track(ev.phaseDur(&ev.stats.Construction))()
-		rel := ev.ops.construct(en.index, en.depth, n.Label, args[0].rel)
+		rel := engine.Construct(en.index, en.depth, n.Label, args[0].rel)
 		return &table{rel: rel, local: max(1, args[0].local)}, nil
 	case plan.OpConcat:
 		defer track(ev.phaseDur(&ev.stats.Construction))()
-		rel := ev.ops.concat(en.index, en.depth, args[0].rel, args[1].rel)
+		rel := engine.Concat(en.index, en.depth, args[0].rel, args[1].rel)
 		return &table{rel: rel, local: max(args[0].local, args[1].local)}, nil
 	case plan.OpCount:
 		defer track(ev.phaseDur(&ev.stats.Construction))()
-		rel := ev.ops.count(en.index, en.depth, args[0].rel)
+		rel := engine.Count(en.index, en.depth, args[0].rel)
 		return &table{rel: rel, local: 1}, nil
 	case plan.OpAggregate:
 		defer track(ev.phaseDur(&ev.stats.Construction))()
@@ -781,10 +674,10 @@ func (ev *evaluator) applyOp(n *plan.Node, args []*table, en *env) (*table, erro
 		return &table{rel: rel, local: args[0].local + 1}, nil
 	case plan.OpReverse:
 		defer track(ev.phaseDur(&ev.stats.Construction))()
-		return &table{rel: ev.ops.reverse(args[0].rel, en.depth), local: args[0].local + 1}, nil
+		return &table{rel: engine.Reverse(args[0].rel, en.depth), local: args[0].local + 1}, nil
 	case plan.OpStructuralSort:
 		defer track(ev.phaseDur(&ev.stats.Construction))()
-		if ev.spill != nil && !ev.opts.LegacyKeys {
+		if ev.spill != nil {
 			rel, st, err := engine.SortTreesSpill(args[0].rel, en.depth, ev.opts.Parallelism, *ev.spill)
 			if err != nil {
 				return nil, err
@@ -792,7 +685,7 @@ func (ev *evaluator) applyOp(n *plan.Node, args []*table, en *env) (*table, erro
 			ev.noteSpill(st)
 			return &table{rel: rel, local: args[0].local + 1}, nil
 		}
-		return &table{rel: ev.ops.sortTrees(args[0].rel, en.depth, ev.opts.Parallelism), local: args[0].local + 1}, nil
+		return &table{rel: engine.SortTreesP(args[0].rel, en.depth, ev.opts.Parallelism), local: args[0].local + 1}, nil
 	case plan.OpDistinct:
 		defer track(ev.phaseDur(&ev.stats.Paths))()
 		return &table{rel: engine.DistinctP(args[0].rel, en.depth, ev.opts.Parallelism), local: args[0].local}, nil
@@ -801,7 +694,7 @@ func (ev *evaluator) applyOp(n *plan.Node, args []*table, en *env) (*table, erro
 		return &table{rel: engine.Roots(args[0].rel), local: args[0].local}, nil
 	case plan.OpSubtreesDFS:
 		defer track(ev.phaseDur(&ev.stats.Paths))()
-		return &table{rel: ev.ops.subtreesDFS(args[0].rel, en.depth), local: args[0].local + 1}, nil
+		return &table{rel: engine.SubtreesDFS(args[0].rel, en.depth), local: args[0].local + 1}, nil
 	case plan.OpPathStep:
 		defer track(ev.phaseDur(&ev.stats.Paths))()
 		switch n.Step {
@@ -980,11 +873,11 @@ func (ev *evaluator) execBindVar(n *plan.Node, en *env) (*table, error) {
 	roots := engine.Roots(dom.rel)
 	index := engine.EnterIndex(roots)
 	newDepth := en.depth + dom.local
-	bound := ev.ops.bindVar(dom.rel, roots, en.depth, newDepth)
+	bound := engine.BindVar(dom.rel, roots, en.depth, newDepth)
 	child := en.child(newDepth, index)
 	child.vars[n.Label] = binding{tab: &table{rel: bound, local: dom.local}, depth: newDepth}
 	if n.Pos != "" {
-		pos := ev.ops.positions(roots, en.depth, newDepth)
+		pos := engine.Positions(roots, en.depth, newDepth)
 		child.vars[n.Pos] = binding{tab: &table{rel: pos, local: 1}, depth: newDepth}
 	}
 	ev.note("for-enter", start, len(index))

@@ -9,8 +9,7 @@ import (
 )
 
 // benchmarkIndexPath measures one benchmark query on the DI-MSJ path with
-// the scan-backed and index-backed access paths side by side — the
-// micro-benchmark twin of dibench -benchjson6.
+// the scan-backed and index-backed access paths side by side.
 func benchmarkIndexPath(b *testing.B, query string) {
 	cat, _ := generatedCatalog(0.01, 7)
 	q := Compile(xq.MustParse(query), Options{})

@@ -63,13 +63,13 @@ func (ev *evaluator) execMergeJoin(n *plan.Node, en *env) (*table, error) {
 	roots := engine.Roots(domTab.rel)
 	yIndex := engine.EnterIndex(roots)
 	yDepth := d0 + domTab.local
-	yBound := ev.ops.bindVar(domTab.rel, roots, d0, yDepth)
+	yBound := engine.BindVar(domTab.rel, roots, d0, yDepth)
 	done()
 	yEnv := anc.child(yDepth, yIndex)
 	yEnv.vars[n.Label] = binding{tab: &table{rel: yBound, local: domTab.local}, depth: yDepth}
 	var yPos *interval.Relation
 	if n.Pos != "" {
-		yPos = ev.ops.positions(roots, d0, yDepth)
+		yPos = engine.Positions(roots, d0, yDepth)
 		yEnv.vars[n.Pos] = binding{tab: &table{rel: yPos, local: 1}, depth: yDepth}
 	}
 
@@ -94,11 +94,7 @@ func (ev *evaluator) execMergeJoin(n *plan.Node, en *env) (*table, error) {
 	start := ev.now()
 	outerGroups := engine.GroupByEnv(en.index, en.depth, outerTab.rel)
 	innerGroups := engine.GroupByEnv(yIndex, yDepth, innerTab.rel)
-	spill := ev.spill
-	if ev.opts.LegacyKeys {
-		spill = nil
-	}
-	pairs, joinInfo, err := mergeJoinEnvs(en.index, outerGroups, yIndex, innerGroups, d0, ev.opts.Parallelism, spill)
+	pairs, joinInfo, err := mergeJoinEnvs(en.index, outerGroups, yIndex, innerGroups, d0, ev.opts.Parallelism, ev.spill)
 	if err != nil {
 		return nil, err
 	}
@@ -108,10 +104,9 @@ func (ev *evaluator) execMergeJoin(n *plan.Node, en *env) (*table, error) {
 		ev.an.addPartitions(n.ID, joinInfo.partitions)
 	}
 
-	// (5): rebuild combined environments in document order. The flat path
-	// writes every rebuilt key into shared fixed-stride buffers (one builder
-	// per output relation, one arena for the index keys); the legacy path
-	// keeps the original one-allocation-per-key construction.
+	// (5): rebuild combined environments in document order. Every rebuilt
+	// key is written into shared fixed-stride buffers (one builder per output
+	// relation, one arena for the index keys).
 	newDepth := en.depth + domTab.local
 	yValGroups := engine.GroupByEnv(yIndex, yDepth, yBound)
 	var yPosGroups [][]interval.Tuple
@@ -119,58 +114,33 @@ func (ev *evaluator) execMergeJoin(n *plan.Node, en *env) (*table, error) {
 		yPosGroups = engine.GroupByEnv(yIndex, yDepth, yPos)
 	}
 	newIndex := make(engine.Index, 0, len(pairs))
-	var joined, joinedPos *interval.Relation
-	if ev.opts.LegacyKeys {
-		joined = &interval.Relation{}
-		joinedPos = &interval.Relation{}
-		rebase := func(dst *interval.Relation, base interval.Key, g []interval.Tuple) {
-			for _, t := range g {
-				dst.Tuples = append(dst.Tuples, interval.Tuple{
-					S: t.S,
-					L: base.Append(t.L.Suffix(yDepth)...),
-					R: base.Append(t.R.Suffix(yDepth)...),
-				})
-			}
+	lw := 0
+	for _, t := range yBound.Tuples {
+		if n := len(t.L) - yDepth; n > lw {
+			lw = n
 		}
-		for _, p := range pairs {
-			envKey := en.index[p.outer].Extend(en.depth).Append(yIndex[p.inner].Suffix(d0)...)
-			newIndex = append(newIndex, envKey)
-			base := envKey.Extend(newDepth)
-			rebase(joined, base, yValGroups[p.inner])
-			if yPosGroups != nil {
-				rebase(joinedPos, base, yPosGroups[p.inner])
-			}
+		if n := len(t.R) - yDepth; n > lw {
+			lw = n
 		}
-	} else {
-		lw := 0
-		for _, t := range yBound.Tuples {
-			if n := len(t.L) - yDepth; n > lw {
-				lw = n
-			}
-			if n := len(t.R) - yDepth; n > lw {
-				lw = n
-			}
-		}
-		valB := interval.NewBuilder(newDepth+lw, len(yBound.Tuples))
-		posBld := interval.NewBuilder(newDepth+1, 0)
-		var arena interval.KeyArena
-		for _, p := range pairs {
-			envKey := arena.Rebase(en.index[p.outer], en.depth, yIndex[p.inner], d0)
-			newIndex = append(newIndex, envKey)
-			valB.SetBase(envKey, newDepth)
-			for _, t := range yValGroups[p.inner] {
-				valB.Rebase(t.S, t.L, t.R, yDepth)
-			}
-			if yPosGroups != nil {
-				posBld.SetBase(envKey, newDepth)
-				for _, t := range yPosGroups[p.inner] {
-					posBld.Rebase(t.S, t.L, t.R, yDepth)
-				}
-			}
-		}
-		joined = valB.Relation()
-		joinedPos = posBld.Relation()
 	}
+	valB := interval.NewBuilder(newDepth+lw, len(yBound.Tuples))
+	posBld := interval.NewBuilder(newDepth+1, 0)
+	var arena interval.KeyArena
+	for _, p := range pairs {
+		envKey := arena.Rebase(en.index[p.outer], en.depth, yIndex[p.inner], d0)
+		newIndex = append(newIndex, envKey)
+		valB.SetBase(envKey, newDepth)
+		for _, t := range yValGroups[p.inner] {
+			valB.Rebase(t.S, t.L, t.R, yDepth)
+		}
+		if yPosGroups != nil {
+			posBld.SetBase(envKey, newDepth)
+			for _, t := range yPosGroups[p.inner] {
+				posBld.Rebase(t.S, t.L, t.R, yDepth)
+			}
+		}
+	}
+	joined, joinedPos := valB.Relation(), posBld.Relation()
 	ev.stats.MergeJoins++
 	ev.note("merge-join", start, len(newIndex))
 	done()

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -14,32 +15,28 @@ import (
 	"dixq/internal/xq"
 )
 
-// lowerSortThreshold makes the parallel structural sort, the exchange
-// merge behind it and the partitioned merge-join probe engage on
-// test-sized inputs, so the Parallelism > 1 variants actually fan out
-// workers instead of silently taking the serial path. It also raises
-// the process worker budget so the exec.Effective clamp does not
-// collapse the partitioning to 2-way on single-core machines.
-func lowerSortThreshold(tb testing.TB) {
-	oldSort, oldProbe := interval.ParallelSortThreshold, core.ParallelProbeThreshold
+// TestMain lowers the thresholds of the parallel structural sort, the
+// exchange merge behind it and the partitioned merge-join probe for the
+// whole package, so the Parallelism > 1 variants actually fan out workers
+// on test-sized inputs instead of silently taking the serial path, and
+// raises the process worker budget so the exec.Effective clamp does not
+// collapse the partitioning to 2-way on single-core machines. Setting them
+// once, before any test starts, is what lets the two long matrix tests run
+// in parallel with each other.
+func TestMain(m *testing.M) {
 	interval.ParallelSortThreshold, core.ParallelProbeThreshold = 4, 4
-	oldLimit := exec.SetLimit(8)
-	tb.Cleanup(func() {
-		interval.ParallelSortThreshold, core.ParallelProbeThreshold = oldSort, oldProbe
-		exec.SetLimit(oldLimit)
-	})
+	exec.SetLimit(8)
+	os.Exit(m.Run())
 }
 
 // TestEnginesAgreeOnCorpus is the differential matrix: every corpus case
 // through the interpreter (the semantic oracle), the baseline DI
-// evaluation, and the full variant matrix. The interpreter comparison is
+// evaluation, and the variant matrix. The interpreter comparison is
 // forest equality; the DI comparisons are digit-identical relations.
 func TestEnginesAgreeOnCorpus(t *testing.T) {
-	lowerSortThreshold(t)
+	t.Parallel()
 	cat, icat := Docs(t, 0.002, 17)
-	variants := Variants(t.TempDir())
-	variants = append(variants, WithIndexes(variants, index.BuildSet(cat))...)
-	variants = append(variants, WithStats(variants, stats.CollectSet(cat))...)
+	variants := Variants(t.TempDir(), index.BuildSet(cat), stats.CollectSet(cat))
 	for _, c := range Corpus() {
 		t.Run(c.Name, func(t *testing.T) {
 			oracle, oerr := interp.Run(c.Query, icat)

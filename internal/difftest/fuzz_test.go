@@ -6,7 +6,6 @@ import (
 
 	"dixq/internal/core"
 	"dixq/internal/index"
-	"dixq/internal/interval"
 	"dixq/internal/stats"
 	"dixq/internal/xmark"
 	"dixq/internal/xq"
@@ -44,10 +43,6 @@ func FuzzParallelExecute(f *testing.F) {
 		// 2..17 cover the whole label range of the pool.
 		batch := int(chunk)%256 + 1
 		par := int(workers)%16 + 2
-
-		old := interval.ParallelSortThreshold
-		interval.ParallelSortThreshold = 4
-		defer func() { interval.ParallelSortThreshold = old }()
 
 		q := core.Compile(e, core.Options{})
 		for _, mode := range []core.Mode{core.ModeMSJ, core.ModeNLJ} {

@@ -32,6 +32,7 @@ var sqlUnsupported = map[string]string{
 // untuned engine is quadratic on the translation's order predicates —
 // that asymmetry is the paper's point, not a bug.
 func TestFullSuiteAcrossAllEngines(t *testing.T) {
+	t.Parallel()
 	cat, icat := Docs(t, 0.002, 17)
 	sqlDoc := xmark.Generate(xmark.Config{ScaleFactor: 0.0003, Seed: 4})
 	sqlDocs := map[string]xmltree.Forest{xmark.DocName: sqlDoc}
@@ -46,6 +47,9 @@ func TestFullSuiteAcrossAllEngines(t *testing.T) {
 	}
 	for _, q := range xmark.All {
 		t.Run(q.Name, func(t *testing.T) {
+			// Q9's three-way join on the untuned SQL engine is most of
+			// this test's wall time; the other queries overlap with it.
+			t.Parallel()
 			e, err := xq.Parse(q.Text)
 			if err != nil {
 				t.Fatal(err)

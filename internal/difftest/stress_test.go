@@ -18,7 +18,6 @@ import (
 // digit-identical to the serial in-memory evaluation, and the worker
 // budget must drain completely.
 func TestConcurrentParallelSpillingRuns(t *testing.T) {
-	lowerSortThreshold(t)
 	// A raised budget makes worker handoff between concurrent queries
 	// actually happen on the 1-CPU CI leg too.
 	prev := exec.SetLimit(6)

@@ -13,8 +13,7 @@ import (
 // fixed-stride buffer instead of one heap allocation per key. The stride
 // is the bound on output key length — environment depth plus the input's
 // physical local width, the quantity the compile-time width inference of
-// Section 4.3 tracks symbolically. See legacy.go for the per-key reference
-// implementations.
+// Section 4.3 tracks symbolically.
 
 // Roots is the roots-extraction operator of Algorithm 5.2: it keeps the
 // tuples not strictly contained in any other interval. With dynamic

@@ -191,6 +191,9 @@ func TestPerEnvOpsRespectEnvironments(t *testing.T) {
 		"Distinct": {func(_ Index, d int, r *interval.Relation) *interval.Relation {
 			return Distinct(r, d)
 		}, xfn.Distinct},
+		"SubtreesDFS": {func(_ Index, d int, r *interval.Relation) *interval.Relation {
+			return SubtreesDFS(r, d)
+		}, xfn.SubtreesDFS},
 		"Construct": {func(ix Index, d int, r *interval.Relation) *interval.Relation {
 			return Construct(ix, d, "<w>", r)
 		}, func(f xmltree.Forest) xmltree.Forest { return xfn.Node("<w>", f) }},

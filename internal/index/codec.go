@@ -1,5 +1,5 @@
-// Index serialization: the persistent form appended to a DIXQS2 store file
-// after the document body. Row arrays (End, class rows, postings) are
+// Index serialization: the persistent form appended to a store file after
+// the document body. Row arrays (End, class rows, postings) are
 // fixed-width little-endian int32 — the same mmap-friendly flat layout as
 // the document itself — with uvarint counts and length-prefixed labels.
 package index

@@ -5,7 +5,7 @@
 //
 // A DocIndex holds three structures, all derived from one O(n) pass over the
 // document relation and all persisted next to the document by the store
-// (format DIXQS2):
+// (the index section of the .dixq format):
 //
 //   - End: for every row i, the exclusive end of the subtree rooted at i in
 //     the L-sorted relation, so any subtree is the contiguous row range

@@ -95,8 +95,8 @@ func (a *KeyArena) Rebase(base Key, baseLen int, k Key, depth int) Key {
 // length (environment depth plus local width, per the compile-time width
 // inference); every key occupies one stride-sized slot, so row i's L and R
 // digits sit at offsets 2·i·stride and (2·i+1)·stride. Keys keep their
-// exact legacy digit count (the slot's padding stays zero), so builder
-// output is digit-for-digit identical to the per-key-allocation layout.
+// exact digit count (the slot's padding stays zero): a key's length is a
+// function of its inputs' lengths, never of the stride.
 type Builder struct {
 	stride int
 	arena  KeyArena
@@ -229,8 +229,8 @@ type Flat struct {
 	// Orig optionally maps each row to its index in the row-form relation
 	// the chunk was filled from. The batch runtime threads it through its
 	// filter kernels so the final materialization can hand back the
-	// original tuples (aliasing their keys, like the scalar iterators do)
-	// instead of cloning digits. Nil when the rows have no row-form origin.
+	// original tuples (aliasing their keys, like the materializing engine
+	// operators do) instead of cloning digits. Nil when the rows have no row-form origin.
 	Orig []int32
 
 	rel *Relation // lazily materialized compatibility view

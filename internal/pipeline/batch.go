@@ -1,11 +1,8 @@
-// Batch-at-a-time execution. The Volcano iterators in pipeline.go hand one
-// tuple per virtual call; at millions of rows the call overhead and the
-// per-tuple key views dominate. The Batch interface moves the same Section
-// 5 operators to chunk granularity: each Next yields a columnar
+// Batch-at-a-time execution. The Batch interface runs the Section 5
+// operators at chunk granularity: each Next yields a columnar
 // interval.Flat of up to BatchSize rows, and the kernels run their state
-// machines as tight loops over the shared digit buffer. The state machines
-// are digit-for-digit the ones in pipeline.go — the scalar forms stay as
-// the differential oracle (core.Options.ScalarPipeline).
+// machines as tight loops over the shared digit buffer, carrying the
+// enclosing-interval state across chunk boundaries.
 package pipeline
 
 import (
@@ -248,7 +245,7 @@ func (s *FlatBatches) Next() (*interval.Flat, bool) {
 }
 
 // Stage is one fused filter operator in value form: its kind, parameters,
-// and the per-row state machine from pipeline.go. Stages live by value
+// and the per-row state machine. Stages live by value
 // inside a kernel or a Chain so that an entire fused chain costs a constant
 // number of allocations, not one per operator. The retained keys (max,
 // prefix, end) are copied into stage-owned buffers because source chunks
@@ -297,10 +294,9 @@ func SelectTextStage() Stage { return Stage{kind: stageSelectText} }
 // stage.
 func DataStage() Stage { return Stage{kind: stageData} }
 
-// HeadStage keeps each environment's first top-level tree, mirroring the
-// scalar headTail machine: depth digits of L identify the environment, the
-// first tuple of each environment opens its first tree, and done latches
-// once a row falls outside it.
+// HeadStage keeps each environment's first top-level tree: depth digits
+// of L identify the environment, the first tuple of each environment opens
+// its first tree, and done latches once a row falls outside it.
 func HeadStage(depth int) Stage { return Stage{kind: stageHead, depth: depth} }
 
 // TailStage keeps everything but each environment's first top-level tree.
@@ -435,29 +431,6 @@ outer:
 	}
 }
 
-// NewBatchRoots applies RootsStage as a standalone Batch operator.
-func NewBatchRoots(in Batch) Batch { return NewKernel(in, RootsStage()) }
-
-// NewBatchChildren applies ChildrenStage as a standalone Batch operator.
-func NewBatchChildren(in Batch) Batch { return NewKernel(in, ChildrenStage()) }
-
-// NewBatchSelectLabel applies SelectLabelStage as a standalone Batch
-// operator.
-func NewBatchSelectLabel(label string, in Batch) Batch { return NewKernel(in, SelectLabelStage(label)) }
-
-// NewBatchSelectText applies SelectTextStage as a standalone Batch
-// operator.
-func NewBatchSelectText(in Batch) Batch { return NewKernel(in, SelectTextStage()) }
-
-// NewBatchData applies DataStage as a standalone Batch operator.
-func NewBatchData(in Batch) Batch { return NewKernel(in, DataStage()) }
-
-// NewBatchHead applies HeadStage as a standalone Batch operator.
-func NewBatchHead(in Batch, depth int) Batch { return NewKernel(in, HeadStage(depth)) }
-
-// NewBatchTail applies TailStage as a standalone Batch operator.
-func NewBatchTail(in Batch, depth int) Batch { return NewKernel(in, TailStage(depth)) }
-
 // BatchCounter passes chunks through unchanged, accumulating row, batch,
 // and byte counts. The analyze mode of the executor wraps the stages of a
 // fused chain with it to attribute per-stage actuals.
@@ -488,8 +461,7 @@ type BatchStats struct {
 // MaterializeBatches drains a batch stream into a row-form relation. When
 // the surviving rows carry Orig indices into rel (the RelationBatches
 // path), the output tuples are the original tuples themselves — keys
-// aliased, zero digit copies, exactly what the scalar Materialize
-// produces. Rows without an origin (e.g. a FlatBatches source) are cloned
+// aliased, zero digit copies. Rows without an origin (e.g. a FlatBatches source) are cloned
 // into an arena at their exact physical lengths.
 func MaterializeBatches(b Batch, rel *interval.Relation) (*interval.Relation, BatchStats) {
 	var st BatchStats
@@ -517,7 +489,7 @@ func MaterializeBatches(b Batch, rel *interval.Relation) (*interval.Relation, Ba
 }
 
 // CountTreesBatches drains a batch stream and counts top-level trees — the
-// batched form of CountTrees.
+// streaming form of the count aggregate over a single environment.
 func CountTreesBatches(b Batch) int {
 	n := 0
 	var max interval.Key

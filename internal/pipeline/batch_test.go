@@ -5,13 +5,16 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dixq/internal/engine"
 	"dixq/internal/interval"
+	"dixq/internal/xfn"
 	"dixq/internal/xmltree"
 )
 
 // sameTuples compares two relations digit-for-digit: labels, exact key
 // lengths, and every digit must match. Stricter than Key.Equal on purpose —
-// the batch runtime promises digit-identical output to the scalar one.
+// the batch runtime promises digit-identical output to the materializing
+// engine operators.
 func sameTuples(t *testing.T, name string, got, want *interval.Relation) bool {
 	t.Helper()
 	if len(got.Tuples) != len(want.Tuples) {
@@ -30,41 +33,38 @@ func sameTuples(t *testing.T, name string, got, want *interval.Relation) bool {
 	return true
 }
 
-// batchPairs maps every scalar operator to its batch kernel.
-var batchPairs = []struct {
-	name   string
-	scalar func(Iterator) Iterator
-	batch  func(Batch) Batch
+// kernelSpecs maps every batch kernel to the materializing engine operator
+// that specifies it.
+var kernelSpecs = []struct {
+	name  string
+	stage Stage
+	spec  func(*interval.Relation) *interval.Relation
 }{
-	{"Roots", NewRoots, NewBatchRoots},
-	{"Children", NewChildren, NewBatchChildren},
-	{"SelectLabel",
-		func(it Iterator) Iterator { return NewSelectLabel("<a>", it) },
-		func(b Batch) Batch { return NewBatchSelectLabel("<a>", b) }},
-	{"SelectText", NewSelectText, NewBatchSelectText},
-	{"Data", NewData, NewBatchData},
-	{"Head",
-		func(it Iterator) Iterator { return NewHead(it, 0) },
-		func(b Batch) Batch { return NewBatchHead(b, 0) }},
-	{"Tail",
-		func(it Iterator) Iterator { return NewTail(it, 0) },
-		func(b Batch) Batch { return NewBatchTail(b, 0) }},
+	{"Roots", RootsStage(), engine.Roots},
+	{"Children", ChildrenStage(), engine.Children},
+	{"SelectLabel", SelectLabelStage("<a>"),
+		func(r *interval.Relation) *interval.Relation { return engine.SelectLabel("<a>", r) }},
+	{"SelectText", SelectTextStage(), engine.SelectText},
+	{"Data", DataStage(), engine.Data},
+	{"Head", HeadStage(0),
+		func(r *interval.Relation) *interval.Relation { return engine.Head(r, 0) }},
+	{"Tail", TailStage(0),
+		func(r *interval.Relation) *interval.Relation { return engine.Tail(r, 0) }},
 }
 
-// TestBatchKernelsMatchScalar is the per-operator differential: every batch
-// kernel must reproduce its scalar twin digit-for-digit on random forests,
-// across batch sizes down to one row per chunk (which exercises all the
-// state carried across chunk boundaries).
-func TestBatchKernelsMatchScalar(t *testing.T) {
-	for _, p := range batchPairs {
+// TestBatchKernelsMatchEngine is the per-operator differential: every batch
+// kernel must reproduce its engine operator digit-for-digit on random
+// forests, across batch sizes down to one row per chunk (which exercises
+// all the state carried across chunk boundaries).
+func TestBatchKernelsMatchEngine(t *testing.T) {
+	for _, p := range kernelSpecs {
 		for _, bs := range []int{1, 2, 3, 7, DefaultBatchSize} {
 			cfg := &quick.Config{MaxCount: 120}
 			f := func(seed int64) bool {
 				rng := rand.New(rand.NewSource(seed))
 				rel := interval.Encode(xmltree.RandomForest(rng, 12))
-				want := Materialize(p.scalar(NewScan(rel)))
-				got, _ := MaterializeBatches(p.batch(NewRelationBatches(rel, bs)), rel)
-				return sameTuples(t, p.name, got, want)
+				got, _ := MaterializeBatches(NewKernel(NewRelationBatches(rel, bs), p.stage), rel)
+				return sameTuples(t, p.name, got, p.spec(rel))
 			}
 			if err := quick.Check(f, cfg); err != nil {
 				t.Errorf("%s (batch=%d): %v", p.name, bs, err)
@@ -73,24 +73,35 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 	}
 }
 
-// TestBatchChainMatchesScalarChain fuses a multi-step chain and compares
-// with the scalar fused chain, over both batch sources.
-func TestBatchChainMatchesScalarChain(t *testing.T) {
+// TestFusedChainMatchesEngineAndSpec runs a two-step path plus atomization
+// — select("<a>", children(·)) then data(·) — three ways: as one fused
+// Chain over a row-form source, as stacked kernels over a columnar source,
+// and through the materializing engine operators; all three must agree
+// digit-for-digit, and decode to the forest-level specification.
+func TestFusedChainMatchesEngineAndSpec(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		rel := interval.Encode(xmltree.RandomForest(rng, 15))
-		want := Materialize(NewData(NewSelectLabel("<a>", NewChildren(NewScan(rel)))))
+		forest := xmltree.RandomForest(rng, 15)
+		rel := interval.Encode(forest)
+		want := engine.Data(engine.SelectLabel("<a>", engine.Children(rel)))
 
-		got, _ := MaterializeBatches(
-			NewBatchData(NewBatchSelectLabel("<a>", NewBatchChildren(NewRelationBatches(rel, 4)))), rel)
+		stages := []Stage{ChildrenStage(), SelectLabelStage("<a>"), DataStage()}
+		got, _ := MaterializeBatches(NewChain(NewRelationBatches(rel, 4), stages), rel)
 		if !sameTuples(t, "chain/relation", got, want) {
 			return false
 		}
+		decoded, err := interval.Decode(got)
+		if err != nil || !decoded.Equal(xfn.Data(xfn.Select("<a>", xfn.Children(forest)))) {
+			t.Logf("seed %d: fused chain diverged from the xfn specification (%v)", seed, err)
+			return false
+		}
 
-		flat := interval.FlatOf(rel)
-		got2, _ := MaterializeBatches(
-			NewBatchData(NewBatchSelectLabel("<a>", NewBatchChildren(NewFlatBatches(flat, 4)))), nil)
+		var b Batch = NewFlatBatches(interval.FlatOf(rel), 4)
+		for _, st := range []Stage{ChildrenStage(), SelectLabelStage("<a>"), DataStage()} {
+			b = NewKernel(b, st)
+		}
+		got2, _ := MaterializeBatches(b, nil)
 		return sameTuples(t, "chain/flat", got2, want)
 	}
 	if err := quick.Check(f, cfg); err != nil {
@@ -118,37 +129,44 @@ func TestBatchHeadTailMultiEnv(t *testing.T) {
 			})
 		}
 	}
+	wantHead, wantTail := engine.Head(rel, 1), engine.Tail(rel, 1)
+	if wantHead.Len()+wantTail.Len() != rel.Len() || wantHead.Len() != 4 {
+		t.Fatalf("reference head/tail do not partition the input: %d + %d of %d",
+			wantHead.Len(), wantTail.Len(), rel.Len())
+	}
 	for _, bs := range []int{1, 2, 3, 64} {
-		wantHead := Materialize(NewHead(NewScan(rel), 1))
-		gotHead, _ := MaterializeBatches(NewBatchHead(NewRelationBatches(rel, bs), 1), rel)
+		gotHead, _ := MaterializeBatches(NewKernel(NewRelationBatches(rel, bs), HeadStage(1)), rel)
 		if !sameTuples(t, "head", gotHead, wantHead) {
 			t.Errorf("head diverged at batch=%d", bs)
 		}
-		wantTail := Materialize(NewTail(NewScan(rel), 1))
-		gotTail, _ := MaterializeBatches(NewBatchTail(NewRelationBatches(rel, bs), 1), rel)
+		gotTail, _ := MaterializeBatches(NewKernel(NewRelationBatches(rel, bs), TailStage(1)), rel)
 		if !sameTuples(t, "tail", gotTail, wantTail) {
 			t.Errorf("tail diverged at batch=%d", bs)
 		}
 	}
 }
 
-// TestCountTreesBatches checks the batched tree counter against the scalar
-// one on random forests.
+// TestCountTreesBatches checks the batched tree counter against the number
+// of roots the engine extracts, on random forests and the empty relation.
 func TestCountTreesBatches(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		rel := interval.Encode(xmltree.RandomForest(rng, 12))
-		want := CountTrees(NewScan(rel))
+		forest := xmltree.RandomForest(rng, 12)
+		rel := interval.Encode(forest)
+		want := engine.Roots(rel).Len()
 		got := CountTreesBatches(NewRelationBatches(rel, 3))
-		if got != want {
-			t.Logf("seed %d: got %d trees, want %d", seed, got, want)
+		if got != want || want != len(forest) {
+			t.Logf("seed %d: got %d trees, engine %d, forest %d", seed, got, want, len(forest))
 			return false
 		}
 		return true
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+	if got := CountTreesBatches(NewRelationBatches(&interval.Relation{}, 3)); got != 0 {
+		t.Errorf("CountTreesBatches(empty) = %d", got)
 	}
 }
 
@@ -173,7 +191,8 @@ func TestBatchCounter(t *testing.T) {
 	}
 }
 
-// TestBatchSourcesNeverYieldEmpty pins the no-empty-chunk contract.
+// TestBatchSourcesNeverYieldEmpty pins the no-empty-chunk contract and
+// source exhaustion.
 func TestBatchSourcesNeverYieldEmpty(t *testing.T) {
 	empty := &interval.Relation{}
 	if _, ok := NewRelationBatches(empty, 8).Next(); ok {
@@ -183,6 +202,15 @@ func TestBatchSourcesNeverYieldEmpty(t *testing.T) {
 		t.Error("FlatBatches yielded a chunk for an empty relation")
 	}
 	rel := interval.Encode(xmltree.Forest{xmltree.NewText("x")})
+	src := NewRelationBatches(rel, 8)
+	if _, ok := src.Next(); !ok {
+		t.Fatal("first Next should yield the single row")
+	}
+	for i := 0; i < 2; i++ {
+		if _, ok := src.Next(); ok {
+			t.Fatal("Next after exhaustion should keep reporting false")
+		}
+	}
 	// A kernel that filters everything out must report exhaustion, not an
 	// empty chunk.
 	none := NewKernel(NewRelationBatches(rel, 8), SelectLabelStage("<never>"))

@@ -1,279 +1,15 @@
 // Package pipeline is the streaming half of the DI prototype: the Section
-// 5 operators as Volcano-style iterators, exactly as the paper presents
-// them (Algorithm 5.2 is literally "Iterator Roots(Iterator T)"). Each
-// operator consumes its input tuple-at-a-time, preserves the L-key order,
-// and uses O(1) space (O(depth) for the operators that track enclosing
-// intervals), so a chain of path steps — the bulk of every query's plan —
-// runs as one fused linear pass with no intermediate relations.
+// 5 path operators (Algorithm 5.2's Roots and its siblings) as fused
+// batch-at-a-time kernels. Each operator consumes its input in L-key
+// order, preserves that order, and uses O(1) space (O(depth) for the
+// operators that track enclosing intervals), so a chain of path steps —
+// the bulk of every query's plan — runs as one fused linear pass with no
+// intermediate relations.
 //
 // The materializing engine (package engine) remains the executor for the
-// stateful environment machinery (loop entry, embedding, merge joins);
-// the planner fuses maximal path chains through this package and
-// materializes only at the chain boundary.
+// stateful environment machinery (loop entry, embedding, merge joins) and
+// the specification of every kernel here: engine.Roots, Children,
+// SelectLabel, SelectText, Data, Head and Tail are what the kernels are
+// tested against. The planner fuses maximal path chains through this
+// package and materializes only at the chain boundary.
 package pipeline
-
-import (
-	"dixq/internal/interval"
-	"dixq/internal/xmltree"
-)
-
-// Iterator yields interval tuples in L-key order. Implementations are
-// single-use: after Next returns ok=false the iterator is exhausted.
-type Iterator interface {
-	// Next returns the next tuple; ok=false signals end of input.
-	Next() (t interval.Tuple, ok bool)
-}
-
-// Scan iterates an in-memory relation.
-type Scan struct {
-	rel *interval.Relation
-	pos int
-}
-
-// NewScan returns an iterator over rel's tuples.
-func NewScan(rel *interval.Relation) *Scan { return &Scan{rel: rel} }
-
-// Next implements Iterator.
-func (s *Scan) Next() (interval.Tuple, bool) {
-	if s.pos >= len(s.rel.Tuples) {
-		return interval.Tuple{}, false
-	}
-	t := s.rel.Tuples[s.pos]
-	s.pos++
-	return t, true
-}
-
-// FlatScan iterates a columnar relation (interval.Flat) directly: each
-// tuple is a zero-copy view into the shared digit buffer, so a fused chain
-// over flat storage allocates nothing per row.
-type FlatScan struct {
-	f   *interval.Flat
-	pos int
-}
-
-// NewFlatScan returns an iterator over a flat relation's rows.
-func NewFlatScan(f *interval.Flat) *FlatScan { return &FlatScan{f: f} }
-
-// Next implements Iterator.
-func (s *FlatScan) Next() (interval.Tuple, bool) {
-	if s.pos >= s.f.Len() {
-		return interval.Tuple{}, false
-	}
-	t := s.f.Tuple(s.pos)
-	s.pos++
-	return t, true
-}
-
-// Materialize drains an iterator into a relation.
-func Materialize(it Iterator) *interval.Relation {
-	out := &interval.Relation{}
-	for {
-		t, ok := it.Next()
-		if !ok {
-			return out
-		}
-		out.Tuples = append(out.Tuples, t)
-	}
-}
-
-// roots is Algorithm 5.2 verbatim: a tuple is a root iff its interval
-// starts after every previously seen interval has closed. O(1) space.
-type roots struct {
-	in      Iterator
-	max     interval.Key
-	haveMax bool
-}
-
-// NewRoots streams the top-level trees' root tuples.
-func NewRoots(in Iterator) Iterator { return &roots{in: in} }
-
-func (r *roots) Next() (interval.Tuple, bool) {
-	for {
-		t, ok := r.in.Next()
-		if !ok {
-			return interval.Tuple{}, false
-		}
-		if !r.haveMax || interval.Compare(t.L, r.max) > 0 {
-			r.max = t.R
-			r.haveMax = true
-			return t, true
-		}
-	}
-}
-
-// children is the complement of roots: tuples strictly inside another.
-type children struct {
-	in      Iterator
-	max     interval.Key
-	haveMax bool
-}
-
-// NewChildren streams the concatenated child forests.
-func NewChildren(in Iterator) Iterator { return &children{in: in} }
-
-func (c *children) Next() (interval.Tuple, bool) {
-	for {
-		t, ok := c.in.Next()
-		if !ok {
-			return interval.Tuple{}, false
-		}
-		if !c.haveMax || interval.Compare(t.L, c.max) > 0 {
-			c.max = t.R
-			c.haveMax = true
-			continue
-		}
-		return t, true
-	}
-}
-
-// selectRoots keeps whole top-level trees whose root satisfies the
-// predicate.
-type selectRoots struct {
-	in      Iterator
-	keep    func(label string) bool
-	max     interval.Key
-	haveMax bool
-	keeping bool
-}
-
-// NewSelectLabel streams the trees whose root label equals label.
-func NewSelectLabel(label string, in Iterator) Iterator {
-	return &selectRoots{in: in, keep: func(s string) bool { return s == label }}
-}
-
-// NewSelectText streams the trees whose root is a text node.
-func NewSelectText(in Iterator) Iterator {
-	return &selectRoots{in: in, keep: func(s string) bool {
-		return xmltree.LabelKind(s) == xmltree.Text
-	}}
-}
-
-func (s *selectRoots) Next() (interval.Tuple, bool) {
-	for {
-		t, ok := s.in.Next()
-		if !ok {
-			return interval.Tuple{}, false
-		}
-		if !s.haveMax || interval.Compare(t.L, s.max) > 0 {
-			s.max = t.R
-			s.haveMax = true
-			s.keeping = s.keep(t.S)
-		}
-		if s.keeping {
-			return t, true
-		}
-	}
-}
-
-// data keeps text-labeled tuples (always leaves).
-type data struct {
-	in Iterator
-}
-
-// NewData streams the atomized (text leaf) tuples.
-func NewData(in Iterator) Iterator { return &data{in: in} }
-
-func (d *data) Next() (interval.Tuple, bool) {
-	for {
-		t, ok := d.in.Next()
-		if !ok {
-			return interval.Tuple{}, false
-		}
-		if xmltree.LabelKind(t.S) == xmltree.Text {
-			return t, true
-		}
-	}
-}
-
-// headTail keeps (or drops) each environment's first top-level tree.
-type headTail struct {
-	in    Iterator
-	depth int
-	head  bool
-
-	havePrefix bool
-	prefix     interval.Key
-	end        interval.Key
-	done       bool
-}
-
-// NewHead streams each environment's first top-level tree.
-func NewHead(in Iterator, depth int) Iterator {
-	return &headTail{in: in, depth: depth, head: true}
-}
-
-// NewTail streams everything but each environment's first top-level tree.
-func NewTail(in Iterator, depth int) Iterator {
-	return &headTail{in: in, depth: depth}
-}
-
-func (h *headTail) Next() (interval.Tuple, bool) {
-	for {
-		t, ok := h.in.Next()
-		if !ok {
-			return interval.Tuple{}, false
-		}
-		if !h.havePrefix || t.L.ComparePrefix(h.prefix, h.depth) != 0 {
-			// New environment: its first tuple is the first root. The
-			// prefix buffer is reused across environments (only the depth
-			// digits matter for the group test).
-			h.havePrefix = true
-			if cap(h.prefix) < h.depth {
-				h.prefix = make(interval.Key, h.depth)
-			}
-			h.prefix = h.prefix[:h.depth]
-			for i := range h.prefix {
-				h.prefix[i] = t.L.Digit(i)
-			}
-			h.end = t.R
-			h.done = false
-			if h.head {
-				return t, true
-			}
-			continue
-		}
-		inFirst := interval.Compare(t.L, h.end) <= 0 && !h.done
-		if !inFirst {
-			h.done = true
-		}
-		if inFirst == h.head {
-			return t, true
-		}
-	}
-}
-
-// CountTrees drains the iterator and counts top-level trees — the
-// streaming form of the count aggregate over a single environment.
-func CountTrees(in Iterator) int {
-	n := 0
-	var max interval.Key
-	haveMax := false
-	for {
-		t, ok := in.Next()
-		if !ok {
-			return n
-		}
-		if !haveMax || interval.Compare(t.L, max) > 0 {
-			max = t.R
-			haveMax = true
-			n++
-		}
-	}
-}
-
-// Counter passes tuples through unchanged, counting them. The analyze
-// mode of the executor wraps the inner stages of a fused chain with it to
-// attribute per-stage row counts without materializing anything.
-type Counter struct {
-	In Iterator
-	N  int
-}
-
-// Next implements Iterator.
-func (c *Counter) Next() (interval.Tuple, bool) {
-	t, ok := c.In.Next()
-	if ok {
-		c.N++
-	}
-	return t, ok
-}

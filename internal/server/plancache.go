@@ -56,8 +56,8 @@ func newPlanCache(capacity int) *planCache {
 // document was dropped and reloaded with different content — is never
 // reused against another.
 func planKey(req *QueryRequest, cfg Config, version uint64) string {
-	return fmt.Sprintf("%s\x00%s\x00legacy=%t\x00nopipe=%t\x00par=%d\x00cat=%d",
-		req.Query, req.Engine, req.LegacyKeys, req.NoPipeline, effectiveParallelism(req, cfg), version)
+	return fmt.Sprintf("%s\x00%s\x00par=%d\x00cat=%d",
+		req.Query, req.Engine, effectiveParallelism(req, cfg), version)
 }
 
 // get returns the cached plan for key and promotes it to most-recent.

@@ -209,12 +209,6 @@ type QueryRequest struct {
 	// the plan annotated with per-operator actuals instead of the static
 	// description.
 	Analyze bool `json:"analyze,omitempty"`
-	// LegacyKeys selects the per-key-allocation operator implementations
-	// (DI engines).
-	LegacyKeys bool `json:"legacy_keys,omitempty"`
-	// NoPipeline disables streaming fusion of path-operator chains (DI
-	// engines).
-	NoPipeline bool `json:"no_pipeline,omitempty"`
 	// Parallelism bounds the query's intra-query workers (DI engines):
 	// 1 means serial, larger values bound the workers directly, and 0
 	// falls back to the server's configured default (which itself
@@ -249,8 +243,6 @@ func (req *QueryRequest) options(engine dixq.Engine, cfg Config) *dixq.Options {
 		MaxTuples:   cfg.MaxTuples,
 		MemBudget:   cfg.MemBudget,
 		SpillDir:    cfg.SpillDir,
-		LegacyKeys:  req.LegacyKeys,
-		NoPipeline:  req.NoPipeline,
 		Parallelism: effectiveParallelism(req, cfg),
 	}
 }

@@ -299,8 +299,6 @@ func TestPlanCacheKeyIncludesOptions(t *testing.T) {
 	distinct := []QueryRequest{
 		base,
 		{Query: "q", Engine: "di-nlj"},
-		{Query: "q", Engine: "di-msj", LegacyKeys: true},
-		{Query: "q", Engine: "di-msj", NoPipeline: true},
 		{Query: "q", Engine: "di-msj", Parallelism: def + 1},
 		{Query: "q", Engine: "di-msj", Parallelism: def + 2},
 	}
@@ -354,11 +352,14 @@ func TestPlanCacheKeyIncludesOptions(t *testing.T) {
 }
 
 // TestPlanCacheOptionsEndToEnd drives the regression through the HTTP
-// layer: the same query under different options must miss the cache.
+// layer: the same query under a different engine or worker bound must miss
+// the cache, while a body still carrying the removed "legacy_keys" /
+// "no_pipeline" fields is accepted, answers identically and lands in the
+// slot of the body without them.
 func TestPlanCacheOptionsEndToEnd(t *testing.T) {
 	ts := testServer(t, Config{})
 	query := `for $x in document("auction.xml")/site/regions return count($x/*)`
-	run := func(req QueryRequest) StatsJSON {
+	run := func(req any) QueryResponse {
 		t.Helper()
 		resp, body := postJSON(t, ts.URL+"/query", req)
 		if resp.StatusCode != http.StatusOK {
@@ -371,17 +372,22 @@ func TestPlanCacheOptionsEndToEnd(t *testing.T) {
 		if out.Stats == nil {
 			t.Fatal("missing stats")
 		}
-		return *out.Stats
+		return out
 	}
-	run(QueryRequest{Query: query})
-	if st := run(QueryRequest{Query: query, NoPipeline: true}); st.PlanCacheMiss != 2 {
-		t.Fatalf("no_pipeline request should miss: %d misses", st.PlanCacheMiss)
+	first := run(QueryRequest{Query: query})
+	if out := run(QueryRequest{Query: query, Engine: "di-nlj"}); out.Stats.PlanCacheMiss != 2 {
+		t.Fatalf("engine change should miss: %d misses", out.Stats.PlanCacheMiss)
 	}
-	if st := run(QueryRequest{Query: query, LegacyKeys: true}); st.PlanCacheMiss != 3 {
-		t.Fatalf("legacy_keys request should miss: %d misses", st.PlanCacheMiss)
+	if out := run(QueryRequest{Query: query, Parallelism: exec.Resolve(0) + 1}); out.Stats.PlanCacheMiss != 3 {
+		t.Fatalf("parallelism change should miss: %d misses", out.Stats.PlanCacheMiss)
 	}
-	if st := run(QueryRequest{Query: query}); st.PlanCacheHits != 1 {
-		t.Fatalf("repeat of the first request should hit: %d hits", st.PlanCacheHits)
+	old := run(map[string]any{"query": query, "legacy_keys": true, "no_pipeline": true})
+	if old.Stats.PlanCacheHits != 1 || old.Stats.PlanCacheMiss != 3 {
+		t.Fatalf("body with removed fields should hit the first request's slot: %d hits, %d misses",
+			old.Stats.PlanCacheHits, old.Stats.PlanCacheMiss)
+	}
+	if old.XML != first.XML || old.Trees != first.Trees {
+		t.Fatalf("removed fields changed the answer:\n%s\nwant\n%s", old.XML, first.XML)
 	}
 }
 

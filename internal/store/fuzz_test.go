@@ -16,7 +16,8 @@ import (
 // field the input merely claims (the maxSaneLen / key-length / label-length
 // guards), and reject corrupt input with an error rather than garbage.
 func FuzzStoreRead(f *testing.F) {
-	// Seed with valid DIXQS1 bytes at several shapes.
+	// Seed with valid files at several shapes, in the current format and
+	// in both older ones, so the corpus covers every magic.
 	seedRels := []*interval.Relation{
 		{},
 		interval.Encode(xmark.Figure1Forest()),
@@ -24,13 +25,11 @@ func FuzzStoreRead(f *testing.F) {
 		{Tuples: []interval.Tuple{{S: "", L: nil, R: interval.Key{3}}}},
 	}
 	for _, rel := range seedRels {
-		var buf bytes.Buffer
-		if err := Write(&buf, rel); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+		f.Add(encode(f, rel))
+		f.Add(oldFormat(f, magicV1, rel))
+		f.Add(oldFormat(f, magicV2, rel))
 	}
-	// And a valid run stream, so the corpus covers both magics.
+	// And a valid run stream, so the corpus covers the run magic too.
 	var runBuf bytes.Buffer
 	w, err := NewRunWriter(&runBuf)
 	if err != nil {
@@ -47,7 +46,7 @@ func FuzzStoreRead(f *testing.F) {
 	f.Add(runBuf.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if rel, err := Read(bytes.NewReader(data)); err == nil {
+		if rel, _, _, err := ReadFull(bytes.NewReader(data)); err == nil {
 			// A successful read must have produced a self-consistent
 			// relation whose size is bounded by the input that encoded it:
 			// every tuple costs at least three bytes on the wire.

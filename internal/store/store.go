@@ -5,20 +5,17 @@
 // save, then serve any number of queries straight from the relation
 // without reparsing XML.
 //
-// Format (DIXQS1): a label dictionary (labels repeat heavily in documents
+// Format (DIXQS3): a label dictionary (labels repeat heavily in documents
 // — element tags, attribute names) followed by tuples referencing labels
-// by index, all integers varint-encoded. Keys store their digit vectors
-// verbatim, so documents at any environment depth round-trip.
+// by index, all integers varint-encoded; keys store their digit vectors
+// verbatim, so documents at any environment depth round-trip. After that
+// body come the document's structural index (see internal/index) and its
+// optimizer statistics (see internal/stats), so a loaded document brings
+// its dataguide, subtree ranges and cardinalities at no rebuild cost.
 //
-// Format (DIXQS2) appends the document's structural index (see
-// internal/index) after the same body, so a loaded document comes with its
-// dataguide and subtree ranges at no rebuild cost. DIXQS1 files still
-// load; their index is rebuilt lazily from the relation.
-//
-// Format (DIXQS3) appends the document's optimizer statistics (see
-// internal/stats) after the index, so a loaded document feeds the
-// cost-based optimizer without a collection pass. DIXQS1/2 files still
-// load; their statistics are rebuilt lazily from the relation.
+// Files with the two older prefixes still load: DIXQS1 is the body alone,
+// DIXQS2 the body plus the index. The reader rebuilds whatever section is
+// missing once, on load, and the next save writes DIXQS3.
 package store
 
 import (
@@ -35,16 +32,14 @@ import (
 	"dixq/internal/stats"
 )
 
-// magic identifies the file format and its version.
-const magic = "DIXQS1\n"
-
-// magic2 identifies the indexed format: the DIXQS1 body followed by the
-// document's structural index.
-const magic2 = "DIXQS2\n"
-
-// magic3 identifies the full format: the DIXQS2 body and index followed
-// by the document's optimizer statistics.
-const magic3 = "DIXQS3\n"
+// magic identifies the file format written today; magicV1 and magicV2
+// are the prefixes of the older files the reader still accepts (the same
+// body, without statistics and — for V1 — without the index).
+const (
+	magic   = "DIXQS3\n"
+	magicV1 = "DIXQS1\n"
+	magicV2 = "DIXQS2\n"
+)
 
 // maxSaneLen bounds length fields while decoding, so corrupt or hostile
 // files fail fast instead of allocating wildly.
@@ -53,40 +48,12 @@ const maxSaneLen = 1 << 31
 // ErrFormat reports a malformed or foreign file.
 var ErrFormat = errors.New("store: not a DIXQS1/DIXQS2/DIXQS3 file")
 
-// Write serializes a relation in the unindexed DIXQS1 format.
-func Write(w io.Writer, rel *interval.Relation) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	if err := writeBody(bw, rel); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// WriteIndexed serializes a relation together with its structural index in
-// the DIXQS2 format. The index must have been built over rel.
-func WriteIndexed(w io.Writer, rel *interval.Relation, ix *index.DocIndex) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic2); err != nil {
-		return err
-	}
-	if err := writeBody(bw, rel); err != nil {
-		return err
-	}
-	if err := ix.Write(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
 // WriteFull serializes a relation together with its structural index and
-// optimizer statistics in the DIXQS3 format. Index and statistics must
-// have been built over rel.
+// optimizer statistics. Index and statistics must have been built over
+// rel.
 func WriteFull(w io.Writer, rel *interval.Relation, ix *index.DocIndex, st *stats.DocStats) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic3); err != nil {
+	if _, err := bw.WriteString(magic); err != nil {
 		return err
 	}
 	if err := writeBody(bw, rel); err != nil {
@@ -158,41 +125,25 @@ func writeBody(bw *bufio.Writer, rel *interval.Relation) error {
 	return nil
 }
 
-// Read deserializes a relation written by Write, WriteIndexed or
-// WriteFull, dropping the index and statistics sections.
-func Read(r io.Reader) (*interval.Relation, error) {
-	rel, _, _, err := readAny(r, false, false)
-	return rel, err
-}
-
-// ReadIndexed deserializes a relation together with its structural index.
-// For DIXQS1 files — which carry no index — the index is rebuilt from the
-// relation, so old stores keep working and upgrade on their next save.
-func ReadIndexed(r io.Reader) (*interval.Relation, *index.DocIndex, error) {
-	rel, ix, _, err := readAny(r, true, false)
-	return rel, ix, err
-}
-
 // ReadFull deserializes a relation together with its structural index and
-// optimizer statistics. For DIXQS1/2 files — which carry no statistics —
-// the missing sections are rebuilt from the relation, so old stores keep
-// working and upgrade on their next save.
+// optimizer statistics. Files in the older DIXQS1/DIXQS2 formats lack one
+// or both sections; those are rebuilt from the relation, so old stores
+// keep working and upgrade on their next save.
 func ReadFull(r io.Reader) (*interval.Relation, *index.DocIndex, *stats.DocStats, error) {
-	return readAny(r, true, true)
-}
-
-func readAny(r io.Reader, wantIndex, wantStats bool) (*interval.Relation, *index.DocIndex, *stats.DocStats, error) {
 	dec := &decoder{br: bufio.NewReader(r)}
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(dec.br, head); err != nil {
-		return nil, nil, nil, ErrFormat
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, nil, nil, ErrFormat
+		}
+		return nil, nil, nil, fmt.Errorf("store: read header: %w", err)
 	}
 	var indexed, full bool
 	switch string(head) {
-	case magic:
-	case magic2:
+	case magicV1:
+	case magicV2:
 		indexed = true
-	case magic3:
+	case magic:
 		indexed, full = true, true
 	default:
 		return nil, nil, nil, ErrFormat
@@ -203,27 +154,23 @@ func readAny(r io.Reader, wantIndex, wantStats bool) (*interval.Relation, *index
 	}
 	var ix *index.DocIndex
 	if indexed {
-		ix, err = index.Read(dec.br, rel)
-		if err != nil {
+		if ix, err = index.Read(dec.br, rel); err != nil {
 			return nil, nil, nil, err
 		}
+	} else {
+		ix = index.Build(rel)
 	}
 	var st *stats.DocStats
 	if full {
-		st, err = stats.Read(dec.br)
-		if err != nil {
+		if st, err = stats.Read(dec.br); err != nil {
 			return nil, nil, nil, err
 		}
+	} else {
+		st = stats.Collect(rel)
 	}
 	// Exactly at end?
 	if _, err := dec.br.ReadByte(); err != io.EOF {
 		return nil, nil, nil, fmt.Errorf("store: trailing bytes after %d tuples", len(rel.Tuples))
-	}
-	if wantIndex && ix == nil {
-		ix = index.Build(rel)
-	}
-	if wantStats && st == nil {
-		st = stats.Collect(rel)
 	}
 	return rel, ix, st, nil
 }
@@ -311,49 +258,11 @@ func (d *decoder) key() (interval.Key, error) {
 	return k, nil
 }
 
-// Save writes a relation to a file, atomically via a temporary sibling.
-func Save(path string, rel *interval.Relation) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".dixq-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := Write(tmp, rel); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("store: rename %s to %s: %w", tmp.Name(), path, err)
-	}
-	return nil
-}
-
-// SaveIndexed writes a relation and its structural index to a file,
-// atomically via a temporary sibling.
-func SaveIndexed(path string, rel *interval.Relation, ix *index.DocIndex) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".dixq-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := WriteIndexed(tmp, rel, ix); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("store: rename %s to %s: %w", tmp.Name(), path, err)
-	}
-	return nil
-}
-
 // SaveFull writes a relation, its structural index and its optimizer
-// statistics to a file, atomically via a temporary sibling.
+// statistics to a file, atomically via a temporary sibling: the temporary
+// file is synced before it is renamed over the target, so a crash leaves
+// either the old store or the complete new one, never an empty file under
+// the final name.
 func SaveFull(path string, rel *interval.Relation, ix *index.DocIndex, st *stats.DocStats) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".dixq-*")
 	if err != nil {
@@ -363,6 +272,10 @@ func SaveFull(path string, rel *interval.Relation, ix *index.DocIndex, st *stats
 	if err := WriteFull(tmp, rel, ix, st); err != nil {
 		tmp.Close()
 		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("store: sync %s: %w", tmp.Name(), err)
 	}
 	if err := tmp.Close(); err != nil {
 		return err
@@ -374,8 +287,8 @@ func SaveFull(path string, rel *interval.Relation, ix *index.DocIndex, st *stats
 }
 
 // LoadFull reads a relation, its structural index and its optimizer
-// statistics from a file. For DIXQS1/2 files the missing sections are
-// rebuilt from the relation.
+// statistics from a file, rebuilding the sections an older-format file
+// lacks (see ReadFull).
 func LoadFull(path string) (*interval.Relation, *index.DocIndex, *stats.DocStats, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -387,33 +300,4 @@ func LoadFull(path string) (*interval.Relation, *index.DocIndex, *stats.DocStats
 		return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return rel, ix, st, nil
-}
-
-// LoadIndexed reads a relation and its structural index from a file. For
-// DIXQS1 files the index is rebuilt from the relation.
-func LoadIndexed(path string) (*interval.Relation, *index.DocIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	rel, ix, err := ReadIndexed(f)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rel, ix, nil
-}
-
-// Load reads a relation from a file.
-func Load(path string) (*interval.Relation, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rel, err := Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rel, nil
 }

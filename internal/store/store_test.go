@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"math/rand"
@@ -8,23 +9,53 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"dixq/internal/index"
 	"dixq/internal/interval"
+	"dixq/internal/stats"
 	"dixq/internal/xmark"
 	"dixq/internal/xmltree"
 )
 
-func roundTrip(t *testing.T, rel *interval.Relation) *interval.Relation {
+// encode serializes rel with freshly built index and statistics.
+func encode(t testing.TB, rel *interval.Relation) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, rel); err != nil {
-		t.Fatalf("Write: %v", err)
+	if err := WriteFull(&buf, rel, index.Build(rel), stats.Collect(rel)); err != nil {
+		t.Fatalf("WriteFull: %v", err)
 	}
-	got, err := Read(&buf)
+	return buf.Bytes()
+}
+
+// oldFormat builds a file in one of the formats no writer produces any
+// more: the DIXQS1 prefix over the bare body, or the DIXQS2 prefix over
+// the body plus the structural index.
+func oldFormat(t testing.TB, prefix string, rel *interval.Relation) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	bw.WriteString(prefix)
+	if err := writeBody(bw, rel); err != nil {
+		t.Fatal(err)
+	}
+	if prefix == magicV2 {
+		if err := index.Build(rel).Write(bw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func roundTrip(t *testing.T, rel *interval.Relation) *interval.Relation {
+	t.Helper()
+	got, _, _, err := ReadFull(bytes.NewReader(encode(t, rel)))
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("ReadFull: %v", err)
 	}
 	return got
 }
@@ -88,95 +119,95 @@ func TestRoundTripEmpty(t *testing.T) {
 	}
 }
 
-func TestSaveLoad(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "doc.dixq")
-	rel := interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: 0.001, Seed: 4}))
-	if err := Save(path, rel); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalRel(rel, got) {
-		t.Fatal("Save/Load mismatch")
-	}
-	// No temp files left behind.
-	entries, _ := os.ReadDir(dir)
-	if len(entries) != 1 {
-		t.Fatalf("directory has %d entries, want 1", len(entries))
-	}
-}
-
-// TestIndexedRoundTrip covers the DIXQS2 format: WriteIndexed/ReadIndexed
-// preserve both the relation and the structural index; plain Read skips
-// the index section of an indexed file; and ReadIndexed of a plain DIXQS1
-// file rebuilds the index lazily.
-func TestIndexedRoundTrip(t *testing.T) {
+// TestFullRoundTrip checks that WriteFull/ReadFull preserve the relation,
+// the index and the statistics, and bind the decoded index to the decoded
+// relation.
+func TestFullRoundTrip(t *testing.T) {
 	rel := interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: 0.001, Seed: 4}))
 	ix := index.Build(rel)
+	st := stats.Collect(rel)
 
-	var buf bytes.Buffer
-	if err := WriteIndexed(&buf, rel, ix); err != nil {
-		t.Fatal(err)
-	}
-	enc := buf.Bytes()
-
-	gotRel, gotIx, err := ReadIndexed(bytes.NewReader(enc))
+	gotRel, gotIx, gotSt, err := ReadFull(bytes.NewReader(encode(t, rel)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !equalRel(rel, gotRel) {
-		t.Fatal("indexed round trip changed the relation")
+		t.Fatal("full round trip changed the relation")
 	}
 	if !reflect.DeepEqual(gotIx.Paths(), ix.Paths()) {
-		t.Fatal("indexed round trip changed the dataguide")
+		t.Fatal("full round trip changed the dataguide")
+	}
+	if !reflect.DeepEqual(gotSt, st) {
+		t.Fatalf("full round trip changed the statistics:\ngot  %+v\nwant %+v", gotSt, st)
 	}
 	if gotIx.Rel != gotRel {
 		t.Fatal("decoded index is not bound to the decoded relation")
 	}
+}
 
-	// Plain Read drops the index section cleanly.
-	plainRel, err := Read(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalRel(rel, plainRel) {
-		t.Fatal("plain Read of an indexed file changed the relation")
-	}
-
-	// DIXQS1 input: the index is rebuilt, not read.
-	var v1 bytes.Buffer
-	if err := Write(&v1, rel); err != nil {
-		t.Fatal(err)
-	}
-	v1Rel, v1Ix, err := ReadIndexed(&v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalRel(rel, v1Rel) || v1Ix == nil {
-		t.Fatal("DIXQS1 upgrade read failed")
-	}
-	if !reflect.DeepEqual(v1Ix.Paths(), ix.Paths()) {
-		t.Fatal("lazily rebuilt index disagrees with the persisted one")
+// TestOldFormatsUpgrade loads DIXQS1 and DIXQS2 files: the sections they
+// lack are rebuilt on load and agree with freshly built ones, and saving
+// what was loaded produces the very bytes a current-format save of the
+// original document produces — the one-shot upgrade — which reload
+// unchanged.
+func TestOldFormatsUpgrade(t *testing.T) {
+	rel := interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: 0.001, Seed: 4}))
+	ix := index.Build(rel)
+	st := stats.Collect(rel)
+	current := encode(t, rel)
+	for _, prefix := range []string{magicV1, magicV2} {
+		oldRel, oldIx, oldSt, err := ReadFull(bytes.NewReader(oldFormat(t, prefix, rel)))
+		if err != nil {
+			t.Fatalf("%q: %v", prefix, err)
+		}
+		if !equalRel(rel, oldRel) || oldIx.Rel != oldRel {
+			t.Fatalf("%q: relation changed or index not bound to it", prefix)
+		}
+		if !reflect.DeepEqual(oldIx.Paths(), ix.Paths()) {
+			t.Fatalf("%q: rebuilt index disagrees with a fresh one", prefix)
+		}
+		if !reflect.DeepEqual(oldSt, st) {
+			t.Fatalf("%q: rebuilt statistics disagree with fresh ones", prefix)
+		}
+		path := filepath.Join(t.TempDir(), "doc.dixq")
+		if err := SaveFull(path, oldRel, oldIx, oldSt); err != nil {
+			t.Fatal(err)
+		}
+		saved, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(saved, current) {
+			t.Fatalf("%q: upgraded file differs from a current-format save (%d vs %d bytes)",
+				prefix, len(saved), len(current))
+		}
+		again, _, againSt, err := LoadFull(path)
+		if err != nil || !equalRel(rel, again) || !reflect.DeepEqual(againSt, st) {
+			t.Fatalf("%q: upgraded file does not reload unchanged: %v", prefix, err)
+		}
 	}
 }
 
-func TestSaveLoadIndexed(t *testing.T) {
+func TestSaveLoadFull(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "doc.dixq")
 	rel := interval.Encode(xmark.Figure1Forest())
-	if err := SaveIndexed(path, rel, index.Build(rel)); err != nil {
+	ix := index.Build(rel)
+	st := stats.Collect(rel)
+	if err := SaveFull(path, rel, ix, st); err != nil {
 		t.Fatal(err)
 	}
-	got, ix, err := LoadIndexed(path)
+	got, gotIx, gotSt, err := LoadFull(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalRel(rel, got) || ix == nil || ix.Rel != got {
-		t.Fatal("SaveIndexed/LoadIndexed mismatch")
+	if !equalRel(rel, got) || gotIx == nil || gotIx.Rel != got {
+		t.Fatal("SaveFull/LoadFull relation or index mismatch")
 	}
+	if !reflect.DeepEqual(gotSt, st) {
+		t.Fatal("SaveFull/LoadFull statistics mismatch")
+	}
+	// No temp files left behind.
 	entries, _ := os.ReadDir(dir)
 	if len(entries) != 1 {
 		t.Fatalf("directory has %d entries, want 1", len(entries))
@@ -191,39 +222,36 @@ func TestSaveIntoCurrentDir(t *testing.T) {
 	}
 	defer os.Chdir(old)
 	rel := interval.Encode(xmltree.Forest{xmltree.NewText("x")})
-	if err := Save("plain.dixq", rel); err != nil {
+	if err := SaveFull("plain.dixq", rel, index.Build(rel), stats.Collect(rel)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load("plain.dixq"); err != nil {
+	if _, _, _, err := LoadFull("plain.dixq"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestLoadErrors(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.dixq")); err == nil {
+	if _, _, _, err := LoadFull(filepath.Join(t.TempDir(), "missing.dixq")); err == nil {
 		t.Error("missing file should fail")
 	}
 }
 
 func TestReadRejectsCorruption(t *testing.T) {
 	rel := interval.Encode(xmark.Figure1Forest())
-	var buf bytes.Buffer
-	if err := Write(&buf, rel); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := encode(t, rel)
+	body := oldFormat(t, magicV1, rel)
 
 	cases := map[string][]byte{
 		"empty":            {},
 		"bad magic":        []byte("NOTDIXQ" + string(valid[7:])),
 		"truncated header": valid[:3],
 		"truncated labels": valid[:len(magic)+2],
-		"truncated tuples": valid[:len(valid)-4],
+		"truncated tuples": body[:len(body)-4],
 		"trailing garbage": append(append([]byte{}, valid...), 0x01),
 		"xml not a store":  []byte("<site></site>"),
 	}
 	for name, data := range cases {
-		if _, err := Read(bytes.NewReader(data)); err == nil {
+		if _, _, _, err := ReadFull(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -237,8 +265,24 @@ func TestReadRejectsCorruption(t *testing.T) {
 	b.Write([]byte{9})         // label index 9: out of range
 	b.Write([]byte{1, 0})      // L = [0]
 	b.Write([]byte{1, 1})      // R = [1]
-	if _, err := Read(&b); err == nil {
+	if _, _, _, err := ReadFull(&b); err == nil {
 		t.Error("out-of-range label index: expected error")
+	}
+}
+
+// TestHeaderErrors pins which failures count as "not a store file": a
+// short or unknown header is ErrFormat; an I/O error while reading the
+// header is reported as itself, not mislabelled as a format problem.
+func TestHeaderErrors(t *testing.T) {
+	for name, data := range map[string]string{"empty": "", "short": "DIX", "foreign": "<site></site>"} {
+		if _, _, _, err := ReadFull(bytes.NewReader([]byte(data))); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s header: err = %v, want ErrFormat", name, err)
+		}
+	}
+	broken := errors.New("controller reset")
+	_, _, _, err := ReadFull(iotest.ErrReader(broken))
+	if !errors.Is(err, broken) || errors.Is(err, ErrFormat) {
+		t.Errorf("I/O error reading the header: err = %v, want it to wrap %v and not ErrFormat", err, broken)
 	}
 }
 
@@ -246,25 +290,23 @@ func TestWriteRejectsNegativeDigits(t *testing.T) {
 	rel := &interval.Relation{Tuples: []interval.Tuple{
 		{S: "x", L: interval.Key{-1}, R: interval.Key{2}},
 	}}
-	if err := Write(&bytes.Buffer{}, rel); err == nil {
+	if err := WriteFull(&bytes.Buffer{}, rel, nil, nil); err == nil {
 		t.Error("negative digit should fail")
 	}
 }
 
+// TestFormatIsCompact checks the label dictionary: the body — the part of
+// the file that replaces the XML text — must not outgrow it.
 func TestFormatIsCompact(t *testing.T) {
 	doc := xmark.Generate(xmark.Config{ScaleFactor: 0.002, Seed: 7})
-	rel := interval.Encode(doc)
-	var buf bytes.Buffer
-	if err := Write(&buf, rel); err != nil {
-		t.Fatal(err)
-	}
+	body := oldFormat(t, magicV1, interval.Encode(doc))
 	xmlLen := len(doc.String())
-	if buf.Len() > xmlLen {
-		t.Errorf("store %d bytes > XML %d bytes; label dictionary not effective?", buf.Len(), xmlLen)
+	if len(body) > xmlLen {
+		t.Errorf("store body %d bytes > XML %d bytes; label dictionary not effective?", len(body), xmlLen)
 	}
 }
 
-// failWriter fails after n bytes, exercising Write's error propagation.
+// failWriter fails after n bytes, exercising WriteFull's error propagation.
 type failWriter struct{ n int }
 
 func (w *failWriter) Write(p []byte) (int, error) {
@@ -282,33 +324,47 @@ func (w *failWriter) Write(p []byte) (int, error) {
 
 func TestWriteErrors(t *testing.T) {
 	rel := interval.Encode(xmark.Figure1Forest())
-	// Fail at various prefixes: header, label table, tuples.
-	for _, budget := range []int{0, 3, 10, 50, 400} {
-		if err := Write(&failWriter{n: budget}, rel); err == nil {
-			// Large budgets may succeed only if the whole file fits.
-			var buf bytes.Buffer
-			_ = Write(&buf, rel)
-			if budget < buf.Len() {
-				t.Errorf("budget %d: expected write error", budget)
-			}
+	ix, st := index.Build(rel), stats.Collect(rel)
+	size := len(encode(t, rel))
+	// Fail at various prefixes: header, label table, tuples, index, stats.
+	for _, budget := range []int{0, 3, 10, 50, 400, size - 1} {
+		if err := WriteFull(&failWriter{n: budget}, rel, ix, st); err == nil && budget < size {
+			t.Errorf("budget %d of %d bytes: expected write error", budget, size)
 		}
 	}
 }
 
+// TestSaveErrors checks the failure side of SaveFull's atomicity: a save
+// that fails leaves neither a temporary file nor a new target behind, and
+// leaves a store already at the target exactly as it was.
 func TestSaveErrors(t *testing.T) {
 	rel := interval.Encode(xmark.Figure1Forest())
-	if err := Save(filepath.Join(t.TempDir(), "no", "such", "dir", "f.dixq"), rel); err == nil {
-		t.Error("Save into missing directory should fail")
+	ix, st := index.Build(rel), stats.Collect(rel)
+	if err := SaveFull(filepath.Join(t.TempDir(), "no", "such", "dir", "f.dixq"), rel, ix, st); err == nil {
+		t.Error("SaveFull into missing directory should fail")
 	}
 	bad := &interval.Relation{Tuples: []interval.Tuple{{S: "x", L: interval.Key{-1}, R: interval.Key{1}}}}
 	dir := t.TempDir()
-	if err := Save(filepath.Join(dir, "bad.dixq"), bad); err == nil {
-		t.Error("Save of negative-digit relation should fail")
+	path := filepath.Join(dir, "doc.dixq")
+	if err := SaveFull(path, bad, nil, nil); err == nil {
+		t.Error("SaveFull of negative-digit relation should fail")
 	}
-	// The failed Save must not leave the target file behind.
-	entries, _ := os.ReadDir(dir)
-	if len(entries) != 0 {
-		t.Errorf("failed Save left %d entries", len(entries))
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("failed SaveFull left %d entries", len(entries))
+	}
+
+	if err := SaveFull(path, rel, ix, st); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveFull(path, bad, nil, nil); err == nil {
+		t.Error("SaveFull of negative-digit relation over an existing store should fail")
+	}
+	kept, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(kept, encode(t, rel)) {
+		t.Errorf("failed SaveFull damaged the existing store (%v)", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("failed SaveFull left %d entries beside the store", len(entries)-1)
 	}
 }
 
@@ -317,7 +373,7 @@ func TestImplausibleLengths(t *testing.T) {
 	var b bytes.Buffer
 	b.WriteString(magic)
 	b.Write([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // ~2^63
-	if _, err := Read(&b); err == nil {
+	if _, _, _, err := ReadFull(&b); err == nil {
 		t.Error("implausible label count accepted")
 	}
 	// Implausible key length.
@@ -327,7 +383,34 @@ func TestImplausibleLengths(t *testing.T) {
 	c.Write([]byte{1})                // one tuple
 	c.Write([]byte{0})                // label 0
 	c.Write([]byte{0xff, 0xff, 0x7f}) // key length ~2M
-	if _, err := Read(&c); err == nil {
+	if _, _, _, err := ReadFull(&c); err == nil {
 		t.Error("implausible key length accepted")
+	}
+}
+
+// TestFullRejectsCorruption truncates and mangles the stats section of a
+// file at every byte offset past the index: every cut must fail loudly,
+// never decode to wrong statistics silently.
+func TestFullRejectsCorruption(t *testing.T) {
+	rel := interval.Encode(xmark.Figure1Forest())
+	fullBytes := encode(t, rel)
+	// The stats section occupies everything past the (identical) body and
+	// index, which the DIXQS2 fixture measures exactly.
+	statsStart := len(oldFormat(t, magicV2, rel))
+	if statsStart >= len(fullBytes) {
+		t.Fatalf("no stats section: full %d bytes, indexed %d", len(fullBytes), statsStart)
+	}
+
+	for cut := statsStart; cut < len(fullBytes); cut++ {
+		if _, _, _, err := ReadFull(bytes.NewReader(fullBytes[:cut])); err == nil {
+			t.Fatalf("truncation at byte %d/%d decoded without error", cut, len(fullBytes))
+		}
+	}
+
+	// An implausible length inside the stats section.
+	mangled := append([]byte{}, fullBytes[:statsStart]...)
+	mangled = append(mangled, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)
+	if _, _, _, err := ReadFull(bytes.NewReader(mangled)); err == nil {
+		t.Fatal("implausible stats length decoded without error")
 	}
 }
