@@ -52,7 +52,7 @@ func main() {
 	showCore := flag.Bool("core", false, "print the desugared core expression and exit")
 	showWidth := flag.Bool("width", false, "print the Section 4.3 width analysis and exit")
 	stats := flag.Bool("stats", false, "print the phase breakdown after the result")
-	trace := flag.Bool("trace", false, "print per-operator statistics after the result (DI engines)")
+	trace := flag.Bool("trace", false, "print the per-operator table (calls, rows, exclusive time, in plan order) after the result (DI engines)")
 	indent := flag.Bool("indent", false, "pretty-print the result")
 	timeout := flag.Duration("timeout", 0, "abort evaluation after this duration")
 	interactive := flag.Bool("i", false, "interactive session: read queries from stdin, each ended by an empty line")
@@ -66,7 +66,7 @@ func main() {
 		fatal("exactly one of -q or -f is required (or -i for an interactive session)")
 	}
 
-	engine, err := parseEngine(*engineName)
+	engine, err := dixq.ParseEngine(*engineName)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -126,29 +126,8 @@ func main() {
 	}
 }
 
-func parseEngine(name string) (dixq.Engine, error) {
-	switch name {
-	case "di-opt":
-		return dixq.CostBased, nil
-	case "di-msj":
-		return dixq.MergeJoin, nil
-	case "di-nlj":
-		return dixq.NestedLoop, nil
-	case "interp":
-		return dixq.Interpreter, nil
-	case "generic-sql":
-		return dixq.GenericSQL, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q", name)
-	}
-}
-
 func runOnce(q *dixq.Query, cat *dixq.Catalog, cfg config) error {
-	opts := &dixq.Options{Engine: cfg.engine, Timeout: cfg.timeout}
-	if cfg.trace {
-		opts.Trace = &dixq.Trace{}
-	}
-	res, err := q.Run(cat, opts)
+	res, err := q.Run(cat, &dixq.Options{Engine: cfg.engine, Timeout: cfg.timeout})
 	if err != nil {
 		return err
 	}
@@ -157,8 +136,12 @@ func runOnce(q *dixq.Query, cat *dixq.Catalog, cfg config) error {
 	} else {
 		fmt.Println(res.XML())
 	}
-	if cfg.trace && opts.Trace != nil {
-		fmt.Fprint(os.Stderr, opts.Trace.String())
+	if ops := res.Operators(); cfg.trace && ops != nil {
+		// The run's own per-operator actuals, in plan order (DI engines).
+		fmt.Fprintf(os.Stderr, "%8s %12s %12s  %s\n", "calls", "rows", "time", "operator")
+		for _, op := range ops {
+			fmt.Fprintf(os.Stderr, "%8d %12d %12s  %s\n", op.Calls, op.Rows, op.Time.Round(time.Microsecond), op.Op)
+		}
 	}
 	if cfg.stats {
 		fmt.Fprintf(os.Stderr, "elapsed: %v\n", res.Elapsed.Round(time.Microsecond))

@@ -230,21 +230,48 @@ const (
 	GenericSQL
 )
 
+// engineNames is the one table of engine names, indexed by Engine: the
+// wire name used by flags, JSON request bodies and metric labels, and the
+// display name String returns.
+var engineNames = [...]struct{ label, display string }{
+	CostBased:   {"di-opt", "DI-OPT"},
+	MergeJoin:   {"di-msj", "DI-MSJ"},
+	NestedLoop:  {"di-nlj", "DI-NLJ"},
+	Interpreter: {"interp", "interpreter"},
+	GenericSQL:  {"generic-sql", "generic-sql"},
+}
+
 func (e Engine) String() string {
-	switch e {
-	case CostBased:
-		return "DI-OPT"
-	case MergeJoin:
-		return "DI-MSJ"
-	case NestedLoop:
-		return "DI-NLJ"
-	case Interpreter:
-		return "interpreter"
-	case GenericSQL:
-		return "generic-sql"
-	default:
+	if e < 0 || int(e) >= len(engineNames) {
 		return "invalid"
 	}
+	return engineNames[e].display
+}
+
+// Label returns the engine's wire name — what ParseEngine accepts and the
+// server's metrics and traces label runs with ("unknown" for an invalid
+// value).
+func (e Engine) Label() string {
+	if e < 0 || int(e) >= len(engineNames) {
+		return "unknown"
+	}
+	return engineNames[e].label
+}
+
+// ParseEngine resolves an engine's wire name; the empty name selects the
+// CostBased default.
+func ParseEngine(name string) (Engine, error) {
+	if name == "" {
+		return CostBased, nil
+	}
+	var labels []string
+	for e, n := range engineNames {
+		if n.label == name {
+			return Engine(e), nil
+		}
+		labels = append(labels, n.label)
+	}
+	return 0, fmt.Errorf("unknown engine %q (%s)", name, strings.Join(labels, ", "))
 }
 
 // Options configures a run. The zero value (or nil) selects the CostBased
@@ -255,9 +282,6 @@ type Options struct {
 	Timeout time.Duration
 	// MaxTuples aborts DI evaluation after this many embedded tuples.
 	MaxTuples int64
-	// Trace, when non-nil, collects per-operator statistics (DI engines
-	// only).
-	Trace *Trace
 	// Parallelism bounds the workers of the intra-query parallel runtime
 	// (DI engines): morsel-parallel fused path chains, the parallel
 	// structural sorts, and the concurrent merge-join sort phase. Zero (the
@@ -282,38 +306,40 @@ type Options struct {
 	BatchSize int
 }
 
-// coreOptions maps the public Options onto the internal executor's
-// options for a DI plan mode, attaching the snapshot's structural indexes
-// and statistics so the compiler can plan index seeks and dataguide
-// pruning and the cost-based optimizer can estimate from real
+// resolve is the common preamble of everything that plans or runs a
+// query: it defaults a nil opts, pins the view's snapshot, and — for the
+// DI engines (di true; the others have no plans) — maps the public options
+// onto the internal executor's, attaching the snapshot's structural
+// indexes and statistics so the compiler can plan index seeks and
+// dataguide pruning and the cost-based optimizer can estimate from real
 // cardinalities.
-func (opts *Options) coreOptions(mode core.Mode, snap *Snapshot) core.Options {
-	return core.Options{
+func resolve(cat View, opts *Options) (o *Options, snap *Snapshot, copts core.Options, di bool) {
+	if opts == nil {
+		opts = &Options{}
+	}
+	snap = cat.view()
+	var mode core.Mode
+	switch opts.Engine {
+	case CostBased:
+		mode = core.ModeAuto
+	case MergeJoin:
+		mode = core.ModeMSJ
+	case NestedLoop:
+		mode = core.ModeNLJ
+	default:
+		return opts, snap, copts, false
+	}
+	return opts, snap, core.Options{
 		ForceJoinMode: mode,
 		Indexes:       snap.idx,
 		DocStats:      snap.st,
 		Timeout:       opts.Timeout,
 		MaxTuples:     opts.MaxTuples,
-		Trace:         opts.Trace,
 		Parallelism:   opts.Parallelism,
 		MemBudget:     opts.MemBudget,
 		SpillDir:      opts.SpillDir,
 		BatchSize:     opts.BatchSize,
-	}
-}
-
-// diMode maps a DI engine selection to its plan mode; ok is false for the
-// non-DI engines, which have no plans.
-func diMode(e Engine) (mode core.Mode, ok bool) {
-	switch e {
-	case CostBased:
-		return core.ModeAuto, true
-	case MergeJoin:
-		return core.ModeMSJ, true
-	case NestedLoop:
-		return core.ModeNLJ, true
-	}
-	return 0, false
+	}, true
 }
 
 // ErrBudgetExceeded reports that a run hit Options.Timeout or MaxTuples.
@@ -324,11 +350,6 @@ var ErrBudgetExceeded = engine.ErrBudgetExceeded
 // construction, plus join-strategy counters.
 type Stats = core.Stats
 
-// Trace collects per-operator execution statistics for a DI run — the
-// engine's EXPLAIN ANALYZE. Attach one via Options.Trace and print it
-// (or inspect Entries) after the run.
-type Trace = core.Trace
-
 // Result is a query answer.
 type Result struct {
 	doc *Document
@@ -336,6 +357,20 @@ type Result struct {
 	Stats *Stats
 	// Elapsed is the wall-clock evaluation time.
 	Elapsed time.Duration
+	// plan is the executed physical plan of a DI engine run.
+	plan *plan.Node
+}
+
+// Operators returns a DI run's per-operator actuals in plan preorder —
+// invocation counts, output rows, exclusive wall times that sum to the
+// evaluation's total — and nil for the other engines (and for the nil
+// Result of a failed run). Every run records them; the table is only
+// built when asked for.
+func (r *Result) Operators() []OperatorStat {
+	if r == nil || r.plan == nil {
+		return nil
+	}
+	return plan.Operators(r.plan, r.Stats.Run)
 }
 
 // Document returns the result forest.
@@ -370,74 +405,23 @@ func (q *Query) Core() string { return q.expr.String() }
 // strategy available for each loop.
 func (q *Query) Explain() string { return q.q.Explain() }
 
-// OperatorStat is one plan operator's execution actuals from an
-// ExplainAnalyze run: invocation count, output rows, exclusive wall time
-// and allocated bytes. The exclusive times of all operators sum to the
-// run's total evaluation time.
+// OperatorStat is one plan operator's execution actuals: invocation count,
+// output rows, exclusive wall time and — from an ExplainAnalyze run —
+// allocated bytes. The exclusive times of all operators sum to the run's
+// total evaluation time.
 type OperatorStat = plan.OperatorStat
 
-// ExplainAnalyze executes the query with per-plan-node instrumentation
-// (DI engines only) and returns the plan rendering annotated with each
+// ExplainAnalyze is Run (DI engines only) with the analyze report
+// requested: the same execution, additionally reading each operator's
+// allocation delta. It returns the plan rendering annotated with each
 // operator's actuals, plus the flattened per-operator statistics in plan
 // preorder.
 func (q *Query) ExplainAnalyze(cat View, opts *Options) (string, []OperatorStat, error) {
-	if opts == nil {
-		opts = &Options{}
-	}
-	mode, ok := diMode(opts.Engine)
-	if !ok {
-		return "", nil, fmt.Errorf("dixq: analyze requires a DI engine, got %s", opts.Engine)
-	}
-	snap := cat.view()
-	copts := opts.coreOptions(mode, snap)
-	text, rs, err := q.q.ExplainAnalyze(snap.enc, copts)
+	res, err := q.run(cat, opts, true)
 	if err != nil {
 		return "", nil, err
 	}
-	return text, plan.Operators(q.q.Plan(copts), rs), nil
-}
-
-// RunAnalyzed evaluates the query like Run while additionally collecting
-// the per-plan-node actuals of ExplainAnalyze (DI engines only): it
-// returns the result plus the flattened per-operator statistics in plan
-// preorder, whose exclusive times sum to the evaluation's total. The
-// instrumented run reads memory statistics at every operator boundary, so
-// it is meant for sampled executions (the server's query tracing), not
-// for every request.
-func (q *Query) RunAnalyzed(cat View, opts *Options) (*Result, []OperatorStat, error) {
-	if opts == nil {
-		opts = &Options{}
-	}
-	mode, ok := diMode(opts.Engine)
-	if !ok {
-		return nil, nil, fmt.Errorf("dixq: analyze requires a DI engine, got %s", opts.Engine)
-	}
-	snap := cat.view()
-	start := time.Now()
-	stats := &core.Stats{}
-	copts := opts.coreOptions(mode, snap)
-	copts.Stats = stats
-	rs := &plan.RunStats{}
-	copts.Analyze = rs
-	f, err := q.q.EvalForest(snap.enc, copts)
-	if err != nil {
-		return nil, nil, err
-	}
-	res := &Result{doc: &Document{forest: f}, Stats: stats, Elapsed: time.Since(start)}
-	return res, plan.Operators(q.q.Plan(copts), rs), nil
-}
-
-// PlanText renders the physical plan the query executes under the given
-// options, without running it.
-func (q *Query) PlanText(opts *Options) (string, error) {
-	if opts == nil {
-		opts = &Options{}
-	}
-	mode, ok := diMode(opts.Engine)
-	if !ok {
-		return "", fmt.Errorf("dixq: plans exist for the DI engines only, got %s", opts.Engine)
-	}
-	return q.q.Plan(core.Options{ForceJoinMode: mode}).Tree(), nil
+	return res.plan.TreeWithStats(res.Stats.Run), res.Operators(), nil
 }
 
 // OptimizerReport is the cost-based optimizer's account of one planning
@@ -452,14 +436,11 @@ type OptimizerReport = opt.Report
 // options select a forced or non-DI engine (those runs bypass the
 // optimizer — they are the oracles it is measured against).
 func (q *Query) OptimizerReport(cat View, opts *Options) *OptimizerReport {
-	if opts == nil {
-		opts = &Options{}
-	}
-	mode, ok := diMode(opts.Engine)
-	if !ok || mode != core.ModeAuto {
+	_, _, copts, di := resolve(cat, opts)
+	if !di || copts.ForceJoinMode != core.ModeAuto {
 		return nil
 	}
-	return q.q.OptReport(opts.coreOptions(mode, cat.view()))
+	return q.q.OptReport(copts)
 }
 
 // Documents lists the document names the query references.
@@ -508,45 +489,49 @@ func (q *Query) sqlStatement(cat View) (*sqlgen.Statement, error) {
 // evaluates against exactly that version, regardless of writes published
 // since it was pinned.
 func (q *Query) Run(cat View, opts *Options) (*Result, error) {
-	if opts == nil {
-		opts = &Options{}
+	return q.run(cat, opts, false)
+}
+
+// run is the one evaluation behind Run and ExplainAnalyze; analyze
+// requests the allocation readings of the analyze report.
+func (q *Query) run(cat View, opts *Options, analyze bool) (*Result, error) {
+	opts, snap, copts, di := resolve(cat, opts)
+	if analyze && !di {
+		return nil, fmt.Errorf("dixq: analyze requires a DI engine, got %s", opts.Engine)
 	}
-	snap := cat.view()
 	start := time.Now()
-	switch opts.Engine {
-	case CostBased, MergeJoin, NestedLoop:
-		mode, _ := diMode(opts.Engine)
-		stats := &core.Stats{}
-		copts := opts.coreOptions(mode, snap)
-		copts.Stats = stats
-		f, err := q.q.EvalForest(snap.enc, copts)
-		if err != nil {
-			return nil, err
+	res := &Result{}
+	var f xmltree.Forest
+	var err error
+	switch {
+	case di:
+		res.Stats = &core.Stats{}
+		copts.Stats = res.Stats
+		if analyze {
+			copts.Analyze = &plan.RunStats{}
 		}
-		return &Result{doc: &Document{forest: f}, Stats: stats, Elapsed: time.Since(start)}, nil
-	case Interpreter:
+		res.plan = q.q.Plan(copts)
+		f, err = q.q.EvalForest(snap.enc, copts)
+	case opts.Engine == Interpreter:
 		docs := interp.Catalog{}
 		for name, d := range snap.docs {
 			docs[name] = d.tree()
 		}
-		f, err := interp.Eval(q.expr, nil, docs)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{doc: &Document{forest: f}, Elapsed: time.Since(start)}, nil
-	case GenericSQL:
+		f, err = interp.Eval(q.expr, nil, docs)
+	case opts.Engine == GenericSQL:
 		docs := map[string]xmltree.Forest{}
 		for name, d := range snap.docs {
 			docs[name] = d.tree()
 		}
-		f, err := sqlgen.Run(q.expr, docs)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{doc: &Document{forest: f}, Elapsed: time.Since(start)}, nil
+		f, err = sqlgen.Run(q.expr, docs)
 	default:
-		return nil, fmt.Errorf("dixq: unknown engine %d", int(opts.Engine))
+		err = fmt.Errorf("dixq: unknown engine %d", int(opts.Engine))
 	}
+	if err != nil {
+		return nil, err
+	}
+	res.doc, res.Elapsed = &Document{forest: f}, time.Since(start)
+	return res, nil
 }
 
 // Run is the one-call convenience: parse the query, run it on the catalog.

@@ -215,20 +215,34 @@ func TestDocumentFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTraceOption(t *testing.T) {
+// TestResultOperators checks that a plain Run exposes the per-operator
+// table: a DI run reports its merge-join node as called, with exclusive
+// times that sum into the phase total; a non-DI run has no plan to report.
+func TestResultOperators(t *testing.T) {
 	cat := figureCatalog(t)
-	trace := &Trace{}
 	// MergeJoin is forced: under the cost-based default the optimizer
 	// demotes the merge joins on a document this small, and the test
-	// asserts merge-join trace entries.
-	if _, err := Run(XMarkQ8, cat, &Options{Engine: MergeJoin, Trace: trace}); err != nil {
+	// asserts a merge-join operator row.
+	res, err := Run(XMarkQ8, cat, &Options{Engine: MergeJoin})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(trace.Entries()) == 0 {
-		t.Error("trace empty")
+	var total time.Duration
+	joined := false
+	for _, op := range res.Operators() {
+		total += op.Time
+		if strings.HasPrefix(op.Op, "for-merge-join") && op.Calls > 0 {
+			joined = true
+		}
 	}
-	if !strings.Contains(trace.String(), "merge-join") {
-		t.Errorf("trace:\n%s", trace.String())
+	if !joined {
+		t.Errorf("no called merge-join row in %+v", res.Operators())
+	}
+	if total <= 0 || total > res.Stats.Total() {
+		t.Errorf("operator times sum to %v, phase total (with result decode) %v", total, res.Stats.Total())
+	}
+	if res, err = Run(XMarkQ8, cat, &Options{Engine: Interpreter}); err != nil || res.Operators() != nil {
+		t.Errorf("interpreter run: operators %v, err %v", res.Operators(), err)
 	}
 }
 

@@ -5,10 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strings"
 	"testing"
 
 	"dixq/internal/index"
+	"dixq/internal/plan"
 	"dixq/internal/stats"
 	"dixq/internal/xmark"
 	"dixq/internal/xq"
@@ -106,57 +106,73 @@ func TestAnalyzeGoldenPlans(t *testing.T) {
 	}
 }
 
-// materializedPathOps are the trace names of path operators that ran in
-// materializing (non-streamed) form; streamed chains report under
-// "pipeline[N ops]" instead.
-var materializedPathOps = map[string]bool{
-	"roots": true, "select": true, "seltext": true, "children": true,
-	"data": true, "head": true, "tail": true,
+// isPathOp reports whether a plan node is one of the fusable path
+// operators.
+func isPathOp(n *plan.Node) bool { return n.Op == plan.OpRoots || n.Op == plan.OpPathStep }
+
+// evalStats runs a compiled query and returns the executed plan with the
+// run's own per-node actuals — what every evaluation records, no analyze
+// request involved.
+func evalStats(t *testing.T, q *Query, cat Catalog, opts Options) (*plan.Node, *plan.RunStats) {
+	t.Helper()
+	st := &Stats{}
+	opts.Stats = st
+	if _, err := q.Eval(cat, opts); err != nil {
+		t.Fatal(err)
+	}
+	return q.Plan(opts), st.Run
 }
 
 // TestQ13StreamsAllPathChains asserts the streaming satellite end to end
 // on Q13 (the path-extraction-heavy benchmark query): with pipelining on,
-// every path operator — including single-step chains — runs streamed, so
-// the trace has no materializing path-op entries and strictly fewer
-// materialized intermediate rows than the NoPipeline ablation.
+// every path operator — including single-step chains — runs streamed (its
+// plan node reports batches), only the chain heads materialize their
+// output, and that is strictly fewer rows than the NoPipeline ablation
+// materializes, where no path node reports a batch.
 func TestQ13StreamsAllPathChains(t *testing.T) {
 	cat, _ := generatedCatalog(0.002, 30)
 	q := Compile(xq.MustParse(xmark.Q13), Options{})
 
-	fused := &Trace{}
-	if _, err := q.Eval(cat, Options{Trace: fused}); err != nil {
-		t.Fatal(err)
-	}
+	p, rs := evalStats(t, q, cat, Options{})
 	var fusedRows int64
-	sawPipeline := false
-	for _, e := range fused.Entries() {
-		if materializedPathOps[e.Op] {
-			t.Errorf("fused run materialized path operator %q (%d rows)", e.Op, e.Rows)
+	streamed := 0
+	var walk func(n *plan.Node, inChain bool)
+	walk = func(n *plan.Node, inChain bool) {
+		if isPathOp(n) {
+			ns := rs.Node(n.ID)
+			if ns.Rows > 0 && ns.Batches == 0 {
+				t.Errorf("fused run materialized path operator %s (%d rows)", n.OpName(), ns.Rows)
+			}
+			if ns.Batches > 0 {
+				streamed++
+			}
+			if !inChain {
+				fusedRows += ns.Rows
+			}
 		}
-		if strings.HasPrefix(e.Op, "pipeline[") {
-			sawPipeline = true
-			fusedRows += e.Rows
+		for _, c := range n.Inputs {
+			walk(c, isPathOp(n))
 		}
 	}
-	if !sawPipeline {
-		t.Fatal("fused run has no pipeline entries")
+	walk(p, false)
+	if streamed == 0 {
+		t.Fatal("fused run streamed no path operator")
 	}
 
-	ablated := &Trace{}
-	if _, err := q.Eval(cat, Options{NoPipeline: true, Trace: ablated}); err != nil {
-		t.Fatal(err)
-	}
+	p, rs = evalStats(t, q, cat, Options{NoPipeline: true})
 	var ablatedRows int64
-	for _, e := range ablated.Entries() {
-		if strings.HasPrefix(e.Op, "pipeline[") {
-			t.Errorf("NoPipeline run streamed: %q", e.Op)
+	plan.Walk(p, func(n *plan.Node) {
+		if !isPathOp(n) {
+			return
 		}
-		if materializedPathOps[e.Op] {
-			ablatedRows += e.Rows
+		ns := rs.Node(n.ID)
+		if ns.Batches > 0 {
+			t.Errorf("NoPipeline run streamed %s (%d batches)", n.OpName(), ns.Batches)
 		}
-	}
+		ablatedRows += ns.Rows
+	})
 	if ablatedRows == 0 {
-		t.Fatal("NoPipeline run materialized no path rows; trace broken")
+		t.Fatal("NoPipeline run materialized no path rows; stats broken")
 	}
 	if fusedRows >= ablatedRows {
 		t.Errorf("fusion materialized %d rows, ablation %d; want strictly fewer",
@@ -169,21 +185,131 @@ func TestQ13StreamsAllPathChains(t *testing.T) {
 // one-operator pipeline rather than falling back to materialization.
 func TestSingleStepChainStreams(t *testing.T) {
 	cat, _ := generatedCatalog(0.0005, 20030609)
-	trace := &Trace{}
 	q := Compile(xq.MustParse(`count(children(document("auction.xml")))`), Options{NoRewrites: true})
-	if _, err := q.Eval(cat, Options{Trace: trace, NoRewrites: true}); err != nil {
-		t.Fatal(err)
-	}
+	p, rs := evalStats(t, q, cat, Options{NoRewrites: true})
 	found := false
-	for _, e := range trace.Entries() {
-		if e.Op == "pipeline[1 ops]" {
+	plan.Walk(p, func(n *plan.Node) {
+		if n.Op == plan.OpPathStep && n.Step == plan.StepChildren {
 			found = true
+			if ns := rs.Node(n.ID); ns.Calls != 1 || ns.Batches == 0 {
+				t.Errorf("lone path step did not stream: %+v", ns)
+			}
 		}
-		if e.Op == "children" {
-			t.Error("single-step chain materialized instead of streaming")
+	})
+	if !found {
+		t.Error("no children node in the plan")
+	}
+}
+
+// TestObservedRunEqualsUnobserved is the property the single accounting
+// exists for: asking for the analyze report never chooses the execution.
+// For every XMark query × {scan, indexed} × Parallelism {1, 3} (thresholds
+// lowered so the parallel variants really fan out, a sort budget small
+// enough to spill the joins), a run with Options.Analyze set and a run
+// without produce the digit-identical relation and identical per-node
+// deterministic actuals — everything but time, allocations and the granted
+// worker count — and the phase Stats sum to exactly the per-node total.
+func TestObservedRunEqualsUnobserved(t *testing.T) {
+	forceParallelProbe(t)
+	cat, _ := generatedCatalog(0.004, 20)
+	indexed := index.BuildSet(cat)
+	dir := t.TempDir()
+	streamed, seeks, fannedOut, spills := 0, 0, 0, 0
+	for _, qq := range xmark.All {
+		q := Compile(xq.MustParse(qq.Text), Options{})
+		for _, ix := range []*index.Set{nil, indexed} {
+			for _, par := range []int{1, 3} {
+				opts := Options{ForceJoinMode: ModeMSJ, Indexes: ix, Parallelism: par, MemBudget: 4 << 10, SpillDir: dir}
+				plain, observed := opts, opts
+				plain.Stats, observed.Stats = &Stats{}, &Stats{}
+				observed.Analyze = &plan.RunStats{}
+				want, err := q.Eval(cat, plain)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := q.Eval(cat, observed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				what := qq.Name
+				if ix != nil {
+					what += "/idx"
+				}
+				if par > 1 {
+					what += "/par"
+				}
+				identicalRelations(t, what, got, want)
+				if observed.Stats.Run != observed.Analyze {
+					t.Fatalf("%s: Stats.Run is not the caller's Analyze block", what)
+				}
+				var allocs int64
+				plan.Walk(q.Plan(opts), func(n *plan.Node) {
+					a, b := plain.Stats.Run.Node(n.ID), observed.Analyze.Node(n.ID)
+					if a.Allocs != 0 {
+						t.Errorf("%s: %s: plain run read allocations (%d)", what, n.OpName(), a.Allocs)
+					}
+					allocs += b.Allocs
+					if isPathOp(n) && a.Workers >= 2 {
+						fannedOut++
+					}
+					a.Time, a.Allocs, a.Workers, b.Time, b.Allocs, b.Workers = 0, 0, 0, 0, 0, 0
+					if a != b {
+						t.Errorf("%s: node %d %s: plain %+v, analyzed %+v", what, n.ID, n.OpName(), a, b)
+					}
+					if isPathOp(n) && a.Batches > 0 {
+						streamed++
+					}
+					if n.Op == plan.OpIndexPath && a.Calls > 0 && a.Skipped > 0 {
+						seeks++
+					}
+					if a.Spilled > 0 {
+						spills++
+					}
+				})
+				if allocs <= 0 {
+					t.Errorf("%s: analyze run read no allocations", what)
+				}
+				for _, st := range []*Stats{plain.Stats, observed.Stats} {
+					if st.Total() != st.Run.Total() || st.Total() <= 0 {
+						t.Errorf("%s: phase total %v, per-node total %v", what, st.Total(), st.Run.Total())
+					}
+				}
+			}
 		}
 	}
-	if !found {
-		t.Error("no pipeline[1 ops] entry for a lone path step")
+	if streamed == 0 || seeks == 0 || fannedOut == 0 || spills == 0 {
+		t.Errorf("matrix exercised %d streamed stages, %d index seeks, %d morsel-parallel chains and %d spilling operators; want all four",
+			streamed, seeks, fannedOut, spills)
+	}
+}
+
+// BenchmarkAnalyzeOverhead keeps the price of asking for the analyze
+// report visible: plain versus Analyze Eval of a join (Q1), a path chain
+// (Q2) and the reconstruction query (Q13) at the mixed-rw benchmark size,
+// indexes on, serial. The two execute identically; the difference is the
+// memory-statistics read per operator boundary.
+func BenchmarkAnalyzeOverhead(b *testing.B) {
+	cat, _ := generatedCatalog(0.05, 1)
+	indexed := index.BuildSet(cat)
+	for _, qq := range []struct{ name, text string }{{"Q1", xmark.Q1}, {"Q2", xmark.Q2}, {"Q13", xmark.Q13}} {
+		q := Compile(xq.MustParse(qq.text), Options{})
+		for _, analyze := range []bool{false, true} {
+			name := qq.name + "/plain"
+			if analyze {
+				name = qq.name + "/analyze"
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					opts := Options{Indexes: indexed, Parallelism: 1}
+					if analyze {
+						opts.Analyze = &plan.RunStats{}
+					}
+					if _, err := q.Eval(cat, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

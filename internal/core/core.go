@@ -75,8 +75,9 @@ type Options struct {
 	MaxTuples int64
 	// Timeout aborts evaluation after this duration (0 = none).
 	Timeout time.Duration
-	// Stats, when non-nil, accumulates the per-phase timing breakdown of
-	// Figure 10.
+	// Stats, when non-nil, receives the run's counters and the per-phase
+	// timing breakdown of Figure 10, summed from the per-node actuals
+	// (which it also carries, see Stats.Run).
 	Stats *Stats
 	// NoRewrites disables the hoisting and predicate pull-up rewrites,
 	// yielding the fully literal translation (used by tests).
@@ -86,9 +87,6 @@ type Options struct {
 	// reference operators — the unfused plan shape sqlgen/run.go translates
 	// and the differential tests' baseline. Not exposed outside internal/.
 	NoPipeline bool
-	// Trace, when non-nil, collects per-operator execution statistics
-	// (calls, output rows, time) — the engine's EXPLAIN ANALYZE.
-	Trace *Trace
 	// Parallelism bounds the workers of the intra-query parallel runtime:
 	// morsel-parallel fused path chains, the parallel structural sorts
 	// (merge joins, sort(), distinct()), and the concurrent merge-join
@@ -111,10 +109,15 @@ type Options struct {
 	// BatchSize is the chunk row count of the batch-executed path chains
 	// (0 = pipeline.DefaultBatchSize).
 	BatchSize int
-	// Analyze, when non-nil, collects per-plan-node actuals (calls, rows,
-	// exclusive wall time, allocated bytes) during evaluation — the input
-	// of the analyze form of Explain. The caller passes an empty RunStats;
-	// Eval sizes it to the executed plan.
+	// Analyze, when non-nil, requests the analyze report — the input of
+	// the analyze form of Explain. Every run records the per-plan-node
+	// actuals (calls, rows, exclusive wall time, batch counts); with
+	// Analyze set they land in the caller's RunStats and each node
+	// additionally gets its allocated-byte delta, the one reading too
+	// expensive to take always (a stop-the-world memory-statistics read
+	// per operator boundary). The execution itself is the same either way.
+	// The caller passes an empty RunStats; Eval sizes it to the executed
+	// plan.
 	Analyze *plan.RunStats
 	// Indexes, when non-nil, lets the compiler resolve depth-0 path chains
 	// against the documents' structural indexes: chains over indexed paths
@@ -134,7 +137,9 @@ type Options struct {
 }
 
 // Stats is the per-phase cost breakdown reported in Figure 10 of the
-// paper, plus counters describing the chosen join strategies.
+// paper, plus counters describing the chosen join strategies. The three
+// phase times are the run's exclusive per-node times summed by each node's
+// static plan.Phase, so after Eval Total() is the execution's wall time.
 type Stats struct {
 	// Paths is time spent in path-extraction operators (selection,
 	// children, text/data projection).
@@ -145,6 +150,10 @@ type Stats struct {
 	// Construction is time spent building results: element construction,
 	// concatenation, counting, reordering, and final decoding.
 	Construction time.Duration
+	// Run holds the per-plan-node actuals of the latest evaluation, the
+	// source the phase times were summed from; plan.Operators flattens it
+	// into the operator table.
+	Run *plan.RunStats
 
 	// MergeJoins counts for-loops evaluated by decorrelated merge join.
 	MergeJoins int
@@ -264,14 +273,15 @@ func Compile(e xq.Expr, opts Options) *Query {
 // and executes it against a catalog, returning the result encoding.
 func (q *Query) Eval(cat Catalog, opts Options) (*interval.Relation, error) {
 	p := q.Plan(opts)
-	ev := newEvaluator(cat, opts)
-	if opts.Analyze != nil {
-		if need := plan.MaxID(p) + 1; len(opts.Analyze.Nodes) < need {
-			opts.Analyze.Nodes = make([]plan.NodeStats, need)
-		}
-		ev.an = newAnalyzer(opts.Analyze)
-	}
+	ev := newEvaluator(cat, opts, p)
 	tab, err := ev.exec(p, ev.rootEnv())
+	if st := opts.Stats; st != nil {
+		paths, join, construction := ev.run.PhaseTimes(p)
+		st.Paths += paths
+		st.Join += join
+		st.Construction += construction
+		st.Run = ev.run
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -290,19 +300,17 @@ func (q *Query) ExplainAnalyze(cat Catalog, opts Options) (string, *plan.RunStat
 	return q.Plan(opts).TreeWithStats(rs), rs, nil
 }
 
-// EvalForest runs the query and decodes the result into a forest.
+// EvalForest runs the query and decodes the result into a forest; the
+// decode counts as construction time.
 func (q *Query) EvalForest(cat Catalog, opts Options) (xmltree.Forest, error) {
 	rel, err := q.Eval(cat, opts)
 	if err != nil {
 		return nil, err
 	}
-	var done func()
-	if opts.Stats != nil {
-		done = track(&opts.Stats.Construction)
-	}
+	start := time.Now()
 	f, err := interval.Decode(rel)
-	if done != nil {
-		done()
+	if opts.Stats != nil {
+		opts.Stats.Construction += time.Since(start)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: result is not a valid encoding: %w", err)
@@ -317,9 +325,4 @@ func Run(query string, cat Catalog, opts Options) (xmltree.Forest, error) {
 		return nil, err
 	}
 	return Compile(e, opts).EvalForest(cat, opts)
-}
-
-func track(d *time.Duration) func() {
-	start := time.Now()
-	return func() { *d += time.Since(start) }
 }

@@ -9,6 +9,7 @@ import (
 	"dixq/internal/engine"
 	"dixq/internal/interp"
 	"dixq/internal/interval"
+	"dixq/internal/plan"
 	"dixq/internal/update"
 	"dixq/internal/xmark"
 	"dixq/internal/xmltree"
@@ -408,45 +409,42 @@ func TestQ14Contains(t *testing.T) {
 	}
 }
 
-func TestTrace(t *testing.T) {
+// TestRunStatsRecordJoinStrategies checks that a plain run — no analyze
+// request — records per-node actuals for the environment machinery: the
+// loop-entry nodes of the forced strategy were called, NLJ plans ran their
+// embed-outer nodes, nothing reports a negative time, and the phase Stats
+// are exactly the per-node times.
+func TestRunStatsRecordJoinStrategies(t *testing.T) {
 	cat, _ := generatedCatalog(0.001, 30)
 	for _, mode := range []Mode{ModeMSJ, ModeNLJ} {
-		trace := &Trace{}
 		q := Compile(xq.MustParse(xmark.Q8), Options{})
-		if _, err := q.Eval(cat, Options{ForceJoinMode: mode, Trace: trace}); err != nil {
+		st := &Stats{}
+		opts := Options{ForceJoinMode: mode, Stats: st}
+		if _, err := q.Eval(cat, opts); err != nil {
 			t.Fatal(err)
 		}
-		entries := trace.Entries()
-		if len(entries) == 0 {
-			t.Fatalf("%s: empty trace", mode)
-		}
-		byOp := map[string]TraceEntry{}
-		for _, e := range entries {
-			byOp[e.Op] = e
-			if e.Calls <= 0 || e.Time < 0 {
-				t.Errorf("%s: bad entry %+v", mode, e)
+		called := map[plan.Op]int{}
+		plan.Walk(q.Plan(opts), func(n *plan.Node) {
+			ns := st.Run.Node(n.ID)
+			if ns.Calls < 0 || ns.Time < 0 {
+				t.Errorf("%s: bad stats for %s: %+v", mode, n.OpName(), ns)
 			}
-		}
-		if _, ok := byOp["for-enter"]; !ok {
-			t.Errorf("%s: no for-enter entry: %v", mode, entries)
-		}
+			called[n.Op] += ns.Calls
+		})
 		if mode == ModeMSJ {
-			if _, ok := byOp["merge-join"]; !ok {
-				t.Errorf("MSJ trace missing merge-join: %v", entries)
+			if called[plan.OpMSJ] == 0 {
+				t.Errorf("MSJ run called no merge-join node: %v", called)
 			}
-		} else {
-			if _, ok := byOp["embed-outer"]; !ok {
-				t.Errorf("NLJ trace missing embed-outer: %v", entries)
-			}
+		} else if called[plan.OpBindVar] == 0 || called[plan.OpEmbedOuter] == 0 {
+			t.Errorf("NLJ run called no nested-loop or embed-outer node: %v", called)
 		}
-		out := trace.String()
-		if !strings.Contains(out, "operator") || !strings.Contains(out, "for-enter") {
-			t.Errorf("%s: trace render:\n%s", mode, out)
+		if st.Total() != st.Run.Total() || st.Total() <= 0 {
+			t.Errorf("%s: phase total %v, per-node total %v", mode, st.Total(), st.Run.Total())
+		}
+		if table := plan.Operators(q.Plan(opts), st.Run); len(table) != len(st.Run.Nodes) {
+			t.Errorf("%s: operator table has %d rows for %d nodes", mode, len(table), len(st.Run.Nodes))
 		}
 	}
-	// A nil trace is inert.
-	var nilTrace *Trace
-	nilTrace.record("x", 1, 0)
 }
 
 func TestPlanTree(t *testing.T) {

@@ -68,54 +68,53 @@ type evaluator struct {
 	opts   Options
 	stats  *Stats
 	budget *engine.Budget
-	// inCond marks evaluation happening on behalf of a condition or join
-	// key; all such work is attributed to the Join phase (Figure 10 counts
-	// predicate evaluation as part of the join).
-	inCond bool
-	// an records per-plan-node actuals when Options.Analyze is set.
-	an *analyzer
+	// run holds the per-plan-node actuals — the evaluation's one accounting,
+	// always on; the phase Stats and the operator table are derived from
+	// it. cur is the node currently being charged (-1 outside the plan) and
+	// start when its current slice began: entering a node charges the
+	// elapsed slice to the node being left, so the per-node times are
+	// exclusive and sum to the execution's wall time.
+	run   *plan.RunStats
+	cur   int
+	start time.Time
+	// allocs is set when the caller asked for the analyze report
+	// (Options.Analyze): every node switch then also reads the allocation
+	// counter — a stop-the-world read, the only expensive measurement —
+	// and alloc holds the previous reading.
+	allocs bool
+	alloc  uint64
 	// spill carries the memory budget for the structural sorts; nil when
 	// Options.MemBudget is unset (everything stays in memory).
 	spill *engine.SpillConfig
 	// chunk is the columnar scratch buffer shared by every fused batch
 	// chain of this evaluation (chains run sequentially and drain fully, so
-	// one buffer serves them all); stages, src, and chainB are the matching
-	// scratch values for the chains' stage lists, batch source, and fused
-	// chain, re-inited per chain.
-	chunk  *interval.Flat
+	// one buffer serves them all); stages, src, rsrc and chainB are the
+	// matching scratch values for the chains' stage lists, batch sources,
+	// and fused chain, re-inited per chain.
+	chunk  interval.Flat
 	stages []pipeline.Stage
 	src    pipeline.RelationBatches
 	rsrc   pipeline.RangeBatches
 	chainB pipeline.Chain
 }
 
-// phaseDur returns the duration to charge: the given phase normally, the
-// Join phase while evaluating conditions or join keys.
-func (ev *evaluator) phaseDur(d *time.Duration) *time.Duration {
-	if ev.inCond {
-		return &ev.stats.Join
-	}
-	return d
-}
-
-// condScope marks the evaluator as inside condition evaluation for the
-// duration of fn.
-func (ev *evaluator) condScope(fn func() error) error {
-	saved := ev.inCond
-	ev.inCond = true
-	err := fn()
-	ev.inCond = saved
-	return err
-}
-
-func newEvaluator(cat Catalog, opts Options) *evaluator {
+// newEvaluator readies an evaluation of plan p: the per-node stats block
+// is the caller's (Options.Analyze, which also turns the allocation
+// readings on) or a fresh one, sized to the plan either way.
+func newEvaluator(cat Catalog, opts Options, p *plan.Node) *evaluator {
 	// Resolve the Parallelism knob once: <= 0 selects the GOMAXPROCS
 	// default, 1 keeps evaluation single-threaded, larger values bound the
 	// query's workers. Everything downstream sees the resolved value.
 	opts.Parallelism = exec.Resolve(opts.Parallelism)
-	ev := &evaluator{docs: cat, opts: opts, stats: opts.Stats}
+	ev := &evaluator{docs: cat, opts: opts, stats: opts.Stats, run: opts.Analyze, allocs: opts.Analyze != nil, cur: -1}
 	if ev.stats == nil {
 		ev.stats = &Stats{}
+	}
+	if ev.run == nil {
+		ev.run = &plan.RunStats{}
+	}
+	if need := plan.MaxID(p) + 1; len(ev.run.Nodes) < need {
+		ev.run.Nodes = make([]plan.NodeStats, need)
 	}
 	if opts.MaxTuples > 0 || opts.Timeout > 0 {
 		ev.budget = &engine.Budget{MaxTuples: opts.MaxTuples}
@@ -129,134 +128,71 @@ func newEvaluator(cat Catalog, opts Options) *evaluator {
 	return ev
 }
 
+// node returns the stats slot of a plan node.
+func (ev *evaluator) node(n *plan.Node) *plan.NodeStats { return &ev.run.Nodes[n.ID] }
+
 // noteSpill accumulates a spill-capable operator's disk activity into the
-// run's stats and, in analyze mode, into the current plan node.
+// run's stats and the plan node currently executing.
 func (ev *evaluator) noteSpill(st engine.SpillStats) {
 	if st.Runs == 0 {
 		return
 	}
 	ev.stats.SpilledRuns += st.Runs
 	ev.stats.SpilledBytes += st.Bytes
-	if ev.an != nil {
-		ev.an.addSpill(st.Runs)
-	}
+	ev.run.Nodes[ev.cur].Spilled += st.Runs
 }
 
 func (ev *evaluator) rootEnv() *env {
 	vars := make(map[string]binding, len(ev.docs))
 	for name, rel := range ev.docs {
-		vars["doc:"+name] = binding{tab: &table{rel: rel, local: keyWidth(rel)}, depth: 0}
+		// The physical key width: freshly encoded documents use one digit;
+		// relations that have been through package update may carry longer
+		// keys, which the width must cover so the for-loop digit arithmetic
+		// stays aligned.
+		vars["doc:"+name] = binding{tab: &table{rel: rel, local: max(1, rel.MaxKeyLen())}, depth: 0}
 	}
 	return &env{depth: 0, index: engine.Initial(), vars: vars}
 }
 
-// keyWidth returns the physical digit width of a relation's keys. Freshly
-// encoded documents use one digit; relations that have been through
-// package update may carry longer keys, which the width must cover so the
-// for-loop digit arithmetic stays aligned.
-func keyWidth(rel *interval.Relation) int {
-	w := 1
-	for _, t := range rel.Tuples {
-		if len(t.L) > w {
-			w = len(t.L)
+// switchTo charges the elapsed time (and, for the analyze report, the
+// allocation delta) to the current node, makes id current, and returns the
+// previous current node.
+func (ev *evaluator) switchTo(id int) int {
+	if ev.allocs {
+		var mem runtime.MemStats
+		runtime.ReadMemStats(&mem)
+		if ev.cur >= 0 {
+			ev.run.Nodes[ev.cur].Allocs += int64(mem.TotalAlloc - ev.alloc)
 		}
-		if len(t.R) > w {
-			w = len(t.R)
-		}
+		ev.alloc = mem.TotalAlloc
 	}
-	return w
-}
-
-// analyzer attributes exclusive wall time and allocated bytes to the plan
-// node currently executing. Entering a node charges the elapsed slice to
-// the node being left, so the per-node times are exclusive and sum to the
-// execution's total wall time.
-type analyzer struct {
-	stats *plan.RunStats
-	cur   int
-	start time.Time
-	alloc uint64
-}
-
-func newAnalyzer(rs *plan.RunStats) *analyzer {
-	return &analyzer{stats: rs, cur: -1}
-}
-
-// switchTo charges the elapsed time and allocation delta to the current
-// node, makes id current, and returns the previous current node.
-func (a *analyzer) switchTo(id int) int {
-	var mem runtime.MemStats
-	runtime.ReadMemStats(&mem)
 	now := time.Now()
-	if a.cur >= 0 && a.cur < len(a.stats.Nodes) {
-		ns := &a.stats.Nodes[a.cur]
-		ns.Time += now.Sub(a.start)
-		ns.Allocs += int64(mem.TotalAlloc - a.alloc)
+	if ev.cur >= 0 {
+		ev.run.Nodes[ev.cur].Time += now.Sub(ev.start)
 	}
-	prev := a.cur
-	a.cur = id
-	a.start = now
-	a.alloc = mem.TotalAlloc
+	prev := ev.cur
+	ev.cur, ev.start = id, now
 	return prev
 }
 
 // finish closes a node opened with switchTo: charges its trailing slice,
 // restores the previous node, and records the call and its output rows.
-func (a *analyzer) finish(id, prev, rows int) {
-	a.switchTo(prev)
-	if id >= 0 && id < len(a.stats.Nodes) {
-		ns := &a.stats.Nodes[id]
-		ns.Calls++
-		ns.Rows += int64(rows)
-	}
+func (ev *evaluator) finish(n *plan.Node, prev, rows int) {
+	ev.switchTo(prev)
+	ns := ev.node(n)
+	ns.Calls++
+	ns.Rows += int64(rows)
 }
 
-// addBatches charges chunk counts and accounted bytes to a node.
-func (a *analyzer) addBatches(id, batches int, bytes int64) {
-	if id >= 0 && id < len(a.stats.Nodes) {
-		ns := &a.stats.Nodes[id]
-		ns.Batches += batches
-		ns.Bytes += bytes
-	}
-}
-
-// addSpill charges spilled external-sort runs to the node currently
-// executing.
-func (a *analyzer) addSpill(runs int64) {
-	if a.cur >= 0 && a.cur < len(a.stats.Nodes) {
-		a.stats.Nodes[a.cur].Spilled += runs
-	}
-}
-
-// addWorkers records the observed worker count of a node's parallel
-// phase, keeping the maximum across phases.
-func (a *analyzer) addWorkers(id, workers int) {
-	if id >= 0 && id < len(a.stats.Nodes) && workers > a.stats.Nodes[id].Workers {
-		a.stats.Nodes[id].Workers = workers
-	}
-}
-
-// addPartitions records the key-range partition count of a node's
-// repartitioning phase (probe or exchange), keeping the maximum.
-func (a *analyzer) addPartitions(id, partitions int) {
-	if id >= 0 && id < len(a.stats.Nodes) && partitions > a.stats.Nodes[id].Partitions {
-		a.stats.Nodes[id].Partitions = partitions
-	}
-}
-
-// exec runs one plan node, wrapping execNode with per-node accounting
-// when analyze mode is on.
+// exec runs one relation-valued plan node under the per-node accounting.
 func (ev *evaluator) exec(n *plan.Node, en *env) (*table, error) {
-	if ev.an == nil {
-		return ev.execNode(n, en)
-	}
-	prev := ev.an.switchTo(n.ID)
+	prev := ev.switchTo(n.ID)
 	tab, err := ev.execNode(n, en)
 	rows := 0
 	if tab != nil {
 		rows = tab.rel.Len()
 	}
-	ev.an.finish(n.ID, prev, rows)
+	ev.finish(n, prev, rows)
 	return tab, err
 }
 
@@ -271,7 +207,6 @@ func (ev *evaluator) execNode(n *plan.Node, en *env) (*table, error) {
 		// Constants are replicated into every current environment; this
 		// must honour the index even at depth 0, where a false where
 		// clause can have emptied it.
-		defer track(ev.phaseDur(&ev.stats.Construction))()
 		rel := interval.Encode(n.Value)
 		out, err := engine.EmbedOuter(en.index, 0, en.depth, rel, ev.budget)
 		if err != nil {
@@ -334,13 +269,10 @@ func (ev *evaluator) evalVar(name string, en *env) (*table, error) {
 	if t, ok := en.embedCache[name]; ok {
 		return t, nil
 	}
-	defer track(&ev.stats.Join)()
-	start := ev.now()
 	rel, err := engine.EmbedOuter(en.index, b.depth, en.depth, b.tab.rel, ev.budget)
 	if err != nil {
 		return nil, err
 	}
-	ev.note("embed-outer", start, rel.Len())
 	ev.stats.EmbeddedTuples += int64(rel.Len())
 	t := &table{rel: rel, local: b.tab.local}
 	if en.embedCache == nil {
@@ -367,11 +299,9 @@ func (ev *evaluator) execIndexPath(n *plan.Node, en *env) (*table, error) {
 		if b, ok := en.lookup("doc:" + sk.Doc); ok && b.depth == 0 && b.tab.rel == sk.Rel {
 			if sk.Pruned {
 				obs.IndexPrunedPaths.Inc()
-				ev.addSkipped(n, int64(len(sk.Rel.Tuples)))
+				ev.node(n).Skipped += int64(len(sk.Rel.Tuples))
 				return &table{rel: &interval.Relation{}, local: b.tab.local + sk.WidenBy}, nil
 			}
-			defer track(ev.phaseDur(&ev.stats.Paths))()
-			start := ev.now()
 			out := &interval.Relation{Tuples: make([]interval.Tuple, 0, sk.Rows)}
 			for _, r := range sk.Ranges {
 				out.Tuples = append(out.Tuples, sk.Rel.Tuples[r[0]:r[1]]...)
@@ -385,20 +315,12 @@ func (ev *evaluator) execIndexPath(n *plan.Node, en *env) (*table, error) {
 				out = embedded
 			}
 			obs.IndexSeeks.Inc()
-			ev.addSkipped(n, int64(len(sk.Rel.Tuples))-sk.Rows)
-			ev.note("index-seek", start, out.Len())
+			ev.node(n).Skipped += int64(len(sk.Rel.Tuples)) - sk.Rows
 			return &table{rel: out, local: b.tab.local}, nil
 		}
 	}
 	obs.IndexScanFallbacks.Inc()
 	return ev.exec(n.Inputs[0], en)
-}
-
-// addSkipped records the tuples an index-backed source never read.
-func (ev *evaluator) addSkipped(n *plan.Node, skipped int64) {
-	if ev.an != nil && n.ID >= 0 && n.ID < len(ev.an.stats.Nodes) {
-		ev.an.stats.Nodes[n.ID].Skipped += skipped
-	}
 }
 
 // execStreamChain executes a maximal chain of Streamable path operators
@@ -418,53 +340,51 @@ func (ev *evaluator) execStreamChain(head *plan.Node, en *env) (*table, error) {
 		}
 		cur = next
 	}
-	if out, ok, err := ev.tryIndexedChain(chain, en); ok {
-		return out, err
+	if out, ok := ev.tryIndexedChain(chain, en); ok {
+		return out, nil
 	}
 	input, err := ev.exec(chain[len(chain)-1].Inputs[0], en)
 	if err != nil {
 		return nil, err
 	}
-	defer track(ev.phaseDur(&ev.stats.Paths))()
-	return ev.runBatchChain(chain, input, en)
+	return ev.runBatchChain(chain, input, en), nil
 }
 
 // tryIndexedChain is the fused fast path for a chain whose source is a
 // servable index seek: the resolved row ranges stream straight into the
 // chain's batch chunks, so neither the seek result nor any intermediate
-// relation is materialized. The path is restricted to the plain serial
-// batch runtime; the analyze and parallel variants materialize
-// the seek through execIndexPath instead, which counts the seek the same
-// way, so the choice is purely mechanical.
-func (ev *evaluator) tryIndexedChain(chain []*plan.Node, en *env) (*table, bool, error) {
+// relation is materialized. The seek node never runs through exec here, so
+// its actuals are charged directly — the same calls, rows and skipped
+// tuples execIndexPath reports; its time is part of the chain head's. The
+// path is the serial batch runtime's; with Parallelism >= 2 the seek
+// materializes through execIndexPath so the morsel runner can split it.
+func (ev *evaluator) tryIndexedChain(chain []*plan.Node, en *env) (*table, bool) {
 	bottom := chain[len(chain)-1].Inputs[0]
-	if bottom.Op != plan.OpIndexPath || ev.an != nil || ev.opts.Trace != nil ||
-		ev.opts.Parallelism >= 2 {
-		return nil, false, nil
+	if bottom.Op != plan.OpIndexPath || ev.opts.Parallelism >= 2 {
+		return nil, false
 	}
 	sk := bottom.Seek
 	if sk == nil || sk.Pruned {
-		return nil, false, nil
+		return nil, false
 	}
 	b, ok := en.lookup("doc:" + sk.Doc)
 	if !ok || b.depth != 0 || b.tab.rel != sk.Rel || en.depth != 0 || len(en.index) != 1 {
-		return nil, false, nil
+		return nil, false
 	}
-	defer track(ev.phaseDur(&ev.stats.Paths))()
 	obs.IndexSeeks.Inc()
-	if ev.chunk == nil {
-		ev.chunk = &interval.Flat{}
-	}
-	stages := ev.buildStages(chain, en)
-	ev.rsrc.Init(sk.Rel, sk.Ranges, ev.opts.BatchSize, ev.chunk)
-	ev.chainB.Init(&ev.rsrc, stages)
-	out, st := pipeline.MaterializeBatches(&ev.chainB, sk.Rel)
-	obs.AddBatches(st.Batches, st.Bytes)
-	return &table{rel: out, local: b.tab.local}, true, nil
+	ns := ev.node(bottom)
+	ns.Calls++
+	ns.Rows += sk.Rows
+	ns.Skipped += int64(len(sk.Rel.Tuples)) - sk.Rows
+	ev.rsrc.Init(sk.Rel, sk.Ranges, ev.opts.BatchSize, &ev.chunk)
+	out := ev.drainChain(chain, &ev.rsrc, ev.buildStages(chain, en), sk.Rel)
+	return &table{rel: out, local: b.tab.local}, true
 }
 
 // buildStages lowers a chain's operators into the evaluator's recycled
-// stage list (execution order: chain[len-1] first).
+// stage list (execution order: chain[len-1] first). ev.stages keeps its
+// high-water entries so each recycled Stage hands its key buffers to this
+// chain's stage of the same position.
 func (ev *evaluator) buildStages(chain []*plan.Node, en *env) []pipeline.Stage {
 	n := 0
 	for i := len(chain) - 1; i >= 0; i-- {
@@ -496,91 +416,53 @@ func (ev *evaluator) buildStages(chain []*plan.Node, en *env) []pipeline.Stage {
 	return ev.stages[:n]
 }
 
-// runBatchChain is the batch-at-a-time execution of a fused chain: the
-// input relation flows through the chain as columnar chunks, each kernel
-// compacting survivors within the chunk in place, and the materialization
-// hands back the surviving original tuples by their recorded row indices —
-// every fused operator is a filter, so the output is a subsequence of the
-// input.
-func (ev *evaluator) runBatchChain(chain []*plan.Node, input *table, en *env) (*table, error) {
-	if ev.chunk == nil {
-		ev.chunk = &interval.Flat{}
-	}
-	// ev.stages keeps its high-water entries so each recycled Stage hands
-	// its key buffers to this chain's stage of the same position.
+// runBatchChain is the batch-at-a-time execution of a fused chain over a
+// materialized input: the relation flows through the chain as columnar
+// chunks, each stage compacting survivors within the chunk in place.
+func (ev *evaluator) runBatchChain(chain []*plan.Node, input *table, en *env) *table {
 	stages := ev.buildStages(chain, en)
 	// With Parallelism >= 2 the chain runs morsel-parallel when the input
 	// offers safe split points (see pipeline/parallel.go); the runner's
 	// output is tuple-for-tuple the serial chain's, so falling back below
 	// is purely a performance decision.
 	if ev.opts.Parallelism >= 2 {
-		start := ev.now()
-		if pres, ok := pipeline.RunChainParallel(input.rel, stages, ev.opts.BatchSize, ev.opts.Parallelism, ev.an != nil); ok {
-			obs.AddBatches(pres.Stats.Batches, pres.Stats.Bytes)
-			if ev.opts.Trace != nil {
-				ev.note(fmt.Sprintf("pipeline[%d ops]", len(chain)), start, pres.Rel.Len())
-			}
-			if ev.an != nil {
-				head := chain[0]
-				ev.an.addBatches(head.ID, pres.Stats.Batches, pres.Stats.Bytes)
-				ev.an.addWorkers(head.ID, pres.Workers)
-				for j := 0; j < len(stages)-1; j++ {
-					node := chain[len(chain)-1-j]
-					if node.ID >= 0 && node.ID < len(ev.an.stats.Nodes) {
-						ns := &ev.an.stats.Nodes[node.ID]
-						ns.Calls++
-						ns.Rows += int64(pres.Stages[j].Rows)
-					}
-					ev.an.addBatches(node.ID, pres.Stages[j].Batches, pres.Stages[j].Bytes)
-				}
-			}
-			return &table{rel: pres.Rel, local: input.local}, nil
+		if pres, ok := pipeline.RunChainParallel(input.rel, stages, ev.opts.BatchSize, ev.opts.Parallelism); ok {
+			head := ev.node(chain[0])
+			head.Workers = max(head.Workers, pres.Workers)
+			ev.chargeChain(chain, pres.Stages)
+			return &table{rel: pres.Rel, local: input.local}
 		}
 	}
-	ev.src.Init(input.rel, ev.opts.BatchSize, ev.chunk)
-	var b pipeline.Batch = &ev.src
-	type stageCtr struct {
-		node *plan.Node
-		ctr  *pipeline.BatchCounter
-	}
-	var ctrs []stageCtr
-	if ev.an == nil {
-		// Plain execution fuses the whole chain into one pass per chunk.
-		ev.chainB.Init(b, stages)
-		b = &ev.chainB
-	} else {
-		// Analyze stacks one kernel per stage so a counting pass-through
-		// can attribute per-stage rows, batches, and bytes.
-		for j, st := range stages {
-			b = pipeline.NewKernel(b, st)
-			if j < len(stages)-1 {
-				c := &pipeline.BatchCounter{In: b}
-				b = c
-				ctrs = append(ctrs, stageCtr{node: chain[len(chain)-1-j], ctr: c})
-			}
+	ev.src.Init(input.rel, ev.opts.BatchSize, &ev.chunk)
+	return &table{rel: ev.drainChain(chain, &ev.src, stages, input.rel), local: input.local}
+}
+
+// drainChain runs the fused stages over a batch source and materializes
+// the survivors: every fused operator is a filter, so the output is a
+// subsequence of rel, handed back by the chunks' recorded row indices.
+func (ev *evaluator) drainChain(chain []*plan.Node, src pipeline.Batch, stages []pipeline.Stage, rel *interval.Relation) *interval.Relation {
+	ev.chainB.Init(src, stages)
+	out := pipeline.MaterializeBatches(&ev.chainB, rel)
+	ev.chargeChain(chain, ev.chainB.Stats())
+	return out
+}
+
+// chargeChain books a chain run's per-stage actuals (execution order, so
+// stats[j] belongs to chain[len-1-j]) on the chain's plan nodes. The head
+// already gets its call, output rows and the whole chain's time from exec;
+// the fused operators below it get their calls and surviving rows here.
+func (ev *evaluator) chargeChain(chain []*plan.Node, stats []pipeline.StageStat) {
+	last := len(stats) - 1
+	obs.AddBatches(stats[last].Batches, stats[last].Bytes)
+	for j, st := range stats {
+		ns := ev.node(chain[last-j])
+		ns.Batches += st.Batches
+		ns.Bytes += st.Bytes
+		if j < last {
+			ns.Calls++
+			ns.Rows += int64(st.Rows)
 		}
 	}
-	start := ev.now()
-	out, st := pipeline.MaterializeBatches(b, input.rel)
-	obs.AddBatches(st.Batches, st.Bytes)
-	if ev.opts.Trace != nil {
-		ev.note(fmt.Sprintf("pipeline[%d ops]", len(chain)), start, out.Len())
-	}
-	if ev.an != nil {
-		head := chain[0]
-		if head.ID >= 0 && head.ID < len(ev.an.stats.Nodes) {
-			ev.an.addBatches(head.ID, st.Batches, st.Bytes)
-		}
-		for _, s := range ctrs {
-			if s.node.ID >= 0 && s.node.ID < len(ev.an.stats.Nodes) {
-				ns := &ev.an.stats.Nodes[s.node.ID]
-				ns.Calls++
-				ns.Rows += int64(s.ctr.Rows)
-			}
-			ev.an.addBatches(s.node.ID, s.ctr.Batches, s.ctr.Bytes)
-		}
-	}
-	return &table{rel: out, local: input.local}, nil
 }
 
 // execCall runs the inputs of an operator node and applies it through the
@@ -594,89 +476,36 @@ func (ev *evaluator) execCall(n *plan.Node, en *env) (*table, error) {
 		}
 		args[i] = t
 	}
-	start := ev.now()
-	tab, err := ev.applyOp(n, args, en)
-	if err != nil {
-		return nil, err
-	}
-	ev.note(traceName(n), start, tab.rel.Len())
-	return tab, nil
-}
-
-// traceName is the operator name recorded in traces: the function names
-// of the surface syntax, unchanged from the AST-walking evaluator.
-func traceName(n *plan.Node) string {
-	switch n.Op {
-	case plan.OpRoots:
-		return "roots"
-	case plan.OpPathStep:
-		return n.Step
-	case plan.OpStructuralSort:
-		return "sort"
-	case plan.OpReverse:
-		return "reverse"
-	case plan.OpDistinct:
-		return "distinct"
-	case plan.OpSubtreesDFS:
-		return "subtrees-dfs"
-	case plan.OpConstruct:
-		return "node"
-	case plan.OpConcat:
-		return "concat"
-	case plan.OpCount:
-		return "count"
-	case plan.OpAggregate:
-		return n.Label
-	case plan.OpArith:
-		return "arith"
-	case plan.OpTake:
-		return "take"
-	case plan.OpDrop:
-		return "drop"
-	case plan.OpOrderBy:
-		return "ordby"
-	default:
-		return n.OpName()
-	}
+	return ev.applyOp(n, args, en)
 }
 
 func (ev *evaluator) applyOp(n *plan.Node, args []*table, en *env) (*table, error) {
 	switch n.Op {
 	case plan.OpConstruct:
-		defer track(ev.phaseDur(&ev.stats.Construction))()
 		rel := engine.Construct(en.index, en.depth, n.Label, args[0].rel)
 		return &table{rel: rel, local: max(1, args[0].local)}, nil
 	case plan.OpConcat:
-		defer track(ev.phaseDur(&ev.stats.Construction))()
 		rel := engine.Concat(en.index, en.depth, args[0].rel, args[1].rel)
 		return &table{rel: rel, local: max(args[0].local, args[1].local)}, nil
 	case plan.OpCount:
-		defer track(ev.phaseDur(&ev.stats.Construction))()
 		rel := engine.Count(en.index, en.depth, args[0].rel)
 		return &table{rel: rel, local: 1}, nil
 	case plan.OpAggregate:
-		defer track(ev.phaseDur(&ev.stats.Construction))()
 		rel := engine.Aggregate(en.index, en.depth, n.Label, args[0].rel)
 		return &table{rel: rel, local: 1}, nil
 	case plan.OpArith:
-		defer track(ev.phaseDur(&ev.stats.Construction))()
 		rel := engine.Arith(en.index, en.depth, n.Label, args[0].rel, args[1].rel)
 		return &table{rel: rel, local: 1}, nil
 	case plan.OpTake:
-		defer track(ev.phaseDur(&ev.stats.Paths))()
 		return &table{rel: engine.Take(args[0].rel, en.depth, opCount(n)), local: args[0].local}, nil
 	case plan.OpDrop:
-		defer track(ev.phaseDur(&ev.stats.Paths))()
 		return &table{rel: engine.Drop(args[0].rel, en.depth, opCount(n)), local: args[0].local}, nil
 	case plan.OpOrderBy:
-		defer track(ev.phaseDur(&ev.stats.Construction))()
 		rel := engine.OrdBy(args[0].rel, en.depth, n.Label)
 		return &table{rel: rel, local: args[0].local + 1}, nil
 	case plan.OpReverse:
-		defer track(ev.phaseDur(&ev.stats.Construction))()
 		return &table{rel: engine.Reverse(args[0].rel, en.depth), local: args[0].local + 1}, nil
 	case plan.OpStructuralSort:
-		defer track(ev.phaseDur(&ev.stats.Construction))()
 		if ev.spill != nil {
 			rel, st, err := engine.SortTreesSpill(args[0].rel, en.depth, ev.opts.Parallelism, *ev.spill)
 			if err != nil {
@@ -687,16 +516,12 @@ func (ev *evaluator) applyOp(n *plan.Node, args []*table, en *env) (*table, erro
 		}
 		return &table{rel: engine.SortTreesP(args[0].rel, en.depth, ev.opts.Parallelism), local: args[0].local + 1}, nil
 	case plan.OpDistinct:
-		defer track(ev.phaseDur(&ev.stats.Paths))()
 		return &table{rel: engine.DistinctP(args[0].rel, en.depth, ev.opts.Parallelism), local: args[0].local}, nil
 	case plan.OpRoots:
-		defer track(ev.phaseDur(&ev.stats.Paths))()
 		return &table{rel: engine.Roots(args[0].rel), local: args[0].local}, nil
 	case plan.OpSubtreesDFS:
-		defer track(ev.phaseDur(&ev.stats.Paths))()
 		return &table{rel: engine.SubtreesDFS(args[0].rel, en.depth), local: args[0].local + 1}, nil
 	case plan.OpPathStep:
-		defer track(ev.phaseDur(&ev.stats.Paths))()
 		switch n.Step {
 		case plan.StepSelect:
 			return &table{rel: engine.SelectLabel(n.Label, args[0].rel), local: args[0].local}, nil
@@ -719,17 +544,10 @@ func (ev *evaluator) applyOp(n *plan.Node, args []*table, en *env) (*table, erro
 // index is filtered to the environments satisfying the condition, and the
 // bindings built at the current depth are semi-joined against it.
 func (ev *evaluator) execFilter(n *plan.Node, en *env) (*table, error) {
-	var keep []bool
-	err := ev.condScope(func() error {
-		var err error
-		keep, err = ev.pred(n.Inputs[0], en)
-		return err
-	})
+	keep, err := ev.pred(n.Inputs[0], en)
 	if err != nil {
 		return nil, err
 	}
-	done := track(&ev.stats.Join)
-	start := ev.now()
 	index := engine.FilterIndex(en.index, keep)
 	child := en.child(en.depth, index)
 	for name, b := range child.vars {
@@ -740,20 +558,16 @@ func (ev *evaluator) execFilter(n *plan.Node, en *env) (*table, error) {
 			}
 		}
 	}
-	ev.note("where-filter", start, len(index))
-	done()
 	return ev.exec(n.Inputs[1], child)
 }
 
 // pred evaluates a predicate node to one boolean per environment of the
-// index, with per-node accounting in analyze mode.
+// index, under the same per-node accounting as exec (rows counts the
+// evaluated environments).
 func (ev *evaluator) pred(n *plan.Node, en *env) ([]bool, error) {
-	if ev.an == nil {
-		return ev.predNode(n, en)
-	}
-	prev := ev.an.switchTo(n.ID)
+	prev := ev.switchTo(n.ID)
 	out, err := ev.predNode(n, en)
-	ev.an.finish(n.ID, prev, len(out))
+	ev.finish(n, prev, len(out))
 	return out, err
 }
 
@@ -777,7 +591,6 @@ func (ev *evaluator) predNode(n *plan.Node, en *env) ([]bool, error) {
 		if err != nil {
 			return nil, err
 		}
-		defer track(&ev.stats.Join)()
 		return engine.ValueLessPerEnv(en.index, en.depth, lt.rel, rt.rel), nil
 	case plan.OpCmpEq, plan.OpCmpLess:
 		lt, err := ev.exec(n.Inputs[0], en)
@@ -788,7 +601,6 @@ func (ev *evaluator) predNode(n *plan.Node, en *env) ([]bool, error) {
 		if err != nil {
 			return nil, err
 		}
-		defer track(&ev.stats.Join)()
 		cmp := engine.ComparePerEnv(en.index, en.depth, lt.rel, rt.rel)
 		out := make([]bool, len(cmp))
 		for i, v := range cmp {
@@ -804,7 +616,6 @@ func (ev *evaluator) predNode(n *plan.Node, en *env) ([]bool, error) {
 		if err != nil {
 			return nil, err
 		}
-		defer track(&ev.stats.Join)()
 		return engine.EmptyPerEnv(en.index, en.depth, t.rel), nil
 	case plan.OpContainsTest:
 		lt, err := ev.exec(n.Inputs[0], en)
@@ -815,7 +626,6 @@ func (ev *evaluator) predNode(n *plan.Node, en *env) ([]bool, error) {
 		if err != nil {
 			return nil, err
 		}
-		defer track(&ev.stats.Join)()
 		return engine.ContainsPerEnv(en.index, en.depth, lt.rel, rt.rel), nil
 	case plan.OpNot:
 		v, err := ev.pred(n.Inputs[0], en)
@@ -868,8 +678,6 @@ func (ev *evaluator) execBindVar(n *plan.Node, en *env) (*table, error) {
 	if err != nil {
 		return nil, err
 	}
-	done := track(&ev.stats.Join)
-	start := ev.now()
 	roots := engine.Roots(dom.rel)
 	index := engine.EnterIndex(roots)
 	newDepth := en.depth + dom.local
@@ -880,8 +688,6 @@ func (ev *evaluator) execBindVar(n *plan.Node, en *env) (*table, error) {
 		pos := engine.Positions(roots, en.depth, newDepth)
 		child.vars[n.Pos] = binding{tab: &table{rel: pos, local: 1}, depth: newDepth}
 	}
-	ev.note("for-enter", start, len(index))
-	done()
 	body, err := ev.exec(n.Inputs[1], child)
 	if err != nil {
 		return nil, err

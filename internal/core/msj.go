@@ -59,12 +59,10 @@ func (ev *evaluator) execMergeJoin(n *plan.Node, en *env) (*table, error) {
 	if err != nil {
 		return nil, err
 	}
-	done := track(&ev.stats.Join)
 	roots := engine.Roots(domTab.rel)
 	yIndex := engine.EnterIndex(roots)
 	yDepth := d0 + domTab.local
 	yBound := engine.BindVar(domTab.rel, roots, d0, yDepth)
-	done()
 	yEnv := anc.child(yDepth, yIndex)
 	yEnv.vars[n.Label] = binding{tab: &table{rel: yBound, local: domTab.local}, depth: yDepth}
 	var yPos *interval.Relation
@@ -74,15 +72,11 @@ func (ev *evaluator) execMergeJoin(n *plan.Node, en *env) (*table, error) {
 	}
 
 	// (3): join keys on each side.
-	var innerTab, outerTab *table
-	err = ev.condScope(func() error {
-		var err error
-		if innerTab, err = ev.exec(innerKeyP, yEnv); err != nil {
-			return err
-		}
-		outerTab, err = ev.exec(outerKeyP, en)
-		return err
-	})
+	innerTab, err := ev.exec(innerKeyP, yEnv)
+	if err != nil {
+		return nil, err
+	}
+	outerTab, err := ev.exec(outerKeyP, en)
 	if err != nil {
 		return nil, err
 	}
@@ -90,8 +84,6 @@ func (ev *evaluator) execMergeJoin(n *plan.Node, en *env) (*table, error) {
 	// (4): structural sort and merge. Matches are constrained to pairs
 	// sharing the same depth-d0 ancestor environment, which is part of the
 	// join key (leading the comparator).
-	done = track(&ev.stats.Join)
-	start := ev.now()
 	outerGroups := engine.GroupByEnv(en.index, en.depth, outerTab.rel)
 	innerGroups := engine.GroupByEnv(yIndex, yDepth, innerTab.rel)
 	pairs, joinInfo, err := mergeJoinEnvs(en.index, outerGroups, yIndex, innerGroups, d0, ev.opts.Parallelism, ev.spill)
@@ -99,10 +91,9 @@ func (ev *evaluator) execMergeJoin(n *plan.Node, en *env) (*table, error) {
 		return nil, err
 	}
 	ev.noteSpill(joinInfo.spill)
-	if ev.an != nil {
-		ev.an.addWorkers(n.ID, joinInfo.workers)
-		ev.an.addPartitions(n.ID, joinInfo.partitions)
-	}
+	ns := ev.node(n)
+	ns.Workers = max(ns.Workers, joinInfo.workers)
+	ns.Partitions = max(ns.Partitions, joinInfo.partitions)
 
 	// (5): rebuild combined environments in document order. Every rebuilt
 	// key is written into shared fixed-stride buffers (one builder per output
@@ -114,15 +105,7 @@ func (ev *evaluator) execMergeJoin(n *plan.Node, en *env) (*table, error) {
 		yPosGroups = engine.GroupByEnv(yIndex, yDepth, yPos)
 	}
 	newIndex := make(engine.Index, 0, len(pairs))
-	lw := 0
-	for _, t := range yBound.Tuples {
-		if n := len(t.L) - yDepth; n > lw {
-			lw = n
-		}
-		if n := len(t.R) - yDepth; n > lw {
-			lw = n
-		}
-	}
+	lw := max(0, yBound.MaxKeyLen()-yDepth)
 	valB := interval.NewBuilder(newDepth+lw, len(yBound.Tuples))
 	posBld := interval.NewBuilder(newDepth+1, 0)
 	var arena interval.KeyArena
@@ -142,8 +125,6 @@ func (ev *evaluator) execMergeJoin(n *plan.Node, en *env) (*table, error) {
 	}
 	joined, joinedPos := valB.Relation(), posBld.Relation()
 	ev.stats.MergeJoins++
-	ev.note("merge-join", start, len(newIndex))
-	done()
 
 	child := en.child(newDepth, newIndex)
 	child.vars[n.Label] = binding{tab: &table{rel: joined, local: domTab.local}, depth: newDepth}

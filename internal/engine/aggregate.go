@@ -146,7 +146,7 @@ func ordKeyOf(tree []interval.Tuple) []string {
 // equal-key trees keep their original order — XQuery's stable ordering.
 // Trees are renumbered with a leading position digit like SortTrees.
 func OrdBy(rel *interval.Relation, depth int, dir string) *interval.Relation {
-	b := interval.NewBuilder(depth+1+localWidth(rel.Tuples, depth), len(rel.Tuples))
+	b := interval.NewBuilder(depth+1+localWidth(rel, depth), len(rel.Tuples))
 	forEachGroup(rel.Tuples, depth, func(g []interval.Tuple) {
 		ranges := treeRanges(g)
 		keys := make([][]string, len(ranges))

@@ -89,7 +89,7 @@ func Positions(domainRoots *interval.Relation, oldDepth, newDepth int) *interval
 // local coordinates (the paper's l−i·w_e term). depth is the old
 // environment depth; newDepth = depth + k is the new one. One merge pass.
 func BindVar(domain, domainRoots *interval.Relation, depth, newDepth int) *interval.Relation {
-	b := interval.NewBuilder(newDepth+localWidth(domain.Tuples, depth), len(domain.Tuples))
+	b := interval.NewBuilder(newDepth+localWidth(domain, depth), len(domain.Tuples))
 	pos := 0
 	for _, r := range domainRoots.Tuples {
 		b.SetBase(r.L, newDepth)
@@ -111,7 +111,7 @@ func BindVar(domain, domainRoots *interval.Relation, depth, newDepth int) *inter
 // the literal translation — output size |newIndex per old env| × |group|,
 // the quadratic heart of DI-NLJ plans. A nil budget means unlimited.
 func EmbedOuter(newIndex Index, oldDepth, newDepth int, rel *interval.Relation, budget *Budget) (*interval.Relation, error) {
-	b := interval.NewBuilder(newDepth+localWidth(rel.Tuples, oldDepth), len(rel.Tuples))
+	b := interval.NewBuilder(newDepth+localWidth(rel, oldDepth), len(rel.Tuples))
 	pos := 0
 	var group []interval.Tuple
 	var groupEnv interval.Key

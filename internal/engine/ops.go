@@ -145,17 +145,8 @@ func treeRanges(g []interval.Tuple) [][2]int {
 // localWidth returns the largest physical key length beyond depth — the
 // data-level counterpart of the local width the compile-time analysis
 // bounds, and the quantity that fixes a builder's stride.
-func localWidth(tuples []interval.Tuple, depth int) int {
-	w := 0
-	for _, t := range tuples {
-		if n := len(t.L) - depth; n > w {
-			w = n
-		}
-		if n := len(t.R) - depth; n > w {
-			w = n
-		}
-	}
-	return w
+func localWidth(rel *interval.Relation, depth int) int {
+	return max(0, rel.MaxKeyLen()-depth)
 }
 
 // emitTree appends one top-level tree with a fresh position digit inserted
@@ -174,7 +165,7 @@ func emitTree(b *interval.Builder, prefix interval.Key, depth int, pos int64, tr
 // Trees are renumbered with a leading position digit (output local width =
 // input width + 1).
 func Reverse(rel *interval.Relation, depth int) *interval.Relation {
-	b := interval.NewBuilder(depth+1+localWidth(rel.Tuples, depth), len(rel.Tuples))
+	b := interval.NewBuilder(depth+1+localWidth(rel, depth), len(rel.Tuples))
 	forEachGroup(rel.Tuples, depth, func(g []interval.Tuple) {
 		ranges := treeRanges(g)
 		prefix := g[0].L
@@ -197,7 +188,7 @@ func SortTrees(rel *interval.Relation, depth int) *interval.Relation {
 // parallelism goroutines for large environments. Output is identical at
 // any setting.
 func SortTreesP(rel *interval.Relation, depth, parallelism int) *interval.Relation {
-	b := interval.NewBuilder(depth+1+localWidth(rel.Tuples, depth), len(rel.Tuples))
+	b := interval.NewBuilder(depth+1+localWidth(rel, depth), len(rel.Tuples))
 	forEachGroup(rel.Tuples, depth, func(g []interval.Tuple) {
 		ranges := treeRanges(g)
 		order := stableSortRanges(g, ranges, parallelism)
@@ -260,7 +251,7 @@ func DistinctP(rel *interval.Relation, depth, parallelism int) *interval.Relatio
 // leading position digit. Quadratic in the worst case (the paper's
 // w_subtreesdfs = w² width bound reflects the same blow-up).
 func SubtreesDFS(rel *interval.Relation, depth int) *interval.Relation {
-	b := interval.NewBuilder(depth+1+localWidth(rel.Tuples, depth), len(rel.Tuples))
+	b := interval.NewBuilder(depth+1+localWidth(rel, depth), len(rel.Tuples))
 	forEachGroup(rel.Tuples, depth, func(g []interval.Tuple) {
 		prefix := g[0].L
 		for i, t := range g {
@@ -281,7 +272,7 @@ func SubtreesDFS(rel *interval.Relation, depth int) *interval.Relation {
 // still produce a (leaf) root, which is why the operator needs the index.
 func Construct(index Index, depth int, label string, rel *interval.Relation) *interval.Relation {
 	stride := depth + 1
-	if w := localWidth(rel.Tuples, depth); depth+w > stride {
+	if w := localWidth(rel, depth); depth+w > stride {
 		stride = depth + w
 	}
 	b := interval.NewBuilder(stride, len(rel.Tuples)+len(index))
@@ -305,7 +296,7 @@ func Construct(index Index, depth int, label string, rel *interval.Relation) *in
 // offset computed in the same merge pass. One pass over both inputs.
 func Concat(index Index, depth int, a, b *interval.Relation) *interval.Relation {
 	stride := depth + 1
-	if w := localWidth(b.Tuples, depth); depth+w > stride {
+	if w := localWidth(b, depth); depth+w > stride {
 		stride = depth + w
 	}
 	out := interval.NewBuilder(stride, len(a.Tuples)+len(b.Tuples))

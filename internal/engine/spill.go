@@ -41,7 +41,7 @@ func (s *SpillStats) add(sorter *extsort.Sorter) {
 // budget; the stats report how much was spilled.
 func SortTreesSpill(rel *interval.Relation, depth, parallelism int, cfg SpillConfig) (*interval.Relation, SpillStats, error) {
 	var stats SpillStats
-	b := interval.NewBuilder(depth+1+localWidth(rel.Tuples, depth), len(rel.Tuples))
+	b := interval.NewBuilder(depth+1+localWidth(rel, depth), len(rel.Tuples))
 	var groupErr error
 	forEachGroup(rel.Tuples, depth, func(g []interval.Tuple) {
 		if groupErr != nil {

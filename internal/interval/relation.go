@@ -29,6 +29,24 @@ type Relation struct {
 // Len returns the number of tuples.
 func (r *Relation) Len() int { return len(r.Tuples) }
 
+// MaxKeyLen returns the relation's longest physical key length in digits
+// (0 for the empty relation): the executor's runtime key width, the batch
+// chunk stride, and the builder strides of the engine operators. Freshly
+// encoded documents use one digit; relations that passed through package
+// update may carry longer keys.
+//
+// It is a full scan, deliberately uncached: it runs per query and per
+// fused chain over the whole document — even under an index seek of 16
+// rows — which is why plan.residual_ms grows with the document (ROADMAP
+// item 2). That fix starts here.
+func (r *Relation) MaxKeyLen() int {
+	w := 0
+	for _, t := range r.Tuples {
+		w = max(w, len(t.L), len(t.R))
+	}
+	return w
+}
+
 // Sort sorts the tuples by L key. Operators that construct output in
 // document order need not call it.
 func (r *Relation) Sort() { r.SortP(1) }

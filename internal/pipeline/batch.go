@@ -67,28 +67,13 @@ func (s *RelationBatches) Init(rel *interval.Relation, batchSize int, chunk *int
 // chunk stride still covers the whole relation so a buffer can be reused
 // across morsels of the same chain.
 func (s *RelationBatches) InitRange(rel *interval.Relation, lo, hi, batchSize int, chunk *interval.Flat) {
-	s.InitRangeStride(rel, lo, hi, batchSize, RelStride(rel), chunk)
+	s.InitRangeStride(rel, lo, hi, batchSize, max(1, rel.MaxKeyLen()), chunk)
 }
 
-// RelStride returns the chunk stride for rel: its maximum physical key
-// length. The parallel chain runner computes it once per run and hands it
-// to InitRangeStride, so per-morsel source setup stops paying a full
-// relation scan.
-func RelStride(rel *interval.Relation) int {
-	stride := 1
-	for _, t := range rel.Tuples {
-		if len(t.L) > stride {
-			stride = len(t.L)
-		}
-		if len(t.R) > stride {
-			stride = len(t.R)
-		}
-	}
-	return stride
-}
-
-// InitRangeStride is InitRange with a caller-computed chunk stride (see
-// RelStride). The stride must cover every key of rel, not just the range.
+// InitRangeStride is InitRange with a caller-computed chunk stride — the
+// parallel chain runner computes it once per run, so per-morsel source
+// setup stops paying a full relation scan. The stride must cover every key
+// of rel (max(1, rel.MaxKeyLen())), not just the range.
 func (s *RelationBatches) InitRangeStride(rel *interval.Relation, lo, hi, batchSize, stride int, chunk *interval.Flat) {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
@@ -155,15 +140,7 @@ func (s *RangeBatches) Init(rel *interval.Relation, ranges [][2]int32, batchSize
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
-	stride := 1
-	for _, t := range rel.Tuples {
-		if len(t.L) > stride {
-			stride = len(t.L)
-		}
-		if len(t.R) > stride {
-			stride = len(t.R)
-		}
-	}
+	stride := max(1, rel.MaxKeyLen())
 	total := 0
 	for _, r := range ranges {
 		total += int(r[1] - r[0])
@@ -245,9 +222,9 @@ func (s *FlatBatches) Next() (*interval.Flat, bool) {
 }
 
 // Stage is one fused filter operator in value form: its kind, parameters,
-// and the per-row state machine. Stages live by value
-// inside a kernel or a Chain so that an entire fused chain costs a constant
-// number of allocations, not one per operator. The retained keys (max,
+// and the per-row state machine. Stages live by value inside a Chain so
+// that an entire fused chain costs a constant number of allocations, not
+// one per operator. The retained keys (max,
 // prefix, end) are copied into stage-owned buffers because source chunks
 // are reused between calls.
 type Stage struct {
@@ -370,47 +347,48 @@ func (s *Stage) run(f *interval.Flat) int {
 	return n
 }
 
-// kernel runs a single stage as a Batch: drain input chunks, compact, and
-// skip chunks that filter to nothing so consumers never see an empty batch.
-// The executor's analyze mode stacks kernels so a BatchCounter can sit
-// between stages; plain execution fuses the stages into one Chain instead.
-type kernel struct {
-	in Batch
-	st Stage
+// StageStat is one stage's output actuals over a chain run: surviving
+// rows, the non-empty chunks it passed on, and their accounted bytes.
+type StageStat struct {
+	Rows    int
+	Batches int
+	Bytes   int64
 }
 
-// NewKernel wraps a single stage as a Batch operator.
-func NewKernel(in Batch, st Stage) Batch { return &kernel{in: in, st: st} }
-
-// Next implements Batch.
-func (k *kernel) Next() (*interval.Flat, bool) {
-	for {
-		src, ok := k.in.Next()
-		if !ok {
-			return nil, false
-		}
-		if n := k.st.run(src); n > 0 {
-			src.Truncate(n)
-			return src, true
-		}
-	}
-}
-
-// Chain runs a whole fused stage sequence over each chunk in one pass. It
-// is observably identical to stacking one kernel per stage — each state
-// machine sees exactly the survivors of the previous one, in order — but
-// the entire chain costs one allocation regardless of length.
+// Chain runs a whole fused stage sequence over each chunk in one pass —
+// each state machine sees exactly the survivors of the previous one, in
+// order — and skips chunks that filter to nothing, so consumers never see
+// an empty batch. The entire chain costs one allocation regardless of
+// length. It records every stage's StageStat as it goes (three additions
+// per stage per chunk): Chain is the only runner, observed or not.
 type Chain struct {
 	in     Batch
 	stages []Stage
+	stats  []StageStat
 }
 
 // NewChain returns a Batch applying stages in order to in's chunks.
-func NewChain(in Batch, stages []Stage) *Chain { return &Chain{in: in, stages: stages} }
+func NewChain(in Batch, stages []Stage) *Chain {
+	c := &Chain{}
+	c.Init(in, stages)
+	return c
+}
 
-// Init readies c to run stages over in's chunks, reusing c — the chain
-// twin of (*RelationBatches).Init.
-func (c *Chain) Init(in Batch, stages []Stage) { *c = Chain{in: in, stages: stages} }
+// Init readies c to run stages over in's chunks, reusing c and zeroing
+// its per-stage stats — the chain twin of (*RelationBatches).Init.
+func (c *Chain) Init(in Batch, stages []Stage) {
+	c.in, c.stages = in, stages
+	if cap(c.stats) < len(stages) {
+		c.stats = make([]StageStat, len(stages))
+	}
+	c.stats = c.stats[:len(stages)]
+	clear(c.stats)
+}
+
+// Stats returns the per-stage actuals accumulated since Init; Stats()[i]
+// belongs to stages[i], and the last entry describes the chain's output.
+// The slice is reused by the next Init.
+func (c *Chain) Stats() []StageStat { return c.stats }
 
 // Next implements Batch.
 func (c *Chain) Next() (*interval.Flat, bool) {
@@ -426,45 +404,21 @@ outer:
 				continue outer
 			}
 			f.Truncate(n)
+			st := &c.stats[si]
+			st.Rows += n
+			st.Batches++
+			st.Bytes += f.Footprint()
 		}
 		return f, true
 	}
 }
 
-// BatchCounter passes chunks through unchanged, accumulating row, batch,
-// and byte counts. The analyze mode of the executor wraps the stages of a
-// fused chain with it to attribute per-stage actuals.
-type BatchCounter struct {
-	In      Batch
-	Rows    int
-	Batches int
-	Bytes   int64
-}
-
-// Next implements Batch.
-func (c *BatchCounter) Next() (*interval.Flat, bool) {
-	f, ok := c.In.Next()
-	if ok {
-		c.Rows += f.Len()
-		c.Batches++
-		c.Bytes += f.Footprint()
-	}
-	return f, ok
-}
-
-// BatchStats summarizes one drained batch stream.
-type BatchStats struct {
-	Batches int
-	Bytes   int64
-}
-
 // MaterializeBatches drains a batch stream into a row-form relation. When
 // the surviving rows carry Orig indices into rel (the RelationBatches
 // path), the output tuples are the original tuples themselves — keys
-// aliased, zero digit copies. Rows without an origin (e.g. a FlatBatches source) are cloned
-// into an arena at their exact physical lengths.
-func MaterializeBatches(b Batch, rel *interval.Relation) (*interval.Relation, BatchStats) {
-	var st BatchStats
+// aliased, zero digit copies. Rows without an origin (e.g. a FlatBatches
+// source) are cloned into an arena at their exact physical lengths.
+func MaterializeBatches(b Batch, rel *interval.Relation) *interval.Relation {
 	var arena interval.KeyArena
 	var tuples []interval.Tuple
 	for {
@@ -472,8 +426,6 @@ func MaterializeBatches(b Batch, rel *interval.Relation) (*interval.Relation, Ba
 		if !ok {
 			break
 		}
-		st.Batches++
-		st.Bytes += f.Footprint()
 		if f.Orig != nil && rel != nil {
 			for _, o := range f.Orig {
 				tuples = append(tuples, rel.Tuples[o])
@@ -485,7 +437,7 @@ func MaterializeBatches(b Batch, rel *interval.Relation) (*interval.Relation, Ba
 			tuples = append(tuples, interval.Tuple{S: t.S, L: arena.Clone(t.L), R: arena.Clone(t.R)})
 		}
 	}
-	return &interval.Relation{Tuples: tuples}, st
+	return &interval.Relation{Tuples: tuples}
 }
 
 // CountTreesBatches drains a batch stream and counts top-level trees — the

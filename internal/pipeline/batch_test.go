@@ -63,7 +63,7 @@ func TestBatchKernelsMatchEngine(t *testing.T) {
 			f := func(seed int64) bool {
 				rng := rand.New(rand.NewSource(seed))
 				rel := interval.Encode(xmltree.RandomForest(rng, 12))
-				got, _ := MaterializeBatches(NewKernel(NewRelationBatches(rel, bs), p.stage), rel)
+				got := MaterializeBatches(NewChain(NewRelationBatches(rel, bs), []Stage{p.stage}), rel)
 				return sameTuples(t, p.name, got, p.spec(rel))
 			}
 			if err := quick.Check(f, cfg); err != nil {
@@ -75,9 +75,10 @@ func TestBatchKernelsMatchEngine(t *testing.T) {
 
 // TestFusedChainMatchesEngineAndSpec runs a two-step path plus atomization
 // — select("<a>", children(·)) then data(·) — three ways: as one fused
-// Chain over a row-form source, as stacked kernels over a columnar source,
-// and through the materializing engine operators; all three must agree
-// digit-for-digit, and decode to the forest-level specification.
+// Chain over a row-form source, as stacked one-stage Chains over a
+// columnar source, and through the materializing engine operators; all
+// three must agree digit-for-digit, and decode to the forest-level
+// specification.
 func TestFusedChainMatchesEngineAndSpec(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200}
 	f := func(seed int64) bool {
@@ -87,7 +88,7 @@ func TestFusedChainMatchesEngineAndSpec(t *testing.T) {
 		want := engine.Data(engine.SelectLabel("<a>", engine.Children(rel)))
 
 		stages := []Stage{ChildrenStage(), SelectLabelStage("<a>"), DataStage()}
-		got, _ := MaterializeBatches(NewChain(NewRelationBatches(rel, 4), stages), rel)
+		got := MaterializeBatches(NewChain(NewRelationBatches(rel, 4), stages), rel)
 		if !sameTuples(t, "chain/relation", got, want) {
 			return false
 		}
@@ -99,9 +100,9 @@ func TestFusedChainMatchesEngineAndSpec(t *testing.T) {
 
 		var b Batch = NewFlatBatches(interval.FlatOf(rel), 4)
 		for _, st := range []Stage{ChildrenStage(), SelectLabelStage("<a>"), DataStage()} {
-			b = NewKernel(b, st)
+			b = NewChain(b, []Stage{st})
 		}
-		got2, _ := MaterializeBatches(b, nil)
+		got2 := MaterializeBatches(b, nil)
 		return sameTuples(t, "chain/flat", got2, want)
 	}
 	if err := quick.Check(f, cfg); err != nil {
@@ -135,11 +136,11 @@ func TestBatchHeadTailMultiEnv(t *testing.T) {
 			wantHead.Len(), wantTail.Len(), rel.Len())
 	}
 	for _, bs := range []int{1, 2, 3, 64} {
-		gotHead, _ := MaterializeBatches(NewKernel(NewRelationBatches(rel, bs), HeadStage(1)), rel)
+		gotHead := MaterializeBatches(NewChain(NewRelationBatches(rel, bs), []Stage{HeadStage(1)}), rel)
 		if !sameTuples(t, "head", gotHead, wantHead) {
 			t.Errorf("head diverged at batch=%d", bs)
 		}
-		gotTail, _ := MaterializeBatches(NewKernel(NewRelationBatches(rel, bs), TailStage(1)), rel)
+		gotTail := MaterializeBatches(NewChain(NewRelationBatches(rel, bs), []Stage{TailStage(1)}), rel)
 		if !sameTuples(t, "tail", gotTail, wantTail) {
 			t.Errorf("tail diverged at batch=%d", bs)
 		}
@@ -170,24 +171,34 @@ func TestCountTreesBatches(t *testing.T) {
 	}
 }
 
-// TestBatchCounter checks the pass-through accounting wrapper.
-func TestBatchCounter(t *testing.T) {
+// TestChainStats checks the chain's own per-stage accounting: every stage
+// reports its surviving rows, the non-empty chunks it passed on and their
+// accounted bytes; the last entry describes what the consumer drained; and
+// Init zeroes the counters for the next run.
+func TestChainStats(t *testing.T) {
 	f, _ := xmltree.Parse(`<a><b/></a><c/><d>x</d>`)
 	rel := interval.Encode(f)
-	c := &BatchCounter{In: NewRelationBatches(rel, 2)}
-	out, st := MaterializeBatches(c, rel)
-	if out.Len() != rel.Len() {
-		t.Fatalf("counter dropped rows: %d != %d", out.Len(), rel.Len())
+	c := NewChain(NewRelationBatches(rel, 2), []Stage{ChildrenStage(), DataStage()})
+	out := MaterializeBatches(c, rel)
+	children, data := engine.Children(rel), engine.Data(engine.Children(rel))
+	if !sameTuples(t, "chain", out, data) {
+		t.Fatal("chain output diverged from the engine operators")
 	}
-	if c.Rows != rel.Len() {
-		t.Errorf("Rows = %d, want %d", c.Rows, rel.Len())
+	st := c.Stats()
+	if len(st) != 2 || st[0].Rows != children.Len() || st[1].Rows != data.Len() {
+		t.Fatalf("stats = %+v, want rows %d then %d", st, children.Len(), data.Len())
 	}
-	wantBatches := (rel.Len() + 1) / 2
-	if c.Batches != wantBatches || st.Batches != wantBatches {
-		t.Errorf("Batches = %d/%d, want %d", c.Batches, st.Batches, wantBatches)
+	// Chunk 1 holds <a> and its child <b/>, chunk 2 the roots <c/> and <d>
+	// (no child: the chain skips it), chunk 3 the text under <d>.
+	if st[0].Batches != 2 || st[1].Batches != 1 {
+		t.Errorf("batches = %d then %d, want 2 then 1", st[0].Batches, st[1].Batches)
 	}
-	if c.Bytes <= 0 || st.Bytes != c.Bytes {
-		t.Errorf("Bytes = %d/%d, want positive and equal", c.Bytes, st.Bytes)
+	if st[0].Bytes <= st[1].Bytes || st[1].Bytes <= 0 {
+		t.Errorf("bytes = %d then %d, want positive and shrinking", st[0].Bytes, st[1].Bytes)
+	}
+	c.Init(NewRelationBatches(rel, 2), []Stage{RootsStage()})
+	if st := c.Stats(); len(st) != 1 || st[0] != (StageStat{}) {
+		t.Errorf("Init left stats %+v", st)
 	}
 }
 
@@ -211,10 +222,10 @@ func TestBatchSourcesNeverYieldEmpty(t *testing.T) {
 			t.Fatal("Next after exhaustion should keep reporting false")
 		}
 	}
-	// A kernel that filters everything out must report exhaustion, not an
+	// A chain that filters everything out must report exhaustion, not an
 	// empty chunk.
-	none := NewKernel(NewRelationBatches(rel, 8), SelectLabelStage("<never>"))
+	none := NewChain(NewRelationBatches(rel, 8), []Stage{SelectLabelStage("<never>")})
 	if _, ok := none.Next(); ok {
-		t.Error("kernel yielded an empty chunk")
+		t.Error("chain yielded an empty chunk")
 	}
 }

@@ -58,30 +58,19 @@ const morselBatches = 4
 // input and the configuration, so partitioning stays deterministic.
 const minMorselRows = 1024
 
-// StageStat is one stage's aggregated actuals from a counted parallel
-// chain run: output rows, chunks and accounted chunk bytes, summed across
-// all morsels.
-type StageStat struct {
-	Rows    int
-	Batches int
-	Bytes   int64
-}
-
 // ParallelChainResult is the outcome of a parallel chain run.
 type ParallelChainResult struct {
 	// Rel is the materialized chain output, identical to the serial run.
 	Rel *interval.Relation
-	// Stats aggregates the source chunk counts and footprints of all
-	// morsels.
-	Stats BatchStats
+	// Stages holds the per-stage actuals summed across all morsels;
+	// Stages[i] corresponds to protos[i], and the last entry describes the
+	// chain's output chunks.
+	Stages []StageStat
 	// Workers is how many workers actually participated (>= 1; the process
 	// budget may grant fewer than requested).
 	Workers int
 	// Morsels is how many morsels the input was split into.
 	Morsels int
-	// Stages holds per-stage actuals when the run was counted (analyze
-	// mode); nil otherwise. Stages[i] corresponds to protos[i].
-	Stages []StageStat
 }
 
 // chainSplitPoints returns the safe split positions of rel for a chain
@@ -139,36 +128,29 @@ func groupMorsels(starts []int, n, target int) []int {
 
 // chainWorker is one worker's private execution state: a chunk buffer,
 // a stage list, and the source/chain scratch, reused across the morsels
-// the worker pulls — and, via workerPool, across runs.
+// the worker pulls — and, via workerScratch, across runs.
 type chainWorker struct {
 	chunk  interval.Flat
 	stages []Stage
 	src    RelationBatches
 	chain  Chain
-	ctrs   []BatchCounter
 }
 
-// workerScratch recycles chainWorker scratch (chunk buffers, stage lists,
-// counters) across RunChainParallel calls through the exec pool's generic
-// per-worker scratch, so steady-state parallel runs stop paying per-run
-// worker-state allocations.
+// workerScratch recycles chainWorker scratch (chunk buffers, stage lists)
+// across RunChainParallel calls through the exec pool's generic per-worker
+// scratch, so steady-state parallel runs stop paying per-run worker-state
+// allocations.
 var workerScratch = exec.NewScratch(func() *chainWorker { return new(chainWorker) })
 
 // prepare readies a pooled worker for a run over a chain of nStages
-// stages: it sizes the stage and counter lists for this chain's length and
-// zeroes the counters carried over from whatever run used the worker last.
-func (w *chainWorker) prepare(nStages int, counted bool) {
+// stages. The chain is bound once per run to the worker's own source and
+// stage list — both are re-inited in place per morsel — so its per-stage
+// stats accumulate across all the morsels the worker pulls.
+func (w *chainWorker) prepare(nStages int) {
 	if len(w.stages) != nStages {
 		w.stages = make([]Stage, nStages)
 	}
-	if counted {
-		if len(w.ctrs) != nStages {
-			w.ctrs = make([]BatchCounter, nStages)
-		}
-		for i := range w.ctrs {
-			w.ctrs[i] = BatchCounter{}
-		}
-	}
+	w.chain.Init(&w.src, w.stages)
 }
 
 // reset readies the worker's stage list for a fresh morsel.
@@ -184,10 +166,7 @@ func (w *chainWorker) reset(protos []Stage) {
 // any worker grant. ok is false when the chain is not worth (or not safe
 // to) parallelize — too few rows, too few safe split points, or a
 // depth-0 head/tail stage — and the caller should run the serial path.
-//
-// With counted set, the run additionally aggregates per-stage rows,
-// batches and bytes (the analyze-mode actuals) into Stages.
-func RunChainParallel(rel *interval.Relation, protos []Stage, batchSize, parallelism int, counted bool) (ParallelChainResult, bool) {
+func RunChainParallel(rel *interval.Relation, protos []Stage, batchSize, parallelism int) (ParallelChainResult, bool) {
 	var res ParallelChainResult
 	parallelism = exec.Effective(parallelism)
 	if parallelism < 2 || len(protos) == 0 {
@@ -216,36 +195,16 @@ func RunChainParallel(rel *interval.Relation, protos []Stage, batchSize, paralle
 	}
 
 	outs := make([][]interval.Tuple, nm)
-	stats := make([]BatchStats, nm)
-	stride := RelStride(rel)
+	stride := max(1, rel.MaxKeyLen())
 	workers := workerScratch.Acquire(min(parallelism, nm))
 	for i := range workers {
-		workers[i].prepare(len(protos), counted)
+		workers[i].prepare(len(protos))
 	}
 	res.Workers = exec.Run(nm, parallelism, func(task, worker int) {
 		w := workers[worker]
 		w.reset(protos)
 		w.src.InitRangeStride(rel, morsels[task], morsels[task+1], size, stride, &w.chunk)
-		var b Batch
-		if !counted {
-			w.chain.Init(&w.src, w.stages)
-			b = &w.chain
-		} else {
-			// The counted form stacks one kernel per stage with a counter
-			// between stages, mirroring the serial analyze path; counters
-			// accumulate across the worker's morsels and are summed below.
-			b = &w.src
-			for j := range w.stages {
-				b = NewKernel(b, w.stages[j])
-				if j < len(w.stages)-1 {
-					w.ctrs[j].In = b
-					b = &w.ctrs[j]
-				}
-			}
-		}
-		out, st := MaterializeBatches(b, rel)
-		outs[task] = out.Tuples
-		stats[task] = st
+		outs[task] = MaterializeBatches(&w.chain, rel).Tuples
 	})
 	res.Morsels = nm
 
@@ -254,20 +213,16 @@ func RunChainParallel(rel *interval.Relation, protos []Stage, batchSize, paralle
 		total += len(o)
 	}
 	tuples := make([]interval.Tuple, 0, total)
-	for i, o := range outs {
+	for _, o := range outs {
 		tuples = append(tuples, o...)
-		res.Stats.Batches += stats[i].Batches
-		res.Stats.Bytes += stats[i].Bytes
 	}
 	res.Rel = &interval.Relation{Tuples: tuples}
-	if counted {
-		res.Stages = make([]StageStat, len(protos))
-		for wi := range workers {
-			for j, c := range workers[wi].ctrs {
-				res.Stages[j].Rows += c.Rows
-				res.Stages[j].Batches += c.Batches
-				res.Stages[j].Bytes += c.Bytes
-			}
+	res.Stages = make([]StageStat, len(protos))
+	for _, w := range workers {
+		for j, st := range w.chain.Stats() {
+			res.Stages[j].Rows += st.Rows
+			res.Stages[j].Batches += st.Batches
+			res.Stages[j].Bytes += st.Bytes
 		}
 	}
 	workerScratch.Release(workers)

@@ -142,6 +142,37 @@ const (
 	AccessPruned = "pruned"
 )
 
+// Phase is the Figure 10 cost category a node's exclusive time is
+// reported under.
+type Phase uint8
+
+const (
+	// PhaseJoin is the environment machinery: loop entry, outer embedding,
+	// filtering, merge joins, and everything evaluated on behalf of a
+	// condition or a merge-join key (Figure 10 counts predicate evaluation
+	// as part of the join).
+	PhaseJoin Phase = iota
+	// PhasePaths is path extraction: the fused chains, index seeks, and
+	// the order-preserving forest operators.
+	PhasePaths
+	// PhaseConstruction is result building: element construction,
+	// concatenation, aggregation, and reordering.
+	PhaseConstruction
+	numPhases
+)
+
+// opPhase is the phase of an operator outside a condition subtree.
+func opPhase(op Op) Phase {
+	switch op {
+	case OpRoots, OpPathStep, OpIndexPath, OpTake, OpDrop, OpDistinct, OpSubtreesDFS:
+		return PhasePaths
+	case OpConst, OpConstruct, OpConcat, OpCount, OpAggregate, OpArith,
+		OpOrderBy, OpReverse, OpStructuralSort:
+		return PhaseConstruction
+	}
+	return PhaseJoin
+}
+
 // Seek is the compile-time resolution of a path chain against a document's
 // structural index: the exact row ranges of the answer forest, or the proof
 // that it is empty. The executor serves it only after re-checking that the
@@ -174,6 +205,10 @@ type Node struct {
 	// ID is the node's preorder position in its plan, the index into
 	// RunStats.Nodes. Assigned once by the compiler.
 	ID int
+	// Phase is the Figure 10 category the node's time counts under: fixed
+	// by the operator, except that condition subtrees and merge-join key
+	// inputs are PhaseJoin throughout. Assigned with ID.
+	Phase Phase
 	// Op is the operator.
 	Op Op
 	// Step names the path operator for OpPathStep.
@@ -478,14 +513,24 @@ func ResetEst(n *Node) {
 	Walk(n, func(c *Node) { c.Est = -1 })
 }
 
-// AssignIDs numbers the plan's nodes in preorder. The compiler calls it
-// once; IDs index RunStats.Nodes.
+// AssignIDs numbers the plan's nodes in preorder and fixes their phases.
+// The compiler calls it once; IDs index RunStats.Nodes.
 func AssignIDs(n *Node) {
 	id := 0
-	Walk(n, func(c *Node) {
-		c.ID = id
+	var assign func(n *Node, cond bool)
+	assign = func(n *Node, cond bool) {
+		n.ID = id
 		id++
-	})
+		n.Phase = PhaseJoin
+		if !cond {
+			n.Phase = opPhase(n.Op)
+		}
+		for i, c := range n.Inputs {
+			key := n.Op == OpFilter && i == 0 || n.Op == OpMSJ && (i == 1 || i == 2)
+			assign(c, cond || key)
+		}
+	}
+	assign(n, false)
 }
 
 // Documents returns the names of the documents the plan scans, in

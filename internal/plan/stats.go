@@ -2,9 +2,11 @@ package plan
 
 import "time"
 
-// NodeStats are the actuals of one operator in one execution. Time and
-// Allocs are exclusive — work done by a node's inputs is charged to the
-// inputs — so the per-plan totals are the sums over all nodes.
+// NodeStats are the actuals of one operator in one execution. Every
+// execution records them — it is the executor's only accounting; the phase
+// breakdown and the operator table are derived from it. Time and Allocs
+// are exclusive — work done by a node's inputs is charged to the inputs —
+// so the per-plan totals are the sums over all nodes.
 type NodeStats struct {
 	// Calls counts how many times the operator ran (usually 1: the
 	// dynamic-interval evaluation is set-oriented, every operator
@@ -17,6 +19,8 @@ type NodeStats struct {
 	Time time.Duration
 	// Allocs is the exclusive allocated-byte delta attributed to the
 	// operator (heap-sampled; an order-of-magnitude signal, not exact).
+	// Reading it stops the world, so it is only taken when the caller asked
+	// for the analyze report; 0 otherwise.
 	Allocs int64
 	// Batches counts the columnar chunks the operator processed (only the
 	// batch-executed operators report it; materializing operators leave 0).
@@ -53,11 +57,6 @@ type RunStats struct {
 	Nodes []NodeStats
 }
 
-// NewRunStats sizes a stats block for a plan.
-func NewRunStats(root *Node) *RunStats {
-	return &RunStats{Nodes: make([]NodeStats, MaxID(root)+1)}
-}
-
 // Node returns the stats slot for a node ID (zero value if out of range).
 func (rs *RunStats) Node(id int) NodeStats {
 	if rs == nil || id < 0 || id >= len(rs.Nodes) {
@@ -77,6 +76,14 @@ func (rs *RunStats) Total() time.Duration {
 		d += n.Time
 	}
 	return d
+}
+
+// PhaseTimes sums the exclusive node times by Figure 10 phase — paths,
+// join, construction — so the three add up to Total.
+func (rs *RunStats) PhaseTimes(root *Node) (paths, join, construction time.Duration) {
+	var d [numPhases]time.Duration
+	Walk(root, func(n *Node) { d[n.Phase] += rs.Node(n.ID).Time })
+	return d[PhasePaths], d[PhaseJoin], d[PhaseConstruction]
 }
 
 // OperatorStat is one row of the flattened analyze report.

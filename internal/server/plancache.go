@@ -42,8 +42,9 @@ func newPlanCache(capacity int) *planCache {
 // planKey builds the cache key for a request: the query text, the engine,
 // every option that affects the plan or its execution strategy, and the
 // version of the catalog snapshot the request pinned. The options are
-// canonicalized first — the parallelism component is the fully resolved
-// worker bound (request value, else server default, with 0 resolving to
+// canonicalized first — the engine component is the parsed engine's wire
+// name (so "" and "di-opt" are one slot), the parallelism component is the
+// fully resolved worker bound (request value, else server default, with 0 resolving to
 // runtime.GOMAXPROCS(0), exactly as the executor resolves it) — so
 // equivalent requests hit the same slot while requests differing in any
 // effective knob never collide. (Before options were part of the key, a
@@ -55,9 +56,9 @@ func newPlanCache(capacity int) *planCache {
 // optimizer shaped around since-recollected statistics, or one whose
 // document was dropped and reloaded with different content — is never
 // reused against another.
-func planKey(req *QueryRequest, cfg Config, version uint64) string {
+func planKey(req *QueryRequest, engine dixq.Engine, cfg Config, version uint64) string {
 	return fmt.Sprintf("%s\x00%s\x00par=%d\x00cat=%d",
-		req.Query, req.Engine, effectiveParallelism(req, cfg), version)
+		req.Query, engine.Label(), effectiveParallelism(req, cfg), version)
 }
 
 // get returns the cached plan for key and promotes it to most-recent.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dixq"
+	"dixq/internal/obs"
 )
 
 // TestRouteMethodsAndContentTypes drives every registered route with its
@@ -214,6 +215,55 @@ func TestTracesEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad n status = %d", resp.StatusCode)
+	}
+}
+
+// TestTraceSpansEqualExplainAnalyze pins that a sampled trace describes
+// the very execution /explain analyzes: for each DI engine, the operator
+// child spans of a traced /query carry the same names, calls and rows — in
+// the same plan order — as the operators array of POST /explain
+// {"analyze":true} for that query.
+func TestTraceSpansEqualExplainAnalyze(t *testing.T) {
+	ts := testServer(t, Config{TraceSample: 1})
+	for _, engine := range []string{"di-opt", "di-msj", "di-nlj"} {
+		req := QueryRequest{Query: dixq.XMarkQ8, Engine: engine}
+		if resp, body := postJSON(t, ts.URL+"/query", req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: query status %d: %s", engine, resp.StatusCode, body)
+		}
+		resp, err := http.Get(ts.URL + "/debug/traces?n=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var traces TracesResponse
+		err = json.NewDecoder(resp.Body).Decode(&traces)
+		resp.Body.Close()
+		if err != nil || len(traces.Traces) != 1 || traces.Traces[0].Engine != engine {
+			t.Fatalf("%s: traces = %+v (%v)", engine, traces, err)
+		}
+		var spans []obs.Span
+		for _, sp := range traces.Traces[0].Spans {
+			if sp.Name == "execute" {
+				spans = sp.Children
+			}
+		}
+		req.Analyze = true
+		eresp, body := postJSON(t, ts.URL+"/explain", req)
+		if eresp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: explain status %d: %s", engine, eresp.StatusCode, body)
+		}
+		var explained ExplainResponse
+		if err := json.Unmarshal(body, &explained); err != nil {
+			t.Fatal(err)
+		}
+		if len(spans) == 0 || len(spans) != len(explained.Operators) {
+			t.Fatalf("%s: %d operator spans, %d explained operators", engine, len(spans), len(explained.Operators))
+		}
+		for i, op := range explained.Operators {
+			if sp := spans[i]; sp.Name != op.Op || sp.Calls != op.Calls || sp.Rows != op.Rows || sp.Batches != op.Batches {
+				t.Errorf("%s: operator %d: span %s calls=%d rows=%d batches=%d, explain %s calls=%d rows=%d batches=%d",
+					engine, i, sp.Name, sp.Calls, sp.Rows, sp.Batches, op.Op, op.Calls, op.Rows, op.Batches)
+			}
+		}
 	}
 }
 

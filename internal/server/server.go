@@ -11,8 +11,9 @@
 // the obs.Default registry in the Prometheus text format, and GET
 // /debug/traces returns the most recent sampled query traces — parse,
 // plan-cache and execute spans, with per-plan-operator child spans for
-// the DI engines, reusing the same exclusive-time machinery as POST
-// /explain {"analyze":true}.
+// the DI engines, built from the run's own per-node actuals — the same
+// numbers POST /explain {"analyze":true} reports, minus the allocation
+// readings only the analyze request takes.
 package server
 
 import (
@@ -56,9 +57,9 @@ type Config struct {
 	PlanCacheSize int
 	// TraceSample samples 1 in every N POST /query requests into the trace
 	// ring buffer served by GET /debug/traces. 0 means the default of
-	// 64; negative disables tracing. Sampled DI-engine queries run with
-	// per-operator instrumentation, which costs a memory-stats read per
-	// plan-node boundary — that is the sampling trade-off.
+	// 64; negative disables tracing. A sampled query executes exactly like
+	// an unsampled one — every run records its per-operator actuals — and
+	// additionally pays for building its spans from them.
 	TraceSample int
 	// TraceBufferSize caps the trace ring buffer; 0 means the default of
 	// 128. The buffer keeps the most recent traces, oldest overwritten.
@@ -94,11 +95,6 @@ type Config struct {
 	// load .xml or .dixq files from this directory. Empty disables
 	// server-side file loading.
 	DocDir string
-	// NoReindex disables the background reindexer that re-derives a
-	// document's structural index and statistics after updates; plans
-	// over updated documents then stay scan-backed until Reindex is
-	// called on the catalog directly.
-	NoReindex bool
 }
 
 // defaultPlanCacheSize is the plan-cache capacity when Config leaves it 0.
@@ -136,7 +132,9 @@ type DocInfo struct {
 }
 
 // New builds a server over named documents (the initial catalog; more
-// can be loaded, updated and dropped over HTTP).
+// can be loaded, updated and dropped over HTTP) and starts its background
+// reindexer, which re-derives a document's structural index and statistics
+// after updates; Close stops it.
 func New(docs map[string]*dixq.Document, cfg Config) *Server {
 	cat := dixq.NewCatalog()
 	size := cfg.PlanCacheSize
@@ -157,6 +155,7 @@ func New(docs map[string]*dixq.Document, cfg Config) *Server {
 		sampler: obs.NewSampler(every),
 		traces:  obs.NewTraceBuffer(cfg.TraceBufferSize),
 		adm:     newAdmitter(cfg),
+		reindex: newReindexer(cat),
 	}
 	names := make([]string, 0, len(docs))
 	for name := range docs {
@@ -165,9 +164,6 @@ func New(docs map[string]*dixq.Document, cfg Config) *Server {
 	sort.Strings(names)
 	for _, name := range names {
 		cat.Add(name, docs[name])
-	}
-	if !cfg.NoReindex {
-		s.reindex = newReindexer(cat)
 	}
 	return s
 }
@@ -376,6 +372,8 @@ func methodNotAllowed(allow string) http.HandlerFunc {
 
 // decodeInfo reports what decode did, for trace spans.
 type decodeInfo struct {
+	// engine is the request's parsed engine.
+	engine dixq.Engine
 	// parseNS is the parse+compile time (0 on a cache hit).
 	parseNS int64
 	// cacheHit reports whether the compiled plan came from the cache.
@@ -383,9 +381,11 @@ type decodeInfo struct {
 }
 
 // decode parses the request body and resolves the compiled plan through
-// the cache. version is the pinned catalog snapshot's version: the cache
-// key includes it, so a plan compiled against one snapshot can never
-// serve a request pinned to a catalog that has since changed.
+// the cache. The engine name is validated first, so a request that will be
+// rejected causes no cache traffic. version is the pinned catalog
+// snapshot's version: the cache key includes it, so a plan compiled
+// against one snapshot can never serve a request pinned to a catalog that
+// has since changed.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, version uint64) (*QueryRequest, *dixq.Query, decodeInfo, bool) {
 	var info decodeInfo
 	var req QueryRequest
@@ -398,7 +398,12 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, version uint64) 
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing query"})
 		return nil, nil, info, false
 	}
-	key := planKey(&req, s.cfg, version)
+	var err error
+	if info.engine, err = dixq.ParseEngine(req.Engine); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		return nil, nil, info, false
+	}
+	key := planKey(&req, info.engine, s.cfg, version)
 	if q, ok := s.plans.get(key); ok {
 		info.cacheHit = true
 		return &req, q, info, true
@@ -412,23 +417,6 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, version uint64) 
 	}
 	s.plans.put(key, q)
 	return &req, q, info, true
-}
-
-// engineLabel is the canonical metric/trace label of an engine.
-func engineLabel(e dixq.Engine) string {
-	switch e {
-	case dixq.CostBased:
-		return "di-opt"
-	case dixq.MergeJoin:
-		return "di-msj"
-	case dixq.NestedLoop:
-		return "di-nlj"
-	case dixq.Interpreter:
-		return "interp"
-	case dixq.GenericSQL:
-		return "generic-sql"
-	}
-	return "unknown"
 }
 
 // truncateQuery bounds the query text stored in a trace.
@@ -481,25 +469,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			Attrs: map[string]string{"hit": strconv.FormatBool(info.cacheHit)},
 		})
 	}
-	eng, err := parseEngine(req.Engine)
-	if err != nil {
-		outcome = "bad_request"
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	engine = engineLabel(eng)
+	engine = info.engine.Label()
 
 	execStart := time.Now()
-	var res *dixq.Result
-	var ops []dixq.OperatorStat
-	if tr != nil && (eng == dixq.CostBased || eng == dixq.MergeJoin || eng == dixq.NestedLoop) {
-		// A sampled DI query runs instrumented, so the trace carries one
-		// child span per plan operator — the same exclusive-time actuals
-		// POST /explain {"analyze":true} reports.
-		res, ops, err = q.RunAnalyzed(snap, req.options(eng, s.cfg))
-	} else {
-		res, err = q.Run(snap, req.options(eng, s.cfg))
-	}
+	res, err := q.Run(snap, req.options(info.engine, s.cfg))
 	if tr != nil {
 		span := obs.Span{
 			Name:       "execute",
@@ -508,7 +481,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				"parallel_workers": strconv.Itoa(effectiveParallelism(req, s.cfg)),
 			},
 		}
-		for _, op := range ops {
+		// A DI run records its per-operator actuals whether or not it was
+		// sampled; the trace carries them as one child span per operator
+		// (none for a failed run or a non-DI engine).
+		for _, op := range res.Operators() {
 			span.Children = append(span.Children, obs.Span{
 				Name:       op.Op,
 				DurationNS: int64(op.Time),
@@ -628,23 +604,16 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	snap := s.cat.Snapshot()
 	obs.SnapshotsPinned.Inc()
 	defer obs.SnapshotsPinned.Dec()
-	req, q, _, ok := s.decode(w, r, snap.Version())
+	req, q, info, ok := s.decode(w, r, snap.Version())
 	if !ok {
 		return
 	}
-	out := ExplainResponse{Plan: q.Explain(), Core: q.Core()}
-	if eng, err := parseEngine(req.Engine); err == nil {
-		// Nil for forced and non-DI engines: those runs bypass the
-		// optimizer by design.
-		out.Optimizer = q.OptimizerReport(snap, req.options(eng, s.cfg))
-	}
+	opts := req.options(info.engine, s.cfg)
+	// The optimizer report is nil for forced and non-DI engines: those
+	// runs bypass the optimizer by design.
+	out := ExplainResponse{Plan: q.Explain(), Core: q.Core(), Optimizer: q.OptimizerReport(snap, opts)}
 	if req.Analyze {
-		engine, err := parseEngine(req.Engine)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-			return
-		}
-		text, ops, err := q.ExplainAnalyze(snap, req.options(engine, s.cfg))
+		text, ops, err := q.ExplainAnalyze(snap, opts)
 		if err != nil {
 			status := http.StatusUnprocessableEntity
 			if errors.Is(err, dixq.ErrBudgetExceeded) {
@@ -697,23 +666,6 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"sql": sql})
-}
-
-func parseEngine(name string) (dixq.Engine, error) {
-	switch name {
-	case "", "di-opt":
-		return dixq.CostBased, nil
-	case "di-msj":
-		return dixq.MergeJoin, nil
-	case "di-nlj":
-		return dixq.NestedLoop, nil
-	case "interp":
-		return dixq.Interpreter, nil
-	case "generic-sql":
-		return dixq.GenericSQL, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q (di-opt, di-msj, di-nlj, interp, generic-sql)", name)
-	}
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

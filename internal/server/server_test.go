@@ -294,6 +294,14 @@ func TestPlanCache(t *testing.T) {
 // parallelism values are derived from the resolved default so the test
 // holds at any GOMAXPROCS (the CI matrix runs -cpu=1,4).
 func TestPlanCacheKeyIncludesOptions(t *testing.T) {
+	planKey := func(req *QueryRequest, cfg Config, version uint64) string {
+		t.Helper()
+		engine, err := dixq.ParseEngine(req.Engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return planKey(req, engine, cfg, version)
+	}
 	def := exec.Resolve(0)
 	base := QueryRequest{Query: "q", Engine: "di-msj"}
 	distinct := []QueryRequest{
@@ -334,6 +342,11 @@ func TestPlanCacheKeyIncludesOptions(t *testing.T) {
 	if got, want := planKey(&explicit, Config{TenantWorkers: 1}, 0), planKey(&explicit, Config{}, 0); got == want {
 		t.Errorf("tenant worker cap kept cache key %q", got)
 	}
+	// The engine component is canonical: the empty name is the default
+	// engine's slot.
+	if got, want := planKey(&QueryRequest{Query: "q"}, Config{}, 0), planKey(&QueryRequest{Query: "q", Engine: "di-opt"}, Config{}, 0); got != want {
+		t.Errorf("empty engine key = %q, want the di-opt key %q", got, want)
+	}
 	// A new catalog version — any document load, update, drop, reindex or
 	// stats refresh — must not reuse plans compiled against the old
 	// snapshot.
@@ -355,9 +368,10 @@ func TestPlanCacheKeyIncludesOptions(t *testing.T) {
 // layer: the same query under a different engine or worker bound must miss
 // the cache, while a body still carrying the removed "legacy_keys" /
 // "no_pipeline" fields is accepted, answers identically and lands in the
-// slot of the body without them.
+// slot of the body without them; the default engine's two spellings share
+// one slot, and an unknown engine is rejected before any cache traffic.
 func TestPlanCacheOptionsEndToEnd(t *testing.T) {
-	ts := testServer(t, Config{})
+	ts, srv := lifecycleServer(t, Config{}, map[string]string{"auction.xml": dixq.XMarkFigure1})
 	query := `for $x in document("auction.xml")/site/regions return count($x/*)`
 	run := func(req any) QueryResponse {
 		t.Helper()
@@ -388,6 +402,27 @@ func TestPlanCacheOptionsEndToEnd(t *testing.T) {
 	}
 	if old.XML != first.XML || old.Trees != first.Trees {
 		t.Fatalf("removed fields changed the answer:\n%s\nwant\n%s", old.XML, first.XML)
+	}
+	for _, tc := range []struct {
+		engine             string
+		status             int
+		hits, misses, size uint64
+	}{
+		{"di-opt", http.StatusOK, 2, 3, 3},         // the slot of the first request's ""
+		{"", http.StatusOK, 3, 3, 3},               // ... and back
+		{"nope", http.StatusBadRequest, 3, 3, 3},   // rejected: no lookup, no insert
+		{"di-msj", http.StatusOK, 3, 4, 4},         // a real engine change still misses
+		{"DI-MSJ", http.StatusBadRequest, 3, 4, 4}, // display names are not wire names
+	} {
+		resp, body := postJSON(t, ts.URL+"/query", QueryRequest{Query: query, Engine: tc.engine})
+		if resp.StatusCode != tc.status {
+			t.Fatalf("engine %q: status %d: %s", tc.engine, resp.StatusCode, body)
+		}
+		hits, misses := srv.plans.counts()
+		if hits != tc.hits || misses != tc.misses || uint64(srv.plans.len()) != tc.size {
+			t.Errorf("engine %q: %d hits, %d misses, %d cached; want %d, %d, %d",
+				tc.engine, hits, misses, srv.plans.len(), tc.hits, tc.misses, tc.size)
+		}
 	}
 }
 
