@@ -55,6 +55,11 @@ func (e *env) lookup(name string) (binding, bool) {
 	return b, ok
 }
 
+// initial reports whether e is the environment evaluation starts in:
+// depth 0 with its single environment still present (a where clause at
+// depth 0 can drop it).
+func (e *env) initial() bool { return e.depth == 0 && len(e.index) == 1 }
+
 func (e *env) child(depth int, index engine.Index) *env {
 	vars := make(map[string]binding, len(e.vars)+1)
 	for k, v := range e.vars {
@@ -263,7 +268,11 @@ func (ev *evaluator) evalVar(name string, en *env) (*table, error) {
 		}
 		return nil, fmt.Errorf("core: unbound variable $%s", name)
 	}
-	if b.depth == en.depth {
+	// A binding built at this depth is already per environment — except
+	// the documents at depth 0 once a where clause dropped the single
+	// environment: execFilter leaves them unfiltered, so they are embedded
+	// into the (empty) environment set like any coarser binding.
+	if b.depth == en.depth && (en.depth > 0 || en.initial()) {
 		return b.tab, nil
 	}
 	if t, ok := en.embedCache[name]; ok {
@@ -285,10 +294,11 @@ func (ev *evaluator) evalVar(name string, en *env) (*table, error) {
 // execIndexPath serves a compile-time index resolution (see applyIndexes
 // in rewrite.go). The resolution only describes the very relation it was
 // built over, so before serving, the node re-checks that the runtime
-// document binding is that relation (pointer identity). In the single
-// unfiltered depth-0 environment the resolved ranges are the answer and
-// are served directly; under refined or deeper environments the chain is
-// still loop-invariant (its source is a document scan), so the ranges are
+// document binding is that relation (pointer identity). In the initial
+// environment the resolved ranges are the answer and are served directly
+// — as they are, or for a descendant seek renumbered the way subtrees-dfs
+// numbers them; under refined or deeper environments the chain is still
+// loop-invariant (its source is a document scan), so the answer is
 // materialized once and embedded into the current environments — exactly
 // what the scan-backed chain would compute by embedding the whole
 // document first and filtering after. A replaced document binding falls
@@ -297,16 +307,22 @@ func (ev *evaluator) evalVar(name string, en *env) (*table, error) {
 func (ev *evaluator) execIndexPath(n *plan.Node, en *env) (*table, error) {
 	if sk := n.Seek; sk != nil {
 		if b, ok := en.lookup("doc:" + sk.Doc); ok && b.depth == 0 && b.tab.rel == sk.Rel {
+			local := b.tab.local + sk.WidenBy
 			if sk.Pruned {
 				obs.IndexPrunedPaths.Inc()
 				ev.node(n).Skipped += int64(len(sk.Rel.Tuples))
-				return &table{rel: &interval.Relation{}, local: b.tab.local + sk.WidenBy}, nil
+				return &table{rel: &interval.Relation{}, local: local}, nil
 			}
-			out := &interval.Relation{Tuples: make([]interval.Tuple, 0, sk.Rows)}
-			for _, r := range sk.Ranges {
-				out.Tuples = append(out.Tuples, sk.Rel.Tuples[r[0]:r[1]]...)
+			var out *interval.Relation
+			if sk.Pos != nil {
+				out = engine.SubtreesAt(sk.Rel, sk.Ranges, sk.Pos)
+			} else {
+				out = &interval.Relation{Tuples: make([]interval.Tuple, 0, sk.Rows)}
+				for _, r := range sk.Ranges {
+					out.Tuples = append(out.Tuples, sk.Rel.Tuples[r[0]:r[1]]...)
+				}
 			}
-			if en.depth != 0 || len(en.index) != 1 {
+			if !en.initial() {
 				embedded, err := engine.EmbedOuter(en.index, 0, en.depth, out, ev.budget)
 				if err != nil {
 					return nil, err
@@ -315,8 +331,9 @@ func (ev *evaluator) execIndexPath(n *plan.Node, en *env) (*table, error) {
 				out = embedded
 			}
 			obs.IndexSeeks.Inc()
-			ev.node(n).Skipped += int64(len(sk.Rel.Tuples)) - sk.Rows
-			return &table{rel: out, local: b.tab.local}, nil
+			// Nested descendant anchors serve some rows more than once.
+			ev.node(n).Skipped += max(0, int64(len(sk.Rel.Tuples))-sk.Rows)
+			return &table{rel: out, local: local}, nil
 		}
 	}
 	obs.IndexScanFallbacks.Inc()
@@ -358,17 +375,19 @@ func (ev *evaluator) execStreamChain(head *plan.Node, en *env) (*table, error) {
 // tuples execIndexPath reports; its time is part of the chain head's. The
 // path is the serial batch runtime's; with Parallelism >= 2 the seek
 // materializes through execIndexPath so the morsel runner can split it.
+// A descendant seek always does: its rows are renumbered, not streamed as
+// they are.
 func (ev *evaluator) tryIndexedChain(chain []*plan.Node, en *env) (*table, bool) {
 	bottom := chain[len(chain)-1].Inputs[0]
 	if bottom.Op != plan.OpIndexPath || ev.opts.Parallelism >= 2 {
 		return nil, false
 	}
 	sk := bottom.Seek
-	if sk == nil || sk.Pruned {
+	if sk == nil || sk.Pruned || sk.Pos != nil {
 		return nil, false
 	}
 	b, ok := en.lookup("doc:" + sk.Doc)
-	if !ok || b.depth != 0 || b.tab.rel != sk.Rel || en.depth != 0 || len(en.index) != 1 {
+	if !ok || b.depth != 0 || b.tab.rel != sk.Rel || !en.initial() {
 		return nil, false
 	}
 	obs.IndexSeeks.Inc()
@@ -543,6 +562,12 @@ func (ev *evaluator) applyOp(n *plan.Node, args []*table, en *env) (*table, erro
 // execFilter implements the conditional template of Section 4.2.3: the
 // index is filtered to the environments satisfying the condition, and the
 // bindings built at the current depth are semi-joined against it.
+// Documents are not: they only sit at the current depth at depth 0, where
+// the filter either keeps the single environment or drops it, and evalVar
+// and the index seeks serve them per environment — so a dropped
+// environment reads them as empty, no where clause scans a document, and
+// a document binding stays the very relation its index seeks were
+// resolved over.
 func (ev *evaluator) execFilter(n *plan.Node, en *env) (*table, error) {
 	keep, err := ev.pred(n.Inputs[0], en)
 	if err != nil {
@@ -551,7 +576,7 @@ func (ev *evaluator) execFilter(n *plan.Node, en *env) (*table, error) {
 	index := engine.FilterIndex(en.index, keep)
 	child := en.child(en.depth, index)
 	for name, b := range child.vars {
-		if b.depth == en.depth {
+		if b.depth == en.depth && !strings.HasPrefix(name, "doc:") {
 			child.vars[name] = binding{
 				tab:   &table{rel: engine.SemiJoin(b.tab.rel, index, en.depth), local: b.tab.local},
 				depth: b.depth,

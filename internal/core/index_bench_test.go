@@ -35,3 +35,10 @@ func benchmarkIndexPath(b *testing.B, query string) {
 func BenchmarkIndexPathQ8(b *testing.B)  { benchmarkIndexPath(b, xmark.Q8) }
 func BenchmarkIndexPathQ9(b *testing.B)  { benchmarkIndexPath(b, xmark.Q9) }
 func BenchmarkIndexPathQ13(b *testing.B) { benchmarkIndexPath(b, xmark.Q13) }
+
+// The descendant-axis queries: with indexes, select(x, subtrees-dfs(F))
+// is one descendant seek instead of every subtree of F.
+func BenchmarkIndexPathQ6(b *testing.B)  { benchmarkIndexPath(b, xmark.Q6) }
+func BenchmarkIndexPathQ7(b *testing.B)  { benchmarkIndexPath(b, xmark.Q7) }
+func BenchmarkIndexPathQ14(b *testing.B) { benchmarkIndexPath(b, xmark.Q14) }
+func BenchmarkIndexPathQ19(b *testing.B) { benchmarkIndexPath(b, xmark.Q19) }

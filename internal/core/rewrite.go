@@ -297,15 +297,16 @@ func addFree(e xq.Expr, out map[string]bool) {
 }
 
 // applyIndexes is the access-path phase of compilation: with structural
-// indexes available (Options.Indexes), every path chain rooted at a depth-0
-// scan of an indexed document is resolved against that document's dataguide
+// indexes available (Options.Indexes), every path chain rooted at a scan
+// of an indexed document is resolved against that document's dataguide
 // (see internal/index). Two rewrites apply, both recorded on the plan:
 //
 //   - seek (form a): the maximal absorbable prefix of the chain — select,
-//     seltext, children, roots — resolves to exact row ranges, and the
-//     prefix is replaced by an OpIndexPath node that serves those ranges
+//     seltext, children, roots, and one subtrees-dfs directly followed by
+//     a select or seltext — resolves to exact row ranges, and the prefix
+//     is replaced by an OpIndexPath node that serves those ranges
 //     directly. The replaced sub-chain is kept as Inputs[0], the runtime
-//     fallback for environments the resolution does not describe.
+//     fallback for a document binding the resolution does not describe.
 //   - prune (form b): a select whose element/attribute label appears
 //     nowhere in the document can only produce the empty forest, even
 //     through non-absorbable steps (subtrees-dfs, head, tail), because all
@@ -332,17 +333,18 @@ func rewriteAccess(n *plan.Node, set *index.Set) *plan.Node {
 	return n
 }
 
+// inChain reports whether a node continues a path chain: the path steps,
+// and subtrees-dfs, which preserves labels and which the resolver absorbs
+// together with the select after it.
+func inChain(n *plan.Node) bool {
+	return n.Op == plan.OpRoots || n.Op == plan.OpPathStep || n.Op == plan.OpSubtreesDFS
+}
+
 // rewriteChain applies the two index rewrites to a maximal path chain.
 func rewriteChain(head *plan.Node, set *index.Set) *plan.Node {
 	var chain []*plan.Node
-	cur := head
-	for {
+	for cur := head; inChain(cur); cur = cur.Inputs[0] {
 		chain = append(chain, cur)
-		next := cur.Inputs[0]
-		if next.Op != plan.OpRoots && next.Op != plan.OpPathStep {
-			break
-		}
-		cur = next
 	}
 	bottom := chain[len(chain)-1]
 	bottom.Inputs[0] = rewriteAccess(bottom.Inputs[0], set)
@@ -354,9 +356,13 @@ func rewriteChain(head *plan.Node, set *index.Set) *plan.Node {
 	// scan-backed chain would embed its source document.
 	if src.Op == plan.OpScan {
 		if ix := set.Docs[src.Label]; ix != nil {
-			if n := absorbChain(head, chain, src, ix); n != nil {
+			n, absorbed := absorbChain(head, chain, src, ix)
+			if n != nil {
 				return n
 			}
+			// The unabsorbed rest of the chain runs over the seek; its
+			// selects can still prove it empty.
+			chain = chain[:len(chain)-absorbed]
 		}
 	}
 	if n := pruneAbsent(head, chain, set); n != nil {
@@ -371,6 +377,8 @@ func absorbStep(n *plan.Node) (index.Step, bool) {
 	switch {
 	case n.Op == plan.OpRoots:
 		return index.Step{Kind: index.StepRoots}, true
+	case n.Op == plan.OpSubtreesDFS:
+		return index.Step{Kind: index.StepDescendant}, true
 	case n.Op == plan.OpPathStep && n.Step == plan.StepSelect:
 		return index.Step{Kind: index.StepSelect, Label: n.Label}, true
 	case n.Op == plan.OpPathStep && n.Step == plan.StepSelText:
@@ -381,9 +389,25 @@ func absorbStep(n *plan.Node) (index.Step, bool) {
 	return index.Step{}, false
 }
 
+// widening counts the subtrees-dfs operators of a chain: each adds one
+// digit to the local key width of everything above it.
+func widening(chain []*plan.Node) int {
+	n := 0
+	for _, c := range chain {
+		if c.Op == plan.OpSubtreesDFS {
+			n++
+		}
+	}
+	return n
+}
+
 // absorbChain is form (a): resolve the maximal absorbable prefix of the
 // chain (in execution order, from the scan upward) against the dataguide.
-func absorbChain(head *plan.Node, chain []*plan.Node, src *plan.Node, ix *index.DocIndex) *plan.Node {
+// It returns the node replacing the whole chain when the chain was
+// absorbed entirely or proven empty; otherwise nil and the number of
+// steps absorbed (0 when nothing was), with the seek spliced in below the
+// rest.
+func absorbChain(head *plan.Node, chain []*plan.Node, src *plan.Node, ix *index.DocIndex) (*plan.Node, int) {
 	var steps []index.Step
 	for i := len(chain) - 1; i >= 0; i-- {
 		st, ok := absorbStep(chain[i])
@@ -393,76 +417,56 @@ func absorbChain(head *plan.Node, chain []*plan.Node, src *plan.Node, ix *index.
 		steps = append(steps, st)
 	}
 	if len(steps) == 0 {
-		return nil
+		return nil, 0
 	}
 	res := ix.Resolve(steps)
 	steps = steps[:res.Consumed]
 	if res.Pruned {
 		// The resolved prefix is empty, and every remaining chain step
 		// preserves emptiness, so the whole chain is.
-		return prunedNode(head, src.Label, ix, 0, renderPath(steps))
+		return prunedNode(head, src.Label, ix, widening(chain), renderPath(steps)), 0
 	}
 	absorbed := res.Consumed
 	if absorbed == 0 {
-		return nil
+		return nil, 0
 	}
+	top := chain[len(chain)-absorbed]
 	ipn := &plan.Node{
 		Op:     plan.OpIndexPath,
 		Access: plan.AccessIndex,
 		Depth:  src.Depth,
-		Digits: src.Digits,
+		Digits: top.Digits,
 		Card:   res.Rows,
 		Seek: &plan.Seek{Doc: src.Label, Path: renderPath(steps), Rel: ix.Rel,
-			Ranges: res.Ranges, Rows: res.Rows},
-		Inputs: []*plan.Node{chain[len(chain)-absorbed]},
+			Ranges: res.Ranges, Pos: res.Pos, Rows: res.Rows,
+			WidenBy: widening(chain[len(chain)-absorbed:])},
+		Inputs: []*plan.Node{top},
 	}
 	if absorbed == len(chain) {
-		return ipn
+		return ipn, absorbed
 	}
 	chain[len(chain)-absorbed-1].Inputs[0] = ipn
-	return head
+	return nil, absorbed
 }
 
-// pruneAbsent is form (b): walk below the chain through label-preserving
-// operators to a depth-0 document, then prune the chain if any of its
-// selects names an element/attribute label absent from that document.
-// WidenBy accumulates the subtrees-dfs widenings on the walk so the pruned
-// node reports the local key width the chain's (empty) output would have.
+// pruneAbsent is form (b): given a chain over a document scan or a seek,
+// prune the chain if any of its selects names an element/attribute label
+// absent from that document. The pruned node reports the local key width
+// the chain's (empty) output would have: the source's widening plus the
+// chain's own subtrees-dfs operators.
 func pruneAbsent(head *plan.Node, chain []*plan.Node, set *index.Set) *plan.Node {
-	widen := 0
-	cur := chain[len(chain)-1].Inputs[0]
-	var ix *index.DocIndex
+	widen := widening(chain)
 	var doc string
-walk:
-	for {
-		switch {
-		case cur.Op == plan.OpScan:
-			ix = set.Docs[cur.Label]
-			doc = cur.Label
-			break walk
-		case cur.Op == plan.OpIndexPath && cur.Seek != nil:
-			sk := cur.Seek
-			if sk.Pruned {
-				// The source is already proven empty; so is this chain.
-				return prunedNode(head, sk.Doc, set.Docs[sk.Doc], widen+sk.WidenBy, sk.Path)
-			}
-			ix = set.Docs[sk.Doc]
-			doc = sk.Doc
-			widen += sk.WidenBy
-			break walk
-		case cur.Op == plan.OpSubtreesDFS:
-			widen++
-			cur = cur.Inputs[0]
-		case cur.Op == plan.OpRoots:
-			cur = cur.Inputs[0]
-		case cur.Op == plan.OpPathStep && cur.Step != plan.StepData:
-			// data() manufactures new text labels, so labels above it are
-			// not the document's; every other step only subsets them.
-			cur = cur.Inputs[0]
-		default:
-			return nil
-		}
+	switch src := chain[len(chain)-1].Inputs[0]; {
+	case src.Op == plan.OpScan:
+		doc = src.Label
+	case src.Op == plan.OpIndexPath && src.Seek != nil:
+		doc = src.Seek.Doc
+		widen += src.Seek.WidenBy
+	default:
+		return nil
 	}
+	ix := set.Docs[doc]
 	if ix == nil {
 		return nil
 	}
@@ -470,6 +474,8 @@ walk:
 	for i := len(chain) - 1; i >= 0; i-- {
 		n := chain[i]
 		if n.Op == plan.OpPathStep && n.Step == plan.StepData {
+			// data() manufactures new text labels, so labels above it are
+			// not the document's; every other step only subsets them.
 			dataSeen = true
 		}
 		if dataSeen {
@@ -496,10 +502,14 @@ func prunedNode(head *plan.Node, doc string, ix *index.DocIndex, widen int, path
 	}
 }
 
-// renderPath renders an absorbed step chain for Explain.
+// renderPath renders an absorbed step chain for Explain. sep is the axis
+// the next select or seltext renders with: a descendant step over child
+// steps (or over the document) is XPath's "//"; over the current nodes
+// themselves it is descendant-or-self.
 func renderPath(steps []index.Step) string {
 	var b strings.Builder
 	pendingChild := false
+	sep := "/"
 	flush := func() {
 		if pendingChild {
 			b.WriteString("/*")
@@ -511,13 +521,22 @@ func renderPath(steps []index.Step) string {
 		case index.StepChildren:
 			flush()
 			pendingChild = true
+		case index.StepDescendant:
+			sep = "/descendant-or-self::"
+			if pendingChild || b.Len() == 0 {
+				sep = "//"
+			}
+			pendingChild = false
 		case index.StepSelect:
 			pendingChild = false
-			b.WriteString("/")
+			b.WriteString(sep)
 			b.WriteString(trimLabel(st.Label))
+			sep = "/"
 		case index.StepSelText:
 			pendingChild = false
-			b.WriteString("/text()")
+			b.WriteString(sep)
+			b.WriteString("text()")
+			sep = "/"
 		case index.StepRoots:
 			flush()
 			b.WriteString("!roots")

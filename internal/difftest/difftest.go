@@ -27,12 +27,13 @@
 // Variants lists 19 configurations per corpus case where the full cross
 // of engine x batch size x parallelism x budget x index x statistics had
 // 106. The pruning was checked by a mutation run: eighteen operator bugs
-// were seeded by hand, one at a time, into the parent commit (106
-// configurations) and into this one (19), and TestEnginesAgreeOnCorpus was
-// run against each. Fourteen were killed by both matrices, none by only
-// one; "cases" is how many of the 33 corpus cases failed, "first" the
+// were seeded by hand, one at a time, into the 106-configuration matrix
+// and into the 19-configuration one, and TestEnginesAgreeOnCorpus was run
+// against each. Fourteen were killed by both matrices, none by only one;
+// "cases" is how many of the then 33 corpus cases failed, "first" the
 // configuration (or the interpreter check of the baseline) that failed
-// first in the first failing case.
+// first in the first failing case. The last two rows were re-seeded
+// against the 39-case corpus (see below).
 //
 //	seeded bug                                          full cross (parent)      this matrix
 //	pipeline: head takes the first tree's end from L    4 cases, default         4 cases, DI-OPT-base
@@ -49,13 +50,21 @@
 //	engine: EmbedOuter drops each group's last tuple    13 cases, interpreter    13 cases, interpreter
 //	index: resolved subtree range ends one row early    11 cases, nlj-scalar-idx 11 cases, DI-OPT-idx
 //	opt: demoted merge join filters by < instead of =   4 cases, OPT-batch1      4 cases, DI-OPT-base
+//	pipeline: fused seek keeps a stale range position   survived                 1 case, DI-OPT-idx
+//	core: depth-0 seek served after a dropping where    survived                 1 case, DI-OPT-idx
 //
-// Four seeded bugs survived both matrices alike, so they are gaps of the
-// corpus, not of the pruning: a fused index-seek source that keeps a stale
-// position between ranges, a depth-0 seek served after a where clause
-// emptied the environment, a spilled merge-join sort that ignores the
-// ancestor prefix, and a parallel chain whose last morsel ends a row
-// early.
+// Four seeded bugs first survived both matrices alike, so they were gaps
+// of the corpus, not of the pruning. Two are closed by corpus cases: a
+// multi-range seek fused into the data() chain above it
+// (xmark-seek-fused-multirange) kills the range source that keeps its
+// position between ranges, and a seek under a depth-0 where clause that
+// drops the only environment (xmark-seek-dropped-env) kills the seek that
+// serves its rows there anyway; TestLoopInvariantSeeksInsideLoops kills
+// the latter too. That second bug only became reachable once the where
+// clause stopped semi-joining the documents, which had made every seek
+// under it fall back to its scan chain. Two remain, 16 of 18 killed: a
+// spilled merge-join sort that ignores the ancestor prefix, and a
+// parallel chain whose last morsel ends a row early.
 package difftest
 
 import (
@@ -132,6 +141,25 @@ func Corpus() []Case {
 		{"xmark-dup-join", `for $x in document("auction.xml")/site/people/person/name
 		 for $y in document("auction.xml")/site/people/person/name
 		 where $x = $y return <m>{$x/text()}</m>`, true},
+		// Descendant seeks: nested anchors (listitem and parlist nest in
+		// each other), text and attribute anchors under a multi-range
+		// input, // in a loop body (hoisting serves it at depth 0), and //
+		// after a positional step or roots, which must stay subtrees-dfs.
+		{"xmark-desc-nested", `(document("auction.xml")//listitem, document("auction.xml")//parlist)`, true},
+		{"xmark-desc-multirange", `(document("auction.xml")/site/regions/*/item//text(),
+		 document("auction.xml")/site/closed_auctions/closed_auction//@person)`, true},
+		{"xmark-desc-in-loop", `for $p in document("auction.xml")/site/people/person
+		 return <n>{$p/name/text()}{count(document("auction.xml")/site/regions//item)}</n>`, true},
+		{"xmark-desc-unabsorbed", `(document("auction.xml")/site/regions/*[1]//item,
+		 select("<item>", subtrees-dfs(roots(document("auction.xml")/site/regions/*/item))))`, true},
+		// The two seek paths the mutation run found uncovered (see the
+		// package doc): a multi-range seek the serial variants fuse into the
+		// data() and [1] chains above it, and a seek under a depth-0 where
+		// clause that drops the only environment.
+		{"xmark-seek-fused-multirange", `(data(document("auction.xml")/site/regions/*/item/name),
+		 document("auction.xml")/site/people/person/name[1])`, true},
+		{"xmark-seek-dropped-env", `<r>{if (empty(document("auction.xml")/site))
+		 then document("auction.xml")/site/people/person/name else "none"}</r>`, true},
 	}
 }
 

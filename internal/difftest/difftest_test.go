@@ -74,8 +74,10 @@ func TestEnginesAgreeOnCorpus(t *testing.T) {
 // ranges into the loop environments. Queries are compiled with
 // NoRewrites so the chains stay inside the loops (hoisting would lift
 // them to depth 0 and dodge the code path entirely); each indexed run
-// must be digit-identical to its scan-backed twin, and at least one plan
-// must actually carry a seek at Depth >= 1.
+// must be digit-identical to its scan-backed twin, and the plans must
+// actually carry a seek and a descendant seek at Depth >= 1. The last
+// query serves a seek under a depth-0 where clause that drops the only
+// environment.
 func TestLoopInvariantSeeksInsideLoops(t *testing.T) {
 	cat, _ := Docs(t, 0.002, 17)
 	set := index.BuildSet(cat)
@@ -95,8 +97,16 @@ func TestLoopInvariantSeeksInsideLoops(t *testing.T) {
 		`for $p in document("auction.xml")/site/people/person
 		 return for $q in document("auction.xml")/site/regions
 		 return document("auction.xml")/site/people/person/name/text()`,
+		// Descendant seeks in a loop body and in an inner loop's domain.
+		`for $p in document("auction.xml")/site/people/person
+		 return <n>{count(document("auction.xml")//listitem)}</n>`,
+		`for $c in document("auction.xml")/site/regions/*
+		 return for $i in document("auction.xml")/site/regions//item
+		 where $i/location = $c/item/location return $i/name/text()`,
+		`if (empty(document("auction.xml")/site))
+		 then document("auction.xml")/site/people/person/name else "none"`,
 	}
-	deepSeek := false
+	deepSeek, deepDescendant := false, false
 	for qi, text := range queries {
 		e, err := xq.Parse(text)
 		if err != nil {
@@ -114,6 +124,7 @@ func TestLoopInvariantSeeksInsideLoops(t *testing.T) {
 		plan.Walk(qIdx.Plan(idxOpts), func(n *plan.Node) {
 			if n.Op == plan.OpIndexPath && n.Seek != nil && n.Depth >= 1 {
 				deepSeek = true
+				deepDescendant = deepDescendant || n.Seek.Pos != nil
 			}
 		})
 		got, err := qIdx.Eval(cat, idxOpts)
@@ -122,7 +133,8 @@ func TestLoopInvariantSeeksInsideLoops(t *testing.T) {
 		}
 		IdenticalRelations(t, "indexed query "+strings.Fields(text)[0], got, want)
 	}
-	if !deepSeek {
-		t.Fatal("no plan carried an index seek at depth >= 1; the rewrite did not fire")
+	if !deepSeek || !deepDescendant {
+		t.Fatalf("index seek at depth >= 1: %v, descendant seek at depth >= 1: %v; the rewrite did not fire",
+			deepSeek, deepDescendant)
 	}
 }

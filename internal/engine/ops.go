@@ -265,6 +265,25 @@ func SubtreesDFS(rel *interval.Relation, depth int) *interval.Relation {
 	return b.Relation()
 }
 
+// SubtreesAt emits the rows of every range of rel renumbered under the
+// position digit pos[i], exactly as SubtreesDFS emits the subtree at
+// position pos[i] of a depth-0 forest: keys [pos[i]] ++ L and
+// [pos[i]] ++ R. It serves an index-resolved select over subtrees-dfs
+// (index.Resolve's descendant step), which knows the selected subtrees and
+// their positions without enumerating the others. The stride covers rel's
+// widest key, so it bounds every output key.
+func SubtreesAt(rel *interval.Relation, ranges [][2]int32, pos []int64) *interval.Relation {
+	rows := 0
+	for _, r := range ranges {
+		rows += int(r[1] - r[0])
+	}
+	b := interval.NewBuilder(1+rel.MaxKeyLen(), rows)
+	for i, r := range ranges {
+		emitTree(b, nil, 0, pos[i], rel.Tuples[r[0]:r[1]])
+	}
+	return b.Relation()
+}
+
 // Construct is the XNode element-constructor template (Section 4.1): for
 // every environment of the index it wraps that environment's forest under
 // a fresh root labeled label. Child tuples have their first local digit

@@ -22,11 +22,15 @@
 //
 // Resolve runs a chain of path steps over the trie symbolically and returns
 // the exact row ranges of the answer forest, which the evaluator serves
-// without touching a single non-answer tuple. The soundness argument for
-// both uses lives in DESIGN.md §4.11.
+// without touching a single non-answer tuple. A descendant step (//x,
+// subtrees-dfs followed by a select) resolves to one End range per
+// x-labelled descendant-or-self instance, with the position digit
+// subtrees-dfs would number it by. The soundness argument for these uses
+// lives in DESIGN.md §4.11.
 package index
 
 import (
+	"slices"
 	"sort"
 
 	"dixq/internal/interval"
@@ -172,6 +176,10 @@ const (
 	StepChildren
 	// StepRoots replaces each tree by its root node, stripped of children.
 	StepRoots
+	// StepDescendant is subtrees-dfs: every subtree of the forest, each
+	// renumbered under a fresh position digit. It is absorbed only together
+	// with the select or seltext that directly follows it.
+	StepDescendant
 )
 
 // Step is one operation of a path chain to resolve against the dataguide.
@@ -181,11 +189,19 @@ type Step struct {
 }
 
 // Resolution is the outcome of resolving a step chain: the exact row ranges
-// of the answer forest (sorted, disjoint, coalesced), or Pruned when the
-// dataguide proves the answer empty.
+// of the answer forest, or Pruned when the dataguide proves the answer
+// empty.
 type Resolution struct {
-	// Ranges lists [start, end) row ranges into Rel, in ascending order.
+	// Ranges lists [start, end) row ranges into Rel, in ascending order of
+	// start. Without a descendant step they are disjoint and coalesced;
+	// after one, each range is the subtree of one anchor, and anchors may
+	// nest, so ranges may too.
 	Ranges [][2]int32
+	// Pos is nil unless the chain ended in a descendant step and its
+	// select: then Pos[i] is the position digit subtrees-dfs gives the
+	// subtree Ranges[i] — its root's offset in the forest the descendant
+	// step read.
+	Pos []int64
 	// Rows is the total number of rows covered by Ranges.
 	Rows int64
 	// Consumed is how many leading steps were absorbed. Callers should
@@ -201,13 +217,23 @@ type Resolution struct {
 // order: steps[0] applies to the document forest first. The invariant
 // maintained throughout is that the current forest is exactly the set of
 // all instances of a set of same-depth classes — each instance a full
-// subtree (or a bare node after StepRoots) — in document order.
+// subtree (or a bare node after StepRoots) — in document order. A
+// descendant step ends the walk: with the select or seltext after it, it
+// resolves to one subtree per matching descendant-or-self instance (see
+// descendants); anywhere else — last, before another step kind, after
+// StepRoots — it is not absorbed.
 func (ix *DocIndex) Resolve(steps []Step) Resolution {
 	classes := ix.root.children
 	singleton := false
 	consumed := 0
-	for _, st := range steps {
+	for i, st := range steps {
 		switch st.Kind {
+		case StepDescendant:
+			label, ok := descendantLabel(steps[i+1:])
+			if !ok || singleton {
+				return ix.resolution(classes, singleton, consumed)
+			}
+			return ix.descendants(classes, label, consumed+2)
 		case StepSelect:
 			if xmltree.LabelKind(st.Label) == xmltree.Text {
 				// A text-shaped select label would match text rows by
@@ -237,6 +263,71 @@ func (ix *DocIndex) Resolve(steps []Step) Resolution {
 		}
 	}
 	return ix.resolution(classes, singleton, consumed)
+}
+
+// descendantLabel returns the class label selected by the step after a
+// descendant step: the element/attribute label of a select, or "" (the
+// text class) for seltext. ok is false when neither follows, or when the
+// select label is text-shaped (the guard StepSelect applies too).
+func descendantLabel(rest []Step) (label string, ok bool) {
+	if len(rest) == 0 {
+		return "", false
+	}
+	switch st := rest[0]; {
+	case st.Kind == StepSelText:
+		return "", true
+	case st.Kind == StepSelect && xmltree.LabelKind(st.Label) != xmltree.Text:
+		return st.Label, true
+	}
+	return "", false
+}
+
+// descendants resolves select(label, subtrees-dfs(F)), where F is the
+// forest of all instances of classes. subtrees-dfs emits the subtree of
+// every row of F, in row order, under a position digit equal to the row's
+// offset in F; the select keeps the subtrees rooted at label. So the
+// answer is one range [a, End[a]) per label-classed descendant-or-self
+// instance a of classes — an anchor — with a's offset in F as its
+// position digit. Anchors may nest (a listitem inside a listitem), and
+// each nested one is a subtree of its own under its own digit, so the
+// ranges overlap and are not coalesced.
+func (ix *DocIndex) descendants(classes []*class, label string, consumed int) Resolution {
+	var anchors []int32
+	var walk func(c *class)
+	walk = func(c *class) {
+		if c.label == label {
+			anchors = append(anchors, c.rows...)
+		}
+		for _, ch := range c.children {
+			walk(ch)
+		}
+	}
+	for _, c := range classes {
+		walk(c)
+	}
+	if len(anchors) == 0 {
+		return Resolution{Consumed: consumed, Pruned: true}
+	}
+	slices.Sort(anchors)
+	// F is the disjoint ranges of the classes' subtrees; offset counts the
+	// rows of F before in[ri], the range holding the current anchor.
+	in := ix.resolution(classes, false, 0).Ranges
+	res := Resolution{
+		Ranges:   make([][2]int32, len(anchors)),
+		Pos:      make([]int64, len(anchors)),
+		Consumed: consumed,
+	}
+	ri, offset := 0, int64(0)
+	for i, a := range anchors {
+		for a >= in[ri][1] {
+			offset += int64(in[ri][1] - in[ri][0])
+			ri++
+		}
+		res.Ranges[i] = [2]int32{a, ix.End[a]}
+		res.Pos[i] = offset + int64(a-in[ri][0])
+		res.Rows += int64(ix.End[a] - a)
+	}
+	return res
 }
 
 func filterClasses(classes []*class, label string) []*class {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"dixq/internal/xmltree"
 )
@@ -24,6 +25,10 @@ func (t Tuple) String() string {
 // produce relations in this order.
 type Relation struct {
 	Tuples []Tuple
+
+	// width memoizes MaxKeyLen as its value plus one; 0 means not yet
+	// computed.
+	width atomic.Int32
 }
 
 // Len returns the number of tuples.
@@ -35,15 +40,23 @@ func (r *Relation) Len() int { return len(r.Tuples) }
 // encoded documents use one digit; relations that passed through package
 // update may carry longer keys.
 //
-// It is a full scan, deliberately uncached: it runs per query and per
-// fused chain over the whole document — even under an index seek of 16
-// rows — which is why plan.residual_ms grows with the document (ROADMAP
-// item 2). That fix starts here.
+// The scan runs once per relation and the result is memoized, so the
+// per-query readers of a catalog document — the executor's root
+// environment, every fused chain and index seek over it — pay O(1).
+// Concurrent first readers may each scan; they store the same value. The
+// memo is exact because a relation's tuple set never changes once it is
+// read: catalog relations are immutable and shared, every update builds a
+// new relation, and operators finish appending before they hand theirs
+// out. Reordering in place (Sort) keeps the width.
 func (r *Relation) MaxKeyLen() int {
+	if w := r.width.Load(); w > 0 {
+		return int(w - 1)
+	}
 	w := 0
 	for _, t := range r.Tuples {
 		w = max(w, len(t.L), len(t.R))
 	}
+	r.width.Store(int32(w + 1))
 	return w
 }
 

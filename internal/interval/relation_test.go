@@ -3,6 +3,7 @@ package interval
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -311,4 +312,82 @@ func TestEncodeXMLError(t *testing.T) {
 	if _, err := EncodeXML(`<a>`); err == nil {
 		t.Error("bad XML should fail")
 	}
+}
+
+// freshMaxKeyLen scans rel's tuples through a relation that has no memo.
+func freshMaxKeyLen(rel *Relation) int { return (&Relation{Tuples: rel.Tuples}).MaxKeyLen() }
+
+// TestMaxKeyLenMemo checks the memoized width against a fresh scan for
+// the relations this package produces — Encode and EncodeXML (one digit,
+// zero when empty) and multi-digit relations, before and after an
+// in-place sort — and that repeated reads return the memo.
+func TestMaxKeyLenMemo(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	check := func(what string, rel *Relation) {
+		t.Helper()
+		want := freshMaxKeyLen(rel)
+		for i := 0; i < 2; i++ {
+			if got := rel.MaxKeyLen(); got != want {
+				t.Fatalf("%s: read %d MaxKeyLen %d, fresh scan %d", what, i, got, want)
+			}
+		}
+	}
+	check("empty", &Relation{})
+	shredded, err := EncodeXML(figure1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("EncodeXML", shredded)
+	for i := 0; i < 50; i++ {
+		check("Encode", Encode(xmltree.RandomForest(rng, 40)))
+		multi := randomRelation(rng, 30, 6)
+		check("multi-digit", multi)
+		multi.Sort()
+		check("sorted multi-digit", multi)
+	}
+}
+
+// TestMaxKeyLenConcurrentReaders reads one shared relation's width from 8
+// goroutines at once, as concurrent queries over a catalog document do;
+// under -race the memo must publish without a data race.
+func TestMaxKeyLenConcurrentReaders(t *testing.T) {
+	rel := randomRelation(rand.New(rand.NewSource(5)), 5000, 4)
+	want := freshMaxKeyLen(rel)
+	got := make([]int, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				got[g] = rel.MaxKeyLen()
+			}
+		}()
+	}
+	wg.Wait()
+	for g, w := range got {
+		if w != want {
+			t.Fatalf("goroutine %d read %d, want %d", g, w, want)
+		}
+	}
+}
+
+// BenchmarkMaxKeyLen reads the width of a 143k-tuple relation (the XMark
+// sf 0.1 document's size): "first" is the one scan a relation pays,
+// "memoized" every read after it, which is O(1).
+func BenchmarkMaxKeyLen(b *testing.B) {
+	tuples := randomRelation(rand.New(rand.NewSource(1)), 143_000, 3).Tuples
+	b.Run("first", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			(&Relation{Tuples: tuples}).MaxKeyLen()
+		}
+	})
+	b.Run("memoized", func(b *testing.B) {
+		rel := &Relation{Tuples: tuples}
+		rel.MaxKeyLen()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rel.MaxKeyLen()
+		}
+	})
 }

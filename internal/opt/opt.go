@@ -689,16 +689,20 @@ func (o *optimizer) estIndexPath(n *plan.Node, envs float64, annotate bool) (flo
 		// The fallback subtree keeps Est = -1: it does not run.
 		return 0, 0, empty
 	}
+	// A descendant seek's fallback runs through subtrees-dfs, which tracks
+	// no provenance; out is nil then, and what consumes the seek falls back
+	// to the shape heuristics, as it would over the fallback.
 	out := scaleProv(pv, safeDiv(envs*float64(sk.Rows), math.Max(fbRows, 1)))
-	if out == nil {
-		out = &prov{doc: sk.Doc, vertex: -1, paths: map[string]provPath{}}
-	}
 	if annotate {
-		out.vertex = o.addVertex(n, out)
+		v := o.addVertex(n, out)
+		if out != nil {
+			out.vertex = v
+		}
 	}
 	// The tree count is the instance count of the seek's classes, not the
 	// number of coalesced ranges — one range can cover every instance, and
-	// a loop over this domain iterates per instance.
+	// a loop over this domain iterates per instance. A descendant seek has
+	// exactly one range per instance.
 	count := envs * float64(len(sk.Ranges))
 	if c, _ := out.total(); c > 0 {
 		count = c

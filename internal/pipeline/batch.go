@@ -64,20 +64,13 @@ func (s *RelationBatches) Init(rel *interval.Relation, batchSize int, chunk *int
 // InitRange is Init restricted to the half-open row range [lo, hi) of rel
 // — the morsel form used by the parallel chain runner, whose workers each
 // drain their own row range through a worker-owned chunk buffer. The
-// chunk stride still covers the whole relation so a buffer can be reused
-// across morsels of the same chain.
+// chunk stride still covers the whole relation (its memoized MaxKeyLen)
+// so a buffer can be reused across morsels of the same chain.
 func (s *RelationBatches) InitRange(rel *interval.Relation, lo, hi, batchSize int, chunk *interval.Flat) {
-	s.InitRangeStride(rel, lo, hi, batchSize, max(1, rel.MaxKeyLen()), chunk)
-}
-
-// InitRangeStride is InitRange with a caller-computed chunk stride — the
-// parallel chain runner computes it once per run, so per-morsel source
-// setup stops paying a full relation scan. The stride must cover every key
-// of rel (max(1, rel.MaxKeyLen())), not just the range.
-func (s *RelationBatches) InitRangeStride(rel *interval.Relation, lo, hi, batchSize, stride int, chunk *interval.Flat) {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
+	stride := max(1, rel.MaxKeyLen())
 	n := batchSize
 	if hi-lo < n {
 		n = hi - lo

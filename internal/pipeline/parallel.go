@@ -195,7 +195,9 @@ func RunChainParallel(rel *interval.Relation, protos []Stage, batchSize, paralle
 	}
 
 	outs := make([][]interval.Tuple, nm)
-	stride := max(1, rel.MaxKeyLen())
+	// Memoize the chunk stride here, so the workers' per-morsel source
+	// setup reads it instead of racing to scan rel.
+	rel.MaxKeyLen()
 	workers := workerScratch.Acquire(min(parallelism, nm))
 	for i := range workers {
 		workers[i].prepare(len(protos))
@@ -203,7 +205,7 @@ func RunChainParallel(rel *interval.Relation, protos []Stage, batchSize, paralle
 	res.Workers = exec.Run(nm, parallelism, func(task, worker int) {
 		w := workers[worker]
 		w.reset(protos)
-		w.src.InitRangeStride(rel, morsels[task], morsels[task+1], size, stride, &w.chunk)
+		w.src.InitRange(rel, morsels[task], morsels[task+1], size, &w.chunk)
 		outs[task] = MaterializeBatches(&w.chain, rel).Tuples
 	})
 	res.Morsels = nm

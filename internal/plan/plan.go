@@ -114,10 +114,11 @@ const (
 	OpAnd
 	// OpOr disjoins Inputs[0] and Inputs[1].
 	OpOr
-	// OpIndexPath serves a depth-0 path chain from a document's structural
-	// index: Seek carries the resolved row ranges (or the pruned-empty
-	// proof) and Inputs[0] is the original scan-backed chain, kept as the
-	// runtime fallback for environments the index does not describe.
+	// OpIndexPath serves a document-rooted path chain from the document's
+	// structural index: Seek carries the resolved row ranges (or the
+	// pruned-empty proof) and Inputs[0] is the original scan-backed chain,
+	// kept as the runtime fallback for a document binding the index does
+	// not describe.
 	OpIndexPath
 )
 
@@ -185,16 +186,23 @@ type Seek struct {
 	Path string
 	// Rel is the relation the ranges index into.
 	Rel *interval.Relation
-	// Ranges are sorted disjoint [start, end) row ranges of the answer.
+	// Ranges are the [start, end) row ranges of the answer, by ascending
+	// start: disjoint, unless Pos is set.
 	Ranges [][2]int32
-	// Rows is the total rows covered by Ranges.
+	// Pos marks a descendant seek (a chain ending in subtrees-dfs and a
+	// select): Ranges[i] is one selected subtree, served renumbered under
+	// the position digit Pos[i] exactly as subtrees-dfs numbers it. Such
+	// subtrees may nest. Nil for plain seeks, whose rows serve as they are.
+	Pos []int64
+	// Rows is the total rows covered by Ranges, nested rows once per range.
 	Rows int64
 	// Pruned reports a dataguide-proven empty answer (Ranges is nil).
 	Pruned bool
 	// WidenBy counts the subtrees-dfs operators between the document scan
-	// and this node: each widens the local key width by one digit, and a
-	// pruned node must report the widened width for its (empty) output so
-	// downstream construction keeps digit-identical keys.
+	// and this node's output: each widens the local key width by one digit.
+	// A descendant seek serves at the widened width, and a pruned node
+	// reports it for its (empty) output so downstream construction keeps
+	// digit-identical keys.
 	WidenBy int
 }
 

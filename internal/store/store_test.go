@@ -414,3 +414,29 @@ func TestFullRejectsCorruption(t *testing.T) {
 		t.Fatal("implausible stats length decoded without error")
 	}
 }
+
+// TestMaxKeyLenAfterLoad: a loaded relation's memoized width equals a
+// fresh scan for all three formats, on a relation with keys of one to
+// three digits.
+func TestMaxKeyLenAfterLoad(t *testing.T) {
+	rel := &interval.Relation{Tuples: []interval.Tuple{
+		{S: "<a>", L: interval.Key{0}, R: interval.Key{9}},
+		{S: "<b>", L: interval.Key{1, 5, 2}, R: interval.Key{1, 5, 3}},
+		{S: "t", L: interval.Key{2, 1}, R: interval.Key{2, 2}},
+	}}
+	files := map[string][]byte{
+		"DIXQS1": oldFormat(t, magicV1, rel),
+		"DIXQS2": oldFormat(t, magicV2, rel),
+		"DIXQS3": encode(t, rel),
+	}
+	for name, file := range files {
+		got, _, _, err := ReadFull(bytes.NewReader(file))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fresh := (&interval.Relation{Tuples: got.Tuples}).MaxKeyLen()
+		if w := got.MaxKeyLen(); w != fresh || w != 3 {
+			t.Fatalf("%s: MaxKeyLen %d, fresh scan %d, want 3", name, w, fresh)
+		}
+	}
+}

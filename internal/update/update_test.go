@@ -419,3 +419,51 @@ func TestNeedsRebuild(t *testing.T) {
 		t.Error("rebuild left negative digits")
 	}
 }
+
+// TestMaxKeyLenAfterUpdates: every update builds a new relation, so its
+// memoized width is its own — equal to a fresh scan even when the input's
+// width was read (and memoized) first. The delete removes the only
+// multi-digit subtree, so the width shrinks back to one digit; the
+// front-insert Rebuild re-encodes to one digit too.
+func TestMaxKeyLenAfterUpdates(t *testing.T) {
+	fresh := func(rel *interval.Relation) int { return (&interval.Relation{Tuples: rel.Tuples}).MaxKeyLen() }
+	f, _ := xmltree.Parse(`<r><a><x/></a><b/></r>`)
+	rel := interval.Encode(f)
+	ins := xmltree.Forest{xmltree.NewElement("m")}
+	aL, bL := rel.Tuples[1].L, rel.Tuples[3].L
+	grown, err := InsertAfter(rel, aL, xmltree.Forest{&xmltree.Node{Label: "<n>", Children: ins}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nL := grown.Tuples[3].L
+	steps := []struct {
+		name string
+		in   *interval.Relation
+		op   func(*interval.Relation) (*interval.Relation, error)
+		want int
+	}{
+		{"InsertAfter", rel, func(r *interval.Relation) (*interval.Relation, error) { return InsertAfter(r, aL, ins) }, 2},
+		{"InsertBefore", rel, func(r *interval.Relation) (*interval.Relation, error) { return InsertBefore(r, bL, ins) }, 2},
+		{"AppendChild", rel, func(r *interval.Relation) (*interval.Relation, error) { return AppendChild(r, aL, ins) }, 2},
+		{"PrependChild", rel, func(r *interval.Relation) (*interval.Relation, error) { return PrependChild(r, bL, ins) }, 2},
+		{"DeleteSubtree", grown, func(r *interval.Relation) (*interval.Relation, error) { return DeleteSubtree(r, nL) }, 1},
+		{"front Rebuild", rel, func(r *interval.Relation) (*interval.Relation, error) {
+			front, err := InsertBefore(r, r.Tuples[0].L, ins)
+			if err != nil {
+				return nil, err
+			}
+			front.MaxKeyLen()
+			return Rebuild(front)
+		}, 1},
+	}
+	for _, s := range steps {
+		s.in.MaxKeyLen()
+		out, err := s.op(s.in)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if got := out.MaxKeyLen(); got != fresh(out) || got != s.want {
+			t.Fatalf("%s: MaxKeyLen %d, fresh scan %d, want %d", s.name, got, fresh(out), s.want)
+		}
+	}
+}
