@@ -258,31 +258,6 @@ func BenchmarkSQLGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPipeline isolates streaming path-chain fusion: Q13's
-// plan is almost entirely path extraction, evaluated with the fused
-// batch kernels of package pipeline versus one materialized relation per
-// operator.
-func BenchmarkAblationPipeline(b *testing.B) {
-	doc := xmark.Generate(xmark.Config{ScaleFactor: 0.01, Seed: 20030609})
-	cat := core.Catalog{xmark.DocName: interval.Encode(doc)}
-	q := core.Compile(xq.MustParse(xmark.Q13), core.Options{})
-	for _, variant := range []struct {
-		name string
-		opts core.Options
-	}{
-		{"fused", core.Options{}},
-		{"materialized", core.Options{NoPipeline: true}},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := q.Eval(cat, variant.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkStore measures the persistence substrate: serialize and
 // deserialize an encoded document with its index and statistics.
 func BenchmarkStore(b *testing.B) {
@@ -359,10 +334,11 @@ func BenchmarkShred(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchChain measures the batch-at-a-time path-chain runtime on
-// Q13, the path-and-construction workload whose chains dominate. Run with
-// -benchmem: the chunked columnar buffers keep allocations per query flat.
-func BenchmarkBatchChain(b *testing.B) {
+// BenchmarkPathChain measures the fused path-chain runtime on Q13, the
+// path-and-construction workload whose chains dominate. Run with
+// -benchmem: a chain filters its source rows in place, so it allocates
+// only its output.
+func BenchmarkPathChain(b *testing.B) {
 	doc := xmark.Generate(xmark.Config{ScaleFactor: 0.002, Seed: 20030609})
 	cat := core.Catalog{"auction.xml": interval.Encode(doc)}
 	q := core.Compile(xq.MustParse(xmark.Q13), core.Options{})

@@ -12,7 +12,7 @@
 // experiment cutoffs. See EXPERIMENTS.md for paper-vs-measured tables.
 // -metricsdump writes the process's cumulative observability counters
 // (the same Prometheus exposition dixqd serves at /metrics) to a file
-// after the run — batches processed, bytes sorted, spill volume — so a
+// after the run — parallel chains, bytes sorted, spill volume — so a
 // benchmark sweep leaves an auditable record of what the runtime did.
 package main
 

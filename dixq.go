@@ -301,9 +301,6 @@ type Options struct {
 	// SpillDir is where external-sort runs are written under MemBudget;
 	// empty means the OS temp directory.
 	SpillDir string
-	// BatchSize is the chunk row count of the batch-executed path chains
-	// (DI engines; 0 selects the default of 256).
-	BatchSize int
 }
 
 // resolve is the common preamble of everything that plans or runs a
@@ -338,7 +335,6 @@ func resolve(cat View, opts *Options) (o *Options, snap *Snapshot, copts core.Op
 		Parallelism:   opts.Parallelism,
 		MemBudget:     opts.MemBudget,
 		SpillDir:      opts.SpillDir,
-		BatchSize:     opts.BatchSize,
 	}, true
 }
 

@@ -8,16 +8,20 @@ package dixq
 
 import (
 	"flag"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
 	"dixq/internal/cliflags"
+	"dixq/internal/core"
+	"dixq/internal/obs"
 )
 
 // TestEveryInternalPackageHasDoc parses each internal package and
@@ -176,31 +180,76 @@ func TestCommandFlagsMatchAPIDocs(t *testing.T) {
 // flag-shaped words inside them.
 var (
 	codeSpan   = regexp.MustCompile("`([^`]+)`")
-	optionsRef = regexp.MustCompile(`dixq\.Options\.(\w+)`)
+	fenced     = regexp.MustCompile("(?s)```.*?```")
+	optionsRef = regexp.MustCompile(`\b(dixq|core)\.Options\.(\w+)`)
 	metricRef  = regexp.MustCompile(`dixq_[a-z0-9_]+`)
+	metricType = regexp.MustCompile(`(?m)^# TYPE (\S+) `)
 )
 
-// TestPerformanceDocKnobsResolve keeps docs/PERFORMANCE.md honest:
-// every `-flag` it names must be registered by dixqd or dibench, every
-// `dixq.Options.Field` must be a real Options field, and every
-// `dixq_*` metric name must appear in the docs/API.md metrics table.
+// goTestFlags are the go test flags the documents quote beside the
+// commands' own.
+var goTestFlags = map[string]bool{"race": true, "cpu": true, "run": true, "bench": true, "benchmem": true, "benchtime": true, "count": true}
+
+// guardedDocs lists the markdown files whose references to code must
+// resolve: the README, the design and experiment write-ups and docs/.
+// CHANGES.md and ROADMAP.md record history and name what was removed on
+// purpose; benchmark/ documents its own harness.
+func guardedDocs(t *testing.T) map[string]string {
+	t.Helper()
+	files := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil || len(docs) == 0 {
+		t.Fatalf("no docs/*.md (%v) — run from the repo root", err)
+	}
+	out := map[string]string{}
+	for _, f := range append(files, docs...) {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[f] = string(data)
+	}
+	return out
+}
+
+// inlineSpans returns the inline code spans of a markdown text.
+func inlineSpans(text string) []string {
+	var spans []string
+	for _, m := range codeSpan.FindAllStringSubmatch(fenced.ReplaceAllString(text, ""), -1) {
+		spans = append(spans, m[1])
+	}
+	return spans
+}
+
+// codeSpans returns all the code a markdown text quotes: its fenced blocks
+// and its inline code spans.
+func codeSpans(text string) []string {
+	return append(fenced.FindAllString(text, -1), inlineSpans(text)...)
+}
+
+// TestPerformanceDocKnobsResolve keeps the documented knobs honest: every
+// `-flag` docs/PERFORMANCE.md names must be registered by dixqd or
+// dibench, and in every guarded document every `dixq.Options.Field` and
+// `core.Options.Field` must be a real field and every `dixq_*` metric
+// name must be registered in the process metric set and documented in the
+// docs/API.md metrics table (a name ending in "_" stands for the family of
+// metrics it prefixes). The flag check stays on PERFORMANCE.md's inline
+// spans: the other documents and the fenced examples also quote go test,
+// curl and the dixq CLI.
 func TestPerformanceDocKnobsResolve(t *testing.T) {
-	perf, err := os.ReadFile("docs/PERFORMANCE.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	apiDoc, err := os.ReadFile("docs/API.md")
-	if err != nil {
-		t.Fatal(err)
-	}
+	docs := guardedDocs(t)
+	apiDoc := docs["docs/API.md"]
 	flags := registeredFlags(func(fs *flag.FlagSet) { cliflags.Dixqd(fs) })
 	for name := range registeredFlags(func(fs *flag.FlagSet) { cliflags.Dibench(fs, nil) }) {
 		flags[name] = true
 	}
-	for _, span := range codeSpan.FindAllStringSubmatch(string(perf), -1) {
-		for _, word := range strings.Fields(span[1]) {
+	for _, span := range inlineSpans(docs["docs/PERFORMANCE.md"]) {
+		for _, word := range strings.Fields(span) {
 			name, ok := strings.CutPrefix(word, "-")
 			if !ok || name == "" || name[0] < 'a' || name[0] > 'z' {
+				continue
+			}
+			if name, _, _ = strings.Cut(name, "="); goTestFlags[name] {
 				continue
 			}
 			if !flags[name] {
@@ -208,15 +257,169 @@ func TestPerformanceDocKnobsResolve(t *testing.T) {
 			}
 		}
 	}
-	optType := reflect.TypeOf(Options{})
-	for _, m := range optionsRef.FindAllStringSubmatch(string(perf), -1) {
-		if _, ok := optType.FieldByName(m[1]); !ok {
-			t.Errorf("docs/PERFORMANCE.md names dixq.Options.%s, which is not a field of dixq.Options", m[1])
+	optTypes := map[string]reflect.Type{"dixq": reflect.TypeOf(Options{}), "core": reflect.TypeOf(core.Options{})}
+	registered := map[string]bool{}
+	for _, m := range metricType.FindAllStringSubmatch(obs.Default.Render(), -1) {
+		registered[m[1]] = true
+	}
+	for file, text := range docs {
+		for _, m := range optionsRef.FindAllStringSubmatch(text, -1) {
+			if _, ok := optTypes[m[1]].FieldByName(m[2]); !ok {
+				t.Errorf("%s names %s.Options.%s, which is not a field of %s.Options", file, m[1], m[2], m[1])
+			}
+		}
+		for _, metric := range metricRef.FindAllString(text, -1) {
+			family := metric
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base, ok := strings.CutSuffix(metric, suffix); ok && registered[base] {
+					family = base
+				}
+			}
+			if strings.HasSuffix(metric, "_") {
+				for name := range registered {
+					if strings.HasPrefix(name, metric) {
+						family = name
+					}
+				}
+			}
+			if !registered[family] {
+				t.Errorf("%s names metric %s, which the process does not register", file, metric)
+			} else if !strings.Contains(apiDoc, family) {
+				t.Errorf("%s names metric %s, which docs/API.md does not document", file, metric)
+			}
 		}
 	}
-	for _, metric := range metricRef.FindAllString(string(perf), -1) {
-		if !strings.Contains(string(apiDoc), metric) {
-			t.Errorf("docs/PERFORMANCE.md names metric %s, which docs/API.md does not document", metric)
+}
+
+// goSymbols is the exported surface of one Go package: its top-level
+// declarations, and for each named type its fields and methods (nil for
+// aliases, whose members live with the aliased type).
+type goSymbols map[string]map[string]bool
+
+// parseSymbols collects the top-level declarations of the Go files of the
+// package in dir, tests included (documents cite tests by name too).
+func parseSymbols(t *testing.T, dir string) goSymbols {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, nil, 0)
+	if err != nil {
+		t.Fatalf("%s: %v", dir, err)
+	}
+	syms := goSymbols{}
+	members := func(typ string) map[string]bool {
+		if syms[typ] == nil {
+			syms[typ] = map[string]bool{}
 		}
+		return syms[typ]
+	}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						syms[d.Name.Name] = nil
+						continue
+					}
+					recv := d.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					switch r := recv.(type) {
+					case *ast.IndexExpr:
+						recv = r.X
+					case *ast.IndexListExpr:
+						recv = r.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						members(id.Name)[d.Name.Name] = true
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch sp := spec.(type) {
+						case *ast.ValueSpec:
+							for _, n := range sp.Names {
+								syms[n.Name] = nil
+							}
+						case *ast.TypeSpec:
+							if sp.Assign.IsValid() {
+								syms[sp.Name.Name] = nil
+								continue
+							}
+							m := members(sp.Name.Name)
+							switch ty := sp.Type.(type) {
+							case *ast.StructType:
+								for _, field := range ty.Fields.List {
+									for _, n := range field.Names {
+										m[n.Name] = true
+									}
+									if len(field.Names) == 0 {
+										embedded := field.Type
+										if star, ok := embedded.(*ast.StarExpr); ok {
+											embedded = star.X
+										}
+										if sel, ok := embedded.(*ast.SelectorExpr); ok {
+											m[sel.Sel.Name] = true
+										} else if id, ok := embedded.(*ast.Ident); ok {
+											m[id.Name] = true
+										}
+									}
+								}
+							case *ast.InterfaceType:
+								for _, method := range ty.Methods.List {
+									for _, n := range method.Names {
+										m[n.Name] = true
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return syms
+}
+
+// TestDocSymbolsResolve fails on documentation that names code which no
+// longer exists: in every guarded document, each quoted `pkg.Ident` —
+// pkg being dixq or a package under internal/ — must be a top-level
+// declaration of that package, and a quoted `pkg.Type.Member` must be a
+// field or method of that type.
+func TestDocSymbolsResolve(t *testing.T) {
+	pkgs := map[string]goSymbols{"dixq": parseSymbols(t, ".")}
+	dirs, err := filepath.Glob("internal/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range dirs {
+		if info, err := os.Stat(dir); err == nil && info.IsDir() {
+			pkgs[filepath.Base(dir)] = parseSymbols(t, dir)
+		}
+	}
+	names := make([]string, 0, len(pkgs))
+	for name := range pkgs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	ref := regexp.MustCompile(`\b(` + strings.Join(names, "|") + `)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
+	checked := 0
+	for file, text := range guardedDocs(t) {
+		for _, span := range codeSpans(text) {
+			for _, m := range ref.FindAllStringSubmatch(span, -1) {
+				checked++
+				syms := pkgs[m[1]]
+				members, ok := syms[m[2]]
+				switch {
+				case !ok:
+					t.Errorf("%s names %s.%s, which package %s does not declare", file, m[1], m[2], m[1])
+				case m[3] != "" && members != nil && !members[m[3]]:
+					t.Errorf("%s names %s.%s.%s, which is not a field or method of %s.%s", file, m[1], m[2], m[3], m[1], m[2])
+				}
+			}
+		}
+	}
+	if checked < 20 {
+		t.Errorf("checked only %d code references — the pattern no longer matches the documents", checked)
 	}
 }

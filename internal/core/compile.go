@@ -19,37 +19,26 @@ const nominalDocTuples = 1000
 
 // buildPlan lowers a core expression into the physical plan the evaluator
 // executes. The compiler mirrors the environment-depth analysis of §4.3
-// (each binder records the static depth and digit width of its variable),
-// compiles every eligible loop to the §5 merge join unless the nested
-// loop is forced, and — unless pipelining is disabled — marks the
-// order-preserving path operators Streamable so the executor can fuse
-// maximal chains into single streaming passes. Under ModeAuto the
-// cost-based optimizer then revisits each merge join against the
-// catalog's statistics and demotes the ones whose inputs are too small to
-// amortize the sorts; the returned report records its decisions (nil for
-// the forced modes).
+// (each binder records the static depth and digit width of its variable)
+// and compiles every eligible loop to the §5 merge join unless the nested
+// loop is forced; the executor fuses every maximal chain of path operators
+// into one streaming pass. Under ModeAuto the cost-based optimizer then
+// revisits each merge join against the catalog's statistics and demotes
+// the ones whose inputs are too small to amortize the sorts; the returned
+// report records its decisions (nil for the forced modes).
 func buildPlan(e xq.Expr, opts Options) (*plan.Node, *opt.Report) {
 	c := &compiler{opts: opts, depths: map[string]varInfo{}}
 	root := c.expr(e, 0)
-	if !opts.NoPipeline {
-		plan.Walk(root, func(n *plan.Node) {
-			if n.Op == plan.OpRoots || n.Op == plan.OpPathStep {
-				n.Streamable = true
-			}
-		})
-	}
 	// Mark the operators the parallel runtime knows how to split across
-	// workers: streamable chains run morsel-parallel, the structural sorts
+	// workers: path chains run morsel-parallel, the structural sorts
 	// and distinct use the parallel sort kernel, and a merge join sorts its
 	// two inputs concurrently. The marks are static capability annotations;
 	// whether a run actually fans out depends on Options.Parallelism and
 	// the input size.
 	plan.Walk(root, func(n *plan.Node) {
 		switch n.Op {
-		case plan.OpStructuralSort, plan.OpDistinct, plan.OpMSJ:
+		case plan.OpStructuralSort, plan.OpDistinct, plan.OpMSJ, plan.OpRoots, plan.OpPathStep:
 			n.ParallelSafe = true
-		case plan.OpRoots, plan.OpPathStep:
-			n.ParallelSafe = n.Streamable
 		}
 	})
 	// With structural indexes available, resolve depth-0 path chains against

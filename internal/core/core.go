@@ -82,11 +82,6 @@ type Options struct {
 	// NoRewrites disables the hoisting and predicate pull-up rewrites,
 	// yielding the fully literal translation (used by tests).
 	NoRewrites bool
-	// NoPipeline disables streaming fusion of path-operator chains; every
-	// operator then materializes its output through the engine package's
-	// reference operators — the unfused plan shape sqlgen/run.go translates
-	// and the differential tests' baseline. Not exposed outside internal/.
-	NoPipeline bool
 	// Parallelism bounds the workers of the intra-query parallel runtime:
 	// morsel-parallel fused path chains, the parallel structural sorts
 	// (merge joins, sort(), distinct()), and the concurrent merge-join
@@ -106,12 +101,9 @@ type Options struct {
 	// SpillDir is where external-sort runs are written; empty means the OS
 	// temp directory.
 	SpillDir string
-	// BatchSize is the chunk row count of the batch-executed path chains
-	// (0 = pipeline.DefaultBatchSize).
-	BatchSize int
 	// Analyze, when non-nil, requests the analyze report — the input of
 	// the analyze form of Explain. Every run records the per-plan-node
-	// actuals (calls, rows, exclusive wall time, batch counts); with
+	// actuals (calls, rows, exclusive wall time, spilled runs); with
 	// Analyze set they land in the caller's RunStats and each node
 	// additionally gets its allocated-byte delta, the one reading too
 	// expensive to take always (a stop-the-world memory-statistics read
@@ -200,13 +192,11 @@ type Query struct {
 }
 
 // planVariant keys the memoized plans: the join mode changes loop
-// strategies, pipelining changes the Streamable marking, an index set
-// changes the access paths, and a statistics set changes the optimizer's
-// choices. The epochs guard against an index or stats set being rebuilt
-// in place between evaluations.
+// strategies, an index set changes the access paths, and a statistics set
+// changes the optimizer's choices. The epochs guard against an index or
+// stats set being rebuilt in place between evaluations.
 type planVariant struct {
 	mode       Mode
-	noPipeline bool
 	indexes    *index.Set
 	epoch      uint64
 	stats      *stats.Set
@@ -214,7 +204,7 @@ type planVariant struct {
 }
 
 func variantKey(opts Options) planVariant {
-	key := planVariant{mode: opts.ForceJoinMode, noPipeline: opts.NoPipeline, indexes: opts.Indexes}
+	key := planVariant{mode: opts.ForceJoinMode, indexes: opts.Indexes}
 	if opts.Indexes != nil {
 		key.epoch = opts.Indexes.Epoch
 	}

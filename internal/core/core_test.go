@@ -2,11 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"dixq/internal/engine"
+	"dixq/internal/index"
 	"dixq/internal/interp"
 	"dixq/internal/interval"
 	"dixq/internal/plan"
@@ -164,10 +166,10 @@ func TestDifferentialRandomQueries(t *testing.T) {
 					trial, mode, e, got.String(), want.String())
 			}
 		}
-		// The literal translation (no rewrites, no streaming fusion) must
-		// agree too.
+		// The literal translation (no rewrites, nested loops) must agree
+		// too.
 		q := Compile(e, Options{NoRewrites: true})
-		got, err := q.EvalForest(cat, Options{ForceJoinMode: ModeNLJ, NoPipeline: true})
+		got, err := q.EvalForest(cat, Options{ForceJoinMode: ModeNLJ})
 		if err != nil {
 			t.Fatalf("trial %d (literal): %v", trial, err)
 		}
@@ -370,26 +372,37 @@ func TestIfAndQuantifiersAcrossEngines(t *testing.T) {
 	}
 }
 
+// TestPipelineFusionMatchesMaterialized checks the fused path chains of
+// the join and reconstruction queries against the interpreter, which
+// materializes every step as a tree: the serial run decodes to the
+// interpreter's answer, and the morsel-parallel run and the run whose
+// chains filter index-seek ranges are digit-identical to the serial one.
 func TestPipelineFusionMatchesMaterialized(t *testing.T) {
-	cat, _ := generatedCatalog(0.002, 21)
+	forceParallelProbe(t)
+	cat, icat := generatedCatalog(0.002, 21)
+	indexed := index.BuildSet(cat)
 	for _, query := range []string{xmark.Q8, xmark.Q9, xmark.Q13, xmark.Q1, xmark.Q17} {
 		q := Compile(xq.MustParse(query), Options{})
-		fused, err := q.Eval(cat, Options{ForceJoinMode: ModeMSJ})
+		serial, err := q.Eval(cat, Options{ForceJoinMode: ModeMSJ, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := q.Eval(cat, Options{ForceJoinMode: ModeMSJ, NoPipeline: true})
+		want, err := interp.Run(query, icat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(fused.Tuples) != len(plain.Tuples) {
-			t.Fatalf("fused %d tuples, materialized %d", len(fused.Tuples), len(plain.Tuples))
+		if got, err := interval.Decode(serial); err != nil || !got.Equal(want) {
+			t.Fatalf("fused run disagrees with the interpreter (%v):\n got %d trees\nwant %d trees", err, len(got), len(want))
 		}
-		for i := range fused.Tuples {
-			a, b := fused.Tuples[i], plain.Tuples[i]
-			if a.S != b.S || !a.L.Equal(b.L) || !a.R.Equal(b.R) {
-				t.Fatalf("tuple %d differs: %s vs %s", i, a, b)
+		for _, opts := range []Options{
+			{ForceJoinMode: ModeMSJ, Parallelism: 4},
+			{ForceJoinMode: ModeMSJ, Parallelism: 1, Indexes: indexed},
+		} {
+			got, err := q.Eval(cat, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
+			identicalRelations(t, fmt.Sprintf("parallelism %d, indexed %v", opts.Parallelism, opts.Indexes != nil), got, serial)
 		}
 	}
 }
@@ -453,7 +466,7 @@ func TestPlanTree(t *testing.T) {
 	if !strings.Contains(msj, "for-merge-join") {
 		t.Errorf("MSJ plan missing merge join:\n%s", msj)
 	}
-	if !strings.Contains(msj, "[stream]") || !strings.Contains(msj, `scan [document("auction.xml")]`) {
+	if !strings.Contains(msj, "[par]") || !strings.Contains(msj, `scan [document("auction.xml")]`) {
 		t.Errorf("plan tree:\n%s", msj)
 	}
 	nlj := q.Plan(Options{ForceJoinMode: ModeNLJ}).Tree()
@@ -471,12 +484,6 @@ func TestPlanTree(t *testing.T) {
 	// For nesting (Q8: person loop digits + content).
 	if !strings.Contains(msj, "{digits:") {
 		t.Errorf("missing digit annotations:\n%s", msj)
-	}
-	// Without pipelining, no operator is marked streamable; the same path
-	// operators run through the materializing engine instead.
-	raw := q.Plan(Options{ForceJoinMode: ModeMSJ, NoPipeline: true}).Tree()
-	if strings.Contains(raw, "[stream]") || !strings.Contains(raw, "select") {
-		t.Errorf("NoPipeline plan:\n%s", raw)
 	}
 }
 

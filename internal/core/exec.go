@@ -91,16 +91,11 @@ type evaluator struct {
 	// spill carries the memory budget for the structural sorts; nil when
 	// Options.MemBudget is unset (everything stays in memory).
 	spill *engine.SpillConfig
-	// chunk is the columnar scratch buffer shared by every fused batch
-	// chain of this evaluation (chains run sequentially and drain fully, so
-	// one buffer serves them all); stages, src, rsrc and chainB are the
-	// matching scratch values for the chains' stage lists, batch sources,
-	// and fused chain, re-inited per chain.
-	chunk  interval.Flat
+	// stages and rows are the scratch of the fused path chains: the stage
+	// list and per-stage survivor counts, rebuilt in place for each chain
+	// (chains run one after another and finish before the next starts).
 	stages []pipeline.Stage
-	src    pipeline.RelationBatches
-	rsrc   pipeline.RangeBatches
-	chainB pipeline.Chain
+	rows   []int
 }
 
 // newEvaluator readies an evaluation of plan p: the per-node stats block
@@ -233,10 +228,7 @@ func (ev *evaluator) execNode(n *plan.Node, en *env) (*table, error) {
 	case plan.OpMSJ:
 		return ev.execMergeJoin(n, en)
 	case plan.OpRoots, plan.OpPathStep:
-		if n.Streamable {
-			return ev.execStreamChain(n, en)
-		}
-		return ev.execCall(n, en)
+		return ev.execChain(n, en)
 	case plan.OpIndexPath:
 		return ev.execIndexPath(n, en)
 	case plan.OpStructuralSort, plan.OpReverse, plan.OpDistinct, plan.OpSubtreesDFS,
@@ -340,22 +332,15 @@ func (ev *evaluator) execIndexPath(n *plan.Node, en *env) (*table, error) {
 	return ev.exec(n.Inputs[0], en)
 }
 
-// execStreamChain executes a maximal chain of Streamable path operators
-// through package pipeline — the "sequence of linear time operations" plan
-// fragments of Section 5 — materializing only the chain's final output.
-// Since the compiler marks every path operator Streamable, single-step
-// chains stream too; only NoPipeline plans fall back to the materializing
-// engine. The chain runs batch-at-a-time over columnar chunks.
-func (ev *evaluator) execStreamChain(head *plan.Node, en *env) (*table, error) {
-	var chain []*plan.Node
-	cur := head
-	for {
-		chain = append(chain, cur)
-		next := cur.Inputs[0]
-		if !next.Streamable || (next.Op != plan.OpRoots && next.Op != plan.OpPathStep) {
-			break
-		}
-		cur = next
+// execChain executes a maximal chain of path operators — the "sequence of
+// linear time operations" plan fragments of Section 5 — as one row filter
+// over the chain's source relation (package pipeline), materializing only
+// the chain's final output. Every path operator runs this way, a lone
+// step as a chain of one.
+func (ev *evaluator) execChain(head *plan.Node, en *env) (*table, error) {
+	chain := []*plan.Node{head}
+	for isPathOp(chain[len(chain)-1].Inputs[0]) {
+		chain = append(chain, chain[len(chain)-1].Inputs[0])
 	}
 	if out, ok := ev.tryIndexedChain(chain, en); ok {
 		return out, nil
@@ -364,19 +349,36 @@ func (ev *evaluator) execStreamChain(head *plan.Node, en *env) (*table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ev.runBatchChain(chain, input, en), nil
+	stages := ev.buildStages(chain, en)
+	// With Parallelism >= 2 the chain runs morsel-parallel when the input
+	// offers safe split points (see pipeline/parallel.go); the runner's
+	// output is tuple-for-tuple the serial chain's, so falling back below
+	// is purely a performance decision.
+	if ev.opts.Parallelism >= 2 {
+		if pres, ok := pipeline.RunChainParallel(input.rel, stages, ev.opts.Parallelism); ok {
+			head := ev.node(chain[0])
+			head.Workers = max(head.Workers, pres.Workers)
+			ev.chargeChain(chain, pres.Rows)
+			return &table{rel: pres.Rel, local: input.local}, nil
+		}
+	}
+	whole := [][2]int32{{0, int32(len(input.rel.Tuples))}}
+	return &table{rel: ev.filter(chain, input.rel, whole, stages), local: input.local}, nil
 }
 
+// isPathOp reports whether a plan node is one of the fusable path
+// operators.
+func isPathOp(n *plan.Node) bool { return n.Op == plan.OpRoots || n.Op == plan.OpPathStep }
+
 // tryIndexedChain is the fused fast path for a chain whose source is a
-// servable index seek: the resolved row ranges stream straight into the
-// chain's batch chunks, so neither the seek result nor any intermediate
+// servable index seek: the chain filters the seek's resolved row ranges of
+// the document in place, so neither the seek result nor any intermediate
 // relation is materialized. The seek node never runs through exec here, so
 // its actuals are charged directly — the same calls, rows and skipped
 // tuples execIndexPath reports; its time is part of the chain head's. The
-// path is the serial batch runtime's; with Parallelism >= 2 the seek
-// materializes through execIndexPath so the morsel runner can split it.
-// A descendant seek always does: its rows are renumbered, not streamed as
-// they are.
+// path is serial; with Parallelism >= 2 the seek materializes through
+// execIndexPath so the morsel runner can split it. A descendant seek
+// always does: its rows are renumbered, not served as they are.
 func (ev *evaluator) tryIndexedChain(chain []*plan.Node, en *env) (*table, bool) {
 	bottom := chain[len(chain)-1].Inputs[0]
 	if bottom.Op != plan.OpIndexPath || ev.opts.Parallelism >= 2 {
@@ -395,92 +397,59 @@ func (ev *evaluator) tryIndexedChain(chain []*plan.Node, en *env) (*table, bool)
 	ns.Calls++
 	ns.Rows += sk.Rows
 	ns.Skipped += int64(len(sk.Rel.Tuples)) - sk.Rows
-	ev.rsrc.Init(sk.Rel, sk.Ranges, ev.opts.BatchSize, &ev.chunk)
-	out := ev.drainChain(chain, &ev.rsrc, ev.buildStages(chain, en), sk.Rel)
+	out := ev.filter(chain, sk.Rel, sk.Ranges, ev.buildStages(chain, en))
 	return &table{rel: out, local: b.tab.local}, true
 }
 
 // buildStages lowers a chain's operators into the evaluator's recycled
-// stage list (execution order: chain[len-1] first). ev.stages keeps its
-// high-water entries so each recycled Stage hands its key buffers to this
-// chain's stage of the same position.
+// stage list (execution order: chain[len-1] first).
 func (ev *evaluator) buildStages(chain []*plan.Node, en *env) []pipeline.Stage {
-	n := 0
+	ev.stages = ev.stages[:0]
 	for i := len(chain) - 1; i >= 0; i-- {
 		op := chain[i]
-		var proto pipeline.Stage
+		var st pipeline.Stage
 		switch {
 		case op.Op == plan.OpRoots:
-			proto = pipeline.RootsStage()
+			st = pipeline.RootsStage()
 		case op.Step == plan.StepSelect:
-			proto = pipeline.SelectLabelStage(op.Label)
+			st = pipeline.SelectLabelStage(op.Label)
 		case op.Step == plan.StepSelText:
-			proto = pipeline.SelectTextStage()
+			st = pipeline.SelectTextStage()
 		case op.Step == plan.StepChildren:
-			proto = pipeline.ChildrenStage()
+			st = pipeline.ChildrenStage()
 		case op.Step == plan.StepData:
-			proto = pipeline.DataStage()
+			st = pipeline.DataStage()
 		case op.Step == plan.StepHead:
-			proto = pipeline.HeadStage(en.depth)
+			st = pipeline.HeadStage(en.depth)
 		case op.Step == plan.StepTail:
-			proto = pipeline.TailStage(en.depth)
+			st = pipeline.TailStage(en.depth)
 		}
-		if n < len(ev.stages) {
-			ev.stages[n].Reuse(proto)
-		} else {
-			ev.stages = append(ev.stages, proto)
-		}
-		n++
+		ev.stages = append(ev.stages, st)
 	}
-	return ev.stages[:n]
+	return ev.stages
 }
 
-// runBatchChain is the batch-at-a-time execution of a fused chain over a
-// materialized input: the relation flows through the chain as columnar
-// chunks, each stage compacting survivors within the chunk in place.
-func (ev *evaluator) runBatchChain(chain []*plan.Node, input *table, en *env) *table {
-	stages := ev.buildStages(chain, en)
-	// With Parallelism >= 2 the chain runs morsel-parallel when the input
-	// offers safe split points (see pipeline/parallel.go); the runner's
-	// output is tuple-for-tuple the serial chain's, so falling back below
-	// is purely a performance decision.
-	if ev.opts.Parallelism >= 2 {
-		if pres, ok := pipeline.RunChainParallel(input.rel, stages, ev.opts.BatchSize, ev.opts.Parallelism); ok {
-			head := ev.node(chain[0])
-			head.Workers = max(head.Workers, pres.Workers)
-			ev.chargeChain(chain, pres.Stages)
-			return &table{rel: pres.Rel, local: input.local}
-		}
-	}
-	ev.src.Init(input.rel, ev.opts.BatchSize, &ev.chunk)
-	return &table{rel: ev.drainChain(chain, &ev.src, stages, input.rel), local: input.local}
+// filter runs the fused stages serially over the rows of rel in ranges
+// and charges the per-stage survivor counts: every fused operator is a
+// filter, so the output is a subsequence of rel's own tuples.
+func (ev *evaluator) filter(chain []*plan.Node, rel *interval.Relation, ranges [][2]int32, stages []pipeline.Stage) *interval.Relation {
+	ev.rows = append(ev.rows[:0], make([]int, len(stages))...)
+	out := pipeline.Filter(rel, ranges, stages, ev.rows)
+	ev.chargeChain(chain, ev.rows)
+	return &interval.Relation{Tuples: out}
 }
 
-// drainChain runs the fused stages over a batch source and materializes
-// the survivors: every fused operator is a filter, so the output is a
-// subsequence of rel, handed back by the chunks' recorded row indices.
-func (ev *evaluator) drainChain(chain []*plan.Node, src pipeline.Batch, stages []pipeline.Stage, rel *interval.Relation) *interval.Relation {
-	ev.chainB.Init(src, stages)
-	out := pipeline.MaterializeBatches(&ev.chainB, rel)
-	ev.chargeChain(chain, ev.chainB.Stats())
-	return out
-}
-
-// chargeChain books a chain run's per-stage actuals (execution order, so
-// stats[j] belongs to chain[len-1-j]) on the chain's plan nodes. The head
-// already gets its call, output rows and the whole chain's time from exec;
-// the fused operators below it get their calls and surviving rows here.
-func (ev *evaluator) chargeChain(chain []*plan.Node, stats []pipeline.StageStat) {
-	last := len(stats) - 1
-	obs.AddBatches(stats[last].Batches, stats[last].Bytes)
-	for j, st := range stats {
+// chargeChain books a chain run's per-stage survivor counts (execution
+// order, so rows[j] belongs to chain[len-1-j]) on the chain's plan nodes.
+// The head already gets its call, output rows and the whole chain's time
+// from exec; the fused operators below it get their calls and surviving
+// rows here.
+func (ev *evaluator) chargeChain(chain []*plan.Node, rows []int) {
+	last := len(rows) - 1
+	for j, r := range rows[:last] {
 		ns := ev.node(chain[last-j])
-		ns.Batches += st.Batches
-		ns.Bytes += st.Bytes
-		if j < last {
-			ns.Calls++
-			ns.Rows += int64(st.Rows)
-		}
+		ns.Calls++
+		ns.Rows += int64(r)
 	}
 }
 
@@ -536,25 +505,8 @@ func (ev *evaluator) applyOp(n *plan.Node, args []*table, en *env) (*table, erro
 		return &table{rel: engine.SortTreesP(args[0].rel, en.depth, ev.opts.Parallelism), local: args[0].local + 1}, nil
 	case plan.OpDistinct:
 		return &table{rel: engine.DistinctP(args[0].rel, en.depth, ev.opts.Parallelism), local: args[0].local}, nil
-	case plan.OpRoots:
-		return &table{rel: engine.Roots(args[0].rel), local: args[0].local}, nil
 	case plan.OpSubtreesDFS:
 		return &table{rel: engine.SubtreesDFS(args[0].rel, en.depth), local: args[0].local + 1}, nil
-	case plan.OpPathStep:
-		switch n.Step {
-		case plan.StepSelect:
-			return &table{rel: engine.SelectLabel(n.Label, args[0].rel), local: args[0].local}, nil
-		case plan.StepSelText:
-			return &table{rel: engine.SelectText(args[0].rel), local: args[0].local}, nil
-		case plan.StepChildren:
-			return &table{rel: engine.Children(args[0].rel), local: args[0].local}, nil
-		case plan.StepData:
-			return &table{rel: engine.Data(args[0].rel), local: args[0].local}, nil
-		case plan.StepHead:
-			return &table{rel: engine.Head(args[0].rel, en.depth), local: args[0].local}, nil
-		case plan.StepTail:
-			return &table{rel: engine.Tail(args[0].rel, en.depth), local: args[0].local}, nil
-		}
 	}
 	return nil, fmt.Errorf("core: unknown operator %s", n.OpName())
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // identicalRelations asserts two result relations match tuple-for-tuple
-// including the physical digit count of every key — a spilled or batched
-// run must be indistinguishable from the in-memory scalar run.
+// including the physical digit count of every key — a spilled, indexed or
+// parallel run must be indistinguishable from the serial in-memory run.
 func identicalRelations(t *testing.T, what string, got, want *interval.Relation) {
 	t.Helper()
 	if len(got.Tuples) != len(want.Tuples) {
@@ -109,6 +109,6 @@ func TestAbortBudgetsStillAbortUnderMemBudget(t *testing.T) {
 	}
 }
 
-// The seed-corpus differential test of the batch runtime moved to
-// internal/difftest, where the same corpus drives every engine variant
-// through one matrix (TestEnginesAgreeOnCorpus).
+// The seed-corpus differential test lives in internal/difftest, where the
+// same corpus drives every engine variant through one matrix
+// (TestEnginesAgreeOnCorpus).

@@ -32,7 +32,6 @@ func TestAggregatesUnderOneByteBudget(t *testing.T) {
 	opts := core.Options{
 		ForceJoinMode: core.ModeMSJ,
 		Parallelism:   2,
-		BatchSize:     3,
 		MemBudget:     1,
 		SpillDir:      dir,
 	}

@@ -3,9 +3,8 @@
 // strategy the repository ships — the denotational interpreter (the
 // semantic oracle), the cost-based DI-OPT mode (with and without real
 // statistics) and the forced DI-MSJ and DI-NLJ plan modes, each with
-// structural indexes, a spilling memory budget, parallel workers and
-// one-row batches switched on one at a time — asserting digit-identical
-// results.
+// structural indexes, a spilling memory budget and parallel workers
+// switched on one at a time — asserting digit-identical results.
 //
 // The comparisons happen at two levels:
 //
@@ -15,8 +14,8 @@
 //   - between DI variants, result relations are compared tuple-for-tuple
 //     including the physical digit count of every key. The variants are
 //     purely algorithmic switches, so nothing weaker than digit identity
-//     is acceptable: a batched, spilled, three-worker run must be
-//     indistinguishable from the serial materializing run.
+//     is acceptable: a spilled, three-worker, index-served run must be
+//     indistinguishable from the serial in-memory run.
 //
 // Tests that need one engine pair live with their package; tests whose
 // point is "all engines agree on the shared corpus" live here, so the
@@ -24,47 +23,51 @@
 //
 // # Why the matrix is not a cross product
 //
-// Variants lists 19 configurations per corpus case where the full cross
-// of engine x batch size x parallelism x budget x index x statistics had
-// 106. The pruning was checked by a mutation run: eighteen operator bugs
-// were seeded by hand, one at a time, into the 106-configuration matrix
-// and into the 19-configuration one, and TestEnginesAgreeOnCorpus was run
-// against each. Fourteen were killed by both matrices, none by only one;
-// "cases" is how many of the then 33 corpus cases failed, "first" the
-// configuration (or the interpreter check of the baseline) that failed
-// first in the first failing case. The last two rows were re-seeded
-// against the 39-case corpus (see below).
+// Variants lists 15 configurations per corpus case where the full cross
+// of engine x batch size x parallelism x budget x index x statistics once
+// had 106. The pruning was checked by a mutation run: operator bugs were
+// seeded by hand, one at a time, into the full matrix and into the pruned
+// one, and TestEnginesAgreeOnCorpus was run against each. Every bug the
+// full cross killed, the pruned matrix killed too. "cases" is how many
+// corpus cases failed (of 33 for the rows marked *, 39 for the two marked
+// +, 40 for the pipeline rows, which were re-seeded into the row-filter
+// runner of package pipeline), "first" the configuration (or the
+// interpreter check of the baseline) that failed first in the first
+// failing case. The baseline runs the fused path chains, so a bug in a
+// serial stage fails the interpreter check before any variant runs.
 //
 //	seeded bug                                          full cross (parent)      this matrix
-//	pipeline: head takes the first tree's end from L    4 cases, default         4 cases, DI-OPT-base
-//	pipeline: head/tail first-tree test inverted        4 cases, default         4 cases, DI-OPT-base
-//	pipeline: kernel state reset at chunk boundaries    32 cases, batch3-par3    32 cases, DI-OPT-batch1
-//	pipeline: parallel chain splits inside trees        2 cases, default         2 cases, DI-OPT-par3
-//	interval: SortPerm drops the position tie-break     1 case, interpreter      1 case, interpreter
-//	interval: exchange merge takes the larger head      5 cases, MSJ-batch1-par4 1 case, DI-OPT-par3
-//	core: probeMerge partition bound < instead of <=    3 cases, default         3 cases, DI-MSJ-par3
-//	core: merge join emits inner matches reversed       3 cases, interpreter     3 cases, interpreter
-//	extsort: merge skips the first spilled run          6 cases, batch3-par3-b1  6 cases, DI-MSJ-budget1
-//	engine: spilled sort numbers trees by input order   1 case, batch3-par3-b1   1 case, DI-OPT-budget1
-//	engine: distinct keeps the last duplicate           1 case, interpreter      1 case, interpreter
-//	engine: EmbedOuter drops each group's last tuple    13 cases, interpreter    13 cases, interpreter
-//	index: resolved subtree range ends one row early    11 cases, nlj-scalar-idx 11 cases, DI-OPT-idx
-//	opt: demoted merge join filters by < instead of =   4 cases, OPT-batch1      4 cases, DI-OPT-base
+//	pipeline: head takes the first tree's end from L    4 cases, default         6 cases, interpreter
+//	pipeline: head/tail first-tree test inverted        4 cases, default         6 cases, interpreter
+//	pipeline: parallel chain splits inside trees        2 cases, default         19 cases, DI-OPT-par3
 //	pipeline: fused seek keeps a stale range position   survived                 1 case, DI-OPT-idx
-//	core: depth-0 seek served after a dropping where    survived                 1 case, DI-OPT-idx
+//	pipeline: last parallel morsel ends a row early     survived                 2 cases, DI-OPT-par3
+//	interval: SortPerm drops the position tie-break     1 case, interpreter      1 case, interpreter *
+//	interval: exchange merge takes the larger head      5 cases, MSJ-batch1-par4 1 case, DI-OPT-par3 *
+//	core: probeMerge partition bound < instead of <=    3 cases, default         3 cases, DI-MSJ-par3 *
+//	core: merge join emits inner matches reversed       3 cases, interpreter     3 cases, interpreter *
+//	extsort: merge skips the first spilled run          6 cases, batch3-par3-b1  6 cases, DI-MSJ-budget1 *
+//	engine: spilled sort numbers trees by input order   1 case, batch3-par3-b1   1 case, DI-OPT-budget1 *
+//	engine: distinct keeps the last duplicate           1 case, interpreter      1 case, interpreter *
+//	engine: EmbedOuter drops each group's last tuple    13 cases, interpreter    13 cases, interpreter *
+//	index: resolved subtree range ends one row early    11 cases, nlj-scalar-idx 11 cases, DI-OPT-idx *
+//	opt: demoted merge join filters by < instead of =   4 cases, OPT-batch1      4 cases, DI-OPT-base *
+//	core: depth-0 seek served after a dropping where    survived                 1 case, DI-OPT-idx +
+//	core: spilled merge-join sort ignores the prefix    survived                 survived +
 //
 // Four seeded bugs first survived both matrices alike, so they were gaps
-// of the corpus, not of the pruning. Two are closed by corpus cases: a
-// multi-range seek fused into the data() chain above it
-// (xmark-seek-fused-multirange) kills the range source that keeps its
-// position between ranges, and a seek under a depth-0 where clause that
-// drops the only environment (xmark-seek-dropped-env) kills the seek that
-// serves its rows there anyway; TestLoopInvariantSeeksInsideLoops kills
-// the latter too. That second bug only became reachable once the where
-// clause stopped semi-joining the documents, which had made every seek
-// under it fall back to its scan chain. Two remain, 16 of 18 killed: a
-// spilled merge-join sort that ignores the ancestor prefix, and a
-// parallel chain whose last morsel ends a row early.
+// of the corpus, not of the pruning, and three are closed by corpus cases.
+// A multi-range seek fused into the data() chain above it
+// (xmark-seek-fused-multirange) kills the seek source that keeps its
+// position between ranges. A seek under a depth-0 where clause that drops
+// the only environment (xmark-seek-dropped-env) kills the seek that serves
+// its rows there anyway; TestLoopInvariantSeeksInsideLoops kills it too.
+// The last-morsel bug needs a chain input long enough to split into
+// morsels whose last row survives the chain: xmark-desc-multirange happens
+// to have one, xmark-par-chain-last-row is built to, and
+// TestParallelChainMatchesSerial in package pipeline kills it without the
+// corpus. One remains, 16 of 17 killed: a spilled merge-join sort that
+// ignores the ancestor prefix.
 package difftest
 
 import (
@@ -160,6 +163,11 @@ func Corpus() []Case {
 		 document("auction.xml")/site/people/person/name[1])`, true},
 		{"xmark-seek-dropped-env", `<r>{if (empty(document("auction.xml")/site))
 		 then document("auction.xml")/site/people/person/name else "none"}</r>`, true},
+		// A chain whose input is long enough to run morsel-parallel and
+		// whose last input row survives it: data() over every subtree of
+		// the regions (thousands of rows, one top-level tree per subtree),
+		// the last of which is a single text leaf.
+		{"xmark-par-chain-last-row", `data(subtrees-dfs(document("auction.xml")/site/regions))`, true},
 	}
 }
 
@@ -187,11 +195,10 @@ type Variant struct {
 }
 
 // Baseline is the reference DI configuration every variant is compared
-// against: serial, in-memory DI-MSJ with path fusion off, so every operator
-// materializes through the engine package's reference implementations —
-// the most literal execution of the compiled plan.
+// against: serial, in-memory DI-MSJ — the forced decorrelated plan, run
+// with one worker, no index and no budget. The interpreter checks it.
 func Baseline() core.Options {
-	return core.Options{ForceJoinMode: core.ModeMSJ, Parallelism: 1, NoPipeline: true}
+	return core.Options{ForceJoinMode: core.ModeMSJ, Parallelism: 1}
 }
 
 // Variants is the configuration matrix, restricted to the axes that can
@@ -199,13 +206,13 @@ func Baseline() core.Options {
 // configuration plus that base with exactly one factor changed — the
 // structural indexes attached, a 1-byte memory budget (every structural
 // sort spills), three workers (an odd count, so partition boundaries fall
-// inside equal-key runs), one-row batches (every kernel carries its state
-// across every row) — and, for DI-OPT, real statistics, alone and with the
-// indexes (the configuration the public API always runs). Two adversarial
-// combinations close the matrix: three-row batches on three workers under
-// the 1-byte budget, with and without indexes. The package doc records the
-// mutation run that justifies leaving the rest of the cross product out.
-// spillDir receives the external-sort runs of the budgeted variants.
+// inside equal-key runs) — and, for DI-OPT, real statistics, alone and
+// with the indexes (the configuration the public API always runs). The
+// DI-MSJ base is the Baseline itself and is not repeated. Two adversarial
+// combinations close the matrix: three workers under the 1-byte budget,
+// with and without indexes. The package doc records the mutation run that
+// justifies leaving the rest of the cross product out. spillDir receives
+// the external-sort runs of the budgeted variants.
 func Variants(spillDir string, set *index.Set, st *stats.Set) []Variant {
 	var vs []Variant
 	for _, mode := range []core.Mode{core.ModeAuto, core.ModeMSJ, core.ModeNLJ} {
@@ -215,26 +222,26 @@ func Variants(spillDir string, set *index.Set, st *stats.Set) []Variant {
 			change(&v.Opts)
 			vs = append(vs, v)
 		}
-		factor("base", func(*core.Options) {})
+		if mode != core.ModeMSJ {
+			factor("base", func(*core.Options) {})
+		}
 		factor("idx", func(o *core.Options) { o.Indexes = set })
 		factor("budget1", func(o *core.Options) { o.MemBudget, o.SpillDir = 1, spillDir })
 		factor("par3", func(o *core.Options) { o.Parallelism = 3 })
-		factor("batch1", func(o *core.Options) { o.BatchSize = 1 })
 		if mode == core.ModeAuto {
 			factor("stats", func(o *core.Options) { o.DocStats = st })
 			factor("idx-stats", func(o *core.Options) { o.Indexes, o.DocStats = set, st })
 		}
 	}
-	adversarial := core.Options{ForceJoinMode: core.ModeMSJ, BatchSize: 3, Parallelism: 3, MemBudget: 1, SpillDir: spillDir}
-	vs = append(vs, Variant{"msj-batch3-par3-budget1", adversarial})
+	adversarial := core.Options{ForceJoinMode: core.ModeMSJ, Parallelism: 3, MemBudget: 1, SpillDir: spillDir}
+	vs = append(vs, Variant{"msj-par3-budget1", adversarial})
 	adversarial.Indexes = set
-	return append(vs, Variant{"msj-batch3-par3-budget1-idx", adversarial})
+	return append(vs, Variant{"msj-par3-budget1-idx", adversarial})
 }
 
 // IdenticalRelations asserts two result relations match tuple-for-tuple
-// including the physical digit count of every key — a spilled, batched
-// or parallel run must be indistinguishable from the serial materializing
-// run.
+// including the physical digit count of every key — a spilled, indexed
+// or parallel run must be indistinguishable from the serial in-memory run.
 func IdenticalRelations(tb testing.TB, what string, got, want *interval.Relation) {
 	tb.Helper()
 	if len(got.Tuples) != len(want.Tuples) {

@@ -12,47 +12,44 @@ import (
 )
 
 // FuzzParallelExecute fuzzes the parallel runtime's determinism claim:
-// for any query text, chunk size and worker count, the parallel batched
-// evaluation must produce the relation the serial evaluation produces,
-// digit for digit. The corpus is seeded with the paper's benchmark
-// queries, the end-to-end seed corpus, and generator-produced random
-// expressions, at chunk sizes around the morsel and batch boundaries.
+// for any query text and worker count, the parallel evaluation must
+// produce the relation the serial evaluation produces, digit for digit.
+// The corpus is seeded with the paper's benchmark queries, the end-to-end
+// seed corpus, and generator-produced random expressions, at worker
+// counts across the pool's label range.
 func FuzzParallelExecute(f *testing.F) {
 	for _, q := range []string{xmark.Q8, xmark.Q9, xmark.Q13, xmark.Q3, xmark.Q19, xmark.Q20} {
-		f.Add(q, uint8(64), uint8(4))
+		f.Add(q, uint8(4))
 	}
 	for _, c := range Corpus() {
-		f.Add(c.Query, uint8(1), uint8(2))
-		f.Add(c.Query, uint8(3), uint8(8))
+		f.Add(c.Query, uint8(2))
+		f.Add(c.Query, uint8(8))
 	}
 	for _, seed := range []int64{1, 7, 42, 20030609} {
 		rng := rand.New(rand.NewSource(seed))
 		e := xq.RandomExpr(rng, []string{"d", "auction.xml"}, 4)
-		f.Add(e.String(), uint8(seed%7+1), uint8(seed%5+2))
+		f.Add(e.String(), uint8(seed%5+2))
 	}
 
 	cat, _ := Docs(f, 0.0005, 17)
 
-	f.Fuzz(func(t *testing.T, src string, chunk, workers uint8) {
+	f.Fuzz(func(t *testing.T, src string, workers uint8) {
 		e, err := xq.Parse(src)
 		if err != nil {
 			return
 		}
-		// Map the raw fuzz bytes into the interesting ranges: chunk sizes
-		// 1..256 cover sub-morsel through default batches, worker counts
-		// 2..17 cover the whole label range of the pool.
-		batch := int(chunk)%256 + 1
+		// Worker counts 2..17 cover the whole label range of the pool.
 		par := int(workers)%16 + 2
 
 		q := core.Compile(e, core.Options{})
 		for _, mode := range []core.Mode{core.ModeMSJ, core.ModeNLJ} {
-			serialOpts := core.Options{ForceJoinMode: mode, BatchSize: batch, Parallelism: 1, MaxTuples: 200_000}
-			parOpts := core.Options{ForceJoinMode: mode, BatchSize: batch, Parallelism: par, MaxTuples: 200_000}
+			serialOpts := core.Options{ForceJoinMode: mode, Parallelism: 1, MaxTuples: 200_000}
+			parOpts := core.Options{ForceJoinMode: mode, Parallelism: par, MaxTuples: 200_000}
 			want, werr := q.Eval(cat, serialOpts)
 			got, gerr := q.Eval(cat, parOpts)
 			if (werr != nil) != (gerr != nil) {
-				t.Fatalf("%s on %q (batch=%d par=%d): serial err %v, parallel err %v",
-					mode, src, batch, par, werr, gerr)
+				t.Fatalf("%s on %q (par=%d): serial err %v, parallel err %v",
+					mode, src, par, werr, gerr)
 			}
 			if werr != nil {
 				continue
@@ -63,7 +60,7 @@ func FuzzParallelExecute(f *testing.F) {
 }
 
 // FuzzIndexedExecute fuzzes the access-path substitution claim: for any
-// query text, batch size and plan mode, the index-backed evaluation (seeks
+// query text and plan mode, the index-backed evaluation (seeks
 // and dataguide pruning on) must produce the relation the scan-backed
 // evaluation produces, digit for digit. The corpus seeds cover the
 // benchmark queries — whose hoisted document chains actually seek — plus
@@ -72,35 +69,34 @@ func FuzzParallelExecute(f *testing.F) {
 // under refined environments).
 func FuzzIndexedExecute(f *testing.F) {
 	for _, q := range []string{xmark.Q8, xmark.Q9, xmark.Q13, xmark.Q5, xmark.Q15} {
-		f.Add(q, uint8(64), false)
+		f.Add(q, false)
 	}
 	for _, c := range Corpus() {
-		f.Add(c.Query, uint8(1), false)
-		f.Add(c.Query, uint8(255), true)
+		f.Add(c.Query, false)
+		f.Add(c.Query, true)
 	}
-	f.Add(`document("d")/nosuch/b`, uint8(4), false)
-	f.Add(`document("d")//nosuch`, uint8(4), true)
+	f.Add(`document("d")/nosuch/b`, false)
+	f.Add(`document("d")//nosuch`, true)
 	for _, seed := range []int64{3, 11, 99, 20030609} {
 		rng := rand.New(rand.NewSource(seed))
 		e := xq.RandomExpr(rng, []string{"d", "auction.xml"}, 4)
-		f.Add(e.String(), uint8(seed%9+1), seed%2 == 0)
+		f.Add(e.String(), seed%2 == 0)
 	}
 
 	cat, _ := Docs(f, 0.0005, 17)
 	set := index.BuildSet(cat)
 
-	f.Fuzz(func(t *testing.T, src string, chunk uint8, nlj bool) {
+	f.Fuzz(func(t *testing.T, src string, nlj bool) {
 		e, err := xq.Parse(src)
 		if err != nil {
 			return
 		}
-		batch := int(chunk)%256 + 1
 		mode := core.ModeMSJ
 		if nlj {
 			mode = core.ModeNLJ
 		}
 		q := core.Compile(e, core.Options{})
-		scanOpts := core.Options{ForceJoinMode: mode, BatchSize: batch, Parallelism: 1, MaxTuples: 200_000}
+		scanOpts := core.Options{ForceJoinMode: mode, Parallelism: 1, MaxTuples: 200_000}
 		idxOpts := scanOpts
 		idxOpts.Indexes = set
 		want, werr := q.Eval(cat, scanOpts)
@@ -126,29 +122,28 @@ func FuzzIndexedExecute(f *testing.F) {
 // so both costing regimes face the full input space.
 func FuzzOptimizedExecute(f *testing.F) {
 	for _, q := range []string{xmark.Q8, xmark.Q9, xmark.Q13, xmark.Q11, xmark.Q18, xmark.Q19} {
-		f.Add(q, uint8(64), true)
+		f.Add(q, true)
 	}
 	for _, c := range Corpus() {
-		f.Add(c.Query, uint8(1), true)
-		f.Add(c.Query, uint8(255), false)
+		f.Add(c.Query, true)
+		f.Add(c.Query, false)
 	}
 	for _, seed := range []int64{5, 13, 77, 20030609} {
 		rng := rand.New(rand.NewSource(seed))
 		e := xq.RandomExpr(rng, []string{"d", "auction.xml"}, 4)
-		f.Add(e.String(), uint8(seed%9+1), seed%2 == 0)
+		f.Add(e.String(), seed%2 == 0)
 	}
 
 	cat, _ := Docs(f, 0.0005, 17)
 	st := stats.CollectSet(cat)
 
-	f.Fuzz(func(t *testing.T, src string, chunk uint8, withStats bool) {
+	f.Fuzz(func(t *testing.T, src string, withStats bool) {
 		e, err := xq.Parse(src)
 		if err != nil {
 			return
 		}
-		batch := int(chunk)%256 + 1
 		q := core.Compile(e, core.Options{})
-		optOpts := core.Options{ForceJoinMode: core.ModeAuto, BatchSize: batch, Parallelism: 1, MaxTuples: 200_000}
+		optOpts := core.Options{ForceJoinMode: core.ModeAuto, Parallelism: 1, MaxTuples: 200_000}
 		if withStats {
 			optOpts.DocStats = st
 		}

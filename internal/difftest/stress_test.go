@@ -55,7 +55,6 @@ func TestConcurrentParallelSpillingRuns(t *testing.T) {
 				rel, err := ref.q.Eval(cat, core.Options{
 					ForceJoinMode: core.ModeMSJ,
 					Parallelism:   4,
-					BatchSize:     16,
 					MemBudget:     256,
 					SpillDir:      dir,
 				})

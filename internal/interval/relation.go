@@ -35,14 +35,14 @@ type Relation struct {
 func (r *Relation) Len() int { return len(r.Tuples) }
 
 // MaxKeyLen returns the relation's longest physical key length in digits
-// (0 for the empty relation): the executor's runtime key width, the batch
-// chunk stride, and the builder strides of the engine operators. Freshly
-// encoded documents use one digit; relations that passed through package
-// update may carry longer keys.
+// (0 for the empty relation): the executor's runtime key width and the
+// builder strides of the engine operators. Freshly encoded documents use
+// one digit; relations that passed through package update may carry longer
+// keys.
 //
 // The scan runs once per relation and the result is memoized, so the
 // per-query readers of a catalog document — the executor's root
-// environment, every fused chain and index seek over it — pay O(1).
+// environment first of all — pay O(1).
 // Concurrent first readers may each scan; they store the same value. The
 // memo is exact because a relation's tuple set never changes once it is
 // read: catalog relations are immutable and shared, every update builds a

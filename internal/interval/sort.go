@@ -19,9 +19,9 @@ var ParallelSortThreshold = 2048
 // then be safe for concurrent calls (pure comparators over shared
 // read-only data are). The result is identical at any parallelism.
 //
-// This is the engine's one structural-sort kernel: Relation.SortP, the
-// flat columnar sort, SortTrees/Distinct tree ordering and the MSJ sort
-// phase all go through it.
+// This is the engine's one structural-sort kernel: Relation.SortP,
+// SortTrees/Distinct tree ordering and the MSJ sort phase all go through
+// it.
 func SortPerm(n, parallelism int, cmp func(a, b int) int) []int {
 	order := make([]int, n)
 	for i := range order {

@@ -178,12 +178,10 @@ func TestHandlerContentType(t *testing.T) {
 func TestDefaultSetParses(t *testing.T) {
 	Queries.With("di-msj", "ok").Inc()
 	QueryDuration.Observe(3 * time.Millisecond)
-	AddBatches(2, 1024)
 	samples := parseExposition(t, Default.Render())
 	for _, name := range []string{
 		"dixq_query_duration_seconds_count",
 		"dixq_plan_cache_hits_total",
-		"dixq_batches_processed_total",
 		"dixq_sort_bytes_total",
 		"dixq_spilled_runs_total",
 		"dixq_active_queries",

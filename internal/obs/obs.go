@@ -28,12 +28,6 @@ var (
 		"Compiled-plan cache hits.")
 	PlanCacheMisses = Default.NewCounter("dixq_plan_cache_misses_total",
 		"Compiled-plan cache misses (query parsed and compiled).")
-	// BatchesProcessed / BatchBytes count the columnar chunks (and their
-	// accounted footprint) that flowed through fused batch chains.
-	BatchesProcessed = Default.NewCounter("dixq_batches_processed_total",
-		"Columnar chunks processed by fused path chains.")
-	BatchBytes = Default.NewCounter("dixq_batch_bytes_total",
-		"Accounted bytes of chunks processed by fused path chains.")
 	// SortedBytes is the accounted footprint that passed through the
 	// budget-aware structural sorts (in-memory or spilled). Unbudgeted
 	// sorts do not account footprints and are not counted.
@@ -140,9 +134,3 @@ var (
 	SnapshotsPinned = Default.NewGauge("dixq_snapshots_pinned",
 		"Catalog snapshots currently pinned by in-flight requests.")
 )
-
-// AddBatches records one fused chain's chunk throughput.
-func AddBatches(batches int, bytes int64) {
-	BatchesProcessed.Add(int64(batches))
-	BatchBytes.Add(bytes)
-}

@@ -13,10 +13,13 @@ import (
 type Span struct {
 	Name       string `json:"name"`
 	DurationNS int64  `json:"duration_ns"`
-	// Calls/Rows/Batches/Bytes/Spilled are operator actuals, present on
-	// plan-node child spans.
-	Calls   int   `json:"calls,omitempty"`
-	Rows    int64 `json:"rows,omitempty"`
+	// Calls/Rows/Spilled are operator actuals, present on plan-node child
+	// spans.
+	Calls int   `json:"calls,omitempty"`
+	Rows  int64 `json:"rows,omitempty"`
+	// Batches and Bytes are always zero — path chains filter their source
+	// rows in place and process no chunks — and are omitted from the JSON;
+	// the fields remain so that code reading them still compiles.
 	Batches int   `json:"batches,omitempty"`
 	Bytes   int64 `json:"bytes,omitempty"`
 	Spilled int64 `json:"spilled,omitempty"`

@@ -1,13 +1,12 @@
-// Morsel-driven parallel execution of fused path chains. The batch chunks
-// of batch.go are the natural parallelism unit, but a fused chain's state
-// machines carry state across chunk boundaries, so chunks cannot be handed
-// to workers blindly. This file computes the input positions at which every
-// stage's state machine provably behaves as if freshly reset — the safe
-// split points — groups the segments between them into morsels, and runs
-// the morsels through the shared exec worker pool, each worker draining its
-// morsels through a worker-owned chunk buffer into sequence-numbered result
-// slots. Concatenating the slots in morsel order reproduces the serial
-// output tuple-for-tuple.
+// Morsel-driven parallel execution of fused path chains. A fused chain's
+// state machines carry state from row to row, so its input cannot be cut
+// blindly. This file computes the input positions at which every stage's
+// state machine provably behaves as if freshly reset — the safe split
+// points — groups the segments between them into morsels, and runs the
+// morsels through the shared exec worker pool, each worker filtering its
+// morsel's row range straight into a sequence-numbered result slot.
+// Concatenating the slots in morsel order reproduces the serial output
+// tuple-for-tuple.
 //
 // Why the split points are safe: keys are compared digit-lexicographically,
 // and the chain input arrives in L-key order.
@@ -38,34 +37,28 @@ import (
 	"dixq/internal/obs"
 )
 
-// maxMorselsPerChain caps how many morsels one chain is split into. The
-// morsel target size max(morselBatches*batchSize, minMorselRows,
-// n/maxMorselsPerChain) depends only on the input size and the batch size
-// — never on the worker count — so the partitioning (and with it every
-// per-morsel statistic) is deterministic at any parallelism.
-const maxMorselsPerChain = 64
-
-// morselBatches is the minimum morsel size in batches. Per-morsel overhead
-// (stage resets, source re-init, a result slot) is paid regardless of how
-// full the morsel is, so a morsel holds several chunks' worth of rows —
-// single-batch morsels spent a measurable share of their time on setup.
-const morselBatches = 4
-
-// minMorselRows floors the morsel target in rows, independent of the
-// batch size: at small batch sizes morselBatches*batchSize alone would
-// produce morsels of a few rows each, and the per-morsel setup would
-// dominate the work. Like the rest of the sizing it depends only on the
-// input and the configuration, so partitioning stays deterministic.
-const minMorselRows = 1024
+// The morsel sizing. It depends only on the input size — never on the
+// worker count — so the partitioning (and with it every per-morsel
+// statistic) is deterministic at any parallelism.
+const (
+	// minParallelRows is the smallest chain input worth splitting.
+	minParallelRows = 512
+	// minMorselRows floors the morsel size: per-morsel overhead (fresh
+	// stages, a result slot, a task handoff) is paid however few rows the
+	// morsel holds.
+	minMorselRows = 1024
+	// maxMorselsPerChain caps how many morsels one chain is split into.
+	maxMorselsPerChain = 64
+)
 
 // ParallelChainResult is the outcome of a parallel chain run.
 type ParallelChainResult struct {
-	// Rel is the materialized chain output, identical to the serial run.
+	// Rel is the chain output, identical to the serial run.
 	Rel *interval.Relation
-	// Stages holds the per-stage actuals summed across all morsels;
-	// Stages[i] corresponds to protos[i], and the last entry describes the
-	// chain's output chunks.
-	Stages []StageStat
+	// Rows holds the per-stage survivor counts summed across all morsels;
+	// Rows[i] belongs to protos[i], and the last entry counts the chain's
+	// output.
+	Rows []int
 	// Workers is how many workers actually participated (>= 1; the process
 	// budget may grant fewer than requested).
 	Workers int
@@ -126,87 +119,41 @@ func groupMorsels(starts []int, n, target int) []int {
 	return append(morsels, n)
 }
 
-// chainWorker is one worker's private execution state: a chunk buffer,
-// a stage list, and the source/chain scratch, reused across the morsels
-// the worker pulls — and, via workerScratch, across runs.
-type chainWorker struct {
-	chunk  interval.Flat
-	stages []Stage
-	src    RelationBatches
-	chain  Chain
-}
-
-// workerScratch recycles chainWorker scratch (chunk buffers, stage lists)
-// across RunChainParallel calls through the exec pool's generic per-worker
-// scratch, so steady-state parallel runs stop paying per-run worker-state
-// allocations.
-var workerScratch = exec.NewScratch(func() *chainWorker { return new(chainWorker) })
-
-// prepare readies a pooled worker for a run over a chain of nStages
-// stages. The chain is bound once per run to the worker's own source and
-// stage list — both are re-inited in place per morsel — so its per-stage
-// stats accumulate across all the morsels the worker pulls.
-func (w *chainWorker) prepare(nStages int) {
-	if len(w.stages) != nStages {
-		w.stages = make([]Stage, nStages)
-	}
-	w.chain.Init(&w.src, w.stages)
-}
-
-// reset readies the worker's stage list for a fresh morsel.
-func (w *chainWorker) reset(protos []Stage) {
-	for i := range protos {
-		w.stages[i].Reuse(protos[i])
-	}
-}
-
 // RunChainParallel executes the fused stage chain over rel with up to
-// parallelism workers and returns the materialized output, which is
-// tuple-for-tuple identical to the serial chain at any parallelism and
-// any worker grant. ok is false when the chain is not worth (or not safe
-// to) parallelize — too few rows, too few safe split points, or a
-// depth-0 head/tail stage — and the caller should run the serial path.
-func RunChainParallel(rel *interval.Relation, protos []Stage, batchSize, parallelism int) (ParallelChainResult, bool) {
+// parallelism workers and returns the output, which is tuple-for-tuple
+// identical to the serial Filter at any parallelism and any worker grant.
+// ok is false when the chain is not worth (or not safe) to parallelize —
+// too few rows, too few safe split points, or a depth-0 head/tail stage —
+// and the caller should run Filter.
+func RunChainParallel(rel *interval.Relation, protos []Stage, parallelism int) (ParallelChainResult, bool) {
 	var res ParallelChainResult
 	parallelism = exec.Effective(parallelism)
-	if parallelism < 2 || len(protos) == 0 {
-		return res, false
-	}
-	size := batchSize
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
 	n := len(rel.Tuples)
-	if n < 2*size {
+	if parallelism < 2 || len(protos) == 0 || n < minParallelRows {
 		return res, false
 	}
 	starts, ok := chainSplitPoints(rel, protos)
 	if !ok || len(starts) < 2 {
 		return res, false
 	}
-	target := max(morselBatches*size, minMorselRows)
-	if t := (n + maxMorselsPerChain - 1) / maxMorselsPerChain; t > target {
-		target = t
-	}
+	target := max(minMorselRows, (n+maxMorselsPerChain-1)/maxMorselsPerChain)
 	morsels := groupMorsels(starts, n, target)
 	nm := len(morsels) - 1
 	if nm < 2 {
 		return res, false
 	}
 
+	// Each task filters one morsel with its own fresh stages into its own
+	// result slot and survivor counts; worker w reuses stages[w·k:(w+1)·k].
+	k := len(protos)
 	outs := make([][]interval.Tuple, nm)
-	// Memoize the chunk stride here, so the workers' per-morsel source
-	// setup reads it instead of racing to scan rel.
-	rel.MaxKeyLen()
-	workers := workerScratch.Acquire(min(parallelism, nm))
-	for i := range workers {
-		workers[i].prepare(len(protos))
-	}
+	rows := make([]int, nm*k)
+	stages := make([]Stage, min(parallelism, nm)*k)
 	res.Workers = exec.Run(nm, parallelism, func(task, worker int) {
-		w := workers[worker]
-		w.reset(protos)
-		w.src.InitRange(rel, morsels[task], morsels[task+1], size, &w.chunk)
-		outs[task] = MaterializeBatches(&w.chain, rel).Tuples
+		st := stages[worker*k : (worker+1)*k]
+		copy(st, protos)
+		morsel := [][2]int32{{int32(morsels[task]), int32(morsels[task+1])}}
+		outs[task] = Filter(rel, morsel, st, rows[task*k:(task+1)*k])
 	})
 	res.Morsels = nm
 
@@ -219,15 +166,12 @@ func RunChainParallel(rel *interval.Relation, protos []Stage, batchSize, paralle
 		tuples = append(tuples, o...)
 	}
 	res.Rel = &interval.Relation{Tuples: tuples}
-	res.Stages = make([]StageStat, len(protos))
-	for _, w := range workers {
-		for j, st := range w.chain.Stats() {
-			res.Stages[j].Rows += st.Rows
-			res.Stages[j].Batches += st.Batches
-			res.Stages[j].Bytes += st.Bytes
+	res.Rows = make([]int, k)
+	for task := 0; task < nm; task++ {
+		for i, r := range rows[task*k : (task+1)*k] {
+			res.Rows[i] += r
 		}
 	}
-	workerScratch.Release(workers)
 	obs.ParallelChains.Inc()
 	return res, true
 }

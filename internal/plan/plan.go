@@ -1,16 +1,15 @@
 // Package plan defines the physical-plan IR shared by the whole query
 // path: the compiler in internal/core lowers a core expression into a
-// tree of typed operator nodes, the executor dispatches each node to the
-// materializing engine or the streaming pipeline backend, and
-// internal/sqlgen emits the paper's single-statement SQL translation from
-// the very same tree. There is exactly one plan shape per (mode,
-// pipelining) variant, and it is the one that runs — Explain renders the
-// executed plan, not a parallel description of it.
+// tree of typed operator nodes, the executor runs each node through the
+// materializing engine or — for chains of path operators — the streaming
+// pipeline, and internal/sqlgen emits the paper's single-statement SQL
+// translation from the very same tree. There is exactly one plan shape per
+// variant, and it is the one that runs — Explain renders the executed
+// plan, not a parallel description of it.
 //
 // Nodes carry the static annotations the paper's Section 4.3 analysis
 // provides — the local key-digit width of every operator's output — plus
-// an order-of-magnitude cardinality hint and the Streamable property that
-// drives the engine-vs-pipeline dispatch. Nodes are immutable after
+// an order-of-magnitude cardinality hint. Nodes are immutable after
 // compilation (compiled plans are cached and shared across concurrent
 // executions); per-run actuals live in a RunStats indexed by Node.ID.
 package plan
@@ -254,9 +253,6 @@ type Node struct {
 	// renders it next to the actual row count (est=… act=…) so
 	// misestimates are visible per operator.
 	Est int64
-	// Streamable marks nodes the streaming pipeline backend can execute;
-	// the executor runs maximal Streamable chains as one fused pass.
-	Streamable bool
 	// ParallelSafe marks operators the parallel runtime can split across
 	// workers (morsel-parallel fused chains, parallel structural sorts,
 	// concurrent merge-join sort phases). A static capability mark: whether
@@ -421,7 +417,7 @@ func (n *Node) inputLabels() []string {
 }
 
 // Tree renders the plan as an indented operator tree with its static
-// annotations (digits, cardinality hints, streamability).
+// annotations (digits, cardinality hints, parallel and access marks).
 func (n *Node) Tree() string {
 	var b strings.Builder
 	n.write(&b, 0, "", nil)
@@ -457,9 +453,6 @@ func (n *Node) write(b *strings.Builder, indent int, role string, rs *RunStats) 
 		}
 		b.WriteString("}")
 	}
-	if n.Streamable {
-		b.WriteString(" [stream]")
-	}
 	if n.ParallelSafe {
 		b.WriteString(" [par]")
 	}
@@ -476,8 +469,8 @@ func (n *Node) write(b *strings.Builder, indent int, role string, rs *RunStats) 
 		// depends only on the requested parallelism, so it qualifies), the
 		// run-dependent group last so tests can mask it in one pass
 		// (workers depends on the process worker budget at run time).
-		fmt.Fprintf(b, " (est=%d act=%d calls=%d rows=%d batches=%d spilled=%d skipped=%d parts=%d workers=%d time=%s allocs=%d bytes=%d)",
-			est, s.Rows, s.Calls, s.Rows, s.Batches, s.Spilled, s.Skipped, s.Partitions, s.Workers, s.Time, s.Allocs, s.Bytes)
+		fmt.Fprintf(b, " (est=%d act=%d calls=%d rows=%d spilled=%d skipped=%d parts=%d workers=%d time=%s allocs=%d)",
+			est, s.Rows, s.Calls, s.Rows, s.Spilled, s.Skipped, s.Partitions, s.Workers, s.Time, s.Allocs)
 	}
 	b.WriteByte('\n')
 	labels := n.inputLabels()

@@ -22,12 +22,6 @@ type NodeStats struct {
 	// Reading it stops the world, so it is only taken when the caller asked
 	// for the analyze report; 0 otherwise.
 	Allocs int64
-	// Batches counts the columnar chunks the operator processed (only the
-	// batch-executed operators report it; materializing operators leave 0).
-	Batches int
-	// Bytes is the accounted footprint of the chunks that flowed through
-	// the operator — deterministic for a fixed document, unlike Allocs.
-	Bytes int64
 	// Spilled counts external-sort runs the operator wrote to disk while
 	// staying under the memory budget.
 	Spilled int64
@@ -94,8 +88,6 @@ type OperatorStat struct {
 	Rows       int64
 	Time       time.Duration
 	Allocs     int64
-	Batches    int
-	Bytes      int64
 	Spilled    int64
 	Skipped    int64
 	Workers    int
@@ -119,8 +111,6 @@ func Operators(root *Node, rs *RunStats) []OperatorStat {
 			Rows:       s.Rows,
 			Time:       s.Time,
 			Allocs:     s.Allocs,
-			Batches:    s.Batches,
-			Bytes:      s.Bytes,
 			Spilled:    s.Spilled,
 			Skipped:    s.Skipped,
 			Workers:    s.Workers,

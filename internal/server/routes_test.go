@@ -259,9 +259,9 @@ func TestTraceSpansEqualExplainAnalyze(t *testing.T) {
 			t.Fatalf("%s: %d operator spans, %d explained operators", engine, len(spans), len(explained.Operators))
 		}
 		for i, op := range explained.Operators {
-			if sp := spans[i]; sp.Name != op.Op || sp.Calls != op.Calls || sp.Rows != op.Rows || sp.Batches != op.Batches {
-				t.Errorf("%s: operator %d: span %s calls=%d rows=%d batches=%d, explain %s calls=%d rows=%d batches=%d",
-					engine, i, sp.Name, sp.Calls, sp.Rows, sp.Batches, op.Op, op.Calls, op.Rows, op.Batches)
+			if sp := spans[i]; sp.Name != op.Op || sp.Calls != op.Calls || sp.Rows != op.Rows {
+				t.Errorf("%s: operator %d: span %s calls=%d rows=%d, explain %s calls=%d rows=%d",
+					engine, i, sp.Name, sp.Calls, sp.Rows, op.Op, op.Calls, op.Rows)
 			}
 		}
 	}

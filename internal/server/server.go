@@ -490,8 +490,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				DurationNS: int64(op.Time),
 				Calls:      op.Calls,
 				Rows:       op.Rows,
-				Batches:    op.Batches,
-				Bytes:      op.Bytes,
 				Spilled:    op.Spilled,
 				Skipped:    op.Skipped,
 				Workers:    op.Workers,
@@ -585,8 +583,6 @@ type OperatorJSON struct {
 	Op      string `json:"op"`
 	Calls   int    `json:"calls"`
 	Rows    int64  `json:"rows"`
-	Batches int    `json:"batches"`
-	Bytes   int64  `json:"bytes"`
 	Spilled int64  `json:"spilled"`
 	// Skipped is the number of relation tuples an index access path never
 	// read (index seeks and dataguide-pruned chains).
@@ -629,8 +625,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 				Op:         op.Op,
 				Calls:      op.Calls,
 				Rows:       op.Rows,
-				Batches:    op.Batches,
-				Bytes:      op.Bytes,
 				Spilled:    op.Spilled,
 				Skipped:    op.Skipped,
 				Workers:    op.Workers,

@@ -40,12 +40,12 @@ func DocWidths(docs map[string]xmltree.Forest) map[string]int64 {
 	return out
 }
 
-// Plan compiles an expression to the nested-loop, no-pipeline physical
-// plan the SQL backend consumes: the literal Section 4 translation, with
-// no rewrites so the emitted SQL matches the expression as written.
+// Plan compiles an expression to the nested-loop physical plan the SQL
+// backend consumes: the literal Section 4 translation, with no rewrites so
+// the emitted SQL matches the expression as written.
 func Plan(e xq.Expr) *plan.Node {
 	return core.Compile(e, core.Options{NoRewrites: true}).
-		Plan(core.Options{ForceJoinMode: core.ModeNLJ, NoPipeline: true})
+		Plan(core.Options{ForceJoinMode: core.ModeNLJ})
 }
 
 // Run translates a core expression to SQL, executes it on the minisql

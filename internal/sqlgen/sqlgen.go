@@ -15,8 +15,8 @@
 // Generate consumes nested-loop plans (compile with ModeNLJ): the
 // iterator template is the literal §4.2.4 translation, and the merge-join
 // decorrelation is precisely the optimization a generic engine does not
-// get. Streamable marks are ignored — pipelining is an execution
-// strategy, not a different plan shape.
+// get. Path chains translate operator by operator — fusing them is an
+// execution strategy, not a different plan shape.
 //
 // The scalar backend has the limitations the paper acknowledges: interval
 // endpoints are machine integers, so the polynomial width growth bounds
