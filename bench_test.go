@@ -356,20 +356,20 @@ func BenchmarkPathChain(b *testing.B) {
 // merge sorter — the cost of bounded memory on the same input.
 func BenchmarkExternalSort(b *testing.B) {
 	rel := interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: 0.002, Seed: 20030609}))
-	b.Run("inmemory", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			engine.SortTreesP(rel, 0, 1)
-		}
-	})
-	b.Run("spill", func(b *testing.B) {
-		dir := b.TempDir()
-		cfg := engine.SpillConfig{MaxBytes: 1 << 16, Dir: dir}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := engine.SortTreesSpill(rel, 0, 1, cfg); err != nil {
-				b.Fatal(err)
+	for _, bc := range []struct {
+		name  string
+		spill *engine.SpillConfig
+	}{
+		{"inmemory", nil},
+		{"spill", &engine.SpillConfig{MaxBytes: 1 << 16, Dir: b.TempDir()}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := engine.SortTrees(rel, 0, 1, bc.spill); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }

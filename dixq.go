@@ -291,8 +291,9 @@ type Options struct {
 	// queries, so a query may be granted fewer. Results are digit-identical
 	// at any setting and any grant.
 	Parallelism int
-	// MemBudget bounds the accounted in-memory footprint of the structural
-	// sorts and merge-join sort state, in bytes (DI engines); inputs over
+	// MemBudget bounds the accounted in-memory footprint of every group
+	// reorder — sort, distinct, order by and the merge-join side sorts —
+	// in bytes (DI engines); inputs over
 	// the budget are sorted externally, spilling runs to SpillDir. Zero
 	// means unbounded — never spill. Unlike MaxTuples, exceeding MemBudget
 	// never aborts a query: it degrades to disk and the result is

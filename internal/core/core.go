@@ -92,8 +92,9 @@ type Options struct {
 	// granted fewer. Results are digit-identical at any setting and any
 	// grant.
 	Parallelism int
-	// MemBudget bounds the accounted in-memory footprint of the structural
-	// sort and merge-join sort state, in bytes; inputs over the budget are
+	// MemBudget bounds the accounted in-memory footprint of every group
+	// reorder (sort, distinct, order by, the merge-join side sorts), in
+	// bytes; inputs over the budget are
 	// sorted externally, spilling runs to SpillDir (0 = unbounded, never
 	// spill). Unlike MaxTuples, exceeding it never aborts the query — it
 	// degrades to disk.

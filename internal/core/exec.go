@@ -88,7 +88,8 @@ type evaluator struct {
 	// and alloc holds the previous reading.
 	allocs bool
 	alloc  uint64
-	// spill carries the memory budget for the structural sorts; nil when
+	// spill carries the memory budget of the group reorders (sort,
+	// distinct, order by, the merge-join side sorts); nil when
 	// Options.MemBudget is unset (everything stays in memory).
 	spill *engine.SpillConfig
 	// stages and rows are the scratch of the fused path chains: the stage
@@ -140,6 +141,18 @@ func (ev *evaluator) noteSpill(st engine.SpillStats) {
 	ev.stats.SpilledRuns += st.Runs
 	ev.stats.SpilledBytes += st.Bytes
 	ev.run.Nodes[ev.cur].Spilled += st.Runs
+}
+
+// sorted books a group reorder's spill activity (noteSpill) and wraps its
+// output relation as a table of the given local width.
+func (ev *evaluator) sorted(local int) func(*interval.Relation, engine.SpillStats, error) (*table, error) {
+	return func(rel *interval.Relation, st engine.SpillStats, err error) (*table, error) {
+		if err != nil {
+			return nil, err
+		}
+		ev.noteSpill(st)
+		return &table{rel: rel, local: local}, nil
+	}
 }
 
 func (ev *evaluator) rootEnv() *env {
@@ -489,22 +502,13 @@ func (ev *evaluator) applyOp(n *plan.Node, args []*table, en *env) (*table, erro
 	case plan.OpDrop:
 		return &table{rel: engine.Drop(args[0].rel, en.depth, opCount(n)), local: args[0].local}, nil
 	case plan.OpOrderBy:
-		rel := engine.OrdBy(args[0].rel, en.depth, n.Label)
-		return &table{rel: rel, local: args[0].local + 1}, nil
+		return ev.sorted(args[0].local + 1)(engine.OrdBy(args[0].rel, en.depth, n.Label, ev.opts.Parallelism, ev.spill))
 	case plan.OpReverse:
 		return &table{rel: engine.Reverse(args[0].rel, en.depth), local: args[0].local + 1}, nil
 	case plan.OpStructuralSort:
-		if ev.spill != nil {
-			rel, st, err := engine.SortTreesSpill(args[0].rel, en.depth, ev.opts.Parallelism, *ev.spill)
-			if err != nil {
-				return nil, err
-			}
-			ev.noteSpill(st)
-			return &table{rel: rel, local: args[0].local + 1}, nil
-		}
-		return &table{rel: engine.SortTreesP(args[0].rel, en.depth, ev.opts.Parallelism), local: args[0].local + 1}, nil
+		return ev.sorted(args[0].local + 1)(engine.SortTrees(args[0].rel, en.depth, ev.opts.Parallelism, ev.spill))
 	case plan.OpDistinct:
-		return &table{rel: engine.DistinctP(args[0].rel, en.depth, ev.opts.Parallelism), local: args[0].local}, nil
+		return ev.sorted(args[0].local)(engine.Distinct(args[0].rel, en.depth, ev.opts.Parallelism, ev.spill))
 	case plan.OpSubtreesDFS:
 		return &table{rel: engine.SubtreesDFS(args[0].rel, en.depth), local: args[0].local + 1}, nil
 	}

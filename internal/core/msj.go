@@ -7,7 +7,6 @@ import (
 
 	"dixq/internal/engine"
 	"dixq/internal/exec"
-	"dixq/internal/extsort"
 	"dixq/internal/interval"
 	"dixq/internal/obs"
 	"dixq/internal/plan"
@@ -178,57 +177,46 @@ var ParallelProbeThreshold = 2048
 // mergeJoinEnvs sorts both environment sequences by (ancestor prefix,
 // structural key order) and merges them, returning all matching pairs
 // ordered by (outer position, inner position) — document order of the
-// combined environments — plus phase accounting. With parallelism >= 2
-// the two sides sort concurrently (each with half the worker bound) and
-// the probe itself range-partitions the sorted outer across workers.
-// Under a memory budget the two environment sorts spill to disk; the
-// merged match set is identical either way.
+// combined environments — plus phase accounting. Each side's sort units
+// are its environment keys with their key forests, ordered through the
+// budgeted sort (engine.SortUnits), so under a memory budget the side
+// sorts spill to disk; the merged match set is identical either way. The
+// two sides sort as two tasks, concurrently with parallelism >= 2 (each
+// with half the worker bound), and the probe range-partitions the sorted
+// outer across workers.
 func mergeJoinEnvs(outerIndex engine.Index, outerGroups [][]interval.Tuple,
 	innerIndex engine.Index, innerGroups [][]interval.Tuple, d0 int, parallelism int,
 	spill *engine.SpillConfig) ([]envPair, joinPhaseInfo, error) {
 
-	info := joinPhaseInfo{workers: 1, partitions: 1}
-	var outerOrder, innerOrder []int
-	if parallelism >= 2 {
-		// Each side gets its own stats block and half the worker bound; the
-		// comparators and the external sorter touch no shared mutable state.
-		sideStats := [2]engine.SpillStats{}
-		sideErrs := [2]error{}
-		sidePar := max(1, parallelism/2)
-		info.workers = exec.Run(2, 2, func(task, worker int) {
-			if task == 0 {
-				outerOrder, sideErrs[0] = sortByKeySpill(outerIndex, outerGroups, d0, sidePar, spill, &sideStats[0])
-			} else {
-				innerOrder, sideErrs[1] = sortByKeySpill(innerIndex, innerGroups, d0, sidePar, spill, &sideStats[1])
-			}
-		})
-		info.spill.Runs = sideStats[0].Runs + sideStats[1].Runs
-		info.spill.Bytes = sideStats[0].Bytes + sideStats[1].Bytes
-		for _, err := range sideErrs {
-			if err != nil {
-				return nil, info, err
-			}
-		}
-	} else {
-		var err error
-		outerOrder, err = sortByKeySpill(outerIndex, outerGroups, d0, parallelism, spill, &info.spill)
-		if err != nil {
-			return nil, info, err
-		}
-		innerOrder, err = sortByKeySpill(innerIndex, innerGroups, d0, parallelism, spill, &info.spill)
-		if err != nil {
-			return nil, info, err
-		}
-	}
-
-	cmp := func(o, i int) int {
-		if c := outerIndex[o].ComparePrefix(innerIndex[i], d0); c != 0 {
+	// Matches share their depth-d0 ancestor environment, so the key prefix
+	// leads the comparator.
+	cmp := func(ka interval.Key, a []interval.Tuple, kb interval.Key, b []interval.Tuple) int {
+		if c := ka.ComparePrefix(kb, d0); c != 0 {
 			return c
 		}
-		return engine.CompareForests(outerGroups[o], innerGroups[i])
+		return engine.CompareForests(a, b)
+	}
+	// Each side gets its own result slots and stats block; the comparator
+	// and the external sorter touch no shared mutable state.
+	keys := [2]engine.Index{outerIndex, innerIndex}
+	groups := [2][][]interval.Tuple{outerGroups, innerGroups}
+	var orders [2][]int
+	var stats [2]engine.SpillStats
+	var errs [2]error
+	info := joinPhaseInfo{partitions: 1}
+	info.workers = exec.Run(2, parallelism, func(side, _ int) {
+		orders[side], errs[side] = engine.SortUnits(keys[side], groups[side], cmp, max(1, parallelism/2), spill, &stats[side])
+	})
+	info.spill = engine.SpillStats{Runs: stats[0].Runs + stats[1].Runs, Bytes: stats[0].Bytes + stats[1].Bytes}
+	for _, err := range errs {
+		if err != nil {
+			return nil, info, err
+		}
 	}
 
-	pairs, probeWorkers, partitions := probeMerge(outerOrder, innerOrder, parallelism, cmp)
+	pairs, probeWorkers, partitions := probeMerge(orders[0], orders[1], parallelism, func(o, i int) int {
+		return cmp(outerIndex[o], outerGroups[o], innerIndex[i], innerGroups[i])
+	})
 	info.workers = max(info.workers, probeWorkers)
 	info.partitions = partitions
 	slices.SortFunc(pairs, func(a, b envPair) int {
@@ -323,68 +311,4 @@ func probeRange(outerOrder, innerOrder []int, cmp func(o, i int) int) []envPair 
 		}
 	}
 	return pairs
-}
-
-// sortByKey returns the environment positions ordered by (d0-prefix of the
-// environment key, structural order of the key forest), ties broken by
-// position for determinism, through the shared interval.SortPerm kernel
-// (chunked parallel sort + pairwise merges when parallelism > 1; the
-// comparator is pure, so the result is identical to the serial sort).
-func sortByKey(index engine.Index, groups [][]interval.Tuple, d0 int, parallelism int) []int {
-	return interval.SortPerm(len(index), parallelism, func(a, b int) int {
-		if c := index[a].ComparePrefix(index[b], d0); c != 0 {
-			return c
-		}
-		return engine.CompareForests(groups[a], groups[b])
-	})
-}
-
-// sortByKeySpill is sortByKey under a memory budget: when the accounted
-// footprint of the sort input (environment keys plus key forests) exceeds
-// the budget, the ordering runs through the external merge sorter — each
-// record carries one environment's key and forest, the same comparator
-// applies to the re-decoded records, and the unique ordinal reproduces
-// SortPerm's ties-by-position — so the returned permutation is identical
-// to the in-memory sort at any budget. Spill activity accumulates into
-// stats.
-func sortByKeySpill(index engine.Index, groups [][]interval.Tuple, d0 int, parallelism int,
-	spill *engine.SpillConfig, stats *engine.SpillStats) ([]int, error) {
-
-	if spill == nil {
-		return sortByKey(index, groups, d0, parallelism), nil
-	}
-	foot := int64(0)
-	for i := range index {
-		foot += int64(len(index[i])) * 8
-		foot += interval.TuplesFootprint(groups[i])
-	}
-	if foot <= spill.MaxBytes {
-		return sortByKey(index, groups, d0, parallelism), nil
-	}
-	sorter := extsort.New(
-		extsort.Config{MaxBytes: spill.MaxBytes, Dir: spill.Dir, Parallelism: parallelism},
-		func(a, b *extsort.Record) int {
-			if c := a.Key.ComparePrefix(b.Key, d0); c != 0 {
-				return c
-			}
-			return engine.CompareForests(a.Tuples, b.Tuples)
-		},
-	)
-	defer sorter.Close()
-	for i := range index {
-		if err := sorter.Add(extsort.Record{Ord: int64(i), Key: index[i], Tuples: groups[i]}); err != nil {
-			return nil, err
-		}
-	}
-	stats.Runs += int64(sorter.Runs())
-	stats.Bytes += sorter.SpilledBytes()
-	order := make([]int, 0, len(index))
-	err := sorter.Merge(func(r *extsort.Record) error {
-		order = append(order, int(r.Ord))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return order, nil
 }

@@ -29,9 +29,11 @@
 // seeded by hand, one at a time, into the full matrix and into the pruned
 // one, and TestEnginesAgreeOnCorpus was run against each. Every bug the
 // full cross killed, the pruned matrix killed too. "cases" is how many
-// corpus cases failed (of 33 for the rows marked *, 39 for the two marked
+// corpus cases failed (of 33 for the rows marked *, 39 for the one marked
 // +, 40 for the pipeline rows, which were re-seeded into the row-filter
-// runner of package pipeline), "first" the configuration (or the
+// runner of package pipeline, and 41 for the two marked #, which were
+// re-seeded into the one budgeted sort, engine.SortUnits, that every group
+// reorder now runs through), "first" the configuration (or the
 // interpreter check of the baseline) that failed first in the first
 // failing case. The baseline runs the fused path chains, so a bug in a
 // serial stage fails the interpreter check before any variant runs.
@@ -47,16 +49,16 @@
 //	core: probeMerge partition bound < instead of <=    3 cases, default         3 cases, DI-MSJ-par3 *
 //	core: merge join emits inner matches reversed       3 cases, interpreter     3 cases, interpreter *
 //	extsort: merge skips the first spilled run          6 cases, batch3-par3-b1  6 cases, DI-MSJ-budget1 *
-//	engine: spilled sort numbers trees by input order   1 case, batch3-par3-b1   1 case, DI-OPT-budget1 *
+//	engine: spilled permutation returns insertion order 1 case, batch3-par3-b1   8 cases, DI-OPT-budget1 #
 //	engine: distinct keeps the last duplicate           1 case, interpreter      1 case, interpreter *
 //	engine: EmbedOuter drops each group's last tuple    13 cases, interpreter    13 cases, interpreter *
 //	index: resolved subtree range ends one row early    11 cases, nlj-scalar-idx 11 cases, DI-OPT-idx *
 //	opt: demoted merge join filters by < instead of =   4 cases, OPT-batch1      4 cases, DI-OPT-base *
 //	core: depth-0 seek served after a dropping where    survived                 1 case, DI-OPT-idx +
-//	core: spilled merge-join sort ignores the prefix    survived                 survived +
+//	engine: spilled merge-join sort ignores the prefix  survived                 1 case, DI-MSJ-budget1 #
 //
 // Four seeded bugs first survived both matrices alike, so they were gaps
-// of the corpus, not of the pruning, and three are closed by corpus cases.
+// of the corpus, not of the pruning, and corpus cases close all four.
 // A multi-range seek fused into the data() chain above it
 // (xmark-seek-fused-multirange) kills the seek source that keeps its
 // position between ranges. A seek under a depth-0 where clause that drops
@@ -66,8 +68,11 @@
 // morsels whose last row survives the chain: xmark-desc-multirange happens
 // to have one, xmark-par-chain-last-row is built to, and
 // TestParallelChainMatchesSerial in package pipeline kills it without the
-// corpus. One remains, 16 of 17 killed: a spilled merge-join sort that
-// ignores the ancestor prefix.
+// corpus. The last, a spilled merge-join side sort that ignores the
+// ancestor prefix, needs a merge join below a loop whose equal keys sit
+// under different ancestor environments: xmark-join-under-person joins
+// each person's children against their own text, and DI-MSJ-budget1
+// kills it. All 17 are killed.
 package difftest
 
 import (
@@ -168,6 +173,15 @@ func Corpus() []Case {
 		// the regions (thousands of rows, one top-level tree per subtree),
 		// the last of which is a single text leaf.
 		{"xmark-par-chain-last-row", `data(subtrees-dfs(document("auction.xml")/site/regions))`, true},
+		// A merge join at loop-invariance depth 1: both join sides live
+		// under one person, while keys that compare equal recur under
+		// different persons, so a side sort that drops the ancestor prefix
+		// hands the probe a misordered sequence. The two sides differ (every
+		// child against the leaf children's text), so they misorder
+		// differently.
+		{"xmark-join-under-person", `for $p in document("auction.xml")/site/people/person
+		 return for $a in $p/* return for $b in $p/*/text()
+		 where $a/text() = $b return <m>{$b}</m>`, true},
 	}
 }
 
@@ -204,9 +218,10 @@ func Baseline() core.Options {
 // Variants is the configuration matrix, restricted to the axes that can
 // disagree: per engine (DI-OPT, DI-MSJ, DI-NLJ) one serial base
 // configuration plus that base with exactly one factor changed — the
-// structural indexes attached, a 1-byte memory budget (every structural
-// sort spills), three workers (an odd count, so partition boundaries fall
-// inside equal-key runs) — and, for DI-OPT, real statistics, alone and
+// structural indexes attached, a 1-byte memory budget (every group
+// reorder spills: sort, distinct, order by and the merge-join side sorts),
+// three workers (an odd count, so partition boundaries fall inside
+// equal-key runs) — and, for DI-OPT, real statistics, alone and
 // with the indexes (the configuration the public API always runs). The
 // DI-MSJ base is the Baseline itself and is not repeated. Two adversarial
 // combinations close the matrix: three workers under the 1-byte budget,

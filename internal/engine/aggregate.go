@@ -1,8 +1,9 @@
 package engine
 
 import (
+	"slices"
+
 	"dixq/internal/interval"
-	"dixq/internal/xfn"
 	"dixq/internal/xnum"
 )
 
@@ -18,8 +19,8 @@ import (
 // aggregates reduce (the data-level twin of xfn's numericRoots).
 func numericRootsOf(g []interval.Tuple) []float64 {
 	var vals []float64
-	for _, r := range treeRanges(g) {
-		if v, ok := xnum.Parse(g[r[0]].S); ok {
+	for _, tree := range topTrees(g) {
+		if v, ok := xnum.Parse(tree[0].S); ok {
 			vals = append(vals, v)
 		}
 	}
@@ -93,11 +94,10 @@ func Take(rel *interval.Relation, depth int, n int64) *interval.Relation {
 		return out
 	}
 	forEachGroup(rel.Tuples, depth, func(g []interval.Tuple) {
-		ranges := treeRanges(g)
-		if int64(len(ranges)) > n {
-			ranges = ranges[:n]
+		trees := topTrees(g)
+		for _, tree := range trees[:min(n, int64(len(trees)))] {
+			out.Tuples = append(out.Tuples, tree...)
 		}
-		out.Tuples = append(out.Tuples, g[:ranges[len(ranges)-1][1]]...)
 	})
 	return out
 }
@@ -110,62 +110,51 @@ func Drop(rel *interval.Relation, depth int, n int64) *interval.Relation {
 	}
 	out := &interval.Relation{}
 	forEachGroup(rel.Tuples, depth, func(g []interval.Tuple) {
-		ranges := treeRanges(g)
-		if int64(len(ranges)) <= n {
-			return
+		trees := topTrees(g)
+		for _, tree := range trees[min(n, int64(len(trees))):] {
+			out.Tuples = append(out.Tuples, tree...)
 		}
-		out.Tuples = append(out.Tuples, g[ranges[n][0]:]...)
 	})
 	return out
 }
 
-// ordKeyOf extracts the order-by key parts of one encoded wrapper tree:
-// the text content of each child of the tree's first <#key> child, in
-// order — the data-level twin of xfn's ordKey.
-func ordKeyOf(tree []interval.Tuple) []string {
-	body := tree[1:] // children of the wrapper root
-	for _, kr := range treeRanges(body) {
-		child := body[kr[0]:kr[1]]
-		if child[0].S != "<#key>" {
-			continue
+// ordKeys extracts the order-by key parts of each encoded wrapper tree
+// once, as one text tuple per part — the sort units of OrdBy. A tree's
+// parts are the text content of each child of its first <#key> child, in
+// order: the data-level twin of xfn's ordKey.
+func ordKeys(trees [][]interval.Tuple) [][]interval.Tuple {
+	parts := make([]interval.Tuple, 0, len(trees)) // one part per tree is the common case
+	units := make([][]interval.Tuple, len(trees))
+	for i, tree := range trees {
+		start := len(parts)
+		for _, child := range topTrees(tree[1:]) { // children of the wrapper root
+			if child[0].S == "<#key>" {
+				for _, part := range topTrees(child[1:]) {
+					parts = append(parts, interval.Tuple{S: textOf(part)})
+				}
+				break
+			}
 		}
-		inner := child[1:]
-		ranges := treeRanges(inner)
-		parts := make([]string, len(ranges))
-		for i, pr := range ranges {
-			parts[i] = textOf(inner[pr[0]:pr[1]])
-		}
-		return parts
+		units[i] = parts[start:]
 	}
-	return nil
+	return units
 }
 
 // OrdBy stably reorders each environment's top-level trees by their
-// order-by key parts (see ordKeyOf) under the xnum value ordering,
-// ascending or descending. Descending negates the key comparison only, so
-// equal-key trees keep their original order — XQuery's stable ordering.
-// Trees are renumbered with a leading position digit like SortTrees.
-func OrdBy(rel *interval.Relation, depth int, dir string) *interval.Relation {
-	b := interval.NewBuilder(depth+1+localWidth(rel, depth), len(rel.Tuples))
-	forEachGroup(rel.Tuples, depth, func(g []interval.Tuple) {
-		ranges := treeRanges(g)
-		keys := make([][]string, len(ranges))
-		for i, r := range ranges {
-			keys[i] = ordKeyOf(g[r[0]:r[1]])
-		}
-		order := interval.SortPerm(len(ranges), 1, func(i, j int) int {
-			c := xfn.OrdKeyCompare(keys[i], keys[j])
+// order-by key parts (see ordKeys) under the xnum value ordering — part by
+// part, then shorter first — ascending or descending. Descending negates
+// the key comparison only, so equal-key trees keep their original order:
+// XQuery's stable ordering. Trees are renumbered with a leading position
+// digit like SortTrees.
+func OrdBy(rel *interval.Relation, depth int, dir string, parallelism int, spill *SpillConfig) (*interval.Relation, SpillStats, error) {
+	return renumber(rel, depth, parallelism, spill, ordKeys,
+		func(_ interval.Key, a []interval.Tuple, _ interval.Key, b []interval.Tuple) int {
+			c := slices.CompareFunc(a, b, func(x, y interval.Tuple) int { return xnum.Compare(x.S, y.S) })
 			if dir == "desc" {
-				c = -c
+				return -c
 			}
 			return c
 		})
-		prefix := g[0].L
-		for j, idx := range order {
-			emitTree(b, prefix, depth, int64(j), g[ranges[idx][0]:ranges[idx][1]])
-		}
-	})
-	return b.Relation()
 }
 
 // ValueLessPerEnv evaluates the existential value comparison a < b for
@@ -176,21 +165,21 @@ func OrdBy(rel *interval.Relation, depth int, dir string) *interval.Relation {
 func ValueLessPerEnv(index Index, depth int, a, b *interval.Relation) []bool {
 	out := make([]bool, 0, len(index))
 	forEachEnv2(index, depth, a.Tuples, b.Tuples, func(_ interval.Key, ga, gb []interval.Tuple) {
-		ra, rb := treeRanges(ga), treeRanges(gb)
-		if len(ra) == 0 || len(rb) == 0 {
+		ta, tb := topTrees(ga), topTrees(gb)
+		if len(ta) == 0 || len(tb) == 0 {
 			out = append(out, false)
 			return
 		}
-		min := ga[ra[0][0]].S
-		for _, r := range ra[1:] {
-			if xnum.Less(ga[r[0]].S, min) {
-				min = ga[r[0]].S
+		min := ta[0][0].S
+		for _, tree := range ta[1:] {
+			if xnum.Less(tree[0].S, min) {
+				min = tree[0].S
 			}
 		}
-		max := gb[rb[0][0]].S
-		for _, r := range rb[1:] {
-			if xnum.Less(max, gb[r[0]].S) {
-				max = gb[r[0]].S
+		max := tb[0][0].S
+		for _, tree := range tb[1:] {
+			if xnum.Less(max, tree[0].S) {
+				max = tree[0].S
 			}
 		}
 		out = append(out, xnum.Less(min, max))

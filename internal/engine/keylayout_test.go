@@ -141,9 +141,9 @@ func checkOpLayouts(t *testing.T, index Index, depth int, a, b *interval.Relatio
 	t.Helper()
 	grown := keyLens(a, 1)
 	checkLayout(t, "Reverse", Reverse(a, depth), grown)
-	sorted := SortTrees(a, depth)
+	sorted := unbudgeted(SortTrees(a, depth, 1, nil))
 	checkLayout(t, "SortTrees", sorted, grown)
-	sameRelation(t, "SortTreesP", SortTreesP(a, depth, 4), sorted)
+	sameRelation(t, "SortTrees/par4", unbudgeted(SortTrees(a, depth, 4, nil)), sorted)
 	checkWidths(t, "SubtreesDFS", SubtreesDFS(a, depth), a, 1)
 
 	// Construct adds one (depth+1)-digit root per environment and shifts

@@ -125,21 +125,19 @@ func Tail(rel *interval.Relation, depth int) *interval.Relation {
 	return out
 }
 
-// treeRanges returns the half-open tuple ranges of the top-level trees of
-// an environment group.
-func treeRanges(g []interval.Tuple) [][2]int {
-	var ranges [][2]int
-	var max interval.Key
-	haveMax := false
-	for i, t := range g {
-		if !haveMax || interval.Compare(t.L, max) > 0 {
-			max = t.R
-			haveMax = true
-			ranges = append(ranges, [2]int{i, i})
+// topTrees splits an environment group into its top-level trees: each
+// root with the tuples its interval contains.
+func topTrees(g []interval.Tuple) [][]interval.Tuple {
+	var trees [][]interval.Tuple
+	for i := 0; i < len(g); {
+		end := i + 1
+		for end < len(g) && interval.Compare(g[end].L, g[i].R) <= 0 {
+			end++
 		}
-		ranges[len(ranges)-1][1] = i + 1
+		trees = append(trees, g[i:end])
+		i = end
 	}
-	return ranges
+	return trees
 }
 
 // localWidth returns the largest physical key length beyond depth — the
@@ -167,83 +165,103 @@ func emitTree(b *interval.Builder, prefix interval.Key, depth int, pos int64, tr
 func Reverse(rel *interval.Relation, depth int) *interval.Relation {
 	b := interval.NewBuilder(depth+1+localWidth(rel, depth), len(rel.Tuples))
 	forEachGroup(rel.Tuples, depth, func(g []interval.Tuple) {
-		ranges := treeRanges(g)
-		prefix := g[0].L
-		for j := len(ranges) - 1; j >= 0; j-- {
-			emitTree(b, prefix, depth, int64(len(ranges)-1-j), g[ranges[j][0]:ranges[j][1]])
+		trees := topTrees(g)
+		for j := range trees {
+			emitTree(b, g[0].L, depth, int64(j), trees[len(trees)-1-j])
 		}
 	})
 	return b.Relation()
+}
+
+// The group reorders — SortTrees, Distinct and OrdBy — share one shape:
+// per environment group, build the sort units, take their stable
+// permutation from the budgeted sort (SortUnits, which spills to disk
+// under a memory budget and runs on up to parallelism workers) and emit by
+// it. Output is identical at any parallelism and any budget; the stats
+// report what was spilled. O(k log k) unit comparisons per environment.
+
+// sortGroups runs one budgeted sort per environment group of rel. The sort
+// units are the group's top-level trees, or the units keyOf derives from
+// them; emit receives the group's environment prefix, its trees and their
+// stable permutation.
+func sortGroups(rel *interval.Relation, depth, parallelism int, spill *SpillConfig,
+	keyOf func(trees [][]interval.Tuple) [][]interval.Tuple, cmp UnitCompare,
+	emit func(prefix interval.Key, trees [][]interval.Tuple, order []int)) (SpillStats, error) {
+
+	var stats SpillStats
+	var err error
+	forEachGroup(rel.Tuples, depth, func(g []interval.Tuple) {
+		if err != nil {
+			return
+		}
+		trees := topTrees(g)
+		units := trees
+		if keyOf != nil {
+			units = keyOf(trees)
+		}
+		var order []int
+		if order, err = SortUnits(nil, units, cmp, parallelism, spill, &stats); err == nil {
+			emit(g[0].L, trees, order)
+		}
+	})
+	return stats, err
+}
+
+// renumber is sortGroups emitting each group's trees in permutation order,
+// renumbered with a leading position digit (output local width = input
+// width + 1).
+func renumber(rel *interval.Relation, depth, parallelism int, spill *SpillConfig,
+	keyOf func(trees [][]interval.Tuple) [][]interval.Tuple, cmp UnitCompare) (*interval.Relation, SpillStats, error) {
+
+	b := interval.NewBuilder(depth+1+localWidth(rel, depth), len(rel.Tuples))
+	stats, err := sortGroups(rel, depth, parallelism, spill, keyOf, cmp,
+		func(prefix interval.Key, trees [][]interval.Tuple, order []int) {
+			for j, idx := range order {
+				emitTree(b, prefix, depth, int64(j), trees[idx])
+			}
+		})
+	if err != nil {
+		return nil, stats, err
+	}
+	return b.Relation(), stats, nil
+}
+
+// compareTrees orders the unkeyed units of the tree sorts by structural
+// (tree) order — DeepCompare.
+func compareTrees(_ interval.Key, a []interval.Tuple, _ interval.Key, b []interval.Tuple) int {
+	return CompareForests(a, b)
 }
 
 // SortTrees orders each environment's top-level trees by structural (tree)
 // order, stably, using CompareForests — the paper's sort operator. Trees
-// are renumbered with a leading position digit. O(k log k) comparisons per
-// environment, each linear in the trees compared.
-func SortTrees(rel *interval.Relation, depth int) *interval.Relation {
-	return SortTreesP(rel, depth, 1)
-}
-
-// SortTreesP is SortTrees with the structural sort running on up to
-// parallelism goroutines for large environments. Output is identical at
-// any setting.
-func SortTreesP(rel *interval.Relation, depth, parallelism int) *interval.Relation {
-	b := interval.NewBuilder(depth+1+localWidth(rel, depth), len(rel.Tuples))
-	forEachGroup(rel.Tuples, depth, func(g []interval.Tuple) {
-		ranges := treeRanges(g)
-		order := stableSortRanges(g, ranges, parallelism)
-		prefix := g[0].L
-		for j, idx := range order {
-			emitTree(b, prefix, depth, int64(j), g[ranges[idx][0]:ranges[idx][1]])
-		}
-	})
-	return b.Relation()
-}
-
-// stableSortRanges returns the tree indices in structural order, breaking
-// ties by original position (stability) — an index-permutation sort shared
-// with every other structural sort in the engine.
-func stableSortRanges(g []interval.Tuple, ranges [][2]int, parallelism int) []int {
-	return interval.SortPerm(len(ranges), parallelism, func(a, b int) int {
-		return CompareForests(g[ranges[a][0]:ranges[a][1]], g[ranges[b][0]:ranges[b][1]])
-	})
+// are renumbered with a leading position digit.
+func SortTrees(rel *interval.Relation, depth, parallelism int, spill *SpillConfig) (*interval.Relation, SpillStats, error) {
+	return renumber(rel, depth, parallelism, spill, nil, compareTrees)
 }
 
 // Distinct keeps the structurally distinct top-level trees of each
 // environment's forest, first occurrence preserved, original intervals
-// unchanged. Sort-based: O(k log k) tree comparisons per environment.
-func Distinct(rel *interval.Relation, depth int) *interval.Relation {
-	return DistinctP(rel, depth, 1)
-}
-
-// DistinctP is Distinct with a parallel structural sort (see SortTreesP).
-func DistinctP(rel *interval.Relation, depth, parallelism int) *interval.Relation {
+// unchanged.
+func Distinct(rel *interval.Relation, depth, parallelism int, spill *SpillConfig) (*interval.Relation, SpillStats, error) {
 	out := &interval.Relation{}
-	forEachGroup(rel.Tuples, depth, func(g []interval.Tuple) {
-		ranges := treeRanges(g)
-		order := stableSortRanges(g, ranges, parallelism)
-		keep := make([]bool, len(ranges))
-		for i := 0; i < len(order); {
-			j := i + 1
-			a := g[ranges[order[i]][0]:ranges[order[i]][1]]
-			for j < len(order) {
-				b := g[ranges[order[j]][0]:ranges[order[j]][1]]
-				if CompareForests(a, b) != 0 {
-					break
+	stats, err := sortGroups(rel, depth, parallelism, spill, nil, compareTrees,
+		func(_ interval.Key, trees [][]interval.Tuple, order []int) {
+			// The permutation is stable, so the first tree of each equal
+			// run is the earliest duplicate.
+			keep := make([]bool, len(trees))
+			for i, idx := range order {
+				keep[idx] = i == 0 || CompareForests(trees[order[i-1]], trees[idx]) != 0
+			}
+			for idx, tree := range trees {
+				if keep[idx] {
+					out.Tuples = append(out.Tuples, tree...)
 				}
-				j++
 			}
-			// order is stable, so order[i] is the earliest duplicate.
-			keep[order[i]] = true
-			i = j
-		}
-		for idx, k := range keep {
-			if k {
-				out.Tuples = append(out.Tuples, g[ranges[idx][0]:ranges[idx][1]]...)
-			}
-		}
-	})
-	return out
+		})
+	if err != nil {
+		return nil, stats, err
+	}
+	return out, stats, nil
 }
 
 // SubtreesDFS emits, for every node of every environment's forest, the

@@ -48,8 +48,8 @@ func TestOpsMatchSpec(t *testing.T) {
 	checkOp(t, "Head", func(r *interval.Relation) *interval.Relation { return Head(r, 0) }, xfn.Head)
 	checkOp(t, "Tail", func(r *interval.Relation) *interval.Relation { return Tail(r, 0) }, xfn.Tail)
 	checkOp(t, "Reverse", func(r *interval.Relation) *interval.Relation { return Reverse(r, 0) }, xfn.Reverse)
-	checkOp(t, "SortTrees", func(r *interval.Relation) *interval.Relation { return SortTrees(r, 0) }, xfn.Sort)
-	checkOp(t, "Distinct", func(r *interval.Relation) *interval.Relation { return Distinct(r, 0) }, xfn.Distinct)
+	checkOp(t, "SortTrees", func(r *interval.Relation) *interval.Relation { return unbudgeted(SortTrees(r, 0, 1, nil)) }, xfn.Sort)
+	checkOp(t, "Distinct", func(r *interval.Relation) *interval.Relation { return unbudgeted(Distinct(r, 0, 1, nil)) }, xfn.Distinct)
 	checkOp(t, "SubtreesDFS", func(r *interval.Relation) *interval.Relation { return SubtreesDFS(r, 0) }, xfn.SubtreesDFS)
 	checkOp(t, "Construct", func(r *interval.Relation) *interval.Relation {
 		return Construct(single, 0, "<w>", r)
@@ -88,8 +88,8 @@ func TestOutputsStaySorted(t *testing.T) {
 		"Head":        func(r *interval.Relation) *interval.Relation { return Head(r, 0) },
 		"Tail":        func(r *interval.Relation) *interval.Relation { return Tail(r, 0) },
 		"Reverse":     func(r *interval.Relation) *interval.Relation { return Reverse(r, 0) },
-		"SortTrees":   func(r *interval.Relation) *interval.Relation { return SortTrees(r, 0) },
-		"Distinct":    func(r *interval.Relation) *interval.Relation { return Distinct(r, 0) },
+		"SortTrees":   func(r *interval.Relation) *interval.Relation { return unbudgeted(SortTrees(r, 0, 1, nil)) },
+		"Distinct":    func(r *interval.Relation) *interval.Relation { return unbudgeted(Distinct(r, 0, 1, nil)) },
 		"SubtreesDFS": func(r *interval.Relation) *interval.Relation { return SubtreesDFS(r, 0) },
 		"Construct":   func(r *interval.Relation) *interval.Relation { return Construct(single, 0, "<w>", r) },
 	}
@@ -186,10 +186,10 @@ func TestPerEnvOpsRespectEnvironments(t *testing.T) {
 			return Reverse(r, d)
 		}, xfn.Reverse},
 		"SortTrees": {func(_ Index, d int, r *interval.Relation) *interval.Relation {
-			return SortTrees(r, d)
+			return unbudgeted(SortTrees(r, d, 1, nil))
 		}, xfn.Sort},
 		"Distinct": {func(_ Index, d int, r *interval.Relation) *interval.Relation {
-			return Distinct(r, d)
+			return unbudgeted(Distinct(r, d, 1, nil))
 		}, xfn.Distinct},
 		"SubtreesDFS": {func(_ Index, d int, r *interval.Relation) *interval.Relation {
 			return SubtreesDFS(r, d)

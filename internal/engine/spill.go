@@ -1,10 +1,13 @@
-// Spill-aware structural sort. SortTreesP holds every environment group
-// and its permutation in memory; under a runtime memory budget the sort of
-// a large group instead goes through the external merge sorter, whose runs
-// carry the trees in the streaming DIXQR1 encoding. The emitted relation
-// is digit-identical either way: both paths order trees by
-// (CompareForests, original position) and rebuild them through the same
-// Builder renumbering, and the disk round-trip preserves every digit.
+// One budgeted sort. Every group reorder of the engine — the structural
+// sort, distinct, order by and both sides of the merge join — builds its
+// sort units, asks SortUnits for their stable permutation and emits by it.
+// The permutation is computed in memory with interval.SortPerm; under a
+// runtime memory budget a sort whose units outgrow the budget goes through
+// the external merge sorter instead, whose runs carry the units in the
+// streaming DIXQR1 encoding. Both paths apply the same comparator — to the
+// caller's units in memory, to the re-decoded records on disk — and break
+// ties by unit position, so the permutation, and every relation emitted
+// from it, is identical at any budget.
 package engine
 
 import (
@@ -13,16 +16,16 @@ import (
 	"dixq/internal/obs"
 )
 
-// SpillConfig bounds the memory of the spill-capable sorts.
+// SpillConfig bounds the memory of the budgeted sorts.
 type SpillConfig struct {
-	// MaxBytes is the accounted in-memory ceiling per sort; groups whose
-	// footprint stays under it sort in memory as before.
+	// MaxBytes is the accounted in-memory ceiling per sort; sorts whose
+	// units' footprint stays under it run in memory. <= 0 means unbounded.
 	MaxBytes int64
 	// Dir is the spill directory; empty means the OS temp directory.
 	Dir string
 }
 
-// SpillStats reports what a spill-capable operator wrote to disk.
+// SpillStats reports what the budgeted sorts wrote to disk.
 type SpillStats struct {
 	// Runs is the number of external-sort runs written.
 	Runs int64
@@ -30,78 +33,63 @@ type SpillStats struct {
 	Bytes int64
 }
 
-func (s *SpillStats) add(sorter *extsort.Sorter) {
-	s.Runs += int64(sorter.Runs())
-	s.Bytes += sorter.SpilledBytes()
-}
+// UnitCompare orders two sort units, each an optional key (nil for the
+// unkeyed units of the tree sorts) and a tuple group.
+type UnitCompare func(ka interval.Key, a []interval.Tuple, kb interval.Key, b []interval.Tuple) int
 
-// SortTreesSpill is SortTreesP under a memory budget: environment groups
-// whose accounted footprint exceeds cfg.MaxBytes are sorted externally,
-// spilling runs to cfg.Dir. Output is identical to SortTreesP at any
-// budget; the stats report how much was spilled.
-func SortTreesSpill(rel *interval.Relation, depth, parallelism int, cfg SpillConfig) (*interval.Relation, SpillStats, error) {
-	var stats SpillStats
-	b := interval.NewBuilder(depth+1+localWidth(rel, depth), len(rel.Tuples))
-	var groupErr error
-	forEachGroup(rel.Tuples, depth, func(g []interval.Tuple) {
-		if groupErr != nil {
-			return
-		}
-		prefix := g[0].L
-		if fp := interval.TuplesFootprint(g); cfg.MaxBytes <= 0 || fp <= cfg.MaxBytes {
-			// The spilled path accounts its footprint inside extsort; the
-			// in-memory path charges the already-computed group footprint
-			// here so dixq_sort_bytes_total covers both.
-			obs.SortedBytes.Add(fp)
-			ranges := treeRanges(g)
-			order := stableSortRanges(g, ranges, parallelism)
-			for j, idx := range order {
-				emitTree(b, prefix, depth, int64(j), g[ranges[idx][0]:ranges[idx][1]])
-			}
-			return
-		}
-		sorter := extsort.New(
-			extsort.Config{MaxBytes: cfg.MaxBytes, Dir: cfg.Dir, Parallelism: parallelism},
-			func(a, b *extsort.Record) int { return CompareForests(a.Tuples, b.Tuples) },
-		)
-		defer sorter.Close()
-		var max interval.Key
-		haveMax := false
-		ord := int64(0)
-		var tree []interval.Tuple
-		flushTree := func() {
-			if groupErr != nil || tree == nil {
-				return
-			}
-			if err := sorter.Add(extsort.Record{Ord: ord, Tuples: tree}); err != nil {
-				groupErr = err
-				return
-			}
-			ord++
-		}
-		for _, t := range g {
-			if !haveMax || interval.Compare(t.L, max) > 0 {
-				flushTree()
-				max = t.R
-				haveMax = true
-				tree = nil
-			}
-			tree = append(tree, t)
-		}
-		flushTree()
-		if groupErr != nil {
-			return
-		}
-		stats.add(sorter)
-		pos := int64(0)
-		groupErr = sorter.Merge(func(r *extsort.Record) error {
-			emitTree(b, prefix, depth, pos, r.Tuples)
-			pos++
+// SortUnits returns the stable permutation of [0, len(units)) ordering the
+// sort units — keys[i] (keys may be nil) with the tuple group units[i] —
+// by cmp, ties broken by position. When a budget is set (spill non-nil
+// with MaxBytes > 0) and the units' accounted footprint exceeds it, the
+// sort runs through extsort, spilling runs to spill.Dir, and the disk
+// activity accumulates into stats; otherwise the permutation is computed in
+// memory on up to parallelism workers. A budgeted sort counts its
+// footprint into dixq_sort_bytes_total on either path.
+func SortUnits(keys []interval.Key, units [][]interval.Tuple, cmp UnitCompare, parallelism int,
+	spill *SpillConfig, stats *SpillStats) ([]int, error) {
+
+	key := func(i int) interval.Key {
+		if keys == nil {
 			return nil
-		})
-	})
-	if groupErr != nil {
-		return nil, stats, groupErr
+		}
+		return keys[i]
 	}
-	return b.Relation(), stats, nil
+	inMemory := func() []int {
+		return interval.SortPerm(len(units), parallelism, func(a, b int) int {
+			return cmp(key(a), units[a], key(b), units[b])
+		})
+	}
+	if spill == nil || spill.MaxBytes <= 0 {
+		return inMemory(), nil
+	}
+	foot := int64(0)
+	for i, u := range units {
+		foot += int64(len(key(i)))*8 + interval.TuplesFootprint(u)
+	}
+	if foot <= spill.MaxBytes {
+		// Spilled sorts account their footprint inside extsort.
+		obs.SortedBytes.Add(foot)
+		return inMemory(), nil
+	}
+	sorter := extsort.New(
+		extsort.Config{MaxBytes: spill.MaxBytes, Dir: spill.Dir, Parallelism: parallelism},
+		func(a, b *extsort.Record) int { return cmp(a.Key, a.Tuples, b.Key, b.Tuples) },
+	)
+	defer sorter.Close()
+	for i, u := range units {
+		if err := sorter.Add(extsort.Record{Ord: int64(i), Key: key(i), Tuples: u}); err != nil {
+			return nil, err
+		}
+	}
+	stats.Runs += int64(sorter.Runs())
+	stats.Bytes += sorter.SpilledBytes()
+	order := make([]int, 0, len(units))
+	err := sorter.Merge(func(r *extsort.Record) error {
+		order = append(order, int(r.Ord))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return order, nil
 }

@@ -6,8 +6,8 @@
 // comparator is caller-supplied and records carry a unique ordinal as the
 // final tie-break, so the merged order is exactly the order a stable
 // in-memory sort of the whole input would produce — which is what lets the
-// engine swap this in under its structural sorts without changing a digit
-// of output.
+// engine's one budgeted sort (engine.SortUnits) swap this in for an
+// over-budget sort without changing a digit of output.
 package extsort
 
 import (

@@ -62,23 +62,8 @@ func (r *Relation) MaxKeyLen() int {
 
 // Sort sorts the tuples by L key. Operators that construct output in
 // document order need not call it.
-func (r *Relation) Sort() { r.SortP(1) }
-
-// SortP sorts the tuples by L key, using up to parallelism goroutines on
-// large inputs (see SortPerm). The result is identical at any setting.
-func (r *Relation) SortP(parallelism int) {
-	if parallelism < 2 || len(r.Tuples) < ParallelSortThreshold {
-		slices.SortFunc(r.Tuples, func(a, b Tuple) int { return Compare(a.L, b.L) })
-		return
-	}
-	order := SortPerm(len(r.Tuples), parallelism, func(i, j int) int {
-		return Compare(r.Tuples[i].L, r.Tuples[j].L)
-	})
-	out := make([]Tuple, len(r.Tuples))
-	for i, p := range order {
-		out[i] = r.Tuples[p]
-	}
-	r.Tuples = out
+func (r *Relation) Sort() {
+	slices.SortFunc(r.Tuples, func(a, b Tuple) int { return Compare(a.L, b.L) })
 }
 
 // IsSorted reports whether the tuples are in L order.

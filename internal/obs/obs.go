@@ -29,10 +29,11 @@ var (
 	PlanCacheMisses = Default.NewCounter("dixq_plan_cache_misses_total",
 		"Compiled-plan cache misses (query parsed and compiled).")
 	// SortedBytes is the accounted footprint that passed through the
-	// budget-aware structural sorts (in-memory or spilled). Unbudgeted
-	// sorts do not account footprints and are not counted.
+	// budgeted sorts — every group reorder under a memory budget, in
+	// memory or spilled. Unbudgeted sorts do not account footprints and
+	// are not counted.
 	SortedBytes = Default.NewCounter("dixq_sort_bytes_total",
-		"Accounted bytes sorted by budget-aware structural sorts.")
+		"Accounted bytes sorted by budgeted sorts (every group reorder under a memory budget).")
 	// SpilledRuns / SpilledBytes count external-sort runs written to disk
 	// under a memory budget.
 	SpilledRuns = Default.NewCounter("dixq_spilled_runs_total",

@@ -6,6 +6,7 @@
 package xfn
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 
@@ -316,27 +317,11 @@ func textContent(n *xmltree.Node) string {
 	return string(b)
 }
 
-// OrdKeyCompare compares two order-by part lists part-wise under the
-// xnum value ordering, shorter lists first on ties.
-func OrdKeyCompare(a, b []string) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if c := xnum.Compare(a[i], b[i]); c != 0 {
-			return c
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
-}
-
 // OrdBy stably reorders the forest's top-level trees by their order-by
-// key parts (see ordKey), ascending or descending. Descending reverses
-// the key comparison only — equal-key trees keep their original order,
-// per XQuery's stable ordering.
+// key parts (see ordKey) under the xnum value ordering — part by part,
+// then shorter first — ascending or descending. Descending reverses the
+// key comparison only — equal-key trees keep their original order, per
+// XQuery's stable ordering.
 func OrdBy(dir string, f xmltree.Forest) xmltree.Forest {
 	keys := make([][]string, len(f))
 	for i, t := range f {
@@ -347,7 +332,7 @@ func OrdBy(dir string, f xmltree.Forest) xmltree.Forest {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(i, j int) bool {
-		c := OrdKeyCompare(keys[idx[i]], keys[idx[j]])
+		c := slices.CompareFunc(keys[idx[i]], keys[idx[j]], xnum.Compare)
 		if dir == "desc" {
 			return c > 0
 		}
