@@ -310,11 +310,13 @@ func BenchmarkUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkShred compares direct XML-to-relation shredding against parsing
-// a tree first (allocation is the difference; run with -benchmem).
+// BenchmarkShred compares direct XML-to-relation shredding, the path a
+// document takes into the catalog, against parsing a tree first and
+// encoding it (allocation is the difference; run with -benchmem).
 func BenchmarkShred(b *testing.B) {
 	src := xmark.Generate(xmark.Config{ScaleFactor: 0.01, Seed: 5}).String()
 	b.Run("direct", func(b *testing.B) {
+		b.ReportAllocs()
 		b.SetBytes(int64(len(src)))
 		for i := 0; i < b.N; i++ {
 			if _, err := interval.EncodeXML(src); err != nil {
@@ -323,6 +325,7 @@ func BenchmarkShred(b *testing.B) {
 		}
 	})
 	b.Run("via-tree", func(b *testing.B) {
+		b.ReportAllocs()
 		b.SetBytes(int64(len(src)))
 		for i := 0; i < b.N; i++ {
 			f, err := xmltree.Parse(src)
@@ -330,6 +333,34 @@ func BenchmarkShred(b *testing.B) {
 				b.Fatal(err)
 			}
 			interval.Encode(f)
+		}
+	})
+}
+
+// BenchmarkResultXML renders a query answer, XMark Q13 at sf 0.01, as XML
+// text: "writer" straight from the result relation, as /query does,
+// against "decode-string", which decodes the tree and serializes it.
+func BenchmarkResultXML(b *testing.B) {
+	cat := core.Catalog{"auction.xml": interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: 0.01, Seed: 5}))}
+	rel, err := core.Run(xmark.Q13, cat, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := interval.MustDecode(rel).String()
+	b.Run("writer", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if interval.XML(rel) != want {
+				b.Fatal("writer differs from decode+String")
+			}
+		}
+	})
+	b.Run("decode-string", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if interval.MustDecode(rel).String() != want {
+				b.Fatal("decode+String is not deterministic")
+			}
 		}
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"dixq/internal/obs"
 	"dixq/internal/stats"
 	"dixq/internal/update"
+	"dixq/internal/xmltree"
 )
 
 // ErrNoDocument reports a catalog operation addressing a document name
@@ -32,15 +33,15 @@ type View interface {
 	view() *Snapshot
 }
 
-// Snapshot is one immutable published version of a catalog: the document
-// set, each document's interval relation, and the structural-index and
-// statistics sets derived from them, all consistent with one another.
+// Snapshot is one immutable published version of a catalog: each
+// document's interval relation — the only form a catalog document takes —
+// and the structural-index and statistics sets derived from them, all
+// consistent with one another.
 // Snapshots are copy-on-write — writers never mutate one in place — so a
 // pinned snapshot answers queries identically no matter how many
 // versions have been published since, and reading never blocks writing.
 type Snapshot struct {
 	version uint64
-	docs    map[string]*Document
 	enc     core.Catalog
 	// idx and st hold the per-document structural indexes and statistics.
 	// A document freshly mutated by Update has no entry in either (plans
@@ -61,8 +62,8 @@ func (s *Snapshot) Version() uint64 { return s.version }
 
 // Documents lists the snapshot's document names, sorted.
 func (s *Snapshot) Documents() []string {
-	names := make([]string, 0, len(s.docs))
-	for name := range s.docs {
+	names := make([]string, 0, len(s.enc))
+	for name := range s.enc {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -71,23 +72,31 @@ func (s *Snapshot) Documents() []string {
 
 // Document returns the named document in this snapshot.
 func (s *Snapshot) Document(name string) (*Document, bool) {
-	d, ok := s.docs[name]
-	return d, ok
+	if rel, ok := s.enc[name]; ok {
+		return &Document{enc: rel}, true
+	}
+	return nil, false
 }
 
-// clone returns a copy-on-write successor of s: fresh maps, shared
-// documents and sets, version advanced by one. Writers mutate the clone
+// forests decodes every document for the oracle engines, which evaluate
+// over trees.
+func (s *Snapshot) forests() map[string]xmltree.Forest {
+	out := make(map[string]xmltree.Forest, len(s.enc))
+	for name, rel := range s.enc {
+		out[name] = interval.MustDecode(rel)
+	}
+	return out
+}
+
+// clone returns a copy-on-write successor of s: a fresh map, shared
+// relations and sets, version advanced by one. Writers mutate the clone
 // and publish it; the original is never touched.
 func (s *Snapshot) clone() *Snapshot {
-	docs := make(map[string]*Document, len(s.docs)+1)
-	for k, v := range s.docs {
-		docs[k] = v
-	}
 	enc := make(core.Catalog, len(s.enc)+1)
 	for k, v := range s.enc {
 		enc[k] = v
 	}
-	return &Snapshot{version: s.version + 1, docs: docs, enc: enc, idx: s.idx, st: s.st}
+	return &Snapshot{version: s.version + 1, enc: enc, idx: s.idx, st: s.st}
 }
 
 // withIndex returns a new index set for the clone: the old entries with
@@ -141,7 +150,7 @@ type Catalog struct {
 // NewCatalog returns an empty catalog at version 0.
 func NewCatalog() *Catalog {
 	c := &Catalog{}
-	c.snap.Store(&Snapshot{docs: map[string]*Document{}, enc: core.Catalog{}})
+	c.snap.Store(&Snapshot{enc: core.Catalog{}})
 	return c
 }
 
@@ -158,17 +167,17 @@ func (c *Catalog) Version() uint64 { return c.Snapshot().version }
 func (c *Catalog) publish(n *Snapshot) {
 	c.snap.Store(n)
 	obs.CatalogVersion.Set(int64(n.version))
-	obs.CatalogDocs.Set(int64(len(n.docs)))
+	obs.CatalogDocs.Set(int64(len(n.enc)))
 }
 
 // Add registers a document under a name, replacing a previous entry, and
-// returns the new catalog version. The document is indexed and
-// statistics-profiled as it is added (or arrives pre-indexed from a
-// .dixq store), so DI plans can serve path chains as index seeks, prune
-// provably empty paths at plan time, and feed the cost-based optimizer
-// real cardinalities.
+// returns the new catalog version. The catalog keeps the document's
+// relation only. It is indexed and statistics-profiled as it is added (or
+// arrives pre-indexed from a .dixq store), so DI plans can serve path
+// chains as index seeks, prune provably empty paths at plan time, and
+// feed the cost-based optimizer real cardinalities.
 func (c *Catalog) Add(name string, d *Document) uint64 {
-	rel := d.relation()
+	rel := d.enc
 	di := d.idx
 	if di == nil {
 		di = index.Build(rel)
@@ -180,7 +189,6 @@ func (c *Catalog) Add(name string, d *Document) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := c.Snapshot().clone()
-	n.docs[name] = d
 	n.enc[name] = rel
 	n.withIndex(name, di)
 	n.withStats(name, ds)
@@ -194,11 +202,10 @@ func (c *Catalog) Drop(name string) (uint64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cur := c.Snapshot()
-	if _, ok := cur.docs[name]; !ok {
+	if _, ok := cur.enc[name]; !ok {
 		return cur.version, false
 	}
 	n := cur.clone()
-	delete(n.docs, name)
 	delete(n.enc, name)
 	n.withIndex(name, nil)
 	n.withStats(name, nil)
@@ -275,7 +282,6 @@ func (c *Catalog) Update(name string, op UpdateOp, path []int, fragment *Documen
 		return cur.version, err
 	}
 	n := cur.clone()
-	n.docs[name] = &Document{enc: next}
 	n.enc[name] = next
 	n.withIndex(name, nil)
 	n.withStats(name, nil)

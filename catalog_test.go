@@ -2,6 +2,7 @@ package dixq
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -301,5 +302,49 @@ func TestSaveEncodedPreservesGrownKeys(t *testing.T) {
 	}
 	if !strings.Contains(grown.Encoding(), ".") {
 		t.Error("expected a multi-digit dynamic key in the grown encoding")
+	}
+}
+
+// liveHeap is the heap two forced collections leave, read the way the
+// repository benchmark reads retained_heap_mb.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestCatalogHeapPerXMLByte bounds what a catalog keeps per byte of XML
+// it was given: the relation, the structural index and the statistics,
+// and no tree. The document goes in the way PUT /docs puts it
+// (ParseDocument, then Add); then the document list is read the way GET
+// /docs reads it (Depth and Trees from the snapshot) and an interpreter
+// query decodes a tree, neither of which may leave anything behind.
+// Not parallel: it measures the process heap.
+func TestCatalogHeapPerXMLByte(t *testing.T) {
+	xml := GenerateXMark(0.02, 1).XML()
+	base := liveHeap()
+	cat := NewCatalog()
+	doc, err := ParseDocument(xml)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.Add("auction.xml", doc)
+	doc = nil
+	for _, name := range cat.Snapshot().Documents() {
+		d, _ := cat.Snapshot().Document(name)
+		if d.Depth() == 0 || d.Trees() != 1 {
+			t.Fatalf("%s: depth %d, %d trees", name, d.Depth(), d.Trees())
+		}
+	}
+	if _, err := Run(`count(document("auction.xml")/site/people/person)`, cat, &Options{Engine: Interpreter}); err != nil {
+		t.Fatal(err)
+	}
+	perByte := float64(liveHeap()-base) / float64(len(xml))
+	runtime.KeepAlive(cat)
+	t.Logf("catalog live heap: %.2f bytes per XML byte (%d XML bytes)", perByte, len(xml))
+	if perByte > 8.5 {
+		t.Errorf("catalog keeps %.2f bytes per XML byte, want <= 8.5", perByte)
 	}
 }

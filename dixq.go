@@ -26,7 +26,6 @@ import (
 	"math/big"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"dixq/internal/core"
@@ -45,81 +44,48 @@ import (
 	"dixq/internal/xq"
 )
 
-// Document is a parsed XML document or fragment: an ordered forest.
-// Either representation — the node tree or the interval relation — may
-// be materialized lazily from the other: documents parsed from XML
-// encode on first use, documents produced by catalog updates (which
-// operate on relations directly) decode only when something needs the
-// tree form.
+// Document is an XML document or fragment, held in the one form the
+// catalog and the DI engines use: its interval relation (Definition 3.1),
+// plus the structural index and statistics when it was loaded from a
+// .dixq store, so Catalog.Add reuses them instead of re-indexing and
+// re-collecting. The node tree is decoded on demand, per call, for the
+// few callers that need one.
 type Document struct {
-	forest xmltree.Forest
-	// enc, idx and st cache the interval encoding, structural index and
-	// statistics of a document loaded from a .dixq store, so Catalog.Add
-	// reuses them instead of re-shredding, re-indexing and re-collecting.
 	enc *interval.Relation
 	idx *index.DocIndex
 	st  *stats.DocStats
-
-	decodeOnce sync.Once
-	encodeOnce sync.Once
 }
 
-// tree returns the forest form, decoding the interval relation on first
-// use for documents that were produced as relations (catalog updates).
-func (d *Document) tree() xmltree.Forest {
-	d.decodeOnce.Do(func() {
-		if d.forest == nil && d.enc != nil {
-			f, err := interval.Decode(d.enc)
-			if err != nil {
-				// Relations reach a Document only from the encoder, the
-				// store's validated loader, or the update operators — all
-				// of which preserve encoding validity.
-				panic("dixq: corrupt document encoding: " + err.Error())
-			}
-			d.forest = f
-		}
-	})
-	return d.forest
-}
+// tree decodes the document's forest. Relations reach a Document only
+// from the encoder, the store's validated loader, the update operators
+// or the DI engines, all of which produce valid encodings.
+func (d *Document) tree() xmltree.Forest { return interval.MustDecode(d.enc) }
 
-// relation returns the interval-relation form, encoding the forest on
-// first use.
-func (d *Document) relation() *interval.Relation {
-	d.encodeOnce.Do(func() {
-		if d.enc == nil {
-			d.enc = interval.Encode(d.forest)
-		}
-	})
-	return d.enc
-}
-
-// ParseDocument parses XML text into a Document.
+// ParseDocument parses XML text into a Document, shredding it straight
+// into its interval relation without building a tree.
 func ParseDocument(xmlText string) (*Document, error) {
-	f, err := xmltree.Parse(xmlText)
+	rel, err := interval.EncodeXML(xmlText)
 	if err != nil {
 		return nil, err
 	}
-	return &Document{forest: f}, nil
+	return &Document{enc: rel}, nil
 }
 
 // LoadDocumentFile reads a document from disk, dispatching on the file
 // extension: ".dixq" files hold a stored interval encoding (see
 // (*Document).SaveEncoded) and skip XML parsing entirely — the paper's
 // "XML data already stored in a relational system" workflow — while
-// anything else is parsed as XML text. Statistics persisted in the store
-// (the DIXQS3 section) ride along, so the cost-based optimizer gets real
-// cardinalities without a collection pass.
+// anything else is shredded from XML text. The store's index and
+// statistics ride along, so the cost-based optimizer gets real
+// cardinalities without a collection pass, and the relation is never
+// decoded into a tree.
 func LoadDocumentFile(path string) (*Document, error) {
 	if strings.HasSuffix(path, ".dixq") {
 		rel, ix, st, err := store.LoadFull(path)
 		if err != nil {
 			return nil, err
 		}
-		f, err := interval.Decode(rel)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &Document{forest: f, enc: rel, idx: ix, st: st}, nil
+		return &Document{enc: rel, idx: ix, st: st}, nil
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -129,10 +95,8 @@ func LoadDocumentFile(path string) (*Document, error) {
 }
 
 // SaveEncoded writes the document's interval encoding, structural index
-// and statistics to a ".dixq" file (the DIXQS3 format): shred, index and
-// collect once, query many times without reparsing. Older files (DIXQS1
-// without the index, DIXQS2 without statistics) still load — saving again
-// upgrades them.
+// and statistics to a ".dixq" file: shred, index and collect once, query
+// many times without reparsing.
 //
 // Documents that accumulated key growth through updates are saved with
 // their grown digit-vector keys as-is — except when repeated
@@ -141,8 +105,7 @@ func LoadDocumentFile(path string) (*Document, error) {
 // the dense DFS counter (update.Rebuild) before saving, so every
 // updatable document round-trips through the store.
 func (d *Document) SaveEncoded(path string) error {
-	rel := d.relation()
-	ix, st := d.idx, d.st
+	rel, ix, st := d.enc, d.idx, d.st
 	if update.NeedsRebuild(rel) {
 		rebuilt, err := update.Rebuild(rel)
 		if err != nil {
@@ -164,7 +127,7 @@ func (d *Document) SaveEncoded(path string) error {
 // scale factor (1.0 ≈ the original benchmark's full size), deterministically
 // for a seed.
 func GenerateXMark(scaleFactor float64, seed int64) *Document {
-	return &Document{forest: xmark.Generate(xmark.Config{ScaleFactor: scaleFactor, Seed: seed})}
+	return &Document{enc: interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: scaleFactor, Seed: seed}))}
 }
 
 // XMark query texts from the paper's evaluation (Section 6), in the
@@ -177,26 +140,28 @@ const (
 	XMarkFigure1 = xmark.Figure1
 )
 
-// XML renders the document as XML text.
-func (d *Document) XML() string { return d.tree().String() }
+// XML renders the document as XML text, written straight from the
+// relation.
+func (d *Document) XML() string { return interval.XML(d.enc) }
 
 // IndentedXML renders the document as indented XML text.
 func (d *Document) IndentedXML() string { return d.tree().Indent() }
 
 // Nodes returns the number of nodes in the document.
-func (d *Document) Nodes() int {
-	if d.enc != nil {
-		return d.enc.Len()
-	}
-	return d.tree().Size()
-}
+func (d *Document) Nodes() int { return d.enc.Len() }
 
 // Trees returns the number of top-level trees in the forest (one for a
 // well-formed document; query results are often longer sequences).
-func (d *Document) Trees() int { return len(d.tree()) }
+func (d *Document) Trees() int {
+	trees, _ := d.enc.Shape()
+	return trees
+}
 
 // Depth returns the document's tree depth.
-func (d *Document) Depth() int { return d.tree().Depth() }
+func (d *Document) Depth() int {
+	_, depth := d.enc.Shape()
+	return depth
+}
 
 // Equal reports structural equality with another document.
 func (d *Document) Equal(o *Document) bool { return d.tree().Equal(o.tree()) }
@@ -204,7 +169,7 @@ func (d *Document) Equal(o *Document) bool { return d.tree().Equal(o.tree()) }
 // Encoding renders the document's interval encoding (the relation of
 // Definition 3.1), one "(label, l, r)" tuple per line — the representation
 // shown in Figure 4 of the paper.
-func (d *Document) Encoding() string { return d.relation().String() }
+func (d *Document) Encoding() string { return d.enc.String() }
 
 // Engine selects how a query is evaluated.
 type Engine int
@@ -347,7 +312,8 @@ var ErrBudgetExceeded = engine.ErrBudgetExceeded
 // construction, plus join-strategy counters.
 type Stats = core.Stats
 
-// Result is a query answer.
+// Result is a query answer, held as its interval relation whichever
+// engine produced it.
 type Result struct {
 	doc *Document
 	// Stats holds the phase breakdown for DI engine runs (nil otherwise).
@@ -370,10 +336,10 @@ func (r *Result) Operators() []OperatorStat {
 	return plan.Operators(r.plan, r.Stats.Run)
 }
 
-// Document returns the result forest.
+// Document returns the result as a document.
 func (r *Result) Document() *Document { return r.doc }
 
-// XML renders the result as XML text.
+// XML renders the result as XML text, written straight from the relation.
 func (r *Result) XML() string { return r.doc.XML() }
 
 // Query is a compiled query.
@@ -451,8 +417,8 @@ func (q *Query) Documents() []string { return xq.Documents(q.expr) }
 // attributes".
 func (q *Query) WidthBound(cat View) (bound string, digits int, err error) {
 	widths := map[string]*big.Int{}
-	for name, d := range cat.view().docs {
-		widths[name] = big.NewInt(int64(2 * d.Nodes()))
+	for name, rel := range cat.view().enc {
+		widths[name] = big.NewInt(int64(2 * rel.Len()))
 	}
 	w, err := core.AnalyzeWidth(q.expr, widths)
 	if err != nil {
@@ -475,8 +441,8 @@ func (q *Query) SQL(cat View) (string, error) {
 
 func (q *Query) sqlStatement(cat View) (*sqlgen.Statement, error) {
 	widths := map[string]int64{}
-	for name, d := range cat.view().docs {
-		widths[name] = int64(2 * d.Nodes())
+	for name, rel := range cat.view().enc {
+		widths[name] = int64(2 * rel.Len())
 	}
 	return sqlgen.Generate(sqlgen.Plan(q.expr), widths)
 }
@@ -498,6 +464,7 @@ func (q *Query) run(cat View, opts *Options, analyze bool) (*Result, error) {
 	}
 	start := time.Now()
 	res := &Result{}
+	var rel *interval.Relation
 	var f xmltree.Forest
 	var err error
 	switch {
@@ -508,26 +475,23 @@ func (q *Query) run(cat View, opts *Options, analyze bool) (*Result, error) {
 			copts.Analyze = &plan.RunStats{}
 		}
 		res.plan = q.q.Plan(copts)
-		f, err = q.q.EvalForest(snap.enc, copts)
+		rel, err = q.q.Eval(snap.enc, copts)
 	case opts.Engine == Interpreter:
-		docs := interp.Catalog{}
-		for name, d := range snap.docs {
-			docs[name] = d.tree()
-		}
-		f, err = interp.Eval(q.expr, nil, docs)
+		f, err = interp.Eval(q.expr, nil, snap.forests())
 	case opts.Engine == GenericSQL:
-		docs := map[string]xmltree.Forest{}
-		for name, d := range snap.docs {
-			docs[name] = d.tree()
-		}
-		f, err = sqlgen.Run(q.expr, docs)
+		f, err = sqlgen.Run(q.expr, snap.forests())
 	default:
 		err = fmt.Errorf("dixq: unknown engine %d", int(opts.Engine))
 	}
 	if err != nil {
 		return nil, err
 	}
-	res.doc, res.Elapsed = &Document{forest: f}, time.Since(start)
+	if !di {
+		// The oracle legs answer in trees; the result is a relation all the
+		// same.
+		rel = interval.Encode(f)
+	}
+	res.doc, res.Elapsed = &Document{enc: rel}, time.Since(start)
 	return res, nil
 }
 

@@ -77,7 +77,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nnames in document order:", out.String())
+	fmt.Println("\nnames in document order:", interval.XML(out))
 
 	// Rebuild compacts the keys back to the dense DFS counter.
 	rel, err = update.Rebuild(rel)

@@ -100,6 +100,7 @@ func (w *Workload) Run(sys System, cfg Config) Outcome {
 	out := Outcome{System: sys}
 	start := time.Now()
 	var forest xmltree.Forest
+	var rel *interval.Relation
 	var err error
 	switch sys {
 	case SysInterp:
@@ -114,7 +115,7 @@ func (w *Workload) Run(sys System, cfg Config) Outcome {
 			mode = core.ModeMSJ
 		}
 		stats := &core.Stats{}
-		forest, err = w.compiled.EvalForest(w.enc, core.Options{
+		rel, err = w.compiled.Eval(w.enc, core.Options{
 			ForceJoinMode: mode,
 			Stats:         stats,
 			Timeout:       cfg.Timeout,
@@ -137,6 +138,9 @@ func (w *Workload) Run(sys System, cfg Config) Outcome {
 		return out
 	}
 	out.Trees = len(forest)
+	if rel != nil {
+		out.Trees, _ = rel.Shape()
+	}
 	return out
 }
 

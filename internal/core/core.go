@@ -20,7 +20,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -291,29 +290,11 @@ func (q *Query) ExplainAnalyze(cat Catalog, opts Options) (string, *plan.RunStat
 	return q.Plan(opts).TreeWithStats(rs), rs, nil
 }
 
-// EvalForest runs the query and decodes the result into a forest; the
-// decode counts as construction time.
-func (q *Query) EvalForest(cat Catalog, opts Options) (xmltree.Forest, error) {
-	rel, err := q.Eval(cat, opts)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	f, err := interval.Decode(rel)
-	if opts.Stats != nil {
-		opts.Stats.Construction += time.Since(start)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: result is not a valid encoding: %w", err)
-	}
-	return f, nil
-}
-
 // Run parses, compiles and evaluates a query in one step.
-func Run(query string, cat Catalog, opts Options) (xmltree.Forest, error) {
+func Run(query string, cat Catalog, opts Options) (*interval.Relation, error) {
 	e, err := xq.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return Compile(e, opts).EvalForest(cat, opts)
+	return Compile(e, opts).Eval(cat, opts)
 }

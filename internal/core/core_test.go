@@ -266,7 +266,7 @@ func TestStatsPhases(t *testing.T) {
 	e := xq.MustParse(xmark.Q8)
 	q := Compile(e, Options{})
 	stats := &Stats{}
-	if _, err := q.EvalForest(cat, Options{ForceJoinMode: ModeMSJ, Stats: stats}); err != nil {
+	if _, err := q.Eval(cat, Options{ForceJoinMode: ModeMSJ, Stats: stats}); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Paths <= 0 || stats.Join <= 0 || stats.Construction <= 0 {
@@ -289,7 +289,7 @@ func TestRunConvenience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.String(); got != "Jaak TempestiCong Rosca" {
+	if got := interval.XML(f); got != "Jaak TempestiCong Rosca" {
 		t.Errorf("Run = %q", got)
 	}
 	if _, err := Run(`$$$`, cat, Options{}); err == nil {
@@ -540,8 +540,8 @@ func TestQueryingUpdatedRelations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		if !got.Equal(want) {
-			t.Fatalf("%s: got %s, want %s", mode, got.String(), want.String())
+		if got := interval.XML(got); got != want.String() {
+			t.Fatalf("%s: got %s, want %s", mode, got, want.String())
 		}
 	}
 }

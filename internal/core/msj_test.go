@@ -180,8 +180,8 @@ func TestMergeJoinManyToMany(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := `<m>1x</m><m>1z</m><m>2x</m><m>2z</m><m>3y</m>`
-	if f.String() != want {
-		t.Errorf("got %s, want %s", f.String(), want)
+	if got := interval.XML(f); got != want {
+		t.Errorf("got %s, want %s", got, want)
 	}
 }
 
@@ -203,8 +203,8 @@ func TestEmptyKeysJoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(want) {
-			t.Errorf("%s: got %s, want %s", mode, got.String(), want.String())
+		if !interval.MustDecode(got).Equal(want) {
+			t.Errorf("%s: got %s, want %s", mode, interval.XML(got), want.String())
 		}
 	}
 }
@@ -247,8 +247,8 @@ func TestPositionalVariableAcrossEngines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v\n%s", mode, err, query)
 			}
-			if !got.Equal(want) {
-				t.Fatalf("%s mismatch on:\n%s\n got %s\nwant %s", mode, query, got.String(), want.String())
+			if !interval.MustDecode(got).Equal(want) {
+				t.Fatalf("%s mismatch on:\n%s\n got %s\nwant %s", mode, query, interval.XML(got), want.String())
 			}
 		}
 	}

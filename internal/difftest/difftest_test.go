@@ -32,7 +32,10 @@ func TestMain(m *testing.M) {
 // TestEnginesAgreeOnCorpus is the differential matrix: every corpus case
 // through the interpreter (the semantic oracle), the baseline DI
 // evaluation, and the variant matrix. The interpreter comparison is
-// forest equality; the DI comparisons are digit-identical relations.
+// forest equality; the DI comparisons are digit-identical relations. Every
+// result is also compared by the bytes interval.WriteXML writes — the
+// bytes a query answer is served as — against the interpreter forest's
+// serialization.
 func TestEnginesAgreeOnCorpus(t *testing.T) {
 	t.Parallel()
 	cat, icat := Docs(t, 0.002, 17)
@@ -54,6 +57,7 @@ func TestEnginesAgreeOnCorpus(t *testing.T) {
 						len(got), len(oracle))
 				}
 			}
+			wantXML := oracle.String()
 			for _, v := range variants {
 				got, gerr := RunCase(t, c, cat, v.Opts)
 				if (werr != nil) != (gerr != nil) {
@@ -63,6 +67,10 @@ func TestEnginesAgreeOnCorpus(t *testing.T) {
 					continue
 				}
 				IdenticalRelations(t, v.Name, got, want)
+				if gotXML := interval.XML(got); gotXML != wantXML {
+					t.Fatalf("%s: written result differs from the interpreter's serialization:\n got %.200q\nwant %.200q",
+						v.Name, gotXML, wantXML)
+				}
 			}
 		})
 	}

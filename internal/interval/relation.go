@@ -136,31 +136,17 @@ func Decode(r *Relation) (xmltree.Forest, error) {
 	if err := Validate(r); err != nil {
 		return nil, err
 	}
-	tuples := r.Tuples
-	if !r.IsSorted() {
-		sorted := r.Clone()
-		sorted.Sort()
-		tuples = sorted.Tuples
-	}
-	type frame struct {
-		node *xmltree.Node
-		r    Key
-	}
 	var root xmltree.Forest
-	var stack []frame
-	for _, t := range tuples {
-		for len(stack) > 0 && Compare(stack[len(stack)-1].r, t.L) < 0 {
-			stack = stack[:len(stack)-1]
-		}
-		n := &xmltree.Node{Label: t.S}
-		if len(stack) == 0 {
+	var stack []*xmltree.Node // the new node's ancestors
+	r.Preorder()(func(depth int, label string) {
+		n := &xmltree.Node{Label: label}
+		if stack = stack[:depth]; depth == 0 {
 			root = append(root, n)
 		} else {
-			p := stack[len(stack)-1].node
-			p.Children = append(p.Children, n)
+			stack[depth-1].Children = append(stack[depth-1].Children, n)
 		}
-		stack = append(stack, frame{n, t.R})
-	}
+		stack = append(stack, n)
+	})
 	return root, nil
 }
 
@@ -178,15 +164,9 @@ func MustDecode(r *Relation) xmltree.Forest {
 // endpoints, no partial overlap). A relation passing Validate encodes
 // exactly one forest.
 func Validate(r *Relation) error {
-	tuples := r.Tuples
-	if !r.IsSorted() {
-		sorted := r.Clone()
-		sorted.Sort()
-		tuples = sorted.Tuples
-	}
 	var stack []Tuple
 	var prevL Key
-	for i, t := range tuples {
+	for i, t := range sortedTuples(r) {
 		if Compare(t.L, t.R) >= 0 {
 			return fmt.Errorf("interval: tuple %s has l >= r", t)
 		}
@@ -213,4 +193,43 @@ func Validate(r *Relation) error {
 		stack = append(stack, t)
 	}
 	return nil
+}
+
+// sortedTuples returns the tuples in L order: r's own slice when it is
+// sorted (every relation the encoder, the store and the operators produce
+// is), else a sorted copy.
+func sortedTuples(r *Relation) []Tuple {
+	if r.IsSorted() {
+		return r.Tuples
+	}
+	sorted := r.Clone()
+	sorted.Sort()
+	return sorted.Tuples
+}
+
+// Preorder returns the preorder walk of the forest the relation encodes,
+// read off the interval nesting with a stack of open right endpoints.
+func (r *Relation) Preorder() xmltree.Walk {
+	return func(visit func(int, string)) {
+		var open []Key
+		for _, t := range sortedTuples(r) {
+			for len(open) > 0 && Compare(open[len(open)-1], t.L) < 0 {
+				open = open[:len(open)-1]
+			}
+			visit(len(open), t.S)
+			open = append(open, t.R)
+		}
+	}
+}
+
+// Shape returns the number of top-level trees the relation encodes and
+// the height of the tallest: 1 for a leaf, 0 for the empty relation.
+func (r *Relation) Shape() (trees, depth int) {
+	r.Preorder()(func(d int, _ string) {
+		if d == 0 {
+			trees++
+		}
+		depth = max(depth, d+1)
+	})
+	return trees, depth
 }

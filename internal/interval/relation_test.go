@@ -267,6 +267,9 @@ func TestEncodeXMLMatchesParseEncode(t *testing.T) {
 		if len(direct.Tuples) != len(via.Tuples) {
 			t.Fatalf("tuple counts differ: %d vs %d", len(direct.Tuples), len(via.Tuples))
 		}
+		if n := tupleBound(src); n < len(direct.Tuples) {
+			t.Fatalf("tupleBound %d < %d tuples of %q", n, len(direct.Tuples), src)
+		}
 		for i := range via.Tuples {
 			a, b := direct.Tuples[i], via.Tuples[i]
 			if a.S != b.S || !a.L.Equal(b.L) || !a.R.Equal(b.R) {
@@ -277,6 +280,7 @@ func TestEncodeXMLMatchesParseEncode(t *testing.T) {
 	check(figure1)
 	check(`<a x="1" y=""><b/>text<![CDATA[raw]]></a>`)
 	check(`plain text only`)
+	check("<?xml version=\"1.0\"?>\n<!-- c > d -->\n<a>\n  <b k='v'>x &amp; y</b>\n  <![CDATA[<raw>]]>tail<!--x-->more\n</a>\n")
 
 	cfg := &quick.Config{MaxCount: 200}
 	f := func(seed int64) bool {
@@ -292,7 +296,7 @@ func TestEncodeXMLMatchesParseEncode(t *testing.T) {
 			return false
 		}
 		via := Encode(parsed)
-		if len(direct.Tuples) != len(via.Tuples) {
+		if len(direct.Tuples) != len(via.Tuples) || tupleBound(src) < len(direct.Tuples) {
 			return false
 		}
 		for i := range via.Tuples {

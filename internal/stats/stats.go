@@ -62,58 +62,72 @@ type DocStats struct {
 }
 
 // Collect computes the statistics of a relation in one stack pass over
-// the L-sorted tuples.
+// the L-sorted tuples. Paths are interned as they are met: each distinct
+// path is an id keyed by its parent's id and its last segment, and its
+// string is rendered once, at the end, however many rows it has.
 func Collect(rel *interval.Relation) *DocStats {
 	s := &DocStats{
 		Tuples: int64(len(rel.Tuples)),
 		Labels: map[string]int64{},
-		Paths:  map[string]PathStats{},
 	}
+	type step struct {
+		parent  int32
+		segment string
+	}
+	type path struct {
+		step
+		PathStats
+		distinct map[string]struct{} // text values, for a text path
+	}
+	ids := map[step]int32{}
+	var paths []path
 	type frame struct {
 		row  int
-		path string
+		path int32
 	}
-	// distinct accumulates the text values per text path; sizes are
-	// folded into Paths at the end.
-	distinct := map[string]map[string]struct{}{}
 	var stack []frame
-	pop := func(f frame, end int) {
-		ps := s.Paths[f.path]
-		ps.Count++
-		ps.SubtreeRows += int64(end - f.row)
-		s.Paths[f.path] = ps
+	pop := func(end int) {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		paths[f.path].Count++
+		paths[f.path].SubtreeRows += int64(end - f.row)
 	}
 	for i, t := range rel.Tuples {
 		for len(stack) > 0 && interval.Compare(rel.Tuples[stack[len(stack)-1].row].R, t.L) < 0 {
-			pop(stack[len(stack)-1], i)
-			stack = stack[:len(stack)-1]
+			pop(i)
 		}
-		prefix := ""
+		key := step{parent: -1, segment: t.S}
 		if len(stack) > 0 {
-			prefix = stack[len(stack)-1].path
+			key.parent = stack[len(stack)-1].path
 		}
-		var path string
-		if xmltree.LabelKind(t.S) == xmltree.Text {
-			path = prefix + "/" + textSegment
-			set := distinct[path]
-			if set == nil {
-				set = map[string]struct{}{}
-				distinct[path] = set
-			}
-			set[t.S] = struct{}{}
+		text := xmltree.LabelKind(t.S) == xmltree.Text
+		if text {
+			key.segment = textSegment
 		} else {
-			path = prefix + "/" + t.S
 			s.Labels[t.S]++
 		}
-		stack = append(stack, frame{i, path})
+		id, ok := ids[key]
+		if !ok {
+			id = int32(len(paths))
+			ids[key] = id
+			paths = append(paths, path{step: key, distinct: map[string]struct{}{}})
+		}
+		if text {
+			paths[id].distinct[t.S] = struct{}{}
+		}
+		stack = append(stack, frame{i, id})
 	}
-	for _, f := range stack {
-		pop(f, len(rel.Tuples))
+	for len(stack) > 0 {
+		pop(len(rel.Tuples))
 	}
-	for path, set := range distinct {
-		ps := s.Paths[path]
-		ps.DistinctText = int64(len(set))
-		s.Paths[path] = ps
+	// A parent path is interned before its children, so one forward pass
+	// renders every string from its parent's; names[0] is the root's "".
+	names := make([]string, len(paths)+1)
+	s.Paths = make(map[string]PathStats, len(paths))
+	for id, p := range paths {
+		names[id+1] = names[p.parent+1] + "/" + p.segment
+		p.DistinctText = int64(len(p.distinct))
+		s.Paths[names[id+1]] = p.PathStats
 	}
 	return s
 }

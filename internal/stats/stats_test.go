@@ -3,6 +3,7 @@ package stats
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -10,6 +11,8 @@ import (
 
 	"dixq/internal/index"
 	"dixq/internal/interval"
+	"dixq/internal/update"
+	"dixq/internal/xmark"
 	"dixq/internal/xmltree"
 )
 
@@ -207,5 +210,113 @@ func TestPathNamesSorted(t *testing.T) {
 	names := s.PathNames()
 	if !sort.StringsAreSorted(names) {
 		t.Fatalf("PathNames not sorted: %q", names)
+	}
+}
+
+// collectByString is the original Collect, which renders every tuple's
+// path as a string: the oracle the interned implementation must match.
+func collectByString(rel *interval.Relation) *DocStats {
+	s := &DocStats{
+		Tuples: int64(len(rel.Tuples)),
+		Labels: map[string]int64{},
+		Paths:  map[string]PathStats{},
+	}
+	type frame struct {
+		row  int
+		path string
+	}
+	distinct := map[string]map[string]struct{}{}
+	var stack []frame
+	pop := func(f frame, end int) {
+		ps := s.Paths[f.path]
+		ps.Count++
+		ps.SubtreeRows += int64(end - f.row)
+		s.Paths[f.path] = ps
+	}
+	for i, t := range rel.Tuples {
+		for len(stack) > 0 && interval.Compare(rel.Tuples[stack[len(stack)-1].row].R, t.L) < 0 {
+			pop(stack[len(stack)-1], i)
+			stack = stack[:len(stack)-1]
+		}
+		prefix := ""
+		if len(stack) > 0 {
+			prefix = stack[len(stack)-1].path
+		}
+		var path string
+		if xmltree.LabelKind(t.S) == xmltree.Text {
+			path = prefix + "/" + textSegment
+			set := distinct[path]
+			if set == nil {
+				set = map[string]struct{}{}
+				distinct[path] = set
+			}
+			set[t.S] = struct{}{}
+		} else {
+			path = prefix + "/" + t.S
+			s.Labels[t.S]++
+		}
+		stack = append(stack, frame{i, path})
+	}
+	for _, f := range stack {
+		pop(f, len(rel.Tuples))
+	}
+	for path, set := range distinct {
+		ps := s.Paths[path]
+		ps.DistinctText = int64(len(set))
+		s.Paths[path] = ps
+	}
+	return s
+}
+
+// TestCollectMatchesStringPaths checks the interned Collect against the
+// string-path oracle on random forests, on an XMark document, and on
+// relations whose keys grew to several digits through random updates.
+func TestCollectMatchesStringPaths(t *testing.T) {
+	check := func(what string, rel *interval.Relation) {
+		t.Helper()
+		if got, want := Collect(rel), collectByString(rel); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s:\ngot  %+v\nwant %+v", what, got, want)
+		}
+	}
+	check("empty", &interval.Relation{})
+	check("xmark", interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: 0.002, Seed: 3})))
+	rng := rand.New(rand.NewSource(27))
+	for i := 0; i < 200; i++ {
+		check(fmt.Sprintf("forest %d", i), interval.Encode(xmltree.RandomForest(rng, 60)))
+	}
+	for i := 0; i < 20; i++ {
+		rel := interval.Encode(xmltree.RandomForest(rng, 30))
+		for u := 0; u < 15 && rel.Len() > 0; u++ {
+			target := rel.Tuples[rng.Intn(rel.Len())].L
+			frag := xmltree.RandomForest(rng, 5)
+			var err error
+			switch rng.Intn(4) {
+			case 0:
+				rel, err = update.InsertAfter(rel, target, frag)
+			case 1:
+				rel, err = update.InsertBefore(rel, target, frag)
+			case 2:
+				rel, err = update.AppendChild(rel, target, frag)
+			default:
+				rel, err = update.PrependChild(rel, target, frag)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rel.MaxKeyLen() < 2 {
+			t.Fatalf("updated relation %d kept one-digit keys", i)
+		}
+		check(fmt.Sprintf("updated relation %d", i), rel)
+	}
+}
+
+// BenchmarkCollect collects the statistics of the XMark sf 0.1 document
+// (143k tuples), once per catalog add or reindex.
+func BenchmarkCollect(b *testing.B) {
+	rel := interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: 0.1, Seed: 1}))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Collect(rel)
 	}
 }

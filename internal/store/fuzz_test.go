@@ -17,7 +17,7 @@ import (
 // guards), and reject corrupt input with an error rather than garbage.
 func FuzzStoreRead(f *testing.F) {
 	// Seed with valid files at several shapes, in the current format and
-	// in both older ones, so the corpus covers every magic.
+	// under both retired magics, which must be rejected.
 	seedRels := []*interval.Relation{
 		{},
 		interval.Encode(xmark.Figure1Forest()),
@@ -26,8 +26,8 @@ func FuzzStoreRead(f *testing.F) {
 	}
 	for _, rel := range seedRels {
 		f.Add(encode(f, rel))
-		f.Add(oldFormat(f, magicV1, rel))
-		f.Add(oldFormat(f, magicV2, rel))
+		f.Add(sections(f, retiredV1, rel, false))
+		f.Add(sections(f, retiredV2, rel, true))
 	}
 	// And a valid run stream, so the corpus covers the run magic too.
 	var runBuf bytes.Buffer

@@ -61,7 +61,7 @@ func TestRunRoundTripQuick(t *testing.T) {
 	}
 }
 
-// TestRunNegativeDigits pins the difference from DIXQS1: derived keys with
+// TestRunNegativeDigits pins the difference from the store: derived keys with
 // negative digits round-trip (signed varints), instead of erroring.
 func TestRunNegativeDigits(t *testing.T) {
 	rel := &interval.Relation{Tuples: []interval.Tuple{
@@ -121,7 +121,7 @@ func TestRunMixedFraming(t *testing.T) {
 	}
 }
 
-// TestRunReaderRejectsCorruption mirrors the DIXQS1 corruption suite for
+// TestRunReaderRejectsCorruption mirrors the store's corruption suite for
 // the run format.
 func TestRunReaderRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
@@ -134,7 +134,7 @@ func TestRunReaderRejectsCorruption(t *testing.T) {
 	if _, err := NewRunReader(bytes.NewReader(nil)); err == nil {
 		t.Error("empty stream: expected error")
 	}
-	if _, err := NewRunReader(bytes.NewReader([]byte("DIXQS1\n"))); err == nil {
+	if _, err := NewRunReader(bytes.NewReader([]byte(magic))); err == nil {
 		t.Error("wrong magic (store format): expected error")
 	}
 	for cut := len(runMagic) + 1; cut < len(valid); cut++ {

@@ -5,17 +5,15 @@
 // save, then serve any number of queries straight from the relation
 // without reparsing XML.
 //
-// Format (DIXQS3): a label dictionary (labels repeat heavily in documents
+// Format: a label dictionary (labels repeat heavily in documents
 // — element tags, attribute names) followed by tuples referencing labels
 // by index, all integers varint-encoded; keys store their digit vectors
 // verbatim, so documents at any environment depth round-trip. After that
 // body come the document's structural index (see internal/index) and its
 // optimizer statistics (see internal/stats), so a loaded document brings
 // its dataguide, subtree ranges and cardinalities at no rebuild cost.
-//
-// Files with the two older prefixes still load: DIXQS1 is the body alone,
-// DIXQS2 the body plus the index. The reader rebuilds whatever section is
-// missing once, on load, and the next save writes DIXQS3.
+// Loading validates the body's interval nesting: a store is the one way a
+// relation enters the catalog from outside the encoder.
 package store
 
 import (
@@ -32,21 +30,15 @@ import (
 	"dixq/internal/stats"
 )
 
-// magic identifies the file format written today; magicV1 and magicV2
-// are the prefixes of the older files the reader still accepts (the same
-// body, without statistics and — for V1 — without the index).
-const (
-	magic   = "DIXQS3\n"
-	magicV1 = "DIXQS1\n"
-	magicV2 = "DIXQS2\n"
-)
+// magic identifies the file format.
+const magic = "DIXQS3\n"
 
 // maxSaneLen bounds length fields while decoding, so corrupt or hostile
 // files fail fast instead of allocating wildly.
 const maxSaneLen = 1 << 31
 
 // ErrFormat reports a malformed or foreign file.
-var ErrFormat = errors.New("store: not a DIXQS1/DIXQS2/DIXQS3 file")
+var ErrFormat = errors.New("store: not a .dixq store file")
 
 // WriteFull serializes a relation together with its structural index and
 // optimizer statistics. Index and statistics must have been built over
@@ -126,9 +118,8 @@ func writeBody(bw *bufio.Writer, rel *interval.Relation) error {
 }
 
 // ReadFull deserializes a relation together with its structural index and
-// optimizer statistics. Files in the older DIXQS1/DIXQS2 formats lack one
-// or both sections; those are rebuilt from the relation, so old stores
-// keep working and upgrade on their next save.
+// optimizer statistics, rejecting a relation that is not a valid interval
+// encoding (interval.Validate).
 func ReadFull(r io.Reader) (*interval.Relation, *index.DocIndex, *stats.DocStats, error) {
 	dec := &decoder{br: bufio.NewReader(r)}
 	head := make([]byte, len(magic))
@@ -138,35 +129,23 @@ func ReadFull(r io.Reader) (*interval.Relation, *index.DocIndex, *stats.DocStats
 		}
 		return nil, nil, nil, fmt.Errorf("store: read header: %w", err)
 	}
-	var indexed, full bool
-	switch string(head) {
-	case magicV1:
-	case magicV2:
-		indexed = true
-	case magic:
-		indexed, full = true, true
-	default:
+	if string(head) != magic {
 		return nil, nil, nil, ErrFormat
 	}
 	rel, err := dec.body()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var ix *index.DocIndex
-	if indexed {
-		if ix, err = index.Read(dec.br, rel); err != nil {
-			return nil, nil, nil, err
-		}
-	} else {
-		ix = index.Build(rel)
+	if err := interval.Validate(rel); err != nil {
+		return nil, nil, nil, fmt.Errorf("store: %w", err)
 	}
-	var st *stats.DocStats
-	if full {
-		if st, err = stats.Read(dec.br); err != nil {
-			return nil, nil, nil, err
-		}
-	} else {
-		st = stats.Collect(rel)
+	ix, err := index.Read(dec.br, rel)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	st, err := stats.Read(dec.br)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	// Exactly at end?
 	if _, err := dec.br.ReadByte(); err != io.EOF {
@@ -287,8 +266,7 @@ func SaveFull(path string, rel *interval.Relation, ix *index.DocIndex, st *stats
 }
 
 // LoadFull reads a relation, its structural index and its optimizer
-// statistics from a file, rebuilding the sections an older-format file
-// lacks (see ReadFull).
+// statistics from a file (see ReadFull).
 func LoadFull(path string) (*interval.Relation, *index.DocIndex, *stats.DocStats, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/iotest"
 	"testing/quick"
@@ -29,10 +30,17 @@ func encode(t testing.TB, rel *interval.Relation) []byte {
 	return buf.Bytes()
 }
 
-// oldFormat builds a file in one of the formats no writer produces any
-// more: the DIXQS1 prefix over the bare body, or the DIXQS2 prefix over
-// the body plus the structural index.
-func oldFormat(t testing.TB, prefix string, rel *interval.Relation) []byte {
+// The prefixes of the two retired formats: DIXQS1 was the body alone,
+// DIXQS2 the body plus the structural index. No reader accepts them.
+const (
+	retiredV1 = "DIXQS1\n"
+	retiredV2 = "DIXQS2\n"
+)
+
+// sections builds a file of prefix, the body and, withIndex, the
+// structural index: the shape of a retired-format file, or with the
+// current magic a file that stops before its later sections.
+func sections(t testing.TB, prefix string, rel *interval.Relation, withIndex bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
@@ -40,7 +48,7 @@ func oldFormat(t testing.TB, prefix string, rel *interval.Relation) []byte {
 	if err := writeBody(bw, rel); err != nil {
 		t.Fatal(err)
 	}
-	if prefix == magicV2 {
+	if withIndex {
 		if err := index.Build(rel).Write(bw); err != nil {
 			t.Fatal(err)
 		}
@@ -145,45 +153,17 @@ func TestFullRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOldFormatsUpgrade loads DIXQS1 and DIXQS2 files: the sections they
-// lack are rebuilt on load and agree with freshly built ones, and saving
-// what was loaded produces the very bytes a current-format save of the
-// original document produces — the one-shot upgrade — which reload
-// unchanged.
+// TestOldFormatsUpgrade pins the retirement of the DIXQS1 and DIXQS2
+// formats, which nothing writes: a file under either magic is ErrFormat,
+// however well formed its body.
 func TestOldFormatsUpgrade(t *testing.T) {
 	rel := interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: 0.001, Seed: 4}))
-	ix := index.Build(rel)
-	st := stats.Collect(rel)
-	current := encode(t, rel)
-	for _, prefix := range []string{magicV1, magicV2} {
-		oldRel, oldIx, oldSt, err := ReadFull(bytes.NewReader(oldFormat(t, prefix, rel)))
-		if err != nil {
-			t.Fatalf("%q: %v", prefix, err)
-		}
-		if !equalRel(rel, oldRel) || oldIx.Rel != oldRel {
-			t.Fatalf("%q: relation changed or index not bound to it", prefix)
-		}
-		if !reflect.DeepEqual(oldIx.Paths(), ix.Paths()) {
-			t.Fatalf("%q: rebuilt index disagrees with a fresh one", prefix)
-		}
-		if !reflect.DeepEqual(oldSt, st) {
-			t.Fatalf("%q: rebuilt statistics disagree with fresh ones", prefix)
-		}
-		path := filepath.Join(t.TempDir(), "doc.dixq")
-		if err := SaveFull(path, oldRel, oldIx, oldSt); err != nil {
-			t.Fatal(err)
-		}
-		saved, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(saved, current) {
-			t.Fatalf("%q: upgraded file differs from a current-format save (%d vs %d bytes)",
-				prefix, len(saved), len(current))
-		}
-		again, _, againSt, err := LoadFull(path)
-		if err != nil || !equalRel(rel, again) || !reflect.DeepEqual(againSt, st) {
-			t.Fatalf("%q: upgraded file does not reload unchanged: %v", prefix, err)
+	for prefix, file := range map[string][]byte{
+		retiredV1: sections(t, retiredV1, rel, false),
+		retiredV2: sections(t, retiredV2, rel, true),
+	} {
+		if _, _, _, err := ReadFull(bytes.NewReader(file)); !errors.Is(err, ErrFormat) {
+			t.Errorf("%q: err = %v, want ErrFormat", prefix, err)
 		}
 	}
 }
@@ -239,7 +219,7 @@ func TestLoadErrors(t *testing.T) {
 func TestReadRejectsCorruption(t *testing.T) {
 	rel := interval.Encode(xmark.Figure1Forest())
 	valid := encode(t, rel)
-	body := oldFormat(t, magicV1, rel)
+	body := sections(t, magic, rel, false)
 
 	cases := map[string][]byte{
 		"empty":            {},
@@ -267,6 +247,22 @@ func TestReadRejectsCorruption(t *testing.T) {
 	b.Write([]byte{1, 1})      // R = [1]
 	if _, _, _, err := ReadFull(&b); err == nil {
 		t.Error("out-of-range label index: expected error")
+	}
+
+	// Complete, well-formed files whose relation is not an interval
+	// encoding: the loader validates the nesting, so they fail instead of
+	// reaching the catalog.
+	for name, tuples := range map[string][]interval.Tuple{
+		"crossing intervals": {
+			{S: "<a>", L: interval.Key{0}, R: interval.Key{2}},
+			{S: "<b>", L: interval.Key{1}, R: interval.Key{3}},
+		},
+		"l >= r": {{S: "<a>", L: interval.Key{4}, R: interval.Key{4}}},
+	} {
+		rel := &interval.Relation{Tuples: tuples}
+		if _, _, _, err := ReadFull(bytes.NewReader(encode(t, rel))); err == nil || !strings.Contains(err.Error(), "interval:") {
+			t.Errorf("%s: err = %v, want an interval validation error", name, err)
+		}
 	}
 }
 
@@ -299,7 +295,7 @@ func TestWriteRejectsNegativeDigits(t *testing.T) {
 // the file that replaces the XML text — must not outgrow it.
 func TestFormatIsCompact(t *testing.T) {
 	doc := xmark.Generate(xmark.Config{ScaleFactor: 0.002, Seed: 7})
-	body := oldFormat(t, magicV1, interval.Encode(doc))
+	body := sections(t, magic, interval.Encode(doc), false)
 	xmlLen := len(doc.String())
 	if len(body) > xmlLen {
 		t.Errorf("store body %d bytes > XML %d bytes; label dictionary not effective?", len(body), xmlLen)
@@ -394,9 +390,8 @@ func TestImplausibleLengths(t *testing.T) {
 func TestFullRejectsCorruption(t *testing.T) {
 	rel := interval.Encode(xmark.Figure1Forest())
 	fullBytes := encode(t, rel)
-	// The stats section occupies everything past the (identical) body and
-	// index, which the DIXQS2 fixture measures exactly.
-	statsStart := len(oldFormat(t, magicV2, rel))
+	// The stats section occupies everything past the body and index.
+	statsStart := len(sections(t, magic, rel, true))
 	if statsStart >= len(fullBytes) {
 		t.Fatalf("no stats section: full %d bytes, indexed %d", len(fullBytes), statsStart)
 	}
@@ -416,27 +411,19 @@ func TestFullRejectsCorruption(t *testing.T) {
 }
 
 // TestMaxKeyLenAfterLoad: a loaded relation's memoized width equals a
-// fresh scan for all three formats, on a relation with keys of one to
-// three digits.
+// fresh scan, on a relation with keys of one to three digits.
 func TestMaxKeyLenAfterLoad(t *testing.T) {
 	rel := &interval.Relation{Tuples: []interval.Tuple{
 		{S: "<a>", L: interval.Key{0}, R: interval.Key{9}},
 		{S: "<b>", L: interval.Key{1, 5, 2}, R: interval.Key{1, 5, 3}},
 		{S: "t", L: interval.Key{2, 1}, R: interval.Key{2, 2}},
 	}}
-	files := map[string][]byte{
-		"DIXQS1": oldFormat(t, magicV1, rel),
-		"DIXQS2": oldFormat(t, magicV2, rel),
-		"DIXQS3": encode(t, rel),
+	got, _, _, err := ReadFull(bytes.NewReader(encode(t, rel)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, file := range files {
-		got, _, _, err := ReadFull(bytes.NewReader(file))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		fresh := (&interval.Relation{Tuples: got.Tuples}).MaxKeyLen()
-		if w := got.MaxKeyLen(); w != fresh || w != 3 {
-			t.Fatalf("%s: MaxKeyLen %d, fresh scan %d, want 3", name, w, fresh)
-		}
+	fresh := (&interval.Relation{Tuples: got.Tuples}).MaxKeyLen()
+	if w := got.MaxKeyLen(); w != fresh || w != 3 {
+		t.Fatalf("MaxKeyLen %d, fresh scan %d, want 3", w, fresh)
 	}
 }

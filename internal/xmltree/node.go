@@ -118,17 +118,6 @@ func (n *Node) Size() int {
 	return size
 }
 
-// Depth returns the height of the subtree rooted at n; a leaf has depth 1.
-func (n *Node) Depth() int {
-	max := 0
-	for _, c := range n.Children {
-		if d := c.Depth(); d > max {
-			max = d
-		}
-	}
-	return max + 1
-}
-
 // Copy returns a deep copy of the subtree rooted at n.
 func (n *Node) Copy() *Node {
 	c := &Node{Label: n.Label}
@@ -145,18 +134,6 @@ func (f Forest) Size() int {
 		size += n.Size()
 	}
 	return size
-}
-
-// Depth returns the maximum tree height in the forest; the empty forest has
-// depth 0.
-func (f Forest) Depth() int {
-	max := 0
-	for _, n := range f {
-		if d := n.Depth(); d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // Copy returns a deep copy of the forest.

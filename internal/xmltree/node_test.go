@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -52,12 +53,13 @@ func TestSizeDepth(t *testing.T) {
 	if got := f.Size(); got != 6 {
 		t.Errorf("Size = %d, want 6", got)
 	}
-	if got := f.Depth(); got != 3 {
-		t.Errorf("Depth = %d, want 3", got)
+	// The depth is read off the preorder walk: a leaf root has depth 0.
+	var depths []int
+	f.Preorder()(func(depth int, _ string) { depths = append(depths, depth) })
+	if want := []int{0, 1, 2, 1, 2, 0}; !reflect.DeepEqual(depths, want) {
+		t.Errorf("preorder depths = %v, want %v", depths, want)
 	}
-	if got := (Forest{}).Depth(); got != 0 {
-		t.Errorf("empty Depth = %d, want 0", got)
-	}
+	Forest{}.Preorder()(func(int, string) { t.Error("empty forest visited a node") })
 }
 
 func TestCopyIsDeep(t *testing.T) {
