@@ -13,13 +13,14 @@
 //   - Section 6.2: structural-join cost linear in join-key size.
 //
 // cmd/dibench prints the same experiments as paper-style tables.
-package dixq
+package dixq_test
 
 import (
 	"bytes"
 	"fmt"
 	"testing"
 
+	"dixq"
 	"dixq/internal/bench"
 	"dixq/internal/core"
 	"dixq/internal/engine"
@@ -41,16 +42,15 @@ import (
 // magnitude at the top end.
 var benchScales = []float64{0.0005, 0.002, 0.008}
 
-// benchSystems are the systems included in the scale sweeps. The generic
+// benchEngines are the engines included in the scale sweeps. The generic
 // SQL engine is excluded here (it needs tiny documents; see
 // BenchmarkGenericSQLBaseline) exactly as QuiP drops out of the paper's
 // tables almost immediately.
-var benchSystems = []bench.System{bench.SysInterp, bench.SysNLJ, bench.SysMSJ}
+var benchEngines = []dixq.Engine{dixq.Interpreter, dixq.NestedLoop, dixq.MergeJoin}
 
 func benchWorkload(b *testing.B, query string, sf float64) *bench.Workload {
 	b.Helper()
-	doc := xmark.Generate(xmark.Config{ScaleFactor: sf, Seed: 20030609})
-	wl, err := bench.NewWorkload(query, doc)
+	wl, err := bench.NewWorkload(query, dixq.GenerateXMark(sf, 20030609))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -58,13 +58,13 @@ func benchWorkload(b *testing.B, query string, sf float64) *bench.Workload {
 }
 
 func runFigure(b *testing.B, query string) {
-	for _, sys := range benchSystems {
+	for _, e := range benchEngines {
 		for _, sf := range benchScales {
-			b.Run(fmt.Sprintf("%s/sf=%g", sys, sf), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/sf=%g", e.Label(), sf), func(b *testing.B) {
 				wl := benchWorkload(b, query, sf)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					out := wl.Run(sys, bench.Config{})
+					out := wl.Run(e, bench.Config{})
 					if out.Err != nil {
 						b.Fatal(out.Err)
 					}
@@ -90,14 +90,14 @@ func BenchmarkFigure11Q9(b *testing.B) { runFigure(b, xmark.Q9) }
 // cost of Q8 under both DI plan modes, reported as custom metrics
 // (paths-pct, join-pct, construction-pct, embedded-tuples).
 func BenchmarkFigure10Q8Breakdown(b *testing.B) {
-	for _, sys := range []bench.System{bench.SysNLJ, bench.SysMSJ} {
+	for _, e := range []dixq.Engine{dixq.NestedLoop, dixq.MergeJoin} {
 		for _, sf := range benchScales {
-			b.Run(fmt.Sprintf("%s/sf=%g", sys, sf), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/sf=%g", e.Label(), sf), func(b *testing.B) {
 				wl := benchWorkload(b, xmark.Q8, sf)
 				b.ResetTimer()
 				var last bench.Outcome
 				for i := 0; i < b.N; i++ {
-					last = wl.Run(sys, bench.Config{})
+					last = wl.Run(e, bench.Config{})
 					if last.Err != nil {
 						b.Fatal(last.Err)
 					}
@@ -122,15 +122,19 @@ func BenchmarkSection62StructuralJoin(b *testing.B) {
 	for _, spec := range []struct{ depth, fanout int }{
 		{1, 1}, {3, 2}, {3, 3}, {4, 2}, {4, 3},
 	} {
-		doc, keyNodes := bench.DeepKeyDocument(300, spec.depth, spec.fanout)
+		forest, keyNodes := bench.DeepKeyDocument(300, spec.depth, spec.fanout)
 		b.Run(fmt.Sprintf("keynodes=%d", keyNodes), func(b *testing.B) {
+			doc, err := dixq.ParseDocument(forest.String())
+			if err != nil {
+				b.Fatal(err)
+			}
 			wl, err := bench.NewWorkload(bench.DeepKeyQuery, doc)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out := wl.Run(bench.SysMSJ, bench.Config{})
+				out := wl.Run(dixq.MergeJoin, bench.Config{})
 				if out.Err != nil {
 					b.Fatal(out.Err)
 				}
@@ -150,7 +154,7 @@ func BenchmarkGenericSQLBaseline(b *testing.B) {
 			wl := benchWorkload(b, xmark.Q8, sf)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out := wl.Run(bench.SysSQL, bench.Config{})
+				out := wl.Run(dixq.GenericSQL, bench.Config{})
 				if out.Err != nil {
 					b.Fatal(out.Err)
 				}

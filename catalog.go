@@ -78,12 +78,15 @@ func (s *Snapshot) Document(name string) (*Document, bool) {
 	return nil, false
 }
 
-// forests decodes every document for the oracle engines, which evaluate
-// over trees.
-func (s *Snapshot) forests() map[string]xmltree.Forest {
-	out := make(map[string]xmltree.Forest, len(s.enc))
-	for name, rel := range s.enc {
-		out[name] = interval.MustDecode(rel)
+// forests decodes the named documents for the oracle engines, which
+// evaluate over trees; names the snapshot lacks are left out, so the
+// engine reports them as unknown.
+func (s *Snapshot) forests(names []string) map[string]xmltree.Forest {
+	out := make(map[string]xmltree.Forest, len(names))
+	for _, name := range names {
+		if rel, ok := s.enc[name]; ok {
+			out[name] = interval.MustDecode(rel)
+		}
 	}
 	return out
 }

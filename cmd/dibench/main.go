@@ -8,8 +8,10 @@
 //	        [-scales 0.001,0.01,...] [-systems interp,generic-sql,di-nlj,di-msj]
 //	        [-timeout 60s] [-maxtuples N] [-metricsdump file]
 //
-// Systems exceeding the budget are reported DNF, mirroring the paper's
-// experiment cutoffs. See EXPERIMENTS.md for paper-vs-measured tables.
+// -systems takes engine names (any of di-opt, di-msj, di-nlj, interp,
+// generic-sql); an unknown name fails at startup. Engines exceeding the
+// budget are reported DNF, mirroring the paper's experiment cutoffs. See
+// EXPERIMENTS.md for paper-vs-measured tables.
 // -metricsdump writes the process's cumulative observability counters
 // (the same Prometheus exposition dixqd serves at /metrics) to a file
 // after the run — parallel chains, bytes sorted, spill volume — so a
@@ -23,6 +25,7 @@ import (
 	"strconv"
 	"strings"
 
+	"dixq"
 	"dixq/internal/bench"
 	"dixq/internal/cliflags"
 	"dixq/internal/obs"
@@ -53,11 +56,15 @@ func main() {
 			scales = append(scales, v)
 		}
 	}
-	systems := bench.AllSystems
+	engines := bench.DefaultEngines
 	if cfg.Systems != "" {
-		systems = nil
+		engines = nil
 		for _, s := range strings.Split(cfg.Systems, ",") {
-			systems = append(systems, bench.System(strings.TrimSpace(s)))
+			e, err := dixq.ParseEngine(strings.TrimSpace(s))
+			if err != nil {
+				fatal("-systems: %v", err)
+			}
+			engines = append(engines, e)
 		}
 	}
 	runCfg := bench.Config{Timeout: cfg.Timeout, MaxTuples: cfg.MaxTuples, Parallelism: cfg.Parallelism}
@@ -67,7 +74,7 @@ func main() {
 		experiments = strings.Split(cfg.Exp, ",")
 	}
 	for _, name := range experiments {
-		if err := bench.Run(os.Stdout, strings.TrimSpace(name), scales, systems, runCfg); err != nil {
+		if err := bench.Run(os.Stdout, strings.TrimSpace(name), scales, engines, runCfg); err != nil {
 			fatal("%v", err)
 		}
 	}

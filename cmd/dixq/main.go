@@ -54,7 +54,7 @@ func main() {
 	stats := flag.Bool("stats", false, "print the phase breakdown after the result")
 	trace := flag.Bool("trace", false, "print the per-operator table (calls, rows, exclusive time, in plan order) after the result (DI engines)")
 	indent := flag.Bool("indent", false, "pretty-print the result")
-	timeout := flag.Duration("timeout", 0, "abort evaluation after this duration")
+	timeout := flag.Duration("timeout", 0, "abort evaluation after this duration (every engine)")
 	interactive := flag.Bool("i", false, "interactive session: read queries from stdin, each ended by an empty line")
 	flag.Parse()
 

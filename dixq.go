@@ -33,6 +33,8 @@ import (
 	"dixq/internal/index"
 	"dixq/internal/interp"
 	"dixq/internal/interval"
+	"dixq/internal/minisql"
+	"dixq/internal/obs"
 	"dixq/internal/opt"
 	"dixq/internal/plan"
 	"dixq/internal/sqlgen"
@@ -243,7 +245,11 @@ func ParseEngine(name string) (Engine, error) {
 // engine with no limits.
 type Options struct {
 	Engine Engine
-	// Timeout aborts evaluation (DI engines only); zero means none.
+	// Timeout aborts evaluation with ErrBudgetExceeded once it runs this
+	// long, under every engine; zero means none. The DI engines check it on
+	// entry to each plan operator, the interpreter every 2^14 loop
+	// iterations, and the generic SQL engine when the statement starts and
+	// every 2^16 evaluation steps after.
 	Timeout time.Duration
 	// MaxTuples aborts DI evaluation after this many embedded tuples.
 	MaxTuples int64
@@ -304,7 +310,8 @@ func resolve(cat View, opts *Options) (o *Options, snap *Snapshot, copts core.Op
 	}, true
 }
 
-// ErrBudgetExceeded reports that a run hit Options.Timeout or MaxTuples.
+// ErrBudgetExceeded reports that a run hit Options.Timeout (any engine)
+// or MaxTuples (DI engines).
 var ErrBudgetExceeded = engine.ErrBudgetExceeded
 
 // Stats is the per-phase cost breakdown of a DI run (Figure 10 of the
@@ -417,8 +424,8 @@ func (q *Query) Documents() []string { return xq.Documents(q.expr) }
 // attributes".
 func (q *Query) WidthBound(cat View) (bound string, digits int, err error) {
 	widths := map[string]*big.Int{}
-	for name, rel := range cat.view().enc {
-		widths[name] = big.NewInt(int64(2 * rel.Len()))
+	for name, w := range cat.view().enc.Widths() {
+		widths[name] = big.NewInt(w)
 	}
 	w, err := core.AnalyzeWidth(q.expr, widths)
 	if err != nil {
@@ -440,11 +447,7 @@ func (q *Query) SQL(cat View) (string, error) {
 }
 
 func (q *Query) sqlStatement(cat View) (*sqlgen.Statement, error) {
-	widths := map[string]int64{}
-	for name, rel := range cat.view().enc {
-		widths[name] = int64(2 * rel.Len())
-	}
-	return sqlgen.Generate(sqlgen.Plan(q.expr), widths)
+	return sqlgen.Generate(sqlgen.Plan(q.expr), cat.view().enc.Widths())
 }
 
 // Run evaluates the query against a catalog view. Passing a *Catalog
@@ -455,14 +458,20 @@ func (q *Query) Run(cat View, opts *Options) (*Result, error) {
 	return q.run(cat, opts, false)
 }
 
-// run is the one evaluation behind Run and ExplainAnalyze; analyze
-// requests the allocation readings of the analyze report.
+// run is the one evaluation behind Run and ExplainAnalyze, and the one
+// place an engine is chosen; analyze requests the allocation readings of
+// the analyze report. Every engine runs under the same deadline and
+// reports it as ErrBudgetExceeded.
 func (q *Query) run(cat View, opts *Options, analyze bool) (*Result, error) {
 	opts, snap, copts, di := resolve(cat, opts)
 	if analyze && !di {
 		return nil, fmt.Errorf("dixq: analyze requires a DI engine, got %s", opts.Engine)
 	}
 	start := time.Now()
+	var deadline time.Time
+	if opts.Timeout > 0 {
+		deadline = start.Add(opts.Timeout)
+	}
 	res := &Result{}
 	var rel *interval.Relation
 	var f xmltree.Forest
@@ -477,13 +486,20 @@ func (q *Query) run(cat View, opts *Options, analyze bool) (*Result, error) {
 		res.plan = q.q.Plan(copts)
 		rel, err = q.q.Eval(snap.enc, copts)
 	case opts.Engine == Interpreter:
-		f, err = interp.Eval(q.expr, nil, snap.forests())
+		f, err = interp.EvalBudget(q.expr, nil, snap.forests(q.Documents()), &interp.Budget{Deadline: deadline})
 	case opts.Engine == GenericSQL:
-		f, err = sqlgen.Run(q.expr, snap.forests())
+		f, err = sqlgen.Run(q.expr, snap.forests(q.Documents()), deadline)
 	default:
 		err = fmt.Errorf("dixq: unknown engine %d", int(opts.Engine))
 	}
+	if errors.Is(err, interp.ErrBudgetExceeded) || errors.Is(err, minisql.ErrDeadlineExceeded) {
+		// The oracle legs name their cutoffs in their own packages.
+		err = ErrBudgetExceeded
+	}
 	if err != nil {
+		if errors.Is(err, ErrBudgetExceeded) {
+			obs.BudgetRejections.Inc()
+		}
 		return nil, err
 	}
 	if !di {

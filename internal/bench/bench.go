@@ -9,58 +9,39 @@
 // quadratic, and where the cost sits (Figure 10). Systems that exceed the
 // configured budget are reported DNF, mirroring the paper's two-hour CPU
 // cutoff (the paper's IM — out of memory — cases also surface as DNF here,
-// since the budget bounds materialized tuples).
+// since the budget bounds materialized tuples). Every run goes through
+// dixq.Query.Run, so the harness measures the engines the library and the
+// server run, under the same deadline.
 package bench
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
-	"dixq/internal/core"
-	"dixq/internal/engine"
-	"dixq/internal/interp"
-	"dixq/internal/interval"
-	"dixq/internal/minisql"
-	"dixq/internal/sqlgen"
+	"dixq"
 	"dixq/internal/xmark"
-	"dixq/internal/xmltree"
-	"dixq/internal/xq"
 )
 
-// System identifies an evaluation strategy under test.
-type System string
+// DefaultEngines lists the engines the experiments run by default, in
+// report order: the systems of the Section 6 experiments and their
+// stand-ins (see DESIGN.md for the substitution table). The interpreter
+// stands in for the Galax/Kweelt/IPSI-XQ/QuiP class of in-memory
+// processors; generic-sql executes the generated single SQL statement on
+// the generic (untuned) relational engine; di-nlj and di-msj are the DI
+// prototype with nested-loop and merge-sort join plans.
+var DefaultEngines = []dixq.Engine{dixq.Interpreter, dixq.GenericSQL, dixq.NestedLoop, dixq.MergeJoin}
 
-// The systems of the Section 6 experiments and their stand-ins (see
-// DESIGN.md for the substitution table).
-const (
-	// SysInterp is the Figure-3 interpreter, standing in for the
-	// Galax/Kweelt/IPSI-XQ/QuiP class of in-memory processors.
-	SysInterp System = "interp"
-	// SysNLJ is the DI prototype with nested-loop plans (DI-NLJ).
-	SysNLJ System = "di-nlj"
-	// SysMSJ is the DI prototype with merge-sort join plans (DI-MSJ).
-	SysMSJ System = "di-msj"
-	// SysSQL executes the generated single SQL statement on the generic
-	// (untuned) relational engine.
-	SysSQL System = "generic-sql"
-)
-
-// AllSystems lists every system in report order.
-var AllSystems = []System{SysInterp, SysSQL, SysNLJ, SysMSJ}
-
-// Outcome is one (system, workload) measurement.
+// Outcome is one (engine, workload) measurement.
 type Outcome struct {
-	System  System
 	Seconds float64
 	// DNF marks a run that exceeded the budget (time or tuples).
 	DNF bool
 	// Err holds a non-budget failure, which should never happen.
 	Err error
-	// Trees is the number of result trees (sanity: systems must agree).
+	// Trees is the number of result trees (sanity: engines must agree).
 	Trees int
-	// Stats carries the phase breakdown for DI systems.
-	Stats *core.Stats
+	// Stats carries the phase breakdown for DI engines.
+	Stats *dixq.Stats
 }
 
 // Config bounds each measurement.
@@ -69,99 +50,47 @@ type Config struct {
 	Timeout time.Duration
 	// MaxTuples bounds materialization in DI plans; zero means none.
 	MaxTuples int64
-	// Parallelism bounds the DI systems' intra-query workers (0 resolves
-	// to GOMAXPROCS, 1 is serial — the same semantics as core.Options).
+	// Parallelism bounds the DI engines' intra-query workers (0 resolves
+	// to GOMAXPROCS, 1 is serial — the same semantics as dixq.Options).
 	Parallelism int
 }
 
-// Workload is a prepared query over a prepared document.
+// Workload is a prepared query over a catalog holding one document under
+// the name the XMark queries read.
 type Workload struct {
-	Query xq.Expr
-	Doc   xmltree.Forest
-	// enc, compiled and sql are per-workload caches.
-	enc      core.Catalog
-	compiled *core.Query
+	q   *dixq.Query
+	cat *dixq.Catalog
 }
 
 // NewWorkload prepares a query text and document for repeated runs.
-func NewWorkload(queryText string, doc xmltree.Forest) (*Workload, error) {
-	e, err := xq.Parse(queryText)
+func NewWorkload(queryText string, doc *dixq.Document) (*Workload, error) {
+	q, err := dixq.ParseQuery(queryText)
 	if err != nil {
 		return nil, err
 	}
-	w := &Workload{Query: e, Doc: doc}
-	w.enc = core.Catalog{xmark.DocName: interval.Encode(doc)}
-	w.compiled = core.Compile(e, core.Options{})
-	return w, nil
+	cat := dixq.NewCatalog()
+	cat.Add(xmark.DocName, doc)
+	return &Workload{q: q, cat: cat}, nil
 }
 
-// Run measures one system on the workload.
-func (w *Workload) Run(sys System, cfg Config) Outcome {
-	out := Outcome{System: sys}
+// Run measures one engine on the workload through the public API.
+func (w *Workload) Run(e dixq.Engine, cfg Config) Outcome {
+	var out Outcome
 	start := time.Now()
-	var forest xmltree.Forest
-	var rel *interval.Relation
-	var err error
-	switch sys {
-	case SysInterp:
-		var budget *interp.Budget
-		if cfg.Timeout > 0 {
-			budget = &interp.Budget{Deadline: start.Add(cfg.Timeout)}
-		}
-		forest, err = interp.EvalBudget(w.Query, nil, interp.Catalog{xmark.DocName: w.Doc}, budget)
-	case SysNLJ, SysMSJ:
-		mode := core.ModeNLJ
-		if sys == SysMSJ {
-			mode = core.ModeMSJ
-		}
-		stats := &core.Stats{}
-		rel, err = w.compiled.Eval(w.enc, core.Options{
-			ForceJoinMode: mode,
-			Stats:         stats,
-			Timeout:       cfg.Timeout,
-			MaxTuples:     cfg.MaxTuples,
-			Parallelism:   cfg.Parallelism,
-		})
-		out.Stats = stats
-	case SysSQL:
-		forest, err = w.runSQL(cfg)
-	default:
-		err = fmt.Errorf("bench: unknown system %q", sys)
-	}
+	res, err := w.q.Run(w.cat, &dixq.Options{
+		Engine:      e,
+		Timeout:     cfg.Timeout,
+		MaxTuples:   cfg.MaxTuples,
+		Parallelism: cfg.Parallelism,
+	})
 	out.Seconds = time.Since(start).Seconds()
-	if err != nil {
-		if isBudget(err) {
-			out.DNF = true
-		} else {
-			out.Err = err
-		}
-		return out
-	}
-	out.Trees = len(forest)
-	if rel != nil {
-		out.Trees, _ = rel.Shape()
+	switch {
+	case errors.Is(err, dixq.ErrBudgetExceeded):
+		out.DNF = true
+	case err != nil:
+		out.Err = err
+	default:
+		out.Trees, out.Stats = res.Document().Trees(), res.Stats
 	}
 	return out
-}
-
-func (w *Workload) runSQL(cfg Config) (xmltree.Forest, error) {
-	docs := map[string]xmltree.Forest{xmark.DocName: w.Doc}
-	stmt, err := sqlgen.Generate(sqlgen.Plan(w.Query), sqlgen.DocWidths(docs))
-	if err != nil {
-		return nil, err
-	}
-	db, err := sqlgen.LoadDB(stmt, docs)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Timeout > 0 {
-		db.SetDeadline(time.Now().Add(cfg.Timeout))
-	}
-	return sqlgen.Execute(stmt, db)
-}
-
-func isBudget(err error) bool {
-	return errors.Is(err, engine.ErrBudgetExceeded) ||
-		errors.Is(err, interp.ErrBudgetExceeded) ||
-		errors.Is(err, minisql.ErrDeadlineExceeded)
 }

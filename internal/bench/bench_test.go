@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dixq"
 	"dixq/internal/xmark"
 )
 
@@ -18,19 +19,18 @@ func TestWorkloadSystemsAgree(t *testing.T) {
 	// Scale chosen so even the generic SQL engine finishes in seconds: its
 	// nested-loop evaluation of the interval order predicates is the very
 	// behaviour the paper's Section 5 operators exist to avoid.
-	doc := xmark.Generate(xmark.Config{ScaleFactor: 0.0003, Seed: 20030609})
-	wl, err := NewWorkload(xmark.Q8, doc)
+	wl, err := NewWorkload(xmark.Q8, dixq.GenerateXMark(0.0003, 20030609))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var trees []int
-	for _, sys := range AllSystems {
-		out := wl.Run(sys, smallCfg())
+	for _, e := range append(DefaultEngines, dixq.CostBased) {
+		out := wl.Run(e, smallCfg())
 		if out.Err != nil {
-			t.Fatalf("%s: %v", sys, out.Err)
+			t.Fatalf("%s: %v", e, out.Err)
 		}
 		if out.DNF {
-			t.Fatalf("%s: DNF at tiny scale", sys)
+			t.Fatalf("%s: DNF at tiny scale", e)
 		}
 		trees = append(trees, out.Trees)
 	}
@@ -45,22 +45,18 @@ func TestWorkloadSystemsAgree(t *testing.T) {
 }
 
 func TestDNFOnTightBudget(t *testing.T) {
-	doc := xmark.Generate(xmark.Config{ScaleFactor: 0.005, Seed: 1})
-	wl, err := NewWorkload(xmark.Q8, doc)
+	wl, err := NewWorkload(xmark.Q8, dixq.GenerateXMark(0.005, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := wl.Run(SysNLJ, Config{MaxTuples: 1000})
+	out := wl.Run(dixq.NestedLoop, Config{MaxTuples: 1000})
 	if !out.DNF || out.Err != nil {
 		t.Fatalf("NLJ with 1000-tuple budget: DNF=%v err=%v", out.DNF, out.Err)
 	}
-	out = wl.Run(SysInterp, Config{Timeout: time.Nanosecond})
-	if !out.DNF {
-		t.Fatal("interp with 1ns timeout should DNF")
-	}
-	out = wl.Run(SysSQL, Config{Timeout: time.Nanosecond})
-	if !out.DNF {
-		t.Fatal("generic-sql with 1ns timeout should DNF")
+	for _, e := range append(DefaultEngines, dixq.CostBased) {
+		if out := wl.Run(e, Config{Timeout: time.Nanosecond}); !out.DNF || out.Err != nil {
+			t.Errorf("%s with 1ns timeout: DNF=%v err=%v", e, out.DNF, out.Err)
+		}
 	}
 }
 
@@ -68,12 +64,12 @@ func TestRunExperimentsProduceTables(t *testing.T) {
 	scales := []float64{0.0002, 0.0005}
 	for _, exp := range []string{ExpQ13, ExpQ8, ExpQ8Breakdown, ExpQ9} {
 		var buf bytes.Buffer
-		if err := Run(&buf, exp, scales, []System{SysNLJ, SysMSJ}, smallCfg()); err != nil {
+		if err := Run(&buf, exp, scales, []dixq.Engine{dixq.NestedLoop, dixq.MergeJoin}, smallCfg()); err != nil {
 			t.Fatalf("%s: %v", exp, err)
 		}
 		out := buf.String()
 		if !strings.Contains(out, "di-msj") {
-			t.Errorf("%s output missing system row:\n%s", exp, out)
+			t.Errorf("%s output missing engine row:\n%s", exp, out)
 		}
 		if strings.Contains(out, "DNF") {
 			t.Errorf("%s: unexpected DNF at tiny scales:\n%s", exp, out)
@@ -83,7 +79,7 @@ func TestRunExperimentsProduceTables(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Run(&buf, "nope", DefaultScales, AllSystems, smallCfg()); err == nil {
+	if err := Run(&buf, "nope", DefaultScales, DefaultEngines, smallCfg()); err == nil {
 		t.Fatal("unknown experiment should fail")
 	}
 }
@@ -133,12 +129,20 @@ func TestDeepKeyDocument(t *testing.T) {
 	if keyNodes != 8 {
 		t.Errorf("keyNodes = %d, want 8", keyNodes)
 	}
-	wl, err := NewWorkload(DeepKeyQuery, doc)
+	parsed, err := dixq.ParseDocument(doc.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	msj := wl.Run(SysMSJ, smallCfg())
-	nlj := wl.Run(SysNLJ, smallCfg())
+	// Written out and parsed back, the document keeps every key node.
+	if parsed.Nodes() != doc.Size() {
+		t.Errorf("parsed document has %d nodes, want %d", parsed.Nodes(), doc.Size())
+	}
+	wl, err := NewWorkload(DeepKeyQuery, parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msj := wl.Run(dixq.MergeJoin, smallCfg())
+	nlj := wl.Run(dixq.NestedLoop, smallCfg())
 	if msj.Err != nil || nlj.Err != nil {
 		t.Fatalf("errs: %v %v", msj.Err, nlj.Err)
 	}
@@ -154,13 +158,13 @@ func TestQuadraticVsLinearShape(t *testing.T) {
 	// The paper's headline: growing the document by k grows DI-NLJ's cost
 	// ~k² and DI-MSJ's ~k·log k on Q8. Compare embedded-tuple counts,
 	// which are deterministic (timings on CI are not).
-	small, _ := NewWorkload(xmark.Q8, xmark.Generate(xmark.Config{ScaleFactor: 0.002, Seed: 2}))
-	large, _ := NewWorkload(xmark.Q8, xmark.Generate(xmark.Config{ScaleFactor: 0.008, Seed: 2}))
+	small, _ := NewWorkload(xmark.Q8, dixq.GenerateXMark(0.002, 2))
+	large, _ := NewWorkload(xmark.Q8, dixq.GenerateXMark(0.008, 2))
 	cfg := Config{}
-	nljS := small.Run(SysNLJ, cfg)
-	nljL := large.Run(SysNLJ, cfg)
-	msjS := small.Run(SysMSJ, cfg)
-	msjL := large.Run(SysMSJ, cfg)
+	nljS := small.Run(dixq.NestedLoop, cfg)
+	nljL := large.Run(dixq.NestedLoop, cfg)
+	msjS := small.Run(dixq.MergeJoin, cfg)
+	msjL := large.Run(dixq.MergeJoin, cfg)
 	for _, o := range []Outcome{nljS, nljL, msjS, msjL} {
 		if o.Err != nil || o.DNF {
 			t.Fatalf("run failed: %+v", o)

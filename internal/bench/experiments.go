@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"dixq"
 	"dixq/internal/xmark"
 	"dixq/internal/xmltree"
 )
@@ -18,13 +19,13 @@ import (
 var DefaultScales = []float64{0.0005, 0.001, 0.002, 0.005, 0.01}
 
 // docCache memoizes generated documents per scale factor within a run.
-type docCache map[float64]xmltree.Forest
+type docCache map[float64]*dixq.Document
 
-func (c docCache) get(sf float64) xmltree.Forest {
+func (c docCache) get(sf float64) *dixq.Document {
 	if d, ok := c[sf]; ok {
 		return d
 	}
-	d := xmark.Generate(xmark.Config{ScaleFactor: sf, Seed: 20030609})
+	d := dixq.GenerateXMark(sf, 20030609)
 	c[sf] = d
 	return d
 }
@@ -43,18 +44,18 @@ var Experiments = []string{ExpQ13, ExpQ8, ExpQ8Breakdown, ExpQ9, ExpDeepKeys}
 
 // Run executes one named experiment over the scale factors and writes the
 // paper-style table to w.
-func Run(w io.Writer, name string, scales []float64, systems []System, cfg Config) error {
+func Run(w io.Writer, name string, scales []float64, engines []dixq.Engine, cfg Config) error {
 	cache := docCache{}
 	switch name {
 	case ExpQ13:
 		return timingTable(w, "Figure 8: Q13 timings (seconds)",
-			xmark.Q13, scales, systems, cfg, cache)
+			xmark.Q13, scales, engines, cfg, cache)
 	case ExpQ8:
 		return timingTable(w, "Figure 9: Q8 timings (seconds)",
-			xmark.Q8, scales, systems, cfg, cache)
+			xmark.Q8, scales, engines, cfg, cache)
 	case ExpQ9:
 		return timingTable(w, "Figure 11: Q9 timings (seconds)",
-			xmark.Q9, scales, systems, cfg, cache)
+			xmark.Q9, scales, engines, cfg, cache)
 	case ExpQ8Breakdown:
 		return breakdownTable(w, scales, cfg, cache)
 	case ExpDeepKeys:
@@ -64,21 +65,21 @@ func Run(w io.Writer, name string, scales []float64, systems []System, cfg Confi
 	}
 }
 
-// timingTable reproduces the shape of Figures 8, 9 and 11: systems down,
+// timingTable reproduces the shape of Figures 8, 9 and 11: engines down,
 // scale factors across.
-func timingTable(w io.Writer, title, query string, scales []float64, systems []System, cfg Config, cache docCache) error {
+func timingTable(w io.Writer, title, query string, scales []float64, engines []dixq.Engine, cfg Config, cache docCache) error {
 	fmt.Fprintln(w, title)
 	header := []string{"system"}
 	for _, sf := range scales {
 		header = append(header, trimFloat(sf))
 	}
 	rows := [][]string{header}
-	for _, sys := range systems {
-		row := []string{string(sys)}
+	for _, e := range engines {
+		row := []string{e.Label()}
 		dnf := false
 		for _, sf := range scales {
 			if dnf {
-				// Cost is monotone in scale: once a system exceeds the
+				// Cost is monotone in scale: once an engine exceeds the
 				// budget, larger scales are reported DNF without running
 				// (the paper's tables do the same implicitly).
 				row = append(row, "DNF")
@@ -88,10 +89,10 @@ func timingTable(w io.Writer, title, query string, scales []float64, systems []S
 			if err != nil {
 				return err
 			}
-			out := wl.Run(sys, cfg)
+			out := wl.Run(e, cfg)
 			switch {
 			case out.Err != nil:
-				return fmt.Errorf("bench: %s at sf=%g: %w", sys, sf, out.Err)
+				return fmt.Errorf("bench: %s at sf=%g: %w", e.Label(), sf, out.Err)
 			case out.DNF:
 				row = append(row, "DNF")
 				dnf = true
@@ -114,14 +115,14 @@ func breakdownTable(w io.Writer, scales []float64, cfg Config, cache docCache) e
 		header = append(header, trimFloat(sf))
 	}
 	rows := [][]string{header}
-	for _, sys := range []System{SysNLJ, SysMSJ} {
+	for _, e := range []dixq.Engine{dixq.NestedLoop, dixq.MergeJoin} {
 		cells := map[string][]string{"paths": nil, "join": nil, "construction": nil}
 		for _, sf := range scales {
 			wl, err := NewWorkload(xmark.Q8, cache.get(sf))
 			if err != nil {
 				return err
 			}
-			out := wl.Run(sys, cfg)
+			out := wl.Run(e, cfg)
 			if out.DNF || out.Err != nil {
 				for comp := range cells {
 					cells[comp] = append(cells[comp], "DNF")
@@ -137,7 +138,7 @@ func breakdownTable(w io.Writer, scales []float64, cfg Config, cache docCache) e
 			cells["construction"] = append(cells["construction"], pct(out.Stats.Construction.Seconds(), total))
 		}
 		for _, comp := range []string{"paths", "join", "construction"} {
-			rows = append(rows, append([]string{string(sys), comp}, cells[comp]...))
+			rows = append(rows, append([]string{e.Label(), comp}, cells[comp]...))
 		}
 	}
 	writeTable(w, rows)
@@ -159,12 +160,16 @@ func deepKeyTable(w io.Writer, cfg Config) error {
 	for _, spec := range []struct{ depth, fanout int }{
 		{1, 1}, {2, 2}, {3, 2}, {2, 4}, {3, 3}, {4, 2},
 	} {
-		doc, keyNodes := DeepKeyDocument(records, spec.depth, spec.fanout)
+		forest, keyNodes := DeepKeyDocument(records, spec.depth, spec.fanout)
+		doc, err := dixq.ParseDocument(forest.String())
+		if err != nil {
+			return err
+		}
 		wl, err := NewWorkload(DeepKeyQuery, doc)
 		if err != nil {
 			return err
 		}
-		out := wl.Run(SysMSJ, cfg)
+		out := wl.Run(dixq.MergeJoin, cfg)
 		if out.Err != nil {
 			return out.Err
 		}
@@ -194,12 +199,13 @@ return count($m)`
 // DeepKeyDocument builds a two-sided record set whose join keys are
 // complete trees of the given depth and fanout; every left record matches
 // exactly one right record. It returns the document and the node count of
-// one key.
+// one key. Key leaves are empty elements, not text, so sibling leaves stay
+// separate nodes when the document is written out and parsed back.
 func DeepKeyDocument(records, depth, fanout int) (xmltree.Forest, int) {
 	var buildKey func(d, id int) *xmltree.Node
 	buildKey = func(d, id int) *xmltree.Node {
 		if d <= 1 {
-			return xmltree.NewText(fmt.Sprintf("k%d", id))
+			return xmltree.NewElement(fmt.Sprintf("k%d", id))
 		}
 		kids := make(xmltree.Forest, fanout)
 		for i := range kids {

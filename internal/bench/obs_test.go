@@ -3,7 +3,7 @@ package bench
 import (
 	"testing"
 
-	"dixq/internal/core"
+	"dixq"
 	"dixq/internal/obs"
 	"dixq/internal/xmark"
 )
@@ -23,7 +23,7 @@ import (
 // and feed the two series to benchstat (or eyeball the ratio; the
 // per-run scheduler noise at this scale is larger than the effect).
 func BenchmarkObsOverhead(b *testing.B) {
-	doc := xmark.Generate(xmark.Config{ScaleFactor: 0.002, Seed: 1})
+	doc := dixq.GenerateXMark(0.002, 1)
 	queries := []struct{ name, text string }{
 		{"Q8", xmark.Q8},
 		{"Q9", xmark.Q9},
@@ -41,11 +41,11 @@ func BenchmarkObsOverhead(b *testing.B) {
 			b.Run(q.name+"/"+variant.name, func(b *testing.B) {
 				obs.SetEnabled(variant.enabled)
 				defer obs.SetEnabled(true)
-				opts := core.Options{ForceJoinMode: core.ModeMSJ}
+				opts := &dixq.Options{Engine: dixq.MergeJoin}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := w.compiled.Eval(w.enc, opts); err != nil {
+					if _, err := w.q.Run(w.cat, opts); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -53,7 +53,7 @@ func Dixqd(fs *flag.FlagSet) *DixqdConfig {
 	fs.StringVar(&c.Addr, "addr", ":8080", "listen address")
 	fs.Var(&c.Docs, "doc", "document binding name=path (.xml or .dixq, repeatable; may be omitted — documents can be loaded over HTTP)")
 	fs.StringVar(&c.DocDir, "docdir", "", "directory PUT /docs/{name}?file= may load documents from (empty = server-side file loading off)")
-	fs.DurationVar(&c.Timeout, "timeout", time.Minute, "per-query budget")
+	fs.DurationVar(&c.Timeout, "timeout", time.Minute, "per-query budget, every engine")
 	fs.Int64Var(&c.MaxTuples, "maxtuples", 40_000_000, "per-query DI materialization budget (0 = unlimited)")
 	fs.Int64Var(&c.MemBudget, "membudget", 0, "per-query DI sort memory budget in bytes; larger sorts spill to disk (0 = unbounded)")
 	fs.StringVar(&c.SpillDir, "spilldir", "", "directory for external-sort spill runs (default: OS temp dir)")
@@ -88,7 +88,7 @@ func Dibench(fs *flag.FlagSet, experiments []string) *DibenchConfig {
 	c := &DibenchConfig{}
 	fs.StringVar(&c.Exp, "exp", "all", "experiment: all, "+strings.Join(experiments, ", "))
 	fs.StringVar(&c.Scales, "scales", "", "comma-separated XMark scale factors (default harness set)")
-	fs.StringVar(&c.Systems, "systems", "", "comma-separated systems (default: all)")
+	fs.StringVar(&c.Systems, "systems", "", "comma-separated engine names (default: interp,generic-sql,di-nlj,di-msj)")
 	fs.DurationVar(&c.Timeout, "timeout", 60*time.Second, "per-run budget; exceeding runs report DNF")
 	fs.Int64Var(&c.MaxTuples, "maxtuples", 40_000_000, "per-run materialization budget for DI plans (0 = unlimited)")
 	fs.StringVar(&c.MetricsDump, "metricsdump", "", "write cumulative runtime metrics (Prometheus text format) to this file on exit")

@@ -72,7 +72,8 @@ type Options struct {
 	// have produced this many tuples (0 = unlimited) — the analogue of the
 	// paper's experiment cutoffs.
 	MaxTuples int64
-	// Timeout aborts evaluation after this duration (0 = none).
+	// Timeout aborts evaluation after this duration (0 = none). The
+	// deadline is checked on entry to every plan operator.
 	Timeout time.Duration
 	// Stats, when non-nil, receives the run's counters and the per-phase
 	// timing breakdown of Figure 10, summed from the per-node actuals
@@ -172,6 +173,17 @@ func EncodeCatalog(docs map[string]xmltree.Forest) Catalog {
 	out := make(Catalog, len(docs))
 	for name, f := range docs {
 		out[name] = interval.Encode(f)
+	}
+	return out
+}
+
+// Widths returns each document's encoding width: 2·|rel|, the endpoint
+// bound of the DFS-counter encoding that the width analysis of Section 4
+// and the SQL translation both start from.
+func (c Catalog) Widths() map[string]int64 {
+	out := make(map[string]int64, len(c))
+	for name, rel := range c {
+		out[name] = int64(2 * rel.Len())
 	}
 	return out
 }

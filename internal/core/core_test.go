@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"dixq/internal/engine"
 	"dixq/internal/index"
@@ -241,6 +242,32 @@ func TestBudgetAbortsNLJ(t *testing.T) {
 	// MSJ evaluates the same query within the same budget.
 	if _, err := q.Eval(cat, Options{ForceJoinMode: ModeMSJ, MaxTuples: 10_000}); err != nil {
 		t.Fatalf("MSJ within budget failed: %v", err)
+	}
+}
+
+// TestDeadlineAtOperatorEntry checks that Options.Timeout is enforced on
+// entry to a plan operator in every join mode: with a deadline that has
+// passed before evaluation starts, the root operator is the only one
+// entered, and the run fails with the budget error.
+func TestDeadlineAtOperatorEntry(t *testing.T) {
+	cat, _ := generatedCatalog(0.002, 1)
+	q := Compile(xq.MustParse(xmark.Q8), Options{})
+	for _, mode := range []Mode{ModeAuto, ModeMSJ, ModeNLJ} {
+		stats := &Stats{}
+		_, err := q.Eval(cat, Options{ForceJoinMode: mode, Timeout: time.Nanosecond, Stats: stats})
+		if !errors.Is(err, engine.ErrBudgetExceeded) {
+			t.Fatalf("mode %v: err = %v, want budget exceeded", mode, err)
+		}
+		calls := 0
+		for _, ns := range stats.Run.Nodes {
+			calls += ns.Calls
+		}
+		if calls != 1 {
+			t.Errorf("mode %v: %d operator calls after the deadline, want only the root's", mode, calls)
+		}
+		if _, err := q.Eval(cat, Options{ForceJoinMode: mode, Timeout: time.Minute}); err != nil {
+			t.Errorf("mode %v within its deadline: %v", mode, err)
+		}
 	}
 }
 

@@ -73,6 +73,9 @@ type evaluator struct {
 	opts   Options
 	stats  *Stats
 	budget *engine.Budget
+	// deadline is when Options.Timeout runs out (zero: never); every
+	// operator entry compares it with the clock reading switchTo takes.
+	deadline time.Time
 	// run holds the per-plan-node actuals — the evaluation's one accounting,
 	// always on; the phase Stats and the operator table are derived from
 	// it. cur is the node currently being charged (-1 outside the plan) and
@@ -117,11 +120,11 @@ func newEvaluator(cat Catalog, opts Options, p *plan.Node) *evaluator {
 	if need := plan.MaxID(p) + 1; len(ev.run.Nodes) < need {
 		ev.run.Nodes = make([]plan.NodeStats, need)
 	}
-	if opts.MaxTuples > 0 || opts.Timeout > 0 {
+	if opts.MaxTuples > 0 {
 		ev.budget = &engine.Budget{MaxTuples: opts.MaxTuples}
-		if opts.Timeout > 0 {
-			ev.budget.Deadline = time.Now().Add(opts.Timeout)
-		}
+	}
+	if opts.Timeout > 0 {
+		ev.deadline = time.Now().Add(opts.Timeout)
 	}
 	if opts.MemBudget > 0 {
 		ev.spill = &engine.SpillConfig{MaxBytes: opts.MemBudget, Dir: opts.SpillDir}
@@ -188,7 +191,18 @@ func (ev *evaluator) switchTo(id int) int {
 	return prev
 }
 
-// finish closes a node opened with switchTo: charges its trailing slice,
+// enter opens plan node n (switchTo) and returns the node it left. It
+// fails with the budget error once the run's deadline has passed, so a
+// timeout stops the run at the next operator entry in any engine mode.
+func (ev *evaluator) enter(n *plan.Node) (int, error) {
+	prev := ev.switchTo(n.ID)
+	if !ev.deadline.IsZero() && ev.start.After(ev.deadline) {
+		return prev, engine.ErrBudgetExceeded
+	}
+	return prev, nil
+}
+
+// finish closes a node opened with enter: charges its trailing slice,
 // restores the previous node, and records the call and its output rows.
 func (ev *evaluator) finish(n *plan.Node, prev, rows int) {
 	ev.switchTo(prev)
@@ -199,8 +213,11 @@ func (ev *evaluator) finish(n *plan.Node, prev, rows int) {
 
 // exec runs one relation-valued plan node under the per-node accounting.
 func (ev *evaluator) exec(n *plan.Node, en *env) (*table, error) {
-	prev := ev.switchTo(n.ID)
-	tab, err := ev.execNode(n, en)
+	prev, err := ev.enter(n)
+	var tab *table
+	if err == nil {
+		tab, err = ev.execNode(n, en)
+	}
 	rows := 0
 	if tab != nil {
 		rows = tab.rel.Len()
@@ -546,8 +563,11 @@ func (ev *evaluator) execFilter(n *plan.Node, en *env) (*table, error) {
 // index, under the same per-node accounting as exec (rows counts the
 // evaluated environments).
 func (ev *evaluator) pred(n *plan.Node, en *env) ([]bool, error) {
-	prev := ev.switchTo(n.ID)
-	out, err := ev.predNode(n, en)
+	prev, err := ev.enter(n)
+	var out []bool
+	if err == nil {
+		out, err = ev.predNode(n, en)
+	}
 	ev.finish(n, prev, len(out))
 	return out, err
 }

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"strings"
 
+	"dixq/internal/plan"
 	"dixq/internal/xq"
 )
 
@@ -196,16 +197,26 @@ func (a *widthAnalyzer) cond(c xq.Cond) error {
 }
 
 // Explain renders a human-readable account of a compiled query: the
-// rewritten expression, the hoisted bindings, and for every for-loop
-// whether the merge-join evaluation applies syntactically.
+// rewritten expression, each for-loop's strategy as the DI-MSJ plan
+// compiled it (a merge join where the loop's equality decorrelates, which
+// makes it a candidate for DI-OPT too; a nested loop otherwise), and the
+// DI-MSJ and DI-NLJ operator trees.
 func (q *Query) Explain() string {
+	msj := q.Plan(Options{ForceJoinMode: ModeMSJ})
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan for:\n  %s\n", q.Original)
 	fmt.Fprintf(&b, "rewritten:\n  %s\n", q.Expr)
 	b.WriteString("loops:\n")
-	explainLoops(q.Expr, &b, map[string]bool{})
+	plan.Walk(msj, func(n *plan.Node) {
+		switch n.Op {
+		case plan.OpMSJ:
+			fmt.Fprintf(&b, "  for %s: merge-join candidate\n", n.Detail())
+		case plan.OpBindVar:
+			fmt.Fprintf(&b, "  for %s: nested loop\n", n.Detail())
+		}
+	})
 	b.WriteString("operator tree (DI-MSJ):\n")
-	indent(&b, q.Plan(Options{ForceJoinMode: ModeMSJ}).Tree())
+	indent(&b, msj.Tree())
 	b.WriteString("operator tree (DI-NLJ):\n")
 	indent(&b, q.Plan(Options{ForceJoinMode: ModeNLJ}).Tree())
 	return b.String()
@@ -216,43 +227,5 @@ func indent(b *strings.Builder, s string) {
 		b.WriteString("  ")
 		b.WriteString(line)
 		b.WriteByte('\n')
-	}
-}
-
-// explainLoops reports the statically detectable join strategy per loop:
-// a loop qualifies for merge-join evaluation when its body is a where
-// clause containing an equality with the loop variable on exactly one side
-// and its domain avoids the loop variable. (The depth conditions are
-// runtime properties; this is the syntactic part.)
-func explainLoops(e xq.Expr, b *strings.Builder, bound map[string]bool) {
-	switch e := e.(type) {
-	case xq.Call:
-		for _, a := range e.Args {
-			explainLoops(a, b, bound)
-		}
-	case xq.Let:
-		explainLoops(e.Value, b, bound)
-		explainLoops(e.Body, b, bound)
-	case xq.Where:
-		explainLoops(e.Body, b, bound)
-	case xq.For:
-		strategy := "nested loop"
-		if w, ok := e.Body.(xq.Where); ok {
-			for _, c := range flattenAnd(w.Cond) {
-				eq, isEq := c.(xq.Equal)
-				if !isEq {
-					continue
-				}
-				lUses := xq.FreeVars(eq.L)[e.Var]
-				rUses := xq.FreeVars(eq.R)[e.Var]
-				if lUses != rUses {
-					strategy = fmt.Sprintf("merge-join candidate on %s = %s", eq.L, eq.R)
-					break
-				}
-			}
-		}
-		fmt.Fprintf(b, "  for $%s in %s: %s\n", e.Var, e.Domain, strategy)
-		explainLoops(e.Domain, b, bound)
-		explainLoops(e.Body, b, bound)
 	}
 }

@@ -115,6 +115,27 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// TestExplainLoopsFollowPlan checks that Explain's loop list is read off
+// the compiled plan: over the whole XMark suite, the loops it calls
+// merge-join candidates are exactly the for-merge-join nodes of the DI-MSJ
+// operator tree it prints, and every other loop is a nested loop.
+func TestExplainLoopsFollowPlan(t *testing.T) {
+	for _, wq := range xmark.All {
+		out := Compile(xq.MustParse(wq.Text), Options{}).Explain()
+		loops, rest, _ := strings.Cut(out, "operator tree (DI-MSJ):\n")
+		msjTree, nljTree, _ := strings.Cut(rest, "operator tree (DI-NLJ):\n")
+		candidates := strings.Count(loops, ": merge-join candidate")
+		if merges := strings.Count(msjTree, "for-merge-join"); candidates != merges {
+			t.Errorf("%s: Explain lists %d merge-join candidates, the DI-MSJ plan has %d for-merge-join nodes\n%s",
+				wq.Name, candidates, merges, out)
+		}
+		nested := strings.Count(loops, ": nested loop")
+		if all := strings.Count(nljTree, "for-nested-loop"); candidates+nested != all {
+			t.Errorf("%s: Explain lists %d loops, the DI-NLJ plan has %d\n%s", wq.Name, candidates+nested, all, out)
+		}
+	}
+}
+
 func TestWidthCondBranches(t *testing.T) {
 	docs := map[string]*big.Int{"d": big.NewInt(10)}
 	ok := []string{

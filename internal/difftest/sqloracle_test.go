@@ -3,6 +3,7 @@ package difftest
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"dixq/internal/core"
 	"dixq/internal/interp"
@@ -84,7 +85,7 @@ func TestFullSuiteAcrossAllEngines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sqlgen.Run(e, sqlDocs)
+			got, err := sqlgen.Run(e, sqlDocs, time.Time{})
 			if why, out := sqlUnsupported[q.Name]; out {
 				if !errors.Is(err, sqlgen.ErrUnsupported) {
 					t.Fatalf("%s via SQL: err = %v, want ErrUnsupported (%s)", q.Name, err, why)

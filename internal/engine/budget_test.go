@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"dixq/internal/interval"
 	"dixq/internal/xmltree"
@@ -24,23 +23,6 @@ func TestBudgetMaxTuples(t *testing.T) {
 	out, err := EmbedOuter(newIndex, 0, 1, rel, &Budget{MaxTuples: 100})
 	if err != nil || out.Len() != 12 {
 		t.Fatalf("out = %v, err = %v", out, err)
-	}
-}
-
-func TestBudgetDeadline(t *testing.T) {
-	doc, _ := xmltree.Parse(`<a><b/></a>`)
-	rel := interval.Encode(doc)
-	dom := interval.Encode(xmltree.Forest{xmltree.NewElement("x")})
-	newIndex := EnterIndex(Roots(dom))
-	b := &Budget{Deadline: time.Now().Add(-time.Second)}
-	// The deadline is only polled every budgetCheckEvery tuples, so force
-	// enough charges through the shared budget.
-	var err error
-	for i := 0; i < budgetCheckEvery+8 && err == nil; i++ {
-		_, err = EmbedOuter(newIndex, 0, 1, rel, b)
-	}
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded after deadline", err)
 	}
 }
 

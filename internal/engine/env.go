@@ -4,16 +4,14 @@ import (
 	"errors"
 	"strconv"
 	"strings"
-	"time"
 
 	"dixq/internal/interval"
-	"dixq/internal/obs"
 	"dixq/internal/xmltree"
 )
 
-// ErrBudgetExceeded is returned when an operator exceeds its Budget — the
-// engine's equivalent of the paper's two-hour/1 GB experiment cutoffs
-// ("DNF" / "IM" in Figures 8, 9 and 11).
+// ErrBudgetExceeded is returned when a run exceeds its Budget or its
+// deadline — the engine's equivalent of the paper's two-hour/1 GB
+// experiment cutoffs ("DNF" / "IM" in Figures 8, 9 and 11).
 var ErrBudgetExceeded = errors.New("engine: budget exceeded")
 
 // Budget bounds the work of the potentially explosive operators. The zero
@@ -22,31 +20,19 @@ type Budget struct {
 	// MaxTuples caps the total number of tuples produced through this
 	// budget; 0 means no cap.
 	MaxTuples int64
-	// Deadline aborts work past this instant; the zero time means none.
-	Deadline time.Time
 
 	used int64
 }
 
 // charge consumes n tuples of budget, reporting whether the budget still
-// holds. The deadline is checked on the same call.
+// holds.
 func (b *Budget) charge(n int64) bool {
 	if b == nil {
 		return true
 	}
 	b.used += n
-	if b.MaxTuples > 0 && b.used > b.MaxTuples {
-		obs.BudgetRejections.Inc()
-		return false
-	}
-	if !b.Deadline.IsZero() && b.used%budgetCheckEvery < n && time.Now().After(b.Deadline) {
-		obs.BudgetRejections.Inc()
-		return false
-	}
-	return true
+	return b.MaxTuples <= 0 || b.used <= b.MaxTuples
 }
-
-const budgetCheckEvery = 1 << 18
 
 // EnterIndex computes the new environment index I' for "for x ∈ e do e'"
 // (Section 4.2.4): one environment per top-level tree of the domain forest,

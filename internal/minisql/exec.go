@@ -35,8 +35,11 @@ func NewDB() *DB { return &DB{tables: map[string]*Table{}} }
 func (db *DB) Create(name string, t *Table) { db.tables[name] = t }
 
 // SetDeadline makes subsequent queries fail with ErrDeadlineExceeded once
-// the instant passes. The zero time removes the deadline.
+// the instant passes: checked when a statement starts and every 2^16
+// evaluation steps after. The zero time removes the deadline.
 func (db *DB) SetDeadline(t time.Time) { db.deadline = t }
+
+func (db *DB) expired() bool { return !db.deadline.IsZero() && time.Now().After(db.deadline) }
 
 // Query parses and executes a statement.
 func (db *DB) Query(sql string) (*Table, error) {
@@ -49,6 +52,9 @@ func (db *DB) Query(sql string) (*Table, error) {
 
 // Exec executes a parsed statement.
 func (db *DB) Exec(stmt *Statement) (*Table, error) {
+	if db.expired() {
+		return nil, ErrDeadlineExceeded
+	}
 	ex := &executor{db: db, ctes: map[string]*Table{}}
 	var out *Table
 	err := ex.catch(func() {
@@ -77,7 +83,7 @@ type executor struct {
 // tick charges one evaluation step and aborts on a passed deadline.
 func (ex *executor) tick() {
 	ex.steps++
-	if ex.steps%(1<<16) == 0 && !ex.db.deadline.IsZero() && time.Now().After(ex.db.deadline) {
+	if ex.steps%(1<<16) == 0 && ex.db.expired() {
 		panic(execError{ErrDeadlineExceeded})
 	}
 }

@@ -285,6 +285,11 @@ func TestDeadline(t *testing.T) {
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v", err)
 	}
+	// A passed deadline stops a statement before it starts, however cheap.
+	db.SetDeadline(time.Now().Add(-time.Second))
+	if _, err := db.Query(`SELECT COUNT(*) FROM n`); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("passed deadline: err = %v", err)
+	}
 	db.SetDeadline(time.Time{})
 	if _, err := db.Query(`SELECT COUNT(*) FROM n`); err != nil {
 		t.Fatalf("after clearing deadline: %v", err)

@@ -33,7 +33,8 @@ import (
 
 // Config bounds query execution for every request.
 type Config struct {
-	// Timeout per query; zero means none.
+	// Timeout per query, under every engine (see dixq.Options.Timeout); a
+	// query past it answers 504. Zero means none.
 	Timeout time.Duration
 	// MaxTuples per query for the DI engines; zero means none.
 	MaxTuples int64

@@ -152,6 +152,26 @@ func TestQueryBudget(t *testing.T) {
 	}
 }
 
+// TestQueryTimeoutEveryEngine checks that Config.Timeout bounds every
+// engine, the oracle legs included: each run past it is a 504, counted
+// once in dixq_budget_rejections_total, and releases its snapshot.
+func TestQueryTimeoutEveryEngine(t *testing.T) {
+	ts := testServer(t, Config{Timeout: time.Nanosecond})
+	for _, engine := range []string{"interp", "generic-sql", "di-opt", "di-msj", "di-nlj"} {
+		before, pinned := obs.BudgetRejections.Value(), obs.SnapshotsPinned.Value()
+		resp, body := postJSON(t, ts.URL+"/query", QueryRequest{Query: dixq.XMarkQ8, Engine: engine})
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Errorf("%s: status = %d (%s), want 504", engine, resp.StatusCode, body)
+		}
+		if n := obs.BudgetRejections.Value() - before; n != 1 {
+			t.Errorf("%s: %d budget rejections counted, want 1", engine, n)
+		}
+		if p := obs.SnapshotsPinned.Value(); p != pinned {
+			t.Errorf("%s: %d snapshots pinned after the abort, %d before", engine, p, pinned)
+		}
+	}
+}
+
 func TestExplainAndSQL(t *testing.T) {
 	ts := testServer(t, Config{})
 	resp, body := postJSON(t, ts.URL+"/explain", QueryRequest{Query: dixq.XMarkQ8})

@@ -2,6 +2,7 @@ package sqlgen
 
 import (
 	"fmt"
+	"time"
 
 	"dixq/internal/core"
 	"dixq/internal/interval"
@@ -13,15 +14,15 @@ import (
 
 // LoadDB builds a minisql database holding the interval encodings of the
 // given documents under the statement's table names, plus the unit table.
-func LoadDB(stmt *Statement, docs map[string]xmltree.Forest) (*minisql.DB, error) {
+// The encodings must carry one-digit keys, as interval.Encode builds them.
+func LoadDB(stmt *Statement, docs core.Catalog) (*minisql.DB, error) {
 	db := minisql.NewDB()
 	db.Create(Unit, &minisql.Table{Cols: []string{"u"}, Rows: [][]minisql.Value{{int64(0)}}})
 	for _, d := range stmt.Docs {
-		f, ok := docs[d.Doc]
+		enc, ok := docs[d.Doc]
 		if !ok {
 			return nil, fmt.Errorf("sqlgen: document %q not supplied", d.Doc)
 		}
-		enc := interval.Encode(f)
 		t := &minisql.Table{Cols: []string{"s", "l", "r"}}
 		for _, tp := range enc.Tuples {
 			t.Rows = append(t.Rows, []minisql.Value{tp.S, tp.L.Digit(0), tp.R.Digit(0)})
@@ -29,15 +30,6 @@ func LoadDB(stmt *Statement, docs map[string]xmltree.Forest) (*minisql.DB, error
 		db.Create(d.Table, t)
 	}
 	return db, nil
-}
-
-// DocWidths computes the encoding widths of a document set, for Generate.
-func DocWidths(docs map[string]xmltree.Forest) map[string]int64 {
-	out := make(map[string]int64, len(docs))
-	for name, f := range docs {
-		out[name] = int64(2 * f.Size())
-	}
-	return out
 }
 
 // Plan compiles an expression to the nested-loop physical plan the SQL
@@ -51,16 +43,19 @@ func Plan(e xq.Expr) *plan.Node {
 // Run translates a core expression to SQL, executes it on the minisql
 // engine over the given documents, and decodes the (s, l, r) result rows
 // back into a forest. It is the end-to-end path of the paper's Section 4
-// on a generic relational engine.
-func Run(e xq.Expr, docs map[string]xmltree.Forest) (xmltree.Forest, error) {
-	stmt, err := Generate(Plan(e), DocWidths(docs))
+// on a generic relational engine. A non-zero deadline aborts the
+// statement with minisql.ErrDeadlineExceeded once it passes.
+func Run(e xq.Expr, docs map[string]xmltree.Forest, deadline time.Time) (xmltree.Forest, error) {
+	cat := core.EncodeCatalog(docs)
+	stmt, err := Generate(Plan(e), cat.Widths())
 	if err != nil {
 		return nil, err
 	}
-	db, err := LoadDB(stmt, docs)
+	db, err := LoadDB(stmt, cat)
 	if err != nil {
 		return nil, err
 	}
+	db.SetDeadline(deadline)
 	return Execute(stmt, db)
 }
 

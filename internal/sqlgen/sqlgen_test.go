@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
+	"dixq/internal/core"
 	"dixq/internal/interp"
 	"dixq/internal/xmark"
 	"dixq/internal/xmltree"
@@ -22,7 +24,7 @@ func runSQL(t *testing.T, query string, docs map[string]xmltree.Forest) xmltree.
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	f, err := Run(e, docs)
+	f, err := Run(e, docs, time.Time{})
 	if err != nil {
 		t.Fatalf("Run(%s): %v", query, err)
 	}
@@ -146,7 +148,7 @@ func TestForExitAcrossEnvironments(t *testing.T) {
 
 func TestUnsupportedOperators(t *testing.T) {
 	docs := figureDocs()
-	widths := DocWidths(docs)
+	widths := core.EncodeCatalog(docs).Widths()
 	for _, q := range []string{
 		`sort(document("auction.xml"))`,
 		`reverse(document("auction.xml"))`,
@@ -180,7 +182,7 @@ func TestGenerateErrors(t *testing.T) {
 
 func TestStatementShape(t *testing.T) {
 	e := xq.MustParse(xmark.Q8)
-	stmt, err := Generate(Plan(e), DocWidths(figureDocs()))
+	stmt, err := Generate(Plan(e), core.EncodeCatalog(figureDocs()).Widths())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +216,8 @@ func TestDifferentialSQL(t *testing.T) {
 			"d2": xmltree.RandomForest(rng, 6),
 		}
 		e := xq.RandomExpr(rng, []string{"d1", "d2"}, 3)
-		stmt, err := Generate(Plan(e), DocWidths(docs))
+		cat := core.EncodeCatalog(docs)
+		stmt, err := Generate(Plan(e), cat.Widths())
 		if err != nil {
 			if errors.Is(err, ErrUnsupported) || errors.Is(err, ErrOverflow) {
 				continue
@@ -222,7 +225,7 @@ func TestDifferentialSQL(t *testing.T) {
 			t.Fatalf("trial %d: Generate(%s): %v", trial, e, err)
 		}
 		supported++
-		db, err := LoadDB(stmt, docs)
+		db, err := LoadDB(stmt, cat)
 		if err != nil {
 			t.Fatal(err)
 		}
