@@ -29,7 +29,6 @@ import (
 	"dixq/internal/sqlgen"
 	"dixq/internal/stats"
 	"dixq/internal/store"
-	"dixq/internal/update"
 	"dixq/internal/xmark"
 	"dixq/internal/xmltree"
 	"dixq/internal/xq"
@@ -291,27 +290,51 @@ func BenchmarkStore(b *testing.B) {
 	})
 }
 
-// BenchmarkUpdate measures subtree insertion on encodings of growing size:
-// cost is dominated by the relation copy (O(n)), with no relabeling.
+// BenchmarkUpdate measures one catalog write cycle on the XMark sf 0.05
+// document: an append under the root element and the delete that undoes
+// it, each publishing the relation with its spliced index and statistics.
+// The rebuild sub-benchmark times index.Build + stats.Collect over the same
+// document, what each write would cost if the index and statistics were
+// derived again instead.
 func BenchmarkUpdate(b *testing.B) {
-	for _, sf := range []float64{0.001, 0.01} {
-		rel := interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: sf, Seed: 5}))
-		var peopleL interval.Key
-		for _, t := range rel.Tuples {
-			if t.S == "<people>" {
-				peopleL = t.L
-				break
+	const sf, seed = 0.05, 5
+	cat := dixq.NewCatalog()
+	cat.Add(xmark.DocName, dixq.GenerateXMark(sf, seed))
+	count, err := dixq.ParseQuery(`count(document("` + xmark.DocName + `")/site/*)`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := count.Run(cat, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var children int
+	if _, err := fmt.Sscan(res.XML(), &children); err != nil {
+		b.Fatal(err)
+	}
+	frag, err := dixq.ParseDocument(`<scratch n="1"><v>x</v></scratch>`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("append+delete", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := cat.Update(xmark.DocName, dixq.OpAppendChild, []int{0}, frag); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := cat.Update(xmark.DocName, dixq.OpDelete, []int{0, children}, nil); err != nil {
+				b.Fatal(err)
 			}
 		}
-		person, _ := xmltree.Parse(`<person id="new"><name>New Person</name></person>`)
-		b.Run(fmt.Sprintf("insert/sf=%g", sf), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := update.AppendChild(rel, peopleL, person); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	})
+	rel := interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: sf, Seed: seed}))
+	b.Run("rebuild", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			index.Build(rel)
+			stats.Collect(rel)
+		}
+	})
 }
 
 // BenchmarkShred compares direct XML-to-relation shredding, the path a

@@ -43,11 +43,10 @@ type View interface {
 type Snapshot struct {
 	version uint64
 	enc     core.Catalog
-	// idx and st hold the per-document structural indexes and statistics.
-	// A document freshly mutated by Update has no entry in either (plans
-	// over it fall back to scans and nominal estimates) until Reindex
-	// re-derives them; each set carries the catalog version at which it
-	// last changed as its epoch.
+	// idx and st hold the per-document structural indexes and statistics:
+	// every document has an entry in both, derived from exactly the
+	// relation in enc (built by Add, spliced by Update). Each set carries
+	// the catalog version at which it last changed as its epoch.
 	idx *index.Set
 	st  *stats.Set
 }
@@ -242,11 +241,14 @@ const (
 //
 // The mutation is the paper's locality argument made concrete: inserted
 // subtrees receive digit-vector keys extending the predecessor's key, so
-// nothing else in the relation is relabeled and the cost is
-// O(subtree + log n). The new version publishes without the document's
-// structural index and statistics — plans over it fall back to scans and
-// nominal estimates, which stay digit-identical — until Reindex
-// re-derives them.
+// nothing else in the relation is relabeled. The update is one row-range
+// replacement (interval.Edit), and the document's structural index and
+// statistics are spliced from the previous ones by it (index.Splice,
+// stats.Splice) rather than rebuilt, so the new version publishes
+// relation, index and statistics together: a read after a write seeks
+// exactly as before it. The cost is O(n) — the copy of the tuple slice
+// and an int32 shift of the subtree ends, class rows and postings — with
+// no key comparisons outside the inserted rows.
 func (c *Catalog) Update(name string, op UpdateOp, path []int, fragment *Document) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -255,7 +257,9 @@ func (c *Catalog) Update(name string, op UpdateOp, path []int, fragment *Documen
 	if !ok {
 		return cur.version, fmt.Errorf("%w: %q", ErrNoDocument, name)
 	}
-	target, err := update.ResolvePath(rel, path)
+	// Add indexes every document, and Update and Reindex keep it so.
+	ix := cur.idx.Docs[name]
+	row, err := update.ResolvePath(ix.End, path)
 	if err != nil {
 		return cur.version, err
 	}
@@ -267,57 +271,51 @@ func (c *Catalog) Update(name string, op UpdateOp, path []int, fragment *Documen
 		return cur.version, fmt.Errorf("dixq: %s requires a fragment", op)
 	}
 	var next *interval.Relation
+	var e interval.Edit
 	switch op {
 	case OpDelete:
-		next, err = update.DeleteSubtree(rel, target)
+		next, e, err = update.DeleteSubtree(rel, ix.End, row)
 	case OpInsertAfter:
-		next, err = update.InsertAfter(rel, target, fragment.tree())
+		next, e, err = update.InsertAfter(rel, ix.End, row, fragment.tree())
 	case OpInsertBefore:
-		next, err = update.InsertBefore(rel, target, fragment.tree())
+		next, e, err = update.InsertBefore(rel, ix.End, row, fragment.tree())
 	case OpAppendChild:
-		next, err = update.AppendChild(rel, target, fragment.tree())
+		next, e, err = update.AppendChild(rel, ix.End, row, fragment.tree())
 	case OpPrependChild:
-		next, err = update.PrependChild(rel, target, fragment.tree())
+		next, e, err = update.PrependChild(rel, ix.End, row, fragment.tree())
 	default:
 		err = fmt.Errorf("dixq: unknown update op %q", op)
 	}
 	if err != nil {
 		return cur.version, err
 	}
+	p := index.Splice(ix, next, e)
 	n := cur.clone()
 	n.enc[name] = next
-	n.withIndex(name, nil)
-	n.withStats(name, nil)
+	n.withIndex(name, p.After)
+	n.withStats(name, stats.Splice(cur.st.Docs[name], p))
 	c.publish(n)
 	return n.version, nil
 }
 
 // Reindex rebuilds the structural index and statistics of a document
-// from its current relation and publishes them under a new version. It
-// reports the resulting version and whether anything was rebuilt: a
-// document that is absent, or whose index is already current, is left
-// alone. Updates leave a document unindexed until this runs (the
-// server's background reindexer calls it after every update), trading a
-// window of scan-backed plans for O(subtree) update latency.
+// whose index entry is missing, and publishes them under a new version.
+// It reports the resulting version and whether anything was rebuilt.
+// Add indexes every document and Update splices the index and statistics
+// into the version it publishes, so no published snapshot lacks an entry
+// and Reindex leaves every document alone; it remains the entry point
+// that restores the invariant should an entry ever be missing.
 func (c *Catalog) Reindex(name string) (uint64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cur := c.Snapshot()
 	rel, ok := cur.enc[name]
-	if !ok {
+	if !ok || cur.idx.Docs[name] != nil {
 		return cur.version, false
 	}
-	if cur.idx != nil && cur.idx.Docs[name] != nil {
-		// Index entries are only ever derived from the then-current
-		// relation, and every Update removes the entry — so a present
-		// entry is already current.
-		return cur.version, false
-	}
-	di := index.Build(rel)
-	ds := stats.Collect(rel)
 	n := cur.clone()
-	n.withIndex(name, di)
-	n.withStats(name, ds)
+	n.withIndex(name, index.Build(rel))
+	n.withStats(name, stats.Collect(rel))
 	c.publish(n)
 	return n.version, true
 }

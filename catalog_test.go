@@ -2,10 +2,14 @@ package dixq
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"dixq/internal/index"
+	"dixq/internal/stats"
 	"dixq/internal/update"
 )
 
@@ -155,26 +159,37 @@ func TestCatalogUpdateErrors(t *testing.T) {
 	}
 }
 
-// TestCatalogLazyReindex: Update publishes without the document's index
-// and statistics (queries fall back to scans, digit-identically), then
-// Reindex re-derives both under a fresh version; reindexing an
-// already-current document publishes nothing.
-func TestCatalogLazyReindex(t *testing.T) {
+// TestCatalogUpdatePublishesIndex: Update publishes the document's
+// spliced index and statistics in the same version as its relation —
+// entries present, epochs equal to the new version, contents equal to a
+// rebuild — so Reindex finds nothing to do and publishes nothing.
+func TestCatalogUpdatePublishesIndex(t *testing.T) {
 	cat := NewCatalog()
 	doc, _ := ParseDocument(`<r><a>1</a></r>`)
 	frag, _ := ParseDocument(`<a>2</a>`)
 	cat.Add("d", doc)
-	if cat.Snapshot().idx.Docs["d"] == nil || cat.Snapshot().st.Docs["d"] == nil {
-		t.Fatal("Add left the document unindexed")
-	}
-	if _, err := cat.Update("d", OpAppendChild, []int{0}, frag); err != nil {
+	v, err := cat.Update("d", OpAppendChild, []int{0}, frag)
+	if err != nil {
 		t.Fatal(err)
 	}
 	snap := cat.Snapshot()
-	if snap.idx.Docs["d"] != nil || snap.st.Docs["d"] != nil {
-		t.Fatal("Update kept the stale index/stats entries")
+	ix, st := snap.idx.Docs["d"], snap.st.Docs["d"]
+	if ix == nil || st == nil {
+		t.Fatal("Update published the document without its index or statistics")
 	}
-	// Scan fallback answers the fresh content.
+	if snap.idx.Epoch != v || snap.st.Epoch != v {
+		t.Errorf("index/stats epochs %d/%d, want the update's version %d", snap.idx.Epoch, snap.st.Epoch, v)
+	}
+	rel := snap.enc["d"]
+	if ix.Rel != rel {
+		t.Fatal("spliced index describes another relation")
+	}
+	if want := index.Build(rel); !slices.Equal(ix.End, want.End) || !slices.Equal(ix.Paths(), want.Paths()) {
+		t.Errorf("spliced index differs from a rebuild: End %v, want %v", ix.End, want.End)
+	}
+	if want := stats.Collect(rel); !reflect.DeepEqual(st, want) {
+		t.Errorf("spliced statistics %+v, want %+v", st, want)
+	}
 	q, err := ParseQuery(`document("d")/r/a`)
 	if err != nil {
 		t.Fatal(err)
@@ -184,31 +199,11 @@ func TestCatalogLazyReindex(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := res.XML(); got != `<a>1</a><a>2</a>` {
-		t.Fatalf("scan-fallback result = %q", got)
+		t.Fatalf("result after update = %q", got)
 	}
 
-	v, rebuilt := cat.Reindex("d")
-	if !rebuilt || v != cat.Version() {
-		t.Fatalf("Reindex = (%d, %t)", v, rebuilt)
-	}
-	snap = cat.Snapshot()
-	if snap.idx.Docs["d"] == nil || snap.st.Docs["d"] == nil {
-		t.Fatal("Reindex left the document unindexed")
-	}
-	if snap.idx.Epoch != snap.Version() || snap.st.Epoch != snap.Version() {
-		t.Errorf("Reindex epochs %d/%d, want %d", snap.idx.Epoch, snap.st.Epoch, snap.Version())
-	}
-	// Identical answers from the indexed plan.
-	res, err = q.Run(cat, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.XML(); got != `<a>1</a><a>2</a>` {
-		t.Fatalf("post-reindex result = %q", got)
-	}
-
-	if _, rebuilt := cat.Reindex("d"); rebuilt {
-		t.Error("reindexing a current document republished")
+	if got, rebuilt := cat.Reindex("d"); rebuilt || got != v || cat.Version() != v {
+		t.Errorf("Reindex after Update = (%d, %t), version %d; want (%d, false) and no new version", got, rebuilt, cat.Version(), v)
 	}
 	if _, rebuilt := cat.Reindex("ghost"); rebuilt {
 		t.Error("reindexing a missing document republished")

@@ -46,23 +46,26 @@ func main() {
 	fmt.Println("stored", path)
 
 	// Load and update the relation directly: insert a person between the
-	// two existing ones.
-	rel, _, _, err = store.LoadFull(path)
+	// two existing ones. The operators find their way through the index's
+	// subtree ends, and the edit they report patches the index and the
+	// statistics in place of a rebuild.
+	rel, ix, st, err := store.LoadFull(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var p0 interval.Key
-	for _, t := range rel.Tuples {
-		if t.S == "<person>" {
-			p0 = t.L
-			break
-		}
+	p0 := 0
+	for rel.Tuples[p0].S != "<person>" {
+		p0++
 	}
 	newPerson, _ := xmltree.Parse(`<person id="p2"><name>Cy</name></person>`)
-	rel, err = update.InsertAfter(rel, p0, newPerson)
+	rel, edit, err := update.InsertAfter(rel, ix.End, p0, newPerson)
 	if err != nil {
 		log.Fatal(err)
 	}
+	patch := index.Splice(ix, rel, edit)
+	st = stats.Splice(st, patch)
+	fmt.Printf("\nInsertAfter replaced rows [%d, %d) by %d rows; the spliced statistics count %d persons\n",
+		edit.At, edit.At+edit.Removed, edit.Inserted, st.Labels["<person>"])
 	fmt.Println("\nafter InsertAfter, the new person's keys extend its neighbor's:")
 	for _, t := range rel.Tuples {
 		if t.S == "<person>" {

@@ -539,13 +539,8 @@ func TestQueryingUpdatedRelations(t *testing.T) {
 	doc, _ := xmltree.Parse(`<db><as><rec><k>a</k></rec></as><bs><rec><k>a</k></rec></bs></db>`)
 	rel := interval.Encode(doc)
 	extra, _ := xmltree.Parse(`<rec><k>a</k></rec>`)
-	var asL interval.Key
-	for _, tp := range rel.Tuples {
-		if tp.S == "<as>" {
-			asL = tp.L
-		}
-	}
-	rel2, err := update.AppendChild(rel, asL, extra)
+	as := 1 // the row of <as>
+	rel2, _, err := update.AppendChild(rel, index.Build(rel).End, as, extra)
 	if err != nil {
 		t.Fatal(err)
 	}

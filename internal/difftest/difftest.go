@@ -56,6 +56,8 @@
 //	opt: demoted merge join filters by < instead of =   4 cases, OPT-batch1      4 cases, DI-OPT-base *
 //	core: depth-0 seek served after a dropping where    survived                 1 case, DI-OPT-idx +
 //	engine: spilled merge-join sort ignores the prefix  survived                 1 case, DI-MSJ-budget1 #
+//	index: splice leaves ancestors' End unshifted       (no splice)              1 case, DI-OPT spliced ‡
+//	stats: splice keeps the old DistinctText            (no splice)              survived ‡
 //
 // Four seeded bugs first survived both matrices alike, so they were gaps
 // of the corpus, not of the pruning, and corpus cases close all four.
@@ -73,6 +75,17 @@
 // under different ancestor environments: xmark-join-under-person joins
 // each person's children against their own text, and DI-MSJ-budget1
 // kills it. All 17 are killed.
+//
+// The two rows marked ‡ were seeded into the catalog's update path,
+// index.Splice and stats.Splice, and run against
+// TestSplicedIndexAgreesOnCorpus, which queries an updated document with
+// spliced, rebuilt and no indexes. The stale ancestor End panics the
+// descendant resolution of xmark-q7 under the spliced index. The stale
+// DistinctText survives it, as it must: statistics only choose among
+// plans that agree digit for digit. Both are killed by the splice's
+// property test (TestSpliceMatchesRebuild in package index), which
+// compares every step with index.Build and stats.Collect, and by the root
+// package's TestCatalogUpdatePublishesIndex.
 package difftest
 
 import (

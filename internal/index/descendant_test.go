@@ -76,7 +76,7 @@ func TestDescendantSeekMatchesSubtreesDFS(t *testing.T) {
 		rel := interval.Encode(xmltree.RandomForest(rng, 60))
 		if i%3 == 0 {
 			var err error
-			if rel, err = update.InsertBefore(rel, rel.Tuples[0].L, xmltree.RandomForest(rng, 12)); err != nil {
+			if rel, _, err = update.InsertBefore(rel, index.Build(rel).End, 0, xmltree.RandomForest(rng, 12)); err != nil {
 				t.Fatal(err)
 			}
 			if rel.MaxKeyLen() > 1 {

@@ -27,11 +27,15 @@
 // x-labelled descendant-or-self instance, with the position digit
 // subtrees-dfs would number it by. The soundness argument for these uses
 // lives in DESIGN.md §4.11.
+//
+// A structural update does not rebuild the index: Splice patches all three
+// structures for the rows the update replaced.
 package index
 
 import (
 	"slices"
 	"sort"
+	"strings"
 
 	"dixq/internal/interval"
 	"dixq/internal/xmltree"
@@ -80,38 +84,242 @@ func Build(rel *interval.Relation) *DocIndex {
 		postings: map[string][]int32{},
 		root:     &class{child: map[string]*class{}},
 	}
-	type frame struct {
-		row int32
-		cls *class
-	}
-	var stack []frame
-	for i := 0; i < n; i++ {
-		t := rel.Tuples[i]
-		for len(stack) > 0 && interval.Compare(rel.Tuples[stack[len(stack)-1].row].R, t.L) < 0 {
-			ix.End[stack[len(stack)-1].row] = int32(i)
-			stack = stack[:len(stack)-1]
-		}
-		parent := ix.root
-		if len(stack) > 0 {
-			parent = stack[len(stack)-1].cls
-		}
-		cl := classLabel(t.S)
+	classify(rel, 0, n, ix.root, ix.End, func(parent *class, row int32) *class {
+		label := rel.Tuples[row].S
+		cl := classLabel(label)
 		c := parent.child[cl]
 		if c == nil {
 			c = &class{label: cl, child: map[string]*class{}}
 			parent.child[cl] = c
 			parent.children = append(parent.children, c)
 		}
-		c.rows = append(c.rows, int32(i))
+		c.rows = append(c.rows, row)
 		if cl != "" {
-			ix.postings[t.S] = append(ix.postings[t.S], int32(i))
+			ix.postings[label] = append(ix.postings[label], row)
 		}
-		stack = append(stack, frame{int32(i), c})
+		return c
+	})
+	return ix
+}
+
+// classify is the stack pass shared by Build and Splice. Rows [lo, hi) of
+// rel must be a forest whose top-level nodes are instances of top's child
+// classes. It sets end[i] for every row of the range and calls visit with
+// each row, in row order, and the class of its parent; visit returns the
+// row's own class.
+func classify(rel *interval.Relation, lo, hi int, top *class, end []int32, visit func(parent *class, row int32) *class) {
+	type frame struct {
+		row int32
+		cls *class
+	}
+	var stack []frame
+	for i := lo; i < hi; i++ {
+		t := rel.Tuples[i]
+		for len(stack) > 0 && interval.Compare(rel.Tuples[stack[len(stack)-1].row].R, t.L) < 0 {
+			end[stack[len(stack)-1].row] = int32(i)
+			stack = stack[:len(stack)-1]
+		}
+		parent := top
+		if len(stack) > 0 {
+			parent = stack[len(stack)-1].cls
+		}
+		stack = append(stack, frame{int32(i), visit(parent, int32(i))})
 	}
 	for _, f := range stack {
-		ix.End[f.row] = int32(n)
+		end[f.row] = int32(hi)
 	}
-	return ix
+}
+
+// Patch is one edit applied to an indexed document: the index before and
+// after it, and the edit's ancestor chain, which the statistics splice
+// (stats.Splice) reuses.
+type Patch struct {
+	Before, After *DocIndex
+	Edit          interval.Edit
+	// Ancestors are the rows of the nodes whose subtrees contain the edit,
+	// outermost first. They precede Edit.At, so the rows are the same
+	// before and after it.
+	Ancestors []int32
+}
+
+// Splice derives the index of next, the relation e made from ix.Rel, from
+// ix instead of rebuilding it, in O(n) int32 work:
+//
+//   - the ancestor chain is found by descending from the roots with End
+//     jumps; a node whose subtree ends exactly at the insertion point
+//     contains the inserted rows only if their first key is below its R;
+//   - ancestors' End and every row after the edit shift by e.Delta(); the
+//     removed rows drop out of End, the class rows and the postings, and
+//     a class left empty is dropped;
+//   - the inserted rows run Build's stack pass, starting at the deepest
+//     ancestor's class.
+//
+// ix is not modified, and every class, row list and posting list the edit
+// leaves unchanged is shared with it; the rest is allocated at its final
+// length. New classes follow their existing siblings, so the trie's child
+// order can differ from Build's; nothing reads it as document order.
+func Splice(ix *DocIndex, next *interval.Relation, e interval.Edit) Patch {
+	old := ix.Rel.Tuples
+	// Descend to the edit: at each level, walk the siblings until the one
+	// whose subtree contains it.
+	var anc []int32
+	top := ix.root
+	for r := 0; r < e.At; {
+		end := int(ix.End[r])
+		if end > e.At || end == e.At && e.Removed == 0 && e.Inserted > 0 &&
+			interval.Compare(next.Tuples[e.At].L, old[r].R) < 0 {
+			anc = append(anc, int32(r))
+			top = top.child[classLabel(old[r].S)]
+			r++
+			continue
+		}
+		r = end
+	}
+
+	d := e.Delta()
+	ends := make([]int32, len(next.Tuples))
+	copy(ends, ix.End[:e.At])
+	for _, a := range anc {
+		ends[a] += int32(d)
+	}
+	for i := e.At + e.Removed; i < len(ix.End); i++ {
+		ends[i+d] = ix.End[i] + int32(d)
+	}
+	// The inserted rows, by class. Classes the document lacks are created
+	// on the side (fresh), so the classes of ix stay untouched.
+	s := splicer{e: e, added: map[*class][]int32{}, fresh: map[*class][]*class{}}
+	addedPostings := map[string][]int32{}
+	classify(next, e.At, e.At+e.Inserted, top, ends, func(parent *class, row int32) *class {
+		label := next.Tuples[row].S
+		cl := classLabel(label)
+		c := s.child(parent, cl)
+		s.added[c] = append(s.added[c], row)
+		if cl != "" {
+			addedPostings[label] = append(addedPostings[label], row)
+		}
+		return c
+	})
+
+	postings := make(map[string][]int32, len(ix.postings)+len(addedPostings))
+	for label, rows := range ix.postings {
+		if rows, _ = spliceRows(rows, e, addedPostings[label]); len(rows) > 0 {
+			postings[label] = rows
+		}
+	}
+	for label, rows := range addedPostings {
+		if _, ok := ix.postings[label]; !ok {
+			postings[label], _ = spliceRows(nil, e, rows)
+		}
+	}
+	return Patch{
+		Before:    ix,
+		After:     &DocIndex{Rel: next, End: ends, postings: postings, root: s.class(ix.root)},
+		Edit:      e,
+		Ancestors: anc,
+	}
+}
+
+// splicer applies one edit to a dataguide trie copy-on-write.
+type splicer struct {
+	e interval.Edit
+	// added holds the inserted rows of each class, existing or fresh.
+	added map[*class][]int32
+	// fresh holds the classes the inserted rows create, by parent, in
+	// order of creation.
+	fresh map[*class][]*class
+}
+
+// child returns parent's child class with the given label, creating a
+// fresh one when neither the trie nor the edit has it yet.
+func (s *splicer) child(parent *class, label string) *class {
+	if c := parent.child[label]; c != nil {
+		return c
+	}
+	for _, c := range s.fresh[parent] {
+		if c.label == label {
+			return c
+		}
+	}
+	c := &class{label: label}
+	s.fresh[parent] = append(s.fresh[parent], c)
+	return c
+}
+
+// class returns c with the edit applied: c itself when neither it nor any
+// class below it changes, nil when it is left without instances (its
+// subclasses then are too), and a new class otherwise.
+func (s *splicer) class(c *class) *class {
+	rows, changed := spliceRows(c.rows, s.e, s.added[c])
+	if len(rows) == 0 && len(c.rows) > 0 {
+		return nil
+	}
+	fresh := s.fresh[c]
+	var kids []*class // nil while the children are c's own
+	for i, ch := range c.children {
+		k := s.class(ch)
+		if k != ch && kids == nil {
+			kids = make([]*class, i, len(c.children)+len(fresh))
+			copy(kids, c.children)
+		}
+		if kids != nil && k != nil {
+			kids = append(kids, k)
+		}
+	}
+	if len(fresh) > 0 && kids == nil {
+		kids = append(make([]*class, 0, len(c.children)+len(fresh)), c.children...)
+	}
+	for _, ch := range fresh {
+		kids = append(kids, s.class(ch))
+	}
+	if !changed && kids == nil {
+		return c
+	}
+	out := &class{label: c.label, rows: rows, children: c.children, child: c.child}
+	if kids != nil {
+		out.children = slices.Clip(kids)
+		out.child = make(map[string]*class, len(kids))
+		for _, k := range kids {
+			out.child[k.label] = k
+		}
+	}
+	return out
+}
+
+// spliceRows applies e to an ascending row list: rows the edit removed
+// drop out, rows after it shift, and add — ascending rows inside the
+// inserted range — goes in between. It returns rows itself, and changed
+// false, when the edit does not touch the list; otherwise a list
+// allocated at its exact length.
+func spliceRows(rows []int32, e interval.Edit, add []int32) (out []int32, changed bool) {
+	lo, _ := slices.BinarySearch(rows, int32(e.At))
+	hi, _ := slices.BinarySearch(rows, int32(e.At+e.Removed))
+	d := int32(e.Delta())
+	if len(add) == 0 && lo == hi && (lo == len(rows) || d == 0) {
+		return rows, false
+	}
+	out = make([]int32, lo+len(add)+len(rows)-hi)
+	copy(out, rows[:lo])
+	copy(out[lo:], add)
+	tail := out[lo+len(add):]
+	for i, r := range rows[hi:] {
+		tail[i] = r + d
+	}
+	return out, true
+}
+
+// PathRows returns the rows of the class at a class path rendered as
+// Paths renders it, or nil when the document has no such path.
+func (ix *DocIndex) PathRows(path string) []int32 {
+	c := ix.root
+	for _, seg := range strings.Split(path, "/")[1:] {
+		if seg == "#text" {
+			seg = ""
+		}
+		if c = c.child[seg]; c == nil {
+			return nil
+		}
+	}
+	return c.rows
 }
 
 // HasLabel reports whether any element or attribute in the document carries

@@ -112,7 +112,7 @@ var (
 	CatalogDocs = Default.NewGauge("dixq_catalog_documents",
 		"Documents in the current catalog snapshot.")
 	// DocUpdates counts document lifecycle operations applied through the
-	// server, by operation ("put", "update", "drop", "reindex").
+	// server, by operation ("put", "update", "drop").
 	DocUpdates = Default.NewCounterVec("dixq_doc_updates_total",
 		"Document lifecycle operations applied to the catalog, by operation.", "op")
 	// AdmissionRejections counts requests refused by admission control, by

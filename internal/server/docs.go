@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"dixq"
@@ -204,9 +203,6 @@ func (s *Server) handleDocUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	obs.DocUpdates.With("update").Inc()
-	if s.reindex != nil {
-		s.reindex.note(name)
-	}
 	if s.sampler.Sample() {
 		s.docTrace("update-document", name, start, "ok", map[string]string{
 			"op":      req.Op,
@@ -236,76 +232,4 @@ func (s *Server) handleDocDelete(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, http.StatusOK, DocResponse{Name: name, Version: version})
-}
-
-// reindexer re-derives a document's structural index and statistics in
-// the background after updates: updates publish immediately (plans fall
-// back to scans for the touched document), then this loop calls
-// Catalog.Reindex, which publishes the rebuilt sets under a fresh
-// version. Pending names are deduplicated — reindexing a document covers
-// every update published before the rebuild read the relation.
-type reindexer struct {
-	cat     *dixq.Catalog
-	mu      sync.Mutex
-	pending map[string]struct{}
-	kick    chan struct{}
-	stop    chan struct{}
-	done    chan struct{}
-}
-
-func newReindexer(cat *dixq.Catalog) *reindexer {
-	r := &reindexer{
-		cat:     cat,
-		pending: map[string]struct{}{},
-		kick:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	go r.loop()
-	return r
-}
-
-func (r *reindexer) note(name string) {
-	r.mu.Lock()
-	r.pending[name] = struct{}{}
-	r.mu.Unlock()
-	select {
-	case r.kick <- struct{}{}:
-	default:
-	}
-}
-
-func (r *reindexer) next() (string, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name := range r.pending {
-		delete(r.pending, name)
-		return name, true
-	}
-	return "", false
-}
-
-func (r *reindexer) loop() {
-	defer close(r.done)
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-r.kick:
-		}
-		for {
-			name, ok := r.next()
-			if !ok {
-				break
-			}
-			if _, rebuilt := r.cat.Reindex(name); rebuilt {
-				obs.DocUpdates.With("reindex").Inc()
-			}
-		}
-	}
-}
-
-func (r *reindexer) close() {
-	close(r.stop)
-	<-r.done
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dixq"
+	"dixq/internal/obs"
 )
 
 // lifecycleServer builds a server with direct access to the *Server.
@@ -243,26 +244,35 @@ func TestDropReloadNeverServesStalePlan(t *testing.T) {
 	}
 }
 
-// TestBackgroundReindex: after an update the document serves from scans;
-// the background reindexer restores index-backed plans without changing
-// any answer.
-func TestBackgroundReindex(t *testing.T) {
+// TestQueryAfterUpdateSeeks: an update publishes the document with its
+// spliced index, so the very next query's path chain is an index seek —
+// no scan fallback, no reindex to wait for — and answers the new content.
+func TestQueryAfterUpdateSeeks(t *testing.T) {
 	ts, srv := lifecycleServer(t, Config{}, map[string]string{"d.xml": `<r><a>1</a></r>`})
 	resp := do(t, http.MethodPost, ts.URL+"/docs/d.xml", "application/json",
 		`{"op":"append-child","path":[0],"xml":"<a>2</a>"}`, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("update: %d", resp.StatusCode)
 	}
-	// The reindexer runs asynchronously; Reindex directly is idempotent
-	// with it, so the test does not race: one of the two rebuilds wins,
-	// after which the snapshot must be indexed.
-	srv.cat.Reindex("d.xml")
-	snap := srv.cat.Snapshot()
-	q, _ := postJSON(t, ts.URL+"/query", QueryRequest{Query: `document("d.xml")/r/a`})
+	seeks, fallbacks := obs.IndexSeeks.Value(), obs.IndexScanFallbacks.Value()
+	q, body := postJSON(t, ts.URL+"/query", QueryRequest{Query: `document("d.xml")/r/a`})
 	if q.StatusCode != http.StatusOK {
-		t.Fatalf("query after reindex: %d", q.StatusCode)
+		t.Fatalf("query after update: %d %s", q.StatusCode, body)
 	}
-	if snap.Version() < 2 {
-		t.Errorf("version = %d after add+update+reindex", snap.Version())
+	var out QueryResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.XML != `<a>1</a><a>2</a>` {
+		t.Errorf("query after update = %q", out.XML)
+	}
+	if d := obs.IndexSeeks.Value() - seeks; d != 1 {
+		t.Errorf("index seeks +%d, want +1", d)
+	}
+	if d := obs.IndexScanFallbacks.Value() - fallbacks; d != 0 {
+		t.Errorf("scan fallbacks +%d, want 0", d)
+	}
+	if v := srv.cat.Version(); v != 2 {
+		t.Errorf("version = %d after add+update, want 2: something republished", v)
 	}
 }

@@ -122,7 +122,6 @@ type Server struct {
 	sampler *obs.Sampler
 	traces  *obs.TraceBuffer
 	adm     *admitter
-	reindex *reindexer
 }
 
 // DocInfo describes one loaded document.
@@ -133,9 +132,9 @@ type DocInfo struct {
 }
 
 // New builds a server over named documents (the initial catalog; more
-// can be loaded, updated and dropped over HTTP) and starts its background
-// reindexer, which re-derives a document's structural index and statistics
-// after updates; Close stops it.
+// can be loaded, updated and dropped over HTTP). It starts no goroutines:
+// an update publishes the document's spliced index and statistics with
+// it, so there is nothing to rebuild in the background.
 func New(docs map[string]*dixq.Document, cfg Config) *Server {
 	cat := dixq.NewCatalog()
 	size := cfg.PlanCacheSize
@@ -156,7 +155,6 @@ func New(docs map[string]*dixq.Document, cfg Config) *Server {
 		sampler: obs.NewSampler(every),
 		traces:  obs.NewTraceBuffer(cfg.TraceBufferSize),
 		adm:     newAdmitter(cfg),
-		reindex: newReindexer(cat),
 	}
 	names := make([]string, 0, len(docs))
 	for name := range docs {
@@ -184,14 +182,11 @@ func (s *Server) Drain() { s.adm.draining.Store(true) }
 // (the mixed-load benchmark asserts exactly this).
 func (s *Server) PeakConcurrent() int { return s.adm.Peak() }
 
-// Close stops the background reindexer. The HTTP handler remains usable;
-// updated documents then stay scan-backed until reindexed directly.
-func (s *Server) Close() {
-	if s.reindex != nil {
-		s.reindex.close()
-		s.reindex = nil
-	}
-}
+// Close releases the server. The server owns no goroutines or files
+// (requests clean up after themselves), so Close has nothing to stop; it
+// is the shutdown hook embedding callers and cmd/dixqd call, and the HTTP
+// handler remains usable after it.
+func (s *Server) Close() {}
 
 // QueryRequest is the POST /query and POST /explain body.
 type QueryRequest struct {

@@ -4,7 +4,8 @@
 // subtree rows, distinct text values under the path). Everything is
 // derived from one O(n) stack pass over the L-sorted relation — the same
 // pass shape index.Build uses — so collection piggybacks on encode/load
-// and never touches the document twice.
+// and never touches the document twice. A structural update does not
+// collect again: Splice patches the statistics for the edited rows.
 //
 // Statistics persist beside the relation and index in the DIXQS3 store
 // section (see internal/store) and publish through the catalog under a
@@ -20,8 +21,10 @@
 package stats
 
 import (
+	"maps"
 	"sort"
 
+	"dixq/internal/index"
 	"dixq/internal/interval"
 	"dixq/internal/xmltree"
 )
@@ -130,6 +133,101 @@ func Collect(rel *interval.Relation) *DocStats {
 		s.Paths[names[id+1]] = p.PathStats
 	}
 	return s
+}
+
+// segment is the path segment of a tuple label: the label itself for an
+// element or attribute, textSegment for text.
+func segment(label string) string {
+	if xmltree.LabelKind(label) == xmltree.Text {
+		return textSegment
+	}
+	return label
+}
+
+// Splice derives the statistics of p.After.Rel from s, the statistics of
+// p.Before.Rel, instead of recollecting them: Tuples and Labels change by
+// the removed and inserted rows, the ancestor chain's paths by the row
+// delta in SubtreeRows, and the paths of the removed and inserted rows in
+// Count and SubtreeRows; a path left without instances is deleted.
+// DistinctText of every text path the edit touched is recounted exactly,
+// from the spliced index's class rows. The result equals Collect over the
+// new relation; s is not modified.
+func Splice(s *DocStats, p index.Patch) *DocStats {
+	e := p.Edit
+	out := &DocStats{
+		Tuples: s.Tuples + int64(e.Delta()),
+		Labels: maps.Clone(s.Labels),
+		Paths:  maps.Clone(s.Paths),
+	}
+	before := p.Before.Rel.Tuples
+	prefix := ""
+	for _, a := range p.Ancestors {
+		prefix += "/" + segment(before[a].S)
+		ps := out.Paths[prefix]
+		ps.SubtreeRows += int64(e.Delta())
+		out.Paths[prefix] = ps
+	}
+	// The removed and inserted rows' paths, interned below the deepest
+	// ancestor's (id 0), with their Count and SubtreeRows changes.
+	type step struct {
+		parent  int32
+		segment string
+	}
+	ids := map[step]int32{}
+	names := []string{prefix}
+	var count, rows []int64
+	walk := func(ix *index.DocIndex, lo, hi int, sign int64) {
+		tuples := ix.Rel.Tuples
+		var stack []int32 // rows of the open ancestors inside [lo, hi)
+		var path []int32  // their path ids
+		for i := lo; i < hi; i++ {
+			for len(stack) > 0 && int(ix.End[stack[len(stack)-1]]) <= i {
+				stack, path = stack[:len(stack)-1], path[:len(path)-1]
+			}
+			key := step{segment: segment(tuples[i].S)}
+			if len(path) > 0 {
+				key.parent = path[len(path)-1]
+			}
+			id, ok := ids[key]
+			if !ok {
+				id = int32(len(names))
+				ids[key] = id
+				names = append(names, names[key.parent]+"/"+key.segment)
+				count, rows = append(count, 0), append(rows, 0)
+			}
+			count[id-1] += sign
+			rows[id-1] += sign * int64(ix.End[i]-int32(i))
+			if key.segment != textSegment {
+				out.Labels[tuples[i].S] += sign
+				if out.Labels[tuples[i].S] == 0 {
+					delete(out.Labels, tuples[i].S)
+				}
+			}
+			stack, path = append(stack, int32(i)), append(path, id)
+		}
+	}
+	walk(p.Before, e.At, e.At+e.Removed, -1)
+	walk(p.After, e.At, e.At+e.Inserted, +1)
+
+	after := p.After.Rel.Tuples
+	for id, name := range names[1:] {
+		ps := out.Paths[name]
+		ps.Count += count[id]
+		ps.SubtreeRows += rows[id]
+		if ps.Count == 0 {
+			delete(out.Paths, name)
+			continue
+		}
+		if isTextPath(name) {
+			distinct := map[string]struct{}{}
+			for _, r := range p.After.PathRows(name) {
+				distinct[after[r].S] = struct{}{}
+			}
+			ps.DistinctText = int64(len(distinct))
+		}
+		out.Paths[name] = ps
+	}
+	return out
 }
 
 // LabelCount returns the instance count of an element/attribute label,

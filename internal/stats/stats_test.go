@@ -287,18 +287,18 @@ func TestCollectMatchesStringPaths(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		rel := interval.Encode(xmltree.RandomForest(rng, 30))
 		for u := 0; u < 15 && rel.Len() > 0; u++ {
-			target := rel.Tuples[rng.Intn(rel.Len())].L
+			target, end := rng.Intn(rel.Len()), index.Build(rel).End
 			frag := xmltree.RandomForest(rng, 5)
 			var err error
 			switch rng.Intn(4) {
 			case 0:
-				rel, err = update.InsertAfter(rel, target, frag)
+				rel, _, err = update.InsertAfter(rel, end, target, frag)
 			case 1:
-				rel, err = update.InsertBefore(rel, target, frag)
+				rel, _, err = update.InsertBefore(rel, end, target, frag)
 			case 2:
-				rel, err = update.AppendChild(rel, target, frag)
+				rel, _, err = update.AppendChild(rel, end, target, frag)
 			default:
-				rel, err = update.PrependChild(rel, target, frag)
+				rel, _, err = update.PrependChild(rel, end, target, frag)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -312,7 +312,7 @@ func TestCollectMatchesStringPaths(t *testing.T) {
 }
 
 // BenchmarkCollect collects the statistics of the XMark sf 0.1 document
-// (143k tuples), once per catalog add or reindex.
+// (143k tuples), once per catalog add.
 func BenchmarkCollect(b *testing.B) {
 	rel := interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: 0.1, Seed: 1}))
 	b.ReportAllocs()

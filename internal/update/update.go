@@ -7,7 +7,16 @@
 // existing keys never relabels anything — the new nodes receive keys that
 // extend the predecessor key with additional digits, which lexicographic
 // comparison orders correctly against every existing key. Deletion just
-// drops the subtree's tuples. Both operations are O(subtree + log n).
+// drops the subtree's tuples.
+//
+// The operators address nodes by row and find the rows around the edit
+// through the document's subtree ends (index.DocIndex.End: the subtree of
+// row i is rows [i, End[i])), so the only key comparisons are the ones that
+// pick the fresh keys. Each returns the new relation and the
+// interval.Edit it made — one row-range replacement — from which the
+// catalog splices the document's structural index and statistics. The
+// cost is O(n) for the copy of the tuple slice: published relations are
+// immutable.
 //
 // Repeated front-of-document insertions can require a negative leading
 // digit (there is no room below key 0); such relations remain fully
@@ -18,151 +27,150 @@ package update
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"dixq/internal/interval"
 	"dixq/internal/xmltree"
 )
 
 // ErrNotFound reports that the addressed node is not in the relation.
-var ErrNotFound = errors.New("update: no node with that left endpoint")
+var ErrNotFound = errors.New("update: no such node")
 
-// find locates the tuple with the given L key.
-func find(rel *interval.Relation, l interval.Key) (int, error) {
-	i := sort.Search(len(rel.Tuples), func(i int) bool {
-		return interval.Compare(rel.Tuples[i].L, l) >= 0
-	})
-	if i == len(rel.Tuples) || !rel.Tuples[i].L.Equal(l) {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, l)
+// checkRow rejects a row outside the relation.
+func checkRow(end []int32, row int) error {
+	if row < 0 || row >= len(end) {
+		return fmt.Errorf("%w: row %d of %d", ErrNotFound, row, len(end))
 	}
-	return i, nil
+	return nil
 }
 
-// subtreeEnd returns the index just past the subtree rooted at tuple i.
-func subtreeEnd(rel *interval.Relation, i int) int {
-	end := i + 1
-	for end < len(rel.Tuples) && interval.Compare(rel.Tuples[end].L, rel.Tuples[i].R) < 0 {
-		end++
-	}
-	return end
-}
-
-// DeleteSubtree removes the subtree rooted at the node with left endpoint
-// rootL, returning a new relation. The input is not modified.
-func DeleteSubtree(rel *interval.Relation, rootL interval.Key) (*interval.Relation, error) {
-	i, err := find(rel, rootL)
-	if err != nil {
-		return nil, err
-	}
-	end := subtreeEnd(rel, i)
-	out := &interval.Relation{Tuples: make([]interval.Tuple, 0, len(rel.Tuples)-(end-i))}
-	out.Tuples = append(out.Tuples, rel.Tuples[:i]...)
-	out.Tuples = append(out.Tuples, rel.Tuples[end:]...)
-	return out, nil
-}
-
-// InsertAfter inserts the forest as the following siblings of the node
-// with left endpoint targetL, returning a new relation.
-func InsertAfter(rel *interval.Relation, targetL interval.Key, f xmltree.Forest) (*interval.Relation, error) {
-	i, err := find(rel, targetL)
-	if err != nil {
-		return nil, err
-	}
-	end := subtreeEnd(rel, i)
-	lo := rel.Tuples[i].R
-	// The smallest existing key above lo is either the next tuple's left
-	// endpoint or the nearest ancestor's right endpoint — when the target
-	// is its parent's last child, the parent closes first, and the new
-	// siblings must stay inside it.
-	var hi interval.Key
-	if end < len(rel.Tuples) {
-		hi = rel.Tuples[end].L
-	}
-	for j := i - 1; j >= 0; j-- {
-		if interval.Compare(rel.Tuples[j].R, lo) > 0 {
-			if hi == nil || interval.Compare(rel.Tuples[j].R, hi) < 0 {
-				hi = rel.Tuples[j].R
-			}
-			break
+// parent returns the row of the parent of row, or -1 for a top-level
+// node: the nearest preceding row whose subtree extends past row.
+func parent(end []int32, row int) int {
+	for p := row - 1; p >= 0; p-- {
+		if int(end[p]) > row {
+			return p
 		}
 	}
-	return spliceAt(rel, end, lo, hi, f), nil
+	return -1
 }
 
-// InsertBefore inserts the forest as the preceding siblings of the node
-// with left endpoint targetL.
-func InsertBefore(rel *interval.Relation, targetL interval.Key, f xmltree.Forest) (*interval.Relation, error) {
-	i, err := find(rel, targetL)
-	if err != nil {
-		return nil, err
+// children returns the row range holding the children of p, or the
+// top-level trees for p = -1.
+func children(end []int32, p int) (first, bound int) {
+	if p < 0 {
+		return 0, len(end)
 	}
-	lo := lowerBoundAt(rel, i)
-	return spliceAt(rel, i, lo, rel.Tuples[i].L, f), nil
+	return p + 1, int(end[p])
 }
 
-// AppendChild inserts the forest as the last children of the node with
-// left endpoint parentL.
-func AppendChild(rel *interval.Relation, parentL interval.Key, f xmltree.Forest) (*interval.Relation, error) {
-	i, err := find(rel, parentL)
-	if err != nil {
-		return nil, err
+// DeleteSubtree removes the subtree rooted at row, returning a new
+// relation. The input is not modified.
+func DeleteSubtree(rel *interval.Relation, end []int32, row int) (*interval.Relation, interval.Edit, error) {
+	if err := checkRow(end, row); err != nil {
+		return nil, interval.Edit{}, err
 	}
-	end := subtreeEnd(rel, i)
-	// The predecessor of the parent's R among keys inside the subtree.
-	lo := rel.Tuples[i].L
-	for j := i + 1; j < end; j++ {
-		if interval.Compare(rel.Tuples[j].R, lo) > 0 {
-			lo = rel.Tuples[j].R
-		}
-	}
-	return spliceAt(rel, end, lo, rel.Tuples[i].R, f), nil
+	stop := int(end[row])
+	out := &interval.Relation{Tuples: make([]interval.Tuple, 0, len(rel.Tuples)-(stop-row))}
+	out.Tuples = append(out.Tuples, rel.Tuples[:row]...)
+	out.Tuples = append(out.Tuples, rel.Tuples[stop:]...)
+	return out, interval.Edit{At: row, Removed: stop - row}, nil
 }
 
-// PrependChild inserts the forest as the first children of the node with
-// left endpoint parentL.
-func PrependChild(rel *interval.Relation, parentL interval.Key, f xmltree.Forest) (*interval.Relation, error) {
-	i, err := find(rel, parentL)
-	if err != nil {
-		return nil, err
+// InsertAfter inserts the forest as the following siblings of the node at
+// row, returning a new relation.
+func InsertAfter(rel *interval.Relation, end []int32, row int, f xmltree.Forest) (*interval.Relation, interval.Edit, error) {
+	if err := checkRow(end, row); err != nil {
+		return nil, interval.Edit{}, err
 	}
+	at := int(end[row])
+	// The smallest existing key above the target's R is the next
+	// sibling's L or, when the target is its parent's last child, the
+	// parent's R: the new siblings must stay inside it.
+	p := parent(end, row)
 	var hi interval.Key
-	if i+1 < len(rel.Tuples) && interval.Compare(rel.Tuples[i+1].L, rel.Tuples[i].R) < 0 {
-		hi = rel.Tuples[i+1].L // first existing child
-	} else {
-		hi = rel.Tuples[i].R // childless parent
+	if _, bound := children(end, p); at < bound {
+		hi = rel.Tuples[at].L
+	} else if p >= 0 {
+		hi = rel.Tuples[p].R
 	}
-	return spliceAt(rel, i+1, rel.Tuples[i].L, hi, f), nil
+	out, e := spliceAt(rel, at, rel.Tuples[row].R, hi, f)
+	return out, e, nil
 }
 
-// ResolvePath returns the left endpoint of the node addressed by child
-// ordinals: path[0] selects among the relation's top-level trees, each
-// further ordinal among the children of the node selected so far — so
-// [0] is the first root and [0, 2] its third child. The relation must be
-// sorted by left endpoint (every relation the encoder or the update
-// operators produce is).
-func ResolvePath(rel *interval.Relation, path []int) (interval.Key, error) {
+// InsertBefore inserts the forest as the preceding siblings of the node at
+// row.
+func InsertBefore(rel *interval.Relation, end []int32, row int, f xmltree.Forest) (*interval.Relation, interval.Edit, error) {
+	if err := checkRow(end, row); err != nil {
+		return nil, interval.Edit{}, err
+	}
+	// The largest existing key below the target's L is the previous
+	// sibling's R, else the parent's L, else nothing.
+	p := parent(end, row)
+	var lo interval.Key
+	if p >= 0 {
+		lo = rel.Tuples[p].L
+	}
+	for c, _ := children(end, p); c < row; c = int(end[c]) {
+		lo = rel.Tuples[c].R
+	}
+	out, e := spliceAt(rel, row, lo, rel.Tuples[row].L, f)
+	return out, e, nil
+}
+
+// AppendChild inserts the forest as the last children of the node at row.
+func AppendChild(rel *interval.Relation, end []int32, row int, f xmltree.Forest) (*interval.Relation, interval.Edit, error) {
+	if err := checkRow(end, row); err != nil {
+		return nil, interval.Edit{}, err
+	}
+	// The predecessor of the parent's R is its last child's R, or its own
+	// L when it has no children.
+	lo := rel.Tuples[row].L
+	first, bound := children(end, row)
+	for c := first; c < bound; c = int(end[c]) {
+		lo = rel.Tuples[c].R
+	}
+	out, e := spliceAt(rel, bound, lo, rel.Tuples[row].R, f)
+	return out, e, nil
+}
+
+// PrependChild inserts the forest as the first children of the node at
+// row.
+func PrependChild(rel *interval.Relation, end []int32, row int, f xmltree.Forest) (*interval.Relation, interval.Edit, error) {
+	if err := checkRow(end, row); err != nil {
+		return nil, interval.Edit{}, err
+	}
+	hi := rel.Tuples[row].R // childless parent
+	if row+1 < int(end[row]) {
+		hi = rel.Tuples[row+1].L // first existing child
+	}
+	out, e := spliceAt(rel, row+1, rel.Tuples[row].L, hi, f)
+	return out, e, nil
+}
+
+// ResolvePath returns the row of the node addressed by child ordinals:
+// path[0] selects among the document's top-level trees, each further
+// ordinal among the children of the node selected so far — so [0] is the
+// first root and [0, 2] its third child. end is the document's subtree
+// ends; each ordinal is a walk over sibling rows with End jumps.
+func ResolvePath(end []int32, path []int) (int, error) {
 	if len(path) == 0 {
-		return nil, fmt.Errorf("update: empty path")
+		return 0, fmt.Errorf("update: empty path")
 	}
-	// [lo, hi) brackets the candidate sibling run: the whole relation for
-	// the roots, then each selected node's subtree interior.
-	lo, hi := 0, len(rel.Tuples)
 	cur := -1
 	for depth, ord := range path {
 		if ord < 0 {
-			return nil, fmt.Errorf("update: negative ordinal %d at path depth %d", ord, depth)
+			return 0, fmt.Errorf("update: negative ordinal %d at path depth %d", ord, depth)
 		}
-		j := lo
-		for k := 0; k < ord && j < hi; k++ {
-			j = subtreeEnd(rel, j)
+		j, bound := children(end, cur)
+		for k := 0; k < ord && j < bound; k++ {
+			j = int(end[j])
 		}
-		if j >= hi {
-			return nil, fmt.Errorf("%w: path %v has no child %d at depth %d", ErrNotFound, path, ord, depth)
+		if j >= bound {
+			return 0, fmt.Errorf("%w: path %v has no child %d at depth %d", ErrNotFound, path, ord, depth)
 		}
 		cur = j
-		lo, hi = j+1, subtreeEnd(rel, j)
 	}
-	return rel.Tuples[cur].L, nil
+	return cur, nil
 }
 
 // NeedsRebuild reports whether the relation carries a negative key digit.
@@ -196,36 +204,10 @@ func Rebuild(rel *interval.Relation) (*interval.Relation, error) {
 	return interval.Encode(f), nil
 }
 
-// lowerBoundAt returns the largest existing key strictly below tuple idx's
-// left endpoint, or nil meaning "no lower bound". Scanning backwards, the
-// candidates are the right endpoints of nodes that close before the target
-// (preceding siblings and their ancestors, whose R values increase up the
-// chain) until the first ancestor of the target, whose left endpoint is
-// the final candidate. Worst case linear in the preceding subtree.
-func lowerBoundAt(rel *interval.Relation, idx int) interval.Key {
-	target := rel.Tuples[idx].L
-	var best interval.Key
-	for j := idx - 1; j >= 0; j-- {
-		t := rel.Tuples[j]
-		if interval.Compare(t.R, target) < 0 {
-			if best == nil || interval.Compare(t.R, best) > 0 {
-				best = t.R
-			}
-			continue
-		}
-		// t encloses the insertion point: the nearest ancestor.
-		if best == nil || interval.Compare(t.L, best) > 0 {
-			best = t.L
-		}
-		break
-	}
-	return best
-}
-
 // spliceAt inserts the forest's tuples at slice position idx with keys
 // strictly between lo and hi (nil lo = below everything, nil hi = above
 // everything).
-func spliceAt(rel *interval.Relation, idx int, lo, hi interval.Key, f xmltree.Forest) *interval.Relation {
+func spliceAt(rel *interval.Relation, idx int, lo, hi interval.Key, f xmltree.Forest) (*interval.Relation, interval.Edit) {
 	prefix := prefixBetween(lo, hi)
 	enc := interval.Encode(f)
 	fresh := make([]interval.Tuple, 0, enc.Len())
@@ -240,7 +222,7 @@ func spliceAt(rel *interval.Relation, idx int, lo, hi interval.Key, f xmltree.Fo
 	out.Tuples = append(out.Tuples, rel.Tuples[:idx]...)
 	out.Tuples = append(out.Tuples, fresh...)
 	out.Tuples = append(out.Tuples, rel.Tuples[idx:]...)
-	return out
+	return out, interval.Edit{At: idx, Inserted: len(fresh)}
 }
 
 // prefixBetween returns a key P such that P < P.Append(k) < hi for every

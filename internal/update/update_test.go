@@ -3,12 +3,17 @@ package update
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"dixq/internal/index"
 	"dixq/internal/interval"
 	"dixq/internal/xmltree"
 )
+
+// ends returns the subtree ends of rel, the addressing the operators take.
+func ends(rel *interval.Relation) []int32 { return index.Build(rel).End }
 
 // locate finds the DFS-indexed node in a forest and returns its parent's
 // child slice (via a setter) and position — the oracle's addressing,
@@ -100,10 +105,11 @@ func mustDecode(t *testing.T, rel *interval.Relation) xmltree.Forest {
 func TestBasicOperations(t *testing.T) {
 	f, _ := xmltree.Parse(`<a><b>x</b><c/></a>`)
 	rel := interval.Encode(f)
-	bL := rel.Tuples[1].L // <b>
+	end := ends(rel)
+	const a, b = 0, 1 // rows of <a> and <b>
 	ins := xmltree.Forest{xmltree.NewElement("n", xmltree.NewText("new"))}
 
-	after, err := InsertAfter(rel, bL, ins)
+	after, _, err := InsertAfter(rel, end, b, ins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +117,7 @@ func TestBasicOperations(t *testing.T) {
 		t.Errorf("InsertAfter = %s", got)
 	}
 
-	before, err := InsertBefore(rel, bL, ins)
+	before, _, err := InsertBefore(rel, end, b, ins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +125,7 @@ func TestBasicOperations(t *testing.T) {
 		t.Errorf("InsertBefore = %s", got)
 	}
 
-	app, err := AppendChild(rel, rel.Tuples[0].L, ins)
+	app, _, err := AppendChild(rel, end, a, ins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +133,7 @@ func TestBasicOperations(t *testing.T) {
 		t.Errorf("AppendChild = %s", got)
 	}
 
-	pre, err := PrependChild(rel, rel.Tuples[0].L, ins)
+	pre, _, err := PrependChild(rel, end, a, ins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +141,7 @@ func TestBasicOperations(t *testing.T) {
 		t.Errorf("PrependChild = %s", got)
 	}
 
-	del, err := DeleteSubtree(rel, bL)
+	del, _, err := DeleteSubtree(rel, end, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +157,7 @@ func TestBasicOperations(t *testing.T) {
 func TestLastChildInsertStaysInsideParent(t *testing.T) {
 	f, _ := xmltree.Parse(`<a><b/></a><t/>`)
 	rel := interval.Encode(f)
-	bL := rel.Tuples[1].L
-	out, err := InsertAfter(rel, bL, xmltree.Forest{xmltree.NewElement("n")})
+	out, _, err := InsertAfter(rel, ends(rel), 1, xmltree.Forest{xmltree.NewElement("n")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +165,7 @@ func TestLastChildInsertStaysInsideParent(t *testing.T) {
 		t.Errorf("got %s, want <a><b/><n/></a><t/>", got)
 	}
 	// And before a node whose preceding key is an ancestor's R.
-	tL := rel.Tuples[2].L
-	out2, err := InsertBefore(rel, tL, xmltree.Forest{xmltree.NewElement("m")})
+	out2, _, err := InsertBefore(rel, ends(rel), 2, xmltree.Forest{xmltree.NewElement("m")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +177,7 @@ func TestLastChildInsertStaysInsideParent(t *testing.T) {
 func TestInsertBeforeFirstNode(t *testing.T) {
 	f, _ := xmltree.Parse(`<a/>`)
 	rel := interval.Encode(f)
-	out, err := InsertBefore(rel, rel.Tuples[0].L, xmltree.Forest{xmltree.NewElement("z")})
+	out, _, err := InsertBefore(rel, ends(rel), 0, xmltree.Forest{xmltree.NewElement("z")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,25 +199,29 @@ func TestInsertBeforeFirstNode(t *testing.T) {
 
 func TestNotFound(t *testing.T) {
 	rel := interval.Encode(xmltree.Forest{xmltree.NewElement("a")})
-	missing := interval.Key{99}
-	for _, err := range []error{
-		errOf(DeleteSubtree(rel, missing)),
-		errOf(InsertAfter(rel, missing, nil)),
-		errOf(InsertBefore(rel, missing, nil)),
-		errOf(AppendChild(rel, missing, nil)),
-		errOf(PrependChild(rel, missing, nil)),
-	} {
-		if !errors.Is(err, ErrNotFound) {
-			t.Errorf("err = %v, want ErrNotFound", err)
+	end := ends(rel)
+	for _, missing := range []int{99, 1, -1} {
+		for _, err := range []error{
+			errOf(DeleteSubtree(rel, end, missing)),
+			errOf(InsertAfter(rel, end, missing, nil)),
+			errOf(InsertBefore(rel, end, missing, nil)),
+			errOf(AppendChild(rel, end, missing, nil)),
+			errOf(PrependChild(rel, end, missing, nil)),
+		} {
+			if !errors.Is(err, ErrNotFound) {
+				t.Errorf("row %d: err = %v, want ErrNotFound", missing, err)
+			}
 		}
 	}
 }
 
-func errOf(_ *interval.Relation, err error) error { return err }
+func errOf(_ *interval.Relation, _ interval.Edit, err error) error { return err }
 
 // TestRandomUpdateSequences applies random update sequences to a relation
 // and to the decoded forest (the oracle); after every step the relation
-// must stay a valid encoding that decodes to the oracle's forest.
+// must stay a valid encoding that decodes to the oracle's forest, and the
+// reported Edit must describe the change: rows before At and after the
+// replaced range are the old tuples, unmoved and shifted.
 func TestRandomUpdateSequences(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 150}
 	check := func(seed int64) bool {
@@ -228,28 +236,35 @@ func TestRandomUpdateSequences(t *testing.T) {
 				break
 			}
 			dfs := rng.Intn(rel.Len())
-			target := rel.Tuples[dfs].L
 			ins := xmltree.RandomForest(rng, 4)
+			prev, end := rel, ends(rel)
+			var e interval.Edit
 			var err error
 			switch rng.Intn(5) {
 			case 0:
 				forest = oracleDelete(forest, dfs)
-				rel, err = DeleteSubtree(rel, target)
+				rel, e, err = DeleteSubtree(rel, end, dfs)
 			case 1:
 				forest = oracleInsertAfter(forest, dfs, ins)
-				rel, err = InsertAfter(rel, target, ins)
+				rel, e, err = InsertAfter(rel, end, dfs, ins)
 			case 2:
 				forest = oracleInsertBefore(forest, dfs, ins)
-				rel, err = InsertBefore(rel, target, ins)
+				rel, e, err = InsertBefore(rel, end, dfs, ins)
 			case 3:
 				forest = oracleAppendChild(forest, dfs, ins)
-				rel, err = AppendChild(rel, target, ins)
+				rel, e, err = AppendChild(rel, end, dfs, ins)
 			default:
 				forest = oraclePrependChild(forest, dfs, ins)
-				rel, err = PrependChild(rel, target, ins)
+				rel, e, err = PrependChild(rel, end, dfs, ins)
 			}
 			if err != nil {
 				t.Logf("seed %d step %d: %v", seed, step, err)
+				return false
+			}
+			if len(rel.Tuples) != len(prev.Tuples)+e.Delta() ||
+				!slices.EqualFunc(rel.Tuples[:e.At], prev.Tuples[:e.At], sameTuple) ||
+				!slices.EqualFunc(rel.Tuples[e.At+e.Inserted:], prev.Tuples[e.At+e.Removed:], sameTuple) {
+				t.Logf("seed %d step %d: edit %+v does not describe the change", seed, step, e)
 				return false
 			}
 			if err := interval.Validate(rel); err != nil {
@@ -289,9 +304,8 @@ func TestUpdatedRelationIsQueryable(t *testing.T) {
 	f, _ := xmltree.Parse(`<site><people><person id="p0"><name>A</name></person></people></site>`)
 	rel := interval.Encode(f)
 	// people element is tuple index 1.
-	peopleL := rel.Tuples[1].L
 	newPerson, _ := xmltree.Parse(`<person id="p1"><name>B</name></person>`)
-	rel2, err := AppendChild(rel, peopleL, newPerson)
+	rel2, _, err := AppendChild(rel, ends(rel), 1, newPerson)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,27 +344,28 @@ func TestResolvePath(t *testing.T) {
 		{[]int{0, 0, 1}, 3}, // <d>
 		{[]int{1, 0}, 6},    // <u>
 	}
+	end := ends(rel)
 	for _, tt := range cases {
-		got, err := ResolvePath(rel, tt.path)
+		got, err := ResolvePath(end, tt.path)
 		if err != nil {
 			t.Errorf("path %v: %v", tt.path, err)
 			continue
 		}
-		if want := rel.Tuples[tt.dfs].L; !got.Equal(want) {
-			t.Errorf("path %v = %s, want %s (dfs %d)", tt.path, got, want, tt.dfs)
+		if got != tt.dfs {
+			t.Errorf("path %v = row %d, want %d", tt.path, got, tt.dfs)
 		}
 	}
 	for _, bad := range [][]int{nil, {}, {2}, {0, 2}, {0, 1, 0}, {-1}, {0, -3}} {
-		if _, err := ResolvePath(rel, bad); err == nil {
+		if _, err := ResolvePath(end, bad); err == nil {
 			t.Errorf("path %v resolved, want error", bad)
 		}
 	}
 	// Out-of-range ordinals are ErrNotFound (a well-formed address into
 	// absent structure); malformed ordinals are not.
-	if _, err := ResolvePath(rel, []int{0, 9}); !errors.Is(err, ErrNotFound) {
+	if _, err := ResolvePath(end, []int{0, 9}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("out-of-range ordinal error = %v", err)
 	}
-	if _, err := ResolvePath(rel, []int{-1}); errors.Is(err, ErrNotFound) {
+	if _, err := ResolvePath(end, []int{-1}); errors.Is(err, ErrNotFound) {
 		t.Error("negative ordinal reported as not-found")
 	}
 }
@@ -362,24 +377,18 @@ func TestResolvePathAfterUpdates(t *testing.T) {
 	f, _ := xmltree.Parse(`<r><a/><b/></r>`)
 	rel := interval.Encode(f)
 	ins := xmltree.Forest{xmltree.NewElement("n")}
-	aL, err := ResolvePath(rel, []int{0, 0})
+	a, err := ResolvePath(ends(rel), []int{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel2, err := InsertAfter(rel, aL, ins)
+	rel2, _, err := InsertAfter(rel, ends(rel), a, ins)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// <r><a/><n/><b/></r>: ordinal 1 is now the inserted node.
-	nL, err := ResolvePath(rel2, []int{0, 1})
+	i, err := ResolvePath(ends(rel2), []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
-	}
-	i := 0
-	for ; i < len(rel2.Tuples); i++ {
-		if rel2.Tuples[i].L.Equal(nL) {
-			break
-		}
 	}
 	if rel2.Tuples[i].S != "<n>" {
 		t.Fatalf("ordinal 1 resolved to %s, want <n>", rel2.Tuples[i].S)
@@ -394,8 +403,7 @@ func TestNeedsRebuild(t *testing.T) {
 	if NeedsRebuild(rel) {
 		t.Fatal("fresh encoding flagged for rebuild")
 	}
-	aL := rel.Tuples[1].L
-	mid, err := InsertAfter(rel, aL, xmltree.Forest{xmltree.NewElement("m")})
+	mid, _, err := InsertAfter(rel, ends(rel), 1, xmltree.Forest{xmltree.NewElement("m")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +412,7 @@ func TestNeedsRebuild(t *testing.T) {
 	}
 	// A front insert steps below the first root's leading digit 0, so the
 	// fresh keys carry a negative digit the store cannot write.
-	front, err := InsertBefore(rel, rel.Tuples[0].L, xmltree.Forest{xmltree.NewElement("f1")})
+	front, _, err := InsertBefore(rel, ends(rel), 0, xmltree.Forest{xmltree.NewElement("f1")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,25 +438,26 @@ func TestMaxKeyLenAfterUpdates(t *testing.T) {
 	f, _ := xmltree.Parse(`<r><a><x/></a><b/></r>`)
 	rel := interval.Encode(f)
 	ins := xmltree.Forest{xmltree.NewElement("m")}
-	aL, bL := rel.Tuples[1].L, rel.Tuples[3].L
-	grown, err := InsertAfter(rel, aL, xmltree.Forest{&xmltree.Node{Label: "<n>", Children: ins}})
+	const a, b = 1, 3 // rows of <a> and <b>
+	grown, _, err := InsertAfter(rel, ends(rel), a, xmltree.Forest{&xmltree.Node{Label: "<n>", Children: ins}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nL := grown.Tuples[3].L
+	const n = 3 // row of <n> in grown
+	drop := func(r *interval.Relation, _ interval.Edit, err error) (*interval.Relation, error) { return r, err }
 	steps := []struct {
 		name string
 		in   *interval.Relation
 		op   func(*interval.Relation) (*interval.Relation, error)
 		want int
 	}{
-		{"InsertAfter", rel, func(r *interval.Relation) (*interval.Relation, error) { return InsertAfter(r, aL, ins) }, 2},
-		{"InsertBefore", rel, func(r *interval.Relation) (*interval.Relation, error) { return InsertBefore(r, bL, ins) }, 2},
-		{"AppendChild", rel, func(r *interval.Relation) (*interval.Relation, error) { return AppendChild(r, aL, ins) }, 2},
-		{"PrependChild", rel, func(r *interval.Relation) (*interval.Relation, error) { return PrependChild(r, bL, ins) }, 2},
-		{"DeleteSubtree", grown, func(r *interval.Relation) (*interval.Relation, error) { return DeleteSubtree(r, nL) }, 1},
+		{"InsertAfter", rel, func(r *interval.Relation) (*interval.Relation, error) { return drop(InsertAfter(r, ends(r), a, ins)) }, 2},
+		{"InsertBefore", rel, func(r *interval.Relation) (*interval.Relation, error) { return drop(InsertBefore(r, ends(r), b, ins)) }, 2},
+		{"AppendChild", rel, func(r *interval.Relation) (*interval.Relation, error) { return drop(AppendChild(r, ends(r), a, ins)) }, 2},
+		{"PrependChild", rel, func(r *interval.Relation) (*interval.Relation, error) { return drop(PrependChild(r, ends(r), b, ins)) }, 2},
+		{"DeleteSubtree", grown, func(r *interval.Relation) (*interval.Relation, error) { return drop(DeleteSubtree(r, ends(r), n)) }, 1},
 		{"front Rebuild", rel, func(r *interval.Relation) (*interval.Relation, error) {
-			front, err := InsertBefore(r, r.Tuples[0].L, ins)
+			front, _, err := InsertBefore(r, ends(r), 0, ins)
 			if err != nil {
 				return nil, err
 			}
@@ -467,3 +476,6 @@ func TestMaxKeyLenAfterUpdates(t *testing.T) {
 		}
 	}
 }
+
+// sameTuple compares two tuples by label and key values.
+func sameTuple(a, b interval.Tuple) bool { return a.S == b.S && a.L.Equal(b.L) && a.R.Equal(b.R) }
