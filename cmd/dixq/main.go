@@ -7,7 +7,7 @@
 //	dixq -f query.xq -doc auction.xml=auction.dixq      # pre-shredded store
 //	dixq -f query.xq -doc auction.xml=auction.xml -engine di-nlj -stats
 //	dixq -f query.xq -doc d=doc.xml -sql       # print the SQL translation
-//	dixq -f query.xq -doc d=doc.xml -explain   # print the plan description
+//	dixq -f query.xq -doc d=doc.xml -explain   # print the plan -engine runs
 //	dixq -i -doc d=doc.xml                     # interactive session
 //
 // Engines: di-opt (the cost-based default), di-msj, di-nlj, interp, generic-sql.
@@ -47,7 +47,7 @@ func main() {
 	var docs docFlags
 	flag.Var(&docs, "doc", "document binding name=path.xml or name=path.dixq (repeatable)")
 	engineName := flag.String("engine", "di-opt", "di-opt, di-msj, di-nlj, interp, or generic-sql")
-	explain := flag.Bool("explain", false, "print the plan description and exit")
+	explain := flag.Bool("explain", false, "print the plan the -engine runs (DI engines) and exit")
 	showSQL := flag.Bool("sql", false, "print the SQL translation and exit")
 	showCore := flag.Bool("core", false, "print the desugared core expression and exit")
 	showWidth := flag.Bool("width", false, "print the Section 4.3 width analysis and exit")
@@ -106,7 +106,11 @@ func main() {
 	case *showCore:
 		fmt.Println(q.Core())
 	case *explain:
-		fmt.Print(q.Explain())
+		tree, err := q.Explain(cat, cfg.options())
+		if err != nil {
+			fatal("%v", err)
+		}
+		fmt.Print(tree)
 	case *showWidth:
 		bound, digits, err := q.WidthBound(cat)
 		if err != nil {
@@ -126,8 +130,12 @@ func main() {
 	}
 }
 
+func (cfg config) options() *dixq.Options {
+	return &dixq.Options{Engine: cfg.engine, Timeout: cfg.timeout}
+}
+
 func runOnce(q *dixq.Query, cat *dixq.Catalog, cfg config) error {
-	res, err := q.Run(cat, &dixq.Options{Engine: cfg.engine, Timeout: cfg.timeout})
+	res, err := q.Run(cat, cfg.options())
 	if err != nil {
 		return err
 	}

@@ -371,9 +371,17 @@ func (q *Query) Text() string { return q.text }
 // Core returns the desugared core-language form (Definition 2.2).
 func (q *Query) Core() string { return q.expr.String() }
 
-// Explain describes the compiled plan: rewrites applied and the join
-// strategy available for each loop.
-func (q *Query) Explain() string { return q.q.Explain() }
+// Explain renders the physical plan the options' DI engine executes on the
+// view's snapshot: the same tree a Run evaluates and ExplainAnalyze
+// annotates, so the node IDs of the optimizer report name its lines. The
+// other engines have no plan; for them Explain fails.
+func (q *Query) Explain(cat View, opts *Options) (string, error) {
+	opts, _, copts, di := resolve(cat, opts)
+	if !di {
+		return "", fmt.Errorf("dixq: explain requires a DI engine, got %s", opts.Engine)
+	}
+	return q.q.Plan(copts).Tree(), nil
+}
 
 // OperatorStat is one plan operator's execution actuals: invocation count,
 // output rows, exclusive wall time and — from an ExplainAnalyze run —

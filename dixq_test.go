@@ -99,8 +99,17 @@ func TestQueryIntrospection(t *testing.T) {
 	if docs := q.Documents(); len(docs) != 1 || docs[0] != "auction.xml" {
 		t.Errorf("Documents = %v", docs)
 	}
-	if !strings.Contains(q.Explain(), "merge-join candidate") {
-		t.Errorf("Explain = %q", q.Explain())
+	// Explain renders the plan the chosen engine runs: the index seeks the
+	// catalog's indexes allow, and the forced join strategy.
+	cat := figureCatalog(t)
+	for engine, want := range map[Engine]string{MergeJoin: "for-merge-join", NestedLoop: "for-nested-loop"} {
+		tree, err := q.Explain(cat, &Options{Engine: engine})
+		if err != nil || !strings.Contains(tree, want) || !strings.Contains(tree, "index-seek") {
+			t.Errorf("%s: Explain = %q, %v; want %s over index seeks", engine, tree, err, want)
+		}
+	}
+	if _, err := q.Explain(cat, &Options{Engine: Interpreter}); err == nil {
+		t.Error("Explain under the interpreter: no error, want one (it runs no plan)")
 	}
 }
 

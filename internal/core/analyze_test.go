@@ -60,8 +60,8 @@ func TestAnalyzeGoldenPlans(t *testing.T) {
 		{"opt", ModeAuto, stats.CollectSet(cat)},
 	}
 	// The indexed variants rerun each query with the catalog's structural
-	// indexes attached, locking the access-path marks ([access=index],
-	// [access=pruned]) and the skipped-tuple actuals of the seek plans.
+	// indexes attached, locking the index-seek and index-prune operators
+	// and the skipped-tuple actuals of the seek plans.
 	variants := []struct {
 		suffix  string
 		indexes *index.Set

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -10,12 +9,6 @@ import (
 	"dixq/internal/plan"
 	"dixq/internal/xq"
 )
-
-// nominalDocTuples is the document cardinality the compiler assumes when
-// estimating operator output sizes: plans are compiled against encoded
-// catalogs of unknown size, so the hints are computed for a nominal
-// 1000-tuple document and are order-of-magnitude only.
-const nominalDocTuples = 1000
 
 // buildPlan lowers a core expression into the physical plan the evaluator
 // executes. The compiler mirrors the environment-depth analysis of §4.3
@@ -29,28 +22,14 @@ const nominalDocTuples = 1000
 func buildPlan(e xq.Expr, opts Options) (*plan.Node, *opt.Report) {
 	c := &compiler{opts: opts, depths: map[string]varInfo{}}
 	root := c.expr(e, 0)
-	// Mark the operators the parallel runtime knows how to split across
-	// workers: path chains run morsel-parallel, the structural sorts
-	// and distinct use the parallel sort kernel, and a merge join sorts its
-	// two inputs concurrently. The marks are static capability annotations;
-	// whether a run actually fans out depends on Options.Parallelism and
-	// the input size.
-	plan.Walk(root, func(n *plan.Node) {
-		switch n.Op {
-		case plan.OpStructuralSort, plan.OpDistinct, plan.OpMSJ, plan.OpRoots, plan.OpPathStep:
-			n.ParallelSafe = true
-		}
-	})
 	// With structural indexes available, resolve depth-0 path chains against
 	// the dataguide: chains over indexed paths become index range reads,
-	// chains over absent paths collapse to empty plans (rewrite.go). The
-	// rewrite records the access-path decision on every source node.
+	// chains over absent paths collapse to empty plans (rewrite.go).
 	if opts.Indexes != nil {
 		root = applyIndexes(root, opts.Indexes)
 	}
 	// Est carries the optimizer's statistics-fed row estimates; -1 marks
-	// nodes no optimizer saw (plan rendering then falls back to the
-	// compile-time Card heuristics).
+	// nodes no optimizer saw, which render without one.
 	plan.ResetEst(root)
 	var report *opt.Report
 	if opts.ForceJoinMode == ModeAuto {
@@ -61,8 +40,7 @@ func buildPlan(e xq.Expr, opts Options) (*plan.Node, *opt.Report) {
 }
 
 // compiler tracks the static environment state: for every visible
-// variable, the depth it is bound at, its local digit width, and its
-// estimated cardinality.
+// variable, the depth it is bound at and its local digit width.
 type compiler struct {
 	opts   Options
 	depths map[string]varInfo
@@ -71,7 +49,6 @@ type compiler struct {
 type varInfo struct {
 	depth  int
 	digits int
-	card   int64
 }
 
 func (c *compiler) with(name string, info varInfo, fn func() *plan.Node) *plan.Node {
@@ -92,37 +69,34 @@ func (c *compiler) expr(e xq.Expr, depth int) *plan.Node {
 	case xq.Var:
 		info, ok := c.depths[e.Name]
 		if !ok {
-			info = varInfo{digits: 1, card: nominalDocTuples}
+			info = varInfo{digits: 1}
 		}
 		if ok && info.depth < depth {
 			return &plan.Node{Op: plan.OpEmbedOuter, Label: e.Name,
-				FromDepth: info.depth, Depth: depth, Digits: info.digits, Card: info.card}
+				FromDepth: info.depth, Depth: depth, Digits: info.digits}
 		}
-		return &plan.Node{Op: plan.OpVar, Label: e.Name, Depth: depth,
-			Digits: info.digits, Card: info.card}
+		return &plan.Node{Op: plan.OpVar, Label: e.Name, Depth: depth, Digits: info.digits}
 	case xq.Doc:
-		return &plan.Node{Op: plan.OpScan, Label: e.Name, Depth: depth,
-			Digits: 1, Card: nominalDocTuples}
+		return &plan.Node{Op: plan.OpScan, Label: e.Name, Depth: depth, Digits: 1}
 	case xq.Const:
-		return &plan.Node{Op: plan.OpConst, Value: e.Value, Depth: depth,
-			Digits: 1, Card: int64(2 * e.Value.Size())}
+		return &plan.Node{Op: plan.OpConst, Value: e.Value, Depth: depth, Digits: 1}
 	case xq.Call:
 		return c.call(e, depth)
 	case xq.Let:
 		value := c.expr(e.Value, depth)
-		body := c.with(e.Var, varInfo{depth: depth, digits: value.Digits, card: value.Card},
+		body := c.with(e.Var, varInfo{depth: depth, digits: value.Digits},
 			func() *plan.Node { return c.expr(e.Body, depth) })
 		return &plan.Node{Op: plan.OpLet, Label: e.Var, Depth: depth,
-			Digits: body.Digits, Card: body.Card, Inputs: []*plan.Node{value, body}}
+			Digits: body.Digits, Inputs: []*plan.Node{value, body}}
 	case xq.Where:
 		cond := c.cond(e.Cond, depth)
 		body := c.expr(e.Body, depth)
 		return &plan.Node{Op: plan.OpFilter, Depth: depth, Digits: body.Digits,
-			Card: body.Card/2 + 1, Inputs: []*plan.Node{cond, body}}
+			Inputs: []*plan.Node{cond, body}}
 	case xq.For:
 		return c.forLoop(e, depth)
 	default:
-		return &plan.Node{Op: plan.OpInvalid, Depth: depth, Card: -1,
+		return &plan.Node{Op: plan.OpInvalid, Depth: depth,
 			Label: fmt.Sprintf("unknown expression %T", e)}
 	}
 }
@@ -138,20 +112,18 @@ func (c *compiler) forLoop(e xq.For, depth int) *plan.Node {
 	body := c.withLoopVar(e, newDepth, domain,
 		func() *plan.Node { return c.expr(e.Body, newDepth) })
 	return &plan.Node{Op: plan.OpBindVar, Label: e.Var, Pos: e.Pos, Depth: depth,
-		Digits: domain.Digits + body.Digits,
-		Card:   satMul(domain.Card/4+1, body.Card),
-		Inputs: []*plan.Node{domain, body}}
+		Digits: domain.Digits + body.Digits, Inputs: []*plan.Node{domain, body}}
 }
 
 // withLoopVar compiles fn with the loop variable (and its positional
 // variable, if any) bound at the loop body's depth.
 func (c *compiler) withLoopVar(e xq.For, atDepth int, domain *plan.Node, fn func() *plan.Node) *plan.Node {
-	xInfo := varInfo{depth: atDepth, digits: domain.Digits, card: domain.Card}
+	xInfo := varInfo{depth: atDepth, digits: domain.Digits}
 	return c.with(e.Var, xInfo, func() *plan.Node {
 		if e.Pos == "" {
 			return fn()
 		}
-		return c.with(e.Pos, varInfo{depth: atDepth, digits: 1, card: domain.Card/4 + 1}, fn)
+		return c.with(e.Pos, varInfo{depth: atDepth, digits: 1}, fn)
 	})
 }
 
@@ -226,9 +198,7 @@ func (c *compiler) mergeJoin(e xq.For, depth int) (*plan.Node, bool) {
 		func() *plan.Node { return c.expr(bodyExpr, newDepth) })
 
 	return &plan.Node{Op: plan.OpMSJ, Label: e.Var, Pos: e.Pos, Depth: depth,
-		D0: d0, DomainVars: domVars,
-		Digits: domain.Digits + body.Digits,
-		Card:   satMul(domain.Card/4+1, body.Card),
+		D0: d0, DomainVars: domVars, Digits: domain.Digits + body.Digits,
 		Inputs: []*plan.Node{domain, outer, inner, body}}, true
 }
 
@@ -298,72 +268,65 @@ func (c *compiler) call(e xq.Call, depth int) *plan.Node {
 	in := func() *plan.Node { return args[0] }
 	switch e.Fn {
 	case xq.FnRoots:
-		return &plan.Node{Op: plan.OpRoots, Depth: depth,
-			Digits: in().Digits, Card: in().Card/2 + 1, Inputs: args}
+		return &plan.Node{Op: plan.OpRoots, Depth: depth, Digits: in().Digits, Inputs: args}
 	case xq.FnSelect:
 		return &plan.Node{Op: plan.OpPathStep, Step: plan.StepSelect, Label: e.Label,
-			Depth: depth, Digits: in().Digits, Card: in().Card/4 + 1, Inputs: args}
+			Depth: depth, Digits: in().Digits, Inputs: args}
 	case xq.FnSelText:
 		return &plan.Node{Op: plan.OpPathStep, Step: plan.StepSelText, Depth: depth,
-			Digits: in().Digits, Card: in().Card/4 + 1, Inputs: args}
+			Digits: in().Digits, Inputs: args}
 	case xq.FnChildren:
 		return &plan.Node{Op: plan.OpPathStep, Step: plan.StepChildren, Depth: depth,
-			Digits: in().Digits, Card: in().Card, Inputs: args}
+			Digits: in().Digits, Inputs: args}
 	case xq.FnData:
 		return &plan.Node{Op: plan.OpPathStep, Step: plan.StepData, Depth: depth,
-			Digits: in().Digits, Card: in().Card/2 + 1, Inputs: args}
+			Digits: in().Digits, Inputs: args}
 	case xq.FnHead:
 		return &plan.Node{Op: plan.OpPathStep, Step: plan.StepHead, Depth: depth,
-			Digits: in().Digits, Card: in().Card/2 + 1, Inputs: args}
+			Digits: in().Digits, Inputs: args}
 	case xq.FnTail:
 		return &plan.Node{Op: plan.OpPathStep, Step: plan.StepTail, Depth: depth,
-			Digits: in().Digits, Card: in().Card/2 + 1, Inputs: args}
+			Digits: in().Digits, Inputs: args}
 	case xq.FnSort:
 		return &plan.Node{Op: plan.OpStructuralSort, Depth: depth,
-			Digits: in().Digits + 1, Card: in().Card, Inputs: args}
+			Digits: in().Digits + 1, Inputs: args}
 	case xq.FnReverse:
-		return &plan.Node{Op: plan.OpReverse, Depth: depth,
-			Digits: in().Digits + 1, Card: in().Card, Inputs: args}
+		return &plan.Node{Op: plan.OpReverse, Depth: depth, Digits: in().Digits + 1, Inputs: args}
 	case xq.FnDistinct:
-		return &plan.Node{Op: plan.OpDistinct, Depth: depth,
-			Digits: in().Digits, Card: in().Card/2 + 1, Inputs: args}
+		return &plan.Node{Op: plan.OpDistinct, Depth: depth, Digits: in().Digits, Inputs: args}
 	case xq.FnSubtreesDFS:
 		return &plan.Node{Op: plan.OpSubtreesDFS, Depth: depth,
-			Digits: in().Digits + 1, Card: satMul(in().Card, 3), Inputs: args}
+			Digits: in().Digits + 1, Inputs: args}
 	case xq.FnNode:
 		return &plan.Node{Op: plan.OpConstruct, Label: e.Label, Depth: depth,
-			Digits: max(1, in().Digits), Card: in().Card + 2, Inputs: args}
+			Digits: max(1, in().Digits), Inputs: args}
 	case xq.FnConcat:
 		return &plan.Node{Op: plan.OpConcat, Depth: depth,
-			Digits: max(args[0].Digits, args[1].Digits),
-			Card:   args[0].Card + args[1].Card, Inputs: args}
+			Digits: max(args[0].Digits, args[1].Digits), Inputs: args}
 	case xq.FnCount:
-		return &plan.Node{Op: plan.OpCount, Depth: depth,
-			Digits: 1, Card: 2, Inputs: args}
+		return &plan.Node{Op: plan.OpCount, Depth: depth, Digits: 1, Inputs: args}
 	case xq.FnSum, xq.FnAvg, xq.FnMin, xq.FnMax:
-		return &plan.Node{Op: plan.OpAggregate, Label: e.Fn, Depth: depth,
-			Digits: 1, Card: 2, Inputs: args}
+		return &plan.Node{Op: plan.OpAggregate, Label: e.Fn, Depth: depth, Digits: 1, Inputs: args}
 	case xq.FnArith:
-		return &plan.Node{Op: plan.OpArith, Label: e.Label, Depth: depth,
-			Digits: 1, Card: 2, Inputs: args}
+		return &plan.Node{Op: plan.OpArith, Label: e.Label, Depth: depth, Digits: 1, Inputs: args}
 	case xq.FnTake:
 		return &plan.Node{Op: plan.OpTake, Label: e.Label, Depth: depth,
-			Digits: in().Digits, Card: in().Card/2 + 1, Inputs: args}
+			Digits: in().Digits, Inputs: args}
 	case xq.FnDrop:
 		return &plan.Node{Op: plan.OpDrop, Label: e.Label, Depth: depth,
-			Digits: in().Digits, Card: in().Card/2 + 1, Inputs: args}
+			Digits: in().Digits, Inputs: args}
 	case xq.FnOrdBy:
 		return &plan.Node{Op: plan.OpOrderBy, Label: e.Label, Depth: depth,
-			Digits: in().Digits + 1, Card: in().Card, Inputs: args}
+			Digits: in().Digits + 1, Inputs: args}
 	default:
-		return &plan.Node{Op: plan.OpInvalid, Depth: depth, Card: -1,
+		return &plan.Node{Op: plan.OpInvalid, Depth: depth,
 			Label: fmt.Sprintf("unknown function %q", e.Fn), Inputs: args}
 	}
 }
 
 func (c *compiler) cond(cd xq.Cond, depth int) *plan.Node {
 	node := func(op plan.Op, kids ...*plan.Node) *plan.Node {
-		return &plan.Node{Op: op, Depth: depth, Card: -1, Inputs: kids}
+		return &plan.Node{Op: op, Depth: depth, Inputs: kids}
 	}
 	switch cd := cd.(type) {
 	case xq.Equal:
@@ -383,18 +346,7 @@ func (c *compiler) cond(cd xq.Cond, depth int) *plan.Node {
 	case xq.Or:
 		return node(plan.OpOr, c.cond(cd.L, depth), c.cond(cd.R, depth))
 	default:
-		return &plan.Node{Op: plan.OpInvalid, Depth: depth, Card: -1,
+		return &plan.Node{Op: plan.OpInvalid, Depth: depth,
 			Label: fmt.Sprintf("unknown condition %T", cd)}
 	}
-}
-
-// satMul multiplies cardinality hints, saturating instead of overflowing.
-func satMul(a, b int64) int64 {
-	if a <= 0 || b <= 0 {
-		return 0
-	}
-	if a > math.MaxInt64/b {
-		return math.MaxInt64
-	}
-	return a * b
 }

@@ -323,43 +323,43 @@ func (ev *evaluator) evalVar(name string, en *env) (*table, error) {
 // loop-invariant (its source is a document scan), so the answer is
 // materialized once and embedded into the current environments — exactly
 // what the scan-backed chain would compute by embedding the whole
-// document first and filtering after. A replaced document binding falls
-// back to the scan-backed chain kept in Inputs[0]; pruned paths serve at
-// any depth, because an absent path is empty in every environment.
+// document first and filtering after. Pruned paths serve at any depth,
+// because an absent path is empty in every environment. A document
+// binding other than the indexed relation is an error: the plan holds no
+// other way to compute the chain.
 func (ev *evaluator) execIndexPath(n *plan.Node, en *env) (*table, error) {
-	if sk := n.Seek; sk != nil {
-		if b, ok := en.lookup("doc:" + sk.Doc); ok && b.depth == 0 && b.tab.rel == sk.Rel {
-			local := b.tab.local + sk.WidenBy
-			if sk.Pruned {
-				obs.IndexPrunedPaths.Inc()
-				ev.node(n).Skipped += int64(len(sk.Rel.Tuples))
-				return &table{rel: &interval.Relation{}, local: local}, nil
-			}
-			var out *interval.Relation
-			if sk.Pos != nil {
-				out = engine.SubtreesAt(sk.Rel, sk.Ranges, sk.Pos)
-			} else {
-				out = &interval.Relation{Tuples: make([]interval.Tuple, 0, sk.Rows)}
-				for _, r := range sk.Ranges {
-					out.Tuples = append(out.Tuples, sk.Rel.Tuples[r[0]:r[1]]...)
-				}
-			}
-			if !en.initial() {
-				embedded, err := engine.EmbedOuter(en.index, 0, en.depth, out, ev.budget)
-				if err != nil {
-					return nil, err
-				}
-				ev.stats.EmbeddedTuples += int64(embedded.Len())
-				out = embedded
-			}
-			obs.IndexSeeks.Inc()
-			// Nested descendant anchors serve some rows more than once.
-			ev.node(n).Skipped += max(0, int64(len(sk.Rel.Tuples))-sk.Rows)
-			return &table{rel: out, local: local}, nil
+	sk := n.Seek
+	b, ok := en.lookup("doc:" + sk.Doc)
+	if !ok || b.depth != 0 || b.tab.rel != sk.Rel {
+		return nil, fmt.Errorf("core: %s over document %q: the binding is not the relation the index describes", n.OpName(), sk.Doc)
+	}
+	local := b.tab.local + sk.WidenBy
+	if sk.Pruned {
+		obs.IndexPrunedPaths.Inc()
+		ev.node(n).Skipped += int64(len(sk.Rel.Tuples))
+		return &table{rel: &interval.Relation{}, local: local}, nil
+	}
+	var out *interval.Relation
+	if sk.Pos != nil {
+		out = engine.SubtreesAt(sk.Rel, sk.Ranges, sk.Pos)
+	} else {
+		out = &interval.Relation{Tuples: make([]interval.Tuple, 0, sk.Rows)}
+		for _, r := range sk.Ranges {
+			out.Tuples = append(out.Tuples, sk.Rel.Tuples[r[0]:r[1]]...)
 		}
 	}
-	obs.IndexScanFallbacks.Inc()
-	return ev.exec(n.Inputs[0], en)
+	if !en.initial() {
+		embedded, err := engine.EmbedOuter(en.index, 0, en.depth, out, ev.budget)
+		if err != nil {
+			return nil, err
+		}
+		ev.stats.EmbeddedTuples += int64(embedded.Len())
+		out = embedded
+	}
+	obs.IndexSeeks.Inc()
+	// Nested descendant anchors serve some rows more than once.
+	ev.node(n).Skipped += max(0, int64(len(sk.Rel.Tuples))-sk.Rows)
+	return &table{rel: out, local: local}, nil
 }
 
 // execChain executes a maximal chain of path operators — the "sequence of
@@ -415,7 +415,7 @@ func (ev *evaluator) tryIndexedChain(chain []*plan.Node, en *env) (*table, bool)
 		return nil, false
 	}
 	sk := bottom.Seek
-	if sk == nil || sk.Pruned || sk.Pos != nil {
+	if sk.Pruned || sk.Pos != nil {
 		return nil, false
 	}
 	b, ok := en.lookup("doc:" + sk.Doc)

@@ -299,36 +299,29 @@ func addFree(e xq.Expr, out map[string]bool) {
 // applyIndexes is the access-path phase of compilation: with structural
 // indexes available (Options.Indexes), every path chain rooted at a scan
 // of an indexed document is resolved against that document's dataguide
-// (see internal/index). Two rewrites apply, both recorded on the plan:
+// (see internal/index). Two rewrites apply:
 //
 //   - seek (form a): the maximal absorbable prefix of the chain — select,
 //     seltext, children, roots, and one subtrees-dfs directly followed by
 //     a select or seltext — resolves to exact row ranges, and the prefix
 //     is replaced by an OpIndexPath node that serves those ranges
-//     directly. The replaced sub-chain is kept as Inputs[0], the runtime
-//     fallback for a document binding the resolution does not describe.
+//     directly.
 //   - prune (form b): a select whose element/attribute label appears
 //     nowhere in the document can only produce the empty forest, even
 //     through non-absorbable steps (subtrees-dfs, head, tail), because all
 //     of those only subset or preserve the document's labels. The whole
 //     chain collapses to a pruned OpIndexPath.
 //
-// Every remaining OpScan of an indexed document is marked AccessScan, so
-// Explain always shows an explicit index-vs-scan decision per source.
-// DESIGN.md §4.11 gives the soundness argument for both forms.
-func applyIndexes(root *plan.Node, set *index.Set) *plan.Node {
-	return rewriteAccess(root, set)
-}
-
-func rewriteAccess(n *plan.Node, set *index.Set) *plan.Node {
+// The replaced operators leave the plan: a seek runs only over the
+// relation it was resolved against, and the executor reports any other
+// binding as an error. DESIGN.md §4.11 gives the soundness argument for
+// both forms.
+func applyIndexes(n *plan.Node, set *index.Set) *plan.Node {
 	if n.Op == plan.OpRoots || n.Op == plan.OpPathStep {
 		return rewriteChain(n, set)
 	}
 	for i, c := range n.Inputs {
-		n.Inputs[i] = rewriteAccess(c, set)
-	}
-	if n.Op == plan.OpScan && n.Access == "" {
-		n.Access = plan.AccessScan
+		n.Inputs[i] = applyIndexes(c, set)
 	}
 	return n
 }
@@ -347,7 +340,7 @@ func rewriteChain(head *plan.Node, set *index.Set) *plan.Node {
 		chain = append(chain, cur)
 	}
 	bottom := chain[len(chain)-1]
-	bottom.Inputs[0] = rewriteAccess(bottom.Inputs[0], set)
+	bottom.Inputs[0] = applyIndexes(bottom.Inputs[0], set)
 	src := bottom.Inputs[0]
 	// A document scan is loop-invariant at any depth (documents never
 	// depend on loop variables), so chains rooted at scans inside loops
@@ -389,6 +382,18 @@ func absorbStep(n *plan.Node) (index.Step, bool) {
 	return index.Step{}, false
 }
 
+// keepsClasses reports whether a chain's answer is still the instance set
+// of dataguide classes: after head, tail or subtrees-dfs no class set
+// describes it.
+func keepsClasses(chain []*plan.Node) bool {
+	for _, c := range chain {
+		if c.Op == plan.OpSubtreesDFS || c.Step == plan.StepHead || c.Step == plan.StepTail {
+			return false
+		}
+	}
+	return true
+}
+
 // widening counts the subtrees-dfs operators of a chain: each adds one
 // digit to the local key width of everything above it.
 func widening(chain []*plan.Node) int {
@@ -424,23 +429,20 @@ func absorbChain(head *plan.Node, chain []*plan.Node, src *plan.Node, ix *index.
 	if res.Pruned {
 		// The resolved prefix is empty, and every remaining chain step
 		// preserves emptiness, so the whole chain is.
-		return prunedNode(head, src.Label, ix, widening(chain), renderPath(steps)), 0
+		return prunedNode(head, src.Label, ix, widening(chain), renderPath(steps), keepsClasses(chain)), 0
 	}
 	absorbed := res.Consumed
 	if absorbed == 0 {
 		return nil, 0
 	}
-	top := chain[len(chain)-absorbed]
 	ipn := &plan.Node{
 		Op:     plan.OpIndexPath,
-		Access: plan.AccessIndex,
 		Depth:  src.Depth,
-		Digits: top.Digits,
-		Card:   res.Rows,
+		Digits: chain[len(chain)-absorbed].Digits,
 		Seek: &plan.Seek{Doc: src.Label, Path: renderPath(steps), Rel: ix.Rel,
 			Ranges: res.Ranges, Pos: res.Pos, Rows: res.Rows,
+			Classes: res.Classes, Roots: res.Roots,
 			WidenBy: widening(chain[len(chain)-absorbed:])},
-		Inputs: []*plan.Node{top},
 	}
 	if absorbed == len(chain) {
 		return ipn, absorbed
@@ -456,13 +458,15 @@ func absorbChain(head *plan.Node, chain []*plan.Node, src *plan.Node, ix *index.
 // chain's own subtrees-dfs operators.
 func pruneAbsent(head *plan.Node, chain []*plan.Node, set *index.Set) *plan.Node {
 	widen := widening(chain)
+	classes := keepsClasses(chain)
 	var doc string
-	switch src := chain[len(chain)-1].Inputs[0]; {
-	case src.Op == plan.OpScan:
+	switch src := chain[len(chain)-1].Inputs[0]; src.Op {
+	case plan.OpScan:
 		doc = src.Label
-	case src.Op == plan.OpIndexPath && src.Seek != nil:
+	case plan.OpIndexPath:
 		doc = src.Seek.Doc
 		widen += src.Seek.WidenBy
+		classes = classes && src.Seek.Classes != nil
 	default:
 		return nil
 	}
@@ -483,23 +487,20 @@ func pruneAbsent(head *plan.Node, chain []*plan.Node, set *index.Set) *plan.Node
 		}
 		if n.Op == plan.OpPathStep && n.Step == plan.StepSelect &&
 			xmltree.LabelKind(n.Label) != xmltree.Text && !ix.HasLabel(n.Label) {
-			return prunedNode(head, doc, ix, widen, "//"+trimLabel(n.Label))
+			return prunedNode(head, doc, ix, widen, "//"+trimLabel(n.Label), classes)
 		}
 	}
 	return nil
 }
 
-func prunedNode(head *plan.Node, doc string, ix *index.DocIndex, widen int, path string) *plan.Node {
-	return &plan.Node{
-		Op:     plan.OpIndexPath,
-		Access: plan.AccessPruned,
-		Depth:  head.Depth,
-		Digits: head.Digits,
-		Card:   0,
-		Seek: &plan.Seek{Doc: doc, Path: path, Rel: ix.Rel,
-			Pruned: true, WidenBy: widen},
-		Inputs: []*plan.Node{head},
+// prunedNode replaces a chain proven empty. Its seek has the empty class
+// set when the chain kept class provenance (see plan.Seek.Classes).
+func prunedNode(head *plan.Node, doc string, ix *index.DocIndex, widen int, path string, classes bool) *plan.Node {
+	sk := &plan.Seek{Doc: doc, Path: path, Rel: ix.Rel, Pruned: true, WidenBy: widen}
+	if classes {
+		sk.Classes = []string{}
 	}
+	return &plan.Node{Op: plan.OpIndexPath, Depth: head.Depth, Digits: head.Digits, Seek: sk}
 }
 
 // renderPath renders an absorbed step chain for Explain. sep is the axis

@@ -1,25 +1,15 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"dixq/internal/index"
+	"dixq/internal/interval"
 	"dixq/internal/plan"
 	"dixq/internal/xq"
 )
-
-// servedNodes returns the plan nodes an indexed run executes: every node
-// except the scan-backed fallbacks kept under index seeks.
-func servedNodes(n *plan.Node) []*plan.Node {
-	out := []*plan.Node{n}
-	if n.Op == plan.OpIndexPath {
-		return out
-	}
-	for _, c := range n.Inputs {
-		out = append(out, servedNodes(c)...)
-	}
-	return out
-}
 
 // TestDescendantSeekRewrite pins where the index rewrite absorbs a
 // subtrees-dfs: directly under a select or seltext, never after roots or
@@ -57,7 +47,7 @@ func TestDescendantSeekRewrite(t *testing.T) {
 		idxOpts.Indexes = set
 		q := Compile(e, idxOpts)
 		var seeks, dfs, pruned int
-		for _, n := range servedNodes(q.Plan(idxOpts)) {
+		plan.Walk(q.Plan(idxOpts), func(n *plan.Node) {
 			switch {
 			case n.Op == plan.OpSubtreesDFS:
 				dfs++
@@ -73,7 +63,7 @@ func TestDescendantSeekRewrite(t *testing.T) {
 				}
 				seeks++
 			}
-		}
+		})
 		switch {
 		case c.pruned && pruned != 1:
 			t.Errorf("%s: %d pruned nodes, want 1", c.query, pruned)
@@ -91,5 +81,37 @@ func TestDescendantSeekRewrite(t *testing.T) {
 			t.Fatalf("%s indexed: %v", c.query, err)
 		}
 		identicalRelations(t, c.query, got, want)
+	}
+}
+
+// TestSeekOverOtherRelationFails: a seek runs only over the relation its
+// index was resolved against. Evaluating with an index set built over an
+// equal but distinct relation is an error — for a seek on its own, a seek
+// under a fused chain, and a pruned path — never a silent scan.
+func TestSeekOverOtherRelationFails(t *testing.T) {
+	cat, _ := generatedCatalog(0.0005, 20030609)
+	copied := Catalog{}
+	for name, rel := range cat {
+		copied[name] = &interval.Relation{Tuples: slices.Clone(rel.Tuples)}
+	}
+	set := index.BuildSet(copied)
+	for _, c := range []struct{ query, op string }{
+		{`<r>{document("auction.xml")/site/people/person}</r>`, "index-seek"},
+		{`<r>{data(document("auction.xml")/site/people/person/@id)}</r>`, "index-seek"},
+		{`<r>{document("auction.xml")/site/people/nosuch}</r>`, "index-prune"},
+	} {
+		for _, mode := range []Mode{ModeAuto, ModeMSJ, ModeNLJ} {
+			opts := Options{ForceJoinMode: mode, Indexes: set, Parallelism: 1}
+			q := Compile(xq.MustParse(c.query), opts)
+			if tree := q.Plan(opts).Tree(); !strings.Contains(tree, c.op) {
+				t.Fatalf("%s (%s): plan has no %s:\n%s", c.query, mode, c.op, tree)
+			}
+			if _, err := q.Eval(copied, opts); err != nil {
+				t.Fatalf("%s (%s) over the indexed relation: %v", c.query, mode, err)
+			}
+			if _, err := q.Eval(cat, opts); err == nil {
+				t.Errorf("%s (%s): evaluated over a relation the index does not describe", c.query, mode)
+			}
+		}
 	}
 }

@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 	"math/big"
-	"strings"
 
-	"dixq/internal/plan"
 	"dixq/internal/xq"
 )
 
@@ -193,39 +191,5 @@ func (a *widthAnalyzer) cond(c xq.Cond) error {
 		return a.cond(c.R)
 	default:
 		return fmt.Errorf("core: unknown condition %T", c)
-	}
-}
-
-// Explain renders a human-readable account of a compiled query: the
-// rewritten expression, each for-loop's strategy as the DI-MSJ plan
-// compiled it (a merge join where the loop's equality decorrelates, which
-// makes it a candidate for DI-OPT too; a nested loop otherwise), and the
-// DI-MSJ and DI-NLJ operator trees.
-func (q *Query) Explain() string {
-	msj := q.Plan(Options{ForceJoinMode: ModeMSJ})
-	var b strings.Builder
-	fmt.Fprintf(&b, "plan for:\n  %s\n", q.Original)
-	fmt.Fprintf(&b, "rewritten:\n  %s\n", q.Expr)
-	b.WriteString("loops:\n")
-	plan.Walk(msj, func(n *plan.Node) {
-		switch n.Op {
-		case plan.OpMSJ:
-			fmt.Fprintf(&b, "  for %s: merge-join candidate\n", n.Detail())
-		case plan.OpBindVar:
-			fmt.Fprintf(&b, "  for %s: nested loop\n", n.Detail())
-		}
-	})
-	b.WriteString("operator tree (DI-MSJ):\n")
-	indent(&b, msj.Tree())
-	b.WriteString("operator tree (DI-NLJ):\n")
-	indent(&b, q.Plan(Options{ForceJoinMode: ModeNLJ}).Tree())
-	return b.String()
-}
-
-func indent(b *strings.Builder, s string) {
-	for _, line := range strings.Split(strings.TrimRight(s, "\n"), "\n") {
-		b.WriteString("  ")
-		b.WriteString(line)
-		b.WriteByte('\n')
 	}
 }

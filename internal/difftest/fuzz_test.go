@@ -65,8 +65,8 @@ func FuzzParallelExecute(f *testing.F) {
 // evaluation produces, digit for digit. The corpus seeds cover the
 // benchmark queries — whose hoisted document chains actually seek — plus
 // the end-to-end seed corpus and generated random expressions, which
-// exercise pruning (absent labels) and the runtime scan fallback (chains
-// under refined environments).
+// exercise pruning (absent labels) and seeks served under refined
+// environments.
 func FuzzIndexedExecute(f *testing.F) {
 	for _, q := range []string{xmark.Q8, xmark.Q9, xmark.Q13, xmark.Q5, xmark.Q15} {
 		f.Add(q, false)

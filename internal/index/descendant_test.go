@@ -42,13 +42,13 @@ func TestResolveDescendant(t *testing.T) {
 		// Not absorbed: after roots, last, before a non-select step, before
 		// a text-shaped select.
 		{"after-roots", []index.Step{sel("<a>"), {Kind: index.StepRoots}, desc, sel("<a>")},
-			index.Resolution{Ranges: [][2]int32{{0, 1}}, Rows: 1, Consumed: 2}},
+			index.Resolution{Ranges: [][2]int32{{0, 1}}, Rows: 1, Consumed: 2, Classes: []string{"/<a>"}, Roots: true}},
 		{"trailing", []index.Step{sel("<a>"), kids, desc},
-			index.Resolution{Ranges: [][2]int32{{1, 5}}, Rows: 4, Consumed: 2}},
+			index.Resolution{Ranges: [][2]int32{{1, 5}}, Rows: 4, Consumed: 2, Classes: []string{"/<a>/<a>", "/<a>/<c>"}}},
 		{"before-children", []index.Step{desc, kids},
-			index.Resolution{Ranges: [][2]int32{{0, 5}}, Rows: 5}},
+			index.Resolution{Ranges: [][2]int32{{0, 5}}, Rows: 5, Classes: []string{"/<a>"}}},
 		{"text-shaped-select", []index.Step{desc, sel("x")},
-			index.Resolution{Ranges: [][2]int32{{0, 5}}, Rows: 5}},
+			index.Resolution{Ranges: [][2]int32{{0, 5}}, Rows: 5, Classes: []string{"/<a>"}}},
 		{"absent", []index.Step{desc, sel("<nosuch>")}, index.Resolution{Consumed: 2, Pruned: true}},
 	}
 	for _, c := range cases {

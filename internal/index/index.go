@@ -341,11 +341,7 @@ func (ix *DocIndex) Paths() []string {
 	var out []string
 	var walk func(c *class, prefix string)
 	walk = func(c *class, prefix string) {
-		label := c.label
-		if label == "" {
-			label = "#text"
-		}
-		p := prefix + "/" + label
+		p := prefix + "/" + segment(c.label)
 		out = append(out, p)
 		for _, ch := range c.children {
 			walk(ch, p)
@@ -356,6 +352,14 @@ func (ix *DocIndex) Paths() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// segment renders a class label as a Paths segment.
+func segment(label string) string {
+	if label == "" {
+		return "#text"
+	}
+	return label
 }
 
 // PathCount returns the number of distinct class paths (trie nodes).
@@ -419,6 +423,13 @@ type Resolution struct {
 	// Pruned reports that the class set became empty: the whole chain
 	// (and anything derived from it) evaluates to the empty forest.
 	Pruned bool
+	// Classes are the class paths, rendered as Paths renders them, whose
+	// instances are the answer's top-level trees; nil after a descendant
+	// step, whose answer is a set of subtrees, not of class instances.
+	Classes []string
+	// Roots reports that the chain went through StepRoots: each answer
+	// tree is an instance's root alone.
+	Roots bool
 }
 
 // Resolve runs a step chain over the dataguide. Steps apply in execution
@@ -432,6 +443,7 @@ type Resolution struct {
 // StepRoots — it is not absorbed.
 func (ix *DocIndex) Resolve(steps []Step) Resolution {
 	classes := ix.root.children
+	paths := childPaths("", classes)
 	singleton := false
 	consumed := 0
 	for i, st := range steps {
@@ -439,29 +451,29 @@ func (ix *DocIndex) Resolve(steps []Step) Resolution {
 		case StepDescendant:
 			label, ok := descendantLabel(steps[i+1:])
 			if !ok || singleton {
-				return ix.resolution(classes, singleton, consumed)
+				return ix.resolution(classes, paths, singleton, consumed)
 			}
 			return ix.descendants(classes, label, consumed+2)
 		case StepSelect:
 			if xmltree.LabelKind(st.Label) == xmltree.Text {
 				// A text-shaped select label would match text rows by
 				// content, which the "" class cannot distinguish.
-				return ix.resolution(classes, singleton, consumed)
+				return ix.resolution(classes, paths, singleton, consumed)
 			}
-			classes = filterClasses(classes, st.Label)
+			classes, paths = filterClasses(classes, paths, st.Label)
 		case StepSelText:
-			classes = filterClasses(classes, "")
+			classes, paths = filterClasses(classes, paths, "")
 		case StepChildren:
-			if singleton {
-				// roots() stripped the children; nothing remains.
-				classes = nil
-			} else {
-				var next []*class
-				for _, c := range classes {
+			// After roots() the children are stripped: nothing remains.
+			var next []*class
+			var nextPaths []string
+			if !singleton {
+				for j, c := range classes {
 					next = append(next, c.children...)
+					nextPaths = append(nextPaths, childPaths(paths[j], c.children)...)
 				}
-				classes = next
 			}
+			classes, paths = next, nextPaths
 		case StepRoots:
 			singleton = true
 		}
@@ -470,7 +482,17 @@ func (ix *DocIndex) Resolve(steps []Step) Resolution {
 			return Resolution{Consumed: consumed, Pruned: true}
 		}
 	}
-	return ix.resolution(classes, singleton, consumed)
+	return ix.resolution(classes, paths, singleton, consumed)
+}
+
+// childPaths renders the class paths of a class's children, given the
+// class's own path ("" for the synthetic root).
+func childPaths(parent string, children []*class) []string {
+	out := make([]string, len(children))
+	for i, c := range children {
+		out[i] = parent + "/" + segment(c.label)
+	}
+	return out
 }
 
 // descendantLabel returns the class label selected by the step after a
@@ -519,7 +541,7 @@ func (ix *DocIndex) descendants(classes []*class, label string, consumed int) Re
 	slices.Sort(anchors)
 	// F is the disjoint ranges of the classes' subtrees; offset counts the
 	// rows of F before in[ri], the range holding the current anchor.
-	in := ix.resolution(classes, false, 0).Ranges
+	in := ix.resolution(classes, nil, false, 0).Ranges
 	res := Resolution{
 		Ranges:   make([][2]int32, len(anchors)),
 		Pos:      make([]int64, len(anchors)),
@@ -538,20 +560,24 @@ func (ix *DocIndex) descendants(classes []*class, label string, consumed int) Re
 	return res
 }
 
-func filterClasses(classes []*class, label string) []*class {
+// filterClasses keeps the classes with the given label, and their paths.
+func filterClasses(classes []*class, paths []string, label string) ([]*class, []string) {
 	var out []*class
-	for _, c := range classes {
+	var outPaths []string
+	for i, c := range classes {
 		if c.label == label {
 			out = append(out, c)
+			outPaths = append(outPaths, paths[i])
 		}
 	}
-	return out
+	return out, outPaths
 }
 
-// resolution materializes the row ranges of a class set. Instances of
-// same-depth classes are roots of disjoint subtrees, so after sorting the
-// merged rows the ranges are disjoint and in document order.
-func (ix *DocIndex) resolution(classes []*class, singleton bool, consumed int) Resolution {
+// resolution materializes the row ranges of a class set, whose class
+// paths are paths. Instances of same-depth classes are roots of disjoint
+// subtrees, so after sorting the merged rows the ranges are disjoint and
+// in document order.
+func (ix *DocIndex) resolution(classes []*class, paths []string, singleton bool, consumed int) Resolution {
 	total := 0
 	for _, c := range classes {
 		total += len(c.rows)
@@ -564,7 +590,7 @@ func (ix *DocIndex) resolution(classes []*class, singleton bool, consumed int) R
 		rows = append(rows, c.rows...)
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
-	res := Resolution{Consumed: consumed}
+	res := Resolution{Consumed: consumed, Classes: paths, Roots: singleton}
 	for _, r := range rows {
 		end := r + 1
 		if !singleton {

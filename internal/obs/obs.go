@@ -82,11 +82,6 @@ var (
 	// index as range reads instead of relation scans.
 	IndexSeeks = Default.NewCounter("dixq_index_seeks_total",
 		"Path chains served as index range reads.")
-	// IndexScanFallbacks counts index-path nodes that fell back to the
-	// scan-backed chain at run time (document binding filtered or replaced,
-	// or the chain ran under refined environments).
-	IndexScanFallbacks = Default.NewCounter("dixq_index_scan_fallbacks_total",
-		"Index-path nodes that fell back to the scan-backed chain.")
 	// IndexPrunedPaths counts path chains the dataguide proved empty, which
 	// therefore never executed at all.
 	IndexPrunedPaths = Default.NewCounter("dixq_index_pruned_paths_total",

@@ -19,14 +19,12 @@
 // soundness argument.
 //
 // Every estimated node carries its stats-fed row estimate in Node.Est,
-// which ExplainAnalyze renders next to the actual row count (est=… act=…)
-// so misestimates are visible per operator end to end.
+// which the analyzed plan renders beside the actual row count, so
+// misestimates are visible per operator end to end.
 package opt
 
 import (
-	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"dixq/internal/obs"
@@ -50,17 +48,17 @@ const (
 	defaultEqSel = 0.1
 	// defaultCondSel is the selectivity of a non-equality condition.
 	defaultCondSel = 0.5
-	// nominalDocTuples mirrors the compiler's fallback document size for
-	// catalogs without statistics.
+	// nominalDocTuples is the document size assumed for a document without
+	// statistics.
 	nominalDocTuples = 1000
 	// maxOrderVertices bounds the exhaustive join-order search.
 	maxOrderVertices = 6
 )
 
 // Optimize estimates and rewrites a compiled plan against the given
-// statistics (nil st degrades every estimate to the compiler's nominal
-// document). It returns the optimized root — the input tree, mutated and
-// possibly restructured — and the report of every decision taken. The
+// statistics (nil st degrades every estimate to a nominal document). It
+// returns the optimized root — the input tree, mutated and possibly
+// restructured — and the report of every decision taken. The
 // caller must re-run plan.AssignIDs afterwards; Optimize does so itself
 // before filling the report's node IDs, so the IDs it reports are final.
 func Optimize(root *plan.Node, st *stats.Set) (*plan.Node, *Report) {
@@ -587,7 +585,7 @@ func (o *optimizer) estMSJ(n *plan.Node, envs float64, annotate bool) (float64, 
 			obs.OptDemotions.Inc()
 		}
 		o.report.Decisions = append(o.report.Decisions, Decision{
-			Kind: "join-algorithm", Loop: "$" + n.Label, Choice: choice,
+			Loop: "$" + n.Label, Choice: choice,
 			CostMergeJoin: costMSJ, CostNestedLoop: costNLJ,
 			EstMatches: int64(math.Round(matches)),
 		})
@@ -627,18 +625,16 @@ func (o *optimizer) estMSJ(n *plan.Node, envs float64, annotate bool) (float64, 
 func demoteMSJ(n *plan.Node) {
 	domain, outer, inner, body := n.Inputs[0], n.Inputs[1], n.Inputs[2], n.Inputs[3]
 	eq := &plan.Node{
-		Op: plan.OpCmpEq, Depth: body.Depth, Card: -1, Est: -1,
+		Op: plan.OpCmpEq, Depth: body.Depth, Est: -1,
 		Inputs: []*plan.Node{inner, outer},
 	}
 	filter := &plan.Node{
-		Op: plan.OpFilter, Depth: body.Depth, Digits: body.Digits,
-		Card: body.Card/2 + 1, Est: -1,
+		Op: plan.OpFilter, Depth: body.Depth, Digits: body.Digits, Est: -1,
 		Inputs: []*plan.Node{eq, body},
 	}
 	n.Op = plan.OpBindVar
 	n.D0 = 0
 	n.DomainVars = nil
-	n.ParallelSafe = false
 	n.Inputs = []*plan.Node{domain, filter}
 }
 
@@ -649,35 +645,12 @@ func safeDiv(a, b float64) float64 {
 	return a / b
 }
 
-// estIndexPath estimates an index-resolved path chain and records it as
-// a base access path of the join graph. The seek is never costlier than
-// its scan fallback (it reads exactly the answer rows), so the access
-// choice itself is kept; the decision is still recorded with both costs
-// so /explain shows what the index bought.
+// estIndexPath estimates an index-resolved path chain from the statistics
+// of the dataguide classes its resolution selected, and records it as a
+// base access path of the join graph.
 func (o *optimizer) estIndexPath(n *plan.Node, envs float64, annotate bool) (float64, float64, *prov) {
 	sk := n.Seek
-	if sk == nil {
-		return o.est(n.Inputs[0], envs, annotate)
-	}
-	// Recover provenance from the scan-backed fallback without paying
-	// (or annotating) its cost.
-	mark := o.cost
-	fbRows, _, pv := o.est(n.Inputs[0], envs, false)
-	o.cost = mark
-	if annotate {
-		choice := "index-seek"
-		if sk.Pruned {
-			choice = "pruned"
-		}
-		o.report.Decisions = append(o.report.Decisions, Decision{
-			Kind: "access-path", Loop: sk.Doc + sk.Path, Choice: choice,
-			CostMergeJoin:  0,
-			CostNestedLoop: 0,
-			CostScan:       fbRows,
-			CostSeek:       envs * float64(sk.Rows),
-		})
-		o.decisionNodes = append(o.decisionNodes, n)
-	}
+	pv := o.seekProv(sk)
 	if sk.Pruned {
 		empty := &prov{vertex: -1, paths: map[string]provPath{}}
 		if pv != nil {
@@ -686,13 +659,13 @@ func (o *optimizer) estIndexPath(n *plan.Node, envs float64, annotate bool) (flo
 		if annotate {
 			empty.vertex = o.addVertex(n, empty)
 		}
-		// The fallback subtree keeps Est = -1: it does not run.
 		return 0, 0, empty
 	}
-	// A descendant seek's fallback runs through subtrees-dfs, which tracks
-	// no provenance; out is nil then, and what consumes the seek falls back
-	// to the shape heuristics, as it would over the fallback.
-	out := scaleProv(pv, safeDiv(envs*float64(sk.Rows), math.Max(fbRows, 1)))
+	// Without provenance (a descendant seek, or a document without
+	// statistics) out is nil, and what consumes the seek falls back to the
+	// shape heuristics.
+	_, pvRows := pv.total()
+	out := scaleProv(pv, safeDiv(envs*float64(sk.Rows), math.Max(pvRows, 1)))
 	if annotate {
 		v := o.addVertex(n, out)
 		if out != nil {
@@ -710,19 +683,40 @@ func (o *optimizer) estIndexPath(n *plan.Node, envs float64, annotate bool) (flo
 	return envs * float64(sk.Rows), count, out
 }
 
+// seekProv is the provenance of an index seek: its classes with their
+// statistics, nil when the seek has no classes or its document no
+// statistics.
+func (o *optimizer) seekProv(sk *plan.Seek) *prov {
+	ds := o.doc(sk.Doc)
+	if ds == nil || sk.Classes == nil {
+		return nil
+	}
+	pv := &prov{doc: sk.Doc, vertex: -1, paths: make(map[string]provPath, len(sk.Classes))}
+	for _, p := range sk.Classes {
+		ps, ok := ds.Paths[p]
+		if !ok {
+			continue
+		}
+		rows := ps.SubtreeRows
+		if sk.Roots {
+			rows = ps.Count
+		}
+		pv.paths[p] = provPath{count: float64(ps.Count), rows: float64(rows)}
+	}
+	return pv
+}
+
 // addVertex records a base access path in the join graph and returns its
 // vertex index.
 func (o *optimizer) addVertex(n *plan.Node, pv *prov) int {
 	_, rows := pv.total()
-	if n.Op == plan.OpIndexPath && n.Seek != nil {
-		rows = float64(n.Seek.Rows)
-	}
 	kind := "scan"
-	switch {
-	case n.Op == plan.OpIndexPath && n.Seek != nil && n.Seek.Pruned:
-		kind = "pruned"
-	case n.Op == plan.OpIndexPath:
+	if n.Op == plan.OpIndexPath {
+		rows = float64(n.Seek.Rows)
 		kind = "index-seek"
+		if n.Seek.Pruned {
+			kind = "pruned"
+		}
 	}
 	v := Vertex{Kind: kind, Detail: n.Detail(), EstRows: int64(math.Round(rows))}
 	o.report.Graph.Vertices = append(o.report.Graph.Vertices, v)
@@ -801,39 +795,4 @@ func (o *optimizer) orderSearch() {
 		Pinned: true,
 		Note:   "orderings are costed but pinned: for-loop nesting order is observable in XQuery sequence semantics",
 	}
-}
-
-// Summary renders the report as a short deterministic text block, used
-// by traces and tests.
-func (r *Report) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "optimizer: %d vertices, %d edges, %d decisions\n",
-		len(r.Graph.Vertices), len(r.Graph.Edges), len(r.Decisions))
-	for _, d := range r.Decisions {
-		switch d.Kind {
-		case "join-algorithm":
-			fmt.Fprintf(&b, "  loop %s: %s (msj=%.0f nlj=%.0f est-matches=%d)\n",
-				d.Loop, d.Choice, d.CostMergeJoin, d.CostNestedLoop, d.EstMatches)
-		case "access-path":
-			fmt.Fprintf(&b, "  source %s: %s (scan=%.0f seek=%.0f)\n",
-				d.Loop, d.Choice, d.CostScan, d.CostSeek)
-		}
-	}
-	return b.String()
-}
-
-// sortDecisions orders the report deterministically (by kind then loop
-// then node ID); Optimize's walk is already deterministic, but callers
-// that merge reports may want this.
-func (r *Report) sortDecisions() {
-	sort.SliceStable(r.Decisions, func(i, j int) bool {
-		a, b := r.Decisions[i], r.Decisions[j]
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Loop != b.Loop {
-			return a.Loop < b.Loop
-		}
-		return a.NodeID < b.NodeID
-	})
 }

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"dixq/internal/plan"
@@ -33,20 +32,20 @@ func TestAnnotateEstClamps(t *testing.T) {
 // exactly the literal translation's shape — domain, then a filter whose
 // condition is the join equality over the original key subplans.
 func TestDemoteShape(t *testing.T) {
-	domain := &plan.Node{Op: plan.OpScan, Label: "d", Digits: 1, Card: 10, Est: -1}
-	outer := &plan.Node{Op: plan.OpVar, Label: "x", Digits: 1, Card: 3, Est: -1}
-	inner := &plan.Node{Op: plan.OpVar, Label: "y", Depth: 1, Digits: 1, Card: 3, Est: -1}
-	body := &plan.Node{Op: plan.OpVar, Label: "y", Depth: 1, Digits: 1, Card: 3, Est: -1}
+	domain := &plan.Node{Op: plan.OpScan, Label: "d", Digits: 1, Est: -1}
+	outer := &plan.Node{Op: plan.OpVar, Label: "x", Digits: 1, Est: -1}
+	inner := &plan.Node{Op: plan.OpVar, Label: "y", Depth: 1, Digits: 1, Est: -1}
+	body := &plan.Node{Op: plan.OpVar, Label: "y", Depth: 1, Digits: 1, Est: -1}
 	n := &plan.Node{
-		Op: plan.OpMSJ, Label: "y", Digits: 2, Card: 30, Est: -1,
-		DomainVars: []string{"x"}, ParallelSafe: true,
-		Inputs: []*plan.Node{domain, outer, inner, body},
+		Op: plan.OpMSJ, Label: "y", Digits: 2, Est: -1,
+		DomainVars: []string{"x"},
+		Inputs:     []*plan.Node{domain, outer, inner, body},
 	}
 	demoteMSJ(n)
 	if n.Op != plan.OpBindVar || len(n.Inputs) != 2 {
 		t.Fatalf("demotion produced %v with %d inputs", n.Op, len(n.Inputs))
 	}
-	if n.ParallelSafe || n.DomainVars != nil {
+	if n.DomainVars != nil {
 		t.Fatal("demotion kept merge-join-only annotations")
 	}
 	if n.Inputs[0] != domain {
@@ -68,8 +67,8 @@ func TestDemoteShape(t *testing.T) {
 // TestOptimizeNilStats: estimation must be total — a plan optimized with
 // no statistics at all still gets estimates and a report, never panics.
 func TestOptimizeNilStats(t *testing.T) {
-	scan := &plan.Node{Op: plan.OpScan, Label: "d", Digits: 1, Card: 1000, Est: -1}
-	root := &plan.Node{Op: plan.OpPathStep, Step: plan.StepChildren, Digits: 1, Card: 1000, Est: -1,
+	scan := &plan.Node{Op: plan.OpScan, Label: "d", Digits: 1, Est: -1}
+	root := &plan.Node{Op: plan.OpPathStep, Step: plan.StepChildren, Digits: 1, Est: -1,
 		Inputs: []*plan.Node{scan}}
 	got, rep := Optimize(root, nil)
 	if got != root || rep == nil {
@@ -80,23 +79,6 @@ func TestOptimizeNilStats(t *testing.T) {
 	}
 	if len(rep.Graph.Vertices) != 1 {
 		t.Fatalf("scan did not register as a vertex: %+v", rep.Graph)
-	}
-}
-
-func TestSummaryAndSort(t *testing.T) {
-	r := &Report{Decisions: []Decision{
-		{Kind: "join-algorithm", Loop: "$y", Choice: "merge-join", CostMergeJoin: 10, CostNestedLoop: 20},
-		{Kind: "access-path", Loop: `document("d")/a`, Choice: "index-seek", CostScan: 9, CostSeek: 3},
-	}}
-	s := r.Summary()
-	for _, want := range []string{"loop $y: merge-join", "index-seek", "2 decisions"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("summary %q missing %q", s, want)
-		}
-	}
-	r.sortDecisions()
-	if r.Decisions[0].Kind != "access-path" {
-		t.Fatalf("sort order: %+v", r.Decisions)
 	}
 }
 

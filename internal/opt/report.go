@@ -1,6 +1,5 @@
 // Report types: the machine-readable record of what the optimizer saw
-// and decided, marshaled into the server's /explain response and rendered
-// by Summary for traces. All fields are computed at plan-compile time
+// and decided, marshaled into the server's /explain response. All fields are computed at plan-compile time
 // against one stats epoch, so a report is immutable and shared like the
 // plan it describes.
 package opt
@@ -63,29 +62,18 @@ type OrderCost struct {
 	Note   string `json:"note,omitempty"`
 }
 
-// Decision is one costed optimizer choice.
+// Decision is one costed choice of join algorithm for a for-loop.
 type Decision struct {
-	// NodeID is the plan node the decision applies to (post-optimization
-	// preorder ID).
+	// NodeID is the loop's plan node (post-optimization preorder ID).
 	NodeID int `json:"node_id"`
-	// Kind is "join-algorithm" or "access-path".
-	Kind string `json:"kind"`
-	// Loop identifies the subject: the loop variable ("$p") for join
-	// algorithms, the document-qualified path for access paths.
+	// Loop is the loop variable ("$p").
 	Loop string `json:"subject"`
-	// Choice is the winning alternative: "merge-join" / "nested-loop"
-	// for join algorithms, "index-seek" / "pruned" for access paths.
+	// Choice is the winning algorithm: "merge-join" or "nested-loop".
 	Choice string `json:"choice"`
 	// CostMergeJoin and CostNestedLoop are the join-machinery costs of
-	// the two algorithms (join-algorithm decisions only; body cost is
-	// identical and excluded).
+	// the two algorithms (body cost is identical and excluded).
 	CostMergeJoin  float64 `json:"cost_merge_join,omitempty"`
 	CostNestedLoop float64 `json:"cost_nested_loop,omitempty"`
-	// CostScan and CostSeek compare the access paths (access-path
-	// decisions only).
-	CostScan float64 `json:"cost_scan,omitempty"`
-	CostSeek float64 `json:"cost_seek,omitempty"`
-	// EstMatches is the estimated matching-environment count of a join
-	// decision.
+	// EstMatches is the estimated matching-environment count.
 	EstMatches int64 `json:"est_matches,omitempty"`
 }

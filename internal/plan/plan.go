@@ -7,11 +7,12 @@
 // variant, and it is the one that runs — Explain renders the executed
 // plan, not a parallel description of it.
 //
-// Nodes carry the static annotations the paper's Section 4.3 analysis
-// provides — the local key-digit width of every operator's output — plus
-// an order-of-magnitude cardinality hint. Nodes are immutable after
-// compilation (compiled plans are cached and shared across concurrent
-// executions); per-run actuals live in a RunStats indexed by Node.ID.
+// Nodes carry what the executor runs — the operator, its arguments, the
+// local key-digit width the paper's Section 4.3 analysis gives its output
+// — and what the cost-based optimizer decided: its row estimate. Nodes
+// are immutable after compilation (compiled plans are cached and shared
+// across concurrent executions); per-run actuals live in a RunStats
+// indexed by Node.ID.
 package plan
 
 import (
@@ -115,9 +116,7 @@ const (
 	OpOr
 	// OpIndexPath serves a document-rooted path chain from the document's
 	// structural index: Seek carries the resolved row ranges (or the
-	// pruned-empty proof) and Inputs[0] is the original scan-backed chain,
-	// kept as the runtime fallback for a document binding the index does
-	// not describe.
+	// pruned-empty proof). It has no inputs.
 	OpIndexPath
 )
 
@@ -129,17 +128,6 @@ const (
 	StepData     = "data"
 	StepHead     = "head"
 	StepTail     = "tail"
-)
-
-// Access-path values recorded on source nodes by the compiler's index
-// rewrite, rendered by Explain and reported per node in analyze output.
-const (
-	// AccessScan marks a document source left as a full relation scan.
-	AccessScan = "scan"
-	// AccessIndex marks a path chain served as index range reads.
-	AccessIndex = "index"
-	// AccessPruned marks a chain the dataguide proved empty.
-	AccessPruned = "pruned"
 )
 
 // Phase is the Figure 10 cost category a node's exclusive time is
@@ -177,7 +165,7 @@ func opPhase(op Op) Phase {
 // structural index: the exact row ranges of the answer forest, or the proof
 // that it is empty. The executor serves it only after re-checking that the
 // runtime document binding is the very relation the ranges index into
-// (pointer identity); otherwise it falls back to the scan-backed chain.
+// (pointer identity); a mismatch is an error.
 type Seek struct {
 	// Doc is the document name whose binding must match Rel.
 	Doc string
@@ -197,6 +185,16 @@ type Seek struct {
 	Rows int64
 	// Pruned reports a dataguide-proven empty answer (Ranges is nil).
 	Pruned bool
+	// Classes are the dataguide class paths (rendered as index.DocIndex
+	// Paths renders them) whose instances are the answer's top-level trees:
+	// the provenance the optimizer reads the document's statistics for. A
+	// pruned seek has the empty class set. Nil when no class set describes
+	// the answer: a descendant seek, or a chain pruned through head, tail or
+	// subtrees-dfs.
+	Classes []string
+	// Roots marks a chain through roots(): each answer tree is its root
+	// node alone, not the class instance's subtree.
+	Roots bool
 	// WidenBy counts the subtrees-dfs operators between the document scan
 	// and this node's output: each widens the local key width by one digit.
 	// A descendant seek serves at the widened width, and a pruned node
@@ -243,26 +241,14 @@ type Node struct {
 	// excluded); the executor takes the maximum of their binding depths
 	// as the runtime d0.
 	DomainVars []string
-	// Card is an order-of-magnitude output-cardinality hint in tuples,
-	// computed against a nominal 1000-tuple document; -1 when unknown.
-	// It is a planning hint, not a promise.
-	Card int64
-	// Est is the cost-based optimizer's estimated output rows, computed
-	// against real per-document statistics (internal/stats); -1 when the
-	// plan was not optimized (forced modes, no stats). Analyze output
-	// renders it next to the actual row count (est=… act=…) so
-	// misestimates are visible per operator.
+	// Est is the cost-based optimizer's estimated output rows (for a
+	// predicate: verdicts), computed from per-document statistics
+	// (internal/stats); -1 when no optimizer estimated the node (the forced
+	// modes). The rendered plan shows it beside the actual row count of an
+	// analyzed run, so misestimates are visible per operator.
 	Est int64
-	// ParallelSafe marks operators the parallel runtime can split across
-	// workers (morsel-parallel fused chains, parallel structural sorts,
-	// concurrent merge-join sort phases). A static capability mark: whether
-	// a run fans out depends on Options.Parallelism and the input size.
-	ParallelSafe bool
 	// Seek is the index resolution of an OpIndexPath node.
 	Seek *Seek
-	// Access is the compiler's access-path decision for source nodes:
-	// AccessScan, AccessIndex or AccessPruned ("" for non-sources).
-	Access string
 	// Inputs are the child plans, in the per-operator order documented
 	// on the Op constants.
 	Inputs []*Node
@@ -344,7 +330,7 @@ func (n *Node) OpName() string {
 	case OpOr:
 		return "or"
 	case OpIndexPath:
-		if n.Seek != nil && n.Seek.Pruned {
+		if n.Seek.Pruned {
 			return "index-prune"
 		}
 		return "index-seek"
@@ -385,9 +371,6 @@ func (n *Node) Detail() string {
 	case OpInvalid:
 		return n.Label
 	case OpIndexPath:
-		if n.Seek == nil {
-			return ""
-		}
 		if n.Seek.Pruned {
 			return fmt.Sprintf("document(%q)%s: no such path", n.Seek.Doc, n.Seek.Path)
 		}
@@ -410,14 +393,13 @@ func (n *Node) inputLabels() []string {
 		return []string{"domain", "body"}
 	case OpMSJ:
 		return []string{"domain", "outer-key", "inner-key", "body"}
-	case OpIndexPath:
-		return []string{"fallback"}
 	}
 	return nil
 }
 
 // Tree renders the plan as an indented operator tree with its static
-// annotations (digits, cardinality hints, parallel and access marks).
+// annotations: the output's local digit width and the optimizer's
+// estimate.
 func (n *Node) Tree() string {
 	var b strings.Builder
 	n.write(&b, 0, "", nil)
@@ -444,33 +426,24 @@ func (n *Node) write(b *strings.Builder, indent int, role string, rs *RunStats) 
 	if d := n.Detail(); d != "" {
 		fmt.Fprintf(b, " [%s]", d)
 	}
+	var ann []string
 	if !n.IsPredicate() && n.Op != OpInvalid {
-		fmt.Fprintf(b, " {digits: %d", n.Digits)
-		if n.Est >= 0 {
-			fmt.Fprintf(b, ", est: %d", n.Est)
-		} else if n.Card >= 0 {
-			fmt.Fprintf(b, ", est: %d", n.Card)
-		}
-		b.WriteString("}")
+		ann = append(ann, fmt.Sprintf("digits: %d", n.Digits))
 	}
-	if n.ParallelSafe {
-		b.WriteString(" [par]")
+	if n.Est >= 0 {
+		ann = append(ann, fmt.Sprintf("est: %d", n.Est))
 	}
-	if n.Access != "" {
-		fmt.Fprintf(b, " [access=%s]", n.Access)
+	if len(ann) > 0 {
+		fmt.Fprintf(b, " {%s}", strings.Join(ann, ", "))
 	}
 	if rs != nil {
 		s := rs.Node(n.ID)
-		est := n.Card
-		if n.Est >= 0 {
-			est = n.Est
-		}
 		// Deterministic actuals first (locked by the analyze goldens; parts
 		// depends only on the requested parallelism, so it qualifies), the
 		// run-dependent group last so tests can mask it in one pass
 		// (workers depends on the process worker budget at run time).
-		fmt.Fprintf(b, " (est=%d act=%d calls=%d rows=%d spilled=%d skipped=%d parts=%d workers=%d time=%s allocs=%d)",
-			est, s.Rows, s.Calls, s.Rows, s.Spilled, s.Skipped, s.Partitions, s.Workers, s.Time, s.Allocs)
+		fmt.Fprintf(b, " (act=%d calls=%d spilled=%d skipped=%d parts=%d workers=%d time=%s allocs=%d)",
+			s.Rows, s.Calls, s.Spilled, s.Skipped, s.Partitions, s.Workers, s.Time, s.Allocs)
 	}
 	b.WriteByte('\n')
 	labels := n.inputLabels()
@@ -508,8 +481,8 @@ func MaxID(n *Node) int {
 
 // ResetEst marks every node's optimizer estimate unset (-1). The
 // compiler calls it once per plan before handing the tree to the
-// optimizer, so unoptimized (forced-mode) plans render their nominal
-// Card hints rather than a spurious zero estimate.
+// optimizer, so unoptimized (forced-mode) plans render no estimate rather
+// than a spurious zero.
 func ResetEst(n *Node) {
 	Walk(n, func(c *Node) { c.Est = -1 })
 }

@@ -246,7 +246,7 @@ func TestDropReloadNeverServesStalePlan(t *testing.T) {
 
 // TestQueryAfterUpdateSeeks: an update publishes the document with its
 // spliced index, so the very next query's path chain is an index seek —
-// no scan fallback, no reindex to wait for — and answers the new content.
+// no reindex to wait for — and answers the new content.
 func TestQueryAfterUpdateSeeks(t *testing.T) {
 	ts, srv := lifecycleServer(t, Config{}, map[string]string{"d.xml": `<r><a>1</a></r>`})
 	resp := do(t, http.MethodPost, ts.URL+"/docs/d.xml", "application/json",
@@ -254,7 +254,7 @@ func TestQueryAfterUpdateSeeks(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("update: %d", resp.StatusCode)
 	}
-	seeks, fallbacks := obs.IndexSeeks.Value(), obs.IndexScanFallbacks.Value()
+	seeks := obs.IndexSeeks.Value()
 	q, body := postJSON(t, ts.URL+"/query", QueryRequest{Query: `document("d.xml")/r/a`})
 	if q.StatusCode != http.StatusOK {
 		t.Fatalf("query after update: %d %s", q.StatusCode, body)
@@ -268,9 +268,6 @@ func TestQueryAfterUpdateSeeks(t *testing.T) {
 	}
 	if d := obs.IndexSeeks.Value() - seeks; d != 1 {
 		t.Errorf("index seeks +%d, want +1", d)
-	}
-	if d := obs.IndexScanFallbacks.Value() - fallbacks; d != 0 {
-		t.Errorf("scan fallbacks +%d, want 0", d)
 	}
 	if v := srv.cat.Version(); v != 2 {
 		t.Errorf("version = %d after add+update, want 2: something republished", v)

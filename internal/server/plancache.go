@@ -50,12 +50,12 @@ func newPlanCache(capacity int) *planCache {
 // effective knob never collide. (Before options were part of the key, a
 // cached entry served requests whose options differed from the ones it
 // was first compiled under.) The catalog version folds every document
-// change into the key: loads, structural updates, drops, background
-// reindexes and statistics refreshes each publish a fresh version, so a
-// plan compiled against one snapshot — including one the cost-based
-// optimizer shaped around since-recollected statistics, or one whose
-// document was dropped and reloaded with different content — is never
-// reused against another.
+// change into the key: loads, structural updates (which publish the
+// spliced index and statistics in the same version), drops and
+// statistics refreshes each publish a fresh version, so a plan compiled
+// against one snapshot — including one the cost-based optimizer shaped
+// around since-recollected statistics, or one whose document was dropped
+// and reloaded with different content — is never reused against another.
 func planKey(req *QueryRequest, engine dixq.Engine, cfg Config, version uint64) string {
 	return fmt.Sprintf("%s\x00%s\x00par=%d\x00cat=%d",
 		req.Query, engine.Label(), effectiveParallelism(req, cfg), version)

@@ -556,6 +556,8 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 // always present; the remaining fields are filled in analyze mode, where
 // the query is executed and the per-operator actuals are reported.
 type ExplainResponse struct {
+	// Plan is the physical plan the requested DI engine executes on the
+	// pinned snapshot: the tree AnalyzedPlan annotates.
 	Plan string `json:"plan"`
 	Core string `json:"core"`
 	// Optimizer is the cost-based optimizer's report — join graph,
@@ -601,9 +603,14 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := req.options(info.engine, s.cfg)
-	// The optimizer report is nil for forced and non-DI engines: those
-	// runs bypass the optimizer by design.
-	out := ExplainResponse{Plan: q.Explain(), Core: q.Core(), Optimizer: q.OptimizerReport(snap, opts)}
+	tree, err := q.Explain(snap, opts)
+	if err != nil {
+		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: err.Error()})
+		return
+	}
+	// The optimizer report is nil for the forced engines: those runs
+	// bypass the optimizer by design.
+	out := ExplainResponse{Plan: tree, Core: q.Core(), Optimizer: q.OptimizerReport(snap, opts)}
 	if req.Analyze {
 		text, ops, err := q.ExplainAnalyze(snap, opts)
 		if err != nil {

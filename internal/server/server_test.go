@@ -175,7 +175,7 @@ func TestQueryTimeoutEveryEngine(t *testing.T) {
 func TestExplainAndSQL(t *testing.T) {
 	ts := testServer(t, Config{})
 	resp, body := postJSON(t, ts.URL+"/explain", QueryRequest{Query: dixq.XMarkQ8})
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "merge-join") {
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "index-seek") {
 		t.Fatalf("explain: %d %s", resp.StatusCode, body)
 	}
 	resp, body = postJSON(t, ts.URL+"/sql", QueryRequest{Query: dixq.XMarkQ8})
@@ -462,7 +462,7 @@ func TestExplainAnalyze(t *testing.T) {
 		if err := json.Unmarshal(body, &out); err != nil {
 			t.Fatal(err)
 		}
-		if out.AnalyzedPlan == "" || !strings.Contains(out.AnalyzedPlan, "rows=") {
+		if out.AnalyzedPlan == "" || !strings.Contains(out.AnalyzedPlan, "act=") {
 			t.Fatalf("engine %q: analyzed plan missing actuals: %q", engine, out.AnalyzedPlan)
 		}
 		if len(out.Operators) == 0 {
@@ -489,6 +489,54 @@ func TestExplainAnalyze(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("interp analyze status = %d", resp.StatusCode)
+	}
+}
+
+// TestExplainShowsExecutedPlan: the plan /explain returns is the tree the
+// requested DI engine runs on the pinned snapshot — for Q8 under di-opt
+// over an indexed document, one with index seeks — and every optimizer
+// decision and join-graph vertex names a node of that tree. Plan lines
+// are in preorder, so line i is node i; the analyzed plan annotates the
+// very same lines.
+func TestExplainShowsExecutedPlan(t *testing.T) {
+	srv := New(map[string]*dixq.Document{"auction.xml": dixq.GenerateXMark(0.003, 5)}, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(srv.Close)
+	resp, body := postJSON(t, ts.URL+"/explain", QueryRequest{Query: dixq.XMarkQ8, Engine: "di-opt", Analyze: true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var out ExplainResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.Plan, "index-seek") {
+		t.Fatalf("plan has no index seek:\n%s", out.Plan)
+	}
+	lines := strings.Split(strings.TrimRight(out.Plan, "\n"), "\n")
+	if out.Optimizer == nil || len(out.Optimizer.Decisions) == 0 {
+		t.Fatalf("no optimizer decisions: %+v", out.Optimizer)
+	}
+	for _, d := range out.Optimizer.Decisions {
+		if d.NodeID >= len(lines) || !strings.Contains(lines[d.NodeID], "for-") ||
+			!strings.Contains(lines[d.NodeID], "["+d.Loop) {
+			t.Errorf("decision %+v names no loop of the plan:\n%s", d, out.Plan)
+		}
+	}
+	for _, v := range out.Optimizer.Graph.Vertices {
+		if v.NodeID >= len(lines) || !strings.Contains(lines[v.NodeID], v.Detail) {
+			t.Errorf("vertex %+v names no node of the plan:\n%s", v, out.Plan)
+		}
+	}
+	analyzed := strings.Split(strings.TrimRight(out.AnalyzedPlan, "\n"), "\n")
+	if len(analyzed) != len(lines) {
+		t.Fatalf("analyzed plan has %d lines, plan %d", len(analyzed), len(lines))
+	}
+	for i, l := range lines {
+		if !strings.HasPrefix(analyzed[i], l+" (act=") {
+			t.Errorf("line %d: analyzed %q does not annotate %q", i, analyzed[i], l)
+		}
 	}
 }
 

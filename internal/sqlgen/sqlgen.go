@@ -214,10 +214,6 @@ func (g *generator) expr(n *plan.Node, env *sqlEnv) (sqlTab, error) {
 		return g.forLoop(n, env)
 	case plan.OpMSJ:
 		return sqlTab{}, fmt.Errorf("sqlgen: merge-join plan (generate from a ModeNLJ plan)")
-	case plan.OpIndexPath:
-		// Index hints are an executor concern; SQL generation translates the
-		// scan-backed fallback chain the node wraps.
-		return g.expr(n.Inputs[0], env)
 	case plan.OpRoots, plan.OpPathStep, plan.OpStructuralSort, plan.OpReverse,
 		plan.OpDistinct, plan.OpSubtreesDFS, plan.OpConstruct, plan.OpConcat, plan.OpCount,
 		plan.OpAggregate, plan.OpArith, plan.OpTake, plan.OpDrop, plan.OpOrderBy:
