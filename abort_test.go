@@ -1,12 +1,12 @@
 package dixq
 
 import (
+	"context"
 	"errors"
-	"os"
 	"testing"
 	"time"
 
-	"dixq/internal/exec"
+	"dixq/internal/exitcheck"
 	"dixq/internal/obs"
 )
 
@@ -52,21 +52,83 @@ func TestDeadlineAbortLeavesNothing(t *testing.T) {
 	cat := xmarkCatalog(0.05)
 	for _, eng := range []Engine{CostBased, MergeJoin, NestedLoop} {
 		dir := t.TempDir()
+		before := exitcheck.Take()
 		_, err := Run(XMarkQ8, cat, &Options{
 			Engine: eng, Timeout: time.Millisecond, Parallelism: 4, MemBudget: 1, SpillDir: dir,
 		})
 		if !errors.Is(err, ErrBudgetExceeded) {
 			t.Errorf("%s: err = %v, want ErrBudgetExceeded", eng, err)
 		}
-		if n := exec.InFlight(); n != 0 {
-			t.Errorf("%s: %d workers still in flight after the abort", eng, n)
+		before.Check(t, dir, nil)
+	}
+}
+
+// TestTimeoutOvershoot pins how late a deadline may land inside one long
+// operator: Q8 under DI-NLJ at sf 0.02 spends over a second in single
+// embed-outer calls, which poll the run context once per environment, so
+// a 20 ms timeout must end the run within 50 ms of the deadline.
+func TestTimeoutOvershoot(t *testing.T) {
+	const timeout, slack = 20 * time.Millisecond, 50 * time.Millisecond
+	cat := xmarkCatalog(0.02)
+	start := time.Now()
+	_, err := Run(XMarkQ8, cat, &Options{Engine: NestedLoop, Timeout: timeout})
+	took := time.Since(start)
+	if !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	}
+	if took > timeout+slack {
+		t.Fatalf("returned %s after a %s deadline, want within %s", took-timeout, timeout, slack)
+	}
+	t.Logf("returned %s after the deadline", took-timeout)
+}
+
+// TestCancelEveryEngine cancels each engine mid-run: DI-NLJ on Q8 at sf
+// 0.02, the merge-join engines on the sf 0.05 document at parallelism 4
+// with every group reorder spilling under a 256-byte budget (so the
+// cancel lands inside a spilling sort, a few hundred runs deep), the
+// interpreter on the same document and generic-sql on its smaller one. Each run must fail with context.Canceled within 50 ms
+// of the cancel, count no budget rejection, and leave nothing behind.
+func TestCancelEveryEngine(t *testing.T) {
+	const mid, slack = 100 * time.Millisecond, 50 * time.Millisecond
+	cat, nljCat, sqlCat := xmarkCatalog(0.05), xmarkCatalog(0.02), xmarkCatalog(0.0005)
+	q, err := ParseQuery(XMarkQ8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []Engine{CostBased, MergeJoin, NestedLoop, Interpreter, GenericSQL} {
+		c, dir := cat, ""
+		opts := &Options{Engine: eng}
+		switch eng {
+		case CostBased, MergeJoin:
+			dir = t.TempDir()
+			opts.Parallelism, opts.MemBudget, opts.SpillDir = 4, 256, dir
+		case NestedLoop:
+			c = nljCat
+		case GenericSQL:
+			c = sqlCat
 		}
-		left, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
+		before, rejections := exitcheck.Take(), obs.BudgetRejections.Value()
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := q.Run(ctx, c, opts)
+			done <- err
+		}()
+		time.Sleep(mid)
+		cancelled := time.Now()
+		cancel()
+		err := <-done
+		took := time.Since(cancelled)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", eng, err)
 		}
-		if len(left) != 0 {
-			t.Errorf("%s: %d files left in the spill directory", eng, len(left))
+		if took > slack {
+			t.Errorf("%s: returned %s after the cancel, want within %s", eng, took, slack)
 		}
+		if n := obs.BudgetRejections.Value() - rejections; n != 0 {
+			t.Errorf("%s: a cancel counted %d budget rejections", eng, n)
+		}
+		before.Check(t, dir, nil)
+		t.Logf("%s: returned %s after the cancel", eng, took)
 	}
 }

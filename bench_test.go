@@ -17,6 +17,7 @@ package dixq_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -304,7 +305,7 @@ func BenchmarkUpdate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := count.Run(cat, nil)
+	res, err := count.Run(context.Background(), cat, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dixq
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"runtime"
@@ -44,14 +45,14 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The pinned snapshot predates the insert; the live catalog sees it.
-	old, err := q.Run(pinned, nil)
+	old, err := q.Run(context.Background(), pinned, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if old.XML() != "" {
 		t.Errorf("pinned snapshot sees the later insert: %q", old.XML())
 	}
-	live, err := q.Run(cat, nil)
+	live, err := q.Run(context.Background(), cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +64,10 @@ func TestSnapshotIsolation(t *testing.T) {
 	if _, ok := cat.Drop("doc.xml"); !ok {
 		t.Fatal("drop failed")
 	}
-	if _, err := q.Run(cat, nil); err == nil {
+	if _, err := q.Run(context.Background(), cat, nil); err == nil {
 		t.Error("query against the dropped document succeeded")
 	}
-	again, err := q.Run(pinned, nil)
+	again, err := q.Run(context.Background(), pinned, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestCatalogUpdatePublishesIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := q.Run(cat, nil)
+	res, err := q.Run(context.Background(), cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestFrontInsertSaveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := q.Run(cat2, nil)
+	res, err := q.Run(context.Background(), cat2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -135,7 +136,7 @@ func (cfg config) options() *dixq.Options {
 }
 
 func runOnce(q *dixq.Query, cat *dixq.Catalog, cfg config) error {
-	res, err := q.Run(cat, cfg.options())
+	res, err := q.Run(context.Background(), cat, cfg.options())
 	if err != nil {
 		return err
 	}

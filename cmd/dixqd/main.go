@@ -125,6 +125,8 @@ func main() {
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("shutdown: %v", err)
 	}
+	// Past the drain timeout, Close cancels the queries still running and
+	// waits until they have released their slots and spill files.
 	srv.Close()
 	log.Printf("drained")
 }

@@ -16,11 +16,12 @@
 //	cat.Add("auction.xml", doc)
 //	q, _ := dixq.ParseQuery(`for $p in document("auction.xml")/site/people/person
 //	                         return $p/name/text()`)
-//	res, _ := q.Run(cat, nil)
+//	res, _ := q.Run(context.Background(), cat, nil)
 //	fmt.Println(res.XML())
 package dixq
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/big"
@@ -33,7 +34,6 @@ import (
 	"dixq/internal/index"
 	"dixq/internal/interp"
 	"dixq/internal/interval"
-	"dixq/internal/minisql"
 	"dixq/internal/obs"
 	"dixq/internal/opt"
 	"dixq/internal/plan"
@@ -245,11 +245,9 @@ func ParseEngine(name string) (Engine, error) {
 // engine with no limits.
 type Options struct {
 	Engine Engine
-	// Timeout aborts evaluation with ErrBudgetExceeded once it runs this
-	// long, under every engine; zero means none. The DI engines check it on
-	// entry to each plan operator, the interpreter every 2^14 loop
-	// iterations, and the generic SQL engine when the statement starts and
-	// every 2^16 evaluation steps after.
+	// Timeout bounds a run under every engine: Run gives the run's
+	// context this deadline, and a run past it fails with
+	// ErrBudgetExceeded. Zero means none beyond the caller's context.
 	Timeout time.Duration
 	// MaxTuples aborts DI evaluation after this many embedded tuples.
 	MaxTuples int64
@@ -302,7 +300,6 @@ func resolve(cat View, opts *Options) (o *Options, snap *Snapshot, copts core.Op
 		ForceJoinMode: mode,
 		Indexes:       snap.idx,
 		DocStats:      snap.st,
-		Timeout:       opts.Timeout,
 		MaxTuples:     opts.MaxTuples,
 		Parallelism:   opts.Parallelism,
 		MemBudget:     opts.MemBudget,
@@ -310,8 +307,9 @@ func resolve(cat View, opts *Options) (o *Options, snap *Snapshot, copts core.Op
 	}, true
 }
 
-// ErrBudgetExceeded reports that a run hit Options.Timeout (any engine)
-// or MaxTuples (DI engines).
+// ErrBudgetExceeded reports that a run hit a deadline, Options.Timeout or
+// its context's (any engine), or MaxTuples (DI engines). A cancelled run
+// fails with context.Canceled instead.
 var ErrBudgetExceeded = engine.ErrBudgetExceeded
 
 // Stats is the per-phase cost breakdown of a DI run (Figure 10 of the
@@ -394,8 +392,8 @@ type OperatorStat = plan.OperatorStat
 // allocation delta. It returns the plan rendering annotated with each
 // operator's actuals, plus the flattened per-operator statistics in plan
 // preorder.
-func (q *Query) ExplainAnalyze(cat View, opts *Options) (string, []OperatorStat, error) {
-	res, err := q.run(cat, opts, true)
+func (q *Query) ExplainAnalyze(ctx context.Context, cat View, opts *Options) (string, []OperatorStat, error) {
+	res, err := q.run(ctx, cat, opts, true)
 	if err != nil {
 		return "", nil, err
 	}
@@ -462,24 +460,31 @@ func (q *Query) sqlStatement(cat View) (*sqlgen.Statement, error) {
 // pins its current snapshot for this one evaluation; passing a *Snapshot
 // evaluates against exactly that version, regardless of writes published
 // since it was pinned.
-func (q *Query) Run(cat View, opts *Options) (*Result, error) {
-	return q.run(cat, opts, false)
+//
+// ctx stops the run once it is done: the DI engines poll it at every
+// operator entry, per environment in outer embedding and per record of a
+// spilling sort, the interpreter and the SQL engine every 2^10 steps. A
+// deadline (Options.Timeout's too) fails the run with ErrBudgetExceeded,
+// a cancel with context.Canceled.
+func (q *Query) Run(ctx context.Context, cat View, opts *Options) (*Result, error) {
+	return q.run(ctx, cat, opts, false)
 }
 
-// run is the one evaluation behind Run and ExplainAnalyze, and the one
-// place an engine is chosen; analyze requests the allocation readings of
-// the analyze report. Every engine runs under the same deadline and
-// reports it as ErrBudgetExceeded.
-func (q *Query) run(cat View, opts *Options, analyze bool) (*Result, error) {
+// run is the one evaluation behind Run and ExplainAnalyze, the one place
+// an engine is chosen, and the one place Options.Timeout becomes a
+// deadline; analyze requests the allocation readings of the analyze
+// report.
+func (q *Query) run(ctx context.Context, cat View, opts *Options, analyze bool) (*Result, error) {
 	opts, snap, copts, di := resolve(cat, opts)
 	if analyze && !di {
 		return nil, fmt.Errorf("dixq: analyze requires a DI engine, got %s", opts.Engine)
 	}
-	start := time.Now()
-	var deadline time.Time
 	if opts.Timeout > 0 {
-		deadline = start.Add(opts.Timeout)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
+		defer cancel()
 	}
+	start := time.Now()
 	res := &Result{}
 	var rel *interval.Relation
 	var f xmltree.Forest
@@ -487,21 +492,20 @@ func (q *Query) run(cat View, opts *Options, analyze bool) (*Result, error) {
 	switch {
 	case di:
 		res.Stats = &core.Stats{}
-		copts.Stats = res.Stats
+		copts.Stats, copts.Context = res.Stats, ctx
 		if analyze {
 			copts.Analyze = &plan.RunStats{}
 		}
 		res.plan = q.q.Plan(copts)
 		rel, err = q.q.Eval(snap.enc, copts)
 	case opts.Engine == Interpreter:
-		f, err = interp.EvalBudget(q.expr, nil, snap.forests(q.Documents()), &interp.Budget{Deadline: deadline})
+		f, err = interp.EvalBudget(ctx, q.expr, nil, snap.forests(q.Documents()), 0)
 	case opts.Engine == GenericSQL:
-		f, err = sqlgen.Run(q.expr, snap.forests(q.Documents()), deadline)
+		f, err = sqlgen.Run(ctx, q.expr, snap.forests(q.Documents()))
 	default:
 		err = fmt.Errorf("dixq: unknown engine %d", int(opts.Engine))
 	}
-	if errors.Is(err, interp.ErrBudgetExceeded) || errors.Is(err, minisql.ErrDeadlineExceeded) {
-		// The oracle legs name their cutoffs in their own packages.
+	if errors.Is(err, context.DeadlineExceeded) {
 		err = ErrBudgetExceeded
 	}
 	if err != nil {
@@ -519,13 +523,14 @@ func (q *Query) run(cat View, opts *Options, analyze bool) (*Result, error) {
 	return res, nil
 }
 
-// Run is the one-call convenience: parse the query, run it on the catalog.
+// Run is the one-call convenience: parse the query, run it on the catalog
+// with no context beyond opts.Timeout.
 func Run(query string, cat View, opts *Options) (*Result, error) {
 	q, err := ParseQuery(query)
 	if err != nil {
 		return nil, err
 	}
-	return q.Run(cat, opts)
+	return q.Run(context.Background(), cat, opts)
 }
 
 // IsUnsupportedSQL reports whether an error from SQL generation marks an

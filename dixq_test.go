@@ -1,6 +1,7 @@
 package dixq
 
 import (
+	"context"
 	"errors"
 	"os"
 	"strings"
@@ -26,7 +27,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := q.Run(cat, nil)
+	res, err := q.Run(context.Background(), cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dixq_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,7 @@ func ExampleQuery_Run() {
 		log.Fatal(err)
 	}
 	for _, engine := range []dixq.Engine{dixq.MergeJoin, dixq.Interpreter} {
-		res, err := q.Run(cat, &dixq.Options{Engine: engine})
+		res, err := q.Run(context.Background(), cat, &dixq.Options{Engine: engine})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err = q.Run(cat, nil)
+	res, err = q.Run(context.Background(), cat, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, engine := range []dixq.Engine{dixq.CostBased, dixq.MergeJoin, dixq.NestedLoop, dixq.Interpreter, dixq.GenericSQL} {
-		res, err := q8.Run(cat, &dixq.Options{Engine: engine})
+		res, err := q8.Run(context.Background(), cat, &dixq.Options{Engine: engine})
 		if err != nil {
 			log.Fatal(err)
 		}

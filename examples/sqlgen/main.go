@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,11 +38,11 @@ func main() {
 	fmt.Println("\nsingle SQL statement (Section 4 templates, scalar widths):")
 	fmt.Println(sql)
 
-	viaSQL, err := q.Run(cat, &dixq.Options{Engine: dixq.GenericSQL})
+	viaSQL, err := q.Run(context.Background(), cat, &dixq.Options{Engine: dixq.GenericSQL})
 	if err != nil {
 		log.Fatal(err)
 	}
-	viaDI, err := q.Run(cat, nil)
+	viaDI, err := q.Run(context.Background(), cat, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

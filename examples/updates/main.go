@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -121,11 +122,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	before, err := q.Run(pinned, nil)
+	before, err := q.Run(context.Background(), pinned, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	after, err := q.Run(cat, nil)
+	after, err := q.Run(context.Background(), cat, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

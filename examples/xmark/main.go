@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -33,7 +34,7 @@ func main() {
 		}
 		fmt.Println(qq.name)
 		for _, engine := range []dixq.Engine{dixq.NestedLoop, dixq.MergeJoin, dixq.CostBased} {
-			res, err := q.Run(cat, &dixq.Options{Engine: engine, Timeout: time.Minute})
+			res, err := q.Run(context.Background(), cat, &dixq.Options{Engine: engine, Timeout: time.Minute})
 			if err != nil {
 				log.Fatal(err)
 			}

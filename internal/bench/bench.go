@@ -15,6 +15,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"time"
 
@@ -77,7 +78,7 @@ func NewWorkload(queryText string, doc *dixq.Document) (*Workload, error) {
 func (w *Workload) Run(e dixq.Engine, cfg Config) Outcome {
 	var out Outcome
 	start := time.Now()
-	res, err := w.q.Run(w.cat, &dixq.Options{
+	res, err := w.q.Run(context.Background(), w.cat, &dixq.Options{
 		Engine:      e,
 		Timeout:     cfg.Timeout,
 		MaxTuples:   cfg.MaxTuples,

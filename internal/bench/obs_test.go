@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"dixq"
@@ -45,7 +46,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := w.q.Run(w.cat, opts); err != nil {
+					if _, err := w.q.Run(context.Background(), w.cat, opts); err != nil {
 						b.Fatal(err)
 					}
 				}

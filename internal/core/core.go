@@ -20,6 +20,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -72,9 +73,10 @@ type Options struct {
 	// have produced this many tuples (0 = unlimited) — the analogue of the
 	// paper's experiment cutoffs.
 	MaxTuples int64
-	// Timeout aborts evaluation after this duration (0 = none). The
-	// deadline is checked on entry to every plan operator.
-	Timeout time.Duration
+	// Context, when non-nil, stops the run once it is done: Eval fails
+	// with its error. It is polled at every operator entry, per environment
+	// in EmbedOuter and per record of a spilling sort.
+	Context context.Context
 	// Stats, when non-nil, receives the run's counters and the per-phase
 	// timing breakdown of Figure 10, summed from the per-node actuals
 	// (which it also carries, see Stats.Run).
@@ -116,16 +118,15 @@ type Options struct {
 	// against the documents' structural indexes: chains over indexed paths
 	// become range reads, chains over absent paths collapse to empty plans
 	// (see rewrite.go). The indexes must be built over the very relations
-	// of the evaluation catalog — the executor re-checks pointer identity
-	// at run time and silently falls back to scans otherwise, so results
-	// are digit-identical with and without indexes.
+	// of the evaluation catalog: a seek whose index was built over another
+	// relation fails the run with an error, so results are digit-identical
+	// with and without indexes.
 	Indexes *index.Set
 	// DocStats, when non-nil, feeds the cost-based optimizer real
 	// per-document statistics (cardinalities, posting counts, distinct
-	// values). Only consulted under ModeAuto; nil degrades every estimate
-	// to the compiler's nominal document. The set's Epoch keys the plan
-	// cache, so reloading a document's statistics invalidates plans
-	// optimized against the old numbers.
+	// values). Only consulted under ModeAuto; a document without
+	// statistics is estimated at the optimizer's default size. Sets are
+	// immutable, so a plan memoized against one set stays valid for it.
 	DocStats *stats.Set
 }
 
@@ -205,24 +206,18 @@ type Query struct {
 
 // planVariant keys the memoized plans: the join mode changes loop
 // strategies, an index set changes the access paths, and a statistics set
-// changes the optimizer's choices. The epochs guard against an index or
-// stats set being rebuilt in place between evaluations.
+// changes the optimizer's choices. Both sets are immutable (a catalog
+// publishes new ones with each version), so their pointers identify them.
 type planVariant struct {
-	mode       Mode
-	indexes    *index.Set
-	epoch      uint64
-	stats      *stats.Set
-	statsEpoch uint64
+	mode    Mode
+	indexes *index.Set
+	stats   *stats.Set
 }
 
 func variantKey(opts Options) planVariant {
 	key := planVariant{mode: opts.ForceJoinMode, indexes: opts.Indexes}
-	if opts.Indexes != nil {
-		key.epoch = opts.Indexes.Epoch
-	}
-	if opts.ForceJoinMode == ModeAuto && opts.DocStats != nil {
+	if opts.ForceJoinMode == ModeAuto {
 		key.stats = opts.DocStats
-		key.statsEpoch = opts.DocStats.Epoch
 	}
 	return key
 }

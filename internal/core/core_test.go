@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -245,18 +246,20 @@ func TestBudgetAbortsNLJ(t *testing.T) {
 	}
 }
 
-// TestDeadlineAtOperatorEntry checks that Options.Timeout is enforced on
+// TestDeadlineAtOperatorEntry checks that the run context is polled on
 // entry to a plan operator in every join mode: with a deadline that has
 // passed before evaluation starts, the root operator is the only one
-// entered, and the run fails with the budget error.
+// entered, and the run fails with the context's error.
 func TestDeadlineAtOperatorEntry(t *testing.T) {
 	cat, _ := generatedCatalog(0.002, 1)
 	q := Compile(xq.MustParse(xmark.Q8), Options{})
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
 	for _, mode := range []Mode{ModeAuto, ModeMSJ, ModeNLJ} {
 		stats := &Stats{}
-		_, err := q.Eval(cat, Options{ForceJoinMode: mode, Timeout: time.Nanosecond, Stats: stats})
-		if !errors.Is(err, engine.ErrBudgetExceeded) {
-			t.Fatalf("mode %v: err = %v, want budget exceeded", mode, err)
+		_, err := q.Eval(cat, Options{ForceJoinMode: mode, Context: expired, Stats: stats})
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("mode %v: err = %v, want context.DeadlineExceeded", mode, err)
 		}
 		calls := 0
 		for _, ns := range stats.Run.Nodes {
@@ -265,9 +268,11 @@ func TestDeadlineAtOperatorEntry(t *testing.T) {
 		if calls != 1 {
 			t.Errorf("mode %v: %d operator calls after the deadline, want only the root's", mode, calls)
 		}
-		if _, err := q.Eval(cat, Options{ForceJoinMode: mode, Timeout: time.Minute}); err != nil {
+		live, cancel := context.WithTimeout(context.Background(), time.Minute)
+		if _, err := q.Eval(cat, Options{ForceJoinMode: mode, Context: live}); err != nil {
 			t.Errorf("mode %v within its deadline: %v", mode, err)
 		}
+		cancel()
 	}
 }
 

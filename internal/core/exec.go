@@ -69,13 +69,12 @@ func (e *env) child(depth int, index engine.Index) *env {
 }
 
 type evaluator struct {
-	docs   Catalog
-	opts   Options
-	stats  *Stats
+	docs  Catalog
+	opts  Options
+	stats *Stats
+	// budget carries MaxTuples and the run's context, which every
+	// operator entry polls.
 	budget *engine.Budget
-	// deadline is when Options.Timeout runs out (zero: never); every
-	// operator entry compares it with the clock reading switchTo takes.
-	deadline time.Time
 	// run holds the per-plan-node actuals — the evaluation's one accounting,
 	// always on; the phase Stats and the operator table are derived from
 	// it. cur is the node currently being charged (-1 outside the plan) and
@@ -120,14 +119,9 @@ func newEvaluator(cat Catalog, opts Options, p *plan.Node) *evaluator {
 	if need := plan.MaxID(p) + 1; len(ev.run.Nodes) < need {
 		ev.run.Nodes = make([]plan.NodeStats, need)
 	}
-	if opts.MaxTuples > 0 {
-		ev.budget = &engine.Budget{MaxTuples: opts.MaxTuples}
-	}
-	if opts.Timeout > 0 {
-		ev.deadline = time.Now().Add(opts.Timeout)
-	}
+	ev.budget = engine.NewBudget(opts.Context, opts.MaxTuples)
 	if opts.MemBudget > 0 {
-		ev.spill = &engine.SpillConfig{MaxBytes: opts.MemBudget, Dir: opts.SpillDir}
+		ev.spill = &engine.SpillConfig{MaxBytes: opts.MemBudget, Dir: opts.SpillDir, Run: ev.budget}
 	}
 	return ev
 }
@@ -192,14 +186,11 @@ func (ev *evaluator) switchTo(id int) int {
 }
 
 // enter opens plan node n (switchTo) and returns the node it left. It
-// fails with the budget error once the run's deadline has passed, so a
-// timeout stops the run at the next operator entry in any engine mode.
+// fails with the context's error once the run's context is done, so a
+// deadline or a cancel stops the run at the next operator entry in any
+// engine mode.
 func (ev *evaluator) enter(n *plan.Node) (int, error) {
-	prev := ev.switchTo(n.ID)
-	if !ev.deadline.IsZero() && ev.start.After(ev.deadline) {
-		return prev, engine.ErrBudgetExceeded
-	}
-	return prev, nil
+	return ev.switchTo(n.ID), ev.budget.Err()
 }
 
 // finish closes a node opened with enter: charges its trailing slice,

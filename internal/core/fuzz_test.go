@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"dixq/internal/interp"
@@ -36,7 +37,7 @@ func FuzzEndToEnd(f *testing.F) {
 		if err != nil {
 			return
 		}
-		want, werr := interp.EvalBudget(e, nil, icat, &interp.Budget{MaxSteps: 50_000})
+		want, werr := interp.EvalBudget(context.Background(), e, nil, icat, 50_000)
 		q := Compile(e, Options{})
 		for _, mode := range []Mode{ModeMSJ, ModeNLJ} {
 			got, gerr := q.EvalForest(cat, Options{ForceJoinMode: mode, MaxTuples: 200_000})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,7 +12,7 @@ import (
 	"time"
 
 	"dixq/internal/engine"
-	"dixq/internal/exec"
+	"dixq/internal/exitcheck"
 	"dixq/internal/interval"
 	"dixq/internal/xmark"
 	"dixq/internal/xq"
@@ -119,13 +120,12 @@ func TestSpillFaultFailsCleanly(t *testing.T) {
 	for _, tc := range groupSortQueries {
 		q := Compile(xq.MustParse(tc.text), Options{})
 		for _, par := range []int{1, 3} {
+			state := exitcheck.Take()
 			_, err := q.Eval(cat, Options{ForceJoinMode: ModeMSJ, Parallelism: par, MemBudget: 1, SpillDir: notDir})
 			if !errors.Is(err, syscall.ENOTDIR) || !strings.Contains(err.Error(), "extsort: create run") {
 				t.Errorf("%s at parallelism %d: err = %v, want a wrapped run-creation failure", tc.name, par, err)
 			}
-			if n := exec.InFlight(); n != 0 {
-				t.Errorf("%s at parallelism %d: %d workers still in flight", tc.name, par, n)
-			}
+			state.Check(t, "", nil)
 		}
 	}
 	if left := runFiles(); !slices.Equal(left, before) {
@@ -157,7 +157,7 @@ func TestAnalyzeReportsSpilledRuns(t *testing.T) {
 }
 
 // TestAbortBudgetsStillAbortUnderMemBudget pins the budget split: MemBudget
-// never aborts (tested above), while MaxTuples and Timeout still do, even
+// never aborts (tested above), while MaxTuples and the run context's deadline still do, even
 // when a memory budget is also set.
 func TestAbortBudgetsStillAbortUnderMemBudget(t *testing.T) {
 	cat, _ := generatedCatalog(0.01, 1)
@@ -166,9 +166,11 @@ func TestAbortBudgetsStillAbortUnderMemBudget(t *testing.T) {
 	if _, err := q.Eval(cat, opts); !errors.Is(err, engine.ErrBudgetExceeded) {
 		t.Fatalf("MaxTuples err = %v, want budget exceeded", err)
 	}
-	opts = Options{ForceJoinMode: ModeNLJ, Timeout: time.Nanosecond, MemBudget: 256, SpillDir: t.TempDir()}
-	if _, err := q.Eval(cat, opts); !errors.Is(err, engine.ErrBudgetExceeded) {
-		t.Fatalf("Timeout err = %v, want budget exceeded", err)
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	opts = Options{ForceJoinMode: ModeNLJ, Context: expired, MemBudget: 256, SpillDir: t.TempDir()}
+	if _, err := q.Eval(cat, opts); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("deadline err = %v, want context.DeadlineExceeded", err)
 	}
 }
 

@@ -1,9 +1,9 @@
 package difftest
 
 import (
+	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"dixq/internal/core"
 	"dixq/internal/interp"
@@ -85,7 +85,7 @@ func TestFullSuiteAcrossAllEngines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sqlgen.Run(e, sqlDocs, time.Time{})
+			got, err := sqlgen.Run(context.Background(), e, sqlDocs)
 			if why, out := sqlUnsupported[q.Name]; out {
 				if !errors.Is(err, sqlgen.ErrUnsupported) {
 					t.Fatalf("%s via SQL: err = %v, want ErrUnsupported (%s)", q.Name, err, why)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -26,13 +27,30 @@ func TestBudgetMaxTuples(t *testing.T) {
 	}
 }
 
+// TestBudgetStopsOnContext checks that EmbedOuter sees its run's context
+// inside the call, at the first environment, not only between operators.
+func TestBudgetStopsOnContext(t *testing.T) {
+	doc, _ := xmltree.Parse(`<a><b/></a>`)
+	rel := interval.Encode(doc)
+	newIndex := EnterIndex(Roots(interval.Encode(xmltree.Forest{xmltree.NewElement("x")})))
+	ctx, cancel := context.WithCancel(context.Background())
+	b := NewBudget(ctx, 0)
+	if _, err := EmbedOuter(newIndex, 0, 1, rel, b); err != nil {
+		t.Fatalf("live context: %v", err)
+	}
+	cancel()
+	if _, err := EmbedOuter(newIndex, 0, 1, rel, b); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled context: err = %v, want context.Canceled", err)
+	}
+}
+
 func TestNilBudgetUnlimited(t *testing.T) {
 	var b *Budget
-	if !b.charge(1 << 40) {
+	if b.charge(1<<40) != nil {
 		t.Fatal("nil budget must never trip")
 	}
 	zero := &Budget{}
-	if !zero.charge(1 << 40) {
+	if zero.charge(1<<40) != nil {
 		t.Fatal("zero budget must never trip")
 	}
 }

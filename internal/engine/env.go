@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"strconv"
 	"strings"
@@ -9,29 +10,60 @@ import (
 	"dixq/internal/xmltree"
 )
 
-// ErrBudgetExceeded is returned when a run exceeds its Budget or its
-// deadline — the engine's equivalent of the paper's two-hour/1 GB
-// experiment cutoffs ("DNF" / "IM" in Figures 8, 9 and 11).
+// ErrBudgetExceeded is returned when a run embeds more tuples than its
+// Budget allows, the paper's 1 GB cutoff ("IM" in Figures 8, 9 and 11);
+// package dixq reports a run's deadline, the two-hour cutoff ("DNF"), as
+// this error too.
 var ErrBudgetExceeded = errors.New("engine: budget exceeded")
 
-// Budget bounds the work of the potentially explosive operators. The zero
-// value and the nil pointer mean "unlimited".
+// Budget bounds one run of the potentially explosive operators: the
+// tuples they embed, and the run's context. The zero value and the nil
+// pointer mean "unlimited".
 type Budget struct {
 	// MaxTuples caps the total number of tuples produced through this
 	// budget; 0 means no cap.
 	MaxTuples int64
 
 	used int64
+	ctx  context.Context
+	done <-chan struct{}
 }
 
-// charge consumes n tuples of budget, reporting whether the budget still
-// holds.
-func (b *Budget) charge(n int64) bool {
-	if b == nil {
-		return true
+// NewBudget returns the budget of a run that stops once ctx is done (nil:
+// never), or after maxTuples embedded tuples when maxTuples > 0.
+func NewBudget(ctx context.Context, maxTuples int64) *Budget {
+	b := &Budget{MaxTuples: maxTuples, ctx: ctx}
+	if ctx != nil {
+		b.done = ctx.Done()
 	}
-	b.used += n
-	return b.MaxTuples <= 0 || b.used <= b.MaxTuples
+	return b
+}
+
+// Err returns the run context's error once it is done, and nil before
+// (always nil for a nil budget). It polls the cached Done channel with a
+// non-blocking receive: the context's own Err takes a lock, too dear for
+// every operator entry.
+func (b *Budget) Err() error {
+	if b == nil {
+		return nil
+	}
+	select {
+	case <-b.done:
+		return b.ctx.Err()
+	default:
+		return nil
+	}
+}
+
+// charge consumes n tuples of budget and returns the error that stops
+// the run, if any.
+func (b *Budget) charge(n int64) error {
+	if b != nil && b.MaxTuples > 0 {
+		if b.used += n; b.used > b.MaxTuples {
+			return ErrBudgetExceeded
+		}
+	}
+	return b.Err()
 }
 
 // EnterIndex computes the new environment index I' for "for x ∈ e do e'"
@@ -95,7 +127,8 @@ func BindVar(domain, domainRoots *interval.Relation, depth, newDepth int) *inter
 // every new environment derived from it, duplicating each old group once
 // per new environment with that prefix. This is the cross-product step of
 // the literal translation — output size |newIndex per old env| × |group|,
-// the quadratic heart of DI-NLJ plans. A nil budget means unlimited.
+// the quadratic heart of DI-NLJ plans. The budget, charged per new
+// environment, stops even one long call (nil means unlimited).
 func EmbedOuter(newIndex Index, oldDepth, newDepth int, rel *interval.Relation, budget *Budget) (*interval.Relation, error) {
 	b := interval.NewBuilder(newDepth+localWidth(rel, oldDepth), len(rel.Tuples))
 	pos := 0
@@ -116,8 +149,8 @@ func EmbedOuter(newIndex Index, oldDepth, newDepth int, rel *interval.Relation, 
 			groupEnv = env
 			haveGroup = true
 		}
-		if !budget.charge(int64(len(group))) {
-			return nil, ErrBudgetExceeded
+		if err := budget.charge(int64(len(group))); err != nil {
+			return nil, err
 		}
 		b.SetBase(env, newDepth)
 		for _, t := range group {

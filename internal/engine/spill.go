@@ -23,6 +23,9 @@ type SpillConfig struct {
 	MaxBytes int64
 	// Dir is the spill directory; empty means the OS temp directory.
 	Dir string
+	// Run, when non-nil, is the budget of the run the sorts belong to: a
+	// spilling sort stops between records once its context is done.
+	Run *Budget
 }
 
 // SpillStats reports what the budgeted sorts wrote to disk.
@@ -43,7 +46,8 @@ type UnitCompare func(ka interval.Key, a []interval.Tuple, kb interval.Key, b []
 // with MaxBytes > 0) and the units' accounted footprint exceeds it, the
 // sort runs through extsort, spilling runs to spill.Dir, and the disk
 // activity accumulates into stats; otherwise the permutation is computed in
-// memory on up to parallelism workers. A budgeted sort counts its
+// memory on up to parallelism workers. A spilling sort fails with the
+// context's error of spill.Run once it is done. A budgeted sort counts its
 // footprint into dixq_sort_bytes_total on either path.
 func SortUnits(keys []interval.Key, units [][]interval.Tuple, cmp UnitCompare, parallelism int,
 	spill *SpillConfig, stats *SpillStats) ([]int, error) {
@@ -77,6 +81,9 @@ func SortUnits(keys []interval.Key, units [][]interval.Tuple, cmp UnitCompare, p
 	)
 	defer sorter.Close()
 	for i, u := range units {
+		if err := spill.Run.Err(); err != nil {
+			return nil, err
+		}
 		if err := sorter.Add(extsort.Record{Ord: int64(i), Key: key(i), Tuples: u}); err != nil {
 			return nil, err
 		}
@@ -86,7 +93,7 @@ func SortUnits(keys []interval.Key, units [][]interval.Tuple, cmp UnitCompare, p
 	order := make([]int, 0, len(units))
 	err := sorter.Merge(func(r *extsort.Record) error {
 		order = append(order, int(r.Ord))
-		return nil
+		return spill.Run.Err()
 	})
 	if err != nil {
 		return nil, err

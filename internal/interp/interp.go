@@ -12,11 +12,11 @@
 package interp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"dixq/internal/xfn"
 	"dixq/internal/xmltree"
@@ -49,49 +49,40 @@ func (e *Env) Lookup(name string) (xmltree.Forest, bool) {
 // Catalog supplies the documents referenced by document(...) expressions.
 type Catalog map[string]xmltree.Forest
 
-// ErrBudgetExceeded is returned by EvalBudget when a limit is hit — the
-// analogue of the paper's experiment cutoffs for the interpreter baseline.
+// ErrBudgetExceeded is returned by EvalBudget when its step limit is hit.
 var ErrBudgetExceeded = errors.New("interp: budget exceeded")
 
-// Budget bounds an interpreter run. The zero value and nil mean unlimited.
-type Budget struct {
-	// MaxSteps caps the number of loop-body evaluations; 0 means no cap.
-	MaxSteps int64
-	// Deadline aborts evaluation past this instant; zero means none.
-	Deadline time.Time
-
-	steps int64
-}
-
-func (b *Budget) step() bool {
-	if b == nil {
-		return true
-	}
-	b.steps++
-	if b.MaxSteps > 0 && b.steps > b.MaxSteps {
-		return false
-	}
-	if !b.Deadline.IsZero() && (b.steps == 1 || b.steps%(1<<14) == 0) && time.Now().After(b.Deadline) {
-		return false
-	}
-	return true
-}
-
-// EvalBudget is Eval with a work budget.
-func EvalBudget(e xq.Expr, env *Env, docs Catalog, budget *Budget) (xmltree.Forest, error) {
-	ev := &evaluator{docs: docs, budget: budget}
+// EvalBudget is Eval under a run context and a work limit: it fails with
+// the context's error once ctx is done, polled on the first loop-body
+// evaluation and every 2^10 after, and with ErrBudgetExceeded past
+// maxSteps loop-body evaluations (0 means no cap).
+func EvalBudget(ctx context.Context, e xq.Expr, env *Env, docs Catalog, maxSteps int64) (xmltree.Forest, error) {
+	ev := &evaluator{ctx: ctx, docs: docs, maxSteps: maxSteps}
 	return ev.eval(e, env)
 }
 
 // Eval evaluates a core expression in the given environment and catalog,
 // implementing the semantic equations of Figure 3.
 func Eval(e xq.Expr, env *Env, docs Catalog) (xmltree.Forest, error) {
-	return EvalBudget(e, env, docs, nil)
+	return EvalBudget(context.Background(), e, env, docs, 0)
 }
 
 type evaluator struct {
-	docs   Catalog
-	budget *Budget
+	ctx             context.Context
+	docs            Catalog
+	maxSteps, steps int64
+}
+
+// step charges one loop-body evaluation.
+func (ev *evaluator) step() error {
+	ev.steps++
+	if ev.maxSteps > 0 && ev.steps > ev.maxSteps {
+		return ErrBudgetExceeded
+	}
+	if ev.steps%(1<<10) == 1 {
+		return ev.ctx.Err()
+	}
+	return nil
 }
 
 func (ev *evaluator) eval(e xq.Expr, env *Env) (xmltree.Forest, error) {
@@ -135,8 +126,8 @@ func (ev *evaluator) eval(e xq.Expr, env *Env) (xmltree.Forest, error) {
 		}
 		var out xmltree.Forest
 		for i, tree := range dom {
-			if !ev.budget.step() {
-				return nil, ErrBudgetExceeded
+			if err := ev.step(); err != nil {
+				return nil, err
 			}
 			bodyEnv := env.Bind(e.Var, xmltree.Forest{tree})
 			if e.Pos != "" {
@@ -230,7 +221,7 @@ func callCount(e xq.Call) int64 {
 
 // EvalCond evaluates a boolean condition.
 func EvalCond(c xq.Cond, env *Env, docs Catalog) (bool, error) {
-	return (&evaluator{docs: docs}).evalCond(c, env)
+	return (&evaluator{ctx: context.Background(), docs: docs}).evalCond(c, env)
 }
 
 func (ev *evaluator) evalCond(c xq.Cond, env *Env) (bool, error) {

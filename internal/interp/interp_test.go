@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -248,29 +250,51 @@ func TestBudgetMaxSteps(t *testing.T) {
 		xmltree.NewElement("a"), xmltree.NewElement("b"), xmltree.NewElement("c"),
 	}}
 	e := xq.MustParse(`for $x in document("d") return for $y in document("d") return "t"`)
-	if _, err := EvalBudget(e, nil, docs, &Budget{MaxSteps: 2}); err != ErrBudgetExceeded {
+	ctx := context.Background()
+	if _, err := EvalBudget(ctx, e, nil, docs, 2); err != ErrBudgetExceeded {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
-	out, err := EvalBudget(e, nil, docs, &Budget{MaxSteps: 100})
+	out, err := EvalBudget(ctx, e, nil, docs, 100)
 	if err != nil || len(out) != 9 {
 		t.Fatalf("out = %v, err = %v", out, err)
 	}
-	// nil budget is unlimited.
-	if _, err := EvalBudget(e, nil, docs, nil); err != nil {
+	// 0 steps is unlimited.
+	if _, err := EvalBudget(ctx, e, nil, docs, 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestBudgetDeadline checks that the run context stops the interpreter:
+// a passed deadline at the first loop-body evaluation, and a cancel
+// mid-run within one 2^10-step tick.
 func TestBudgetDeadline(t *testing.T) {
 	docs := Catalog{"d": xmltree.Forest{xmltree.NewElement("a"), xmltree.NewElement("b")}}
 	e := xq.MustParse(`for $x in document("d") return $x`)
-	b := &Budget{Deadline: time.Now().Add(-time.Second)}
-	if _, err := EvalBudget(e, nil, docs, b); err != ErrBudgetExceeded {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if _, err := EvalBudget(expired, e, nil, docs, 0); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	ok := &Budget{Deadline: time.Now().Add(time.Hour)}
-	if _, err := EvalBudget(e, nil, docs, ok); err != nil {
+	live, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	if _, err := EvalBudget(live, e, nil, docs, 0); err != nil {
 		t.Fatal(err)
+	}
+	// A cancel mid-run is seen at the next 2^10-step tick: 2^16 body
+	// evaluations, starting past the first poll.
+	var wide xmltree.Forest
+	for range 1 << 8 {
+		wide = append(wide, xmltree.NewElement("a"))
+	}
+	nested := xq.MustParse(`for $x in document("d") return for $y in document("d") return "t"`)
+	ctx, cancelRun := context.WithCancel(context.Background())
+	ev := &evaluator{ctx: ctx, docs: Catalog{"d": wide}, steps: 1}
+	cancelRun()
+	if _, err := ev.eval(nested, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
+	}
+	if ev.steps != 1<<10+1 {
+		t.Fatalf("cancel seen at step %d, want at the 2^10 tick", ev.steps)
 	}
 }
 

@@ -1,20 +1,14 @@
 package minisql
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"dixq/internal/xnum"
 )
-
-// ErrDeadlineExceeded is returned when a query runs past the deadline set
-// with SetDeadline — the harness's analogue of the paper's experiment
-// cutoffs for the generic engine.
-var ErrDeadlineExceeded = errors.New("minisql: deadline exceeded")
 
 // Table is an in-memory relation.
 type Table struct {
@@ -24,8 +18,7 @@ type Table struct {
 
 // DB holds named tables.
 type DB struct {
-	tables   map[string]*Table
-	deadline time.Time
+	tables map[string]*Table
 }
 
 // NewDB returns an empty database.
@@ -34,30 +27,20 @@ func NewDB() *DB { return &DB{tables: map[string]*Table{}} }
 // Create registers a table, replacing any previous one of the same name.
 func (db *DB) Create(name string, t *Table) { db.tables[name] = t }
 
-// SetDeadline makes subsequent queries fail with ErrDeadlineExceeded once
-// the instant passes: checked when a statement starts and every 2^16
-// evaluation steps after. The zero time removes the deadline.
-func (db *DB) SetDeadline(t time.Time) { db.deadline = t }
-
-func (db *DB) expired() bool { return !db.deadline.IsZero() && time.Now().After(db.deadline) }
-
-// Query parses and executes a statement.
-func (db *DB) Query(sql string) (*Table, error) {
+// Query parses and executes a statement. It fails with the context's
+// error once ctx is done: checked when the statement starts and every
+// 2^10 evaluation steps after.
+func (db *DB) Query(ctx context.Context, sql string) (*Table, error) {
 	stmt, err := Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return db.Exec(stmt)
-}
-
-// Exec executes a parsed statement.
-func (db *DB) Exec(stmt *Statement) (*Table, error) {
-	if db.expired() {
-		return nil, ErrDeadlineExceeded
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	ex := &executor{db: db, ctes: map[string]*Table{}}
+	ex := &executor{ctx: ctx, db: db, ctes: map[string]*Table{}}
 	var out *Table
-	err := ex.catch(func() {
+	err = ex.catch(func() {
 		for _, cte := range stmt.With {
 			ex.ctes[cte.Name] = ex.sel(cte.Query, nil)
 		}
@@ -75,16 +58,19 @@ func (db *DB) Exec(stmt *Statement) (*Table, error) {
 type execError struct{ err error }
 
 type executor struct {
+	ctx   context.Context
 	db    *DB
 	ctes  map[string]*Table
 	steps int64
 }
 
-// tick charges one evaluation step and aborts on a passed deadline.
+// tick charges one evaluation step and aborts once the context is done.
 func (ex *executor) tick() {
 	ex.steps++
-	if ex.steps%(1<<16) == 0 && ex.db.expired() {
-		panic(execError{ErrDeadlineExceeded})
+	if ex.steps%(1<<10) == 0 {
+		if err := ex.ctx.Err(); err != nil {
+			panic(execError{err})
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package minisql
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // FuzzSQL exercises the SQL parser and executor against a tiny schema: no
 // panics, errors only through the error return.
@@ -28,6 +31,6 @@ func FuzzSQL(f *testing.F) {
 		})
 		db.Create("unit", &Table{Cols: []string{"u"}, Rows: [][]Value{{int64(0)}}})
 		db.Create("idx", &Table{Cols: []string{"i"}, Rows: [][]Value{{int64(0)}}})
-		_, _ = db.Query(sql) // must not panic
+		_, _ = db.Query(context.Background(), sql) // must not panic
 	})
 }

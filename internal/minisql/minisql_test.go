@@ -1,6 +1,7 @@
 package minisql
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -25,7 +26,7 @@ func testDB() *DB {
 
 func mustQuery(t *testing.T, db *DB, sql string) *Table {
 	t.Helper()
-	out, err := db.Query(sql)
+	out, err := db.Query(context.Background(), sql)
 	if err != nil {
 		t.Fatalf("Query(%s): %v", sql, err)
 	}
@@ -236,7 +237,7 @@ func TestErrors(t *testing.T) {
 		`SELECT 99999999999999999999999 FROM x`,
 	}
 	for _, sql := range bad {
-		if _, err := db.Query(sql); err == nil {
+		if _, err := db.Query(context.Background(), sql); err == nil {
 			t.Errorf("Query(%q): expected error", sql)
 		}
 	}
@@ -277,21 +278,19 @@ func TestDeadline(t *testing.T) {
 		rows[i] = []Value{int64(i)}
 	}
 	db.Create("n", &Table{Cols: []string{"v"}, Rows: rows})
-	db.SetDeadline(time.Now().Add(time.Millisecond))
-	_, err := db.Query(`SELECT COUNT(*) FROM n a, n b, n c WHERE a.v = b.v AND b.v = c.v`)
-	if err == nil {
-		t.Fatal("expected deadline error")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	_, err := db.Query(ctx, `SELECT COUNT(*) FROM n a, n b, n c WHERE a.v = b.v AND b.v = c.v`)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("err = %v", err)
+	// A done context stops a statement before it starts, however cheap.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := db.Query(cancelled, `SELECT COUNT(*) FROM n`); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled context: err = %v", err)
 	}
-	// A passed deadline stops a statement before it starts, however cheap.
-	db.SetDeadline(time.Now().Add(-time.Second))
-	if _, err := db.Query(`SELECT COUNT(*) FROM n`); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("passed deadline: err = %v", err)
-	}
-	db.SetDeadline(time.Time{})
-	if _, err := db.Query(`SELECT COUNT(*) FROM n`); err != nil {
-		t.Fatalf("after clearing deadline: %v", err)
+	if _, err := db.Query(context.Background(), `SELECT COUNT(*) FROM n`); err != nil {
+		t.Fatalf("live context: %v", err)
 	}
 }

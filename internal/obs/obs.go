@@ -10,9 +10,10 @@ var Default = NewRegistry()
 // ExplainAnalyze has an aggregate twin here, so fleet dashboards and
 // single-query debugging read the same quantities.
 var (
-	// Queries counts served queries by engine ("di-msj", "di-nlj",
-	// "interp", "generic-sql") and outcome ("ok", "error", "budget",
-	// "bad_request").
+	// Queries counts served queries by engine ("di-opt", "di-msj",
+	// "di-nlj", "interp", "generic-sql") and outcome ("ok", "error",
+	// "budget", "canceled", "bad_request"). "canceled" is a run whose
+	// request context ended: its client went away, or Server.Close.
 	Queries = Default.NewCounterVec("dixq_queries_total",
 		"Queries served, by engine and outcome.", "engine", "outcome")
 	// QueryDuration is the end-to-end latency of successful and failed
@@ -46,11 +47,12 @@ var (
 		"Encoded bytes written to spill run files.")
 	RunBytesRead = Default.NewCounter("dixq_spill_run_bytes_read_total",
 		"Encoded bytes read back from spill run files.")
-	// BudgetRejections counts evaluations aborted by MaxTuples or Timeout
-	// (the budgets that abort; MemBudget degrades to disk instead and
-	// shows up in the spill counters).
+	// BudgetRejections counts evaluations aborted by MaxTuples or by a
+	// deadline of the run's context, Timeout's included (the budgets that
+	// abort; MemBudget degrades to disk instead and shows up in the spill
+	// counters). A cancelled run is not a budget rejection.
 	BudgetRejections = Default.NewCounter("dixq_budget_rejections_total",
-		"Evaluations aborted by the MaxTuples or Timeout budget.")
+		"Evaluations aborted by MaxTuples or a deadline (Timeout); cancelled runs are not counted.")
 	// TracesSampled counts queries that produced a trace.
 	TracesSampled = Default.NewCounter("dixq_traces_sampled_total",
 		"Queries sampled into the trace ring buffer.")
@@ -112,7 +114,8 @@ var (
 		"Document lifecycle operations applied to the catalog, by operation.", "op")
 	// AdmissionRejections counts requests refused by admission control, by
 	// reason ("queue_full", "queue_timeout", "tenant_concurrency",
-	// "tenant_memory", "draining").
+	// "tenant_memory", "draining", "canceled": the request's context
+	// ended while it was queued).
 	AdmissionRejections = Default.NewCounterVec("dixq_admission_rejections_total",
 		"Requests rejected by admission control, by reason.", "reason")
 	// AdmissionQueueDepth is the number of requests currently waiting for

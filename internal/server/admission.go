@@ -1,10 +1,10 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dixq/internal/obs"
@@ -56,13 +56,16 @@ type admitter struct {
 	// spilling).
 	perRequestMem int64
 
-	draining atomic.Bool
+	// requests counts requests from admit to release, for Server.Close to
+	// wait on; Add runs under mu and only while not draining.
+	requests sync.WaitGroup
 
-	mu      sync.Mutex
-	queued  int
-	active  int
-	peak    int
-	tenants map[string]*tenantBudget
+	mu       sync.Mutex
+	draining bool
+	queued   int
+	active   int
+	peak     int
+	tenants  map[string]*tenantBudget
 }
 
 func newAdmitter(cfg Config) *admitter {
@@ -142,21 +145,6 @@ func (a *admitter) unreserveTenant(tenant string) {
 	}
 }
 
-func (a *admitter) enter() {
-	a.mu.Lock()
-	a.active++
-	if a.active > a.peak {
-		a.peak = a.active
-	}
-	a.mu.Unlock()
-}
-
-func (a *admitter) exit() {
-	a.mu.Lock()
-	a.active--
-	a.mu.Unlock()
-}
-
 // Peak returns the high-water mark of concurrently admitted requests.
 func (a *admitter) Peak() int {
 	a.mu.Lock()
@@ -165,9 +153,9 @@ func (a *admitter) Peak() int {
 }
 
 // acquire takes an execution slot, waiting in the bounded queue if none
-// is free. Callers have the tenant reservation; a non-nil return means
-// the slot was not taken.
-func (a *admitter) acquire() *admitError {
+// is free, until the queue timeout or the request's context ends. Callers
+// have the tenant reservation; a non-nil return means no slot was taken.
+func (a *admitter) acquire(ctx context.Context) *admitError {
 	select {
 	case a.sem <- struct{}{}:
 		return nil
@@ -203,37 +191,53 @@ func (a *admitter) acquire() *admitError {
 			status: http.StatusTooManyRequests, reason: "queue_timeout", retryAfter: 1,
 			msg: fmt.Sprintf("no execution slot within %s", a.queueTimeout),
 		}
+	case <-ctx.Done():
+		return &admitError{
+			status: http.StatusServiceUnavailable, reason: "canceled", retryAfter: 1,
+			msg: "request cancelled while queued",
+		}
 	}
 }
 
 // admit attempts to admit one request for a tenant. On success it
 // returns a release closure (idempotent; call it when the request
 // finishes). On refusal it returns the rejection.
-func (a *admitter) admit(tenant string) (func(), *admitError) {
-	if a.draining.Load() {
+func (a *admitter) admit(ctx context.Context, tenant string) (func(), *admitError) {
+	a.mu.Lock()
+	if a.draining {
+		a.mu.Unlock()
 		return nil, &admitError{
 			status: http.StatusServiceUnavailable, reason: "draining", retryAfter: 1,
 			msg: "server is draining",
 		}
 	}
-	if aerr := a.reserveTenant(tenant); aerr != nil {
-		return nil, aerr
-	}
-	if a.sem != nil {
-		if aerr := a.acquire(); aerr != nil {
+	a.requests.Add(1)
+	a.mu.Unlock()
+	aerr := a.reserveTenant(tenant)
+	if aerr == nil && a.sem != nil {
+		if aerr = a.acquire(ctx); aerr != nil {
 			a.unreserveTenant(tenant)
-			return nil, aerr
 		}
 	}
-	a.enter()
+	if aerr != nil {
+		a.requests.Done()
+		return nil, aerr
+	}
+	a.mu.Lock()
+	a.active++
+	a.peak = max(a.peak, a.active)
+	a.mu.Unlock()
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			a.exit()
+			a.mu.Lock()
+			a.active--
+			a.mu.Unlock()
 			a.unreserveTenant(tenant)
 			if a.sem != nil {
 				<-a.sem
 			}
+			a.requests.Done()
 		})
 	}, nil
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -25,7 +26,7 @@ func jsonBody(t *testing.T, v any) *bytes.Reader {
 // admitOK admits and fails the test on refusal.
 func admitOK(t *testing.T, a *admitter, tenant string) func() {
 	t.Helper()
-	release, aerr := a.admit(tenant)
+	release, aerr := a.admit(context.Background(), tenant)
 	if aerr != nil {
 		t.Fatalf("admit(%q) refused: %+v", tenant, aerr)
 	}
@@ -51,7 +52,7 @@ func TestAdmitterConcurrencyBound(t *testing.T) {
 	a := newAdmitter(Config{MaxConcurrent: 2, QueueDepth: -1})
 	r1 := admitOK(t, a, "t")
 	r2 := admitOK(t, a, "t")
-	if _, aerr := a.admit("t"); aerr == nil {
+	if _, aerr := a.admit(context.Background(), "t"); aerr == nil {
 		t.Fatal("third request admitted over MaxConcurrent=2")
 	} else if aerr.status != http.StatusTooManyRequests || aerr.reason != "queue_full" {
 		t.Fatalf("refusal = %+v", aerr)
@@ -76,7 +77,7 @@ func TestAdmitterQueueHandsOffSlot(t *testing.T) {
 	release := admitOK(t, a, "t")
 	admitted := make(chan func(), 1)
 	go func() {
-		r, aerr := a.admit("t")
+		r, aerr := a.admit(context.Background(), "t")
 		if aerr != nil {
 			admitted <- nil
 			return
@@ -106,7 +107,7 @@ func TestAdmitterQueueTimeout(t *testing.T) {
 	release := admitOK(t, a, "t")
 	defer release()
 	start := time.Now()
-	if _, aerr := a.admit("t"); aerr == nil {
+	if _, aerr := a.admit(context.Background(), "t"); aerr == nil {
 		t.Fatal("request admitted past a held slot")
 	} else if aerr.reason != "queue_timeout" || aerr.status != http.StatusTooManyRequests {
 		t.Fatalf("refusal = %+v", aerr)
@@ -120,7 +121,7 @@ func TestAdmitterTenantIsolation(t *testing.T) {
 	a := newAdmitter(Config{TenantConcurrent: 1})
 	rA := admitOK(t, a, "alice")
 	// Alice is at her limit; Bob is unaffected.
-	if _, aerr := a.admit("alice"); aerr == nil {
+	if _, aerr := a.admit(context.Background(), "alice"); aerr == nil {
 		t.Fatal("alice admitted over her concurrency limit")
 	} else if aerr.reason != "tenant_concurrency" {
 		t.Fatalf("refusal = %+v", aerr)
@@ -138,7 +139,7 @@ func TestAdmitterTenantMemory(t *testing.T) {
 	a := newAdmitter(Config{MemBudget: 64, TenantMemBudget: 128})
 	r1 := admitOK(t, a, "t")
 	r2 := admitOK(t, a, "t")
-	if _, aerr := a.admit("t"); aerr == nil {
+	if _, aerr := a.admit(context.Background(), "t"); aerr == nil {
 		t.Fatal("third request admitted over the tenant memory budget")
 	} else if aerr.reason != "tenant_memory" {
 		t.Fatalf("refusal = %+v", aerr)
@@ -157,8 +158,8 @@ func TestAdmitterTenantMemory(t *testing.T) {
 
 func TestAdmitterDraining(t *testing.T) {
 	a := newAdmitter(Config{})
-	a.draining.Store(true)
-	if _, aerr := a.admit("t"); aerr == nil {
+	a.draining = true
+	if _, aerr := a.admit(context.Background(), "t"); aerr == nil {
 		t.Fatal("request admitted while draining")
 	} else if aerr.status != http.StatusServiceUnavailable || aerr.reason != "draining" {
 		t.Fatalf("refusal = %+v", aerr)
@@ -180,7 +181,7 @@ func TestAdmissionOverHTTP(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	release, aerr := srv.adm.admit("holder")
+	release, aerr := srv.adm.admit(context.Background(), "holder")
 	if aerr != nil {
 		t.Fatalf("holding the slot: %+v", aerr)
 	}
@@ -270,7 +271,7 @@ func TestDrainOverHTTP(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	release, aerr := srv.adm.admit("inflight")
+	release, aerr := srv.adm.admit(context.Background(), "inflight")
 	if aerr != nil {
 		t.Fatal(aerr)
 	}
@@ -297,7 +298,7 @@ func TestAdmitterConcurrentStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				release, aerr := a.admit("t")
+				release, aerr := a.admit(context.Background(), "t")
 				if aerr != nil {
 					continue
 				}

@@ -47,9 +47,7 @@ func newPlanCache(capacity int) *planCache {
 // fully resolved worker bound (request value, else server default, with 0 resolving to
 // runtime.GOMAXPROCS(0), exactly as the executor resolves it) — so
 // equivalent requests hit the same slot while requests differing in any
-// effective knob never collide. (Before options were part of the key, a
-// cached entry served requests whose options differed from the ones it
-// was first compiled under.) The catalog version folds every document
+// effective knob never collide. The catalog version folds every document
 // change into the key: loads, structural updates (which publish the
 // spliced index and statistics in the same version), drops and
 // statistics refreshes each publish a fresh version, so a plan compiled

@@ -17,9 +17,12 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -122,6 +125,9 @@ type Server struct {
 	sampler *obs.Sampler
 	traces  *obs.TraceBuffer
 	adm     *admitter
+	// base parents every admitted request's context; Close cancels it.
+	base   context.Context
+	cancel context.CancelFunc
 }
 
 // DocInfo describes one loaded document.
@@ -148,6 +154,7 @@ func New(docs map[string]*dixq.Document, cfg Config) *Server {
 	if every < 0 {
 		every = 0 // NewSampler returns the never-sampling nil sampler
 	}
+	cfg.TraceSample = every // resolved, as GET /debug/traces reports it
 	s := &Server{
 		cat:     cat,
 		cfg:     cfg,
@@ -156,6 +163,7 @@ func New(docs map[string]*dixq.Document, cfg Config) *Server {
 		traces:  obs.NewTraceBuffer(cfg.TraceBufferSize),
 		adm:     newAdmitter(cfg),
 	}
+	s.base, s.cancel = context.WithCancel(context.Background())
 	names := make([]string, 0, len(docs))
 	for name := range docs {
 		names = append(names, name)
@@ -175,18 +183,20 @@ func (s *Server) Catalog() *dixq.Catalog { return s.cat }
 // refused with 503 + Retry-After while already-admitted requests run to
 // completion. cmd/dixqd calls this on SIGTERM before shutting the
 // listener down.
-func (s *Server) Drain() { s.adm.draining.Store(true) }
+func (s *Server) Drain() {
+	s.adm.mu.Lock()
+	s.adm.draining = true
+	s.adm.mu.Unlock()
+}
 
-// PeakConcurrent reports the high-water mark of concurrently admitted
-// requests — under a MaxConcurrent bound it can never exceed that bound
-// (the mixed-load benchmark asserts exactly this).
-func (s *Server) PeakConcurrent() int { return s.adm.Peak() }
-
-// Close releases the server. The server owns no goroutines or files
-// (requests clean up after themselves), so Close has nothing to stop; it
-// is the shutdown hook embedding callers and cmd/dixqd call, and the HTTP
-// handler remains usable after it.
-func (s *Server) Close() {}
+// Close drains, cancels every admitted or queued request, and returns
+// once each has released its admission slot: a cancelled query (503) has
+// then given back its workers and removed its spill files.
+func (s *Server) Close() {
+	s.Drain()
+	s.cancel()
+	s.adm.requests.Wait()
+}
 
 // QueryRequest is the POST /query and POST /explain body.
 type QueryRequest struct {
@@ -318,9 +328,9 @@ func (s *Server) Handler() http.Handler {
 		}},
 		{"/metrics", []route{{"GET", metrics.ServeHTTP}}},
 		{"/debug/traces", []route{{"GET", s.handleTraces}}},
-		{"/query", []route{{"POST", s.admitted(s.handleQuery)}}},
-		{"/explain", []route{{"POST", s.admitted(s.handleExplain)}}},
-		{"/sql", []route{{"POST", s.admitted(s.handleSQL)}}},
+		{"/query", []route{{"POST", readBody(s.admitted(s.handleQuery))}}},
+		{"/explain", []route{{"POST", readBody(s.admitted(s.handleExplain))}}},
+		{"/sql", []route{{"POST", readBody(s.admitted(s.handleSQL))}}},
 	}
 	for _, p := range paths {
 		allow := make([]string, 0, len(p.routes))
@@ -342,10 +352,15 @@ func (s *Server) Handler() http.Handler {
 // admitted wraps a handler with admission control: the request passes the
 // bounded queue and its tenant's budgets before the handler runs, and the
 // slot is released when the handler returns. Refusals are 429 (or 503
-// while draining) with a Retry-After hint.
+// while draining) with a Retry-After hint. The request's context also
+// ends when Close cancels the server's base context.
 func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		release, aerr := s.adm.admit(tenantOf(r))
+		ctx, cancel := context.WithCancel(r.Context())
+		defer cancel()
+		defer context.AfterFunc(s.base, cancel)() // stop the AfterFunc on return
+		r = r.WithContext(ctx)
+		release, aerr := s.adm.admit(ctx, tenantOf(r))
 		if aerr != nil {
 			obs.AdmissionRejections.With(aerr.reason).Inc()
 			w.Header().Set("Retry-After", strconv.Itoa(aerr.retryAfter))
@@ -353,6 +368,21 @@ func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
 			return
 		}
 		defer release()
+		h(w, r)
+	}
+}
+
+// readBody reads a query's body (at most 1 MiB) before admission: only a
+// consumed body lets the request's context see its client go away, in
+// the admission queue too.
+func readBody(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
 		h(w, r)
 	}
 }
@@ -385,8 +415,7 @@ type decodeInfo struct {
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, version uint64) (*QueryRequest, *dixq.Query, decodeInfo, bool) {
 	var info decodeInfo
 	var req QueryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return nil, nil, info, false
 	}
@@ -468,7 +497,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	engine = info.engine.Label()
 
 	execStart := time.Now()
-	res, err := q.Run(snap, req.options(info.engine, s.cfg))
+	res, err := q.Run(r.Context(), snap, req.options(info.engine, s.cfg))
 	if tr != nil {
 		span := obs.Span{
 			Name:       "execute",
@@ -497,11 +526,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		tr.Spans = append(tr.Spans, span)
 	}
 	if err != nil {
-		status := http.StatusUnprocessableEntity
-		if errors.Is(err, dixq.ErrBudgetExceeded) {
-			status = http.StatusGatewayTimeout
-			outcome = "budget"
-		}
+		var status int
+		status, outcome = runStatus(err)
 		writeJSON(w, status, errorResponse{Error: err.Error()})
 		return
 	}
@@ -542,14 +568,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		n = parsed
 	}
-	every := 0
-	if s.sampler != nil {
-		every = s.cfg.TraceSample
-		if every == 0 {
-			every = defaultTraceSample
-		}
-	}
-	writeJSON(w, http.StatusOK, TracesResponse{SampleEvery: every, Traces: s.traces.Last(n)})
+	writeJSON(w, http.StatusOK, TracesResponse{SampleEvery: s.cfg.TraceSample, Traces: s.traces.Last(n)})
 }
 
 // ExplainResponse is the POST /explain success body. Plan and Core are
@@ -612,12 +631,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	// bypass the optimizer by design.
 	out := ExplainResponse{Plan: tree, Core: q.Core(), Optimizer: q.OptimizerReport(snap, opts)}
 	if req.Analyze {
-		text, ops, err := q.ExplainAnalyze(snap, opts)
+		text, ops, err := q.ExplainAnalyze(r.Context(), snap, opts)
 		if err != nil {
-			status := http.StatusUnprocessableEntity
-			if errors.Is(err, dixq.ErrBudgetExceeded) {
-				status = http.StatusGatewayTimeout
-			}
+			status, _ := runStatus(err)
 			writeJSON(w, status, errorResponse{Error: err.Error()})
 			return
 		}
@@ -663,6 +679,18 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"sql": sql})
+}
+
+// runStatus maps a failed run to its HTTP status and dixq_queries_total
+// outcome: 504 over budget, 503 cancelled (client gone, or Close), else 422.
+func runStatus(err error) (int, string) {
+	switch {
+	case errors.Is(err, dixq.ErrBudgetExceeded):
+		return http.StatusGatewayTimeout, "budget"
+	case errors.Is(err, context.Canceled):
+		return http.StatusServiceUnavailable, "canceled"
+	}
+	return http.StatusUnprocessableEntity, "error"
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

@@ -1,8 +1,8 @@
 package sqlgen
 
 import (
+	"context"
 	"fmt"
-	"time"
 
 	"dixq/internal/core"
 	"dixq/internal/interval"
@@ -43,9 +43,9 @@ func Plan(e xq.Expr) *plan.Node {
 // Run translates a core expression to SQL, executes it on the minisql
 // engine over the given documents, and decodes the (s, l, r) result rows
 // back into a forest. It is the end-to-end path of the paper's Section 4
-// on a generic relational engine. A non-zero deadline aborts the
-// statement with minisql.ErrDeadlineExceeded once it passes.
-func Run(e xq.Expr, docs map[string]xmltree.Forest, deadline time.Time) (xmltree.Forest, error) {
+// on a generic relational engine. The statement fails with the context's
+// error once ctx is done.
+func Run(ctx context.Context, e xq.Expr, docs map[string]xmltree.Forest) (xmltree.Forest, error) {
 	cat := core.EncodeCatalog(docs)
 	stmt, err := Generate(Plan(e), cat.Widths())
 	if err != nil {
@@ -55,14 +55,13 @@ func Run(e xq.Expr, docs map[string]xmltree.Forest, deadline time.Time) (xmltree
 	if err != nil {
 		return nil, err
 	}
-	db.SetDeadline(deadline)
-	return Execute(stmt, db)
+	return Execute(ctx, stmt, db)
 }
 
 // Execute runs a generated statement on a prepared database and decodes
 // the result.
-func Execute(stmt *Statement, db *minisql.DB) (xmltree.Forest, error) {
-	out, err := db.Query(stmt.SQL)
+func Execute(ctx context.Context, stmt *Statement, db *minisql.DB) (xmltree.Forest, error) {
+	out, err := db.Query(ctx, stmt.SQL)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,11 @@
 package sqlgen
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"dixq/internal/core"
 	"dixq/internal/interp"
@@ -24,7 +24,7 @@ func runSQL(t *testing.T, query string, docs map[string]xmltree.Forest) xmltree.
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	f, err := Run(e, docs, time.Time{})
+	f, err := Run(context.Background(), e, docs)
 	if err != nil {
 		t.Fatalf("Run(%s): %v", query, err)
 	}
@@ -229,7 +229,7 @@ func TestDifferentialSQL(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Execute(stmt, db)
+		got, err := Execute(context.Background(), stmt, db)
 		if err != nil {
 			t.Fatalf("trial %d: Execute(%s): %v\nSQL:\n%s", trial, e, err, stmt.SQL)
 		}

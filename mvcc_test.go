@@ -1,6 +1,7 @@
 package dixq
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -112,7 +113,7 @@ func TestSnapshotIsolationUnderConcurrentUpdates(t *testing.T) {
 			for i := 0; i < iterations; i++ {
 				snap := cat.Snapshot()
 				q := parsed[(r+i)%len(parsed)]
-				ref, err := q.Run(snap, &Options{Engine: MergeJoin, Parallelism: 1})
+				ref, err := q.Run(context.Background(), snap, &Options{Engine: MergeJoin, Parallelism: 1})
 				if err != nil {
 					errs <- fmt.Errorf("reader %d iter %d serial: %w", r, i, err)
 					return
@@ -124,7 +125,7 @@ func TestSnapshotIsolationUnderConcurrentUpdates(t *testing.T) {
 					{Engine: Interpreter},
 				}
 				for _, opts := range variants {
-					got, err := q.Run(snap, opts)
+					got, err := q.Run(context.Background(), snap, opts)
 					if err != nil {
 						errs <- fmt.Errorf("reader %d iter %d engine %v: %w", r, i, opts.Engine, err)
 						return
@@ -146,7 +147,7 @@ func TestSnapshotIsolationUnderConcurrentUpdates(t *testing.T) {
 				}
 				// The pinned snapshot still answers identically after all
 				// the writes that happened during this iteration.
-				again, err := q.Run(snap, &Options{Engine: MergeJoin, Parallelism: 1})
+				again, err := q.Run(context.Background(), snap, &Options{Engine: MergeJoin, Parallelism: 1})
 				if err != nil {
 					errs <- fmt.Errorf("reader %d iter %d re-run: %w", r, i, err)
 					return
