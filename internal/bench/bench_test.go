@@ -179,4 +179,24 @@ func TestQuadraticVsLinearShape(t *testing.T) {
 	if msjGrowth > 8 {
 		t.Errorf("MSJ embedded-tuple growth = %.1fx, want linear (~4x)", msjGrowth)
 	}
+
+	// Q11's value < join over the same 4x step: DI-NLJ embeds each person
+	// into every auction environment, quadratically; the theta merge join
+	// embeds nothing at all.
+	small, _ = NewWorkload(xmark.Q11, dixq.GenerateXMark(0.002, 2))
+	large, _ = NewWorkload(xmark.Q11, dixq.GenerateXMark(0.008, 2))
+	outs := []Outcome{small.Run(dixq.NestedLoop, cfg), large.Run(dixq.NestedLoop, cfg),
+		small.Run(dixq.MergeJoin, cfg), large.Run(dixq.MergeJoin, cfg)}
+	for _, o := range outs {
+		if o.Err != nil || o.DNF {
+			t.Fatalf("Q11 run failed: %+v", o)
+		}
+	}
+	if g := float64(outs[1].Stats.EmbeddedTuples) / float64(outs[0].Stats.EmbeddedTuples); g < 8 {
+		t.Errorf("Q11 NLJ embedded-tuple growth = %.1fx, want quadratic (~16x)", g)
+	}
+	if outs[2].Stats.EmbeddedTuples != 0 || outs[3].Stats.EmbeddedTuples != 0 {
+		t.Errorf("Q11 MSJ embedded %d / %d tuples, want 0: the theta join did not run as a merge join",
+			outs[2].Stats.EmbeddedTuples, outs[3].Stats.EmbeddedTuples)
+	}
 }

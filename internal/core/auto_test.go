@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dixq/internal/index"
+	"dixq/internal/opt"
 	"dixq/internal/plan"
 	"dixq/internal/stats"
 	"dixq/internal/xmark"
@@ -248,6 +249,33 @@ func TestAutoReportGraph(t *testing.T) {
 	if rep.Graph.Order.BestCost > rep.Graph.Order.GivenCost {
 		t.Fatalf("best order cost %v exceeds given order cost %v",
 			rep.Graph.Order.BestCost, rep.Graph.Order.GivenCost)
+	}
+}
+
+// TestAutoReportThetaEdge: a value < merge join records its join-graph
+// edge under the comparator it joins on, priced at the default condition
+// selectivity, with the edge running from the predicate's left operand to
+// its right — so < and > over the same keys record opposite edges.
+func TestAutoReportThetaEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	cat := EncodeCatalog(map[string]xmltree.Forest{"d": joinDocs(rng, 12)})
+	st := stats.CollectSet(cat)
+	var edges [2]opt.Edge
+	for i, op := range []string{"<", ">"} {
+		q := Compile(xq.MustParse(`for $x in document("d")/db/as/rec
+		 return for $y in document("d")/db/bs/rec
+		 where $x/k `+op+` $y/k return "o"`), Options{})
+		rep := q.OptReport(Options{DocStats: st})
+		if len(rep.Decisions) != 1 || rep.Decisions[0].Choice != "merge-join" || len(rep.Graph.Edges) != 1 {
+			t.Fatalf("%s: want one kept merge join with one edge: %+v", op, rep)
+		}
+		edges[i] = rep.Graph.Edges[0]
+		if edges[i].Pred != "<" || edges[i].Selectivity != 0.5 {
+			t.Fatalf("%s: edge %+v, want pred < at selectivity 0.5", op, edges[i])
+		}
+	}
+	if edges[0].From != edges[1].To || edges[0].To != edges[1].From {
+		t.Fatalf("< and > recorded edges %+v and %+v, want opposite directions", edges[0], edges[1])
 	}
 }
 

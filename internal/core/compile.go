@@ -129,7 +129,10 @@ func (c *compiler) withLoopVar(e xq.For, atDepth int, domain *plan.Node, fn func
 
 // mergeJoin compiles a for-loop as the §5 decorrelated evaluation when
 // the pattern applies: the domain resolves strictly above the current
-// depth and the loop condition contains a separable equality. This is
+// depth and the loop condition contains a separable comparison — an
+// equality, a deep-less or a value <, one side using only the loop
+// variable and what is bound at the domain's depth, the other avoiding
+// the loop variable. An equality is preferred to an order. This is
 // the static form of the check the evaluator used to repeat at runtime;
 // the chosen plan records the domain's free variables so the executor can
 // recompute the runtime invariance depth d0 (static and runtime depths
@@ -147,17 +150,23 @@ func (c *compiler) mergeJoin(e xq.For, depth int) (*plan.Node, bool) {
 	conjuncts := flattenAnd(w.Cond)
 	keyIdx := -1
 	var outerKey, innerKey xq.Expr
+	var cmp plan.Op
+	var innerRight bool
 	for i, cj := range conjuncts {
-		eq, isEq := cj.(xq.Equal)
-		if !isEq {
+		l, r, op, ok := comparison(cj)
+		if !ok || keyIdx >= 0 && op != plan.OpCmpEq {
+			continue // an order is only kept until an equality turns up
+		}
+		switch {
+		case c.isInner(l, e.Var, d0) && c.isOuter(r, e.Var):
+			innerKey, outerKey, innerRight = l, r, false
+		case c.isInner(r, e.Var, d0) && c.isOuter(l, e.Var):
+			innerKey, outerKey, innerRight = r, l, op != plan.OpCmpEq
+		default:
 			continue
 		}
-		if c.isInner(eq.L, e.Var, d0) && c.isOuter(eq.R, e.Var) {
-			innerKey, outerKey, keyIdx = eq.L, eq.R, i
-			break
-		}
-		if c.isInner(eq.R, e.Var, d0) && c.isOuter(eq.L, e.Var) {
-			innerKey, outerKey, keyIdx = eq.R, eq.L, i
+		keyIdx, cmp = i, op
+		if op == plan.OpCmpEq {
 			break
 		}
 	}
@@ -198,7 +207,8 @@ func (c *compiler) mergeJoin(e xq.For, depth int) (*plan.Node, bool) {
 		func() *plan.Node { return c.expr(bodyExpr, newDepth) })
 
 	return &plan.Node{Op: plan.OpMSJ, Label: e.Var, Pos: e.Pos, Depth: depth,
-		D0: d0, DomainVars: domVars, Digits: domain.Digits + body.Digits,
+		D0: d0, DomainVars: domVars, Cmp: cmp, InnerRight: innerRight,
+		Digits: domain.Digits + body.Digits,
 		Inputs: []*plan.Node{domain, outer, inner, body}}, true
 }
 
@@ -328,13 +338,10 @@ func (c *compiler) cond(cd xq.Cond, depth int) *plan.Node {
 	node := func(op plan.Op, kids ...*plan.Node) *plan.Node {
 		return &plan.Node{Op: op, Depth: depth, Inputs: kids}
 	}
+	if l, r, op, ok := comparison(cd); ok {
+		return node(op, c.expr(l, depth), c.expr(r, depth))
+	}
 	switch cd := cd.(type) {
-	case xq.Equal:
-		return node(plan.OpCmpEq, c.expr(cd.L, depth), c.expr(cd.R, depth))
-	case xq.Less:
-		return node(plan.OpCmpLess, c.expr(cd.L, depth), c.expr(cd.R, depth))
-	case xq.CmpVal:
-		return node(plan.OpCmpVal, c.expr(cd.L, depth), c.expr(cd.R, depth))
 	case xq.Contains:
 		return node(plan.OpContainsTest, c.expr(cd.L, depth), c.expr(cd.R, depth))
 	case xq.Empty:
@@ -349,4 +356,18 @@ func (c *compiler) cond(cd xq.Cond, depth int) *plan.Node {
 		return &plan.Node{Op: plan.OpInvalid, Depth: depth,
 			Label: fmt.Sprintf("unknown condition %T", cd)}
 	}
+}
+
+// comparison splits a comparison condition into its operands and the
+// predicate operator that evaluates it.
+func comparison(cd xq.Cond) (l, r xq.Expr, op plan.Op, ok bool) {
+	switch cd := cd.(type) {
+	case xq.Equal:
+		return cd.L, cd.R, plan.OpCmpEq, true
+	case xq.Less:
+		return cd.L, cd.R, plan.OpCmpLess, true
+	case xq.CmpVal:
+		return cd.L, cd.R, plan.OpCmpVal, true
+	}
+	return nil, nil, 0, false
 }

@@ -10,11 +10,13 @@ import (
 	"dixq/internal/interval"
 	"dixq/internal/obs"
 	"dixq/internal/plan"
+	"dixq/internal/xnum"
 )
 
 // execMergeJoin runs an OpMSJ node — the Section 5 evaluation of a
 // for-loop whose domain is invariant with respect to the current
-// environments and whose condition contains a separable equality. The
+// environments and whose condition contains a separable comparison (=,
+// deep-less or the value <, recorded in n.Cmp). The
 // compiler proved the pattern applies and split the pieces into the
 // node's inputs: [domain, outer-key, inner-key, body], with residual
 // conjuncts already folded into a filter around the body.
@@ -24,10 +26,12 @@ import (
 //  1. evaluate the domain once, in the ancestor environment it depends on;
 //  2. build the candidate inner environments independently;
 //  3. evaluate the two join keys on their own sides;
-//  4. sort both environment sequences by the structural order of their key
-//     forests (DeepCompare, the paper's Algorithm 5.3, as the comparator —
-//     with roots extraction, Algorithm 5.2, splitting each side into its
-//     per-environment key forests) and merge;
+//  4. sort both environment sequences by the order of their key forests
+//     (DeepCompare, the paper's Algorithm 5.3, as the comparator — with
+//     roots extraction, Algorithm 5.2, splitting each side into its
+//     per-environment key forests; the value order of one atom per
+//     environment for the value <) and merge: equal runs for =, a binary
+//     searched prefix or suffix of the outer's prefix run for <;
 //  5. rebuild the combined environments of the matching pairs in document
 //     order — identical to the environments the nested-loop strategy would
 //     produce, so all downstream translation steps are unchanged.
@@ -80,12 +84,12 @@ func (ev *evaluator) execMergeJoin(n *plan.Node, en *env) (*table, error) {
 		return nil, err
 	}
 
-	// (4): structural sort and merge. Matches are constrained to pairs
+	// (4): sort and merge. Matches are constrained to pairs
 	// sharing the same depth-d0 ancestor environment, which is part of the
 	// join key (leading the comparator).
 	outerGroups := engine.GroupByEnv(en.index, en.depth, outerTab.rel)
 	innerGroups := engine.GroupByEnv(yIndex, yDepth, innerTab.rel)
-	pairs, joinInfo, err := mergeJoinEnvs(en.index, outerGroups, yIndex, innerGroups, d0, ev.opts.Parallelism, ev.spill)
+	pairs, joinInfo, err := mergeJoinEnvs(n, en.index, outerGroups, yIndex, innerGroups, d0, ev.opts.Parallelism, ev.spill)
 	if err != nil {
 		return nil, err
 	}
@@ -175,26 +179,36 @@ type joinPhaseInfo struct {
 var ParallelProbeThreshold = 2048
 
 // mergeJoinEnvs sorts both environment sequences by (ancestor prefix,
-// structural key order) and merges them, returning all matching pairs
-// ordered by (outer position, inner position) — document order of the
-// combined environments — plus phase accounting. Each side's sort units
-// are its environment keys with their key forests, ordered through the
-// budgeted sort (engine.SortUnits), so under a memory budget the side
-// sorts spill to disk; the merged match set is identical either way. The
-// two sides sort as two tasks, concurrently with parallelism >= 2 (each
-// with half the worker bound), and the probe range-partitions the sorted
-// outer across workers.
-func mergeJoinEnvs(outerIndex engine.Index, outerGroups [][]interval.Tuple,
+// key order) and merges them under the node's comparator, returning all
+// matching pairs ordered by (outer position, inner position) — document
+// order of the combined environments — plus phase accounting. Each side's
+// sort units are its environment keys with their key forests, ordered
+// through the budgeted sort (engine.SortUnits), so under a memory budget
+// the side sorts spill to disk; the merged match set is identical either
+// way. For the value < each side's key forest is first reduced to its
+// deciding atom — the minimum on the left of <, the maximum on its right,
+// ValueLessPerEnv's rule — and an environment with an empty key, which
+// matches nothing, is dropped before the sort. The two sides sort as two
+// tasks, concurrently with parallelism >= 2 (each with half the worker
+// bound), and the probe range-partitions the sorted outer across workers.
+func mergeJoinEnvs(n *plan.Node, outerIndex engine.Index, outerGroups [][]interval.Tuple,
 	innerIndex engine.Index, innerGroups [][]interval.Tuple, d0 int, parallelism int,
 	spill *engine.SpillConfig) ([]envPair, joinPhaseInfo, error) {
 
+	keyCmp := engine.CompareForests
+	var outerPos, innerPos []int
+	if n.Cmp == plan.OpCmpVal {
+		outerIndex, outerGroups, outerPos = valueKeys(outerIndex, outerGroups, !n.InnerRight)
+		innerIndex, innerGroups, innerPos = valueKeys(innerIndex, innerGroups, n.InnerRight)
+		keyCmp = func(a, b []interval.Tuple) int { return xnum.Compare(a[0].S, b[0].S) }
+	}
 	// Matches share their depth-d0 ancestor environment, so the key prefix
 	// leads the comparator.
 	cmp := func(ka interval.Key, a []interval.Tuple, kb interval.Key, b []interval.Tuple) int {
 		if c := ka.ComparePrefix(kb, d0); c != 0 {
 			return c
 		}
-		return engine.CompareForests(a, b)
+		return keyCmp(a, b)
 	}
 	// Each side gets its own result slots and stats block; the comparator
 	// and the external sorter touch no shared mutable state.
@@ -214,11 +228,27 @@ func mergeJoinEnvs(outerIndex engine.Index, outerGroups [][]interval.Tuple,
 		}
 	}
 
-	pairs, probeWorkers, partitions := probeMerge(orders[0], orders[1], parallelism, func(o, i int) int {
-		return cmp(outerIndex[o], outerGroups[o], innerIndex[i], innerGroups[i])
-	})
+	jo := joinOrder{
+		full: func(o, i int) int {
+			return cmp(outerIndex[o], outerGroups[o], innerIndex[i], innerGroups[i])
+		},
+		prefix: func(o, i int) int { return outerIndex[o].ComparePrefix(innerIndex[i], d0) },
+	}
+	switch {
+	case n.Cmp == plan.OpCmpEq:
+	case n.InnerRight:
+		jo.theta = 1
+	default:
+		jo.theta = -1
+	}
+	pairs, probeWorkers, partitions := probeMerge(orders[0], orders[1], parallelism, jo)
 	info.workers = max(info.workers, probeWorkers)
 	info.partitions = partitions
+	if outerPos != nil {
+		for k, p := range pairs {
+			pairs[k] = envPair{outer: outerPos[p.outer], inner: innerPos[p.inner]}
+		}
+	}
 	slices.SortFunc(pairs, func(a, b envPair) int {
 		if a.outer != b.outer {
 			return a.outer - b.outer
@@ -228,6 +258,36 @@ func mergeJoinEnvs(outerIndex engine.Index, outerGroups [][]interval.Tuple,
 	return pairs, info, nil
 }
 
+// valueKeys reduces each environment's key forest to the atom the value <
+// decides on (engine.ExtremeRoot: the greatest root label with greatest,
+// else the least) and drops the environments whose key is empty. It
+// returns the kept environments' keys, their one-tuple sort units, and
+// each kept unit's position among the input environments.
+func valueKeys(index engine.Index, groups [][]interval.Tuple, greatest bool) (engine.Index, [][]interval.Tuple, []int) {
+	var keys engine.Index
+	var units [][]interval.Tuple
+	var pos []int
+	for i, g := range groups {
+		if s, ok := engine.ExtremeRoot(g, greatest); ok {
+			keys = append(keys, index[i])
+			units = append(units, []interval.Tuple{{S: s}})
+			pos = append(pos, i)
+		}
+	}
+	return keys, units, pos
+}
+
+// joinOrder is how the probe compares an outer unit o with an inner unit
+// i: full is the sort order of both sides (d0 prefix, then key) and prefix
+// the d0 prefix alone. theta picks the matches within the outer's prefix
+// run of the sorted inner: 0 the inners whose key equals the outer's (=),
+// -1 those whose key sorts below it (inner < outer), +1 those above it
+// (outer < inner).
+type joinOrder struct {
+	full, prefix func(o, i int) int
+	theta        int
+}
+
 // probeMerge runs the merge-join probe over the two sorted position
 // sequences and returns the matching pairs (in per-partition emission
 // order — the caller's final (outer, inner) sort fixes document order),
@@ -235,9 +295,10 @@ func mergeJoinEnvs(outerIndex engine.Index, outerGroups [][]interval.Tuple,
 //
 // With parallelism >= 2 the sorted outer splits into contiguous
 // equal-width partitions and each worker probes one partition against the
-// inner independently: it binary-searches the first inner position not
-// below its first outer element and runs the serial merge loop from
-// there, clipped to its outer range. The pair set is partition-
+// inner independently. Under = it binary-searches the first inner
+// position not below its first outer element and runs the serial merge
+// loop from there, clipped to its outer range; under < every outer finds
+// its own matches by binary search anyway. The pair set is partition-
 // independent: an outer equal-run split across a partition boundary is
 // probed by both workers, and each re-finds the full inner equal-run for
 // its own outer elements, so the union of the per-partition cross
@@ -245,10 +306,10 @@ func mergeJoinEnvs(outerIndex engine.Index, outerGroups [][]interval.Tuple,
 // depend only on the input length and the budget-clamped parallelism
 // (exec.Effective), and output order is fixed by the caller's sort, so
 // the result is digit-identical to the serial probe at any worker grant.
-func probeMerge(outerOrder, innerOrder []int, parallelism int, cmp func(o, i int) int) ([]envPair, int, int) {
+func probeMerge(outerOrder, innerOrder []int, parallelism int, jo joinOrder) ([]envPair, int, int) {
 	par := exec.Effective(parallelism)
 	if par < 2 || len(outerOrder) < ParallelProbeThreshold {
-		pairs := probeRange(outerOrder, innerOrder, cmp)
+		pairs := probeRange(outerOrder, innerOrder, jo)
 		obs.ProbePairs.With(exec.WorkerLabel(0)).Add(int64(len(pairs)))
 		return pairs, 1, 1
 	}
@@ -261,13 +322,7 @@ func probeMerge(outerOrder, innerOrder []int, parallelism int, cmp func(o, i int
 		if lo >= hi {
 			return
 		}
-		// First inner position not below the partition's first outer
-		// element; everything before it can only match earlier partitions.
-		first := outerOrder[lo]
-		ii := sort.Search(len(innerOrder), func(k int) bool {
-			return cmp(first, innerOrder[k]) <= 0
-		})
-		outs[task] = probeRange(outerOrder[lo:hi], innerOrder[ii:], cmp)
+		outs[task] = probeRange(outerOrder[lo:hi], innerOrder, jo)
 		obs.ProbePairs.With(exec.WorkerLabel(worker)).Add(int64(len(outs[task])))
 	})
 	total := 0
@@ -281,12 +336,40 @@ func probeMerge(outerOrder, innerOrder []int, parallelism int, cmp func(o, i int
 	return pairs, workers, nparts
 }
 
-// probeRange is the serial merge-join probe loop over one outer range.
-func probeRange(outerOrder, innerOrder []int, cmp func(o, i int) int) []envPair {
+// probeRange is the serial probe of one sorted outer range against the
+// whole sorted inner.
+func probeRange(outerOrder, innerOrder []int, jo joinOrder) []envPair {
+	if len(outerOrder) == 0 {
+		return nil
+	}
 	var pairs []envPair
-	oi, ii := 0, 0
+	if jo.theta != 0 {
+		// An outer's matches are the part of its prefix run in the inner
+		// below (-1) or above (+1) its own key: one end is where the run
+		// starts or stops, the other where the inner passes the outer.
+		for _, o := range outerOrder {
+			// first is the first inner position k with order(o, k) < c:
+			// c = 1 finds the first inner not below o, c = 0 the first above.
+			first := func(order func(o, i int) int, c int) int {
+				return sort.Search(len(innerOrder), func(k int) bool { return order(o, innerOrder[k]) < c })
+			}
+			lo, hi := first(jo.prefix, 1), first(jo.full, 1)
+			if jo.theta > 0 {
+				lo, hi = first(jo.full, 0), first(jo.prefix, 0)
+			}
+			for _, i := range innerOrder[lo:hi] {
+				pairs = append(pairs, envPair{outer: o, inner: i})
+			}
+		}
+		return pairs
+	}
+	// Everything before the first inner position not below the first
+	// outer element can only match earlier outer ranges.
+	first := outerOrder[0]
+	ii := sort.Search(len(innerOrder), func(k int) bool { return jo.full(first, innerOrder[k]) <= 0 })
+	oi := 0
 	for oi < len(outerOrder) && ii < len(innerOrder) {
-		c := cmp(outerOrder[oi], innerOrder[ii])
+		c := jo.full(outerOrder[oi], innerOrder[ii])
 		switch {
 		case c < 0:
 			oi++
@@ -295,11 +378,11 @@ func probeRange(outerOrder, innerOrder []int, cmp func(o, i int) int) []envPair 
 		default:
 			// Find the equal runs on both sides.
 			oEnd := oi + 1
-			for oEnd < len(outerOrder) && cmp(outerOrder[oEnd], innerOrder[ii]) == 0 {
+			for oEnd < len(outerOrder) && jo.full(outerOrder[oEnd], innerOrder[ii]) == 0 {
 				oEnd++
 			}
 			iEnd := ii + 1
-			for iEnd < len(innerOrder) && cmp(outerOrder[oi], innerOrder[iEnd]) == 0 {
+			for iEnd < len(innerOrder) && jo.full(outerOrder[oi], innerOrder[iEnd]) == 0 {
 				iEnd++
 			}
 			for _, o := range outerOrder[oi:oEnd] {

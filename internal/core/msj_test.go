@@ -5,8 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"dixq/internal/exec"
 	"dixq/internal/interp"
 	"dixq/internal/interval"
+	"dixq/internal/obs"
+	"dixq/internal/stats"
 	"dixq/internal/xmark"
 	"dixq/internal/xmltree"
 	"dixq/internal/xq"
@@ -289,6 +292,57 @@ func TestSortByKeyParallelOddChunks(t *testing.T) {
 	for i := 1; i < len(order); i++ {
 		if vals[order[i-1]] > vals[order[i]] {
 			t.Fatalf("not sorted at %d", i)
+		}
+	}
+}
+
+// TestThetaJoinWorkCounts runs XMark Q11 and Q12 — person × auction
+// joins on the value comparison income > 5000 * initial — on the sf 0.01
+// seed-2 document the joins benchmark runs them on. Under DI-MSJ and
+// DI-OPT (fed the document's statistics) the loop must run as a merge
+// join that embeds nothing and probes exactly the matching pairs, with
+// an answer digit-identical to the nested loop's, which embeds every
+// person into every auction environment.
+func TestThetaJoinWorkCounts(t *testing.T) {
+	cat, _ := generatedCatalog(0.01, 2)
+	st := stats.CollectSet(cat)
+	for _, tc := range []struct {
+		name        string
+		query       string
+		nljEmbedded int64
+		pairs       uint64
+	}{
+		{"Q11", xmark.Q11, 651480, 395},
+		{"Q12", xmark.Q12, 333480, 395},
+	} {
+		q := Compile(xq.MustParse(tc.query), Options{})
+		nljStats := &Stats{}
+		want, err := q.Eval(cat, Options{ForceJoinMode: ModeNLJ, Parallelism: 1, Stats: nljStats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nljStats.EmbeddedTuples != tc.nljEmbedded {
+			t.Errorf("%s DI-NLJ: %d embedded tuples, want %d", tc.name, nljStats.EmbeddedTuples, tc.nljEmbedded)
+		}
+		for _, mode := range []Mode{ModeMSJ, ModeAuto} {
+			s := &Stats{}
+			probed := obs.ProbePairs.With(exec.WorkerLabel(0))
+			before := probed.Value()
+			got, err := q.Eval(cat, Options{ForceJoinMode: mode, DocStats: st, Parallelism: 1, Stats: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.MergeJoins < 1 || s.EmbeddedTuples != 0 {
+				t.Errorf("%s %s: %d merge joins, %d embedded tuples; want a merge join embedding nothing",
+					tc.name, mode, s.MergeJoins, s.EmbeddedTuples)
+			}
+			if n := probed.Value() - before; n != tc.pairs {
+				t.Errorf("%s %s: %d probe pairs, want %d", tc.name, mode, n, tc.pairs)
+			}
+			if len(got.Tuples) == 0 {
+				t.Fatalf("%s %s: empty answer, the test lost its subject", tc.name, mode)
+			}
+			identicalRelations(t, fmt.Sprintf("%s %s against DI-NLJ", tc.name, mode), got, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -37,7 +38,7 @@ func TestProbeMergeUnit(t *testing.T) {
 	rng := rand.New(rand.NewSource(20030609))
 	check := func(outerKeys, innerKeys []int) {
 		t.Helper()
-		cmp := func(o, i int) int { return outerKeys[o] - innerKeys[i] }
+		cmp := joinOrder{full: func(o, i int) int { return outerKeys[o] - innerKeys[i] }}
 		outerOrder := interval.SortPerm(len(outerKeys), 1, func(a, b int) int { return outerKeys[a] - outerKeys[b] })
 		innerOrder := interval.SortPerm(len(innerKeys), 1, func(a, b int) int { return innerKeys[a] - innerKeys[b] })
 		want := probeRange(outerOrder, innerOrder, cmp)
@@ -160,6 +161,115 @@ func TestParallelProbeSpillMidJoin(t *testing.T) {
 			if a.S != b.S || !a.L.Equal(b.L) || !a.R.Equal(b.R) {
 				t.Fatalf("tuple %d differs: %s vs %s", i, a, b)
 			}
+		}
+	}
+}
+
+// TestThetaProbeBoundaries pins the < probe at the unit level against a
+// brute-force nested loop: every outer matches exactly the inners of its
+// own prefix run whose key sorts strictly below (theta -1) or strictly
+// above (theta +1) its own — ties excluded on both sides of every
+// boundary — serially and under every partitioning, including empty
+// sides, prefix runs absent from one side and runs of equal keys.
+func TestThetaProbeBoundaries(t *testing.T) {
+	forceParallelProbe(t)
+	rng := rand.New(rand.NewSource(1117))
+	type unit struct{ prefix, key int }
+	order := func(us []unit) []int {
+		return interval.SortPerm(len(us), 1, func(a, b int) int {
+			if us[a].prefix != us[b].prefix {
+				return us[a].prefix - us[b].prefix
+			}
+			return us[a].key - us[b].key
+		})
+	}
+	check := func(outer, inner []unit) {
+		t.Helper()
+		for _, theta := range []int{-1, 1} {
+			jo := joinOrder{theta: theta,
+				full: func(o, i int) int {
+					if c := outer[o].prefix - inner[i].prefix; c != 0 {
+						return c
+					}
+					return outer[o].key - inner[i].key
+				},
+				prefix: func(o, i int) int { return outer[o].prefix - inner[i].prefix },
+			}
+			var want []envPair
+			for o := range outer {
+				for i := range inner {
+					if outer[o].prefix == inner[i].prefix && theta*(inner[i].key-outer[o].key) > 0 {
+						want = append(want, envPair{outer: o, inner: i})
+					}
+				}
+			}
+			outerOrder, innerOrder := order(outer), order(inner)
+			sortPairs := func(ps []envPair) []envPair {
+				slices.SortFunc(ps, func(a, b envPair) int {
+					if a.outer != b.outer {
+						return a.outer - b.outer
+					}
+					return a.inner - b.inner
+				})
+				return ps
+			}
+			if got := sortPairs(probeRange(outerOrder, innerOrder, jo)); !slices.Equal(got, want) {
+				t.Fatalf("theta %d serial: got %v, want %v (outer %v, inner %v)", theta, got, want, outer, inner)
+			}
+			for _, par := range []int{2, 3, 7} {
+				got, _, _ := probeMerge(outerOrder, innerOrder, par, jo)
+				if got = sortPairs(got); !slices.Equal(got, want) {
+					t.Fatalf("theta %d parallelism %d: got %v, want %v", theta, par, got, want)
+				}
+			}
+		}
+	}
+	check(nil, []unit{{0, 1}})
+	check([]unit{{0, 1}}, nil)
+	check([]unit{{0, 5}, {0, 5}}, []unit{{0, 5}, {0, 5}, {0, 5}}) // all ties: nothing matches
+	check([]unit{{0, 1}, {2, 1}}, []unit{{1, 0}, {1, 2}})         // no shared prefix run
+	for trial := 0; trial < 60; trial++ {
+		random := func() []unit {
+			us := make([]unit, rng.Intn(30))
+			for i := range us {
+				us[i] = unit{prefix: rng.Intn(3), key: rng.Intn(5)}
+			}
+			return us
+		}
+		check(random(), random())
+	}
+}
+
+// TestThetaProbePartitionedIdentical forces the partitioned probe and
+// the exchange sort on value < joins — Q11 and Q12, and a theta join
+// below a loop, whose matches must stay inside each person's prefix run
+// — and requires results digit-identical to the serial probe, in memory
+// and with both side sorts spilled.
+func TestThetaProbePartitionedIdentical(t *testing.T) {
+	forceParallelProbe(t)
+	cat, _ := generatedCatalog(0.002, 5)
+	underPerson := `for $p in document("auction.xml")/site/people/person
+	 return for $a in $p/* return for $b in $p/*/text()
+	 where $a/text() < $b return <m>{$b}</m>`
+	for _, query := range []string{xmark.Q11, xmark.Q12, underPerson} {
+		q := Compile(xq.MustParse(query), Options{})
+		serialStats := &Stats{}
+		serial, err := q.Eval(cat, Options{ForceJoinMode: ModeMSJ, Parallelism: 1, Stats: serialStats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serialStats.MergeJoins == 0 || len(serial.Tuples) == 0 {
+			t.Fatalf("no merge join or an empty answer: the test lost its subject\n%s", query)
+		}
+		for _, opts := range []Options{
+			{ForceJoinMode: ModeMSJ, Parallelism: 3},
+			{ForceJoinMode: ModeMSJ, Parallelism: 4, MemBudget: 1, SpillDir: t.TempDir()},
+		} {
+			got, err := q.Eval(cat, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			identicalRelations(t, fmt.Sprintf("parallelism %d budget %d", opts.Parallelism, opts.MemBudget), got, serial)
 		}
 	}
 }

@@ -33,7 +33,9 @@
 // +, 40 for the pipeline rows, which were re-seeded into the row-filter
 // runner of package pipeline, and 41 for the two marked #, which were
 // re-seeded into the one budgeted sort, engine.SortUnits, that every group
-// reorder now runs through), "first" the configuration (or the
+// reorder now runs through, and 47 for the four marked §, seeded into the
+// comparator-parameterized merge join after the full cross was retired),
+// "first" the configuration (or the
 // interpreter check of the baseline) that failed first in the first
 // failing case. The baseline runs the fused path chains, so a bug in a
 // serial stage fails the interpreter check before any variant runs.
@@ -58,6 +60,10 @@
 //	engine: spilled merge-join sort ignores the prefix  survived                 1 case, DI-MSJ-budget1 #
 //	index: splice leaves ancestors' End unshifted       (no splice)              1 case, DI-OPT spliced ‡
 //	stats: splice keeps the old DistinctText            (no splice)              survived ‡
+//	core: theta probe boundary taken as <=              (not run)                6 cases, interpreter §
+//	core: value < keys reduced max-left, min-right      (not run)                1 case, interpreter §
+//	core: theta probe ignores the d0 prefix run         (not run)                1 case, interpreter §
+//	opt: demoted theta join swaps its key sides         (not run)                8 cases, DI-OPT-base §
 //
 // Four seeded bugs first survived both matrices alike, so they were gaps
 // of the corpus, not of the pruning, and corpus cases close all four.
@@ -75,6 +81,15 @@
 // under different ancestor environments: xmark-join-under-person joins
 // each person's children against their own text, and DI-MSJ-budget1
 // kills it. All 17 are killed.
+//
+// The four rows marked § were written with the theta merge join and its
+// corpus cases, and each is killed. The inclusive boundary first fails
+// seed-theta-lt, whose repeated t text ties; the swapped min/max only
+// xmark-theta-multivalued, whose auctions carry several bids; the probe
+// that searches the whole inner instead of the outer's prefix run only
+// xmark-theta-under-person, whose matches must stay inside one person;
+// the swapped demotion first fails xmark-q11, which DI-OPT demotes at
+// the corpus scale.
 //
 // The two rows marked ‡ were seeded into the catalog's update path,
 // index.Splice and stats.Splice, and run against
@@ -195,6 +210,30 @@ func Corpus() []Case {
 		{"xmark-join-under-person", `for $p in document("auction.xml")/site/people/person
 		 return for $a in $p/* return for $b in $p/*/text()
 		 where $a/text() = $b return <m>{$b}</m>`, true},
+		// Theta merge joins. The value < with the inner key on the right
+		// (<) and on the left (>), over the hand document's repeated t text
+		// (ties, which match neither way) and c's empty text (an empty key,
+		// which matches nothing); mixed numeric and text atoms, which order
+		// numbers first and numerically (9 before 10); multi-valued keys on
+		// both sides, decided by the existential minimum and maximum; a theta
+		// join at loop-invariance depth 1, whose matches stay inside each
+		// person; and the structural deep-less.
+		{"seed-theta-lt", `for $x in document("d")/a/* return for $y in document("d")/a/*
+		 where $x/text() < $y/text() return <m>{$x/text()}{$y/text()}</m>`, false},
+		{"seed-theta-gt", `for $x in document("d")//b return for $y in document("d")/a/*
+		 where $x/text() > $y/text() return <m>{$x/text()}{$y}</m>`, false},
+		{"seed-theta-mixed", `for $x in (data(document("d")/a/@x), "10", "x", document("d")//b/text())
+		 return for $y in ("9", "10", "1.0", document("d")//b/text(), "tt")
+		 where $x < $y return <m>{$x}{$y}</m>`, false},
+		{"seed-theta-deep-less", `for $x in document("d")/a/* return for $y in document("d")//b
+		 where deep-less($y, $x) return <m>{$x}{$y}</m>`, false},
+		{"xmark-theta-multivalued", `for $a in document("auction.xml")/site/open_auctions/open_auction
+		 let $l := for $b in document("auction.xml")/site/open_auctions/open_auction
+		   where $a/bidder/increase > $b/bidder/increase return $b
+		 return <n>{count($l)}</n>`, true},
+		{"xmark-theta-under-person", `for $p in document("auction.xml")/site/people/person
+		 return for $a in $p/* return for $b in $p/*/text()
+		 where $a/text() < $b return <m>{$b}</m>`, true},
 	}
 }
 

@@ -165,24 +165,27 @@ func OrdBy(rel *interval.Relation, depth int, dir string, parallelism int, spill
 func ValueLessPerEnv(index Index, depth int, a, b *interval.Relation) []bool {
 	out := make([]bool, 0, len(index))
 	forEachEnv2(index, depth, a.Tuples, b.Tuples, func(_ interval.Key, ga, gb []interval.Tuple) {
-		ta, tb := topTrees(ga), topTrees(gb)
-		if len(ta) == 0 || len(tb) == 0 {
-			out = append(out, false)
-			return
-		}
-		min := ta[0][0].S
-		for _, tree := range ta[1:] {
-			if xnum.Less(tree[0].S, min) {
-				min = tree[0].S
-			}
-		}
-		max := tb[0][0].S
-		for _, tree := range tb[1:] {
-			if xnum.Less(max, tree[0].S) {
-				max = tree[0].S
-			}
-		}
-		out = append(out, xnum.Less(min, max))
+		min, okA := ExtremeRoot(ga, false)
+		max, okB := ExtremeRoot(gb, true)
+		out = append(out, okA && okB && xnum.Less(min, max))
 	})
 	return out
+}
+
+// ExtremeRoot returns the xnum-least top-level root label of a forest, or
+// with greatest the greatest one — the one atom each side of the
+// existential value < is decided by. ok is false for the empty forest,
+// which compares false with everything.
+func ExtremeRoot(g []interval.Tuple, greatest bool) (label string, ok bool) {
+	trees := topTrees(g)
+	if len(trees) == 0 {
+		return "", false
+	}
+	label = trees[0][0].S
+	for _, tree := range trees[1:] {
+		if s := tree[0].S; greatest && xnum.Less(label, s) || !greatest && xnum.Less(s, label) {
+			label = s
+		}
+	}
+	return label, true
 }

@@ -481,7 +481,7 @@ func (o *optimizer) selectivity(n *plan.Node, envs float64, annotate bool) float
 	case plan.OpCmpEq:
 		_, _, lp := o.est(n.Inputs[0], envs, annotate)
 		_, _, rp := o.est(n.Inputs[1], envs, annotate)
-		return o.eqSelectivity(lp, rp, true)
+		return o.keySelectivity(plan.OpCmpEq, lp, rp, true)
 	case plan.OpCmpLess, plan.OpCmpVal, plan.OpContainsTest:
 		o.est(n.Inputs[0], envs, annotate)
 		o.est(n.Inputs[1], envs, annotate)
@@ -502,18 +502,24 @@ func (o *optimizer) selectivity(n *plan.Node, envs float64, annotate bool) float
 	}
 }
 
-// eqSelectivity combines two sides' distinct-value summaries; addEdge
-// also records a join-graph edge when both sides track back to distinct
-// access paths.
-func (o *optimizer) eqSelectivity(lp, rp *prov, addEdge bool) float64 {
-	dl, dr := o.distinctOf(lp), o.distinctOf(rp)
-	sel := defaultEqSel
-	if d := math.Max(dl, dr); d >= 1 {
-		sel = 1 / d
+// keySelectivity prices a comparison between two sides: for = by their
+// distinct-value summaries, for the orders at defaultCondSel. addEdge also
+// records a join-graph edge from the left side to the right, named by the
+// comparator, when both track back to distinct access paths.
+func (o *optimizer) keySelectivity(op plan.Op, lp, rp *prov, addEdge bool) float64 {
+	sel, pred := defaultCondSel, "<"
+	switch op {
+	case plan.OpCmpEq:
+		sel, pred = defaultEqSel, "="
+		if d := math.Max(o.distinctOf(lp), o.distinctOf(rp)); d >= 1 {
+			sel = 1 / d
+		}
+	case plan.OpCmpLess:
+		pred = "deep-less"
 	}
 	if addEdge && lp != nil && rp != nil && lp.vertex >= 0 && rp.vertex >= 0 && lp.vertex != rp.vertex {
 		o.report.Graph.Edges = append(o.report.Graph.Edges, Edge{
-			From: lp.vertex, To: rp.vertex, Pred: "=", Selectivity: sel,
+			From: lp.vertex, To: rp.vertex, Pred: pred, Selectivity: sel,
 		})
 	}
 	return sel
@@ -563,7 +569,7 @@ func (o *optimizer) estMSJ(n *plan.Node, envs float64, annotate bool) (float64, 
 	var iProv *prov
 	o.withLoopVars(n, ve, func() { iRows, _, iProv = o.est(inner, math.Max(dCount, 1), false) })
 	o.cost = mark
-	sel := o.eqSelectivity(iProv, oProv, false)
+	sel := o.keySelectivity(n.Cmp, iProv, oProv, false)
 	matches := envs * c0 * sel
 
 	sortInput := oRows + iRows
@@ -606,7 +612,11 @@ func (o *optimizer) estMSJ(n *plan.Node, envs float64, annotate bool) (float64, 
 	var iProv2 *prov
 	o.withLoopVars(n, ve, func() { _, _, iProv2 = o.est(inner, math.Max(dCount, 1), annotate) })
 	if annotate {
-		o.eqSelectivity(iProv2, oProv2, true)
+		l, r := iProv2, oProv2 // the predicate's operand order
+		if n.InnerRight {
+			l, r = r, l
+		}
+		o.keySelectivity(n.Cmp, l, r, true)
 	}
 	var bRows, bCount float64
 	var bProv *prov
@@ -618,23 +628,27 @@ func (o *optimizer) estMSJ(n *plan.Node, envs float64, annotate bool) (float64, 
 
 // demoteMSJ rewrites an OpMSJ node in place into the literal OpBindVar
 // translation: bind the loop variable over the domain and filter the
-// body environments by the join equality. Execution is environment-
-// driven (static depth annotations are advisory), so the rewritten tree
-// produces digit-identical results — the property the difftest matrix
-// pins against both forced modes.
+// body environments by the join predicate, rebuilt as the comparator the
+// node recorded over its key sides in their original operand order.
+// Execution is environment-driven (static depth annotations are
+// advisory), so the rewritten tree produces digit-identical results —
+// the property the difftest matrix pins against both forced modes.
 func demoteMSJ(n *plan.Node) {
 	domain, outer, inner, body := n.Inputs[0], n.Inputs[1], n.Inputs[2], n.Inputs[3]
-	eq := &plan.Node{
-		Op: plan.OpCmpEq, Depth: body.Depth, Est: -1,
-		Inputs: []*plan.Node{inner, outer},
+	l, r := inner, outer
+	if n.InnerRight {
+		l, r = outer, inner
+	}
+	pred := &plan.Node{
+		Op: n.Cmp, Depth: body.Depth, Est: -1,
+		Inputs: []*plan.Node{l, r},
 	}
 	filter := &plan.Node{
 		Op: plan.OpFilter, Depth: body.Depth, Digits: body.Digits, Est: -1,
-		Inputs: []*plan.Node{eq, body},
+		Inputs: []*plan.Node{pred, body},
 	}
 	n.Op = plan.OpBindVar
-	n.D0 = 0
-	n.DomainVars = nil
+	n.D0, n.DomainVars, n.Cmp, n.InnerRight = 0, nil, 0, false
 	n.Inputs = []*plan.Node{domain, filter}
 }
 

@@ -38,8 +38,8 @@ func TestDemoteShape(t *testing.T) {
 	body := &plan.Node{Op: plan.OpVar, Label: "y", Depth: 1, Digits: 1, Est: -1}
 	n := &plan.Node{
 		Op: plan.OpMSJ, Label: "y", Digits: 2, Est: -1,
-		DomainVars: []string{"x"},
-		Inputs:     []*plan.Node{domain, outer, inner, body},
+		DomainVars: []string{"x"}, Cmp: plan.OpCmpEq,
+		Inputs: []*plan.Node{domain, outer, inner, body},
 	}
 	demoteMSJ(n)
 	if n.Op != plan.OpBindVar || len(n.Inputs) != 2 {
@@ -61,6 +61,41 @@ func TestDemoteShape(t *testing.T) {
 	}
 	if filter.Inputs[1] != body {
 		t.Fatal("loop body not preserved under the filter")
+	}
+}
+
+// TestDemoteThetaRestoresPredicate: a demoted theta join filters by the
+// comparator it joined on, over its key sides in the original operand
+// order — the inner key left of < unless the node records it on the
+// right — so the nested loop evaluates exactly the query's condition.
+func TestDemoteThetaRestoresPredicate(t *testing.T) {
+	for _, tc := range []struct {
+		cmp        plan.Op
+		innerRight bool
+	}{{plan.OpCmpVal, false}, {plan.OpCmpVal, true}, {plan.OpCmpLess, false}, {plan.OpCmpLess, true}} {
+		outer := &plan.Node{Op: plan.OpVar, Label: "x", Digits: 1, Est: -1}
+		inner := &plan.Node{Op: plan.OpVar, Label: "y", Depth: 1, Digits: 1, Est: -1}
+		n := &plan.Node{
+			Op: plan.OpMSJ, Label: "y", Digits: 2, Est: -1,
+			DomainVars: []string{"x"}, Cmp: tc.cmp, InnerRight: tc.innerRight,
+			Inputs: []*plan.Node{
+				{Op: plan.OpScan, Label: "d", Digits: 1, Est: -1}, outer, inner,
+				{Op: plan.OpVar, Label: "y", Depth: 1, Digits: 1, Est: -1},
+			},
+		}
+		demoteMSJ(n)
+		if n.Op != plan.OpBindVar || n.Cmp != 0 || n.InnerRight {
+			t.Fatalf("%+v: demotion left %v with Cmp %v, InnerRight %v", tc, n.Op, n.Cmp, n.InnerRight)
+		}
+		pred := n.Inputs[1].Inputs[0]
+		wantL, wantR := inner, outer
+		if tc.innerRight {
+			wantL, wantR = outer, inner
+		}
+		if pred.Op != tc.cmp || pred.Inputs[0] != wantL || pred.Inputs[1] != wantR {
+			t.Fatalf("%+v: rebuilt predicate %s(%s, %s), want the recorded comparator over (%s, %s)",
+				tc, pred.OpName(), pred.Inputs[0].Detail(), pred.Inputs[1].Detail(), wantL.Detail(), wantR.Detail())
+		}
 	}
 }
 

@@ -55,9 +55,10 @@ const (
 	OpBindVar
 	// OpMSJ is the decorrelated §5 evaluation of a for-loop: Inputs are
 	// [domain, outer-key, inner-key, body]. The domain runs once at depth
-	// D0; both key sides are sorted structurally and merge-joined; the
-	// body (already wrapped in an OpFilter for residual conjuncts) runs
-	// over the rebuilt matching environments.
+	// D0; both key sides are sorted by D0 prefix and key and merged under
+	// the comparator Cmp (equal runs for =, a binary-searched end of the
+	// prefix run for the orders); the body (already wrapped in an OpFilter
+	// for residual conjuncts) runs over the rebuilt matching environments.
 	OpMSJ
 	// OpRoots keeps root tuples (Algorithm 5.2).
 	OpRoots
@@ -237,6 +238,12 @@ type Node struct {
 	// D0 is the static domain depth of an OpMSJ (the loop-invariance
 	// level); the executor recomputes the runtime value from DomainVars.
 	D0 int
+	// Cmp is the predicate an OpMSJ joins on: OpCmpEq, OpCmpLess or
+	// OpCmpVal. InnerRight records that the inner key is the predicate's
+	// right operand (outer < inner); = is symmetric and always records the
+	// inner key on the left.
+	Cmp        Op
+	InnerRight bool
 	// DomainVars lists the free variables of an OpMSJ domain (documents
 	// excluded); the executor takes the maximum of their binding depths
 	// as the runtime d0.
@@ -353,10 +360,14 @@ func (n *Node) Detail() string {
 	case OpLet:
 		return "$" + n.Label
 	case OpBindVar, OpMSJ:
+		v := "$" + n.Label
 		if n.Pos != "" {
-			return fmt.Sprintf("$%s at $%s", n.Label, n.Pos)
+			v += " at $" + n.Pos
 		}
-		return "$" + n.Label
+		if n.Op == OpMSJ {
+			v += " on " + n.comparator()
+		}
+		return v
 	case OpPathStep:
 		if n.Step == StepSelect {
 			return n.Label
@@ -379,6 +390,22 @@ func (n *Node) Detail() string {
 	default:
 		return ""
 	}
+}
+
+// comparator renders an OpMSJ's join predicate over its key sides, in
+// operand order.
+func (n *Node) comparator() string {
+	l, r := "inner-key", "outer-key"
+	if n.InnerRight {
+		l, r = r, l
+	}
+	switch n.Cmp {
+	case OpCmpEq:
+		return l + " = " + r
+	case OpCmpLess:
+		return "deep-less(" + l + ", " + r + ")"
+	}
+	return l + " < " + r
 }
 
 // inputLabels returns the per-child role names for multi-role operators,
