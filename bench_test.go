@@ -411,8 +411,9 @@ func BenchmarkPathChain(b *testing.B) {
 }
 
 // BenchmarkExternalSort measures the structural sort with and without a
-// memory budget tight enough to force every group through the external
-// merge sorter — the cost of bounded memory on the same input.
+// memory budget tight enough to spill every group as runs of sorted
+// positions and merge them back — the cost of bounded memory on the same
+// input.
 func BenchmarkExternalSort(b *testing.B) {
 	rel := interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: 0.002, Seed: 20030609}))
 	for _, bc := range []struct {

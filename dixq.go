@@ -263,7 +263,8 @@ type Options struct {
 	// MemBudget bounds the accounted in-memory footprint of every group
 	// reorder — sort, distinct, order by and the merge-join side sorts —
 	// in bytes (DI engines); inputs over
-	// the budget are sorted externally, spilling runs to SpillDir. Zero
+	// the budget are sorted in batches, spilling runs of sorted positions
+	// to SpillDir (the units themselves stay in memory). Zero
 	// means unbounded — never spill. Unlike MaxTuples, exceeding MemBudget
 	// never aborts a query: it degrades to disk and the result is
 	// identical.

@@ -97,7 +97,8 @@ type Options struct {
 	// MemBudget bounds the accounted in-memory footprint of every group
 	// reorder (sort, distinct, order by, the merge-join side sorts), in
 	// bytes; inputs over the budget are
-	// sorted externally, spilling runs to SpillDir (0 = unbounded, never
+	// sorted in batches, spilling runs of sorted positions to SpillDir
+	// (the units themselves stay in memory; 0 = unbounded, never
 	// spill). Unlike MaxTuples, exceeding it never aborts the query — it
 	// degrades to disk.
 	MemBudget int64

@@ -211,7 +211,7 @@ func mergeJoinEnvs(n *plan.Node, outerIndex engine.Index, outerGroups [][]interv
 		return keyCmp(a, b)
 	}
 	// Each side gets its own result slots and stats block; the comparator
-	// and the external sorter touch no shared mutable state.
+	// and the budgeted sort touch no shared mutable state.
 	keys := [2]engine.Index{outerIndex, innerIndex}
 	groups := [2][][]interval.Tuple{outerGroups, innerGroups}
 	var orders [2][]int
@@ -219,7 +219,9 @@ func mergeJoinEnvs(n *plan.Node, outerIndex engine.Index, outerGroups [][]interv
 	var errs [2]error
 	info := joinPhaseInfo{partitions: 1}
 	info.workers = exec.Run(2, parallelism, func(side, _ int) {
-		orders[side], errs[side] = engine.SortUnits(keys[side], groups[side], cmp, max(1, parallelism/2), spill, &stats[side])
+		k, g := keys[side], groups[side]
+		byPos := func(a, b int) int { return cmp(k[a], g[a], k[b], g[b]) }
+		orders[side], errs[side] = engine.SortUnits(k, g, byPos, max(1, parallelism/2), spill, &stats[side])
 	})
 	info.spill = engine.SpillStats{Runs: stats[0].Runs + stats[1].Runs, Bytes: stats[0].Bytes + stats[1].Bytes}
 	for _, err := range errs {

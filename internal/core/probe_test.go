@@ -129,8 +129,8 @@ func TestParallelProbeDigitIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelProbeSpillMidJoin forces both side sorts through the
-// external sorter (1-byte budget spills everything) and the probe through
+// TestParallelProbeSpillMidJoin forces both side sorts to spill runs
+// (a 1-byte budget spills everything) and the probe through
 // the partitioned path in the same join; the result must stay
 // digit-identical to the fully serial in-memory run.
 func TestParallelProbeSpillMidJoin(t *testing.T) {

@@ -51,8 +51,8 @@ var groupSortQueries = []struct{ name, text string }{
 
 // TestMemBudgetSpillsDigitIdentical runs the paper's evaluation queries
 // over a generated XMark document under a memory budget small enough to
-// push every group reorder — merge-join side sorts, order by, distinct —
-// through the external sorter, and checks the result is digit-identical to
+// spill every group reorder — merge-join side sorts, order by, distinct —
+// to runs of sorted positions, and checks the result is digit-identical to
 // the unbudgeted run. MemBudget degrades to disk — it must never change an
 // answer or abort a query.
 func TestMemBudgetSpillsDigitIdentical(t *testing.T) {
@@ -96,8 +96,8 @@ func TestMemBudgetSpillsDigitIdentical(t *testing.T) {
 // a 1-byte budget with SpillDir naming a regular file, no run file can be
 // created. Every budgeted group reorder must then fail with an error that
 // wraps the run-creation failure — serially, and at three workers, where
-// the failing flush runs in the background and its latched error surfaces
-// later — without panicking, leaving a run file or holding a worker.
+// the merge join's two side sorts run concurrently — without panicking,
+// leaving a run file or holding a worker.
 func TestSpillFaultFailsCleanly(t *testing.T) {
 	cat, _ := generatedCatalog(0.002, 1)
 	parent := t.TempDir()
@@ -122,7 +122,7 @@ func TestSpillFaultFailsCleanly(t *testing.T) {
 		for _, par := range []int{1, 3} {
 			state := exitcheck.Take()
 			_, err := q.Eval(cat, Options{ForceJoinMode: ModeMSJ, Parallelism: par, MemBudget: 1, SpillDir: notDir})
-			if !errors.Is(err, syscall.ENOTDIR) || !strings.Contains(err.Error(), "extsort: create run") {
+			if !errors.Is(err, syscall.ENOTDIR) || !strings.Contains(err.Error(), "engine: create run") {
 				t.Errorf("%s at parallelism %d: err = %v, want a wrapped run-creation failure", tc.name, par, err)
 			}
 			state.Check(t, "", nil)

@@ -15,7 +15,7 @@ import (
 // TestAggregatesUnderOneByteBudget is the spill half of the aggregation
 // property test: aggregate queries whose inputs pass through structural
 // sorts are evaluated over random documents with a 1-byte memory budget —
-// every sort spills through the external-sort writer — and must still
+// every sort spills runs of sorted positions — and must still
 // match the interpreter's recomputation on the plain forest, including
 // the empty-document case.
 func TestAggregatesUnderOneByteBudget(t *testing.T) {

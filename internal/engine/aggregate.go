@@ -148,7 +148,7 @@ func ordKeys(trees [][]interval.Tuple) [][]interval.Tuple {
 // digit like SortTrees.
 func OrdBy(rel *interval.Relation, depth int, dir string, parallelism int, spill *SpillConfig) (*interval.Relation, SpillStats, error) {
 	return renumber(rel, depth, parallelism, spill, ordKeys,
-		func(_ interval.Key, a []interval.Tuple, _ interval.Key, b []interval.Tuple) int {
+		func(a, b []interval.Tuple) int {
 			c := slices.CompareFunc(a, b, func(x, y interval.Tuple) int { return xnum.Compare(x.S, y.S) })
 			if dir == "desc" {
 				return -c

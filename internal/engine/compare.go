@@ -19,13 +19,17 @@ import "dixq/internal/interval"
 func CompareForests(a, b []interval.Tuple) int {
 	// Stack-backed iterator stacks: forests deeper than 16 spill to the
 	// heap, everything else makes DeepCompare allocation-free — it is the
-	// inner loop of every structural sort.
+	// inner loop of every structural sort. The iterators are values (next
+	// returns the advanced one), so the arrays never escape through a
+	// pointer receiver.
 	var sa, sb [16]interval.Key
 	ia := eventIter{tuples: a, stack: sa[:0]}
 	ib := eventIter{tuples: b, stack: sb[:0]}
 	for {
-		openA, labelA, okA := ia.next()
-		openB, labelB, okB := ib.next()
+		var openA, openB, okA, okB bool
+		var labelA, labelB string
+		ia, openA, labelA, okA = ia.next()
+		ib, openB, labelB, okB = ib.next()
 		switch {
 		case !okA && !okB:
 			return 0
@@ -66,20 +70,21 @@ type eventIter struct {
 	stack  []interval.Key
 }
 
-// next returns the next event: open reports the kind, label is set for
-// opens, and ok is false when the stream is exhausted.
-func (it *eventIter) next() (open bool, label string, ok bool) {
+// next returns the iterator advanced past the next event: open reports
+// the kind, label is set for opens, and ok is false when the stream is
+// exhausted.
+func (it eventIter) next() (_ eventIter, open bool, label string, ok bool) {
 	if n := len(it.stack); n > 0 {
 		if it.i >= len(it.tuples) || interval.Compare(it.stack[n-1], it.tuples[it.i].L) < 0 {
 			it.stack = it.stack[:n-1]
-			return false, "", true
+			return it, false, "", true
 		}
 	}
 	if it.i < len(it.tuples) {
 		t := it.tuples[it.i]
 		it.i++
 		it.stack = append(it.stack, t.R)
-		return true, t.S, true
+		return it, true, t.S, true
 	}
-	return false, "", false
+	return it, false, "", false
 }

@@ -175,17 +175,18 @@ func Reverse(rel *interval.Relation, depth int) *interval.Relation {
 
 // The group reorders — SortTrees, Distinct and OrdBy — share one shape:
 // per environment group, build the sort units, take their stable
-// permutation from the budgeted sort (SortUnits, which spills to disk
-// under a memory budget and runs on up to parallelism workers) and emit by
-// it. Output is identical at any parallelism and any budget; the stats
-// report what was spilled. O(k log k) unit comparisons per environment.
+// permutation from the budgeted sort (SortUnits, which spills runs of
+// sorted positions to disk under a memory budget and runs on up to
+// parallelism workers) and emit by it. Output is identical at any
+// parallelism and any budget; the stats report what was spilled.
+// O(k log k) unit comparisons per environment.
 
 // sortGroups runs one budgeted sort per environment group of rel. The sort
 // units are the group's top-level trees, or the units keyOf derives from
-// them; emit receives the group's environment prefix, its trees and their
-// stable permutation.
+// them, ordered by cmp; emit receives the group's environment prefix, its
+// trees and their stable permutation.
 func sortGroups(rel *interval.Relation, depth, parallelism int, spill *SpillConfig,
-	keyOf func(trees [][]interval.Tuple) [][]interval.Tuple, cmp UnitCompare,
+	keyOf func(trees [][]interval.Tuple) [][]interval.Tuple, cmp func(a, b []interval.Tuple) int,
 	emit func(prefix interval.Key, trees [][]interval.Tuple, order []int)) (SpillStats, error) {
 
 	var stats SpillStats
@@ -200,7 +201,8 @@ func sortGroups(rel *interval.Relation, depth, parallelism int, spill *SpillConf
 			units = keyOf(trees)
 		}
 		var order []int
-		if order, err = SortUnits(nil, units, cmp, parallelism, spill, &stats); err == nil {
+		byPos := func(a, b int) int { return cmp(units[a], units[b]) }
+		if order, err = SortUnits(nil, units, byPos, parallelism, spill, &stats); err == nil {
 			emit(g[0].L, trees, order)
 		}
 	})
@@ -211,7 +213,7 @@ func sortGroups(rel *interval.Relation, depth, parallelism int, spill *SpillConf
 // renumbered with a leading position digit (output local width = input
 // width + 1).
 func renumber(rel *interval.Relation, depth, parallelism int, spill *SpillConfig,
-	keyOf func(trees [][]interval.Tuple) [][]interval.Tuple, cmp UnitCompare) (*interval.Relation, SpillStats, error) {
+	keyOf func(trees [][]interval.Tuple) [][]interval.Tuple, cmp func(a, b []interval.Tuple) int) (*interval.Relation, SpillStats, error) {
 
 	b := interval.NewBuilder(depth+1+localWidth(rel, depth), len(rel.Tuples))
 	stats, err := sortGroups(rel, depth, parallelism, spill, keyOf, cmp,
@@ -226,17 +228,11 @@ func renumber(rel *interval.Relation, depth, parallelism int, spill *SpillConfig
 	return b.Relation(), stats, nil
 }
 
-// compareTrees orders the unkeyed units of the tree sorts by structural
-// (tree) order — DeepCompare.
-func compareTrees(_ interval.Key, a []interval.Tuple, _ interval.Key, b []interval.Tuple) int {
-	return CompareForests(a, b)
-}
-
 // SortTrees orders each environment's top-level trees by structural (tree)
 // order, stably, using CompareForests — the paper's sort operator. Trees
 // are renumbered with a leading position digit.
 func SortTrees(rel *interval.Relation, depth, parallelism int, spill *SpillConfig) (*interval.Relation, SpillStats, error) {
-	return renumber(rel, depth, parallelism, spill, nil, compareTrees)
+	return renumber(rel, depth, parallelism, spill, nil, CompareForests)
 }
 
 // Distinct keeps the structurally distinct top-level trees of each
@@ -244,7 +240,7 @@ func SortTrees(rel *interval.Relation, depth, parallelism int, spill *SpillConfi
 // unchanged.
 func Distinct(rel *interval.Relation, depth, parallelism int, spill *SpillConfig) (*interval.Relation, SpillStats, error) {
 	out := &interval.Relation{}
-	stats, err := sortGroups(rel, depth, parallelism, spill, nil, compareTrees,
+	stats, err := sortGroups(rel, depth, parallelism, spill, nil, CompareForests,
 		func(_ interval.Key, trees [][]interval.Tuple, order []int) {
 			// The permutation is stable, so the first tree of each equal
 			// run is the earliest duplicate.

@@ -124,6 +124,28 @@ func TestCompareForestsMatchesTreeCompare(t *testing.T) {
 	}
 }
 
+// TestCompareForestsAllocationFree pins DeepCompare, the inner loop of
+// every structural sort and merge-join probe, to zero allocations for
+// forests up to depth 16, the iterator stacks' inline capacity.
+func TestCompareForestsAllocationFree(t *testing.T) {
+	for depth := 1; depth <= 16; depth++ {
+		chain := func(leaf string) []interval.Tuple {
+			root := xmltree.NewText(leaf)
+			for d := 1; d < depth; d++ {
+				root = xmltree.NewElement("e", root)
+			}
+			return interval.Encode(xmltree.Forest{root, root}).Tuples
+		}
+		a, b := chain("x"), chain("y")
+		if allocs := testing.AllocsPerRun(100, func() {
+			CompareForests(a, a)
+			CompareForests(a, b)
+		}); allocs != 0 {
+			t.Errorf("depth %d: CompareForests allocates %.0f times per call pair, want 0", depth, allocs)
+		}
+	}
+}
+
 func TestCompareForestsSelf(t *testing.T) {
 	fa, _ := xmltree.Parse(`<a><b x="1">t</b><c/></a>`)
 	enc := interval.Encode(fa)

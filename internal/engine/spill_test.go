@@ -1,8 +1,14 @@
 package engine
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"dixq/internal/interval"
@@ -52,8 +58,8 @@ func randomOrdForest(rng *rand.Rand) xmltree.Forest {
 // environment (depth 0) and in several (depth 1), SortTrees, Distinct and
 // OrdBy must answer their xfn specification, and every budget × worker
 // bound must be digit-identical to the unbudgeted serial run. A 1-byte
-// budget pushes every non-empty group through the external sorter and
-// must spill; a zero budget must spill nothing.
+// budget spills every non-empty group; a zero budget must spill nothing;
+// every sort leaves the spill directory empty.
 func TestGroupReordersUnderBudget(t *testing.T) {
 	old := interval.ParallelSortThreshold
 	interval.ParallelSortThreshold = 4
@@ -113,6 +119,9 @@ func TestGroupReordersUnderBudget(t *testing.T) {
 							t.Fatalf("%s: %v", what, err)
 						}
 						sameRelation(t, what, got, want)
+						if left, _ := os.ReadDir(dir); len(left) != 0 {
+							t.Fatalf("%s: %d run files left in the spill directory", what, len(left))
+						}
 						switch {
 						case budget == 0 && stats.Runs != 0:
 							t.Fatalf("%s: unbounded sort spilled %d runs", what, stats.Runs)
@@ -122,6 +131,118 @@ func TestGroupReordersUnderBudget(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// failingWriter accepts the first n bytes written to it, then writes short:
+// with err set it fails, otherwise it reports the short count alone.
+type failingWriter struct {
+	n   int
+	err error
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	k := min(len(p), w.n)
+	w.n -= k
+	if k < len(p) {
+		return k, w.err
+	}
+	return k, nil
+}
+
+// TestRunWriterFailsPartWay drives the run writer into a writer that stops
+// part-way through a run: it must return a wrapped error, never a partial
+// success.
+func TestRunWriterFailsPartWay(t *testing.T) {
+	positions := []int{5, 300, 2, 70000, 1}
+	errDisk := errors.New("disk full")
+	for _, w := range []*failingWriter{{n: 0, err: errDisk}, {n: 3, err: errDisk}, {n: 3}} {
+		want, accepted := w.err, w.n
+		if want == nil {
+			want = io.ErrShortWrite
+		}
+		err := writeRun(w, positions)
+		if !errors.Is(err, want) || !strings.Contains(err.Error(), "engine: write run") {
+			t.Errorf("writer failing after %d bytes: err = %v, want a wrapped %v", accepted, err, want)
+		}
+	}
+}
+
+// TestRunReaderRejectsCorruption feeds the run reader truncated and
+// out-of-range input: each must surface as a wrapped error, not a panic
+// or a position outside the sort.
+func TestRunReaderRejectsCorruption(t *testing.T) {
+	var valid bytes.Buffer
+	if err := writeRun(&valid, []int{3, 0, 200, 1}); err != nil {
+		t.Fatal(err)
+	}
+	read := func(data []byte, n int) ([]int, error) {
+		st := &runStream{br: bufio.NewReader(bytes.NewReader(data))}
+		var got []int
+		for {
+			ok, err := st.advance(n)
+			if err != nil || !ok {
+				return got, err
+			}
+			got = append(got, st.cur)
+		}
+	}
+	if got, err := read(valid.Bytes(), 201); err != nil || fmt.Sprint(got) != "[3 0 200 1]" {
+		t.Fatalf("valid run read back %v, %v", got, err)
+	}
+	cases := []struct {
+		name string
+		data []byte
+		n    int
+		want string
+	}{
+		{"truncated varint", valid.Bytes()[:3], 201, "unexpected EOF"},
+		{"position out of range", valid.Bytes(), 200, "outside [0, 200)"},
+		{"overflowing varint", bytes.Repeat([]byte{0xff}, 11), 201, "overflow"},
+	}
+	for _, tc := range cases {
+		if _, err := read(tc.data, tc.n); err == nil || !strings.Contains(err.Error(), "engine: read run") ||
+			!strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want a wrapped %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestMergeRejectsCorruptRuns spills two runs, corrupts one on disk and
+// merges: truncated, out-of-range, short and repeated runs must all fail
+// the sort with a wrapped error and leave no run file behind.
+func TestMergeRejectsCorruptRuns(t *testing.T) {
+	const n = 6
+	cases := []struct {
+		name string
+		run  []byte // replaces the first run's contents
+		want string
+	}{
+		{"truncated varint", []byte{0x80}, "unexpected EOF"},
+		{"position out of range", []byte{0, 1, n}, "outside [0, 6)"},
+		{"short run", []byte{0, 1}, "runs hold 5 positions, want 6"},
+		{"repeated position", []byte{0, 1, 1}, "position 1 repeated"},
+	}
+	for _, tc := range cases {
+		dir := t.TempDir()
+		s := &spiller{dir: dir, cmp: func(a, b int) int { return b - a }, parallelism: 1}
+		if err := s.flush(0, 3, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.flush(3, 5, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(s.runs[0], tc.run, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		_, err := s.merge(n, []int{5}, nil)
+		s.close()
+		if err == nil || !strings.Contains(err.Error(), "engine: read run") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want a wrapped %q", tc.name, err, tc.want)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("%s: %d run files left behind", tc.name, len(left))
 		}
 	}
 }

@@ -19,9 +19,9 @@ var ParallelSortThreshold = 2048
 // then be safe for concurrent calls (pure comparators over shared
 // read-only data are). The result is identical at any parallelism.
 //
-// This is the engine's one in-memory sort kernel: the budgeted sort behind
-// every group reorder (engine.SortUnits) and the external sorter's runs
-// both go through it.
+// This is the engine's one sort kernel: the budgeted sort behind every
+// group reorder (engine.SortUnits) orders every unit and every spilled
+// run with it.
 func SortPerm(n, parallelism int, cmp func(a, b int) int) []int {
 	order := make([]int, n)
 	for i := range order {

@@ -35,18 +35,19 @@ var (
 	// are not counted.
 	SortedBytes = Default.NewCounter("dixq_sort_bytes_total",
 		"Accounted bytes sorted by budgeted sorts (every group reorder under a memory budget).")
-	// SpilledRuns / SpilledBytes count external-sort runs written to disk
-	// under a memory budget.
+	// SpilledRuns / SpilledBytes count the spill runs budgeted sorts
+	// write to disk and the accounted footprint of the units they order.
 	SpilledRuns = Default.NewCounter("dixq_spilled_runs_total",
-		"External-sort runs spilled to disk.")
+		"Sort runs spilled to disk.")
 	SpilledBytes = Default.NewCounter("dixq_spilled_bytes_total",
-		"Accounted bytes of records spilled to disk runs.")
+		"Accounted bytes of the sort units ordered by spilled runs.")
 	// RunBytesWritten / RunBytesRead are the on-disk I/O volume of spill
-	// runs in the DIXQR1 encoding (encoded size, not accounted footprint).
+	// runs: files of uvarint sort positions (file size, not accounted
+	// footprint).
 	RunBytesWritten = Default.NewCounter("dixq_spill_run_bytes_written_total",
-		"Encoded bytes written to spill run files.")
+		"Bytes of sort positions written to spill run files.")
 	RunBytesRead = Default.NewCounter("dixq_spill_run_bytes_read_total",
-		"Encoded bytes read back from spill run files.")
+		"Bytes of sort positions read back from spill run files.")
 	// BudgetRejections counts evaluations aborted by MaxTuples or by a
 	// deadline of the run's context, Timeout's included (the budgets that
 	// abort; MemBudget degrades to disk instead and shows up in the spill
