@@ -396,7 +396,8 @@ func BenchmarkResultXML(b *testing.B) {
 // BenchmarkPathChain measures the fused path-chain runtime on Q13, the
 // path-and-construction workload whose chains dominate. Run with
 // -benchmem: a chain filters its source rows in place, so it allocates
-// only its output.
+// only its output, and no tuples when its output is one run of its
+// source.
 func BenchmarkPathChain(b *testing.B) {
 	doc := xmark.Generate(xmark.Config{ScaleFactor: 0.002, Seed: 20030609})
 	cat := core.Catalog{"auction.xml": interval.Encode(doc)}

@@ -334,10 +334,9 @@ func (ev *evaluator) execIndexPath(n *plan.Node, en *env) (*table, error) {
 	if sk.Pos != nil {
 		out = engine.SubtreesAt(sk.Rel, sk.Ranges, sk.Pos)
 	} else {
-		out = &interval.Relation{Tuples: make([]interval.Tuple, 0, sk.Rows)}
-		for _, r := range sk.Ranges {
-			out.Tuples = append(out.Tuples, sk.Rel.Tuples[r[0]:r[1]]...)
-		}
+		// A plain seek's ranges are disjoint and coalesced: runs of the
+		// document, so a one-range seek is a view of it.
+		out = &interval.Relation{Tuples: interval.Runs(sk.Ranges).Of(sk.Rel.Tuples)}
 	}
 	if !en.initial() {
 		embedded, err := engine.EmbedOuter(en.index, 0, en.depth, out, ev.budget)
@@ -356,15 +355,15 @@ func (ev *evaluator) execIndexPath(n *plan.Node, en *env) (*table, error) {
 // execChain executes a maximal chain of path operators — the "sequence of
 // linear time operations" plan fragments of Section 5 — as one row filter
 // over the chain's source relation (package pipeline), materializing only
-// the chain's final output. Every path operator runs this way, a lone
-// step as a chain of one.
+// the chain's final output: a view of the source when the survivors are
+// one run of its rows. Every path operator runs this way, a lone step as
+// a chain of one. A chain over an index seek filters the seek's output,
+// which is itself a view of the document when the seek resolved to one
+// range.
 func (ev *evaluator) execChain(head *plan.Node, en *env) (*table, error) {
 	chain := []*plan.Node{head}
 	for isPathOp(chain[len(chain)-1].Inputs[0]) {
 		chain = append(chain, chain[len(chain)-1].Inputs[0])
-	}
-	if out, ok := ev.tryIndexedChain(chain, en); ok {
-		return out, nil
 	}
 	input, err := ev.exec(chain[len(chain)-1].Inputs[0], en)
 	if err != nil {
@@ -383,44 +382,16 @@ func (ev *evaluator) execChain(head *plan.Node, en *env) (*table, error) {
 			return &table{rel: pres.Rel, local: input.local}, nil
 		}
 	}
+	ev.rows = append(ev.rows[:0], make([]int, len(stages))...)
 	whole := [][2]int32{{0, int32(len(input.rel.Tuples))}}
-	return &table{rel: ev.filter(chain, input.rel, whole, stages), local: input.local}, nil
+	runs := pipeline.Filter(input.rel, whole, stages, ev.rows)
+	ev.chargeChain(chain, ev.rows)
+	return &table{rel: &interval.Relation{Tuples: runs.Of(input.rel.Tuples)}, local: input.local}, nil
 }
 
 // isPathOp reports whether a plan node is one of the fusable path
 // operators.
 func isPathOp(n *plan.Node) bool { return n.Op == plan.OpRoots || n.Op == plan.OpPathStep }
-
-// tryIndexedChain is the fused fast path for a chain whose source is a
-// servable index seek: the chain filters the seek's resolved row ranges of
-// the document in place, so neither the seek result nor any intermediate
-// relation is materialized. The seek node never runs through exec here, so
-// its actuals are charged directly — the same calls, rows and skipped
-// tuples execIndexPath reports; its time is part of the chain head's. The
-// path is serial; with Parallelism >= 2 the seek materializes through
-// execIndexPath so the morsel runner can split it. A descendant seek
-// always does: its rows are renumbered, not served as they are.
-func (ev *evaluator) tryIndexedChain(chain []*plan.Node, en *env) (*table, bool) {
-	bottom := chain[len(chain)-1].Inputs[0]
-	if bottom.Op != plan.OpIndexPath || ev.opts.Parallelism >= 2 {
-		return nil, false
-	}
-	sk := bottom.Seek
-	if sk.Pruned || sk.Pos != nil {
-		return nil, false
-	}
-	b, ok := en.lookup("doc:" + sk.Doc)
-	if !ok || b.depth != 0 || b.tab.rel != sk.Rel || !en.initial() {
-		return nil, false
-	}
-	obs.IndexSeeks.Inc()
-	ns := ev.node(bottom)
-	ns.Calls++
-	ns.Rows += sk.Rows
-	ns.Skipped += int64(len(sk.Rel.Tuples)) - sk.Rows
-	out := ev.filter(chain, sk.Rel, sk.Ranges, ev.buildStages(chain, en))
-	return &table{rel: out, local: b.tab.local}, true
-}
 
 // buildStages lowers a chain's operators into the evaluator's recycled
 // stage list (execution order: chain[len-1] first).
@@ -448,16 +419,6 @@ func (ev *evaluator) buildStages(chain []*plan.Node, en *env) []pipeline.Stage {
 		ev.stages = append(ev.stages, st)
 	}
 	return ev.stages
-}
-
-// filter runs the fused stages serially over the rows of rel in ranges
-// and charges the per-stage survivor counts: every fused operator is a
-// filter, so the output is a subsequence of rel's own tuples.
-func (ev *evaluator) filter(chain []*plan.Node, rel *interval.Relation, ranges [][2]int32, stages []pipeline.Stage) *interval.Relation {
-	ev.rows = append(ev.rows[:0], make([]int, len(stages))...)
-	out := pipeline.Filter(rel, ranges, stages, ev.rows)
-	ev.chargeChain(chain, ev.rows)
-	return &interval.Relation{Tuples: out}
 }
 
 // chargeChain books a chain run's per-stage survivor counts (execution

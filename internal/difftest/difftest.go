@@ -65,6 +65,8 @@
 //	core: value < keys reduced max-left, min-right      (not run)                1 case, interpreter §
 //	core: theta probe ignores the d0 prefix run         (not run)                1 case, interpreter §
 //	opt: demoted theta join swaps its key sides         (not run)                8 cases, DI-OPT-base §
+//	pipeline: data() relabels its first kept row        (not run)                23 cases, interpreter ¶
+//	core: seek lengthens a key of a row it skips        (not run)                survived ¶
 //
 // Four seeded bugs first survived both matrices alike, so they were gaps
 // of the corpus, not of the pruning, and corpus cases close all four.
@@ -97,6 +99,16 @@
 // xmark-theta-under-person, whose matches must stay inside one person;
 // the swapped demotion first fails xmark-q11, which DI-OPT demotes at
 // the corpus scale.
+//
+// The two rows marked ¶ write into rows a run shares with the catalog:
+// filter-shaped operators return views of their input, so a path chain
+// over a document hands out the document's own rows. The relabeled
+// data() survivor also corrupts the answer and fails 23 cases, first the
+// interpreter check of seed-self-join. The seek that lengthens the L key
+// of the document row just before its range changes no answer any corpus
+// case reads, so the matrix passes; the sharing guard,
+// TestCorpusLeavesCatalogIntact, which hashes the catalog before and
+// after the corpus under every configuration, kills both.
 //
 // The two rows marked ‡ were seeded into the catalog's update path,
 // index.Splice and stats.Splice, and run against

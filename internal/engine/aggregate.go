@@ -89,33 +89,36 @@ func Arith(index Index, depth int, op string, a, b *interval.Relation) *interval
 // Take keeps the first n top-level trees of each environment's forest,
 // original intervals unchanged — the positional-predicate operator.
 func Take(rel *interval.Relation, depth int, n int64) *interval.Relation {
-	out := &interval.Relation{}
-	if n <= 0 {
-		return out
-	}
-	forEachGroup(rel.Tuples, depth, func(g []interval.Tuple) {
-		trees := topTrees(g)
-		for _, tree := range trees[:min(n, int64(len(trees)))] {
-			out.Tuples = append(out.Tuples, tree...)
-		}
-	})
-	return out
+	return splitTrees(rel, depth, n, true)
 }
 
 // Drop removes the first n top-level trees of each environment's forest,
 // original intervals unchanged.
 func Drop(rel *interval.Relation, depth int, n int64) *interval.Relation {
-	if n <= 0 {
-		return rel
-	}
-	out := &interval.Relation{}
+	return splitTrees(rel, depth, n, false)
+}
+
+// splitTrees keeps, of each environment group of rel, the rows of its
+// first n top-level trees (head) or the rows after them: one run per
+// group.
+func splitTrees(rel *interval.Relation, depth int, n int64, head bool) *interval.Relation {
+	var runs interval.Runs
+	at := 0 // position of the group's first row in rel
 	forEachGroup(rel.Tuples, depth, func(g []interval.Tuple) {
-		trees := topTrees(g)
-		for _, tree := range trees[min(n, int64(len(trees))):] {
-			out.Tuples = append(out.Tuples, tree...)
+		cut := 0 // the end of g's first n top-level trees
+		for k := int64(0); k < n && cut < len(g); k++ {
+			root := g[cut].R
+			for cut++; cut < len(g) && interval.Compare(g[cut].L, root) <= 0; cut++ {
+			}
 		}
+		if head {
+			runs.Add(at, at+cut)
+		} else {
+			runs.Add(at+cut, at+len(g))
+		}
+		at += len(g)
 	})
-	return out
+	return &interval.Relation{Tuples: runs.Of(rel.Tuples)}
 }
 
 // ordKeys extracts the order-by key parts of each encoded wrapper tree

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -161,8 +162,12 @@ func EmbedOuter(newIndex Index, oldDepth, newDepth int, rel *interval.Relation, 
 }
 
 // FilterIndex keeps the index entries whose aligned keep flag is true —
-// the I' of the conditional template (Section 4.2.3).
+// the I' of the conditional template (Section 4.2.3). When every flag is
+// true it returns the index itself.
 func FilterIndex(index Index, keep []bool) Index {
+	if !slices.Contains(keep, false) {
+		return index
+	}
 	out := make(Index, 0, len(index))
 	for i, env := range index {
 		if keep[i] {
@@ -173,19 +178,21 @@ func FilterIndex(index Index, keep []bool) Index {
 }
 
 // SemiJoin keeps the tuples whose environment prefix appears in the index
-// — the T'_e_i views of the conditional template. One merge pass.
+// — the T'_e_i views of the conditional template. One merge pass; the
+// kept rows are recorded as runs, so a semi-join that keeps one
+// contiguous stretch of rel is a view of it.
 func SemiJoin(rel *interval.Relation, index Index, depth int) *interval.Relation {
-	out := &interval.Relation{}
+	var runs interval.Runs
 	pos := 0
-	for _, t := range rel.Tuples {
+	for i, t := range rel.Tuples {
 		for pos < len(index) && t.L.ComparePrefix(index[pos], depth) > 0 {
 			pos++
 		}
 		if pos < len(index) && t.L.ComparePrefix(index[pos], depth) == 0 {
-			out.Tuples = append(out.Tuples, t)
+			runs.Add(i, i+1)
 		}
 	}
-	return out
+	return &interval.Relation{Tuples: runs.Of(rel.Tuples)}
 }
 
 // EmptyPerEnv evaluates the empty(e) condition for every environment of

@@ -182,6 +182,33 @@ func TestFilterIndexAndSemiJoin(t *testing.T) {
 	}
 }
 
+// TestSemiJoinKeepingEveryEnvAllocatesNoTuples pins the view: a where
+// clause that keeps every environment filters the index to itself and
+// semi-joins each binding to one run of its rows, so neither allocates
+// tuple storage — at most the relation header and the run list.
+func TestSemiJoinKeepingEveryEnvAllocatesNoTuples(t *testing.T) {
+	var forests []xmltree.Forest
+	keep := make([]bool, 64)
+	for i := range keep {
+		forests = append(forests, xmltree.Forest{xmltree.NewElement("e"), xmltree.NewText("v")})
+		keep[i] = true
+	}
+	index, rel := encodeInEnvs(forests)
+	if allocs := testing.AllocsPerRun(100, func() { FilterIndex(index, keep) }); allocs != 0 {
+		t.Errorf("FilterIndex keeping every entry: %.0f allocs, want 0", allocs)
+	}
+	if got := FilterIndex(index, keep); &got[0] != &index[0] {
+		t.Error("FilterIndex keeping every entry copied the index")
+	}
+	var kept *interval.Relation
+	if allocs := testing.AllocsPerRun(100, func() { kept = SemiJoin(rel, index, 1) }); allocs > 2 {
+		t.Errorf("SemiJoin keeping every environment: %.0f allocs, want at most 2", allocs)
+	}
+	if kept.Len() != rel.Len() || &kept.Tuples[0] != &rel.Tuples[0] {
+		t.Error("SemiJoin keeping every environment is not a view of its input")
+	}
+}
+
 func TestEmptyAndComparePerEnv(t *testing.T) {
 	aForests := []xmltree.Forest{
 		{xmltree.NewText("x")},

@@ -15,40 +15,42 @@ import (
 // physical local width, the quantity the compile-time width inference of
 // Section 4.3 tracks symbolically.
 
+// The operators that keep a subsequence of their input's tuples unchanged
+// (Roots, Children, SelectLabel, SelectText, Data, Head, Tail and Distinct
+// here, Take and Drop in aggregate.go) record the kept rows as
+// interval.Runs: the output is a view of the input when it is one run, and
+// otherwise one exactly sized copy.
+
 // Roots is the roots-extraction operator of Algorithm 5.2: it keeps the
 // tuples not strictly contained in any other interval. With dynamic
 // intervals the single pass needs no environment awareness at all — tuples
 // of later environments always start after every earlier interval has
 // closed — which is the property the paper exploits. O(n) time, O(1) space.
 func Roots(rel *interval.Relation) *interval.Relation {
-	out := &interval.Relation{}
-	var max interval.Key
-	haveMax := false
-	for _, t := range rel.Tuples {
-		if !haveMax || interval.Compare(t.L, max) > 0 {
-			max = t.R
-			haveMax = true
-			out.Tuples = append(out.Tuples, t)
-		}
-	}
-	return out
+	return rootsOrChildren(rel, true)
 }
 
 // Children keeps the tuples strictly contained in some other interval —
 // the complement of Roots, encoding the concatenated child forests.
 func Children(rel *interval.Relation) *interval.Relation {
-	out := &interval.Relation{}
+	return rootsOrChildren(rel, false)
+}
+
+func rootsOrChildren(rel *interval.Relation, roots bool) *interval.Relation {
+	var runs interval.Runs
 	var max interval.Key
 	haveMax := false
-	for _, t := range rel.Tuples {
-		if !haveMax || interval.Compare(t.L, max) > 0 {
+	for i, t := range rel.Tuples {
+		isRoot := !haveMax || interval.Compare(t.L, max) > 0
+		if isRoot {
 			max = t.R
 			haveMax = true
-			continue
 		}
-		out.Tuples = append(out.Tuples, t)
+		if isRoot == roots {
+			runs.Add(i, i+1)
+		}
 	}
-	return out
+	return &interval.Relation{Tuples: runs.Of(rel.Tuples)}
 }
 
 // SelectLabel keeps the top-level trees whose root label equals label,
@@ -66,64 +68,41 @@ func SelectText(rel *interval.Relation) *interval.Relation {
 }
 
 func selectRoots(rel *interval.Relation, keep func(label string) bool) *interval.Relation {
-	out := &interval.Relation{}
+	var runs interval.Runs
 	var max interval.Key
 	haveMax := false
 	keeping := false
-	for _, t := range rel.Tuples {
+	for i, t := range rel.Tuples {
 		if !haveMax || interval.Compare(t.L, max) > 0 {
 			max = t.R
 			haveMax = true
 			keeping = keep(t.S)
 		}
 		if keeping {
-			out.Tuples = append(out.Tuples, t)
+			runs.Add(i, i+1)
 		}
 	}
-	return out
+	return &interval.Relation{Tuples: runs.Of(rel.Tuples)}
 }
 
 // Data keeps the text-labeled tuples — the atomized value forest. Text
 // nodes are leaves, so the surviving intervals are pairwise disjoint and
 // the result is a valid encoding of the forest of text values.
 func Data(rel *interval.Relation) *interval.Relation {
-	out := &interval.Relation{}
-	for _, t := range rel.Tuples {
+	var runs interval.Runs
+	for i, t := range rel.Tuples {
 		if (&xmltree.Node{Label: t.S}).Kind() == xmltree.Text {
-			out.Tuples = append(out.Tuples, t)
+			runs.Add(i, i+1)
 		}
 	}
-	return out
+	return &interval.Relation{Tuples: runs.Of(rel.Tuples)}
 }
 
 // Head keeps the first top-level tree of each environment's forest.
-func Head(rel *interval.Relation, depth int) *interval.Relation {
-	out := &interval.Relation{}
-	forEachGroup(rel.Tuples, depth, func(g []interval.Tuple) {
-		end := g[0].R
-		for _, t := range g {
-			if interval.Compare(t.L, end) > 0 {
-				break
-			}
-			out.Tuples = append(out.Tuples, t)
-		}
-	})
-	return out
-}
+func Head(rel *interval.Relation, depth int) *interval.Relation { return Take(rel, depth, 1) }
 
 // Tail drops the first top-level tree of each environment's forest.
-func Tail(rel *interval.Relation, depth int) *interval.Relation {
-	out := &interval.Relation{}
-	forEachGroup(rel.Tuples, depth, func(g []interval.Tuple) {
-		end := g[0].R
-		for _, t := range g {
-			if interval.Compare(t.L, end) > 0 {
-				out.Tuples = append(out.Tuples, t)
-			}
-		}
-	})
-	return out
-}
+func Tail(rel *interval.Relation, depth int) *interval.Relation { return Drop(rel, depth, 1) }
 
 // topTrees splits an environment group into its top-level trees: each
 // root with the tuples its interval contains.
@@ -239,7 +218,8 @@ func SortTrees(rel *interval.Relation, depth, parallelism int, spill *SpillConfi
 // environment's forest, first occurrence preserved, original intervals
 // unchanged.
 func Distinct(rel *interval.Relation, depth, parallelism int, spill *SpillConfig) (*interval.Relation, SpillStats, error) {
-	out := &interval.Relation{}
+	var runs interval.Runs
+	at := 0 // position of the group's first tree in rel
 	stats, err := sortGroups(rel, depth, parallelism, spill, nil, CompareForests,
 		func(_ interval.Key, trees [][]interval.Tuple, order []int) {
 			// The permutation is stable, so the first tree of each equal
@@ -250,14 +230,15 @@ func Distinct(rel *interval.Relation, depth, parallelism int, spill *SpillConfig
 			}
 			for idx, tree := range trees {
 				if keep[idx] {
-					out.Tuples = append(out.Tuples, tree...)
+					runs.Add(at, at+len(tree))
 				}
+				at += len(tree)
 			}
 		})
 	if err != nil {
 		return nil, stats, err
 	}
-	return out, stats, nil
+	return &interval.Relation{Tuples: runs.Of(rel.Tuples)}, stats, nil
 }
 
 // SubtreesDFS emits, for every node of every environment's forest, the

@@ -591,18 +591,16 @@ func (ix *DocIndex) resolution(classes []*class, paths []string, singleton bool,
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
 	res := Resolution{Consumed: consumed, Classes: paths, Roots: singleton}
+	var runs interval.Runs
 	for _, r := range rows {
 		end := r + 1
 		if !singleton {
 			end = ix.End[r]
 		}
-		if n := len(res.Ranges); n > 0 && res.Ranges[n-1][1] == r {
-			res.Ranges[n-1][1] = end
-		} else {
-			res.Ranges = append(res.Ranges, [2]int32{r, end})
-		}
+		runs.Add(int(r), int(end))
 		res.Rows += int64(end - r)
 	}
+	res.Ranges = runs
 	return res
 }
 

@@ -71,8 +71,11 @@ func (r *Relation) IsSorted() bool {
 	return slices.IsSortedFunc(r.Tuples, func(a, b Tuple) int { return Compare(a.L, b.L) })
 }
 
-// Clone returns a relation with a copied tuple slice (keys are shared;
-// they are immutable by convention).
+// Clone returns a relation with a copied tuple slice, the only way to get
+// rows that may be reordered in place (Sort). Relations are immutable and
+// share more than keys: a filter-shaped operator's output may be a view of
+// its input's tuple slice (Runs.Of), so the copied tuples still alias the
+// keys.
 func (r *Relation) Clone() *Relation {
 	out := &Relation{Tuples: make([]Tuple, len(r.Tuples))}
 	copy(out.Tuples, r.Tuples)

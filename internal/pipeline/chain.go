@@ -1,9 +1,11 @@
 // Fused path chains as one row filter. Every stage is a filter over the
 // L-sorted input, so a chain of stages keeps a subsequence of its input:
 // each row passes through the stages' state machines in order and survives
-// when the last one keeps it. The survivors are the input tuples
-// themselves — keys aliased, no digit copied — so the output is
-// digit-identical to the materializing engine operators by construction.
+// when the last one keeps it. The survivors are recorded as runs of the
+// input's rows and are the input tuples themselves — a view of the input
+// when they are one run, else one exact copy of the rows, keys aliased and
+// no digit copied — so the output is digit-identical to the materializing
+// engine operators by construction.
 package pipeline
 
 import (
@@ -107,13 +109,14 @@ func (s *Stage) keep(t *interval.Tuple) bool {
 // Filter runs a fused stage chain over the rows of rel inside ranges —
 // sorted, disjoint [lo, hi) row ranges: the whole relation for a scan, the
 // resolved ranges for an index seek, one morsel for a parallel worker — in
-// one pass, and returns the survivors. Each state machine sees exactly
-// the survivors of the previous one, in order; rows[i] is incremented by
-// the rows stages[i] kept, so the last entry counts the chain's output.
-// The stages' state carries across ranges, as it would over the
-// concatenated rows.
-func Filter(rel *interval.Relation, ranges [][2]int32, stages []Stage, rows []int) []interval.Tuple {
-	var out []interval.Tuple
+// one pass, and returns the survivors as runs of rel's rows (Runs.Of
+// materializes them, as a view when they are one run). Each state machine
+// sees exactly the survivors of the previous one, in order; rows[i] is
+// incremented by the rows stages[i] kept, so the last entry counts the
+// chain's output. The stages' state carries across ranges, as it would
+// over the concatenated rows.
+func Filter(rel *interval.Relation, ranges [][2]int32, stages []Stage, rows []int) interval.Runs {
+	var out interval.Runs
 	for _, r := range ranges {
 	next:
 		for i := r[0]; i < r[1]; i++ {
@@ -124,7 +127,7 @@ func Filter(rel *interval.Relation, ranges [][2]int32, stages []Stage, rows []in
 				}
 				rows[si]++
 			}
-			out = append(out, *t)
+			out.Add(int(i), int(i)+1)
 		}
 	}
 	return out

@@ -2,9 +2,11 @@ package pipeline
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dixq/internal/engine"
 	"dixq/internal/interval"
@@ -39,7 +41,7 @@ func sameTuples(t *testing.T, name string, got, want *interval.Relation) bool {
 func run(rel *interval.Relation, ranges [][2]int32, stages ...Stage) (*interval.Relation, []int) {
 	rows := make([]int, len(stages))
 	st := append([]Stage(nil), stages...)
-	return &interval.Relation{Tuples: Filter(rel, ranges, st, rows)}, rows
+	return &interval.Relation{Tuples: Filter(rel, ranges, st, rows).Of(rel.Tuples)}, rows
 }
 
 // whole is the single range covering all of rel — a scan's source.
@@ -274,5 +276,69 @@ func TestParallelChainMatchesSerial(t *testing.T) {
 	}
 	if _, ok := RunChainParallel(interval.Encode(flat), []Stage{HeadStage(0)}, 4); ok {
 		t.Error("a depth-0 head chain has no safe split points but ran parallel")
+	}
+}
+
+// contiguousSurvivors is a flat forest of n <a> leaves followed by n <b>
+// leaves, whose select("<a>") survivors are one run: the first n rows.
+func contiguousSurvivors(n int) *interval.Relation {
+	var f xmltree.Forest
+	for _, label := range []string{"a", "b"} {
+		for i := 0; i < n; i++ {
+			f = append(f, xmltree.NewElement(label))
+		}
+	}
+	return interval.Encode(f)
+}
+
+// allocatedPerRun returns the heap bytes one call of f allocates, averaged
+// over runs calls after a warm-up call.
+func allocatedPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestFilterOneRunAllocatesNoTuples pins the view: a chain whose survivors
+// are one contiguous run of its input allocates no tuple storage, serially
+// or morsel-parallel, and its output aliases the input rows. Serially that
+// leaves the run list and the relation header; the parallel runner adds
+// its fixed bookkeeping (morsel bounds, per-morsel run lists and counts,
+// the worker handoff), about a kilobyte against the output's
+// 2048 × 64-byte tuples.
+func TestFilterOneRunAllocatesNoTuples(t *testing.T) {
+	const n = 2 * minMorselRows
+	rel := contiguousSurvivors(n)
+	stages := []Stage{SelectLabelStage("<a>")}
+	st, rows := make([]Stage, 1), make([]int, 1)
+	var out *interval.Relation
+	serial := func() {
+		copy(st, stages) // fresh state machines for every run
+		out = &interval.Relation{Tuples: Filter(rel, whole(rel), st, rows).Of(rel.Tuples)}
+	}
+	if allocs := testing.AllocsPerRun(50, serial); allocs > 2 {
+		t.Errorf("serial chain over one range: %.0f allocs, want at most 2 (run list, relation)", allocs)
+	}
+	if out.Len() != n || &out.Tuples[0] != &rel.Tuples[0] {
+		t.Errorf("serial chain output (%d rows) is not a view of its input", out.Len())
+	}
+	var res ParallelChainResult
+	parallel := func() {
+		var ok bool
+		if res, ok = RunChainParallel(rel, stages, 4); !ok || res.Morsels < 2 {
+			t.Fatalf("the chain did not run parallel (ok=%v, %d morsels)", ok, res.Morsels)
+		}
+	}
+	tupleBytes := uint64(n) * uint64(unsafe.Sizeof(interval.Tuple{}))
+	if got := allocatedPerRun(20, parallel); got > tupleBytes/8 {
+		t.Errorf("parallel chain: %d B allocated per run, want under %d (an eighth of the output's tuples)", got, tupleBytes/8)
+	}
+	if res.Rel.Len() != n || &res.Rel.Tuples[0] != &rel.Tuples[0] {
+		t.Errorf("parallel chain output (%d rows) is not a view of its input", res.Rel.Len())
 	}
 }

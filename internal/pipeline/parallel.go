@@ -3,10 +3,10 @@
 // blindly. This file computes the input positions at which every stage's
 // state machine provably behaves as if freshly reset — the safe split
 // points — groups the segments between them into morsels, and runs the
-// morsels through the shared exec worker pool, each worker filtering its
-// morsel's row range straight into a sequence-numbered result slot.
-// Concatenating the slots in morsel order reproduces the serial output
-// tuple-for-tuple.
+// morsels through the shared exec worker pool, each worker recording its
+// morsel's survivors as runs in a sequence-numbered result slot. Merging
+// the slots' runs in morsel order reproduces the serial output
+// tuple-for-tuple, and it is materialized once.
 //
 // Why the split points are safe: keys are compared digit-lexicographically,
 // and the chain input arrives in L-key order.
@@ -66,11 +66,14 @@ type ParallelChainResult struct {
 	Morsels int
 }
 
-// chainSplitPoints returns the safe split positions of rel for a chain
-// with the given stages: the starts of the segments between which every
-// stage's state machine resets. ok is false when the chain admits no safe
-// splits (a head/tail stage at depth 0).
-func chainSplitPoints(rel *interval.Relation, protos []Stage) (starts []int, ok bool) {
+// morselBounds packs the segments between the safe split positions of
+// rel for a chain with the given stages — the positions at which every
+// stage's state machine resets — into morsels of at least target rows
+// (except possibly the last), returning the morsel start positions plus
+// the final end position n. The split positions are found and packed in
+// one pass, so only the morsel bounds are stored. ok is false when the
+// chain admits no safe splits (a head/tail stage at depth 0).
+func morselBounds(rel *interval.Relation, protos []Stage, target int) (bounds []int, ok bool) {
 	envDepth := 0
 	for _, s := range protos {
 		if s.kind == stageHead || s.kind == stageTail {
@@ -83,40 +86,30 @@ func chainSplitPoints(rel *interval.Relation, protos []Stage) (starts []int, ok 
 		}
 	}
 	n := len(rel.Tuples)
-	starts = append(starts, 0)
+	bounds = append(make([]int, 0, n/target+2), 0)
+	split := func(i int) {
+		if i-bounds[len(bounds)-1] >= target {
+			bounds = append(bounds, i)
+		}
+	}
 	if envDepth > 0 {
 		for i := 1; i < n; i++ {
 			if rel.Tuples[i].L.ComparePrefix(rel.Tuples[i-1].L, envDepth) != 0 {
-				starts = append(starts, i)
+				split(i)
 			}
 		}
-		return starts, true
+		return append(bounds, n), true
 	}
 	maxR := rel.Tuples[0].R
 	for i := 1; i < n; i++ {
 		if interval.Compare(rel.Tuples[i].L, maxR) > 0 {
-			starts = append(starts, i)
+			split(i)
 		}
 		if interval.Compare(rel.Tuples[i].R, maxR) > 0 {
 			maxR = rel.Tuples[i].R
 		}
 	}
-	return starts, true
-}
-
-// groupMorsels packs boundary-delimited segments into morsels of at least
-// target rows (except possibly the last), returning the morsel start
-// positions plus the final end position n.
-func groupMorsels(starts []int, n, target int) []int {
-	morsels := []int{0}
-	last := 0
-	for _, s := range starts[1:] {
-		if s-last >= target {
-			morsels = append(morsels, s)
-			last = s
-		}
-	}
-	return append(morsels, n)
+	return append(bounds, n), true
 }
 
 // RunChainParallel executes the fused stage chain over rel with up to
@@ -132,21 +125,17 @@ func RunChainParallel(rel *interval.Relation, protos []Stage, parallelism int) (
 	if parallelism < 2 || len(protos) == 0 || n < minParallelRows {
 		return res, false
 	}
-	starts, ok := chainSplitPoints(rel, protos)
-	if !ok || len(starts) < 2 {
-		return res, false
-	}
 	target := max(minMorselRows, (n+maxMorselsPerChain-1)/maxMorselsPerChain)
-	morsels := groupMorsels(starts, n, target)
+	morsels, ok := morselBounds(rel, protos, target)
 	nm := len(morsels) - 1
-	if nm < 2 {
+	if !ok || nm < 2 {
 		return res, false
 	}
 
 	// Each task filters one morsel with its own fresh stages into its own
 	// result slot and survivor counts; worker w reuses stages[w·k:(w+1)·k].
 	k := len(protos)
-	outs := make([][]interval.Tuple, nm)
+	outs := make([]interval.Runs, nm)
 	rows := make([]int, nm*k)
 	stages := make([]Stage, min(parallelism, nm)*k)
 	res.Workers = exec.Run(nm, parallelism, func(task, worker int) {
@@ -157,15 +146,16 @@ func RunChainParallel(rel *interval.Relation, protos []Stage, parallelism int) (
 	})
 	res.Morsels = nm
 
-	total := 0
+	// Merging the morsels' runs joins a run that crosses a morsel boundary,
+	// so the output is materialized once, and is a view of rel when the
+	// survivors are one run.
+	var runs interval.Runs
 	for _, o := range outs {
-		total += len(o)
+		for _, r := range o {
+			runs.Add(int(r[0]), int(r[1]))
+		}
 	}
-	tuples := make([]interval.Tuple, 0, total)
-	for _, o := range outs {
-		tuples = append(tuples, o...)
-	}
-	res.Rel = &interval.Relation{Tuples: tuples}
+	res.Rel = &interval.Relation{Tuples: runs.Of(rel.Tuples)}
 	res.Rows = make([]int, k)
 	for task := 0; task < nm; task++ {
 		for i, r := range rows[task*k : (task+1)*k] {
