@@ -177,7 +177,7 @@ func (c *Catalog) publish(n *Snapshot) {
 // relation only. It is indexed and statistics-profiled as it is added (or
 // arrives pre-indexed from a .dixq store), so DI plans can serve path
 // chains as index seeks, prune provably empty paths at plan time, and
-// feed the cost-based optimizer real cardinalities.
+// feed the estimator real cardinalities.
 func (c *Catalog) Add(name string, d *Document) uint64 {
 	rel := d.enc
 	di := d.idx

@@ -10,7 +10,7 @@
 //	dixq -f query.xq -doc d=doc.xml -explain   # print the plan -engine runs
 //	dixq -i -doc d=doc.xml                     # interactive session
 //
-// Engines: di-opt (the cost-based default), di-msj, di-nlj, interp, generic-sql.
+// Engines: di-opt (the default: di-msj plus row estimates), di-msj, di-nlj, interp, generic-sql.
 package main
 
 import (

@@ -35,7 +35,6 @@ import (
 	"dixq/internal/interp"
 	"dixq/internal/interval"
 	"dixq/internal/obs"
-	"dixq/internal/opt"
 	"dixq/internal/plan"
 	"dixq/internal/sqlgen"
 	"dixq/internal/stats"
@@ -78,8 +77,8 @@ func ParseDocument(xmlText string) (*Document, error) {
 // (*Document).SaveEncoded) and skip XML parsing entirely — the paper's
 // "XML data already stored in a relational system" workflow — while
 // anything else is shredded from XML text. The store's index and
-// statistics ride along, so the cost-based optimizer gets real
-// cardinalities without a collection pass, and the relation is never
+// statistics ride along, so the estimator gets real cardinalities
+// without a collection pass, and the relation is never
 // decoded into a tree.
 func LoadDocumentFile(path string) (*Document, error) {
 	if strings.HasSuffix(path, ".dixq") {
@@ -177,11 +176,10 @@ func (d *Document) Encoding() string { return d.enc.String() }
 type Engine int
 
 const (
-	// CostBased is DI-OPT, the default: dynamic interval plans whose join
-	// algorithm is chosen per loop by the cost-based optimizer, fed by the
-	// catalog's per-document statistics. Every choice is between the same
-	// two digit-identical strategies the forced engines pin, so the result
-	// never depends on what the optimizer picked.
+	// CostBased is DI-OPT, the default: the DI-MSJ plan with every
+	// operator annotated by a row estimate fed by the catalog's
+	// per-document statistics. Estimates never change the plan, so the
+	// result is the one the forced engines produce.
 	CostBased Engine = iota
 	// MergeJoin is the paper's DI-MSJ strategy, forced: dynamic interval
 	// plans with decorrelated structural merge joins on every loop.
@@ -279,8 +277,7 @@ type Options struct {
 // DI engines (di true; the others have no plans) — maps the public options
 // onto the internal executor's, attaching the snapshot's structural
 // indexes and statistics so the compiler can plan index seeks and
-// dataguide pruning and the cost-based optimizer can estimate from real
-// cardinalities.
+// dataguide pruning and the estimator can read real cardinalities.
 func resolve(cat View, opts *Options) (o *Options, snap *Snapshot, copts core.Options, di bool) {
 	if opts == nil {
 		opts = &Options{}
@@ -372,8 +369,8 @@ func (q *Query) Core() string { return q.expr.String() }
 
 // Explain renders the physical plan the options' DI engine executes on the
 // view's snapshot: the same tree a Run evaluates and ExplainAnalyze
-// annotates, so the node IDs of the optimizer report name its lines. The
-// other engines have no plan; for them Explain fails.
+// annotates, line for line. The other engines have no plan; for them
+// Explain fails.
 func (q *Query) Explain(cat View, opts *Options) (string, error) {
 	opts, _, copts, di := resolve(cat, opts)
 	if !di {
@@ -399,25 +396,6 @@ func (q *Query) ExplainAnalyze(ctx context.Context, cat View, opts *Options) (st
 		return "", nil, err
 	}
 	return res.plan.TreeWithStats(res.Stats.Run), res.Operators(), nil
-}
-
-// OptimizerReport is the cost-based optimizer's account of one planning
-// run: the join graph it extracted from the plan (vertices with their
-// row estimates, equality edges with their selectivities, the costed
-// loop order), and every decision it took with both candidates' costs.
-// The struct marshals to JSON; the server's POST /explain includes it.
-type OptimizerReport = opt.Report
-
-// OptimizerReport returns the cost-based optimizer's report for the plan
-// the query would execute under the given options, or nil when the
-// options select a forced or non-DI engine (those runs bypass the
-// optimizer — they are the oracles it is measured against).
-func (q *Query) OptimizerReport(cat View, opts *Options) *OptimizerReport {
-	_, _, copts, di := resolve(cat, opts)
-	if !di || copts.ForceJoinMode != core.ModeAuto {
-		return nil
-	}
-	return q.q.OptReport(copts)
 }
 
 // Documents lists the document names the query references.

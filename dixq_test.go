@@ -230,9 +230,8 @@ func TestDocumentFileRoundTrip(t *testing.T) {
 // times that sum into the phase total; a non-DI run has no plan to report.
 func TestResultOperators(t *testing.T) {
 	cat := figureCatalog(t)
-	// MergeJoin is forced: under the cost-based default the optimizer
-	// demotes the merge joins on a document this small, and the test
-	// asserts a merge-join operator row.
+	// MergeJoin is forced: the test asserts a merge-join operator row,
+	// and only the forced mode promises one.
 	res, err := Run(XMarkQ8, cat, &Options{Engine: MergeJoin})
 	if err != nil {
 		t.Fatal(err)
@@ -285,28 +284,6 @@ func TestCatalogStatsEpochs(t *testing.T) {
 	}
 	if cat.IndexEpoch() != cat.Version() || cat.StatsEpoch() != cat.Version() {
 		t.Errorf("Add published version %d but epochs %d/%d", cat.Version(), cat.IndexEpoch(), cat.StatsEpoch())
-	}
-}
-
-// TestOptimizerReportSurface: the cost-based engine exposes its report;
-// the forced and non-DI engines return nil (they bypass the optimizer).
-func TestOptimizerReportSurface(t *testing.T) {
-	cat := figureCatalog(t)
-	q, err := ParseQuery(XMarkQ8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := q.OptimizerReport(cat, nil)
-	if rep == nil {
-		t.Fatal("no report under the cost-based default")
-	}
-	if len(rep.Graph.Vertices) == 0 || len(rep.Decisions) == 0 {
-		t.Fatalf("report is empty: %+v", rep)
-	}
-	for _, eng := range []Engine{MergeJoin, NestedLoop, Interpreter, GenericSQL} {
-		if r := q.OptimizerReport(cat, &Options{Engine: eng}); r != nil {
-			t.Errorf("%s: report = %+v, want nil", eng, r)
-		}
 	}
 }
 

@@ -27,11 +27,11 @@ func scrubAnalyze(s string) string {
 }
 
 // TestAnalyzeGoldenPlans locks the analyze-mode plan renderings for the
-// paper's three benchmark queries under both forced join modes and the
-// cost-based optimizer (fed real statistics): the plan shape, the static
-// annotations — including the optimizer's per-operator row estimates —
-// and the per-operator calls/rows actuals. A diff here means the
-// compiler, the optimizer's costing, the executor's dispatch, or the
+// paper's three benchmark queries under both forced join modes and DI-OPT
+// (fed real statistics): the plan shape, the static annotations —
+// including DI-OPT's per-operator row estimates — and the per-operator
+// calls/rows actuals. A diff here means the compiler, the estimator, the
+// executor's dispatch, or the
 // instrumentation changed — regenerate with `go test -run Golden -update`
 // and review the diff consciously.
 func TestAnalyzeGoldenPlans(t *testing.T) {

@@ -15,11 +15,9 @@ import (
 // (each binder records the static depth and digit width of its variable)
 // and compiles every eligible loop to the §5 merge join unless the nested
 // loop is forced; the executor fuses every maximal chain of path operators
-// into one streaming pass. Under ModeAuto the cost-based optimizer then
-// revisits each merge join against the catalog's statistics and demotes
-// the ones whose inputs are too small to amortize the sorts; the returned
-// report records its decisions (nil for the forced modes).
-func buildPlan(e xq.Expr, opts Options) (*plan.Node, *opt.Report) {
+// into one streaming pass. Under ModeAuto the estimator then annotates
+// every node with its statistics-fed row estimate.
+func buildPlan(e xq.Expr, opts Options) *plan.Node {
 	c := &compiler{opts: opts, depths: map[string]varInfo{}}
 	root := c.expr(e, 0)
 	// With structural indexes available, resolve depth-0 path chains against
@@ -28,15 +26,14 @@ func buildPlan(e xq.Expr, opts Options) (*plan.Node, *opt.Report) {
 	if opts.Indexes != nil {
 		root = applyIndexes(root, opts.Indexes)
 	}
-	// Est carries the optimizer's statistics-fed row estimates; -1 marks
-	// nodes no optimizer saw, which render without one.
+	// Est carries the statistics-fed row estimates; -1 marks nodes no
+	// estimator saw, which render without one.
 	plan.ResetEst(root)
-	var report *opt.Report
 	if opts.ForceJoinMode == ModeAuto {
-		root, report = opt.Optimize(root, opts.DocStats)
+		opt.Optimize(root, opts.DocStats)
 	}
 	plan.AssignIDs(root)
-	return root, report
+	return root
 }
 
 // compiler tracks the static environment state: for every visible

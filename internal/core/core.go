@@ -17,6 +17,8 @@
 //
 // Both modes produce byte-identical output relations; the difference is
 // purely algorithmic, which is what the paper's Q8/Q9 experiments isolate.
+// ModeAuto, the default, runs the ModeMSJ plan with every node annotated by
+// the statistics-fed estimator of package opt.
 package core
 
 import (
@@ -26,7 +28,6 @@ import (
 
 	"dixq/internal/index"
 	"dixq/internal/interval"
-	"dixq/internal/opt"
 	"dixq/internal/plan"
 	"dixq/internal/stats"
 	"dixq/internal/xmltree"
@@ -37,11 +38,9 @@ import (
 type Mode int
 
 const (
-	// ModeAuto (the default) lets the cost-based optimizer choose the join
-	// algorithm per loop against the catalog's statistics (internal/opt):
-	// loops compile to the decorrelated merge join and are demoted to the
-	// literal nested loop where the estimated input is too small to
-	// amortize the sorts. All three modes are digit-identical.
+	// ModeAuto (the default, DI-OPT) runs the ModeMSJ plan with
+	// statistics-fed row estimates on every node (internal/opt). All three
+	// modes are digit-identical.
 	ModeAuto Mode = iota
 	// ModeMSJ forces the decorrelated merge-sort join evaluation (DI-MSJ).
 	ModeMSJ
@@ -64,10 +63,11 @@ func (m Mode) String() string {
 
 // Options configures evaluation.
 type Options struct {
-	// ForceJoinMode pins the join strategy of every loop: ModeMSJ or
-	// ModeNLJ bypass the cost-based optimizer entirely — the oracle modes
-	// the differential tests compare against. The zero value (ModeAuto)
-	// lets the optimizer choose per loop using DocStats.
+	// ForceJoinMode pins the join strategy of every loop: ModeMSJ
+	// compiles every eligible loop to the merge join, ModeNLJ none — the
+	// oracle modes the differential tests compare against — and neither
+	// estimates. The zero value (ModeAuto) runs the ModeMSJ plan with
+	// estimates from DocStats.
 	ForceJoinMode Mode
 	// MaxTuples aborts evaluation once the environment-embedding operators
 	// have produced this many tuples (0 = unlimited) — the analogue of the
@@ -123,11 +123,11 @@ type Options struct {
 	// relation fails the run with an error, so results are digit-identical
 	// with and without indexes.
 	Indexes *index.Set
-	// DocStats, when non-nil, feeds the cost-based optimizer real
-	// per-document statistics (cardinalities, posting counts, distinct
-	// values). Only consulted under ModeAuto; a document without
-	// statistics is estimated at the optimizer's default size. Sets are
-	// immutable, so a plan memoized against one set stays valid for it.
+	// DocStats, when non-nil, feeds the estimator real per-document
+	// statistics (cardinalities, posting counts, distinct values). Only
+	// consulted under ModeAuto, and it changes estimates, never the plan;
+	// a document without statistics is estimated at a nominal size. Sets
+	// are immutable, so a plan memoized against one set stays valid for it.
 	DocStats *stats.Set
 }
 
@@ -198,16 +198,14 @@ type Query struct {
 	Original xq.Expr
 
 	// plans memoizes the physical plans per variant; compiled plans are
-	// immutable, so concurrent evaluations share them. reports carries the
-	// optimizer report of each ModeAuto plan (nil for forced modes).
-	mu      sync.Mutex
-	plans   map[planVariant]*plan.Node
-	reports map[planVariant]*opt.Report
+	// immutable, so concurrent evaluations share them.
+	mu    sync.Mutex
+	plans map[planVariant]*plan.Node
 }
 
 // planVariant keys the memoized plans: the join mode changes loop
 // strategies, an index set changes the access paths, and a statistics set
-// changes the optimizer's choices. Both sets are immutable (a catalog
+// changes the estimates. Both sets are immutable (a catalog
 // publishes new ones with each version), so their pointers identify them.
 type planVariant struct {
 	mode    Mode
@@ -227,33 +225,18 @@ func variantKey(opts Options) planVariant {
 // options — the same tree Eval runs, so Explain cannot diverge from the
 // execution. The returned plan is immutable and shared.
 func (q *Query) Plan(opts Options) *plan.Node {
-	p, _ := q.planReport(opts)
-	return p
-}
-
-// OptReport returns the cost-based optimizer's report for the plan the
-// query executes under the given options — nil for the forced modes,
-// which bypass the optimizer.
-func (q *Query) OptReport(opts Options) *opt.Report {
-	_, r := q.planReport(opts)
-	return r
-}
-
-func (q *Query) planReport(opts Options) (*plan.Node, *opt.Report) {
 	key := variantKey(opts)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if p, ok := q.plans[key]; ok {
-		return p, q.reports[key]
+		return p
 	}
-	p, r := buildPlan(q.Expr, opts)
+	p := buildPlan(q.Expr, opts)
 	if q.plans == nil {
 		q.plans = map[planVariant]*plan.Node{}
-		q.reports = map[planVariant]*opt.Report{}
 	}
 	q.plans[key] = p
-	q.reports[key] = r
-	return p, r
+	return p
 }
 
 // Compile prepares a core expression for evaluation, applying the

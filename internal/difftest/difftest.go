@@ -1,8 +1,9 @@
 // Package difftest is the cross-engine differential harness: one shared
 // corpus of queries and documents, executed through every evaluation
 // strategy the repository ships — the denotational interpreter (the
-// semantic oracle), the cost-based DI-OPT mode (with and without real
-// statistics) and the forced DI-MSJ and DI-NLJ plan modes, each with
+// semantic oracle), the DI-OPT mode (the DI-MSJ plan with statistics-fed
+// estimates, with and without real statistics) and the forced DI-MSJ and
+// DI-NLJ plan modes, each with
 // structural indexes, a spilling memory budget and parallel workers
 // switched on one at a time — asserting digit-identical results.
 //
@@ -34,7 +35,7 @@
 // runner of package pipeline, and 47 for the three marked #, which were
 // re-seeded into the one budgeted sort, engine.SortUnits, once its spill
 // runs held sort positions instead of copies of the units, and 47 for the
-// four marked §, seeded into the comparator-parameterized merge join after
+// three marked §, seeded into the comparator-parameterized merge join after
 // the full cross was retired),
 // "first" the configuration (or the
 // interpreter check of the baseline) that failed first in the first
@@ -56,7 +57,6 @@
 //	engine: distinct keeps the last duplicate           1 case, interpreter      1 case, interpreter *
 //	engine: EmbedOuter drops each group's last tuple    13 cases, interpreter    13 cases, interpreter *
 //	index: resolved subtree range ends one row early    11 cases, nlj-scalar-idx 11 cases, DI-OPT-idx *
-//	opt: demoted merge join filters by < instead of =   4 cases, OPT-batch1      4 cases, DI-OPT-base *
 //	core: depth-0 seek served after a dropping where    survived                 1 case, DI-OPT-idx +
 //	core: spilled merge-join sort ignores the prefix    survived                 2 cases, DI-MSJ-budget1 #
 //	index: splice leaves ancestors' End unshifted       (no splice)              1 case, DI-OPT spliced ‡
@@ -64,7 +64,6 @@
 //	core: theta probe boundary taken as <=              (not run)                6 cases, interpreter §
 //	core: value < keys reduced max-left, min-right      (not run)                1 case, interpreter §
 //	core: theta probe ignores the d0 prefix run         (not run)                1 case, interpreter §
-//	opt: demoted theta join swaps its key sides         (not run)                8 cases, DI-OPT-base §
 //	pipeline: data() relabels its first kept row        (not run)                23 cases, interpreter ¶
 //	core: seek lengthens a key of a row it skips        (not run)                survived ¶
 //
@@ -83,7 +82,7 @@
 // ancestor prefix, needs a merge join below a loop whose equal keys sit
 // under different ancestor environments: xmark-join-under-person joins
 // each person's children against their own text, and DI-MSJ-budget1
-// kills it. All 17 are killed.
+// kills it. All 16 are killed.
 //
 // Of the three rows marked #, the merge that skips a run now fails every
 // spilled sort with an error, since the runs no longer total the sort's
@@ -91,14 +90,13 @@
 // did on copied units. The prefix-blind side sort also fails
 // xmark-theta-under-person, the theta join's twin of the equi-join case.
 //
-// The four rows marked § were written with the theta merge join and its
+// The three rows marked § were written with the theta merge join and its
 // corpus cases, and each is killed. The inclusive boundary first fails
 // seed-theta-lt, whose repeated t text ties; the swapped min/max only
-// xmark-theta-multivalued, whose auctions carry several bids; the probe
-// that searches the whole inner instead of the outer's prefix run only
-// xmark-theta-under-person, whose matches must stay inside one person;
-// the swapped demotion first fails xmark-q11, which DI-OPT demotes at
-// the corpus scale.
+// xmark-theta-multivalued, whose auctions carry several bids; and the
+// probe that searches the whole inner instead of the outer's prefix run
+// only xmark-theta-under-person, whose matches must stay inside one
+// person.
 //
 // The two rows marked ¶ write into rows a run shares with the catalog:
 // filter-shaped operators return views of their input, so a path chain
@@ -115,8 +113,8 @@
 // TestSplicedIndexAgreesOnCorpus, which queries an updated document with
 // spliced, rebuilt and no indexes. The stale ancestor End panics the
 // descendant resolution of xmark-q7 under the spliced index. The stale
-// DistinctText survives it, as it must: statistics only choose among
-// plans that agree digit for digit. Both are killed by the splice's
+// DistinctText survives it, as it must: statistics only feed estimates,
+// which change no plan. Both are killed by the splice's
 // property test (TestSpliceMatchesRebuild in package index), which
 // compares every step with index.Build and stats.Collect, and by the root
 // package's TestCatalogUpdatePublishesIndex.
@@ -296,8 +294,10 @@ func Baseline() core.Options {
 // with the indexes (the configuration the public API always runs). The
 // DI-MSJ base is the Baseline itself and is not repeated. Two adversarial
 // combinations close the matrix: three workers under the 1-byte budget,
-// with and without indexes. The package doc records the mutation run that
-// justifies leaving the rest of the cross product out. spillDir receives
+// with and without indexes. DI-OPT runs the DI-MSJ plan with estimates,
+// so its legs guard that estimation never changes an answer. The package
+// doc records the mutation run that justifies leaving the rest of the
+// cross product out. spillDir receives
 // the spill runs of the budgeted variants.
 func Variants(spillDir string, set *index.Set, st *stats.Set) []Variant {
 	var vs []Variant

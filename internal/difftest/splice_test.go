@@ -19,7 +19,7 @@ import (
 // front-of-document insert with negative digits, a prepend under the
 // root), add instances to classes the corpus seeks (a person, a closed
 // auction) and remove one. All three runs must be digit-identical, under
-// the cost-based and the forced merge-join plans, and the unindexed run
+// the estimated DI-OPT and the forced merge-join plans, and the unindexed run
 // must agree with the interpreter over the decoded document.
 func TestSplicedIndexAgreesOnCorpus(t *testing.T) {
 	t.Parallel()

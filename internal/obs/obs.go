@@ -89,18 +89,10 @@ var (
 	// therefore never executed at all.
 	IndexPrunedPaths = Default.NewCounter("dixq_index_pruned_paths_total",
 		"Path chains pruned to empty by the dataguide.")
-	// OptPlans counts plans that went through the cost-based optimizer.
+	// OptPlans counts plans the estimator annotated (one per DI-OPT plan
+	// compiled).
 	OptPlans = Default.NewCounter("dixq_opt_plans_total",
-		"Plans optimized by the cost-based join-graph optimizer.")
-	// OptLoopsCosted counts for-loops whose join algorithm was chosen by
-	// cost (merge join vs nested loop) rather than forced by mode.
-	OptLoopsCosted = Default.NewCounter("dixq_opt_loops_costed_total",
-		"For-loops whose join algorithm was chosen by estimated cost.")
-	// OptDemotions counts loops the optimizer demoted from the merge-join
-	// evaluation to the literal nested loop because the estimated input
-	// was too small to amortize the sorts.
-	OptDemotions = Default.NewCounter("dixq_opt_demotions_total",
-		"Merge-join loops demoted to nested loops by the cost model.")
+		"Plans annotated with statistics-fed row estimates.")
 	// CatalogVersion is the monotonic version of the most recently
 	// published catalog snapshot; every document load, update, drop,
 	// reindex or stats refresh advances it.

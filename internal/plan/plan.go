@@ -9,7 +9,7 @@
 //
 // Nodes carry what the executor runs — the operator, its arguments, the
 // local key-digit width the paper's Section 4.3 analysis gives its output
-// — and what the cost-based optimizer decided: its row estimate. Nodes
+// — and what the estimator (internal/opt) expects: its row estimate. Nodes
 // are immutable after compilation (compiled plans are cached and shared
 // across concurrent executions); per-run actuals live in a RunStats
 // indexed by Node.ID.
@@ -188,7 +188,7 @@ type Seek struct {
 	Pruned bool
 	// Classes are the dataguide class paths (rendered as index.DocIndex
 	// Paths renders them) whose instances are the answer's top-level trees:
-	// the provenance the optimizer reads the document's statistics for. A
+	// the provenance the estimator reads the document's statistics for. A
 	// pruned seek has the empty class set. Nil when no class set describes
 	// the answer: a descendant seek, or a chain pruned through head, tail or
 	// subtrees-dfs.
@@ -248,10 +248,9 @@ type Node struct {
 	// excluded); the executor takes the maximum of their binding depths
 	// as the runtime d0.
 	DomainVars []string
-	// Est is the cost-based optimizer's estimated output rows (for a
-	// predicate: verdicts), computed from per-document statistics
-	// (internal/stats); -1 when no optimizer estimated the node (the forced
-	// modes). The rendered plan shows it beside the actual row count of an
+	// Est is the estimator's expected output rows (for a predicate:
+	// verdicts), computed from per-document statistics (internal/stats);
+	// -1 when no estimator saw the node (the forced modes). The rendered plan shows it beside the actual row count of an
 	// analyzed run, so misestimates are visible per operator.
 	Est int64
 	// Seek is the index resolution of an OpIndexPath node.
@@ -425,8 +424,7 @@ func (n *Node) inputLabels() []string {
 }
 
 // Tree renders the plan as an indented operator tree with its static
-// annotations: the output's local digit width and the optimizer's
-// estimate.
+// annotations: the output's local digit width and the estimated rows.
 func (n *Node) Tree() string {
 	var b strings.Builder
 	n.write(&b, 0, "", nil)
@@ -506,10 +504,10 @@ func MaxID(n *Node) int {
 	return m
 }
 
-// ResetEst marks every node's optimizer estimate unset (-1). The
-// compiler calls it once per plan before handing the tree to the
-// optimizer, so unoptimized (forced-mode) plans render no estimate rather
-// than a spurious zero.
+// ResetEst marks every node's estimate unset (-1). The compiler calls it
+// once per plan before handing the tree to the estimator, so forced-mode
+// plans, which are not estimated, render no estimate rather than a
+// spurious zero.
 func ResetEst(n *Node) {
 	Walk(n, func(c *Node) { c.Est = -1 })
 }

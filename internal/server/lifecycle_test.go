@@ -194,7 +194,7 @@ func TestDocPutFromFile(t *testing.T) {
 // for the document lifecycle: DELETE a document, reload the same name
 // with different content, and the same query text must be re-planned
 // against the new content — a version-blind cache would serve the plan
-// (and in the worst case the optimizer shape) of the dropped document.
+// (and the estimates) of the dropped document.
 func TestDropReloadNeverServesStalePlan(t *testing.T) {
 	ts, srv := lifecycleServer(t, Config{}, map[string]string{"d.xml": `<r><v>1</v></r>`})
 	query := QueryRequest{Query: `document("d.xml")/r/v`}

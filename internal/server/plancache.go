@@ -51,8 +51,8 @@ func newPlanCache(capacity int) *planCache {
 // change into the key: loads, structural updates (which publish the
 // spliced index and statistics in the same version), drops and
 // statistics refreshes each publish a fresh version, so a plan compiled
-// against one snapshot — including one the cost-based optimizer shaped
-// around since-recollected statistics, or one whose document was dropped
+// against one snapshot — including one estimated from since-recollected
+// statistics, or one whose document was dropped
 // and reloaded with different content — is never reused against another.
 func planKey(req *QueryRequest, engine dixq.Engine, cfg Config, version uint64) string {
 	return fmt.Sprintf("%s\x00%s\x00par=%d\x00cat=%d",

@@ -202,8 +202,8 @@ func (s *Server) Close() {
 type QueryRequest struct {
 	// Query is the XQuery text.
 	Query string `json:"query"`
-	// Engine selects the evaluation strategy: "di-opt" (the cost-based
-	// default), "di-msj", "di-nlj", "interp", or "generic-sql".
+	// Engine selects the evaluation strategy: "di-opt" (the default:
+	// di-msj with row estimates), "di-msj", "di-nlj", "interp", or "generic-sql".
 	Engine string `json:"engine,omitempty"`
 	// Indent pretty-prints the result XML.
 	Indent bool `json:"indent,omitempty"`
@@ -579,10 +579,6 @@ type ExplainResponse struct {
 	// pinned snapshot: the tree AnalyzedPlan annotates.
 	Plan string `json:"plan"`
 	Core string `json:"core"`
-	// Optimizer is the cost-based optimizer's report — join graph,
-	// estimates, and per-loop decisions with both candidates' costs —
-	// present when the requested engine is di-opt (the default).
-	Optimizer *dixq.OptimizerReport `json:"optimizer,omitempty"`
 	// AnalyzedPlan is the executed physical plan annotated with each
 	// operator's actuals.
 	AnalyzedPlan string `json:"analyzed_plan,omitempty"`
@@ -627,9 +623,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: err.Error()})
 		return
 	}
-	// The optimizer report is nil for the forced engines: those runs
-	// bypass the optimizer by design.
-	out := ExplainResponse{Plan: tree, Core: q.Core(), Optimizer: q.OptimizerReport(snap, opts)}
+	out := ExplainResponse{Plan: tree, Core: q.Core()}
 	if req.Analyze {
 		text, ops, err := q.ExplainAnalyze(r.Context(), snap, opts)
 		if err != nil {

@@ -494,8 +494,8 @@ func TestExplainAnalyze(t *testing.T) {
 
 // TestExplainShowsExecutedPlan: the plan /explain returns is the tree the
 // requested DI engine runs on the pinned snapshot — for Q8 under di-opt
-// over an indexed document, one with index seeks — and every optimizer
-// decision and join-graph vertex names a node of that tree. Plan lines
+// over an indexed document, one with index seeks — with a row estimate
+// on every line, and the response carries no optimizer report. Plan lines
 // are in preorder, so line i is node i; the analyzed plan annotates the
 // very same lines.
 func TestExplainShowsExecutedPlan(t *testing.T) {
@@ -515,19 +515,17 @@ func TestExplainShowsExecutedPlan(t *testing.T) {
 		t.Fatalf("plan has no index seek:\n%s", out.Plan)
 	}
 	lines := strings.Split(strings.TrimRight(out.Plan, "\n"), "\n")
-	if out.Optimizer == nil || len(out.Optimizer.Decisions) == 0 {
-		t.Fatalf("no optimizer decisions: %+v", out.Optimizer)
-	}
-	for _, d := range out.Optimizer.Decisions {
-		if d.NodeID >= len(lines) || !strings.Contains(lines[d.NodeID], "for-") ||
-			!strings.Contains(lines[d.NodeID], "["+d.Loop) {
-			t.Errorf("decision %+v names no loop of the plan:\n%s", d, out.Plan)
+	for i, l := range lines {
+		if !strings.Contains(l, "est: ") {
+			t.Errorf("line %d carries no estimate: %q", i, l)
 		}
 	}
-	for _, v := range out.Optimizer.Graph.Vertices {
-		if v.NodeID >= len(lines) || !strings.Contains(lines[v.NodeID], v.Detail) {
-			t.Errorf("vertex %+v names no node of the plan:\n%s", v, out.Plan)
-		}
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := raw["optimizer"]; ok {
+		t.Errorf("explain response still carries an optimizer key: %s", raw["optimizer"])
 	}
 	analyzed := strings.Split(strings.TrimRight(out.AnalyzedPlan, "\n"), "\n")
 	if len(analyzed) != len(lines) {
@@ -576,8 +574,8 @@ func TestPlanCacheEviction(t *testing.T) {
 // TestStatsEpochEvictsPlans is the regression test for statistics-driven
 // plan-cache invalidation: recollecting the catalog's statistics bumps
 // the stats epoch — with the index epoch untouched — and cached plans
-// stop being served, because a plan the cost-based optimizer shaped
-// around the old statistics may no longer be the one it would build.
+// stop being served, because a plan estimated from the old statistics
+// carries stale estimates.
 // Reloading a document must bump the stats epoch too (alongside the
 // index epoch), so reloads invalidate on both axes.
 func TestStatsEpochEvictsPlans(t *testing.T) {

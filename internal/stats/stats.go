@@ -1,5 +1,5 @@
 // Package stats collects and persists per-document statistics for the
-// cost-based optimizer (internal/opt): relation cardinality, per-label
+// plan estimator (internal/opt): relation cardinality, per-label
 // instance counts, and per-dataguide-path summaries (instance count,
 // subtree rows, distinct text values under the path). Everything is
 // derived from one O(n) stack pass over the L-sorted relation — the same
@@ -57,7 +57,7 @@ type DocStats struct {
 	Tuples int64
 	// Labels maps each element/attribute label to its instance count —
 	// the posting length of the structural index, persisted so the
-	// optimizer can estimate without an index in memory.
+	// estimator can read it without an index in memory.
 	Labels map[string]int64
 	// Paths maps each distinct root-to-node class path (rendered as in
 	// index.DocIndex.Paths: "/"-joined, text as "#text") to its summary.
@@ -266,7 +266,7 @@ func (s *DocStats) PathNames() []string {
 
 // Set is the statistics of a catalog of documents, tagged with a
 // monotonic epoch that changes whenever any document's statistics are
-// recollected. Plan caches key on the epoch so plans optimized against
+// recollected. Plan caches key on the epoch so plans estimated against
 // stale statistics never serve a query.
 type Set struct {
 	Docs  map[string]*DocStats

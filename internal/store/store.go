@@ -10,7 +10,7 @@
 // by index, all integers varint-encoded; keys store their digit vectors
 // verbatim, so documents at any environment depth round-trip. After that
 // body come the document's structural index (see internal/index) and its
-// optimizer statistics (see internal/stats), so a loaded document brings
+// statistics (see internal/stats), so a loaded document brings
 // its dataguide, subtree ranges and cardinalities at no rebuild cost.
 // Loading validates the body's interval nesting: a store is the one way a
 // relation enters the catalog from outside the encoder.
@@ -41,7 +41,7 @@ const maxSaneLen = 1 << 31
 var ErrFormat = errors.New("store: not a .dixq store file")
 
 // WriteFull serializes a relation together with its structural index and
-// optimizer statistics. Index and statistics must have been built over
+// statistics. Index and statistics must have been built over
 // rel.
 func WriteFull(w io.Writer, rel *interval.Relation, ix *index.DocIndex, st *stats.DocStats) error {
 	bw := bufio.NewWriter(w)
@@ -118,7 +118,7 @@ func writeBody(bw *bufio.Writer, rel *interval.Relation) error {
 }
 
 // ReadFull deserializes a relation together with its structural index and
-// optimizer statistics, rejecting a relation that is not a valid interval
+// statistics, rejecting a relation that is not a valid interval
 // encoding (interval.Validate).
 func ReadFull(r io.Reader) (*interval.Relation, *index.DocIndex, *stats.DocStats, error) {
 	dec := &decoder{br: bufio.NewReader(r)}
@@ -237,8 +237,8 @@ func (d *decoder) key() (interval.Key, error) {
 	return k, nil
 }
 
-// SaveFull writes a relation, its structural index and its optimizer
-// statistics to a file, atomically via a temporary sibling: the temporary
+// SaveFull writes a relation, its structural index and its statistics
+// to a file, atomically via a temporary sibling: the temporary
 // file is synced before it is renamed over the target, so a crash leaves
 // either the old store or the complete new one, never an empty file under
 // the final name.
@@ -265,8 +265,8 @@ func SaveFull(path string, rel *interval.Relation, ix *index.DocIndex, st *stats
 	return nil
 }
 
-// LoadFull reads a relation, its structural index and its optimizer
-// statistics from a file (see ReadFull).
+// LoadFull reads a relation, its structural index and its statistics
+// from a file (see ReadFull).
 func LoadFull(path string) (*interval.Relation, *index.DocIndex, *stats.DocStats, error) {
 	f, err := os.Open(path)
 	if err != nil {
