@@ -3,6 +3,8 @@ package dixq
 import (
 	"context"
 	"errors"
+	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -18,7 +20,7 @@ func xmarkCatalog(sf float64) *Catalog {
 	return cat
 }
 
-// TestTimeoutAbortsEveryEngine runs Q8 under a deadline on all five
+// TestTimeoutAbortsEveryEngine runs Q8 under a deadline on all four
 // engines: each returns ErrBudgetExceeded, and each abort counts once in
 // dixq_budget_rejections_total. 1 ms is well inside every engine's Q8 time
 // at sf 0.05 (generic-sql, nested loops over SQL, runs its own smaller
@@ -26,7 +28,7 @@ func xmarkCatalog(sf float64) *Catalog {
 func TestTimeoutAbortsEveryEngine(t *testing.T) {
 	cat, sqlCat := xmarkCatalog(0.05), xmarkCatalog(0.0005)
 	for _, timeout := range []time.Duration{time.Nanosecond, time.Millisecond} {
-		for _, eng := range []Engine{CostBased, MergeJoin, NestedLoop, Interpreter, GenericSQL} {
+		for _, eng := range []Engine{MergeJoin, NestedLoop, Interpreter, GenericSQL} {
 			c := cat
 			if eng == GenericSQL {
 				c = sqlCat
@@ -50,7 +52,7 @@ func TestTimeoutAbortsEveryEngine(t *testing.T) {
 // give back every worker slot and leave no run file behind.
 func TestDeadlineAbortLeavesNothing(t *testing.T) {
 	cat := xmarkCatalog(0.05)
-	for _, eng := range []Engine{CostBased, MergeJoin, NestedLoop} {
+	for _, eng := range []Engine{MergeJoin, NestedLoop} {
 		dir := t.TempDir()
 		before := exitcheck.Take()
 		_, err := Run(XMarkQ8, cat, &Options{
@@ -83,11 +85,13 @@ func TestTimeoutOvershoot(t *testing.T) {
 }
 
 // TestCancelEveryEngine cancels each engine mid-run: DI-NLJ on Q8 at sf
-// 0.02, the merge-join engines on the sf 0.05 document at parallelism 4
-// with every group reorder spilling under a 256-byte budget (so the
-// cancel lands inside a spilling sort, a few hundred runs deep), the
-// interpreter on the same document and generic-sql on its smaller one. Each run must fail with context.Canceled within 50 ms
-// of the cancel, count no budget rejection, and leave nothing behind.
+// 0.02, DI-MSJ on the sf 0.05 document at parallelism 4 with every group
+// reorder spilling under a 256-byte budget, the interpreter on the same
+// document and generic-sql on its smaller one. DI-MSJ is cancelled once its
+// first spill run appears on disk, so the cancel lands inside a spilling
+// sort however fast the host runs; the others are cancelled after a
+// sleep. Each run must fail with context.Canceled within 50 ms of the
+// cancel, count no budget rejection, and leave nothing behind.
 func TestCancelEveryEngine(t *testing.T) {
 	const mid, slack = 100 * time.Millisecond, 50 * time.Millisecond
 	cat, nljCat, sqlCat := xmarkCatalog(0.05), xmarkCatalog(0.02), xmarkCatalog(0.0005)
@@ -95,11 +99,11 @@ func TestCancelEveryEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []Engine{CostBased, MergeJoin, NestedLoop, Interpreter, GenericSQL} {
+	for _, eng := range []Engine{MergeJoin, NestedLoop, Interpreter, GenericSQL} {
 		c, dir := cat, ""
 		opts := &Options{Engine: eng}
 		switch eng {
-		case CostBased, MergeJoin:
+		case MergeJoin:
 			dir = t.TempDir()
 			opts.Parallelism, opts.MemBudget, opts.SpillDir = 4, 256, dir
 		case NestedLoop:
@@ -114,7 +118,15 @@ func TestCancelEveryEngine(t *testing.T) {
 			_, err := q.Run(ctx, c, opts)
 			done <- err
 		}()
-		time.Sleep(mid)
+		if dir != "" {
+			if err := awaitSpillRun(dir, done); err != nil {
+				cancel()
+				<-done
+				t.Fatalf("%s: %v", eng, err)
+			}
+		} else {
+			time.Sleep(mid)
+		}
 		cancelled := time.Now()
 		cancel()
 		err := <-done
@@ -130,5 +142,27 @@ func TestCancelEveryEngine(t *testing.T) {
 		}
 		before.Check(t, dir, nil)
 		t.Logf("%s: returned %s after the cancel", eng, took)
+	}
+}
+
+// awaitSpillRun polls dir until a spill run file appears in it. It fails
+// if the run ends first, putting the run's result back on done, or if
+// none appears within 10 s.
+func awaitSpillRun(dir string, done chan error) error {
+	tick := time.NewTicker(100 * time.Microsecond)
+	defer tick.Stop()
+	giveUp := time.After(10 * time.Second)
+	for {
+		if runs, _ := filepath.Glob(filepath.Join(dir, "dixq-spill-*.run")); len(runs) > 0 {
+			return nil
+		}
+		select {
+		case err := <-done:
+			done <- err
+			return fmt.Errorf("the run ended (err = %v) before it wrote a spill run", err)
+		case <-giveUp:
+			return errors.New("no spill run appeared within 10s")
+		case <-tick.C:
+		}
 	}
 }

@@ -8,7 +8,7 @@
 //	        [-scales 0.001,0.01,...] [-systems interp,generic-sql,di-nlj,di-msj]
 //	        [-timeout 60s] [-maxtuples N] [-metricsdump file]
 //
-// -systems takes engine names (any of di-opt, di-msj, di-nlj, interp,
+// -systems takes engine names (any of di-msj, di-nlj, interp,
 // generic-sql); an unknown name fails at startup. Engines exceeding the
 // budget are reported DNF, mirroring the paper's experiment cutoffs. See
 // EXPERIMENTS.md for paper-vs-measured tables.

@@ -10,7 +10,8 @@
 //	dixq -f query.xq -doc d=doc.xml -explain   # print the plan -engine runs
 //	dixq -i -doc d=doc.xml                     # interactive session
 //
-// Engines: di-opt (the default: di-msj plus row estimates), di-msj, di-nlj, interp, generic-sql.
+// Engines: di-msj (the default), di-nlj, interp, generic-sql. The DI
+// engines annotate every plan node with a statistics-fed row estimate.
 package main
 
 import (
@@ -47,7 +48,7 @@ func main() {
 	queryFile := flag.String("f", "", "file holding the query")
 	var docs docFlags
 	flag.Var(&docs, "doc", "document binding name=path.xml or name=path.dixq (repeatable)")
-	engineName := flag.String("engine", "di-opt", "di-opt, di-msj, di-nlj, interp, or generic-sql")
+	engineName := flag.String("engine", "di-msj", "di-msj, di-nlj, interp, or generic-sql")
 	explain := flag.Bool("explain", false, "print the plan the -engine runs (DI engines) and exit")
 	showSQL := flag.Bool("sql", false, "print the SQL translation and exit")
 	showCore := flag.Bool("core", false, "print the desugared core expression and exit")

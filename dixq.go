@@ -176,16 +176,12 @@ func (d *Document) Encoding() string { return d.enc.String() }
 type Engine int
 
 const (
-	// CostBased is DI-OPT, the default: the DI-MSJ plan with every
-	// operator annotated by a row estimate fed by the catalog's
-	// per-document statistics. Estimates never change the plan, so the
-	// result is the one the forced engines produce.
-	CostBased Engine = iota
-	// MergeJoin is the paper's DI-MSJ strategy, forced: dynamic interval
-	// plans with decorrelated structural merge joins on every loop.
-	MergeJoin
-	// NestedLoop is DI-NLJ, forced: the literal translation, nested-loop
-	// joins on every loop.
+	// MergeJoin is the paper's DI-MSJ strategy, the default: dynamic
+	// interval plans with decorrelated structural merge joins on every
+	// eligible loop.
+	MergeJoin Engine = iota
+	// NestedLoop is DI-NLJ: the literal translation, nested-loop joins on
+	// every loop.
 	NestedLoop
 	// Interpreter is the direct denotational-semantics evaluator — the
 	// stand-in for the Galax/Kweelt-class systems of the evaluation.
@@ -199,7 +195,6 @@ const (
 // wire name used by flags, JSON request bodies and metric labels, and the
 // display name String returns.
 var engineNames = [...]struct{ label, display string }{
-	CostBased:   {"di-opt", "DI-OPT"},
 	MergeJoin:   {"di-msj", "DI-MSJ"},
 	NestedLoop:  {"di-nlj", "DI-NLJ"},
 	Interpreter: {"interp", "interpreter"},
@@ -224,10 +219,10 @@ func (e Engine) Label() string {
 }
 
 // ParseEngine resolves an engine's wire name; the empty name selects the
-// CostBased default.
+// MergeJoin default.
 func ParseEngine(name string) (Engine, error) {
 	if name == "" {
-		return CostBased, nil
+		return MergeJoin, nil
 	}
 	var labels []string
 	for e, n := range engineNames {
@@ -239,7 +234,7 @@ func ParseEngine(name string) (Engine, error) {
 	return 0, fmt.Errorf("unknown engine %q (%s)", name, strings.Join(labels, ", "))
 }
 
-// Options configures a run. The zero value (or nil) selects the CostBased
+// Options configures a run. The zero value (or nil) selects the MergeJoin
 // engine with no limits.
 type Options struct {
 	Engine Engine
@@ -267,8 +262,8 @@ type Options struct {
 	// never aborts a query: it degrades to disk and the result is
 	// identical.
 	MemBudget int64
-	// SpillDir is where external-sort runs are written under MemBudget;
-	// empty means the OS temp directory.
+	// SpillDir is where a budgeted sort writes its spill runs (files of
+	// sorted positions) under MemBudget; empty means the OS temp directory.
 	SpillDir string
 }
 
@@ -285,8 +280,6 @@ func resolve(cat View, opts *Options) (o *Options, snap *Snapshot, copts core.Op
 	snap = cat.view()
 	var mode core.Mode
 	switch opts.Engine {
-	case CostBased:
-		mode = core.ModeAuto
 	case MergeJoin:
 		mode = core.ModeMSJ
 	case NestedLoop:

@@ -42,13 +42,40 @@ func TestQuickstartFlow(t *testing.T) {
 func TestAllEnginesAgreeOnQ8(t *testing.T) {
 	cat := figureCatalog(t)
 	want := `<item person="Cong Rosca">1</item>`
-	for _, eng := range []Engine{CostBased, MergeJoin, NestedLoop, Interpreter, GenericSQL} {
+	for _, eng := range []Engine{MergeJoin, NestedLoop, Interpreter, GenericSQL} {
 		res, err := Run(XMarkQ8, cat, &Options{Engine: eng})
 		if err != nil {
 			t.Fatalf("%s: %v", eng, err)
 		}
 		if res.XML() != want {
 			t.Errorf("%s: XML = %q, want %q", eng, res.XML(), want)
+		}
+	}
+}
+
+// TestParseEngineWireNames: the empty name is the MergeJoin default, each
+// engine's wire name parses back to it, and any other name — a retired
+// wire name and a display name included — fails with an error listing
+// the four wire names.
+func TestParseEngineWireNames(t *testing.T) {
+	if e, err := ParseEngine(""); err != nil || e != MergeJoin {
+		t.Errorf(`ParseEngine("") = %v, %v; want MergeJoin`, e, err)
+	}
+	engines := []Engine{MergeJoin, NestedLoop, Interpreter, GenericSQL}
+	for _, eng := range engines {
+		if e, err := ParseEngine(eng.Label()); err != nil || e != eng {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v", eng.Label(), e, err, eng)
+		}
+	}
+	for _, name := range []string{"di-opt", "DI-MSJ"} {
+		_, err := ParseEngine(name)
+		if err == nil {
+			t.Fatalf("ParseEngine(%q) accepted an unknown name", name)
+		}
+		for _, eng := range engines {
+			if !strings.Contains(err.Error(), eng.Label()) {
+				t.Errorf("ParseEngine(%q) error %q does not list %q", name, err, eng.Label())
+			}
 		}
 	}
 }
@@ -101,7 +128,7 @@ func TestQueryIntrospection(t *testing.T) {
 		t.Errorf("Documents = %v", docs)
 	}
 	// Explain renders the plan the chosen engine runs: the index seeks the
-	// catalog's indexes allow, and the forced join strategy.
+	// catalog's indexes allow, and the join strategy of its plan mode.
 	cat := figureCatalog(t)
 	for engine, want := range map[Engine]string{MergeJoin: "for-merge-join", NestedLoop: "for-nested-loop"} {
 		tree, err := q.Explain(cat, &Options{Engine: engine})
@@ -230,8 +257,8 @@ func TestDocumentFileRoundTrip(t *testing.T) {
 // times that sum into the phase total; a non-DI run has no plan to report.
 func TestResultOperators(t *testing.T) {
 	cat := figureCatalog(t)
-	// MergeJoin is forced: the test asserts a merge-join operator row,
-	// and only the forced mode promises one.
+	// The test asserts a merge-join operator row, which the MergeJoin
+	// engine promises.
 	res, err := Run(XMarkQ8, cat, &Options{Engine: MergeJoin})
 	if err != nil {
 		t.Fatal(err)

@@ -46,7 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, engine := range []dixq.Engine{dixq.CostBased, dixq.MergeJoin, dixq.NestedLoop, dixq.Interpreter, dixq.GenericSQL} {
+	for _, engine := range []dixq.Engine{dixq.MergeJoin, dixq.NestedLoop, dixq.Interpreter, dixq.GenericSQL} {
 		res, err := q8.Run(context.Background(), cat, &dixq.Options{Engine: engine})
 		if err != nil {
 			log.Fatal(err)

@@ -33,7 +33,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Println(qq.name)
-		for _, engine := range []dixq.Engine{dixq.NestedLoop, dixq.MergeJoin, dixq.CostBased} {
+		for _, engine := range []dixq.Engine{dixq.NestedLoop, dixq.MergeJoin} {
 			res, err := q.Run(context.Background(), cat, &dixq.Options{Engine: engine, Timeout: time.Minute})
 			if err != nil {
 				log.Fatal(err)

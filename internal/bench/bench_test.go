@@ -24,7 +24,7 @@ func TestWorkloadSystemsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var trees []int
-	for _, e := range append(DefaultEngines, dixq.CostBased) {
+	for _, e := range DefaultEngines {
 		out := wl.Run(e, smallCfg())
 		if out.Err != nil {
 			t.Fatalf("%s: %v", e, out.Err)
@@ -53,7 +53,7 @@ func TestDNFOnTightBudget(t *testing.T) {
 	if !out.DNF || out.Err != nil {
 		t.Fatalf("NLJ with 1000-tuple budget: DNF=%v err=%v", out.DNF, out.Err)
 	}
-	for _, e := range append(DefaultEngines, dixq.CostBased) {
+	for _, e := range DefaultEngines {
 		if out := wl.Run(e, Config{Timeout: time.Nanosecond}); !out.DNF || out.Err != nil {
 			t.Errorf("%s with 1ns timeout: DNF=%v err=%v", e, out.DNF, out.Err)
 		}

@@ -13,10 +13,10 @@ import (
 // buildPlan lowers a core expression into the physical plan the evaluator
 // executes. The compiler mirrors the environment-depth analysis of §4.3
 // (each binder records the static depth and digit width of its variable)
-// and compiles every eligible loop to the §5 merge join unless the nested
-// loop is forced; the executor fuses every maximal chain of path operators
-// into one streaming pass. Under ModeAuto the estimator then annotates
-// every node with its statistics-fed row estimate.
+// and compiles every eligible loop to the §5 merge join unless ModeNLJ
+// asks for the nested loop; the executor fuses every maximal chain of
+// path operators into one streaming pass. Given statistics, the estimator
+// then annotates every node with its statistics-fed row estimate.
 func buildPlan(e xq.Expr, opts Options) *plan.Node {
 	c := &compiler{opts: opts, depths: map[string]varInfo{}}
 	root := c.expr(e, 0)
@@ -29,7 +29,7 @@ func buildPlan(e xq.Expr, opts Options) *plan.Node {
 	// Est carries the statistics-fed row estimates; -1 marks nodes no
 	// estimator saw, which render without one.
 	plan.ResetEst(root)
-	if opts.ForceJoinMode == ModeAuto {
+	if opts.DocStats != nil {
 		opt.Optimize(root, opts.DocStats)
 	}
 	plan.AssignIDs(root)

@@ -17,8 +17,9 @@
 //
 // Both modes produce byte-identical output relations; the difference is
 // purely algorithmic, which is what the paper's Q8/Q9 experiments isolate.
-// ModeAuto, the default, runs the ModeMSJ plan with every node annotated by
-// the statistics-fed estimator of package opt.
+// A plan compiled with statistics (Options.DocStats) in either mode has
+// every node annotated by the statistics-fed estimator of package opt;
+// the estimates never change the plan.
 package core
 
 import (
@@ -38,20 +39,16 @@ import (
 type Mode int
 
 const (
-	// ModeAuto (the default, DI-OPT) runs the ModeMSJ plan with
-	// statistics-fed row estimates on every node (internal/opt). All three
-	// modes are digit-identical.
-	ModeAuto Mode = iota
-	// ModeMSJ forces the decorrelated merge-sort join evaluation (DI-MSJ).
-	ModeMSJ
+	// ModeMSJ (the default, DI-MSJ) compiles every eligible loop to the
+	// decorrelated merge-sort join. Both modes produce digit-identical
+	// results.
+	ModeMSJ Mode = iota
 	// ModeNLJ forces the literal nested-loop translation (DI-NLJ).
 	ModeNLJ
 )
 
 func (m Mode) String() string {
 	switch m {
-	case ModeAuto:
-		return "DI-OPT"
 	case ModeMSJ:
 		return "DI-MSJ"
 	case ModeNLJ:
@@ -63,11 +60,9 @@ func (m Mode) String() string {
 
 // Options configures evaluation.
 type Options struct {
-	// ForceJoinMode pins the join strategy of every loop: ModeMSJ
-	// compiles every eligible loop to the merge join, ModeNLJ none — the
-	// oracle modes the differential tests compare against — and neither
-	// estimates. The zero value (ModeAuto) runs the ModeMSJ plan with
-	// estimates from DocStats.
+	// ForceJoinMode picks the join strategy of every loop: ModeMSJ (the
+	// zero value) compiles every eligible loop to the merge join, ModeNLJ
+	// none.
 	ForceJoinMode Mode
 	// MaxTuples aborts evaluation once the environment-embedding operators
 	// have produced this many tuples (0 = unlimited) — the analogue of the
@@ -102,8 +97,8 @@ type Options struct {
 	// spill). Unlike MaxTuples, exceeding it never aborts the query — it
 	// degrades to disk.
 	MemBudget int64
-	// SpillDir is where external-sort runs are written; empty means the OS
-	// temp directory.
+	// SpillDir is where a budgeted sort writes its spill runs (files of
+	// sorted positions); empty means the OS temp directory.
 	SpillDir string
 	// Analyze, when non-nil, requests the analyze report — the input of
 	// the analyze form of Explain. Every run records the per-plan-node
@@ -123,11 +118,12 @@ type Options struct {
 	// relation fails the run with an error, so results are digit-identical
 	// with and without indexes.
 	Indexes *index.Set
-	// DocStats, when non-nil, feeds the estimator real per-document
-	// statistics (cardinalities, posting counts, distinct values). Only
-	// consulted under ModeAuto, and it changes estimates, never the plan;
-	// a document without statistics is estimated at a nominal size. Sets
-	// are immutable, so a plan memoized against one set stays valid for it.
+	// DocStats, when non-nil, has the estimator annotate every node of the
+	// plan, in either mode, with a row estimate fed by these per-document
+	// statistics (cardinalities, posting counts, distinct values); nil
+	// leaves the plan unestimated. It changes estimates, never the plan; a
+	// document the set lacks is estimated at a nominal size. Sets are
+	// immutable, so a plan memoized against one set stays valid for it.
 	DocStats *stats.Set
 }
 
@@ -157,7 +153,7 @@ type Stats struct {
 	// EmbeddedTuples counts tuples produced by outer-environment
 	// embedding, the quadratic cost center of DI-NLJ.
 	EmbeddedTuples int64
-	// SpilledRuns counts external-sort runs written to disk under
+	// SpilledRuns counts spill runs written to disk under
 	// Options.MemBudget (0 when everything fit in memory).
 	SpilledRuns int64
 	// SpilledBytes is the accounted footprint of the spilled records.
@@ -214,11 +210,7 @@ type planVariant struct {
 }
 
 func variantKey(opts Options) planVariant {
-	key := planVariant{mode: opts.ForceJoinMode, indexes: opts.Indexes}
-	if opts.ForceJoinMode == ModeAuto {
-		key.stats = opts.DocStats
-	}
-	return key
+	return planVariant{mode: opts.ForceJoinMode, indexes: opts.Indexes, stats: opts.DocStats}
 }
 
 // Plan returns the physical plan the query executes under the given

@@ -255,7 +255,7 @@ func TestDeadlineAtOperatorEntry(t *testing.T) {
 	q := Compile(xq.MustParse(xmark.Q8), Options{})
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	for _, mode := range []Mode{ModeAuto, ModeMSJ, ModeNLJ} {
+	for _, mode := range []Mode{ModeMSJ, ModeNLJ} {
 		stats := &Stats{}
 		_, err := q.Eval(cat, Options{ForceJoinMode: mode, Context: expired, Stats: stats})
 		if !errors.Is(err, context.DeadlineExceeded) {
@@ -456,9 +456,9 @@ func TestQ14Contains(t *testing.T) {
 
 // TestRunStatsRecordJoinStrategies checks that a plain run — no analyze
 // request — records per-node actuals for the environment machinery: the
-// loop-entry nodes of the forced strategy were called, NLJ plans ran their
-// embed-outer nodes, nothing reports a negative time, and the phase Stats
-// are exactly the per-node times.
+// loop-entry nodes of the mode's join strategy were called, NLJ plans ran
+// their embed-outer nodes, nothing reports a negative time, and the phase
+// Stats are exactly the per-node times.
 func TestRunStatsRecordJoinStrategies(t *testing.T) {
 	cat, _ := generatedCatalog(0.001, 30)
 	for _, mode := range []Mode{ModeMSJ, ModeNLJ} {

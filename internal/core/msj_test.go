@@ -298,8 +298,8 @@ func TestSortByKeyParallelOddChunks(t *testing.T) {
 
 // TestThetaJoinWorkCounts runs XMark Q11 and Q12 — person × auction
 // joins on the value comparison income > 5000 * initial — on the sf 0.01
-// seed-2 document the joins benchmark runs them on. Under DI-MSJ and
-// DI-OPT (fed the document's statistics) the loop must run as a merge
+// seed-2 document the joins benchmark runs them on. Under DI-MSJ, with
+// and without the document's statistics, the loop must run as a merge
 // join that embeds nothing and probes exactly the matching pairs, with
 // an answer digit-identical to the nested loop's, which embeds every
 // person into every auction environment.
@@ -324,11 +324,11 @@ func TestThetaJoinWorkCounts(t *testing.T) {
 		if nljStats.EmbeddedTuples != tc.nljEmbedded {
 			t.Errorf("%s DI-NLJ: %d embedded tuples, want %d", tc.name, nljStats.EmbeddedTuples, tc.nljEmbedded)
 		}
-		for _, mode := range []Mode{ModeMSJ, ModeAuto} {
+		for mode, docStats := range map[string]*stats.Set{"DI-MSJ": nil, "DI-MSJ with statistics": st} {
 			s := &Stats{}
 			probed := obs.ProbePairs.With(exec.WorkerLabel(0))
 			before := probed.Value()
-			got, err := q.Eval(cat, Options{ForceJoinMode: mode, DocStats: st, Parallelism: 1, Stats: s})
+			got, err := q.Eval(cat, Options{DocStats: docStats, Parallelism: 1, Stats: s})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -343,6 +343,56 @@ func TestThetaJoinWorkCounts(t *testing.T) {
 				t.Fatalf("%s %s: empty answer, the test lost its subject", tc.name, mode)
 			}
 			identicalRelations(t, fmt.Sprintf("%s %s against DI-NLJ", tc.name, mode), got, want)
+		}
+	}
+}
+
+// TestAutoModeDigitIdentity: statistics never change an answer. Over
+// random M:N join documents, DI-MSJ with the document's statistics, DI-MSJ
+// without and DI-NLJ compute digit-identical encodings, with and without a
+// positional variable, across join shapes.
+func TestAutoModeDigitIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	queries := []string{
+		`for $x in document("d")/db/as/rec
+		 return for $y in document("d")/db/bs/rec
+		 where $x/k = $y/k return <m>{$x/p/text()}{$y/p/text()}</m>`,
+		`for $x in document("d")/db/as/rec
+		 let $m := for $y in document("d")/db/bs/rec where $y/k = $x/k return $y
+		 return <n c="{count($m)}">{$x/p/text()}</n>`,
+		`for $x at $i in document("d")/db/as/rec
+		 return for $y in document("d")/db/bs/rec
+		 where $x/k = $y/k and $y/p != "0"
+		 return ($i, $y/p/text())`,
+		`for $x in document("d")/db/as/rec
+		 return for $y in document("d")/db/bs/rec
+		 where $x/k = $y/k
+		 return for $z in document("d")/db/as/rec
+		 where $z/k = $y/k
+		 return count($z)`,
+	}
+	for trial := 0; trial < 10; trial++ {
+		cat := EncodeCatalog(map[string]xmltree.Forest{"d": joinDocs(rng, 3+rng.Intn(8))})
+		st := stats.CollectSet(cat)
+		for qi, text := range queries {
+			q := Compile(xq.MustParse(text), Options{})
+			want, err := q.Eval(cat, Options{})
+			if err != nil {
+				t.Fatalf("trial %d query %d: msj: %v", trial, qi, err)
+			}
+			for name, opts := range map[string]Options{
+				"msj-stats": {DocStats: st},
+				"nlj":       {ForceJoinMode: ModeNLJ},
+			} {
+				got, err := q.Eval(cat, opts)
+				if err != nil {
+					t.Fatalf("trial %d query %d (%s): %v", trial, qi, name, err)
+				}
+				if got.String() != want.String() {
+					t.Fatalf("trial %d query %d (%s): encoding diverged\n got %s\nwant %s",
+						trial, qi, name, got, want)
+				}
+			}
 		}
 	}
 }

@@ -100,7 +100,7 @@ func TestSeekOverOtherRelationFails(t *testing.T) {
 		{`<r>{data(document("auction.xml")/site/people/person/@id)}</r>`, "index-seek"},
 		{`<r>{document("auction.xml")/site/people/nosuch}</r>`, "index-prune"},
 	} {
-		for _, mode := range []Mode{ModeAuto, ModeMSJ, ModeNLJ} {
+		for _, mode := range []Mode{ModeMSJ, ModeNLJ} {
 			opts := Options{ForceJoinMode: mode, Indexes: set, Parallelism: 1}
 			q := Compile(xq.MustParse(c.query), opts)
 			if tree := q.Plan(opts).Tree(); !strings.Contains(tree, c.op) {

@@ -113,14 +113,17 @@ func FuzzIndexedExecute(f *testing.F) {
 	})
 }
 
-// FuzzOptimizedExecute fuzzes the estimator's soundness claim: for any
-// query text and statistics configuration, DI-OPT runs the DI-MSJ plan
-// with estimates added, so it must fail exactly when DI-MSJ fails, with
-// the same error, and otherwise produce the relation both forced modes
-// produce, digit for digit. The corpus seeds cover the benchmark queries,
-// the end-to-end seed corpus, and generated random expressions; the stats
-// flag flips between real collected statistics and the nominal no-stats
-// estimates, so both estimation regimes face the full input space.
+// FuzzOptimizedExecute, named for the estimator's entry point
+// opt.Optimize, fuzzes the estimator's soundness claim: for any query
+// text, a DI-MSJ plan compiled with statistics is the plan compiled
+// without, estimates added, so it must fail exactly when the plan without
+// statistics fails, with the same error, and otherwise produce the
+// relation both plan modes produce without statistics, digit for digit.
+// The corpus seeds cover the benchmark queries, the end-to-end seed
+// corpus, and generated random expressions; the stats flag flips between
+// real collected statistics and a set that lacks every document, whose
+// estimates are nominal, so both estimation regimes face the full input
+// space.
 func FuzzOptimizedExecute(f *testing.F) {
 	for _, q := range []string{xmark.Q8, xmark.Q9, xmark.Q13, xmark.Q11, xmark.Q18, xmark.Q19} {
 		f.Add(q, true)
@@ -136,7 +139,7 @@ func FuzzOptimizedExecute(f *testing.F) {
 	}
 
 	cat, _ := Docs(f, 0.0005, 17)
-	st := stats.CollectSet(cat)
+	collected, nominal := stats.CollectSet(cat), &stats.Set{Docs: map[string]*stats.DocStats{}}
 
 	f.Fuzz(func(t *testing.T, src string, withStats bool) {
 		e, err := xq.Parse(src)
@@ -144,19 +147,19 @@ func FuzzOptimizedExecute(f *testing.F) {
 			return
 		}
 		q := core.Compile(e, core.Options{})
-		optOpts := core.Options{ForceJoinMode: core.ModeAuto, Parallelism: 1, MaxTuples: 200_000}
+		estOpts := core.Options{DocStats: nominal, Parallelism: 1, MaxTuples: 200_000}
 		if withStats {
-			optOpts.DocStats = st
+			estOpts.DocStats = collected
 		}
-		got, gerr := q.Eval(cat, optOpts)
+		got, gerr := q.Eval(cat, estOpts)
 		for _, mode := range []core.Mode{core.ModeMSJ, core.ModeNLJ} {
-			opts := optOpts
+			opts := estOpts
 			opts.ForceJoinMode = mode
 			opts.DocStats = nil
 			want, werr := q.Eval(cat, opts)
 			if mode == core.ModeMSJ && fmt.Sprint(gerr) != fmt.Sprint(werr) {
 				// One plan, so MaxTuples meters both runs alike.
-				t.Fatalf("opt err %v, %s err %v", gerr, mode, werr)
+				t.Fatalf("estimated err %v, %s err %v", gerr, mode, werr)
 			}
 			if werr != nil || gerr != nil {
 				// The nested loop embeds tuples the merge join never builds,
@@ -164,7 +167,7 @@ func FuzzOptimizedExecute(f *testing.F) {
 				// nothing to compare then.
 				continue
 			}
-			IdenticalRelations(t, "opt-vs-"+mode.String(), got, want)
+			IdenticalRelations(t, "estimated-vs-"+mode.String(), got, want)
 		}
 	})
 }

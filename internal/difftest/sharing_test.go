@@ -52,9 +52,9 @@ func catalogDigest(cat core.Catalog) uint64 {
 // their input's rows, so the catalog's document rows flow into results
 // uncopied. Relations are immutable; this test holds every configuration
 // to that: the catalog must hash the same after the whole corpus ran
-// through the baseline, all 15 matrix configurations and the two
-// adversarial ones, and every result must keep its answer when re-read
-// after the later runs.
+// through the baseline and all 10 matrix configurations, the two
+// adversarial ones included, and every result must keep its answer when
+// re-read after the later runs.
 func TestCorpusLeavesCatalogIntact(t *testing.T) {
 	t.Parallel()
 	cat, _ := Docs(t, 0.002, 17)

@@ -18,9 +18,9 @@ import (
 // relation, and with neither. The updates shift every row (a
 // front-of-document insert with negative digits, a prepend under the
 // root), add instances to classes the corpus seeks (a person, a closed
-// auction) and remove one. All three runs must be digit-identical, under
-// the estimated DI-OPT and the forced merge-join plans, and the unindexed run
-// must agree with the interpreter over the decoded document.
+// auction) and remove one. All three DI-MSJ runs must be digit-identical,
+// and the unindexed run must agree with the interpreter over the decoded
+// document.
 func TestSplicedIndexAgreesOnCorpus(t *testing.T) {
 	t.Parallel()
 	cat, icat := Docs(t, 0.002, 17)
@@ -74,31 +74,29 @@ func TestSplicedIndexAgreesOnCorpus(t *testing.T) {
 	for _, c := range Corpus() {
 		t.Run(c.Name, func(t *testing.T) {
 			oracle, oerr := interp.Run(c.Query, icat)
-			for _, mode := range []core.Mode{core.ModeAuto, core.ModeMSJ} {
-				none := core.Options{ForceJoinMode: mode, Parallelism: 1}
-				want, werr := RunCase(t, c, updated, none)
-				if (oerr != nil) != (werr != nil) {
-					t.Fatalf("%s: interpreter err %v, unindexed err %v", mode, oerr, werr)
+			none := core.Options{Parallelism: 1}
+			want, werr := RunCase(t, c, updated, none)
+			if (oerr != nil) != (werr != nil) {
+				t.Fatalf("interpreter err %v, unindexed err %v", oerr, werr)
+			}
+			if werr != nil {
+				return
+			}
+			if got := interval.MustDecode(want); !got.Equal(oracle) {
+				t.Fatalf("unindexed run disagrees with the interpreter: %d trees, want %d", len(got), len(oracle))
+			}
+			for _, v := range []struct {
+				name string
+				ix   *index.Set
+				st   *stats.Set
+			}{{"spliced", spliced, splicedStats}, {"rebuilt", rebuilt, rebuiltStats}} {
+				opts := none
+				opts.Indexes, opts.DocStats = v.ix, v.st
+				got, err := RunCase(t, c, updated, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", v.name, err)
 				}
-				if werr != nil {
-					continue
-				}
-				if got := interval.MustDecode(want); !got.Equal(oracle) {
-					t.Fatalf("%s: unindexed run disagrees with the interpreter: %d trees, want %d", mode, len(got), len(oracle))
-				}
-				for _, v := range []struct {
-					name string
-					ix   *index.Set
-					st   *stats.Set
-				}{{"spliced", spliced, splicedStats}, {"rebuilt", rebuilt, rebuiltStats}} {
-					opts := none
-					opts.Indexes, opts.DocStats = v.ix, v.st
-					got, err := RunCase(t, c, updated, opts)
-					if err != nil {
-						t.Fatalf("%s %s: %v", mode, v.name, err)
-					}
-					IdenticalRelations(t, mode.String()+" "+v.name, got, want)
-				}
+				IdenticalRelations(t, "DI-MSJ "+v.name, got, want)
 			}
 		})
 	}

@@ -32,7 +32,7 @@ var sqlEmpty = map[string]bool{"Q11": true, "Q12": true}
 
 // TestFullSuiteAcrossAllEngines is the suite-wide identity matrix of the
 // benchmark workload: every XMark query (Q1-Q20) through the interpreter,
-// the three DI plan modes, and the generated-SQL path on the generic
+// the two DI plan modes, and the generated-SQL path on the generic
 // minisql engine, all compared as decoded forests against the
 // interpreter's answer. The SQL leg runs at a smaller scale because the
 // untuned engine is quadratic on the translation's order predicates —
@@ -49,7 +49,6 @@ func TestFullSuiteAcrossAllEngines(t *testing.T) {
 	}{
 		{"di-nlj", core.Options{ForceJoinMode: core.ModeNLJ, Parallelism: 1}},
 		{"di-msj", core.Options{ForceJoinMode: core.ModeMSJ, Parallelism: 1}},
-		{"di-opt", core.Options{ForceJoinMode: core.ModeAuto, Parallelism: 1}},
 	}
 	for _, q := range xmark.All {
 		t.Run(q.Name, func(t *testing.T) {

@@ -10,8 +10,8 @@ var Default = NewRegistry()
 // ExplainAnalyze has an aggregate twin here, so fleet dashboards and
 // single-query debugging read the same quantities.
 var (
-	// Queries counts served queries by engine ("di-opt", "di-msj",
-	// "di-nlj", "interp", "generic-sql") and outcome ("ok", "error",
+	// Queries counts served queries by engine ("di-msj", "di-nlj",
+	// "interp", "generic-sql") and outcome ("ok", "error",
 	// "budget", "canceled", "bad_request"). "canceled" is a run whose
 	// request context ended: its client went away, or Server.Close.
 	Queries = Default.NewCounterVec("dixq_queries_total",
@@ -89,10 +89,10 @@ var (
 	// therefore never executed at all.
 	IndexPrunedPaths = Default.NewCounter("dixq_index_pruned_paths_total",
 		"Path chains pruned to empty by the dataguide.")
-	// OptPlans counts plans the estimator annotated (one per DI-OPT plan
-	// compiled).
+	// OptPlans counts plans the estimator annotated (one per DI plan
+	// compiled with statistics).
 	OptPlans = Default.NewCounter("dixq_opt_plans_total",
-		"Plans annotated with statistics-fed row estimates.")
+		"Plans annotated with statistics-fed row estimates, one per plan compiled with statistics.")
 	// CatalogVersion is the monotonic version of the most recently
 	// published catalog snapshot; every document load, update, drop,
 	// reindex or stats refresh advances it.

@@ -1,9 +1,10 @@
 // Package opt is the plan estimator: it walks a compiled physical plan
 // (internal/plan) against per-document statistics (internal/stats) and
 // writes every node's row estimate into Node.Est. It never rewrites the
-// plan — DI-OPT runs exactly the DI-MSJ plan, annotated — and the
-// analyzed plan renders each estimate beside the actual row count, so
-// misestimates are visible per operator end to end. See DESIGN.md §4.12.
+// plan — a DI-MSJ or DI-NLJ plan compiled with statistics is the plan
+// compiled without, annotated — and the analyzed plan renders each
+// estimate beside the actual row count, so misestimates are visible per
+// operator end to end. See DESIGN.md §4.12.
 package opt
 
 import (

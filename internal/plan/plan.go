@@ -250,8 +250,9 @@ type Node struct {
 	DomainVars []string
 	// Est is the estimator's expected output rows (for a predicate:
 	// verdicts), computed from per-document statistics (internal/stats);
-	// -1 when no estimator saw the node (the forced modes). The rendered plan shows it beside the actual row count of an
-	// analyzed run, so misestimates are visible per operator.
+	// -1 when no estimator saw the node (a plan compiled without
+	// statistics). The rendered plan shows it beside the actual row count
+	// of an analyzed run, so misestimates are visible per operator.
 	Est int64
 	// Seek is the index resolution of an OpIndexPath node.
 	Seek *Seek
@@ -505,9 +506,9 @@ func MaxID(n *Node) int {
 }
 
 // ResetEst marks every node's estimate unset (-1). The compiler calls it
-// once per plan before handing the tree to the estimator, so forced-mode
-// plans, which are not estimated, render no estimate rather than a
-// spurious zero.
+// once per plan before handing the tree to the estimator, so plans
+// compiled without statistics, which are not estimated, render no
+// estimate rather than a spurious zero.
 func ResetEst(n *Node) {
 	Walk(n, func(c *Node) { c.Est = -1 })
 }

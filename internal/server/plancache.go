@@ -43,7 +43,7 @@ func newPlanCache(capacity int) *planCache {
 // every option that affects the plan or its execution strategy, and the
 // version of the catalog snapshot the request pinned. The options are
 // canonicalized first — the engine component is the parsed engine's wire
-// name (so "" and "di-opt" are one slot), the parallelism component is the
+// name (so "" and "di-msj" are one slot), the parallelism component is the
 // fully resolved worker bound (request value, else server default, with 0 resolving to
 // runtime.GOMAXPROCS(0), exactly as the executor resolves it) — so
 // equivalent requests hit the same slot while requests differing in any

@@ -122,7 +122,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	exposition := string(text)
 	for _, want := range []string{
 		"# TYPE dixq_queries_total counter",
-		`dixq_queries_total{engine="di-opt",outcome="ok"}`,
+		`dixq_queries_total{engine="di-msj",outcome="ok"}`,
 		"# TYPE dixq_query_duration_seconds histogram",
 		"dixq_query_duration_seconds_count",
 		"dixq_active_queries",
@@ -175,7 +175,7 @@ func TestTracesEndpoint(t *testing.T) {
 	}
 	// Newest first: the second query hit the plan cache.
 	tr := out.Traces[0]
-	if tr.Engine != "di-opt" || tr.Outcome != "ok" || tr.DurationNS <= 0 {
+	if tr.Engine != "di-msj" || tr.Outcome != "ok" || tr.DurationNS <= 0 {
 		t.Fatalf("trace = %+v", tr)
 	}
 	if !strings.Contains(tr.Query, "document(") {
@@ -225,7 +225,7 @@ func TestTracesEndpoint(t *testing.T) {
 // {"analyze":true} for that query.
 func TestTraceSpansEqualExplainAnalyze(t *testing.T) {
 	ts := testServer(t, Config{TraceSample: 1})
-	for _, engine := range []string{"di-opt", "di-msj", "di-nlj"} {
+	for _, engine := range []string{"di-msj", "di-nlj"} {
 		req := QueryRequest{Query: dixq.XMarkQ8, Engine: engine}
 		if resp, body := postJSON(t, ts.URL+"/query", req); resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: query status %d: %s", engine, resp.StatusCode, body)

@@ -45,8 +45,8 @@ type Config struct {
 	// the DI engines, in bytes; larger sorts spill runs to SpillDir instead
 	// of aborting. Zero means unbounded.
 	MemBudget int64
-	// SpillDir is where external-sort runs are written under MemBudget;
-	// empty means the OS temp directory.
+	// SpillDir is where a budgeted sort writes its spill runs (files of
+	// sorted positions) under MemBudget; empty means the OS temp directory.
 	SpillDir string
 	// Parallelism is the per-query worker bound applied when a request
 	// leaves its parallelism field 0: it resolves like dixq.Options
@@ -202,8 +202,8 @@ func (s *Server) Close() {
 type QueryRequest struct {
 	// Query is the XQuery text.
 	Query string `json:"query"`
-	// Engine selects the evaluation strategy: "di-opt" (the default:
-	// di-msj with row estimates), "di-msj", "di-nlj", "interp", or "generic-sql".
+	// Engine selects the evaluation strategy: "di-msj" (the default),
+	// "di-nlj", "interp", or "generic-sql".
 	Engine string `json:"engine,omitempty"`
 	// Indent pretty-prints the result XML.
 	Indent bool `json:"indent,omitempty"`

@@ -157,7 +157,7 @@ func TestQueryBudget(t *testing.T) {
 // once in dixq_budget_rejections_total, and releases its snapshot.
 func TestQueryTimeoutEveryEngine(t *testing.T) {
 	ts := testServer(t, Config{Timeout: time.Nanosecond})
-	for _, engine := range []string{"interp", "generic-sql", "di-opt", "di-msj", "di-nlj"} {
+	for _, engine := range []string{"interp", "generic-sql", "di-msj", "di-nlj"} {
 		before, pinned := obs.BudgetRejections.Value(), obs.SnapshotsPinned.Value()
 		resp, body := postJSON(t, ts.URL+"/query", QueryRequest{Query: dixq.XMarkQ8, Engine: engine})
 		if resp.StatusCode != http.StatusGatewayTimeout {
@@ -364,8 +364,8 @@ func TestPlanCacheKeyIncludesOptions(t *testing.T) {
 	}
 	// The engine component is canonical: the empty name is the default
 	// engine's slot.
-	if got, want := planKey(&QueryRequest{Query: "q"}, Config{}, 0), planKey(&QueryRequest{Query: "q", Engine: "di-opt"}, Config{}, 0); got != want {
-		t.Errorf("empty engine key = %q, want the di-opt key %q", got, want)
+	if got, want := planKey(&QueryRequest{Query: "q"}, Config{}, 0), planKey(&QueryRequest{Query: "q", Engine: "di-msj"}, Config{}, 0); got != want {
+		t.Errorf("empty engine key = %q, want the di-msj key %q", got, want)
 	}
 	// A new catalog version — any document load, update, drop, reindex or
 	// stats refresh — must not reuse plans compiled against the old
@@ -428,11 +428,11 @@ func TestPlanCacheOptionsEndToEnd(t *testing.T) {
 		status             int
 		hits, misses, size uint64
 	}{
-		{"di-opt", http.StatusOK, 2, 3, 3},         // the slot of the first request's ""
+		{"di-msj", http.StatusOK, 2, 3, 3},         // the slot of the first request's ""
 		{"", http.StatusOK, 3, 3, 3},               // ... and back
 		{"nope", http.StatusBadRequest, 3, 3, 3},   // rejected: no lookup, no insert
-		{"di-msj", http.StatusOK, 3, 4, 4},         // a real engine change still misses
-		{"DI-MSJ", http.StatusBadRequest, 3, 4, 4}, // display names are not wire names
+		{"di-opt", http.StatusBadRequest, 3, 3, 3}, // unknown, like any other name
+		{"DI-MSJ", http.StatusBadRequest, 3, 3, 3}, // display names are not wire names
 	} {
 		resp, body := postJSON(t, ts.URL+"/query", QueryRequest{Query: query, Engine: tc.engine})
 		if resp.StatusCode != tc.status {
@@ -493,17 +493,17 @@ func TestExplainAnalyze(t *testing.T) {
 }
 
 // TestExplainShowsExecutedPlan: the plan /explain returns is the tree the
-// requested DI engine runs on the pinned snapshot — for Q8 under di-opt
-// over an indexed document, one with index seeks — with a row estimate
-// on every line, and the response carries no optimizer report. Plan lines
-// are in preorder, so line i is node i; the analyzed plan annotates the
-// very same lines.
+// requested DI engine runs on the pinned snapshot — for Q8 under di-msj
+// over an indexed document with statistics, one with index seeks — with a
+// row estimate on every line, and the response carries no optimizer
+// report. Plan lines are in preorder, so line i is node i; the analyzed
+// plan annotates the very same lines.
 func TestExplainShowsExecutedPlan(t *testing.T) {
 	srv := New(map[string]*dixq.Document{"auction.xml": dixq.GenerateXMark(0.003, 5)}, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	t.Cleanup(srv.Close)
-	resp, body := postJSON(t, ts.URL+"/explain", QueryRequest{Query: dixq.XMarkQ8, Engine: "di-opt", Analyze: true})
+	resp, body := postJSON(t, ts.URL+"/explain", QueryRequest{Query: dixq.XMarkQ8, Engine: "di-msj", Analyze: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -591,7 +591,7 @@ func TestStatsEpochEvictsPlans(t *testing.T) {
 		Query: `for $p in document("auction.xml")/site/people/person
 		        return for $q in document("auction.xml")/site/people/person
 		        where $p = $q return $q/name/text()`,
-		Engine: "di-opt",
+		Engine: "di-msj",
 	}
 	run := func() {
 		t.Helper()

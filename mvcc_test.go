@@ -120,7 +120,7 @@ func TestSnapshotIsolationUnderConcurrentUpdates(t *testing.T) {
 				}
 				variants := []*Options{
 					{Engine: MergeJoin, Parallelism: 4},
-					{Engine: CostBased},
+					{},
 					{Engine: NestedLoop},
 					{Engine: Interpreter},
 				}
