@@ -14,7 +14,7 @@
 // EXPERIMENTS.md for paper-vs-measured tables.
 // -metricsdump writes the process's cumulative observability counters
 // (the same Prometheus exposition dixqd serves at /metrics) to a file
-// after the run — parallel chains, bytes sorted, spill volume — so a
+// after the run — parallel tasks, bytes sorted, spill volume — so a
 // benchmark sweep leaves an auditable record of what the runtime did.
 package main
 

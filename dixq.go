@@ -245,13 +245,14 @@ type Options struct {
 	// MaxTuples aborts DI evaluation after this many embedded tuples.
 	MaxTuples int64
 	// Parallelism bounds the workers of the intra-query parallel runtime
-	// (DI engines): morsel-parallel fused path chains, the parallel
-	// structural sorts, and the concurrent merge-join sort phase. Zero (the
-	// default) resolves to runtime.GOMAXPROCS(0); 1 keeps evaluation
-	// single-threaded; larger values bound the query's workers directly.
-	// Workers are drawn from a process-wide budget shared by concurrent
-	// queries, so a query may be granted fewer. Results are digit-identical
-	// at any setting and any grant.
+	// (DI engines): the parallel structural sorts, the concurrent
+	// merge-join sort phase and the partitioned merge-join probe; fused
+	// path chains always run serial. Zero (the default) resolves to
+	// runtime.GOMAXPROCS(0); 1 keeps evaluation single-threaded; larger
+	// values bound the query's workers directly. Workers are drawn from a
+	// process-wide budget shared by concurrent queries, so a query may be
+	// granted fewer. Results are digit-identical at any setting and any
+	// grant.
 	Parallelism int
 	// MemBudget bounds the accounted in-memory footprint of every group
 	// reorder — sort, distinct, order by and the merge-join side sorts —

@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -421,5 +422,71 @@ func TestDocSymbolsResolve(t *testing.T) {
 	}
 	if checked < 20 {
 		t.Errorf("checked only %d code references — the pattern no longer matches the documents", checked)
+	}
+}
+
+var (
+	// ciPattern is a -run or -bench argument of a go test command in the
+	// workflow: quoted, or bare up to the next space. -benchtime and other
+	// longer flags do not match, since the name must end at = or a space.
+	ciPattern = regexp.MustCompile(`\s-(?:run|bench)(?:=|\s+)(?:'([^']*)'|"([^"]*)"|(\S+))`)
+	testFunc  = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+)
+
+// TestCIRunPatternsMatchTests fails when a -run or -bench alternative in
+// the CI workflow names no test: go test passes silently on a pattern
+// that matches nothing, so a renamed or deleted test would quietly drop
+// out of the step that lists it. Every alternative must match a Test,
+// Benchmark or Fuzz function of a _test.go file outside benchmark/ (which
+// CI runs as its own module). -run=NONE, the idiom for running benchmarks
+// alone, is exempt.
+func TestCIRunPatternsMatchTests(t *testing.T) {
+	workflow, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (path == "benchmark" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+			names = append(names, m[1])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, m := range ciPattern.FindAllStringSubmatch(string(workflow), -1) {
+		arg := m[1] + m[2] + m[3]
+		if arg == "NONE" {
+			continue
+		}
+		for _, alt := range strings.Split(arg, "|") {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("ci.yml pattern %q: %v", alt, err)
+				continue
+			}
+			checked++
+			if !slices.ContainsFunc(names, re.MatchString) {
+				t.Errorf("ci.yml runs -run/-bench %q, which matches no test, benchmark or fuzz target", alt)
+			}
+		}
+	}
+	if checked < 20 {
+		t.Errorf("checked only %d ci.yml patterns — the pattern no longer matches the workflow", checked)
 	}
 }

@@ -56,7 +56,7 @@ func Dixqd(fs *flag.FlagSet) *DixqdConfig {
 	fs.DurationVar(&c.Timeout, "timeout", time.Minute, "per-query budget, every engine")
 	fs.Int64Var(&c.MaxTuples, "maxtuples", 40_000_000, "per-query DI materialization budget (0 = unlimited)")
 	fs.Int64Var(&c.MemBudget, "membudget", 0, "per-query DI sort memory budget in bytes; larger sorts spill to disk (0 = unbounded)")
-	fs.StringVar(&c.SpillDir, "spilldir", "", "directory for external-sort spill runs (default: OS temp dir)")
+	fs.StringVar(&c.SpillDir, "spilldir", "", "directory where a budgeted sort writes its spill runs, files of sorted positions (default: OS temp dir)")
 	fs.IntVar(&c.Parallelism, "parallelism", 0, "per-query worker bound for requests that do not set one (0 = GOMAXPROCS, 1 = serial)")
 	fs.IntVar(&c.MaxConcurrent, "max-concurrent", 0, "requests executing at once; excess queues, overflow gets 429 (0 = unlimited)")
 	fs.IntVar(&c.QueueDepth, "queue-depth", 0, "requests waiting for an execution slot (0 = default 64, negative = no queue)")

@@ -218,7 +218,7 @@ func TestObservedRunEqualsUnobserved(t *testing.T) {
 						t.Errorf("%s: %s: plain run read allocations (%d)", what, n.OpName(), a.Allocs)
 					}
 					allocs += b.Allocs
-					if isPathOp(n) && a.Workers >= 2 {
+					if a.Workers >= 2 {
 						fannedOut++
 					}
 					a.Time, a.Allocs, a.Workers, b.Time, b.Allocs, b.Workers = 0, 0, 0, 0, 0, 0
@@ -247,7 +247,7 @@ func TestObservedRunEqualsUnobserved(t *testing.T) {
 		}
 	}
 	if fused == 0 || seeks == 0 || fannedOut == 0 || spills == 0 {
-		t.Errorf("matrix exercised %d fused path steps, %d index seeks, %d morsel-parallel chains and %d spilling operators; want all four",
+		t.Errorf("matrix exercised %d fused path steps, %d index seeks, %d operators fanned out to 2+ workers and %d spilling operators; want all four",
 			fused, seeks, fannedOut, spills)
 	}
 }

@@ -407,8 +407,9 @@ func TestIfAndQuantifiersAcrossEngines(t *testing.T) {
 // TestPipelineFusionMatchesMaterialized checks the fused path chains of
 // the join and reconstruction queries against the interpreter, which
 // materializes every step as a tree: the serial run decodes to the
-// interpreter's answer, and the morsel-parallel run and the run whose
-// chains filter index-seek ranges are digit-identical to the serial one.
+// interpreter's answer, and the run at parallelism 4 (parallel sorts and
+// probe, serial chains) and the run whose chains filter index-seek output
+// are digit-identical to the serial one.
 func TestPipelineFusionMatchesMaterialized(t *testing.T) {
 	forceParallelProbe(t)
 	cat, icat := generatedCatalog(0.002, 21)

@@ -370,21 +370,8 @@ func (ev *evaluator) execChain(head *plan.Node, en *env) (*table, error) {
 		return nil, err
 	}
 	stages := ev.buildStages(chain, en)
-	// With Parallelism >= 2 the chain runs morsel-parallel when the input
-	// offers safe split points (see pipeline/parallel.go); the runner's
-	// output is tuple-for-tuple the serial chain's, so falling back below
-	// is purely a performance decision.
-	if ev.opts.Parallelism >= 2 {
-		if pres, ok := pipeline.RunChainParallel(input.rel, stages, ev.opts.Parallelism); ok {
-			head := ev.node(chain[0])
-			head.Workers = max(head.Workers, pres.Workers)
-			ev.chargeChain(chain, pres.Rows)
-			return &table{rel: pres.Rel, local: input.local}, nil
-		}
-	}
 	ev.rows = append(ev.rows[:0], make([]int, len(stages))...)
-	whole := [][2]int32{{0, int32(len(input.rel.Tuples))}}
-	runs := pipeline.Filter(input.rel, whole, stages, ev.rows)
+	runs := pipeline.Filter(input.rel, stages, ev.rows)
 	ev.chargeChain(chain, ev.rows)
 	return &table{rel: &interval.Relation{Tuples: runs.Of(input.rel.Tuples)}, local: input.local}, nil
 }

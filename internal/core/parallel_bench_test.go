@@ -34,6 +34,5 @@ func benchmarkParallel(b *testing.B, query string) {
 	}
 }
 
-func BenchmarkParallelQ8(b *testing.B)  { benchmarkParallel(b, xmark.Q8) }
-func BenchmarkParallelQ9(b *testing.B)  { benchmarkParallel(b, xmark.Q9) }
-func BenchmarkParallelQ13(b *testing.B) { benchmarkParallel(b, xmark.Q13) }
+func BenchmarkParallelQ8(b *testing.B) { benchmarkParallel(b, xmark.Q8) }
+func BenchmarkParallelQ9(b *testing.B) { benchmarkParallel(b, xmark.Q9) }

@@ -30,27 +30,26 @@
 // one, and TestEnginesAgreeOnCorpus was run against each. Every bug the
 // full cross killed, the pruned matrix killed too. "cases" is how many
 // corpus cases failed (of 33 for the rows marked *, 39 for the one marked
-// +, 40 for the pipeline rows, which were re-seeded into the row-filter
-// runner of package pipeline, and 47 for the three marked #, which were
-// re-seeded into the one budgeted sort, engine.SortUnits, once its spill
-// runs held sort positions instead of copies of the units, and 47 for the
-// three marked §, seeded into the comparator-parameterized merge join after
-// the full cross was retired, and 47 for the rows marked †, re-seeded
-// into this 10-leg matrix as described below),
-// "first" the configuration (or the
-// interpreter check of the baseline) that failed first in the first
-// failing case. The baseline runs the fused path chains, so a bug in a
-// serial stage fails the interpreter check before any variant runs.
+// +, 40 for the two unmarked pipeline rows, which were re-seeded into
+// the row-filter runner of package pipeline, and 47 for the three marked
+// #, which were re-seeded into the one budgeted sort, engine.SortUnits,
+// once its spill runs held sort positions instead of copies of the units,
+// and 47 for the three marked §, seeded into the comparator-parameterized
+// merge join after the full cross was retired, the rows marked †,
+// re-seeded into this 10-leg matrix as described below, and the row
+// marked °, re-seeded once fused chains ran serial), "first" the
+// configuration (or the interpreter check of the baseline) that failed
+// first in the first failing case. The baseline runs the fused path
+// chains, so a bug in a serial stage fails the interpreter check before
+// any variant runs.
 //
 //	seeded bug                                          full cross (parent)      this matrix
 //	pipeline: head takes the first tree's end from L    4 cases, default         6 cases, interpreter
 //	pipeline: head/tail first-tree test inverted        4 cases, default         6 cases, interpreter
-//	pipeline: parallel chain splits inside trees        2 cases, default         22 cases, DI-MSJ-par3 †
 //	pipeline: fused seek keeps a stale range position   survived                 7 cases, DI-MSJ-idx †
-//	pipeline: last parallel morsel ends a row early     survived                 3 cases, DI-MSJ-par3 †
 //	interval: SortPerm drops the position tie-break     1 case, interpreter      1 case, interpreter *
 //	interval: exchange merge takes the larger head      5 cases, MSJ-batch1-par4 3 cases, DI-MSJ-par3 *†
-//	core: probeMerge partition bound < instead of <=    3 cases, default         3 cases, DI-MSJ-par3 *
+//	core: probeMerge partition bound < instead of <=    3 cases, default         5 cases, interpreter °
 //	core: merge join emits inner matches reversed       3 cases, interpreter     3 cases, interpreter *
 //	engine: merge skips the first spilled run           6 cases, batch3-par3-b1  19 cases, DI-MSJ-budget1 #
 //	engine: spilled permutation returns insertion order 1 case, batch3-par3-b1   14 cases, DI-MSJ-budget1 #†
@@ -67,22 +66,18 @@
 //	pipeline: data() relabels its first kept row        (not run)                23 cases, interpreter ¶
 //	core: seek lengthens a key of a row it skips        (not run)                survived ¶
 //
-// Four seeded bugs first survived both matrices alike, so they were gaps
-// of the corpus, not of the pruning, and corpus cases close all four.
+// Three seeded bugs first survived both matrices alike, so they were gaps
+// of the corpus, not of the pruning, and corpus cases close all three.
 // A multi-range seek fused into the data() chain above it
 // (xmark-seek-fused-multirange) kills the seek source that keeps its
 // position between ranges. A seek under a depth-0 where clause that drops
 // the only environment (xmark-seek-dropped-env) kills the seek that serves
 // its rows there anyway; TestLoopInvariantSeeksInsideLoops kills it too.
-// The last-morsel bug needs a chain input long enough to split into
-// morsels whose last row survives the chain: xmark-desc-multirange happens
-// to have one, xmark-par-chain-last-row is built to, and
-// TestParallelChainMatchesSerial in package pipeline kills it without the
-// corpus. The last, a spilled merge-join side sort that ignores the
+// The last, a spilled merge-join side sort that ignores the
 // ancestor prefix, needs a merge join below a loop whose equal keys sit
 // under different ancestor environments: xmark-join-under-person joins
 // each person's children against their own text, and DI-MSJ-budget1
-// kills it. All 16 are killed.
+// kills it. All 14 are killed.
 //
 // Of the three rows marked #, the merge that skips a run now fails every
 // spilled sort with an error, since the runs no longer total the sort's
@@ -108,13 +103,25 @@
 // TestCorpusLeavesCatalogIntact, which hashes the catalog before and
 // after the corpus under every configuration, kills both.
 //
-// The eight rows marked † first failed under legs of a third plan mode,
+// The six rows marked † first failed under legs of a third plan mode,
 // the DI-MSJ plan with estimates added, since folded into DI-MSJ (15 legs
 // became 10). Seeded again into the 10-leg matrix, each is killed with the
 // count and first case the 15-leg matrix gives on the same code. The fused
 // seek's bug has no code left to live in — a chain filters a seek's
 // gathered output as one range — so it was seeded into that gather, in
 // core's execIndexPath, instead.
+//
+// Fused path chains once also ran morsel-parallel, and two seeded bugs
+// lived in that runner: a split inside a top-level tree and a last
+// morsel that ended a row early. The runner is deleted, and with it their
+// rows. The two parallel-operator rows were then seeded again, one at a
+// time. The exchange merge that takes the larger head still fails
+// xmark-q19, xmark-sort and xmark-distinct, first under DI-MSJ-par3. The
+// probe's partition bound, row °, now lives in probeRange, which the
+// serial probe shares, so the strict bound drops the first outer's equal
+// matches at every parallelism: 5 cases fail, the first the interpreter
+// check of seed-self-join, and xmark-join-under-person only under
+// DI-MSJ-par3.
 //
 // The two rows marked ‡ were seeded into the catalog's update path,
 // index.Splice and stats.Splice, and run against
@@ -221,10 +228,10 @@ func Corpus() []Case {
 		 document("auction.xml")/site/people/person/name[1])`, true},
 		{"xmark-seek-dropped-env", `<r>{if (empty(document("auction.xml")/site))
 		 then document("auction.xml")/site/people/person/name else "none"}</r>`, true},
-		// A chain whose input is long enough to run morsel-parallel and
-		// whose last input row survives it: data() over every subtree of
-		// the regions (thousands of rows, one top-level tree per subtree),
-		// the last of which is a single text leaf.
+		// A long chain input whose last row survives the chain: data()
+		// over every subtree of the regions (thousands of rows, one
+		// top-level tree per subtree), the last of which is a single text
+		// leaf. It guards the end of the one pass the chain makes.
 		{"xmark-par-chain-last-row", `data(subtrees-dfs(document("auction.xml")/site/regions))`, true},
 		// A merge join at loop-invariance depth 1: both join sides live
 		// under one person, while keys that compare equal recur under

@@ -62,15 +62,12 @@ var (
 	// process — bounded by the exec package's process-wide budget.
 	ParallelWorkersActive = Default.NewGauge("dixq_parallel_workers_active",
 		"Extra intra-query worker goroutines currently running.")
-	// ParallelTasks counts morsels (tasks) executed by the worker pool, by
-	// worker slot within a Run call — the per-worker view of how evenly
-	// morsel pulling balanced the work.
+	// ParallelTasks counts tasks executed by the worker pool — sort
+	// chunks, exchange-merge partitions and probe partitions — by worker
+	// slot within a Run call: the per-worker view of how evenly task
+	// pulling balanced the work.
 	ParallelTasks = Default.NewCounterVec("dixq_parallel_tasks_total",
-		"Morsels executed by the intra-query worker pool, by worker slot.", "worker")
-	// ParallelChains counts fused path chains that executed morsel-parallel
-	// (as opposed to the serial chain path).
-	ParallelChains = Default.NewCounter("dixq_parallel_chains_total",
-		"Fused path chains executed by the parallel morsel runner.")
+		"Tasks (sort chunks, merge and probe partitions) executed by the intra-query worker pool, by worker slot.", "worker")
 	// ExchangePartitions counts key-range partitions merged by the
 	// exchange repartitioning of the parallel structural sort, by worker
 	// slot — how the sort's merge phase spread across workers.

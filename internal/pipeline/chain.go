@@ -106,29 +106,23 @@ func (s *Stage) keep(t *interval.Tuple) bool {
 	}
 }
 
-// Filter runs a fused stage chain over the rows of rel inside ranges —
-// sorted, disjoint [lo, hi) row ranges: the whole relation for a scan, the
-// resolved ranges for an index seek, one morsel for a parallel worker — in
-// one pass, and returns the survivors as runs of rel's rows (Runs.Of
-// materializes them, as a view when they are one run). Each state machine
-// sees exactly the survivors of the previous one, in order; rows[i] is
-// incremented by the rows stages[i] kept, so the last entry counts the
-// chain's output. The stages' state carries across ranges, as it would
-// over the concatenated rows.
-func Filter(rel *interval.Relation, ranges [][2]int32, stages []Stage, rows []int) interval.Runs {
+// Filter runs a fused stage chain over the rows of rel in one pass and
+// returns the survivors as runs of rel's rows (Runs.Of materializes them,
+// as a view when they are one run). Each state machine sees exactly the
+// survivors of the previous one, in order; rows[i] is incremented by the
+// rows stages[i] kept, so the last entry counts the chain's output.
+func Filter(rel *interval.Relation, stages []Stage, rows []int) interval.Runs {
 	var out interval.Runs
-	for _, r := range ranges {
-	next:
-		for i := r[0]; i < r[1]; i++ {
-			t := &rel.Tuples[i]
-			for si := range stages {
-				if !stages[si].keep(t) {
-					continue next
-				}
-				rows[si]++
+next:
+	for i := range rel.Tuples {
+		t := &rel.Tuples[i]
+		for si := range stages {
+			if !stages[si].keep(t) {
+				continue next
 			}
-			out.Add(int(i), int(i)+1)
+			rows[si]++
 		}
+		out.Add(i, i+1)
 	}
 	return out
 }

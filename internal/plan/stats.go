@@ -22,16 +22,16 @@ type NodeStats struct {
 	// Reading it stops the world, so it is only taken when the caller asked
 	// for the analyze report; 0 otherwise.
 	Allocs int64
-	// Spilled counts external-sort runs the operator wrote to disk while
-	// staying under the memory budget.
+	// Spilled counts the spill runs (files of sorted positions) the
+	// operator wrote to disk while staying under the memory budget.
 	Spilled int64
 	// Skipped counts the relation tuples an index-backed source never read
 	// — document rows outside the served ranges (the whole document for a
 	// pruned path). 0 for scan-backed and non-source operators.
 	Skipped int64
 	// Workers is the largest number of pool workers that participated in
-	// one of the operator's parallel phases (morsel chains, concurrent
-	// merge-join sorts, the partitioned probe); 0 for operators that ran
+	// one of the operator's parallel phases (the concurrent merge-join
+	// sorts, the partitioned probe); 0 for operators that ran
 	// no parallel phase. The process-wide worker budget may grant fewer
 	// workers than Options.Parallelism requested, so this is an observed
 	// actual.
