@@ -262,13 +262,13 @@ func BenchmarkSQLGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkStore measures the persistence substrate: serialize and
-// deserialize an encoded document with its index and statistics.
+// BenchmarkStore measures the persistence substrate: serialize an
+// encoded document, and deserialize it with the index and statistics
+// derived again.
 func BenchmarkStore(b *testing.B) {
 	rel := interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: 0.01, Seed: 5}))
-	ix, st := index.Build(rel), stats.Collect(rel)
 	var buf bytes.Buffer
-	if err := store.WriteFull(&buf, rel, ix, st); err != nil {
+	if err := store.Write(&buf, rel); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -276,7 +276,7 @@ func BenchmarkStore(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
 			var w bytes.Buffer
-			if err := store.WriteFull(&w, rel, ix, st); err != nil {
+			if err := store.Write(&w, rel); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -293,10 +293,10 @@ func BenchmarkStore(b *testing.B) {
 
 // BenchmarkUpdate measures one catalog write cycle on the XMark sf 0.05
 // document: an append under the root element and the delete that undoes
-// it, each publishing the relation with its spliced index and statistics.
-// The rebuild sub-benchmark times index.Build + stats.Collect over the same
-// document, what each write would cost if the index and statistics were
-// derived again instead.
+// it, each publishing the relation with its spliced index and the
+// statistics read off it. The rebuild sub-benchmark times index.Build +
+// stats.Of over the same document, what each write would cost if the
+// index were derived again instead.
 func BenchmarkUpdate(b *testing.B) {
 	const sf, seed = 0.05, 5
 	cat := dixq.NewCatalog()
@@ -332,8 +332,7 @@ func BenchmarkUpdate(b *testing.B) {
 	b.Run("rebuild", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			index.Build(rel)
-			stats.Collect(rel)
+			stats.Of(index.Build(rel))
 		}
 	})
 }

@@ -3,6 +3,7 @@ package dixq
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,10 +44,10 @@ type View interface {
 type Snapshot struct {
 	version uint64
 	enc     core.Catalog
-	// idx and st hold the per-document structural indexes and statistics:
-	// every document has an entry in both, derived from exactly the
-	// relation in enc (built by Add, spliced by Update). Each set carries
-	// the catalog version at which it last changed as its epoch.
+	// idx holds every document's structural index, derived from exactly
+	// the relation in enc (built by Add, spliced by Update), and st the
+	// statistics read off those indexes (stats.Of). Both sets carry the
+	// catalog version at which they last changed as their epoch.
 	idx *index.Set
 	st  *stats.Set
 }
@@ -54,9 +55,9 @@ type Snapshot struct {
 func (s *Snapshot) view() *Snapshot { return s }
 
 // Version is the monotonic catalog version this snapshot was published
-// under. It subsumes the index and stats epochs: every mutation — load,
-// update, drop, reindex, stats refresh — publishes a new version, so a
-// cache keyed on it can never serve state from a different document set.
+// under: every mutation — load, update, drop, reindex — publishes a new
+// version, so a cache keyed on it can never serve state from a different
+// document set.
 func (s *Snapshot) Version() uint64 { return s.version }
 
 // Documents lists the snapshot's document names, sorted.
@@ -101,44 +102,31 @@ func (s *Snapshot) clone() *Snapshot {
 	return &Snapshot{version: s.version + 1, enc: enc, idx: s.idx, st: s.st}
 }
 
-// withIndex returns a new index set for the clone: the old entries with
-// name set to di (or removed when di is nil), under the clone's version
-// as its epoch. Old sets stay untouched — memoized plans may still hold
-// them, and the executor's pointer-identity gates keep those correct.
+// withIndex gives the clone new index and statistics sets: the old
+// entries with name set to di and the statistics read off it (or both
+// removed when di is nil), under the clone's version as their epoch. Old
+// sets stay untouched — memoized plans may still hold them, and the
+// executor's pointer-identity gates keep those correct.
 func (s *Snapshot) withIndex(name string, di *index.DocIndex) {
 	docs := make(map[string]*index.DocIndex, len(s.enc))
+	st := make(map[string]*stats.DocStats, len(s.enc))
 	if s.idx != nil {
-		for k, v := range s.idx.Docs {
-			docs[k] = v
-		}
+		maps.Copy(docs, s.idx.Docs)
+		maps.Copy(st, s.st.Docs)
 	}
 	if di == nil {
 		delete(docs, name)
+		delete(st, name)
 	} else {
-		docs[name] = di
+		docs[name], st[name] = di, stats.Of(di)
 	}
 	s.idx = &index.Set{Docs: docs, Epoch: s.version}
-}
-
-// withStats is withIndex for the statistics set.
-func (s *Snapshot) withStats(name string, ds *stats.DocStats) {
-	docs := make(map[string]*stats.DocStats, len(s.enc))
-	if s.st != nil {
-		for k, v := range s.st.Docs {
-			docs[k] = v
-		}
-	}
-	if ds == nil {
-		delete(docs, name)
-	} else {
-		docs[name] = ds
-	}
-	s.st = &stats.Set{Docs: docs, Epoch: s.version}
+	s.st = &stats.Set{Docs: st, Epoch: s.version}
 }
 
 // Catalog supplies the documents a query's document(...) calls reference.
 // It is a concurrent, versioned store: writers (Add, Update, Drop,
-// Reindex, RefreshStats) serialize on an internal lock, derive a new
+// Reindex) serialize on an internal lock, derive a new
 // immutable Snapshot copy-on-write, and publish it atomically; readers
 // load the current snapshot with a single atomic pointer read and never
 // block on writers. A *Catalog passed to Query methods pins the current
@@ -174,26 +162,17 @@ func (c *Catalog) publish(n *Snapshot) {
 
 // Add registers a document under a name, replacing a previous entry, and
 // returns the new catalog version. The catalog keeps the document's
-// relation only. It is indexed and statistics-profiled as it is added (or
-// arrives pre-indexed from a .dixq store), so DI plans can serve path
+// relation only. It is indexed as it is added, and its statistics are
+// read off the index's annotated dataguide, so DI plans can serve path
 // chains as index seeks, prune provably empty paths at plan time, and
 // feed the estimator real cardinalities.
 func (c *Catalog) Add(name string, d *Document) uint64 {
-	rel := d.enc
-	di := d.idx
-	if di == nil {
-		di = index.Build(rel)
-	}
-	ds := d.st
-	if ds == nil {
-		ds = stats.Collect(rel)
-	}
+	di := index.Build(d.enc)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := c.Snapshot().clone()
-	n.enc[name] = rel
+	n.enc[name] = d.enc
 	n.withIndex(name, di)
-	n.withStats(name, ds)
 	c.publish(n)
 	return n.version
 }
@@ -210,7 +189,6 @@ func (c *Catalog) Drop(name string) (uint64, bool) {
 	n := cur.clone()
 	delete(n.enc, name)
 	n.withIndex(name, nil)
-	n.withStats(name, nil)
 	c.publish(n)
 	return n.version, true
 }
@@ -242,13 +220,13 @@ const (
 // The mutation is the paper's locality argument made concrete: inserted
 // subtrees receive digit-vector keys extending the predecessor's key, so
 // nothing else in the relation is relabeled. The update is one row-range
-// replacement (interval.Edit), and the document's structural index and
-// statistics are spliced from the previous ones by it (index.Splice,
-// stats.Splice) rather than rebuilt, so the new version publishes
-// relation, index and statistics together: a read after a write seeks
-// exactly as before it. The cost is O(n) — the copy of the tuple slice
-// and an int32 shift of the subtree ends, class rows and postings — with
-// no key comparisons outside the inserted rows.
+// replacement (interval.Edit), and the document's structural index —
+// its dataguide annotations, and so its statistics, included — is
+// spliced from the previous one by it (index.Splice) rather than rebuilt,
+// so the new version publishes relation, index and statistics together:
+// a read after a write seeks exactly as before it. The cost is O(n) — the
+// copy of the tuple slice and an int32 shift of the subtree ends, class
+// rows and postings — with no key comparisons outside the inserted rows.
 func (c *Catalog) Update(name string, op UpdateOp, path []int, fragment *Document) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -289,11 +267,9 @@ func (c *Catalog) Update(name string, op UpdateOp, path []int, fragment *Documen
 	if err != nil {
 		return cur.version, err
 	}
-	p := index.Splice(ix, next, e)
 	n := cur.clone()
 	n.enc[name] = next
-	n.withIndex(name, p.After)
-	n.withStats(name, stats.Splice(cur.st.Docs[name], p))
+	n.withIndex(name, index.Splice(ix, next, e))
 	c.publish(n)
 	return n.version, nil
 }
@@ -301,8 +277,8 @@ func (c *Catalog) Update(name string, op UpdateOp, path []int, fragment *Documen
 // Reindex rebuilds the structural index and statistics of a document
 // whose index entry is missing, and publishes them under a new version.
 // It reports the resulting version and whether anything was rebuilt.
-// Add indexes every document and Update splices the index and statistics
-// into the version it publishes, so no published snapshot lacks an entry
+// Add indexes every document and Update splices the index into the
+// version it publishes, so no published snapshot lacks an entry
 // and Reindex leaves every document alone; it remains the entry point
 // that restores the invariant should an entry ever be missing.
 func (c *Catalog) Reindex(name string) (uint64, bool) {
@@ -315,47 +291,6 @@ func (c *Catalog) Reindex(name string) (uint64, bool) {
 	}
 	n := cur.clone()
 	n.withIndex(name, index.Build(rel))
-	n.withStats(name, stats.Collect(rel))
 	c.publish(n)
 	return n.version, true
-}
-
-// RefreshStats recollects every document's statistics from its current
-// interval encoding and publishes them under a new version (and so a new
-// stats epoch), leaving the structural indexes and the index epoch
-// untouched. Plans cached against the old statistics are thereby
-// invalidated without forcing an index rebuild.
-func (c *Catalog) RefreshStats() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := c.Snapshot().clone()
-	docs := make(map[string]*stats.DocStats, len(n.enc))
-	for name, rel := range n.enc {
-		docs[name] = stats.Collect(rel)
-	}
-	n.st = &stats.Set{Docs: docs, Epoch: n.version}
-	c.publish(n)
-	return n.version
-}
-
-// IndexEpoch identifies the current generation of the catalog's
-// structural indexes: the catalog version at which an index last changed
-// (a document added, replaced, updated, dropped or reindexed). It is
-// subsumed by Version, which plan caches should prefer.
-func (c *Catalog) IndexEpoch() uint64 {
-	if s := c.Snapshot(); s.idx != nil {
-		return s.idx.Epoch
-	}
-	return 0
-}
-
-// StatsEpoch identifies the current generation of the catalog's
-// per-document statistics: the catalog version at which they last
-// changed. It advances independently of IndexEpoch (RefreshStats touches
-// only it) and is likewise subsumed by Version.
-func (c *Catalog) StatsEpoch() uint64 {
-	if s := c.Snapshot(); s.st != nil {
-		return s.st.Epoch
-	}
-	return 0
 }

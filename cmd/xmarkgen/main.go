@@ -10,9 +10,7 @@ import (
 	"fmt"
 	"os"
 
-	"dixq/internal/index"
 	"dixq/internal/interval"
-	"dixq/internal/stats"
 	"dixq/internal/store"
 	"dixq/internal/xmark"
 )
@@ -21,15 +19,14 @@ func main() {
 	sf := flag.Float64("sf", 0.001, "scale factor (1.0 ≈ XMark's full size)")
 	seed := flag.Int64("seed", 0, "generator seed")
 	out := flag.String("o", "", "output file (default stdout)")
-	encode := flag.String("encode", "", "also write the interval encoding, index and statistics to this .dixq file")
+	encode := flag.String("encode", "", "also write the interval encoding to this .dixq file")
 	counts := flag.Bool("stats", false, "print node counts to stderr")
 	flag.Parse()
 
 	doc := xmark.Generate(xmark.Config{ScaleFactor: *sf, Seed: *seed})
 
 	if *encode != "" {
-		rel := interval.Encode(doc)
-		if err := store.SaveFull(*encode, rel, index.Build(rel), stats.Collect(rel)); err != nil {
+		if err := store.Save(*encode, interval.Encode(doc)); err != nil {
 			fmt.Fprintf(os.Stderr, "xmarkgen: %v\n", err)
 			os.Exit(1)
 		}

@@ -31,13 +31,11 @@ import (
 
 	"dixq/internal/core"
 	"dixq/internal/engine"
-	"dixq/internal/index"
 	"dixq/internal/interp"
 	"dixq/internal/interval"
 	"dixq/internal/obs"
 	"dixq/internal/plan"
 	"dixq/internal/sqlgen"
-	"dixq/internal/stats"
 	"dixq/internal/store"
 	"dixq/internal/update"
 	"dixq/internal/xmark"
@@ -46,15 +44,11 @@ import (
 )
 
 // Document is an XML document or fragment, held in the one form the
-// catalog and the DI engines use: its interval relation (Definition 3.1),
-// plus the structural index and statistics when it was loaded from a
-// .dixq store, so Catalog.Add reuses them instead of re-indexing and
-// re-collecting. The node tree is decoded on demand, per call, for the
-// few callers that need one.
+// catalog and the DI engines use: its interval relation (Definition 3.1).
+// The node tree is decoded on demand, per call, for the few callers that
+// need one.
 type Document struct {
 	enc *interval.Relation
-	idx *index.DocIndex
-	st  *stats.DocStats
 }
 
 // tree decodes the document's forest. Relations reach a Document only
@@ -76,17 +70,15 @@ func ParseDocument(xmlText string) (*Document, error) {
 // extension: ".dixq" files hold a stored interval encoding (see
 // (*Document).SaveEncoded) and skip XML parsing entirely — the paper's
 // "XML data already stored in a relational system" workflow — while
-// anything else is shredded from XML text. The store's index and
-// statistics ride along, so the estimator gets real cardinalities
-// without a collection pass, and the relation is never
-// decoded into a tree.
+// anything else is shredded from XML text. The relation is never
+// decoded into a tree; Catalog.Add indexes it.
 func LoadDocumentFile(path string) (*Document, error) {
 	if strings.HasSuffix(path, ".dixq") {
-		rel, ix, st, err := store.LoadFull(path)
+		rel, err := store.Load(path)
 		if err != nil {
 			return nil, err
 		}
-		return &Document{enc: rel, idx: ix, st: st}, nil
+		return &Document{enc: rel}, nil
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -95,9 +87,8 @@ func LoadDocumentFile(path string) (*Document, error) {
 	return ParseDocument(string(data))
 }
 
-// SaveEncoded writes the document's interval encoding, structural index
-// and statistics to a ".dixq" file: shred, index and collect once, query
-// many times without reparsing.
+// SaveEncoded writes the document's interval encoding to a ".dixq" file:
+// shred once, query many times without reparsing.
 //
 // Documents that accumulated key growth through updates are saved with
 // their grown digit-vector keys as-is — except when repeated
@@ -106,22 +97,15 @@ func LoadDocumentFile(path string) (*Document, error) {
 // the dense DFS counter (update.Rebuild) before saving, so every
 // updatable document round-trips through the store.
 func (d *Document) SaveEncoded(path string) error {
-	rel, ix, st := d.enc, d.idx, d.st
+	rel := d.enc
 	if update.NeedsRebuild(rel) {
 		rebuilt, err := update.Rebuild(rel)
 		if err != nil {
 			return err
 		}
-		rel, ix, st = rebuilt, nil, nil
+		rel = rebuilt
 	}
-	if ix == nil {
-		ix = index.Build(rel)
-		st = nil
-	}
-	if st == nil {
-		st = stats.Collect(rel)
-	}
-	return store.SaveFull(path, rel, ix, st)
+	return store.Save(path, rel)
 }
 
 // GenerateXMark generates an XMark-like benchmark document at the given

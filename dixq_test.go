@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"dixq/internal/stats"
 )
 
 func figureCatalog(t *testing.T) *Catalog {
@@ -282,41 +285,50 @@ func TestResultOperators(t *testing.T) {
 	}
 }
 
-// TestCatalogStatsEpochs pins the two-epoch contract of the catalog:
-// adding a document advances both the index and stats epochs, while
-// RefreshStats advances only the stats epoch. (The epochs are the
-// catalog versions at which each set last changed, so the assertions are
-// monotonic rather than unit-step.)
+// TestCatalogStatsEpochs pins the catalog's one-epoch contract: every
+// write that publishes a version — Add, Update, Reindex, Drop —
+// publishes index and statistics sets whose epochs are that version, and
+// every document's statistics are exactly those read off its index.
 func TestCatalogStatsEpochs(t *testing.T) {
 	cat := figureCatalog(t)
-	idx, st := cat.IndexEpoch(), cat.StatsEpoch()
-	if st == 0 {
-		t.Fatal("adding a document left the stats epoch at zero")
+	check := func(what string) {
+		t.Helper()
+		snap := cat.Snapshot()
+		if snap.idx.Epoch != snap.version || snap.st.Epoch != snap.version {
+			t.Errorf("%s: epochs %d/%d, want the version %d", what, snap.idx.Epoch, snap.st.Epoch, snap.version)
+		}
+		if len(snap.idx.Docs) != len(snap.enc) || len(snap.st.Docs) != len(snap.enc) {
+			t.Errorf("%s: %d indexes and %d statistics for %d documents", what, len(snap.idx.Docs), len(snap.st.Docs), len(snap.enc))
+		}
+		for name, ix := range snap.idx.Docs {
+			if !reflect.DeepEqual(snap.st.Docs[name], stats.Of(ix)) {
+				t.Errorf("%s: statistics of %s are not its index's", what, name)
+			}
+		}
 	}
-	cat.RefreshStats()
-	if cat.IndexEpoch() != idx {
-		t.Errorf("RefreshStats moved the index epoch %d -> %d", idx, cat.IndexEpoch())
-	}
-	if cat.StatsEpoch() <= st {
-		t.Errorf("RefreshStats stats epoch %d, want > %d", cat.StatsEpoch(), st)
-	}
-	st = cat.StatsEpoch()
+	check("add")
 	doc, err := ParseDocument(XMarkFigure1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cat.Add("other.xml", doc)
-	if cat.IndexEpoch() <= idx || cat.StatsEpoch() <= st {
-		t.Errorf("Add epochs = %d/%d, want > %d/%d", cat.IndexEpoch(), cat.StatsEpoch(), idx, st)
+	check("second add")
+	frag, _ := ParseDocument(`<person id="p9"><name>Z</name></person>`)
+	if _, err := cat.Update("other.xml", OpAppendChild, []int{0}, frag); err != nil {
+		t.Fatal(err)
 	}
-	if cat.IndexEpoch() != cat.Version() || cat.StatsEpoch() != cat.Version() {
-		t.Errorf("Add published version %d but epochs %d/%d", cat.Version(), cat.IndexEpoch(), cat.StatsEpoch())
+	check("update")
+	if _, rebuilt := cat.Reindex("other.xml"); rebuilt {
+		t.Error("Reindex rebuilt an indexed document")
 	}
+	cat.Drop("auction.xml")
+	check("drop")
 }
 
-// TestStoreStatsRideAlong: a .dixq store written by SaveEncoded carries
-// the document's statistics, and Catalog.Add reuses them instead of
-// recollecting.
+// TestStoreStatsRideAlong: a document saved by SaveEncoded and loaded
+// back enters the catalog with exactly the statistics of the document it
+// was saved from — the store holds the relation only, and Add reads the
+// statistics off the index it builds.
 func TestStoreStatsRideAlong(t *testing.T) {
 	dir := t.TempDir()
 	doc := GenerateXMark(0.0005, 3)
@@ -328,18 +340,10 @@ func TestStoreStatsRideAlong(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.st == nil {
-		t.Fatal("loaded document carries no statistics")
-	}
-	cat := NewCatalog()
+	cat, fresh := NewCatalog(), NewCatalog()
 	cat.Add("doc", loaded)
-	if cat.Snapshot().st.Docs["doc"] != loaded.st {
-		t.Error("Add recollected statistics instead of reusing the stored ones")
-	}
-	// The stored statistics match a fresh collection pass.
-	fresh := NewCatalog()
-	fresh.Add("doc", GenerateXMark(0.0005, 3))
-	if got, want := loaded.st.Tuples, fresh.Snapshot().st.Docs["doc"].Tuples; got != want {
-		t.Errorf("stored stats count %d tuples, fresh collection %d", got, want)
+	fresh.Add("doc", doc)
+	if got, want := cat.Snapshot().st.Docs["doc"], fresh.Snapshot().st.Docs["doc"]; !reflect.DeepEqual(got, want) {
+		t.Errorf("loaded document's statistics %+v, want %+v", got, want)
 	}
 }

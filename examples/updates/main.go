@@ -41,19 +41,20 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "people.dixq")
-	if err := store.SaveFull(path, rel, index.Build(rel), stats.Collect(rel)); err != nil {
+	if err := store.Save(path, rel); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("stored", path)
 
 	// Load and update the relation directly: insert a person between the
 	// two existing ones. The operators find their way through the index's
-	// subtree ends, and the edit they report patches the index and the
-	// statistics in place of a rebuild.
-	rel, ix, st, err := store.LoadFull(path)
+	// subtree ends, and the edit they report patches the index — and the
+	// statistics its dataguide carries — in place of a rebuild.
+	rel, err = store.Load(path)
 	if err != nil {
 		log.Fatal(err)
 	}
+	ix := index.Build(rel)
 	p0 := 0
 	for rel.Tuples[p0].S != "<person>" {
 		p0++
@@ -63,8 +64,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	patch := index.Splice(ix, rel, edit)
-	st = stats.Splice(st, patch)
+	st := stats.Of(index.Splice(ix, rel, edit))
 	fmt.Printf("\nInsertAfter replaced rows [%d, %d) by %d rows; the spliced statistics count %d persons\n",
 		edit.At, edit.At+edit.Removed, edit.Inserted, st.Labels["<person>"])
 	fmt.Println("\nafter InsertAfter, the new person's keys extend its neighbor's:")

@@ -59,7 +59,7 @@
 //	core: depth-0 seek served after a dropping where    survived                 1 case, DI-MSJ-idx +†
 //	core: spilled merge-join sort ignores the prefix    survived                 2 cases, DI-MSJ-budget1 #
 //	index: splice leaves ancestors' End unshifted       (no splice)              1 case, DI-MSJ spliced ‡†
-//	stats: splice keeps the old DistinctText            (no splice)              survived ‡
+//	index: splice keeps a class's old DistinctText      (no splice)              setup check ‡
 //	core: theta probe boundary taken as <=              (not run)                6 cases, interpreter §
 //	core: value < keys reduced max-left, min-right      (not run)                1 case, interpreter §
 //	core: theta probe ignores the d0 prefix run         (not run)                1 case, interpreter §
@@ -124,15 +124,19 @@
 // DI-MSJ-par3.
 //
 // The two rows marked ‡ were seeded into the catalog's update path,
-// index.Splice and stats.Splice, and run against
-// TestSplicedIndexAgreesOnCorpus, which queries an updated document with
-// spliced, rebuilt and no indexes. The stale ancestor End panics the
-// descendant resolution of xmark-q7 under the spliced index. The stale
-// DistinctText survives it, as it must: statistics only feed estimates,
-// which change no plan. Both are killed by the splice's
-// property test (TestSpliceMatchesRebuild in package index), which
-// compares every step with index.Build and stats.Collect, and by the root
-// package's TestCatalogUpdatePublishesIndex.
+// index.Splice, and run against TestSplicedIndexAgreesOnCorpus, which
+// queries an updated document with spliced, rebuilt and no indexes. The
+// stale ancestor End panics the descendant resolution of xmark-q7 under
+// the spliced index. The stale DistinctText, an annotation of the
+// spliced dataguide, changes no answer, as it must: statistics only feed
+// estimates, which change no plan. The test's setup kills it instead:
+// after every update it compares the statistics read off the spliced
+// index with an independent stack pass over the updated relation
+// (pathStats), and so does a splice that leaves out the ancestors'
+// subtree-row delta. Both rows are killed too by the splice's property
+// test (TestSpliceMatchesRebuild in package index), which compares every
+// step's End, class rows and annotations with index.Build, and by the
+// root package's TestCatalogUpdatePublishesIndex.
 package difftest
 
 import (

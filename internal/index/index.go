@@ -1,11 +1,11 @@
-// Package index builds persistent structural indexes over interval-encoded
-// documents: a strong dataguide (path summary) plus per-label postings, the
+// Package index builds the structural index of an interval-encoded
+// document: a strong dataguide (path summary) plus per-label postings, the
 // pairing ROADMAP open item 1 calls "the single biggest raw-speed lever at
 // scale factors ≥ 1".
 //
 // A DocIndex holds three structures, all derived from one O(n) pass over the
-// document relation and all persisted next to the document by the store
-// (the index section of the .dixq format):
+// document relation whenever a document enters the catalog; the store
+// persists the relation alone, and a loaded document is indexed again:
 //
 //   - End: for every row i, the exclusive end of the subtree rooted at i in
 //     the L-sorted relation, so any subtree is the contiguous row range
@@ -15,7 +15,10 @@
 //     document is one trie node (a "class"), holding the sorted rows of all
 //     its instances. Text nodes collapse into a single "" class per parent
 //     path, because the query algebra never selects text by content — only
-//     by kind (seltext).
+//     by kind (seltext). Each class is annotated with the summaries the
+//     plan estimator reads (PathStats: instance count, subtree rows,
+//     distinct text values) — an annotated strong dataguide, which package
+//     stats reads off without another pass.
 //   - postings: element/attribute label → sorted rows of all instances.
 //     Used for absent-label pruning: a path step whose label appears
 //     nowhere in the document can only produce the empty forest.
@@ -29,7 +32,7 @@
 // lives in DESIGN.md §4.11.
 //
 // A structural update does not rebuild the index: Splice patches all three
-// structures for the rows the update replaced.
+// structures, annotations included, for the rows the update replaced.
 package index
 
 import (
@@ -42,12 +45,35 @@ import (
 )
 
 // class is one dataguide trie node: a distinct root-to-node label path,
-// with the rows (in ascending order) of every instance of that path.
+// rendered as Paths renders it, with the rows (in ascending order) of
+// every instance of that path and its annotations: subtreeRows, the sum
+// of End[r]-r over the rows, and distinct, the number of distinct text
+// values among the rows of a text class (0 for any other).
 type class struct {
-	label    string
-	rows     []int32
-	children []*class
-	child    map[string]*class
+	label, path string
+	rows        []int32
+	children    []*class
+	child       map[string]*class
+
+	subtreeRows, distinct int64
+}
+
+// PathStats summarizes one dataguide class: the annotations of an
+// annotated strong dataguide.
+type PathStats struct {
+	// Count is the number of instances of the path (rows whose
+	// root-to-node class path equals it).
+	Count int64
+	// SubtreeRows is the total relation rows covered by the subtrees of
+	// all instances, instances included. For a text path this equals
+	// Count. SubtreeRows/Count is the mean fan-out of the path and the
+	// cost of materializing one instance forest.
+	SubtreeRows int64
+	// DistinctText is the number of distinct text values among the
+	// instances of a text path ("#text" leaf), and 0 for element and
+	// attribute paths. 1/DistinctText is the equality selectivity of a
+	// value join whose side resolves to this path.
+	DistinctText int64
 }
 
 // DocIndex is the structural index of a single document relation.
@@ -75,7 +101,8 @@ func classLabel(s string) string {
 	return s
 }
 
-// Build constructs the index in one stack pass over the L-sorted relation.
+// Build constructs the index in one stack pass over the L-sorted relation,
+// then annotates every class from its rows.
 func Build(rel *interval.Relation) *DocIndex {
 	n := len(rel.Tuples)
 	ix := &DocIndex{
@@ -89,7 +116,8 @@ func Build(rel *interval.Relation) *DocIndex {
 		cl := classLabel(label)
 		c := parent.child[cl]
 		if c == nil {
-			c = &class{label: cl, child: map[string]*class{}}
+			c = newClass(parent, cl)
+			c.child = map[string]*class{}
 			parent.child[cl] = c
 			parent.children = append(parent.children, c)
 		}
@@ -99,7 +127,37 @@ func Build(rel *interval.Relation) *DocIndex {
 		}
 		return c
 	})
+	ix.annotate(ix.root)
 	return ix
+}
+
+// newClass returns an empty class with the given label below parent.
+func newClass(parent *class, label string) *class {
+	return &class{label: label, path: parent.path + "/" + segment(label)}
+}
+
+// annotate sets the annotations of c and every class below it from their
+// rows and End.
+func (ix *DocIndex) annotate(c *class) {
+	for _, r := range c.rows {
+		c.subtreeRows += int64(ix.End[r] - r)
+	}
+	if c.label == "" {
+		c.distinct = distinctText(ix.Rel.Tuples, c.rows)
+	}
+	for _, ch := range c.children {
+		ix.annotate(ch)
+	}
+}
+
+// distinctText counts the distinct labels of rows, which for a text class
+// are its text values.
+func distinctText(tuples []interval.Tuple, rows []int32) int64 {
+	seen := make(map[string]struct{}, len(rows))
+	for _, r := range rows {
+		seen[tuples[r].S] = struct{}{}
+	}
+	return int64(len(seen))
 }
 
 // classify is the stack pass shared by Build and Splice. Rows [lo, hi) of
@@ -130,18 +188,6 @@ func classify(rel *interval.Relation, lo, hi int, top *class, end []int32, visit
 	}
 }
 
-// Patch is one edit applied to an indexed document: the index before and
-// after it, and the edit's ancestor chain, which the statistics splice
-// (stats.Splice) reuses.
-type Patch struct {
-	Before, After *DocIndex
-	Edit          interval.Edit
-	// Ancestors are the rows of the nodes whose subtrees contain the edit,
-	// outermost first. They precede Edit.At, so the rows are the same
-	// before and after it.
-	Ancestors []int32
-}
-
 // Splice derives the index of next, the relation e made from ix.Rel, from
 // ix instead of rebuilding it, in O(n) int32 work:
 //
@@ -152,17 +198,23 @@ type Patch struct {
 //     removed rows drop out of End, the class rows and the postings, and
 //     a class left empty is dropped;
 //   - the inserted rows run Build's stack pass, starting at the deepest
-//     ancestor's class.
+//     ancestor's class;
+//   - every class the edit changes is annotated again: its subtree rows
+//     lose the removed rows' subtrees, gain the inserted rows' and, for an
+//     ancestor's class, the edit's delta; its distinct text values are
+//     recounted only when it gained or lost rows.
 //
 // ix is not modified, and every class, row list and posting list the edit
 // leaves unchanged is shared with it; the rest is allocated at its final
 // length. New classes follow their existing siblings, so the trie's child
 // order can differ from Build's; nothing reads it as document order.
-func Splice(ix *DocIndex, next *interval.Relation, e interval.Edit) Patch {
+func Splice(ix *DocIndex, next *interval.Relation, e interval.Edit) *DocIndex {
 	old := ix.Rel.Tuples
 	// Descend to the edit: at each level, walk the siblings until the one
-	// whose subtree contains it.
+	// whose subtree contains it. The ancestors lie at distinct depths, so
+	// each has a class of its own.
 	var anc []int32
+	var ancClasses []*class
 	top := ix.root
 	for r := 0; r < e.At; {
 		end := int(ix.End[r])
@@ -170,6 +222,7 @@ func Splice(ix *DocIndex, next *interval.Relation, e interval.Edit) Patch {
 			interval.Compare(next.Tuples[e.At].L, old[r].R) < 0 {
 			anc = append(anc, int32(r))
 			top = top.child[classLabel(old[r].S)]
+			ancClasses = append(ancClasses, top)
 			r++
 			continue
 		}
@@ -187,7 +240,10 @@ func Splice(ix *DocIndex, next *interval.Relation, e interval.Edit) Patch {
 	}
 	// The inserted rows, by class. Classes the document lacks are created
 	// on the side (fresh), so the classes of ix stay untouched.
-	s := splicer{e: e, added: map[*class][]int32{}, fresh: map[*class][]*class{}}
+	s := splicer{
+		e: e, added: map[*class][]int32{}, fresh: map[*class][]*class{},
+		ancestors: ancClasses, oldEnd: ix.End, end: ends, tuples: next.Tuples,
+	}
 	addedPostings := map[string][]int32{}
 	classify(next, e.At, e.At+e.Inserted, top, ends, func(parent *class, row int32) *class {
 		label := next.Tuples[row].S
@@ -211,12 +267,7 @@ func Splice(ix *DocIndex, next *interval.Relation, e interval.Edit) Patch {
 			postings[label], _ = spliceRows(nil, e, rows)
 		}
 	}
-	return Patch{
-		Before:    ix,
-		After:     &DocIndex{Rel: next, End: ends, postings: postings, root: s.class(ix.root)},
-		Edit:      e,
-		Ancestors: anc,
-	}
+	return &DocIndex{Rel: next, End: ends, postings: postings, root: s.class(ix.root)}
 }
 
 // splicer applies one edit to a dataguide trie copy-on-write.
@@ -227,6 +278,12 @@ type splicer struct {
 	// fresh holds the classes the inserted rows create, by parent, in
 	// order of creation.
 	fresh map[*class][]*class
+	// ancestors are the classes of the nodes whose subtrees contain the
+	// edit; oldEnd and end are the subtree ends before and after it, and
+	// tuples the rows after it.
+	ancestors   []*class
+	oldEnd, end []int32
+	tuples      []interval.Tuple
 }
 
 // child returns parent's child class with the given label, creating a
@@ -240,7 +297,7 @@ func (s *splicer) child(parent *class, label string) *class {
 			return c
 		}
 	}
-	c := &class{label: label}
+	c := newClass(parent, label)
 	s.fresh[parent] = append(s.fresh[parent], c)
 	return c
 }
@@ -274,7 +331,8 @@ func (s *splicer) class(c *class) *class {
 	if !changed && kids == nil {
 		return c
 	}
-	out := &class{label: c.label, rows: rows, children: c.children, child: c.child}
+	out := &class{label: c.label, path: c.path, rows: rows, children: c.children, child: c.child}
+	s.annotate(out, c)
 	if kids != nil {
 		out.children = slices.Clip(kids)
 		out.child = make(map[string]*class, len(kids))
@@ -283,6 +341,29 @@ func (s *splicer) class(c *class) *class {
 		}
 	}
 	return out
+}
+
+// annotate sets the annotations of out, the class c becomes under the
+// edit, from c's: only the removed and inserted rows change the subtree
+// size of their own instances, and only an ancestor's grows by the delta.
+func (s *splicer) annotate(out, c *class) {
+	lo, _ := slices.BinarySearch(c.rows, int32(s.e.At))
+	hi, _ := slices.BinarySearch(c.rows, int32(s.e.At+s.e.Removed))
+	added := s.added[c]
+	out.subtreeRows = c.subtreeRows
+	for _, r := range c.rows[lo:hi] {
+		out.subtreeRows -= int64(s.oldEnd[r] - r)
+	}
+	for _, r := range added {
+		out.subtreeRows += int64(s.end[r] - r)
+	}
+	if slices.Contains(s.ancestors, c) {
+		out.subtreeRows += int64(s.e.Delta())
+	}
+	out.distinct = c.distinct
+	if c.label == "" && (lo < hi || len(added) > 0) {
+		out.distinct = distinctText(s.tuples, out.rows)
+	}
 }
 
 // spliceRows applies e to an ascending row list: rows the edit removed
@@ -339,18 +420,39 @@ func (ix *DocIndex) HasLabel(label string) bool {
 // tests compare it against paths recomputed from the decoded forest.
 func (ix *DocIndex) Paths() []string {
 	var out []string
-	var walk func(c *class, prefix string)
-	walk = func(c *class, prefix string) {
-		p := prefix + "/" + segment(c.label)
+	for p := range ix.Annotations() {
 		out = append(out, p)
-		for _, ch := range c.children {
-			walk(ch, p)
-		}
-	}
-	for _, ch := range ix.root.children {
-		walk(ch, "")
 	}
 	sort.Strings(out)
+	return out
+}
+
+// Annotations returns the annotations of every class, keyed by its class
+// path as Paths renders it.
+func (ix *DocIndex) Annotations() map[string]PathStats {
+	var classes []*class
+	var walk func(c *class)
+	walk = func(c *class) {
+		for _, ch := range c.children {
+			classes = append(classes, ch)
+			walk(ch)
+		}
+	}
+	walk(ix.root)
+	out := make(map[string]PathStats, len(classes))
+	for _, c := range classes {
+		out[c.path] = PathStats{Count: int64(len(c.rows)), SubtreeRows: c.subtreeRows, DistinctText: c.distinct}
+	}
+	return out
+}
+
+// LabelCounts returns the instance count of every element and attribute
+// label of the document: its posting length.
+func (ix *DocIndex) LabelCounts() map[string]int64 {
+	out := make(map[string]int64, len(ix.postings))
+	for label, rows := range ix.postings {
+		out[label] = int64(len(rows))
+	}
 	return out
 }
 
@@ -360,19 +462,6 @@ func segment(label string) string {
 		return "#text"
 	}
 	return label
-}
-
-// PathCount returns the number of distinct class paths (trie nodes).
-func (ix *DocIndex) PathCount() int {
-	var count func(c *class) int
-	count = func(c *class) int {
-		n := 1
-		for _, ch := range c.children {
-			n += count(ch)
-		}
-		return n
-	}
-	return count(ix.root) - 1 // exclude the synthetic root
 }
 
 // StepKind identifies one absorbable path-chain operation, in the engine's
@@ -443,7 +532,6 @@ type Resolution struct {
 // StepRoots — it is not absorbed.
 func (ix *DocIndex) Resolve(steps []Step) Resolution {
 	classes := ix.root.children
-	paths := childPaths("", classes)
 	singleton := false
 	consumed := 0
 	for i, st := range steps {
@@ -451,29 +539,27 @@ func (ix *DocIndex) Resolve(steps []Step) Resolution {
 		case StepDescendant:
 			label, ok := descendantLabel(steps[i+1:])
 			if !ok || singleton {
-				return ix.resolution(classes, paths, singleton, consumed)
+				return ix.resolution(classes, singleton, consumed)
 			}
 			return ix.descendants(classes, label, consumed+2)
 		case StepSelect:
 			if xmltree.LabelKind(st.Label) == xmltree.Text {
 				// A text-shaped select label would match text rows by
 				// content, which the "" class cannot distinguish.
-				return ix.resolution(classes, paths, singleton, consumed)
+				return ix.resolution(classes, singleton, consumed)
 			}
-			classes, paths = filterClasses(classes, paths, st.Label)
+			classes = filterClasses(classes, st.Label)
 		case StepSelText:
-			classes, paths = filterClasses(classes, paths, "")
+			classes = filterClasses(classes, "")
 		case StepChildren:
 			// After roots() the children are stripped: nothing remains.
 			var next []*class
-			var nextPaths []string
 			if !singleton {
-				for j, c := range classes {
+				for _, c := range classes {
 					next = append(next, c.children...)
-					nextPaths = append(nextPaths, childPaths(paths[j], c.children)...)
 				}
 			}
-			classes, paths = next, nextPaths
+			classes = next
 		case StepRoots:
 			singleton = true
 		}
@@ -482,17 +568,7 @@ func (ix *DocIndex) Resolve(steps []Step) Resolution {
 			return Resolution{Consumed: consumed, Pruned: true}
 		}
 	}
-	return ix.resolution(classes, paths, singleton, consumed)
-}
-
-// childPaths renders the class paths of a class's children, given the
-// class's own path ("" for the synthetic root).
-func childPaths(parent string, children []*class) []string {
-	out := make([]string, len(children))
-	for i, c := range children {
-		out[i] = parent + "/" + segment(c.label)
-	}
-	return out
+	return ix.resolution(classes, singleton, consumed)
 }
 
 // descendantLabel returns the class label selected by the step after a
@@ -541,7 +617,7 @@ func (ix *DocIndex) descendants(classes []*class, label string, consumed int) Re
 	slices.Sort(anchors)
 	// F is the disjoint ranges of the classes' subtrees; offset counts the
 	// rows of F before in[ri], the range holding the current anchor.
-	in := ix.resolution(classes, nil, false, 0).Ranges
+	in := ix.resolution(classes, false, 0).Ranges
 	res := Resolution{
 		Ranges:   make([][2]int32, len(anchors)),
 		Pos:      make([]int64, len(anchors)),
@@ -560,24 +636,21 @@ func (ix *DocIndex) descendants(classes []*class, label string, consumed int) Re
 	return res
 }
 
-// filterClasses keeps the classes with the given label, and their paths.
-func filterClasses(classes []*class, paths []string, label string) ([]*class, []string) {
+// filterClasses keeps the classes with the given label.
+func filterClasses(classes []*class, label string) []*class {
 	var out []*class
-	var outPaths []string
-	for i, c := range classes {
+	for _, c := range classes {
 		if c.label == label {
 			out = append(out, c)
-			outPaths = append(outPaths, paths[i])
 		}
 	}
-	return out, outPaths
+	return out
 }
 
-// resolution materializes the row ranges of a class set, whose class
-// paths are paths. Instances of same-depth classes are roots of disjoint
-// subtrees, so after sorting the merged rows the ranges are disjoint and
-// in document order.
-func (ix *DocIndex) resolution(classes []*class, paths []string, singleton bool, consumed int) Resolution {
+// resolution materializes the row ranges of a class set. Instances of
+// same-depth classes are roots of disjoint subtrees, so after sorting the
+// merged rows the ranges are disjoint and in document order.
+func (ix *DocIndex) resolution(classes []*class, singleton bool, consumed int) Resolution {
 	total := 0
 	for _, c := range classes {
 		total += len(c.rows)
@@ -586,11 +659,12 @@ func (ix *DocIndex) resolution(classes []*class, paths []string, singleton bool,
 		return Resolution{Consumed: consumed, Pruned: true}
 	}
 	rows := make([]int32, 0, total)
+	res := Resolution{Consumed: consumed, Roots: singleton}
 	for _, c := range classes {
 		rows = append(rows, c.rows...)
+		res.Classes = append(res.Classes, c.path)
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
-	res := Resolution{Consumed: consumed, Classes: paths, Roots: singleton}
 	var runs interval.Runs
 	for _, r := range rows {
 		end := r + 1
@@ -604,9 +678,9 @@ func (ix *DocIndex) resolution(classes []*class, paths []string, singleton bool,
 	return res
 }
 
-// Set is the indexes of a catalog of documents, tagged with an epoch that
-// changes whenever any document (and hence its index) is rebuilt. Plan
-// caches key on the epoch so stale index pointers never serve a query.
+// Set is the indexes of a catalog of documents. Epoch is the catalog
+// version at which the set was published; a set is immutable, so caches
+// key on its pointer.
 type Set struct {
 	Docs  map[string]*DocIndex
 	Epoch uint64

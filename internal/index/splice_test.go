@@ -10,7 +10,6 @@ import (
 
 	"dixq/internal/index"
 	"dixq/internal/interval"
-	"dixq/internal/stats"
 	"dixq/internal/update"
 	"dixq/internal/xmark"
 	"dixq/internal/xmltree"
@@ -39,8 +38,8 @@ const (
 )
 
 // sameIndex fails unless got describes exactly what want does: the same
-// relation, subtree ends, class paths, rows of every class and postings.
-// The order of a class's children is not compared.
+// relation, subtree ends, class paths, rows and annotations of every
+// class, and postings. The order of a class's children is not compared.
 func sameIndex(t *testing.T, what string, got, want *index.DocIndex) {
 	t.Helper()
 	if got.Rel != want.Rel {
@@ -53,9 +52,13 @@ func sameIndex(t *testing.T, what string, got, want *index.DocIndex) {
 	if gp := got.Paths(); !slices.Equal(gp, paths) {
 		t.Fatalf("%s: %d class paths, want %d", what, len(gp), len(paths))
 	}
+	ga, wa := got.Annotations(), want.Annotations()
 	for _, p := range paths {
 		if !slices.Equal(got.PathRows(p), want.PathRows(p)) {
 			t.Fatalf("%s: rows of class %s differ", what, p)
+		}
+		if ga[p] != wa[p] {
+			t.Fatalf("%s: class %s annotated %+v, want %+v", what, p, ga[p], wa[p])
 		}
 	}
 	if gp, wp := index.Postings(got), index.Postings(want); !reflect.DeepEqual(gp, wp) {
@@ -72,34 +75,18 @@ func firstDiff(a, b []int32) int {
 	return -1
 }
 
-// sameStats fails unless got equals want exactly, naming the first
-// differing path or label.
-func sameStats(t *testing.T, what string, got, want *stats.DocStats) {
-	t.Helper()
-	if reflect.DeepEqual(got, want) {
-		return
-	}
-	for _, p := range want.PathNames() {
-		if got.Paths[p] != want.Paths[p] {
-			t.Fatalf("%s: path %s %+v, want %+v", what, p, got.Paths[p], want.Paths[p])
-		}
-	}
-	t.Fatalf("%s: statistics differ (tuples %d/%d, %d/%d paths, %d/%d labels)", what,
-		got.Tuples, want.Tuples, len(got.Paths), len(want.Paths), len(got.Labels), len(want.Labels))
-}
-
 // TestSpliceMatchesRebuild is the splice's property test. Random update
 // sequences on an XMark sf 0.02 document run through all five update
-// operators, carrying the index and statistics with index.Splice and
-// stats.Splice. After every step the spliced index must equal index.Build
-// over the new relation (End, every class's rows, the postings) and the
-// spliced statistics must equal stats.Collect exactly. Three edits a random
+// operators, carrying the index with index.Splice. After every step the
+// spliced index must equal index.Build over the new relation: End, every
+// class's rows and its three annotations (instance count, subtree rows,
+// distinct text values), and the postings. Three edits a random
 // walk may miss run first: an insert as the root's first child, a
 // front-of-document insert (negative key digits, every row shifts), and a
 // delete that empties dataguide classes.
 func TestSpliceMatchesRebuild(t *testing.T) {
 	rel := interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: 0.02, Seed: 29}))
-	ix, st := index.Build(rel), stats.Collect(rel)
+	ix := index.Build(rel)
 	rng := rand.New(rand.NewSource(29))
 	step := func(what string, op, row int, frag xmltree.Forest) {
 		t.Helper()
@@ -107,11 +94,9 @@ func TestSpliceMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		p := index.Splice(ix, next, e)
-		ix, st = p.After, stats.Splice(st, p)
+		ix = index.Splice(ix, next, e)
 		what = fmt.Sprintf("%s (%s row %d, edit %+v)", what, updateOps[op].name, row, e)
 		sameIndex(t, what, ix, index.Build(next))
-		sameStats(t, what, st, stats.Collect(next))
 	}
 	// fragment is a random forest or, half the time, a copy of a small
 	// subtree of the document, whose classes and labels already exist.
@@ -135,11 +120,11 @@ func TestSpliceMatchesRebuild(t *testing.T) {
 	}
 	// The shallowest single-instance path with classes below it: deleting
 	// its instance empties all of them.
-	names := st.PathNames()
+	names, annotations := ix.Paths(), ix.Annotations()
 	sort.SliceStable(names, func(i, j int) bool { return len(names[i]) < len(names[j]) })
 	var victim string
 	for _, p := range names {
-		if ps := st.Paths[p]; ps.Count == 1 && ps.SubtreeRows > 1 && len(ix.PathRows(p)) == 1 && p != names[0] {
+		if ps := annotations[p]; ps.Count == 1 && ps.SubtreeRows > 1 && len(ix.PathRows(p)) == 1 && p != names[0] {
 			if row := int(ix.PathRows(p)[0]); row > 0 && int(ix.End[row])-row < len(ix.End)/4 {
 				victim = p
 				break

@@ -91,8 +91,8 @@ var (
 	OptPlans = Default.NewCounter("dixq_opt_plans_total",
 		"Plans annotated with statistics-fed row estimates, one per plan compiled with statistics.")
 	// CatalogVersion is the monotonic version of the most recently
-	// published catalog snapshot; every document load, update, drop,
-	// reindex or stats refresh advances it.
+	// published catalog snapshot; every document load, update, drop or
+	// reindex advances it.
 	CatalogVersion = Default.NewGauge("dixq_catalog_version",
 		"Version of the most recently published catalog snapshot.")
 	// CatalogDocs is the document count of the current catalog snapshot.

@@ -39,24 +39,20 @@ func newPlanCache(capacity int) *planCache {
 	}
 }
 
-// planKey builds the cache key for a request: the query text, the engine,
-// every option that affects the plan or its execution strategy, and the
-// version of the catalog snapshot the request pinned. The options are
-// canonicalized first — the engine component is the parsed engine's wire
-// name (so "" and "di-msj" are one slot), the parallelism component is the
-// fully resolved worker bound (request value, else server default, with 0 resolving to
-// runtime.GOMAXPROCS(0), exactly as the executor resolves it) — so
-// equivalent requests hit the same slot while requests differing in any
-// effective knob never collide. The catalog version folds every document
-// change into the key: loads, structural updates (which publish the
-// spliced index and statistics in the same version), drops and
-// statistics refreshes each publish a fresh version, so a plan compiled
-// against one snapshot — including one estimated from since-recollected
-// statistics, or one whose document was dropped
-// and reloaded with different content — is never reused against another.
-func planKey(req *QueryRequest, engine dixq.Engine, cfg Config, version uint64) string {
-	return fmt.Sprintf("%s\x00%s\x00par=%d\x00cat=%d",
-		req.Query, engine.Label(), effectiveParallelism(req, cfg), version)
+// planKey builds the cache key for a request: the query text, the engine
+// and the version of the catalog snapshot the request pinned. The engine
+// component is the parsed engine's wire name, so "" and "di-msj" are one
+// slot. Nothing else enters the key: a cached dixq.Query memoizes its
+// plans per join mode, index set and statistics set, none of which a
+// request option changes, and each run takes its worker bound from the
+// request (effectiveParallelism), not from the cache. The catalog version
+// folds every document change into the key: loads, structural updates
+// (which publish the spliced index and statistics in the same version),
+// drops and reindexes each publish a fresh version, so a plan compiled
+// against one snapshot — including one whose document was dropped and
+// reloaded with different content — is never reused against another.
+func planKey(req *QueryRequest, engine dixq.Engine, version uint64) string {
+	return fmt.Sprintf("%s\x00%s\x00cat=%d", req.Query, engine.Label(), version)
 }
 
 // get returns the cached plan for key and promotes it to most-recent.

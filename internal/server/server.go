@@ -223,8 +223,7 @@ type QueryRequest struct {
 // explicit request value wins, 0 falls back to the server default, the
 // canonical resolution (<= 0 → runtime.GOMAXPROCS(0)) applies, and the
 // per-tenant worker cap clamps last — the same resolution the executor
-// performs, so the value is also usable as a cache-key component and a
-// trace attribute.
+// performs, so the value is also usable as a trace attribute.
 func effectiveParallelism(req *QueryRequest, cfg Config) int {
 	par := req.Parallelism
 	if par == 0 {
@@ -428,7 +427,7 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, version uint64) 
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return nil, nil, info, false
 	}
-	key := planKey(&req, info.engine, s.cfg, version)
+	key := planKey(&req, info.engine, version)
 	if q, ok := s.plans.get(key); ok {
 		info.cacheHit = true
 		return &req, q, info, true

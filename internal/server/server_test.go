@@ -307,89 +307,56 @@ func TestPlanCache(t *testing.T) {
 }
 
 // TestPlanCacheKeyIncludesOptions is the regression test for the cache
-// key: requests that differ in any plan-affecting option must occupy
-// distinct cache slots, while requests that differ only in a
-// non-canonical spelling of the same option (parallelism 0 and -1 both
-// resolve to the machine default) must share one. The explicit
-// parallelism values are derived from the resolved default so the test
-// holds at any GOMAXPROCS (the CI matrix runs -cpu=1,4).
+// key: requests that differ in an option that changes the plan — the
+// engine, the catalog version — must occupy distinct cache slots, while
+// requests that differ only in a spelling of the same engine or in an
+// option that shapes the run but not the plan (parallelism, analyze,
+// indent) must share one.
 func TestPlanCacheKeyIncludesOptions(t *testing.T) {
-	planKey := func(req *QueryRequest, cfg Config, version uint64) string {
+	planKey := func(req *QueryRequest, version uint64) string {
 		t.Helper()
 		engine, err := dixq.ParseEngine(req.Engine)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return planKey(req, engine, cfg, version)
+		return planKey(req, engine, version)
 	}
-	def := exec.Resolve(0)
 	base := QueryRequest{Query: "q", Engine: "di-msj"}
-	distinct := []QueryRequest{
-		base,
-		{Query: "q", Engine: "di-nlj"},
-		{Query: "q", Engine: "di-msj", Parallelism: def + 1},
-		{Query: "q", Engine: "di-msj", Parallelism: def + 2},
-	}
-	seen := map[string]int{}
-	for i, req := range distinct {
-		key := planKey(&req, Config{}, 0)
-		if j, dup := seen[key]; dup {
-			t.Errorf("requests %d and %d share cache key %q", j, i, key)
-		}
-		seen[key] = i
-	}
-	// Non-canonical spellings of the machine default collapse onto it.
-	for _, par := range []int{-1, 0, def} {
-		req := base
-		req.Parallelism = par
-		if got, want := planKey(&req, Config{}, 0), planKey(&base, Config{}, 0); got != want {
-			t.Errorf("parallelism %d key = %q, want the default key %q", par, got, want)
-		}
-	}
-	// The server default fills an unset request value: an unset request
-	// under Config{Parallelism: n} shares the slot of an explicit n.
-	explicit := base
-	explicit.Parallelism = def + 1
-	if got, want := planKey(&base, Config{Parallelism: def + 1}, 0), planKey(&explicit, Config{}, 0); got != want {
-		t.Errorf("config-default key = %q, want the explicit key %q", got, want)
-	}
-	// ... and an explicit request value overrides the server default.
-	if got, want := planKey(&explicit, Config{Parallelism: def + 2}, 0), planKey(&explicit, Config{}, 0); got != want {
-		t.Errorf("request override key = %q, want %q", got, want)
-	}
-	// The per-tenant worker cap clamps the resolved parallelism, so a
-	// capped configuration keys differently from an uncapped one.
-	if got, want := planKey(&explicit, Config{TenantWorkers: 1}, 0), planKey(&explicit, Config{}, 0); got == want {
-		t.Errorf("tenant worker cap kept cache key %q", got)
+	if got, want := planKey(&QueryRequest{Query: "q", Engine: "di-nlj"}, 0), planKey(&base, 0); got == want {
+		t.Errorf("engine change kept cache key %q", got)
 	}
 	// The engine component is canonical: the empty name is the default
 	// engine's slot.
-	if got, want := planKey(&QueryRequest{Query: "q"}, Config{}, 0), planKey(&QueryRequest{Query: "q", Engine: "di-msj"}, Config{}, 0); got != want {
+	if got, want := planKey(&QueryRequest{Query: "q"}, 0), planKey(&base, 0); got != want {
 		t.Errorf("empty engine key = %q, want the di-msj key %q", got, want)
 	}
-	// A new catalog version — any document load, update, drop, reindex or
-	// stats refresh — must not reuse plans compiled against the old
-	// snapshot.
-	if got, want := planKey(&base, Config{}, 1), planKey(&base, Config{}, 0); got == want {
+	// A new catalog version — any document load, update, drop or reindex
+	// — must not reuse plans compiled against the old snapshot.
+	if got, want := planKey(&base, 1), planKey(&base, 0); got == want {
 		t.Errorf("catalog version change kept cache key %q", got)
 	}
-	// Analyze and Indent shape the response, not the plan.
+	// Parallelism, Analyze and Indent shape the run or the response, not
+	// the plan.
 	for _, req := range []QueryRequest{
+		{Query: "q", Engine: "di-msj", Parallelism: -1},
+		{Query: "q", Engine: "di-msj", Parallelism: 1},
+		{Query: "q", Engine: "di-msj", Parallelism: 2},
 		{Query: "q", Engine: "di-msj", Analyze: true},
 		{Query: "q", Engine: "di-msj", Indent: true},
 	} {
-		if got, want := planKey(&req, Config{}, 0), planKey(&base, Config{}, 0); got != want {
-			t.Errorf("response-only option changed the key: %q vs %q", got, want)
+		if got, want := planKey(&req, 0), planKey(&base, 0); got != want {
+			t.Errorf("plan-neutral option changed the key: %q vs %q", got, want)
 		}
 	}
 }
 
 // TestPlanCacheOptionsEndToEnd drives the regression through the HTTP
-// layer: the same query under a different engine or worker bound must miss
-// the cache, while a body still carrying the removed "legacy_keys" /
-// "no_pipeline" fields is accepted, answers identically and lands in the
-// slot of the body without them; the default engine's two spellings share
-// one slot, and an unknown engine is rejected before any cache traffic.
+// layer: the same query under a different engine must miss the cache,
+// while one under another worker bound hits it and answers identically,
+// and a body still carrying the removed "legacy_keys" / "no_pipeline"
+// fields is accepted, answers identically and lands in the slot of the
+// body without them; the default engine's two spellings share one slot,
+// and an unknown engine is rejected before any cache traffic.
 func TestPlanCacheOptionsEndToEnd(t *testing.T) {
 	ts, srv := lifecycleServer(t, Config{}, map[string]string{"auction.xml": dixq.XMarkFigure1})
 	query := `for $x in document("auction.xml")/site/regions return count($x/*)`
@@ -408,15 +375,16 @@ func TestPlanCacheOptionsEndToEnd(t *testing.T) {
 		}
 		return out
 	}
-	first := run(QueryRequest{Query: query})
+	first := run(QueryRequest{Query: query, Parallelism: 1})
+	if out := run(QueryRequest{Query: query, Parallelism: 2}); out.Stats.PlanCacheHits != 1 || out.Stats.PlanCacheMiss != 1 || out.XML != first.XML {
+		t.Fatalf("parallelism change: %d hits, %d misses, answer %q; want 1, 1 and %q",
+			out.Stats.PlanCacheHits, out.Stats.PlanCacheMiss, out.XML, first.XML)
+	}
 	if out := run(QueryRequest{Query: query, Engine: "di-nlj"}); out.Stats.PlanCacheMiss != 2 {
 		t.Fatalf("engine change should miss: %d misses", out.Stats.PlanCacheMiss)
 	}
-	if out := run(QueryRequest{Query: query, Parallelism: exec.Resolve(0) + 1}); out.Stats.PlanCacheMiss != 3 {
-		t.Fatalf("parallelism change should miss: %d misses", out.Stats.PlanCacheMiss)
-	}
 	old := run(map[string]any{"query": query, "legacy_keys": true, "no_pipeline": true})
-	if old.Stats.PlanCacheHits != 1 || old.Stats.PlanCacheMiss != 3 {
+	if old.Stats.PlanCacheHits != 2 || old.Stats.PlanCacheMiss != 2 {
 		t.Fatalf("body with removed fields should hit the first request's slot: %d hits, %d misses",
 			old.Stats.PlanCacheHits, old.Stats.PlanCacheMiss)
 	}
@@ -428,11 +396,11 @@ func TestPlanCacheOptionsEndToEnd(t *testing.T) {
 		status             int
 		hits, misses, size uint64
 	}{
-		{"di-msj", http.StatusOK, 2, 3, 3},         // the slot of the first request's ""
-		{"", http.StatusOK, 3, 3, 3},               // ... and back
-		{"nope", http.StatusBadRequest, 3, 3, 3},   // rejected: no lookup, no insert
-		{"di-opt", http.StatusBadRequest, 3, 3, 3}, // unknown, like any other name
-		{"DI-MSJ", http.StatusBadRequest, 3, 3, 3}, // display names are not wire names
+		{"di-msj", http.StatusOK, 3, 2, 2},         // the slot of the first request's ""
+		{"", http.StatusOK, 4, 2, 2},               // ... and back
+		{"nope", http.StatusBadRequest, 4, 2, 2},   // rejected: no lookup, no insert
+		{"di-opt", http.StatusBadRequest, 4, 2, 2}, // unknown, like any other name
+		{"DI-MSJ", http.StatusBadRequest, 4, 2, 2}, // display names are not wire names
 	} {
 		resp, body := postJSON(t, ts.URL+"/query", QueryRequest{Query: query, Engine: tc.engine})
 		if resp.StatusCode != tc.status {
@@ -572,12 +540,10 @@ func TestPlanCacheEviction(t *testing.T) {
 }
 
 // TestStatsEpochEvictsPlans is the regression test for statistics-driven
-// plan-cache invalidation: recollecting the catalog's statistics bumps
-// the stats epoch — with the index epoch untouched — and cached plans
-// stop being served, because a plan estimated from the old statistics
-// carries stale estimates.
-// Reloading a document must bump the stats epoch too (alongside the
-// index epoch), so reloads invalidate on both axes.
+// plan-cache invalidation: an update changes the document's statistics
+// and publishes them under a new catalog version, so the cached plan,
+// estimated from the old statistics, stops being served; reloading the
+// document does the same.
 func TestStatsEpochEvictsPlans(t *testing.T) {
 	doc, err := dixq.ParseDocument(dixq.XMarkFigure1)
 	if err != nil {
@@ -607,24 +573,23 @@ func TestStatsEpochEvictsPlans(t *testing.T) {
 		t.Fatalf("warmup hits/misses = %d/%d, want 1/1", hits, misses)
 	}
 
-	idxBefore, statsBefore := srv.cat.IndexEpoch(), srv.cat.StatsEpoch()
-	srv.cat.RefreshStats()
-	if got := srv.cat.IndexEpoch(); got != idxBefore {
-		t.Fatalf("RefreshStats moved the index epoch %d -> %d", idxBefore, got)
+	frag, err := dixq.ParseDocument(`<person id="p9"><name>Z</name></person>`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := srv.cat.StatsEpoch(); got == statsBefore {
-		t.Fatalf("RefreshStats kept stats epoch %d", got)
+	version := srv.cat.Version()
+	if _, err := srv.cat.Update("auction.xml", dixq.OpAppendChild, []int{0}, frag); err != nil {
+		t.Fatal(err)
 	}
-	run() // must recompile: the cached plan is keyed to the old stats epoch
+	if srv.cat.Version() == version {
+		t.Fatal("the update published no new version")
+	}
+	run() // must recompile: the cached plan is keyed to the old version
 	if _, misses = srv.plans.counts(); misses != 2 {
-		t.Fatalf("misses after RefreshStats = %d, want 2 (stale plan served?)", misses)
+		t.Fatalf("misses after the update = %d, want 2 (stale plan served?)", misses)
 	}
 
-	statsBefore = srv.cat.StatsEpoch()
 	srv.cat.Add("auction.xml", doc)
-	if got := srv.cat.StatsEpoch(); got == statsBefore {
-		t.Fatalf("document reload kept stats epoch %d", got)
-	}
 	run()
 	if _, misses = srv.plans.counts(); misses != 3 {
 		t.Fatalf("misses after reload = %d, want 3", misses)

@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -135,55 +133,6 @@ func TestCollectSubtreeRowsAgainstEnd(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 50; i++ {
-		f := xmltree.RandomForest(rng, 80)
-		s := Collect(interval.Encode(f))
-		var buf bytes.Buffer
-		w := bufio.NewWriter(&buf)
-		if err := s.Write(w); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := Read(bufio.NewReader(bytes.NewReader(buf.Bytes())))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, s) {
-			t.Fatalf("forest %d: round-trip mismatch:\ngot  %+v\nwant %+v", i, got, s)
-		}
-		// Determinism: a second serialization is byte-identical.
-		var buf2 bytes.Buffer
-		w2 := bufio.NewWriter(&buf2)
-		if err := got.Write(w2); err != nil {
-			t.Fatal(err)
-		}
-		w2.Flush()
-		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-			t.Fatalf("forest %d: serialization not deterministic", i)
-		}
-	}
-}
-
-func TestCodecTruncation(t *testing.T) {
-	s := Collect(interval.Encode(handForest()))
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := s.Write(w); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	full := buf.Bytes()
-	for cut := 0; cut < len(full); cut++ {
-		if _, err := Read(bufio.NewReader(bytes.NewReader(full[:cut]))); err == nil {
-			t.Fatalf("truncation at %d/%d bytes decoded without error", cut, len(full))
-		}
-	}
-}
-
 func TestCollectSet(t *testing.T) {
 	cat := map[string]*interval.Relation{
 		"d1": interval.Encode(handForest()),
@@ -213,8 +162,9 @@ func TestPathNamesSorted(t *testing.T) {
 	}
 }
 
-// collectByString is the original Collect, which renders every tuple's
-// path as a string: the oracle the interned implementation must match.
+// collectByString computes the statistics in a stack pass of its own
+// over the relation, rendering every tuple's path as a string: the oracle
+// the index's annotations must match, however they were derived.
 func collectByString(rel *interval.Relation) *DocStats {
 	s := &DocStats{
 		Tuples: int64(len(rel.Tuples)),
@@ -268,15 +218,16 @@ func collectByString(rel *interval.Relation) *DocStats {
 	return s
 }
 
-// TestCollectMatchesStringPaths checks the interned Collect against the
-// string-path oracle on random forests, on an XMark document, and on
-// relations whose keys grew to several digits through random updates.
+// TestCollectMatchesStringPaths checks Collect against the string-path
+// oracle on random forests, on an XMark document, and on relations whose
+// keys grew to several digits through random updates — and, after every
+// one of those updates, the statistics of the index the updates spliced
+// (Of over index.Splice), so a derivation shared by Build and Splice
+// cannot hide a wrong annotation.
 func TestCollectMatchesStringPaths(t *testing.T) {
 	check := func(what string, rel *interval.Relation) {
 		t.Helper()
-		if got, want := Collect(rel), collectByString(rel); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s:\ngot  %+v\nwant %+v", what, got, want)
-		}
+		same(t, what, Collect(rel), collectByString(rel))
 	}
 	check("empty", &interval.Relation{})
 	check("xmark", interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: 0.002, Seed: 3})))
@@ -286,23 +237,31 @@ func TestCollectMatchesStringPaths(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		rel := interval.Encode(xmltree.RandomForest(rng, 30))
+		ix := index.Build(rel)
 		for u := 0; u < 15 && rel.Len() > 0; u++ {
-			target, end := rng.Intn(rel.Len()), index.Build(rel).End
+			target, end := rng.Intn(rel.Len()), ix.End
 			frag := xmltree.RandomForest(rng, 5)
+			var e interval.Edit
 			var err error
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
 			case 0:
-				rel, _, err = update.InsertAfter(rel, end, target, frag)
+				rel, e, err = update.InsertAfter(rel, end, target, frag)
 			case 1:
-				rel, _, err = update.InsertBefore(rel, end, target, frag)
+				rel, e, err = update.InsertBefore(rel, end, target, frag)
 			case 2:
-				rel, _, err = update.AppendChild(rel, end, target, frag)
+				rel, e, err = update.AppendChild(rel, end, target, frag)
+			case 3:
+				rel, e, err = update.PrependChild(rel, end, target, frag)
 			default:
-				rel, _, err = update.PrependChild(rel, end, target, frag)
+				if target > 0 {
+					rel, e, err = update.DeleteSubtree(rel, end, target)
+				}
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
+			ix = index.Splice(ix, rel, e)
+			same(t, fmt.Sprintf("relation %d spliced by update %d", i, u), Of(ix), collectByString(rel))
 		}
 		if rel.MaxKeyLen() < 2 {
 			t.Fatalf("updated relation %d kept one-digit keys", i)
@@ -311,8 +270,24 @@ func TestCollectMatchesStringPaths(t *testing.T) {
 	}
 }
 
-// BenchmarkCollect collects the statistics of the XMark sf 0.1 document
-// (143k tuples), once per catalog add.
+// same fails unless got equals want exactly, naming the first differing
+// path.
+func same(t *testing.T, what string, got, want *DocStats) {
+	t.Helper()
+	if reflect.DeepEqual(got, want) {
+		return
+	}
+	for _, p := range want.PathNames() {
+		if got.Paths[p] != want.Paths[p] {
+			t.Fatalf("%s: path %s %+v, want %+v", what, p, got.Paths[p], want.Paths[p])
+		}
+	}
+	t.Fatalf("%s:\ngot  %+v\nwant %+v", what, got, want)
+}
+
+// BenchmarkCollect derives the statistics of the XMark sf 0.1 document
+// (143k tuples) as a catalog add does: the index build that annotates the
+// dataguide, then Of.
 func BenchmarkCollect(b *testing.B) {
 	rel := interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: 0.1, Seed: 1}))
 	b.ReportAllocs()

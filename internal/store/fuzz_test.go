@@ -15,8 +15,9 @@ import (
 // field the input merely claims (the maxSaneLen / key-length / label-length
 // guards), and reject corrupt input with an error rather than garbage.
 func FuzzStoreRead(f *testing.F) {
-	// Seed with valid files at several shapes, in the current format and
-	// under both retired magics, which must be rejected.
+	// Seed with valid files at several shapes, in the current format,
+	// under the current magic without a checksum, and under a retired
+	// magic, which must be rejected.
 	seedRels := []*interval.Relation{
 		{},
 		interval.Encode(xmark.Figure1Forest()),
@@ -25,11 +26,15 @@ func FuzzStoreRead(f *testing.F) {
 	}
 	for _, rel := range seedRels {
 		f.Add(encode(f, rel))
-		f.Add(sections(f, retiredV1, rel, false))
-		f.Add(sections(f, retiredV2, rel, true))
+		f.Add(sections(f, magic, rel))
+		f.Add(seal(sections(f, retiredV3, rel)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if rel, _, _, err := ReadFull(bytes.NewReader(data)); err == nil {
+		rel, _, _, err := ReadFull(bytes.NewReader(data))
+		if err != nil && !isTyped(err) {
+			t.Fatalf("untyped error %v", err)
+		}
+		if err == nil {
 			// A successful read must have produced a self-consistent
 			// relation whose size is bounded by the input that encoded it:
 			// every tuple costs at least three bytes on the wire.

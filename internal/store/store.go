@@ -5,15 +5,17 @@
 // save, then serve any number of queries straight from the relation
 // without reparsing XML.
 //
-// Format: a label dictionary (labels repeat heavily in documents
-// — element tags, attribute names) followed by tuples referencing labels
-// by index, all integers varint-encoded; keys store their digit vectors
-// verbatim, so documents at any environment depth round-trip. After that
-// body come the document's structural index (see internal/index) and its
-// statistics (see internal/stats), so a loaded document brings
-// its dataguide, subtree ranges and cardinalities at no rebuild cost.
-// Loading validates the body's interval nesting: a store is the one way a
-// relation enters the catalog from outside the encoder.
+// Format (DIXQS4): the magic line, then the body — a label dictionary
+// (labels repeat heavily in documents — element tags, attribute names)
+// followed by tuples referencing labels by index, all integers
+// varint-encoded; keys store their digit vectors verbatim, so documents
+// at any environment depth round-trip — and last the CRC-32C
+// (Castagnoli) of every byte before it, little-endian. A file holds the
+// relation only: the structural index and its statistics are derived
+// again on load (index.Build, stats.Of), which costs about as much as
+// decoding them did. Loading checks the checksum, then validates the
+// body's interval nesting: a store is the one way a relation enters the
+// catalog from outside the encoder.
 package store
 
 import (
@@ -21,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -30,34 +33,48 @@ import (
 	"dixq/internal/stats"
 )
 
-// magic identifies the file format.
-const magic = "DIXQS3\n"
+// magic identifies the file format. The retired DIXQS1–3 formats, which
+// carried the index and statistics in sections of their own, are not
+// read.
+const magic = "DIXQS4\n"
 
 // maxSaneLen bounds length fields while decoding, so corrupt or hostile
 // files fail fast instead of allocating wildly.
 const maxSaneLen = 1 << 31
 
-// ErrFormat reports a malformed or foreign file.
+// castagnoli is the CRC-32C table of the trailing checksum.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrFormat reports a malformed or foreign file: a short or unknown
+// header, a retired format's included.
 var ErrFormat = errors.New("store: not a .dixq store file")
 
-// WriteFull serializes a relation together with its structural index and
-// statistics. Index and statistics must have been built over
-// rel.
-func WriteFull(w io.Writer, rel *interval.Relation, ix *index.DocIndex, st *stats.DocStats) error {
-	bw := bufio.NewWriter(w)
+// ErrCorrupt reports a store file whose checksum does not match or whose
+// body does not decode to a valid interval relation.
+var ErrCorrupt = errors.New("store: corrupt store file")
+
+// Write serializes a relation: magic, body, checksum.
+func Write(w io.Writer, rel *interval.Relation) error {
+	sum := crc32.New(castagnoli)
+	bw := bufio.NewWriter(io.MultiWriter(w, sum))
 	if _, err := bw.WriteString(magic); err != nil {
 		return err
 	}
 	if err := writeBody(bw, rel); err != nil {
 		return err
 	}
-	if err := ix.Write(bw); err != nil {
+	if err := bw.Flush(); err != nil {
 		return err
 	}
-	if err := st.Write(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, sum.Sum32()))
+	return err
+}
+
+// WriteFull is Write for callers that hold a document's index and
+// statistics too. It does not write ix or st: the format holds the
+// relation only, and ReadFull derives both again.
+func WriteFull(w io.Writer, rel *interval.Relation, ix *index.DocIndex, st *stats.DocStats) error {
+	return Write(w, rel)
 }
 
 func writeBody(bw *bufio.Writer, rel *interval.Relation) error {
@@ -117,41 +134,47 @@ func writeBody(bw *bufio.Writer, rel *interval.Relation) error {
 	return nil
 }
 
-// ReadFull deserializes a relation together with its structural index and
-// statistics, rejecting a relation that is not a valid interval
-// encoding (interval.Validate).
+// ReadFull deserializes a relation written by Write and derives its
+// structural index and statistics (index.Build, stats.Of). A short or
+// unknown header is ErrFormat, a checksum mismatch or an undecodable or
+// invalid body (interval.Validate) ErrCorrupt, and a failing reader's
+// error is returned wrapped.
 func ReadFull(r io.Reader) (*interval.Relation, *index.DocIndex, *stats.DocStats, error) {
-	dec := &decoder{br: bufio.NewReader(r)}
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(dec.br, head); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, nil, nil, ErrFormat
-		}
-		return nil, nil, nil, fmt.Errorf("store: read header: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("store: read: %w", err)
 	}
-	if string(head) != magic {
-		return nil, nil, nil, ErrFormat
+	rel, err := decode(data)
+	if err != nil {
+		return nil, nil, nil, err
 	}
+	ix := index.Build(rel)
+	return rel, ix, stats.Of(ix), nil
+}
+
+func decode(data []byte) (*interval.Relation, error) {
+	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
+		return nil, ErrFormat
+	}
+	n := len(data) - crc32.Size
+	if n < len(magic) {
+		return nil, fmt.Errorf("%w: truncated checksum", ErrCorrupt)
+	}
+	if crc32.Checksum(data[:n], castagnoli) != binary.LittleEndian.Uint32(data[n:]) {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	dec := &decoder{buf: data[len(magic):n]}
 	rel, err := dec.body()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	if len(dec.buf) > 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after %d tuples", ErrCorrupt, len(dec.buf), len(rel.Tuples))
 	}
 	if err := interval.Validate(rel); err != nil {
-		return nil, nil, nil, fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	ix, err := index.Read(dec.br, rel)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	st, err := stats.Read(dec.br)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	// Exactly at end?
-	if _, err := dec.br.ReadByte(); err != io.EOF {
-		return nil, nil, nil, fmt.Errorf("store: trailing bytes after %d tuples", len(rel.Tuples))
-	}
-	return rel, ix, st, nil
+	return rel, nil
 }
 
 func (dec *decoder) body() (*interval.Relation, error) {
@@ -159,30 +182,32 @@ func (dec *decoder) body() (*interval.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	labels := make([]string, nLabels)
+	labels := make([]string, min(nLabels, uint64(len(dec.buf))))
 	for i := range labels {
 		n, err := dec.uvarint()
 		if err != nil {
 			return nil, err
 		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(dec.br, b); err != nil {
-			return nil, fmt.Errorf("store: truncated label: %w", err)
+		if n > uint64(len(dec.buf)) {
+			return nil, errors.New("truncated label")
 		}
-		labels[i] = string(b)
+		labels[i], dec.buf = string(dec.buf[:n]), dec.buf[n:]
+	}
+	if uint64(len(labels)) < nLabels {
+		return nil, errors.New("truncated label dictionary")
 	}
 	nTuples, err := dec.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	rel := &interval.Relation{Tuples: make([]interval.Tuple, 0, min(nTuples, 1<<20))}
+	rel := &interval.Relation{Tuples: make([]interval.Tuple, 0, min(nTuples, uint64(len(dec.buf))/3))}
 	for i := uint64(0); i < nTuples; i++ {
 		li, err := dec.uvarint()
 		if err != nil {
 			return nil, err
 		}
 		if li >= uint64(len(labels)) {
-			return nil, fmt.Errorf("store: label index %d out of range", li)
+			return nil, fmt.Errorf("label index %d out of range", li)
 		}
 		l, err := dec.key()
 		if err != nil {
@@ -197,22 +222,29 @@ func (dec *decoder) body() (*interval.Relation, error) {
 	return rel, nil
 }
 
+// decoder reads a body out of buf, which it consumes.
 type decoder struct {
-	br *bufio.Reader
+	buf []byte
 	// arena backs all decoded keys, replacing two heap allocations per
 	// tuple with shared chunks.
 	arena interval.KeyArena
 }
 
-func (d *decoder) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		return 0, fmt.Errorf("store: truncated varint: %w", err)
+func (d *decoder) varint() (uint64, error) {
+	v, n := binary.Uvarint(d.buf)
+	if n <= 0 {
+		return 0, errors.New("truncated varint")
 	}
-	if v > maxSaneLen {
-		return 0, fmt.Errorf("store: implausible length %d", v)
-	}
+	d.buf = d.buf[n:]
 	return v, nil
+}
+
+func (d *decoder) uvarint() (uint64, error) {
+	v, err := d.varint()
+	if err == nil && v > maxSaneLen {
+		return 0, fmt.Errorf("implausible length %d", v)
+	}
+	return v, err
 }
 
 func (d *decoder) key() (interval.Key, error) {
@@ -224,31 +256,30 @@ func (d *decoder) key() (interval.Key, error) {
 		return nil, nil
 	}
 	if n > 1<<16 {
-		return nil, fmt.Errorf("store: implausible key length %d", n)
+		return nil, fmt.Errorf("implausible key length %d", n)
 	}
 	k := d.arena.Alloc(int(n))
 	for i := range k {
-		v, err := binary.ReadUvarint(d.br)
+		v, err := d.varint()
 		if err != nil {
-			return nil, fmt.Errorf("store: truncated key: %w", err)
+			return nil, err
 		}
 		k[i] = int64(v)
 	}
 	return k, nil
 }
 
-// SaveFull writes a relation, its structural index and its statistics
-// to a file, atomically via a temporary sibling: the temporary
-// file is synced before it is renamed over the target, so a crash leaves
-// either the old store or the complete new one, never an empty file under
-// the final name.
-func SaveFull(path string, rel *interval.Relation, ix *index.DocIndex, st *stats.DocStats) error {
+// Save writes a relation to a file, atomically via a temporary sibling:
+// the temporary file is synced before it is renamed over the target, so
+// a crash leaves either the old store or the complete new one, never an
+// empty file under the final name.
+func Save(path string, rel *interval.Relation) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".dixq-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := WriteFull(tmp, rel, ix, st); err != nil {
+	if err := Write(tmp, rel); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -265,17 +296,15 @@ func SaveFull(path string, rel *interval.Relation, ix *index.DocIndex, st *stats
 	return nil
 }
 
-// LoadFull reads a relation, its structural index and its statistics
-// from a file (see ReadFull).
-func LoadFull(path string) (*interval.Relation, *index.DocIndex, *stats.DocStats, error) {
-	f, err := os.Open(path)
+// Load reads a relation from a file (see ReadFull).
+func Load(path string) (*interval.Relation, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	defer f.Close()
-	rel, ix, st, err := ReadFull(f)
+	rel, err := decode(data)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return rel, ix, st, nil
+	return rel, nil
 }

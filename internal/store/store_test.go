@@ -3,7 +3,9 @@ package store
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -20,27 +22,29 @@ import (
 	"dixq/internal/xmltree"
 )
 
-// encode serializes rel with freshly built index and statistics.
+// encode serializes rel.
 func encode(t testing.TB, rel *interval.Relation) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteFull(&buf, rel, index.Build(rel), stats.Collect(rel)); err != nil {
-		t.Fatalf("WriteFull: %v", err)
+	if err := Write(&buf, rel); err != nil {
+		t.Fatalf("Write: %v", err)
 	}
 	return buf.Bytes()
 }
 
-// The prefixes of the two retired formats: DIXQS1 was the body alone,
-// DIXQS2 the body plus the structural index. No reader accepts them.
+// The prefixes of the three retired formats: DIXQS1 was the body alone,
+// DIXQS2 the body plus the structural index, DIXQS3 both plus the
+// statistics. No reader accepts them.
 const (
 	retiredV1 = "DIXQS1\n"
 	retiredV2 = "DIXQS2\n"
+	retiredV3 = "DIXQS3\n"
 )
 
-// sections builds a file of prefix, the body and, withIndex, the
-// structural index: the shape of a retired-format file, or with the
-// current magic a file that stops before its later sections.
-func sections(t testing.TB, prefix string, rel *interval.Relation, withIndex bool) []byte {
+// sections builds a file of prefix and the body, without a checksum: the
+// shape of a retired-format file's head, or with the current magic a file
+// cut before its checksum.
+func sections(t testing.TB, prefix string, rel *interval.Relation) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
@@ -48,16 +52,20 @@ func sections(t testing.TB, prefix string, rel *interval.Relation, withIndex boo
 	if err := writeBody(bw, rel); err != nil {
 		t.Fatal(err)
 	}
-	if withIndex {
-		if err := index.Build(rel).Write(bw); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
+
+// seal appends the checksum Write would to a hand-built file, so the
+// decoder's own guards, not the checksum, meet its content.
+func seal(file []byte) []byte {
+	return binary.LittleEndian.AppendUint32(file, crc32.Checksum(file, castagnoli))
+}
+
+// isTyped reports whether err is one of the loader's two typed errors.
+func isTyped(err error) bool { return errors.Is(err, ErrFormat) || errors.Is(err, ErrCorrupt) }
 
 func roundTrip(t *testing.T, rel *interval.Relation) *interval.Relation {
 	t.Helper()
@@ -128,14 +136,21 @@ func TestRoundTripEmpty(t *testing.T) {
 }
 
 // TestFullRoundTrip checks that WriteFull/ReadFull preserve the relation,
-// the index and the statistics, and bind the decoded index to the decoded
-// relation.
+// rebuild the index and statistics, and bind the index to the decoded
+// relation; WriteFull writes exactly what Write does.
 func TestFullRoundTrip(t *testing.T) {
 	rel := interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: 0.001, Seed: 4}))
 	ix := index.Build(rel)
 	st := stats.Collect(rel)
 
-	gotRel, gotIx, gotSt, err := ReadFull(bytes.NewReader(encode(t, rel)))
+	var full bytes.Buffer
+	if err := WriteFull(&full, rel, ix, st); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(full.Bytes(), encode(t, rel)) {
+		t.Fatal("WriteFull wrote other bytes than Write")
+	}
+	gotRel, gotIx, gotSt, err := ReadFull(&full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,17 +168,17 @@ func TestFullRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOldFormatsUpgrade pins the retirement of the DIXQS1 and DIXQS2
-// formats, which nothing writes: a file under either magic is ErrFormat,
-// however well formed its body.
+// TestOldFormatsUpgrade pins the retirement of the DIXQS1, DIXQS2 and
+// DIXQS3 formats, which nothing writes: a file under any of their magics
+// is ErrFormat, however well formed its body, with or without a checksum.
 func TestOldFormatsUpgrade(t *testing.T) {
 	rel := interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: 0.001, Seed: 4}))
-	for prefix, file := range map[string][]byte{
-		retiredV1: sections(t, retiredV1, rel, false),
-		retiredV2: sections(t, retiredV2, rel, true),
-	} {
-		if _, _, _, err := ReadFull(bytes.NewReader(file)); !errors.Is(err, ErrFormat) {
-			t.Errorf("%q: err = %v, want ErrFormat", prefix, err)
+	for _, prefix := range []string{retiredV1, retiredV2, retiredV3} {
+		file := sections(t, prefix, rel)
+		for _, data := range [][]byte{file, seal(file)} {
+			if _, _, _, err := ReadFull(bytes.NewReader(data)); !errors.Is(err, ErrFormat) {
+				t.Errorf("%q: err = %v, want ErrFormat", prefix, err)
+			}
 		}
 	}
 }
@@ -172,20 +187,15 @@ func TestSaveLoadFull(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "doc.dixq")
 	rel := interval.Encode(xmark.Figure1Forest())
-	ix := index.Build(rel)
-	st := stats.Collect(rel)
-	if err := SaveFull(path, rel, ix, st); err != nil {
+	if err := Save(path, rel); err != nil {
 		t.Fatal(err)
 	}
-	got, gotIx, gotSt, err := LoadFull(path)
+	got, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalRel(rel, got) || gotIx == nil || gotIx.Rel != got {
-		t.Fatal("SaveFull/LoadFull relation or index mismatch")
-	}
-	if !reflect.DeepEqual(gotSt, st) {
-		t.Fatal("SaveFull/LoadFull statistics mismatch")
+	if !equalRel(rel, got) {
+		t.Fatal("Save/Load relation mismatch")
 	}
 	// No temp files left behind.
 	entries, _ := os.ReadDir(dir)
@@ -202,37 +212,46 @@ func TestSaveIntoCurrentDir(t *testing.T) {
 	}
 	defer os.Chdir(old)
 	rel := interval.Encode(xmltree.Forest{xmltree.NewText("x")})
-	if err := SaveFull("plain.dixq", rel, index.Build(rel), stats.Collect(rel)); err != nil {
+	if err := Save("plain.dixq", rel); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := LoadFull("plain.dixq"); err != nil {
+	if _, err := Load("plain.dixq"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestLoadErrors(t *testing.T) {
-	if _, _, _, err := LoadFull(filepath.Join(t.TempDir(), "missing.dixq")); err == nil {
+	if _, err := Load(filepath.Join(t.TempDir(), "missing.dixq")); err == nil {
 		t.Error("missing file should fail")
+	}
+	path := filepath.Join(t.TempDir(), "doc.dixq")
+	if err := os.WriteFile(path, []byte("<site></site>"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), path) {
+		t.Errorf("foreign file: err = %v, want ErrFormat naming the path", err)
 	}
 }
 
 func TestReadRejectsCorruption(t *testing.T) {
 	rel := interval.Encode(xmark.Figure1Forest())
 	valid := encode(t, rel)
-	body := sections(t, magic, rel, false)
+	body := sections(t, magic, rel)
 
 	cases := map[string][]byte{
 		"empty":            {},
 		"bad magic":        []byte("NOTDIXQ" + string(valid[7:])),
 		"truncated header": valid[:3],
 		"truncated labels": valid[:len(magic)+2],
-		"truncated tuples": body[:len(body)-4],
+		"truncated tuples": seal(body[:len(body)-4]),
+		"no checksum":      body,
 		"trailing garbage": append(append([]byte{}, valid...), 0x01),
+		"sealed garbage":   seal(append(append([]byte{}, body...), 0x01)),
 		"xml not a store":  []byte("<site></site>"),
 	}
 	for name, data := range cases {
-		if _, _, _, err := ReadFull(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: expected error", name)
+		if _, _, _, err := ReadFull(bytes.NewReader(data)); !isTyped(err) {
+			t.Errorf("%s: err = %v, want ErrFormat or ErrCorrupt", name, err)
 		}
 	}
 
@@ -245,8 +264,8 @@ func TestReadRejectsCorruption(t *testing.T) {
 	b.Write([]byte{9})         // label index 9: out of range
 	b.Write([]byte{1, 0})      // L = [0]
 	b.Write([]byte{1, 1})      // R = [1]
-	if _, _, _, err := ReadFull(&b); err == nil {
-		t.Error("out-of-range label index: expected error")
+	if _, _, _, err := ReadFull(bytes.NewReader(seal(b.Bytes()))); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("out-of-range label index: err = %v, want ErrCorrupt", err)
 	}
 
 	// Complete, well-formed files whose relation is not an interval
@@ -260,7 +279,7 @@ func TestReadRejectsCorruption(t *testing.T) {
 		"l >= r": {{S: "<a>", L: interval.Key{4}, R: interval.Key{4}}},
 	} {
 		rel := &interval.Relation{Tuples: tuples}
-		if _, _, _, err := ReadFull(bytes.NewReader(encode(t, rel))); err == nil || !strings.Contains(err.Error(), "interval:") {
+		if _, _, _, err := ReadFull(bytes.NewReader(encode(t, rel))); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "interval:") {
 			t.Errorf("%s: err = %v, want an interval validation error", name, err)
 		}
 	}
@@ -286,7 +305,7 @@ func TestWriteRejectsNegativeDigits(t *testing.T) {
 	rel := &interval.Relation{Tuples: []interval.Tuple{
 		{S: "x", L: interval.Key{-1}, R: interval.Key{2}},
 	}}
-	if err := WriteFull(&bytes.Buffer{}, rel, nil, nil); err == nil {
+	if err := Write(&bytes.Buffer{}, rel); err == nil {
 		t.Error("negative digit should fail")
 	}
 }
@@ -295,14 +314,14 @@ func TestWriteRejectsNegativeDigits(t *testing.T) {
 // the file that replaces the XML text — must not outgrow it.
 func TestFormatIsCompact(t *testing.T) {
 	doc := xmark.Generate(xmark.Config{ScaleFactor: 0.002, Seed: 7})
-	body := sections(t, magic, interval.Encode(doc), false)
+	body := sections(t, magic, interval.Encode(doc))
 	xmlLen := len(doc.String())
 	if len(body) > xmlLen {
 		t.Errorf("store body %d bytes > XML %d bytes; label dictionary not effective?", len(body), xmlLen)
 	}
 }
 
-// failWriter fails after n bytes, exercising WriteFull's error propagation.
+// failWriter fails after n bytes, exercising Write's error propagation.
 type failWriter struct{ n int }
 
 func (w *failWriter) Write(p []byte) (int, error) {
@@ -320,47 +339,45 @@ func (w *failWriter) Write(p []byte) (int, error) {
 
 func TestWriteErrors(t *testing.T) {
 	rel := interval.Encode(xmark.Figure1Forest())
-	ix, st := index.Build(rel), stats.Collect(rel)
 	size := len(encode(t, rel))
-	// Fail at various prefixes: header, label table, tuples, index, stats.
-	for _, budget := range []int{0, 3, 10, 50, 400, size - 1} {
-		if err := WriteFull(&failWriter{n: budget}, rel, ix, st); err == nil && budget < size {
+	// Fail at various prefixes: header, label table, tuples, checksum.
+	for _, budget := range []int{0, 3, 10, 50, size - 4, size - 1} {
+		if err := Write(&failWriter{n: budget}, rel); err == nil && budget < size {
 			t.Errorf("budget %d of %d bytes: expected write error", budget, size)
 		}
 	}
 }
 
-// TestSaveErrors checks the failure side of SaveFull's atomicity: a save
+// TestSaveErrors checks the failure side of Save's atomicity: a save
 // that fails leaves neither a temporary file nor a new target behind, and
 // leaves a store already at the target exactly as it was.
 func TestSaveErrors(t *testing.T) {
 	rel := interval.Encode(xmark.Figure1Forest())
-	ix, st := index.Build(rel), stats.Collect(rel)
-	if err := SaveFull(filepath.Join(t.TempDir(), "no", "such", "dir", "f.dixq"), rel, ix, st); err == nil {
-		t.Error("SaveFull into missing directory should fail")
+	if err := Save(filepath.Join(t.TempDir(), "no", "such", "dir", "f.dixq"), rel); err == nil {
+		t.Error("Save into missing directory should fail")
 	}
 	bad := &interval.Relation{Tuples: []interval.Tuple{{S: "x", L: interval.Key{-1}, R: interval.Key{1}}}}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "doc.dixq")
-	if err := SaveFull(path, bad, nil, nil); err == nil {
-		t.Error("SaveFull of negative-digit relation should fail")
+	if err := Save(path, bad); err == nil {
+		t.Error("Save of negative-digit relation should fail")
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
-		t.Errorf("failed SaveFull left %d entries", len(entries))
+		t.Errorf("failed Save left %d entries", len(entries))
 	}
 
-	if err := SaveFull(path, rel, ix, st); err != nil {
+	if err := Save(path, rel); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveFull(path, bad, nil, nil); err == nil {
-		t.Error("SaveFull of negative-digit relation over an existing store should fail")
+	if err := Save(path, bad); err == nil {
+		t.Error("Save of negative-digit relation over an existing store should fail")
 	}
 	kept, err := os.ReadFile(path)
 	if err != nil || !bytes.Equal(kept, encode(t, rel)) {
-		t.Errorf("failed SaveFull damaged the existing store (%v)", err)
+		t.Errorf("failed Save damaged the existing store (%v)", err)
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
-		t.Errorf("failed SaveFull left %d entries beside the store", len(entries)-1)
+		t.Errorf("failed Save left %d entries beside the store", len(entries)-1)
 	}
 }
 
@@ -369,8 +386,15 @@ func TestImplausibleLengths(t *testing.T) {
 	var b bytes.Buffer
 	b.WriteString(magic)
 	b.Write([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // ~2^63
-	if _, _, _, err := ReadFull(&b); err == nil {
-		t.Error("implausible label count accepted")
+	if _, _, _, err := ReadFull(bytes.NewReader(seal(b.Bytes()))); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "implausible") {
+		t.Errorf("implausible label count: err = %v", err)
+	}
+	// A plausible label count the file cannot hold.
+	var d bytes.Buffer
+	d.WriteString(magic)
+	d.Write([]byte{0xff, 0xff, 0xff, 0xff, 0x07}) // 2^31-1 labels
+	if _, _, _, err := ReadFull(bytes.NewReader(seal(d.Bytes()))); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("label count beyond the file: err = %v", err)
 	}
 	// Implausible key length.
 	var c bytes.Buffer
@@ -379,34 +403,38 @@ func TestImplausibleLengths(t *testing.T) {
 	c.Write([]byte{1})                // one tuple
 	c.Write([]byte{0})                // label 0
 	c.Write([]byte{0xff, 0xff, 0x7f}) // key length ~2M
-	if _, _, _, err := ReadFull(&c); err == nil {
-		t.Error("implausible key length accepted")
+	if _, _, _, err := ReadFull(bytes.NewReader(seal(c.Bytes()))); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "implausible key length") {
+		t.Errorf("implausible key length: err = %v", err)
 	}
 }
 
-// TestFullRejectsCorruption truncates and mangles the stats section of a
-// file at every byte offset past the index: every cut must fail loudly,
-// never decode to wrong statistics silently.
+// TestFullRejectsCorruption is the loader's fault test over a stored
+// XMark sf 0.002 document: every truncation and a flip of each of 64
+// sampled bytes — checksum and header included — returns ErrFormat or
+// ErrCorrupt, never a panic or a relation, and a DIXQS3 header is
+// ErrFormat.
 func TestFullRejectsCorruption(t *testing.T) {
-	rel := interval.Encode(xmark.Figure1Forest())
-	fullBytes := encode(t, rel)
-	// The stats section occupies everything past the body and index.
-	statsStart := len(sections(t, magic, rel, true))
-	if statsStart >= len(fullBytes) {
-		t.Fatalf("no stats section: full %d bytes, indexed %d", len(fullBytes), statsStart)
-	}
-
-	for cut := statsStart; cut < len(fullBytes); cut++ {
-		if _, _, _, err := ReadFull(bytes.NewReader(fullBytes[:cut])); err == nil {
-			t.Fatalf("truncation at byte %d/%d decoded without error", cut, len(fullBytes))
+	file := encode(t, interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: 0.002, Seed: 4})))
+	for cut := 0; cut < len(file); cut++ {
+		if _, _, _, err := ReadFull(bytes.NewReader(file[:cut])); !isTyped(err) {
+			t.Fatalf("truncation at byte %d/%d: err = %v, want ErrFormat or ErrCorrupt", cut, len(file), err)
 		}
 	}
-
-	// An implausible length inside the stats section.
-	mangled := append([]byte{}, fullBytes[:statsStart]...)
-	mangled = append(mangled, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)
-	if _, _, _, err := ReadFull(bytes.NewReader(mangled)); err == nil {
-		t.Fatal("implausible stats length decoded without error")
+	rng := rand.New(rand.NewSource(44))
+	positions := []int{0, len(magic) - 1, len(magic), len(file) - 4, len(file) - 1}
+	for len(positions) < 64 {
+		positions = append(positions, rng.Intn(len(file)))
+	}
+	for _, pos := range positions {
+		flipped := append([]byte(nil), file...)
+		flipped[pos] ^= byte(1 + rng.Intn(255))
+		if _, _, _, err := ReadFull(bytes.NewReader(flipped)); !isTyped(err) {
+			t.Fatalf("flip at byte %d/%d: err = %v, want ErrFormat or ErrCorrupt", pos, len(file), err)
+		}
+	}
+	v3 := append([]byte(retiredV3), file[len(magic):]...)
+	if _, _, _, err := ReadFull(bytes.NewReader(v3)); !errors.Is(err, ErrFormat) {
+		t.Fatalf("DIXQS3 header: err = %v, want ErrFormat", err)
 	}
 }
 

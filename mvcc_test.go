@@ -8,7 +8,7 @@ import (
 )
 
 // TestSnapshotIsolationUnderConcurrentUpdates is the MVCC differential
-// stress test: writers continuously mutate, reload, drop and re-profile
+// stress test: writers continuously mutate, reload, reindex and drop
 // documents while readers pin snapshots and evaluate queries against
 // them with several engines and parallelism settings. Every reader
 // asserts that all runs against its pinned snapshot agree digit for
@@ -88,12 +88,17 @@ func TestSnapshotIsolationUnderConcurrentUpdates(t *testing.T) {
 	}()
 
 	// Writer 2: catalog-level churn on a document no query references —
-	// load, re-profile, drop — so readers also race version bumps that
-	// swap the index/stats sets wholesale.
+	// load, update, drop — so readers also race version bumps that swap
+	// the index/stats sets wholesale.
 	writersWg.Add(1)
 	go func() {
 		defer writersWg.Done()
 		extra := GenerateXMark(0.0005, 11)
+		frag, err := ParseDocument(`<extra/>`)
+		if err != nil {
+			errs <- err
+			return
+		}
 		for {
 			select {
 			case <-done:
@@ -101,7 +106,10 @@ func TestSnapshotIsolationUnderConcurrentUpdates(t *testing.T) {
 			default:
 			}
 			cat.Add("extra.xml", extra)
-			cat.RefreshStats()
+			if _, err := cat.Update("extra.xml", OpAppendChild, []int{0}, frag); err != nil {
+				errs <- err
+				return
+			}
 			cat.Drop("extra.xml")
 		}
 	}()
