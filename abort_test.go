@@ -48,15 +48,15 @@ func TestTimeoutAbortsEveryEngine(t *testing.T) {
 }
 
 // TestDeadlineAbortLeavesNothing aborts the DI engines mid-flight while
-// they run parallel and spill every group reorder to disk: the abort must
-// give back every worker slot and leave no run file behind.
+// they spill every group reorder to disk: the abort must leave no
+// merge-join side sort running and no run file behind.
 func TestDeadlineAbortLeavesNothing(t *testing.T) {
 	cat := xmarkCatalog(0.05)
 	for _, eng := range []Engine{MergeJoin, NestedLoop} {
 		dir := t.TempDir()
 		before := exitcheck.Take()
 		_, err := Run(XMarkQ8, cat, &Options{
-			Engine: eng, Timeout: time.Millisecond, Parallelism: 4, MemBudget: 1, SpillDir: dir,
+			Engine: eng, Timeout: time.Millisecond, MemBudget: 1, SpillDir: dir,
 		})
 		if !errors.Is(err, ErrBudgetExceeded) {
 			t.Errorf("%s: err = %v, want ErrBudgetExceeded", eng, err)
@@ -85,8 +85,8 @@ func TestTimeoutOvershoot(t *testing.T) {
 }
 
 // TestCancelEveryEngine cancels each engine mid-run: DI-NLJ on Q8 at sf
-// 0.02, DI-MSJ on the sf 0.05 document at parallelism 4 with every group
-// reorder spilling under a 256-byte budget, the interpreter on the same
+// 0.02, DI-MSJ on the sf 0.05 document with every group reorder spilling
+// under a 256-byte budget, the interpreter on the same
 // document and generic-sql on its smaller one. DI-MSJ is cancelled once its
 // first spill run appears on disk, so the cancel lands inside a spilling
 // sort however fast the host runs; the others are cancelled after a
@@ -105,7 +105,7 @@ func TestCancelEveryEngine(t *testing.T) {
 		switch eng {
 		case MergeJoin:
 			dir = t.TempDir()
-			opts.Parallelism, opts.MemBudget, opts.SpillDir = 4, 256, dir
+			opts.MemBudget, opts.SpillDir = 256, dir
 		case NestedLoop:
 			c = nljCat
 		case GenericSQL:

@@ -426,7 +426,7 @@ func BenchmarkExternalSort(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := engine.SortTrees(rel, 0, 1, bc.spill); err != nil {
+				if _, _, err := engine.SortTrees(rel, 0, bc.spill); err != nil {
 					b.Fatal(err)
 				}
 			}

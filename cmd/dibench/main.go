@@ -14,7 +14,7 @@
 // EXPERIMENTS.md for paper-vs-measured tables.
 // -metricsdump writes the process's cumulative observability counters
 // (the same Prometheus exposition dixqd serves at /metrics) to a file
-// after the run — parallel tasks, bytes sorted, spill volume — so a
+// after the run — bytes sorted, spill volume, merge-join pairs — so a
 // benchmark sweep leaves an auditable record of what the runtime did.
 package main
 
@@ -67,7 +67,7 @@ func main() {
 			engines = append(engines, e)
 		}
 	}
-	runCfg := bench.Config{Timeout: cfg.Timeout, MaxTuples: cfg.MaxTuples, Parallelism: cfg.Parallelism}
+	runCfg := bench.Config{Timeout: cfg.Timeout, MaxTuples: cfg.MaxTuples}
 
 	experiments := bench.Experiments
 	if cfg.Exp != "all" {

@@ -19,8 +19,8 @@
 //	POST   /sql           the Section 4 SQL translation
 //
 // The catalog may start empty (no -doc) and be populated over HTTP.
-// -max-concurrent, -queue-depth, -queue-timeout, -tenant-concurrent,
-// -tenant-membudget and -tenant-workers configure admission control:
+// -max-concurrent, -queue-depth, -queue-timeout, -tenant-concurrent and
+// -tenant-membudget configure admission control:
 // overload answers 429 with Retry-After instead of piling up goroutines,
 // and tenants (the X-Tenant request header) are budgeted independently.
 // On SIGINT/SIGTERM the server drains: new requests get 503, in-flight
@@ -91,14 +91,12 @@ func main() {
 		MaxTuples:        cfg.MaxTuples,
 		MemBudget:        cfg.MemBudget,
 		SpillDir:         cfg.SpillDir,
-		Parallelism:      cfg.Parallelism,
 		TraceSample:      cfg.TraceSample,
 		MaxConcurrent:    cfg.MaxConcurrent,
 		QueueDepth:       cfg.QueueDepth,
 		QueueTimeout:     cfg.QueueTimeout,
 		TenantConcurrent: cfg.TenantConcurrent,
 		TenantMemBudget:  cfg.TenantMemBudget,
-		TenantWorkers:    cfg.TenantWorkers,
 		DocDir:           cfg.DocDir,
 	})
 	httpSrv := &http.Server{Addr: cfg.Addr, Handler: srv.Handler()}

@@ -228,16 +228,6 @@ type Options struct {
 	Timeout time.Duration
 	// MaxTuples aborts DI evaluation after this many embedded tuples.
 	MaxTuples int64
-	// Parallelism bounds the workers of the intra-query parallel runtime
-	// (DI engines): the parallel structural sorts, the concurrent
-	// merge-join sort phase and the partitioned merge-join probe; fused
-	// path chains always run serial. Zero (the default) resolves to
-	// runtime.GOMAXPROCS(0); 1 keeps evaluation single-threaded; larger
-	// values bound the query's workers directly. Workers are drawn from a
-	// process-wide budget shared by concurrent queries, so a query may be
-	// granted fewer. Results are digit-identical at any setting and any
-	// grant.
-	Parallelism int
 	// MemBudget bounds the accounted in-memory footprint of every group
 	// reorder — sort, distinct, order by and the merge-join side sorts —
 	// in bytes (DI engines); inputs over
@@ -277,7 +267,6 @@ func resolve(cat View, opts *Options) (o *Options, snap *Snapshot, copts core.Op
 		Indexes:       snap.idx,
 		DocStats:      snap.st,
 		MaxTuples:     opts.MaxTuples,
-		Parallelism:   opts.Parallelism,
 		MemBudget:     opts.MemBudget,
 		SpillDir:      opts.SpillDir,
 	}, true

@@ -51,9 +51,6 @@ type Config struct {
 	Timeout time.Duration
 	// MaxTuples bounds materialization in DI plans; zero means none.
 	MaxTuples int64
-	// Parallelism bounds the DI engines' intra-query workers (0 resolves
-	// to GOMAXPROCS, 1 is serial — the same semantics as dixq.Options).
-	Parallelism int
 }
 
 // Workload is a prepared query over a catalog holding one document under
@@ -79,10 +76,9 @@ func (w *Workload) Run(e dixq.Engine, cfg Config) Outcome {
 	var out Outcome
 	start := time.Now()
 	res, err := w.q.Run(context.Background(), w.cat, &dixq.Options{
-		Engine:      e,
-		Timeout:     cfg.Timeout,
-		MaxTuples:   cfg.MaxTuples,
-		Parallelism: cfg.Parallelism,
+		Engine:    e,
+		Timeout:   cfg.Timeout,
+		MaxTuples: cfg.MaxTuples,
 	})
 	out.Seconds = time.Since(start).Seconds()
 	switch {

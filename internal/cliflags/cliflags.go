@@ -34,13 +34,11 @@ type DixqdConfig struct {
 	MaxTuples        int64
 	MemBudget        int64
 	SpillDir         string
-	Parallelism      int
 	MaxConcurrent    int
 	QueueDepth       int
 	QueueTimeout     time.Duration
 	TenantConcurrent int
 	TenantMemBudget  int64
-	TenantWorkers    int
 	DrainTimeout     time.Duration
 	TraceSample      int
 	PprofAddr        string
@@ -57,13 +55,11 @@ func Dixqd(fs *flag.FlagSet) *DixqdConfig {
 	fs.Int64Var(&c.MaxTuples, "maxtuples", 40_000_000, "per-query DI materialization budget (0 = unlimited)")
 	fs.Int64Var(&c.MemBudget, "membudget", 0, "per-query DI sort memory budget in bytes; larger sorts spill to disk (0 = unbounded)")
 	fs.StringVar(&c.SpillDir, "spilldir", "", "directory where a budgeted sort writes its spill runs, files of sorted positions (default: OS temp dir)")
-	fs.IntVar(&c.Parallelism, "parallelism", 0, "per-query worker bound for requests that do not set one (0 = GOMAXPROCS, 1 = serial)")
 	fs.IntVar(&c.MaxConcurrent, "max-concurrent", 0, "requests executing at once; excess queues, overflow gets 429 (0 = unlimited)")
 	fs.IntVar(&c.QueueDepth, "queue-depth", 0, "requests waiting for an execution slot (0 = default 64, negative = no queue)")
 	fs.DurationVar(&c.QueueTimeout, "queue-timeout", 0, "longest a request may wait in the admission queue (0 = default 2s)")
 	fs.IntVar(&c.TenantConcurrent, "tenant-concurrent", 0, "per-tenant concurrent request bound (0 = unlimited)")
 	fs.Int64Var(&c.TenantMemBudget, "tenant-membudget", 0, "per-tenant total memory reservation in bytes; each request reserves -membudget (0 = unlimited)")
-	fs.IntVar(&c.TenantWorkers, "tenant-workers", 0, "per-tenant cap on each query's parallel workers (0 = no extra cap)")
 	fs.DurationVar(&c.DrainTimeout, "drain-timeout", 15*time.Second, "how long graceful shutdown waits for in-flight requests")
 	fs.IntVar(&c.TraceSample, "trace-sample", 0, "sample 1 in N queries into /debug/traces (0 = default 64, negative = off)")
 	fs.StringVar(&c.PprofAddr, "pprof", "", "serve net/http/pprof on this extra address (e.g. localhost:6060; empty = off)")
@@ -78,7 +74,6 @@ type DibenchConfig struct {
 	Timeout     time.Duration
 	MaxTuples   int64
 	MetricsDump string
-	Parallelism int
 }
 
 // Dibench registers the dibench flags on fs and returns the destination
@@ -92,6 +87,5 @@ func Dibench(fs *flag.FlagSet, experiments []string) *DibenchConfig {
 	fs.DurationVar(&c.Timeout, "timeout", 60*time.Second, "per-run budget; exceeding runs report DNF")
 	fs.Int64Var(&c.MaxTuples, "maxtuples", 40_000_000, "per-run materialization budget for DI plans (0 = unlimited)")
 	fs.StringVar(&c.MetricsDump, "metricsdump", "", "write cumulative runtime metrics (Prometheus text format) to this file on exit")
-	fs.IntVar(&c.Parallelism, "parallelism", 1, "intra-query worker bound for DI harness runs (0 = GOMAXPROCS, 1 = serial)")
 	return c
 }

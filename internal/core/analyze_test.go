@@ -16,10 +16,10 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden analyze-plan files")
 
-// scrubStats masks the run-dependent actuals (granted workers, wall time,
-// allocated bytes) in an analyze rendering; calls, rows, spilled runs,
-// skipped tuples and partitions are deterministic for a fixed document, so
-// they stay and are locked by the goldens.
+// scrubStats masks the workers count and the measured actuals (wall
+// time, allocated bytes) in an analyze rendering; calls, rows, spilled
+// runs and skipped tuples are deterministic for a fixed document, so they
+// stay and are locked by the goldens.
 var scrubStats = regexp.MustCompile(`workers=\d+ time=[^ )]+ allocs=-?\d+`)
 
 func scrubAnalyze(s string) string {
@@ -86,9 +86,7 @@ func TestAnalyzeGoldenPlans(t *testing.T) {
 			for _, vv := range variants {
 				t.Run(qq.name+"-"+mm.name+vv.suffix, func(t *testing.T) {
 					q := Compile(xq.MustParse(qq.query), Options{})
-					// Parallelism is pinned to 1 so the partition counts locked
-					// by the goldens cannot shift with GOMAXPROCS.
-					text, rs, err := q.ExplainAnalyze(cat, Options{ForceJoinMode: mm.mode, DocStats: mm.stats, Parallelism: 1, Indexes: vv.indexes})
+					text, rs, err := q.ExplainAnalyze(cat, Options{ForceJoinMode: mm.mode, DocStats: mm.stats, Indexes: vv.indexes})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -172,83 +170,76 @@ func TestQ13StreamsAllPathChains(t *testing.T) {
 
 // TestObservedRunEqualsUnobserved is the property the single accounting
 // exists for: asking for the analyze report never chooses the execution.
-// For every XMark query × {scan, indexed} × Parallelism {1, 3} (thresholds
-// lowered so the parallel variants really fan out, a sort budget small
-// enough to spill the joins), a run with Options.Analyze set and a run
-// without produce the digit-identical relation and identical per-node
-// deterministic actuals — everything but time, allocations and the granted
-// worker count — and the phase Stats sum to exactly the per-node total.
+// For every XMark query × {scan, indexed} (a sort budget small enough to
+// spill the joins), a run with Options.Analyze set and a run without
+// produce the digit-identical relation and identical per-node
+// deterministic actuals — everything but time and allocations — and the
+// phase Stats sum to exactly the per-node total.
 func TestObservedRunEqualsUnobserved(t *testing.T) {
-	forceParallelProbe(t)
 	cat, _ := generatedCatalog(0.004, 20)
 	indexed := index.BuildSet(cat)
 	dir := t.TempDir()
-	fused, seeks, fannedOut, spills := 0, 0, 0, 0
+	fused, seeks, paired, spills := 0, 0, 0, 0
 	for _, qq := range xmark.All {
 		q := Compile(xq.MustParse(qq.Text), Options{})
 		for _, ix := range []*index.Set{nil, indexed} {
-			for _, par := range []int{1, 3} {
-				opts := Options{ForceJoinMode: ModeMSJ, Indexes: ix, Parallelism: par, MemBudget: 4 << 10, SpillDir: dir}
-				plain, observed := opts, opts
-				plain.Stats, observed.Stats = &Stats{}, &Stats{}
-				observed.Analyze = &plan.RunStats{}
-				want, err := q.Eval(cat, plain)
-				if err != nil {
-					t.Fatal(err)
+			opts := Options{ForceJoinMode: ModeMSJ, Indexes: ix, MemBudget: 4 << 10, SpillDir: dir}
+			plain, observed := opts, opts
+			plain.Stats, observed.Stats = &Stats{}, &Stats{}
+			observed.Analyze = &plan.RunStats{}
+			want, err := q.Eval(cat, plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := q.Eval(cat, observed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := qq.Name
+			if ix != nil {
+				what += "/idx"
+			}
+			identicalRelations(t, what, got, want)
+			if observed.Stats.Run != observed.Analyze {
+				t.Fatalf("%s: Stats.Run is not the caller's Analyze block", what)
+			}
+			var allocs int64
+			plan.Walk(q.Plan(opts), func(n *plan.Node) {
+				a, b := plain.Stats.Run.Node(n.ID), observed.Analyze.Node(n.ID)
+				if a.Allocs != 0 {
+					t.Errorf("%s: %s: plain run read allocations (%d)", what, n.OpName(), a.Allocs)
 				}
-				got, err := q.Eval(cat, observed)
-				if err != nil {
-					t.Fatal(err)
+				allocs += b.Allocs
+				if a.Workers >= 2 {
+					paired++
 				}
-				what := qq.Name
-				if ix != nil {
-					what += "/idx"
+				a.Time, a.Allocs, b.Time, b.Allocs = 0, 0, 0, 0
+				if a != b {
+					t.Errorf("%s: node %d %s: plain %+v, analyzed %+v", what, n.ID, n.OpName(), a, b)
 				}
-				if par > 1 {
-					what += "/par"
+				if isPathOp(n) && isPathOp(n.Inputs[0]) && b.Calls > 0 {
+					fused++
 				}
-				identicalRelations(t, what, got, want)
-				if observed.Stats.Run != observed.Analyze {
-					t.Fatalf("%s: Stats.Run is not the caller's Analyze block", what)
+				if n.Op == plan.OpIndexPath && a.Calls > 0 && a.Skipped > 0 {
+					seeks++
 				}
-				var allocs int64
-				plan.Walk(q.Plan(opts), func(n *plan.Node) {
-					a, b := plain.Stats.Run.Node(n.ID), observed.Analyze.Node(n.ID)
-					if a.Allocs != 0 {
-						t.Errorf("%s: %s: plain run read allocations (%d)", what, n.OpName(), a.Allocs)
-					}
-					allocs += b.Allocs
-					if a.Workers >= 2 {
-						fannedOut++
-					}
-					a.Time, a.Allocs, a.Workers, b.Time, b.Allocs, b.Workers = 0, 0, 0, 0, 0, 0
-					if a != b {
-						t.Errorf("%s: node %d %s: plain %+v, analyzed %+v", what, n.ID, n.OpName(), a, b)
-					}
-					if isPathOp(n) && isPathOp(n.Inputs[0]) && b.Calls > 0 {
-						fused++
-					}
-					if n.Op == plan.OpIndexPath && a.Calls > 0 && a.Skipped > 0 {
-						seeks++
-					}
-					if a.Spilled > 0 {
-						spills++
-					}
-				})
-				if allocs <= 0 {
-					t.Errorf("%s: analyze run read no allocations", what)
+				if a.Spilled > 0 {
+					spills++
 				}
-				for _, st := range []*Stats{plain.Stats, observed.Stats} {
-					if st.Total() != st.Run.Total() || st.Total() <= 0 {
-						t.Errorf("%s: phase total %v, per-node total %v", what, st.Total(), st.Run.Total())
-					}
+			})
+			if allocs <= 0 {
+				t.Errorf("%s: analyze run read no allocations", what)
+			}
+			for _, st := range []*Stats{plain.Stats, observed.Stats} {
+				if st.Total() != st.Run.Total() || st.Total() <= 0 {
+					t.Errorf("%s: phase total %v, per-node total %v", what, st.Total(), st.Run.Total())
 				}
 			}
 		}
 	}
-	if fused == 0 || seeks == 0 || fannedOut == 0 || spills == 0 {
-		t.Errorf("matrix exercised %d fused path steps, %d index seeks, %d operators fanned out to 2+ workers and %d spilling operators; want all four",
-			fused, seeks, fannedOut, spills)
+	if fused == 0 || seeks == 0 || paired == 0 || spills == 0 {
+		t.Errorf("matrix exercised %d fused path steps, %d index seeks, %d merge joins on 2 goroutines and %d spilling operators; want all four",
+			fused, seeks, paired, spills)
 	}
 }
 
@@ -270,7 +261,7 @@ func BenchmarkAnalyzeOverhead(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					opts := Options{Indexes: indexed, Parallelism: 1}
+					opts := Options{Indexes: indexed}
 					if analyze {
 						opts.Analyze = &plan.RunStats{}
 					}

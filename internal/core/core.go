@@ -79,16 +79,6 @@ type Options struct {
 	// NoRewrites disables the hoisting and predicate pull-up rewrites,
 	// yielding the fully literal translation (used by tests).
 	NoRewrites bool
-	// Parallelism bounds the workers of the intra-query parallel runtime:
-	// the parallel structural sorts (merge joins, sort(), distinct()), the
-	// concurrent merge-join sort phase and the partitioned merge-join
-	// probe. Fused path chains always run serial. 0 (the default)
-	// resolves to runtime.GOMAXPROCS(0); 1 keeps evaluation
-	// single-threaded; larger values bound the query's workers directly.
-	// Workers are drawn from a process-wide budget shared by concurrent
-	// queries (package exec), so a query may be granted fewer. Results are
-	// digit-identical at any setting and any grant.
-	Parallelism int
 	// MemBudget bounds the accounted in-memory footprint of every group
 	// reorder (sort, distinct, order by, the merge-join side sorts), in
 	// bytes; inputs over the budget are

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -406,17 +405,15 @@ func TestIfAndQuantifiersAcrossEngines(t *testing.T) {
 
 // TestPipelineFusionMatchesMaterialized checks the fused path chains of
 // the join and reconstruction queries against the interpreter, which
-// materializes every step as a tree: the serial run decodes to the
-// interpreter's answer, and the run at parallelism 4 (parallel sorts and
-// probe, serial chains) and the run whose chains filter index-seek output
-// are digit-identical to the serial one.
+// materializes every step as a tree: the scan-backed run decodes to the
+// interpreter's answer, and the run whose chains filter index-seek output
+// is digit-identical to it.
 func TestPipelineFusionMatchesMaterialized(t *testing.T) {
-	forceParallelProbe(t)
 	cat, icat := generatedCatalog(0.002, 21)
 	indexed := index.BuildSet(cat)
 	for _, query := range []string{xmark.Q8, xmark.Q9, xmark.Q13, xmark.Q1, xmark.Q17} {
 		q := Compile(xq.MustParse(query), Options{})
-		serial, err := q.Eval(cat, Options{ForceJoinMode: ModeMSJ, Parallelism: 1})
+		scan, err := q.Eval(cat, Options{ForceJoinMode: ModeMSJ})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,19 +421,14 @@ func TestPipelineFusionMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := interval.Decode(serial); err != nil || !got.Equal(want) {
+		if got, err := interval.Decode(scan); err != nil || !got.Equal(want) {
 			t.Fatalf("fused run disagrees with the interpreter (%v):\n got %d trees\nwant %d trees", err, len(got), len(want))
 		}
-		for _, opts := range []Options{
-			{ForceJoinMode: ModeMSJ, Parallelism: 4},
-			{ForceJoinMode: ModeMSJ, Parallelism: 1, Indexes: indexed},
-		} {
-			got, err := q.Eval(cat, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			identicalRelations(t, fmt.Sprintf("parallelism %d, indexed %v", opts.Parallelism, opts.Indexes != nil), got, serial)
+		got, err := q.Eval(cat, Options{ForceJoinMode: ModeMSJ, Indexes: indexed})
+		if err != nil {
+			t.Fatal(err)
 		}
+		identicalRelations(t, "indexed", got, scan)
 	}
 }
 

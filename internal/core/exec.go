@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dixq/internal/engine"
-	"dixq/internal/exec"
 	"dixq/internal/interval"
 	"dixq/internal/obs"
 	"dixq/internal/pipeline"
@@ -105,10 +104,6 @@ type evaluator struct {
 // is the caller's (Options.Analyze, which also turns the allocation
 // readings on) or a fresh one, sized to the plan either way.
 func newEvaluator(cat Catalog, opts Options, p *plan.Node) *evaluator {
-	// Resolve the Parallelism knob once: <= 0 selects the GOMAXPROCS
-	// default, 1 keeps evaluation single-threaded, larger values bound the
-	// query's workers. Everything downstream sees the resolved value.
-	opts.Parallelism = exec.Resolve(opts.Parallelism)
 	ev := &evaluator{docs: cat, opts: opts, stats: opts.Stats, run: opts.Analyze, allocs: opts.Analyze != nil, cur: -1}
 	if ev.stats == nil {
 		ev.stats = &Stats{}
@@ -458,13 +453,13 @@ func (ev *evaluator) applyOp(n *plan.Node, args []*table, en *env) (*table, erro
 	case plan.OpDrop:
 		return &table{rel: engine.Drop(args[0].rel, en.depth, opCount(n)), local: args[0].local}, nil
 	case plan.OpOrderBy:
-		return ev.sorted(args[0].local + 1)(engine.OrdBy(args[0].rel, en.depth, n.Label, ev.opts.Parallelism, ev.spill))
+		return ev.sorted(args[0].local + 1)(engine.OrdBy(args[0].rel, en.depth, n.Label, ev.spill))
 	case plan.OpReverse:
 		return &table{rel: engine.Reverse(args[0].rel, en.depth), local: args[0].local + 1}, nil
 	case plan.OpStructuralSort:
-		return ev.sorted(args[0].local + 1)(engine.SortTrees(args[0].rel, en.depth, ev.opts.Parallelism, ev.spill))
+		return ev.sorted(args[0].local + 1)(engine.SortTrees(args[0].rel, en.depth, ev.spill))
 	case plan.OpDistinct:
-		return ev.sorted(args[0].local)(engine.Distinct(args[0].rel, en.depth, ev.opts.Parallelism, ev.spill))
+		return ev.sorted(args[0].local)(engine.Distinct(args[0].rel, en.depth, ev.spill))
 	case plan.OpSubtreesDFS:
 		return &table{rel: engine.SubtreesDFS(args[0].rel, en.depth), local: args[0].local + 1}, nil
 	}

@@ -17,8 +17,8 @@ func benchmarkIndexPath(b *testing.B, query string) {
 		name string
 		opts Options
 	}{
-		{"access=scan", Options{ForceJoinMode: ModeMSJ, Parallelism: 1}},
-		{"access=index", Options{ForceJoinMode: ModeMSJ, Parallelism: 1, Indexes: index.BuildSet(cat)}},
+		{"access=scan", Options{ForceJoinMode: ModeMSJ}},
+		{"access=index", Options{ForceJoinMode: ModeMSJ, Indexes: index.BuildSet(cat)}},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {

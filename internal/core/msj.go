@@ -89,14 +89,13 @@ func (ev *evaluator) execMergeJoin(n *plan.Node, en *env) (*table, error) {
 	// join key (leading the comparator).
 	outerGroups := engine.GroupByEnv(en.index, en.depth, outerTab.rel)
 	innerGroups := engine.GroupByEnv(yIndex, yDepth, innerTab.rel)
-	pairs, joinInfo, err := mergeJoinEnvs(n, en.index, outerGroups, yIndex, innerGroups, d0, ev.opts.Parallelism, ev.spill)
+	pairs, spilled, err := mergeJoinEnvs(n, en.index, outerGroups, yIndex, innerGroups, d0, ev.spill)
 	if err != nil {
 		return nil, err
 	}
-	ev.noteSpill(joinInfo.spill)
-	ns := ev.node(n)
-	ns.Workers = max(ns.Workers, joinInfo.workers)
-	ns.Partitions = max(ns.Partitions, joinInfo.partitions)
+	ev.noteSpill(spilled)
+	// The side sorts and the probe halves ran as pairs (exec.Pair).
+	ev.node(n).Workers = 2
 
 	// (5): rebuild combined environments in document order. Every rebuilt
 	// key is written into shared fixed-stride buffers (one builder per output
@@ -161,39 +160,23 @@ type envPair struct {
 	outer, inner int
 }
 
-// joinPhaseInfo is the runtime accounting mergeJoinEnvs hands back for
-// ExplainAnalyze and the spill counters: spill volume of the side sorts,
-// the maximum worker count any phase (side sorts or probe) reached, and
-// how many key-range partitions the probe phase split into (1 when it ran
-// serial).
-type joinPhaseInfo struct {
-	spill      engine.SpillStats
-	workers    int
-	partitions int
-}
-
-// ParallelProbeThreshold is the minimum sorted-outer length for which the
-// probe phase range-partitions across workers; below it the partition
-// setup (binary searches, per-partition buffers) costs more than the scan.
-// It is a variable so tests can force the parallel probe on small inputs.
-var ParallelProbeThreshold = 2048
-
 // mergeJoinEnvs sorts both environment sequences by (ancestor prefix,
 // key order) and merges them under the node's comparator, returning all
 // matching pairs ordered by (outer position, inner position) — document
-// order of the combined environments — plus phase accounting. Each side's
-// sort units are its environment keys with their key forests, ordered
-// through the budgeted sort (engine.SortUnits), so under a memory budget
-// the side sorts spill to disk; the merged match set is identical either
-// way. For the value < each side's key forest is first reduced to its
+// order of the combined environments — and what the side sorts spilled.
+// Each side's sort units are its environment keys with their key forests,
+// ordered through the budgeted sort (engine.SortUnits), so under a memory
+// budget the side sorts spill to disk; the merged match set is identical
+// either way. For the value < each side's key forest is first reduced to its
 // deciding atom — the minimum on the left of <, the maximum on its right,
 // ValueLessPerEnv's rule — and an environment with an empty key, which
-// matches nothing, is dropped before the sort. The two sides sort as two
-// tasks, concurrently with parallelism >= 2 (each with half the worker
-// bound), and the probe range-partitions the sorted outer across workers.
+// matches nothing, is dropped before the sort. The two sides sort at once,
+// the outer on a second goroutine and the inner on the caller's
+// (exec.Pair), and the probe then runs the two halves of the sorted outer
+// the same way (probePair).
 func mergeJoinEnvs(n *plan.Node, outerIndex engine.Index, outerGroups [][]interval.Tuple,
-	innerIndex engine.Index, innerGroups [][]interval.Tuple, d0 int, parallelism int,
-	spill *engine.SpillConfig) ([]envPair, joinPhaseInfo, error) {
+	innerIndex engine.Index, innerGroups [][]interval.Tuple, d0 int,
+	spill *engine.SpillConfig) ([]envPair, engine.SpillStats, error) {
 
 	keyCmp := engine.CompareForests
 	var outerPos, innerPos []int
@@ -217,16 +200,16 @@ func mergeJoinEnvs(n *plan.Node, outerIndex engine.Index, outerGroups [][]interv
 	var orders [2][]int
 	var stats [2]engine.SpillStats
 	var errs [2]error
-	info := joinPhaseInfo{partitions: 1}
-	info.workers = exec.Run(2, parallelism, func(side, _ int) {
+	sortSide := func(side int) {
 		k, g := keys[side], groups[side]
 		byPos := func(a, b int) int { return cmp(k[a], g[a], k[b], g[b]) }
-		orders[side], errs[side] = engine.SortUnits(k, g, byPos, max(1, parallelism/2), spill, &stats[side])
-	})
-	info.spill = engine.SpillStats{Runs: stats[0].Runs + stats[1].Runs, Bytes: stats[0].Bytes + stats[1].Bytes}
+		orders[side], errs[side] = engine.SortUnits(k, g, byPos, spill, &stats[side])
+	}
+	exec.Pair(func() { sortSide(0) }, func() { sortSide(1) })
+	spilled := engine.SpillStats{Runs: stats[0].Runs + stats[1].Runs, Bytes: stats[0].Bytes + stats[1].Bytes}
 	for _, err := range errs {
 		if err != nil {
-			return nil, info, err
+			return nil, spilled, err
 		}
 	}
 
@@ -243,9 +226,8 @@ func mergeJoinEnvs(n *plan.Node, outerIndex engine.Index, outerGroups [][]interv
 	default:
 		jo.theta = -1
 	}
-	pairs, probeWorkers, partitions := probeMerge(orders[0], orders[1], parallelism, jo)
-	info.workers = max(info.workers, probeWorkers)
-	info.partitions = partitions
+	pairs := probePair(orders[0], orders[1], jo)
+	obs.ProbePairs.Add(int64(len(pairs)))
 	if outerPos != nil {
 		for k, p := range pairs {
 			pairs[k] = envPair{outer: outerPos[p.outer], inner: innerPos[p.inner]}
@@ -257,7 +239,7 @@ func mergeJoinEnvs(n *plan.Node, outerIndex engine.Index, outerGroups [][]interv
 		}
 		return a.inner - b.inner
 	})
-	return pairs, info, nil
+	return pairs, spilled, nil
 }
 
 // valueKeys reduces each environment's key forest to the atom the value <
@@ -290,52 +272,20 @@ type joinOrder struct {
 	theta        int
 }
 
-// probeMerge runs the merge-join probe over the two sorted position
-// sequences and returns the matching pairs (in per-partition emission
-// order — the caller's final (outer, inner) sort fixes document order),
-// the number of workers that participated and the partition count.
-//
-// With parallelism >= 2 the sorted outer splits into contiguous
-// equal-width partitions and each worker probes one partition against the
-// inner independently. Under = it binary-searches the first inner
-// position not below its first outer element and runs the serial merge
-// loop from there, clipped to its outer range; under < every outer finds
-// its own matches by binary search anyway. The pair set is partition-
-// independent: an outer equal-run split across a partition boundary is
-// probed by both workers, and each re-finds the full inner equal-run for
-// its own outer elements, so the union of the per-partition cross
-// products is exactly the serial cross product. Partition boundaries
-// depend only on the input length and the budget-clamped parallelism
-// (exec.Effective), and output order is fixed by the caller's sort, so
-// the result is digit-identical to the serial probe at any worker grant.
-func probeMerge(outerOrder, innerOrder []int, parallelism int, jo joinOrder) ([]envPair, int, int) {
-	par := exec.Effective(parallelism)
-	if par < 2 || len(outerOrder) < ParallelProbeThreshold {
-		pairs := probeRange(outerOrder, innerOrder, jo)
-		obs.ProbePairs.With(exec.WorkerLabel(0)).Add(int64(len(pairs)))
-		return pairs, 1, 1
-	}
-	nparts := par
-	chunk := (len(outerOrder) + nparts - 1) / nparts
-	outs := make([][]envPair, nparts)
-	workers := exec.Run(nparts, par, func(task, worker int) {
-		lo := task * chunk
-		hi := min(lo+chunk, len(outerOrder))
-		if lo >= hi {
-			return
-		}
-		outs[task] = probeRange(outerOrder[lo:hi], innerOrder, jo)
-		obs.ProbePairs.With(exec.WorkerLabel(worker)).Add(int64(len(outs[task])))
-	})
-	total := 0
-	for _, out := range outs {
-		total += len(out)
-	}
-	pairs := make([]envPair, 0, total)
-	for _, out := range outs {
-		pairs = append(pairs, out...)
-	}
-	return pairs, workers, nparts
+// probePair is the merge-join probe: it probes the two halves of the
+// sorted outer against the whole sorted inner at once (exec.Pair) and
+// returns the matching pairs in emission order (the caller's final
+// (outer, inner) sort fixes document order). Every outer lives in one
+// half, and probeRange finds all of an outer's matches wherever its range
+// starts, so an equal-key run of outers cut between the halves is matched
+// in full from both sides of the cut: the union of the halves' pairs is
+// the whole probe's, each pair once.
+func probePair(outerOrder, innerOrder []int, jo joinOrder) []envPair {
+	mid := len(outerOrder) / 2
+	var lo, hi []envPair
+	exec.Pair(func() { lo = probeRange(outerOrder[:mid], innerOrder, jo) },
+		func() { hi = probeRange(outerOrder[mid:], innerOrder, jo) })
+	return append(lo, hi...)
 }
 
 // probeRange is the serial probe of one sorted outer range against the

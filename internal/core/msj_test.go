@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"dixq/internal/exec"
 	"dixq/internal/interp"
 	"dixq/internal/interval"
 	"dixq/internal/obs"
@@ -257,45 +256,6 @@ func TestPositionalVariableAcrossEngines(t *testing.T) {
 	}
 }
 
-func TestParallelSortMatchesSerial(t *testing.T) {
-	// Identical relations from parallel and serial merge-join sorts, at a
-	// scale exceeding the parallel threshold.
-	cat, _ := generatedCatalog(0.02, 77)
-	q := Compile(xq.MustParse(xmark.Q8), Options{})
-	serial, err := q.Eval(cat, Options{ForceJoinMode: ModeMSJ})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := q.Eval(cat, Options{ForceJoinMode: ModeMSJ, Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.Tuples) != len(parallel.Tuples) {
-		t.Fatalf("tuple counts differ: %d vs %d", len(serial.Tuples), len(parallel.Tuples))
-	}
-	for i := range serial.Tuples {
-		a, b := serial.Tuples[i], parallel.Tuples[i]
-		if a.S != b.S || !a.L.Equal(b.L) || !a.R.Equal(b.R) {
-			t.Fatalf("tuple %d differs: %s vs %s", i, a, b)
-		}
-	}
-}
-
-func TestSortByKeyParallelOddChunks(t *testing.T) {
-	// Odd chunk counts exercise the carry branch of the merge rounds of
-	// the shared sort kernel the merge join now runs on.
-	vals := make([]int, 5000)
-	for i := range vals {
-		vals[i] = (i * 7919) % 5003
-	}
-	order := interval.SortPerm(len(vals), 3, func(a, b int) int { return vals[a] - vals[b] })
-	for i := 1; i < len(order); i++ {
-		if vals[order[i-1]] > vals[order[i]] {
-			t.Fatalf("not sorted at %d", i)
-		}
-	}
-}
-
 // TestThetaJoinWorkCounts runs XMark Q11 and Q12 — person × auction
 // joins on the value comparison income > 5000 * initial — on the sf 0.01
 // seed-2 document the joins benchmark runs them on. Under DI-MSJ, with
@@ -317,7 +277,7 @@ func TestThetaJoinWorkCounts(t *testing.T) {
 	} {
 		q := Compile(xq.MustParse(tc.query), Options{})
 		nljStats := &Stats{}
-		want, err := q.Eval(cat, Options{ForceJoinMode: ModeNLJ, Parallelism: 1, Stats: nljStats})
+		want, err := q.Eval(cat, Options{ForceJoinMode: ModeNLJ, Stats: nljStats})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,9 +286,8 @@ func TestThetaJoinWorkCounts(t *testing.T) {
 		}
 		for mode, docStats := range map[string]*stats.Set{"DI-MSJ": nil, "DI-MSJ with statistics": st} {
 			s := &Stats{}
-			probed := obs.ProbePairs.With(exec.WorkerLabel(0))
-			before := probed.Value()
-			got, err := q.Eval(cat, Options{DocStats: docStats, Parallelism: 1, Stats: s})
+			before := obs.ProbePairs.Value()
+			got, err := q.Eval(cat, Options{DocStats: docStats, Stats: s})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -336,7 +295,7 @@ func TestThetaJoinWorkCounts(t *testing.T) {
 				t.Errorf("%s %s: %d merge joins, %d embedded tuples; want a merge join embedding nothing",
 					tc.name, mode, s.MergeJoins, s.EmbeddedTuples)
 			}
-			if n := probed.Value() - before; n != tc.pairs {
+			if n := obs.ProbePairs.Value() - before; n != tc.pairs {
 				t.Errorf("%s %s: %d probe pairs, want %d", tc.name, mode, n, tc.pairs)
 			}
 			if len(got.Tuples) == 0 {

@@ -42,7 +42,7 @@ func TestDescendantSeekRewrite(t *testing.T) {
 		// The constructor keeps the whole path below the hoisting cut: a
 		// bare top-level path would be split between a let and its body.
 		e := xq.MustParse("<r>{" + c.query + "}</r>")
-		scanOpts := Options{ForceJoinMode: ModeMSJ, Parallelism: 1}
+		scanOpts := Options{ForceJoinMode: ModeMSJ}
 		idxOpts := scanOpts
 		idxOpts.Indexes = set
 		q := Compile(e, idxOpts)
@@ -101,7 +101,7 @@ func TestSeekOverOtherRelationFails(t *testing.T) {
 		{`<r>{document("auction.xml")/site/people/nosuch}</r>`, "index-prune"},
 	} {
 		for _, mode := range []Mode{ModeMSJ, ModeNLJ} {
-			opts := Options{ForceJoinMode: mode, Indexes: set, Parallelism: 1}
+			opts := Options{ForceJoinMode: mode, Indexes: set}
 			q := Compile(xq.MustParse(c.query), opts)
 			if tree := q.Plan(opts).Tree(); !strings.Contains(tree, c.op) {
 				t.Fatalf("%s (%s): plan has no %s:\n%s", c.query, mode, c.op, tree)

@@ -19,8 +19,8 @@ import (
 )
 
 // identicalRelations asserts two result relations match tuple-for-tuple
-// including the physical digit count of every key — a spilled, indexed or
-// parallel run must be indistinguishable from the serial in-memory run.
+// including the physical digit count of every key — a spilled or indexed
+// run must be indistinguishable from the in-memory scan-backed run.
 func identicalRelations(t *testing.T, what string, got, want *interval.Relation) {
 	t.Helper()
 	if len(got.Tuples) != len(want.Tuples) {
@@ -95,9 +95,9 @@ func TestMemBudgetSpillsDigitIdentical(t *testing.T) {
 // TestSpillFaultFailsCleanly injects a fault at the one spill site: under
 // a 1-byte budget with SpillDir naming a regular file, no run file can be
 // created. Every budgeted group reorder must then fail with an error that
-// wraps the run-creation failure — serially, and at three workers, where
-// the merge join's two side sorts run concurrently — without panicking,
-// leaving a run file or holding a worker.
+// wraps the run-creation failure — the merge join's too, whose two side
+// sorts fail at once on their two goroutines — without panicking, leaving
+// a run file or a side sort running.
 func TestSpillFaultFailsCleanly(t *testing.T) {
 	cat, _ := generatedCatalog(0.002, 1)
 	parent := t.TempDir()
@@ -119,14 +119,12 @@ func TestSpillFaultFailsCleanly(t *testing.T) {
 	before := runFiles()
 	for _, tc := range groupSortQueries {
 		q := Compile(xq.MustParse(tc.text), Options{})
-		for _, par := range []int{1, 3} {
-			state := exitcheck.Take()
-			_, err := q.Eval(cat, Options{ForceJoinMode: ModeMSJ, Parallelism: par, MemBudget: 1, SpillDir: notDir})
-			if !errors.Is(err, syscall.ENOTDIR) || !strings.Contains(err.Error(), "engine: create run") {
-				t.Errorf("%s at parallelism %d: err = %v, want a wrapped run-creation failure", tc.name, par, err)
-			}
-			state.Check(t, "", nil)
+		state := exitcheck.Take()
+		_, err := q.Eval(cat, Options{ForceJoinMode: ModeMSJ, MemBudget: 1, SpillDir: notDir})
+		if !errors.Is(err, syscall.ENOTDIR) || !strings.Contains(err.Error(), "engine: create run") {
+			t.Errorf("%s: err = %v, want a wrapped run-creation failure", tc.name, err)
 		}
+		state.Check(t, "", nil)
 	}
 	if left := runFiles(); !slices.Equal(left, before) {
 		t.Fatalf("run files left behind: %v (before: %v)", left, before)

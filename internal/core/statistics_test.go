@@ -127,7 +127,7 @@ func TestAutoWorkMatchesMSJWithoutStats(t *testing.T) {
 		var work [2]core.Stats
 		var results [2]string
 		for i, docStats := range []*stats.Set{st, nil} {
-			rel, err := q.Eval(cat, core.Options{DocStats: docStats, Parallelism: 1, Stats: &work[i]})
+			rel, err := q.Eval(cat, core.Options{DocStats: docStats, Stats: &work[i]})
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}

@@ -14,7 +14,7 @@ import (
 // table — so a path chain above it reads the document's own rows.
 func TestOneRangeSeekAllocatesNoTuples(t *testing.T) {
 	cat, _ := generatedCatalog(0.002, 7)
-	opts := Options{ForceJoinMode: ModeMSJ, Parallelism: 1, Indexes: index.BuildSet(cat)}
+	opts := Options{ForceJoinMode: ModeMSJ, Indexes: index.BuildSet(cat)}
 	p := Compile(xq.MustParse(`document("auction.xml")/site/people/person`), opts).Plan(opts)
 	var seek *plan.Node
 	plan.Walk(p, func(n *plan.Node) {

@@ -31,7 +31,6 @@ func TestAggregatesUnderOneByteBudget(t *testing.T) {
 	}
 	opts := core.Options{
 		ForceJoinMode: core.ModeMSJ,
-		Parallelism:   2,
 		MemBudget:     1,
 		SpillDir:      dir,
 	}

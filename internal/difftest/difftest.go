@@ -2,9 +2,9 @@
 // corpus of queries and documents, executed through every evaluation
 // strategy the repository ships — the denotational interpreter (the
 // semantic oracle) and the DI-MSJ and DI-NLJ plan modes, each with
-// structural indexes, a spilling memory budget and parallel workers
-// switched on one at a time, and DI-MSJ with statistics-fed estimates —
-// asserting digit-identical results.
+// structural indexes or a spilling memory budget switched on one at a
+// time, and DI-MSJ with statistics-fed estimates — asserting
+// digit-identical results.
 //
 // The comparisons happen at two levels:
 //
@@ -14,8 +14,8 @@
 //   - between DI variants, result relations are compared tuple-for-tuple
 //     including the physical digit count of every key. The variants are
 //     purely algorithmic switches, so nothing weaker than digit identity
-//     is acceptable: a spilled, three-worker, index-served run must be
-//     indistinguishable from the serial in-memory run.
+//     is acceptable: a spilled, index-served run must be
+//     indistinguishable from the in-memory scan-backed run.
 //
 // Tests that need one engine pair live with their package; tests whose
 // point is "all engines agree on the shared corpus" live here, so the
@@ -23,7 +23,7 @@
 //
 // # Why the matrix is not a cross product
 //
-// Variants lists 10 configurations per corpus case where the full cross
+// Variants lists 7 configurations per corpus case where the full cross
 // of engine x batch size x parallelism x budget x index x statistics once
 // had 106. The pruning was checked by a mutation run: operator bugs were
 // seeded by hand, one at a time, into the full matrix and into the pruned
@@ -36,8 +36,9 @@
 // once its spill runs held sort positions instead of copies of the units,
 // and 47 for the three marked §, seeded into the comparator-parameterized
 // merge join after the full cross was retired, the rows marked †,
-// re-seeded into this 10-leg matrix as described below, and the row
-// marked °, re-seeded once fused chains ran serial), "first" the
+// re-seeded into the 10-leg matrix as described below, and the rows
+// marked ▲, seeded into the merge join once its pairs of goroutines were
+// the one concurrent mechanism left), "first" the
 // configuration (or the interpreter check of the baseline) that failed
 // first in the first failing case. The baseline runs the fused path
 // chains, so a bug in a serial stage fails the interpreter check before
@@ -48,8 +49,6 @@
 //	pipeline: head/tail first-tree test inverted        4 cases, default         6 cases, interpreter
 //	pipeline: fused seek keeps a stale range position   survived                 7 cases, DI-MSJ-idx †
 //	interval: SortPerm drops the position tie-break     1 case, interpreter      1 case, interpreter *
-//	interval: exchange merge takes the larger head      5 cases, MSJ-batch1-par4 3 cases, DI-MSJ-par3 *†
-//	core: probeMerge partition bound < instead of <=    3 cases, default         5 cases, interpreter °
 //	core: merge join emits inner matches reversed       3 cases, interpreter     3 cases, interpreter *
 //	engine: merge skips the first spilled run           6 cases, batch3-par3-b1  19 cases, DI-MSJ-budget1 #
 //	engine: spilled permutation returns insertion order 1 case, batch3-par3-b1   14 cases, DI-MSJ-budget1 #†
@@ -65,6 +64,8 @@
 //	core: theta probe ignores the d0 prefix run         (not run)                1 case, interpreter §
 //	pipeline: data() relabels its first kept row        (not run)                23 cases, interpreter ¶
 //	core: seek lengthens a key of a row it skips        (not run)                survived ¶
+//	core: probe range start search uses < for <=        3 cases, default         5 cases, interpreter ▲
+//	core: pair hands back the sides' orders swapped     (no pair)                9 cases, interpreter ▲
 //
 // Three seeded bugs first survived both matrices alike, so they were gaps
 // of the corpus, not of the pruning, and corpus cases close all three.
@@ -114,14 +115,27 @@
 // Fused path chains once also ran morsel-parallel, and two seeded bugs
 // lived in that runner: a split inside a top-level tree and a last
 // morsel that ended a row early. The runner is deleted, and with it their
-// rows. The two parallel-operator rows were then seeded again, one at a
-// time. The exchange merge that takes the larger head still fails
-// xmark-q19, xmark-sort and xmark-distinct, first under DI-MSJ-par3. The
-// probe's partition bound, row °, now lives in probeRange, which the
-// serial probe shares, so the strict bound drops the first outer's equal
-// matches at every parallelism: 5 cases fail, the first the interpreter
-// check of seed-self-join, and xmark-join-under-person only under
-// DI-MSJ-par3.
+// rows. So is the worker pool's exchange merge that took the larger head:
+// the exchange sort is gone, and with the pool the matrix's three worker
+// legs (DI-MSJ-par3, DI-NLJ-par3 and msj-par3-budget1), which took it
+// from 10 legs to 7. Every row above without ▲ was first killed under a
+// leg that is still here, so its count and first case stand as the
+// 10-leg matrix measured them.
+//
+// The rows marked ▲ live in the one concurrent mechanism left: the merge
+// join sorts its two sides as a pair (exec.Pair), then probes the two
+// halves of the sorted outer as a pair (probePair). Both were run against
+// the 7-leg matrix one case at a time, since a panic ends the test
+// binary. A probe range whose start search uses < where <= belongs skips
+// the inner equal run of its first outer; every probe runs in halves, so
+// it fails 5 cases in the baseline, the first the interpreter check of
+// seed-self-join, and TestProbeMergeUnit kills it too. Swapping the two
+// orders the side-sort pair hands back fails 9 cases, all in the
+// baseline: five panic with an index out of range (xmark-q8, the first,
+// xmark-q9, xmark-q11, seed-theta-mixed, seed-theta-deep-less) and the
+// rest answer wrong. The self-joins (seed-self-join, xmark-dup-join,
+// xmark-theta-under-person) survive it, because their two sides sort to
+// the same order.
 //
 // The two rows marked ‡ were seeded into the catalog's update path,
 // index.Splice, and run against TestSplicedIndexAgreesOnCorpus, which
@@ -169,8 +183,7 @@ type Case struct {
 // arithmetic, positional predicates). The second group is the full XMark
 // suite expressible in the fragment (Q1-Q20) plus sort/distinct-heavy
 // queries over a generated XMark instance, where the structural sorts and
-// merge joins have enough input to engage the parallel and spilling code
-// paths.
+// merge joins have enough input to engage the spilling code paths.
 func Corpus() []Case {
 	return []Case{
 		{"seed-path-text", `document("d")/a/b/text()`, false},
@@ -207,9 +220,7 @@ func Corpus() []Case {
 		{"xmark-distinct", `distinct(document("auction.xml")/site/regions/*/item/name)`, true},
 		// A structural self-join on a low-cardinality key: the generator
 		// draws names from a small pool, so the sorted join inputs are long
-		// equal-key runs and the partitioned probe's boundaries land inside
-		// them — the case where a per-partition probe must re-find the full
-		// matching run.
+		// equal-key runs whose full cross products the probe must emit.
 		{"xmark-dup-join", `for $x in document("auction.xml")/site/people/person/name
 		 for $y in document("auction.xml")/site/people/person/name
 		 where $x = $y return <m>{$x/text()}</m>`, true},
@@ -297,30 +308,28 @@ type Variant struct {
 }
 
 // Baseline is the reference DI configuration every variant is compared
-// against: serial, in-memory DI-MSJ — the decorrelated plan, run with
-// one worker, no index, no statistics and no budget. The interpreter
-// checks it.
+// against: in-memory DI-MSJ — the decorrelated plan, run with no index,
+// no statistics and no budget. The interpreter checks it.
 func Baseline() core.Options {
-	return core.Options{ForceJoinMode: core.ModeMSJ, Parallelism: 1}
+	return core.Options{ForceJoinMode: core.ModeMSJ}
 }
 
 // Variants is the configuration matrix, restricted to the axes that can
-// disagree: per plan mode (DI-MSJ, DI-NLJ) one serial base configuration
-// plus that base with exactly one factor changed — the structural indexes
-// attached, a 1-byte memory budget (every group reorder spills: sort,
-// distinct, order by and the merge-join side sorts), three workers (an odd
-// count, so partition boundaries fall inside equal-key runs) — and, for
-// DI-MSJ, real statistics with the indexes (the configuration the public
-// API always runs), which guards that estimation never changes an answer.
-// The DI-MSJ base is the Baseline itself and is not repeated. Two
-// adversarial combinations close the matrix: three workers under the
-// 1-byte budget, with and without indexes. The package doc records the
-// mutation run that justifies leaving the rest of the cross product out.
-// spillDir receives the spill runs of the budgeted variants.
+// disagree: per plan mode (DI-MSJ, DI-NLJ) one base configuration plus
+// that base with exactly one factor changed — the structural indexes
+// attached, or a 1-byte memory budget (every group reorder spills: sort,
+// distinct, order by and the merge-join side sorts) — and, for DI-MSJ,
+// real statistics with the indexes (the configuration the public API
+// always runs), which guards that estimation never changes an answer.
+// The DI-MSJ base is the Baseline itself and is not repeated. One
+// adversarial combination closes the matrix: DI-MSJ under the 1-byte
+// budget with the indexes. The package doc records the mutation run that
+// justifies leaving the rest of the cross product out. spillDir receives
+// the spill runs of the budgeted variants.
 func Variants(spillDir string, set *index.Set, st *stats.Set) []Variant {
 	var vs []Variant
 	for _, mode := range []core.Mode{core.ModeMSJ, core.ModeNLJ} {
-		base := core.Options{ForceJoinMode: mode, Parallelism: 1}
+		base := core.Options{ForceJoinMode: mode}
 		factor := func(name string, change func(*core.Options)) {
 			v := Variant{Name: fmt.Sprintf("%s-%s", mode, name), Opts: base}
 			change(&v.Opts)
@@ -331,20 +340,17 @@ func Variants(spillDir string, set *index.Set, st *stats.Set) []Variant {
 		}
 		factor("idx", func(o *core.Options) { o.Indexes = set })
 		factor("budget1", func(o *core.Options) { o.MemBudget, o.SpillDir = 1, spillDir })
-		factor("par3", func(o *core.Options) { o.Parallelism = 3 })
 		if mode == core.ModeMSJ {
 			factor("idx-stats", func(o *core.Options) { o.Indexes, o.DocStats = set, st })
 		}
 	}
-	adversarial := core.Options{ForceJoinMode: core.ModeMSJ, Parallelism: 3, MemBudget: 1, SpillDir: spillDir}
-	vs = append(vs, Variant{"msj-par3-budget1", adversarial})
-	adversarial.Indexes = set
-	return append(vs, Variant{"msj-par3-budget1-idx", adversarial})
+	adversarial := core.Options{ForceJoinMode: core.ModeMSJ, MemBudget: 1, SpillDir: spillDir, Indexes: set}
+	return append(vs, Variant{"msj-budget1-idx", adversarial})
 }
 
 // IdenticalRelations asserts two result relations match tuple-for-tuple
-// including the physical digit count of every key — a spilled, indexed
-// or parallel run must be indistinguishable from the serial in-memory run.
+// including the physical digit count of every key — a spilled or indexed
+// run must be indistinguishable from the in-memory scan-backed run.
 func IdenticalRelations(tb testing.TB, what string, got, want *interval.Relation) {
 	tb.Helper()
 	if len(got.Tuples) != len(want.Tuples) {

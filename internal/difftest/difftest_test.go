@@ -1,12 +1,10 @@
 package difftest
 
 import (
-	"os"
 	"strings"
 	"testing"
 
 	"dixq/internal/core"
-	"dixq/internal/exec"
 	"dixq/internal/index"
 	"dixq/internal/interp"
 	"dixq/internal/interval"
@@ -14,20 +12,6 @@ import (
 	"dixq/internal/stats"
 	"dixq/internal/xq"
 )
-
-// TestMain lowers the thresholds of the parallel structural sort, the
-// exchange merge behind it and the partitioned merge-join probe for the
-// whole package, so the Parallelism > 1 variants actually fan out workers
-// on test-sized inputs instead of silently taking the serial path, and
-// raises the process worker budget so the exec.Effective clamp does not
-// collapse the partitioning to 2-way on single-core machines. Setting them
-// once, before any test starts, is what lets the two long matrix tests run
-// in parallel with each other.
-func TestMain(m *testing.M) {
-	interval.ParallelSortThreshold, core.ParallelProbeThreshold = 4, 4
-	exec.SetLimit(8)
-	os.Exit(m.Run())
-}
 
 // TestEnginesAgreeOnCorpus is the differential matrix: every corpus case
 // through the interpreter (the semantic oracle), the baseline DI
@@ -120,7 +104,7 @@ func TestLoopInvariantSeeksInsideLoops(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
-		scanOpts := core.Options{ForceJoinMode: core.ModeMSJ, NoRewrites: true, Parallelism: 1}
+		scanOpts := core.Options{ForceJoinMode: core.ModeMSJ, NoRewrites: true}
 		idxOpts := scanOpts
 		idxOpts.Indexes = set
 		// NoRewrites is a compile option: compile one query per option set.

@@ -12,12 +12,15 @@ import (
 	"dixq/internal/xq"
 )
 
-// FuzzParallelExecute fuzzes the parallel runtime's determinism claim:
-// for any query text and worker count, the parallel evaluation must
-// produce the relation the serial evaluation produces, digit for digit.
-// The corpus is seeded with the paper's benchmark queries, the end-to-end
-// seed corpus, and generator-produced random expressions, at worker
-// counts across the pool's label range.
+// FuzzParallelExecute fuzzes the determinism of the merge join's
+// concurrent side sorts: for any query text and sort budget, the run in
+// which every group reorder spills — the merge join's two sides at once,
+// on their two goroutines, each cutting its runs at the budget — must
+// produce the relation the in-memory run produces, digit for digit, and
+// fail exactly when it fails. The corpus is seeded with the paper's
+// benchmark queries, the end-to-end seed corpus, and generator-produced
+// random expressions, at budgets of a few bytes, small enough that every
+// non-empty sort spills several runs.
 func FuzzParallelExecute(f *testing.F) {
 	for _, q := range []string{xmark.Q8, xmark.Q9, xmark.Q13, xmark.Q3, xmark.Q19, xmark.Q20} {
 		f.Add(q, uint8(4))
@@ -34,23 +37,22 @@ func FuzzParallelExecute(f *testing.F) {
 
 	cat, _ := Docs(f, 0.0005, 17)
 
-	f.Fuzz(func(t *testing.T, src string, workers uint8) {
+	f.Fuzz(func(t *testing.T, src string, budget uint8) {
 		e, err := xq.Parse(src)
 		if err != nil {
 			return
 		}
-		// Worker counts 2..17 cover the whole label range of the pool.
-		par := int(workers)%16 + 2
-
 		q := core.Compile(e, core.Options{})
+		dir := t.TempDir()
 		for _, mode := range []core.Mode{core.ModeMSJ, core.ModeNLJ} {
-			serialOpts := core.Options{ForceJoinMode: mode, Parallelism: 1, MaxTuples: 200_000}
-			parOpts := core.Options{ForceJoinMode: mode, Parallelism: par, MaxTuples: 200_000}
-			want, werr := q.Eval(cat, serialOpts)
-			got, gerr := q.Eval(cat, parOpts)
+			memOpts := core.Options{ForceJoinMode: mode, MaxTuples: 200_000}
+			spillOpts := memOpts
+			spillOpts.MemBudget, spillOpts.SpillDir = int64(budget)+1, dir
+			want, werr := q.Eval(cat, memOpts)
+			got, gerr := q.Eval(cat, spillOpts)
 			if (werr != nil) != (gerr != nil) {
-				t.Fatalf("%s on %q (par=%d): serial err %v, parallel err %v",
-					mode, src, par, werr, gerr)
+				t.Fatalf("%s on %q (budget %d): in-memory err %v, spilled err %v",
+					mode, src, spillOpts.MemBudget, werr, gerr)
 			}
 			if werr != nil {
 				continue
@@ -97,7 +99,7 @@ func FuzzIndexedExecute(f *testing.F) {
 			mode = core.ModeNLJ
 		}
 		q := core.Compile(e, core.Options{})
-		scanOpts := core.Options{ForceJoinMode: mode, Parallelism: 1, MaxTuples: 200_000}
+		scanOpts := core.Options{ForceJoinMode: mode, MaxTuples: 200_000}
 		idxOpts := scanOpts
 		idxOpts.Indexes = set
 		want, werr := q.Eval(cat, scanOpts)
@@ -147,7 +149,7 @@ func FuzzOptimizedExecute(f *testing.F) {
 			return
 		}
 		q := core.Compile(e, core.Options{})
-		estOpts := core.Options{DocStats: nominal, Parallelism: 1, MaxTuples: 200_000}
+		estOpts := core.Options{DocStats: nominal, MaxTuples: 200_000}
 		if withStats {
 			estOpts.DocStats = collected
 		}

@@ -85,7 +85,7 @@ func TestSplicedIndexAgreesOnCorpus(t *testing.T) {
 	for _, c := range Corpus() {
 		t.Run(c.Name, func(t *testing.T) {
 			oracle, oerr := interp.Run(c.Query, icat)
-			none := core.Options{Parallelism: 1}
+			none := core.Options{}
 			want, werr := RunCase(t, c, updated, none)
 			if (oerr != nil) != (werr != nil) {
 				t.Fatalf("interpreter err %v, unindexed err %v", oerr, werr)

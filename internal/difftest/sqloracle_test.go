@@ -47,8 +47,8 @@ func TestFullSuiteAcrossAllEngines(t *testing.T) {
 		name string
 		opts core.Options
 	}{
-		{"di-nlj", core.Options{ForceJoinMode: core.ModeNLJ, Parallelism: 1}},
-		{"di-msj", core.Options{ForceJoinMode: core.ModeMSJ, Parallelism: 1}},
+		{"di-nlj", core.Options{ForceJoinMode: core.ModeNLJ}},
+		{"di-msj", core.Options{ForceJoinMode: core.ModeMSJ}},
 	}
 	for _, q := range xmark.All {
 		t.Run(q.Name, func(t *testing.T) {

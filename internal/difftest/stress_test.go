@@ -11,17 +11,13 @@ import (
 )
 
 // TestConcurrentParallelSpillingRuns is the dedicated -race stress run:
-// many goroutines evaluate the benchmark queries concurrently, each with
-// Parallelism > 1 (so pool workers from different queries interleave on
-// the shared budget) and a memory budget small enough to force external
-// sort spills, sharing one spill directory. Every result must be
-// digit-identical to the serial in-memory evaluation, and the worker
-// budget must drain completely.
+// many goroutines evaluate the benchmark queries concurrently, each merge
+// join sorting its two sides as a pair (exec.Pair) under a memory budget
+// small enough to force external sort spills, all sharing one spill
+// directory. Every result must be digit-identical to the in-memory
+// evaluation; no query may have more than one pair in flight, and every
+// pair's second goroutine must be gone at the end.
 func TestConcurrentParallelSpillingRuns(t *testing.T) {
-	// A raised budget makes worker handoff between concurrent queries
-	// actually happen on the 1-CPU CI leg too.
-	prev := exec.SetLimit(6)
-	defer exec.SetLimit(prev)
 	exec.ResetHighWater()
 
 	cat, _ := Docs(t, 0.002, 17)
@@ -35,7 +31,7 @@ func TestConcurrentParallelSpillingRuns(t *testing.T) {
 	refs := make([]ref, len(queries))
 	for i, src := range queries {
 		q := core.Compile(xq.MustParse(src), core.Options{})
-		rel, err := q.Eval(cat, core.Options{ForceJoinMode: core.ModeMSJ, Parallelism: 1})
+		rel, err := q.Eval(cat, core.Options{ForceJoinMode: core.ModeMSJ})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +50,6 @@ func TestConcurrentParallelSpillingRuns(t *testing.T) {
 				ref := refs[(g+r)%len(refs)]
 				rel, err := ref.q.Eval(cat, core.Options{
 					ForceJoinMode: core.ModeMSJ,
-					Parallelism:   4,
 					MemBudget:     256,
 					SpillDir:      dir,
 				})
@@ -63,7 +58,7 @@ func TestConcurrentParallelSpillingRuns(t *testing.T) {
 					return
 				}
 				if rel.String() != ref.want {
-					t.Errorf("goroutine %d round %d: parallel spilled result diverged", g, r)
+					t.Errorf("goroutine %d round %d: spilled result diverged", g, r)
 					return
 				}
 			}
@@ -74,10 +69,10 @@ func TestConcurrentParallelSpillingRuns(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if hw := exec.HighWater(); hw > 6 {
-		t.Errorf("extra workers peaked at %d, over the process budget 6", hw)
+	if hw := exec.HighWater(); hw < 1 || hw > goroutines {
+		t.Errorf("pairs in flight peaked at %d, want 1 to %d (one per query at most)", hw, goroutines)
 	}
 	if in := exec.InFlight(); in != 0 {
-		t.Errorf("%d worker slots still held after the stress run", in)
+		t.Errorf("%d pair goroutines still running after the stress run", in)
 	}
 }

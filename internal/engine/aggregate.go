@@ -149,8 +149,8 @@ func ordKeys(trees [][]interval.Tuple) [][]interval.Tuple {
 // the key comparison only, so equal-key trees keep their original order:
 // XQuery's stable ordering. Trees are renumbered with a leading position
 // digit like SortTrees.
-func OrdBy(rel *interval.Relation, depth int, dir string, parallelism int, spill *SpillConfig) (*interval.Relation, SpillStats, error) {
-	return renumber(rel, depth, parallelism, spill, ordKeys,
+func OrdBy(rel *interval.Relation, depth int, dir string, spill *SpillConfig) (*interval.Relation, SpillStats, error) {
+	return renumber(rel, depth, spill, ordKeys,
 		func(a, b []interval.Tuple) int {
 			c := slices.CompareFunc(a, b, func(x, y interval.Tuple) int { return xnum.Compare(x.S, y.S) })
 			if dir == "desc" {

@@ -155,16 +155,15 @@ func Reverse(rel *interval.Relation, depth int) *interval.Relation {
 // The group reorders — SortTrees, Distinct and OrdBy — share one shape:
 // per environment group, build the sort units, take their stable
 // permutation from the budgeted sort (SortUnits, which spills runs of
-// sorted positions to disk under a memory budget and runs on up to
-// parallelism workers) and emit by it. Output is identical at any
-// parallelism and any budget; the stats report what was spilled.
+// sorted positions to disk under a memory budget) and emit by it. Output
+// is identical at any budget; the stats report what was spilled.
 // O(k log k) unit comparisons per environment.
 
 // sortGroups runs one budgeted sort per environment group of rel. The sort
 // units are the group's top-level trees, or the units keyOf derives from
 // them, ordered by cmp; emit receives the group's environment prefix, its
 // trees and their stable permutation.
-func sortGroups(rel *interval.Relation, depth, parallelism int, spill *SpillConfig,
+func sortGroups(rel *interval.Relation, depth int, spill *SpillConfig,
 	keyOf func(trees [][]interval.Tuple) [][]interval.Tuple, cmp func(a, b []interval.Tuple) int,
 	emit func(prefix interval.Key, trees [][]interval.Tuple, order []int)) (SpillStats, error) {
 
@@ -181,7 +180,7 @@ func sortGroups(rel *interval.Relation, depth, parallelism int, spill *SpillConf
 		}
 		var order []int
 		byPos := func(a, b int) int { return cmp(units[a], units[b]) }
-		if order, err = SortUnits(nil, units, byPos, parallelism, spill, &stats); err == nil {
+		if order, err = SortUnits(nil, units, byPos, spill, &stats); err == nil {
 			emit(g[0].L, trees, order)
 		}
 	})
@@ -191,11 +190,11 @@ func sortGroups(rel *interval.Relation, depth, parallelism int, spill *SpillConf
 // renumber is sortGroups emitting each group's trees in permutation order,
 // renumbered with a leading position digit (output local width = input
 // width + 1).
-func renumber(rel *interval.Relation, depth, parallelism int, spill *SpillConfig,
+func renumber(rel *interval.Relation, depth int, spill *SpillConfig,
 	keyOf func(trees [][]interval.Tuple) [][]interval.Tuple, cmp func(a, b []interval.Tuple) int) (*interval.Relation, SpillStats, error) {
 
 	b := interval.NewBuilder(depth+1+localWidth(rel, depth), len(rel.Tuples))
-	stats, err := sortGroups(rel, depth, parallelism, spill, keyOf, cmp,
+	stats, err := sortGroups(rel, depth, spill, keyOf, cmp,
 		func(prefix interval.Key, trees [][]interval.Tuple, order []int) {
 			for j, idx := range order {
 				emitTree(b, prefix, depth, int64(j), trees[idx])
@@ -210,17 +209,17 @@ func renumber(rel *interval.Relation, depth, parallelism int, spill *SpillConfig
 // SortTrees orders each environment's top-level trees by structural (tree)
 // order, stably, using CompareForests — the paper's sort operator. Trees
 // are renumbered with a leading position digit.
-func SortTrees(rel *interval.Relation, depth, parallelism int, spill *SpillConfig) (*interval.Relation, SpillStats, error) {
-	return renumber(rel, depth, parallelism, spill, nil, CompareForests)
+func SortTrees(rel *interval.Relation, depth int, spill *SpillConfig) (*interval.Relation, SpillStats, error) {
+	return renumber(rel, depth, spill, nil, CompareForests)
 }
 
 // Distinct keeps the structurally distinct top-level trees of each
 // environment's forest, first occurrence preserved, original intervals
 // unchanged.
-func Distinct(rel *interval.Relation, depth, parallelism int, spill *SpillConfig) (*interval.Relation, SpillStats, error) {
+func Distinct(rel *interval.Relation, depth int, spill *SpillConfig) (*interval.Relation, SpillStats, error) {
 	var runs interval.Runs
 	at := 0 // position of the group's first tree in rel
-	stats, err := sortGroups(rel, depth, parallelism, spill, nil, CompareForests,
+	stats, err := sortGroups(rel, depth, spill, nil, CompareForests,
 		func(_ interval.Key, trees [][]interval.Tuple, order []int) {
 			// The permutation is stable, so the first tree of each equal
 			// run is the earliest duplicate.

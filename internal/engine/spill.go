@@ -49,15 +49,15 @@ type SpillStats struct {
 // (spill non-nil with MaxBytes > 0) and the units' accounted footprint
 // exceeds it, the positions are sorted in batches that spill to run files
 // in spill.Dir and merge back, and the disk activity accumulates into
-// stats; otherwise the permutation is computed in one pass on up to
-// parallelism workers. A spilling sort fails with the context's error of
-// spill.Run once it is done. A budgeted sort counts its footprint into
-// dixq_sort_bytes_total on either path.
-func SortUnits(keys []interval.Key, units [][]interval.Tuple, cmp func(a, b int) int, parallelism int,
+// stats; otherwise the permutation is computed in one pass. A spilling
+// sort fails with the context's error of spill.Run once it is done. A
+// budgeted sort counts its footprint into dixq_sort_bytes_total on either
+// path.
+func SortUnits(keys []interval.Key, units [][]interval.Tuple, cmp func(a, b int) int,
 	spill *SpillConfig, stats *SpillStats) ([]int, error) {
 
 	if spill == nil || spill.MaxBytes <= 0 {
-		return interval.SortPerm(len(units), parallelism, cmp), nil
+		return interval.SortPerm(len(units), cmp), nil
 	}
 	foot := func(i int) int64 {
 		n := interval.TuplesFootprint(units[i])
@@ -72,11 +72,11 @@ func SortUnits(keys []interval.Key, units [][]interval.Tuple, cmp func(a, b int)
 	}
 	if total <= spill.MaxBytes {
 		obs.SortedBytes.Add(total)
-		return interval.SortPerm(len(units), parallelism, cmp), nil
+		return interval.SortPerm(len(units), cmp), nil
 	}
 	// A batch's units are accounted with their 8-byte position; it flushes
 	// as one run once the running sum passes the budget.
-	s := &spiller{dir: spill.Dir, cmp: cmp, parallelism: parallelism}
+	s := &spiller{dir: spill.Dir, cmp: cmp}
 	defer s.close()
 	lo, bytes := 0, int64(0)
 	for i := range units {
@@ -100,16 +100,15 @@ func SortUnits(keys []interval.Key, units [][]interval.Tuple, cmp func(a, b int)
 // spiller is one spilling sort: the run files written so far and the
 // accounted footprint of the units they order.
 type spiller struct {
-	dir         string
-	cmp         func(a, b int) int
-	parallelism int
-	runs        []string
-	spilled     int64
+	dir     string
+	cmp     func(a, b int) int
+	runs    []string
+	spilled int64
 }
 
 // sortBatch returns the positions [lo, hi) in sorted order.
 func (s *spiller) sortBatch(lo, hi int) []int {
-	order := interval.SortPerm(hi-lo, s.parallelism, func(a, b int) int { return s.cmp(lo+a, lo+b) })
+	order := interval.SortPerm(hi-lo, func(a, b int) int { return s.cmp(lo+a, lo+b) })
 	for i := range order {
 		order[i] += lo
 	}

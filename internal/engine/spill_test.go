@@ -56,20 +56,17 @@ func randomOrdForest(rng *rand.Rand) xmltree.Forest {
 // TestGroupReordersUnderBudget is the property test of the three group
 // reorders over the one budgeted sort. On random forests, in one
 // environment (depth 0) and in several (depth 1), SortTrees, Distinct and
-// OrdBy must answer their xfn specification, and every budget × worker
-// bound must be digit-identical to the unbudgeted serial run. A 1-byte
-// budget spills every non-empty group; a zero budget must spill nothing;
-// every sort leaves the spill directory empty.
+// OrdBy must answer their xfn specification, and every budget must be
+// digit-identical to the unbudgeted run. A 1-byte budget spills every
+// non-empty group; a zero budget must spill nothing; every sort leaves the
+// spill directory empty.
 func TestGroupReordersUnderBudget(t *testing.T) {
-	old := interval.ParallelSortThreshold
-	interval.ParallelSortThreshold = 4
-	defer func() { interval.ParallelSortThreshold = old }()
 	dir := t.TempDir()
 
-	type reorder func(rel *interval.Relation, depth, parallelism int, spill *SpillConfig) (*interval.Relation, SpillStats, error)
+	type reorder func(rel *interval.Relation, depth int, spill *SpillConfig) (*interval.Relation, SpillStats, error)
 	ordBy := func(dir string) reorder {
-		return func(rel *interval.Relation, depth, parallelism int, spill *SpillConfig) (*interval.Relation, SpillStats, error) {
-			return OrdBy(rel, depth, dir, parallelism, spill)
+		return func(rel *interval.Relation, depth int, spill *SpillConfig) (*interval.Relation, SpillStats, error) {
+			return OrdBy(rel, depth, dir, spill)
 		}
 	}
 	treeForest := func(rng *rand.Rand) xmltree.Forest { return xmltree.RandomForest(rng, 14) }
@@ -97,7 +94,7 @@ func TestGroupReordersUnderBudget(t *testing.T) {
 					}
 					_, in = encodeInEnvs(forests)
 				}
-				want := unbudgeted(o.op(in, depth, 1, nil))
+				want := unbudgeted(o.op(in, depth, nil))
 				for i, forest := range forests {
 					var got xmltree.Forest
 					if depth == 0 {
@@ -112,22 +109,20 @@ func TestGroupReordersUnderBudget(t *testing.T) {
 				}
 
 				for _, budget := range []int64{0, 1, 200, 4096} {
-					for _, par := range []int{1, 4} {
-						what := fmt.Sprintf("%s depth %d trial %d budget %d par %d", o.name, depth, trial, budget, par)
-						got, stats, err := o.op(in, depth, par, &SpillConfig{MaxBytes: budget, Dir: dir})
-						if err != nil {
-							t.Fatalf("%s: %v", what, err)
-						}
-						sameRelation(t, what, got, want)
-						if left, _ := os.ReadDir(dir); len(left) != 0 {
-							t.Fatalf("%s: %d run files left in the spill directory", what, len(left))
-						}
-						switch {
-						case budget == 0 && stats.Runs != 0:
-							t.Fatalf("%s: unbounded sort spilled %d runs", what, stats.Runs)
-						case budget == 1 && len(in.Tuples) > 0 && stats.Runs == 0:
-							t.Fatalf("%s: 1-byte budget over %d tuples spilled nothing", what, len(in.Tuples))
-						}
+					what := fmt.Sprintf("%s depth %d trial %d budget %d", o.name, depth, trial, budget)
+					got, stats, err := o.op(in, depth, &SpillConfig{MaxBytes: budget, Dir: dir})
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					sameRelation(t, what, got, want)
+					if left, _ := os.ReadDir(dir); len(left) != 0 {
+						t.Fatalf("%s: %d run files left in the spill directory", what, len(left))
+					}
+					switch {
+					case budget == 0 && stats.Runs != 0:
+						t.Fatalf("%s: unbounded sort spilled %d runs", what, stats.Runs)
+					case budget == 1 && len(in.Tuples) > 0 && stats.Runs == 0:
+						t.Fatalf("%s: 1-byte budget over %d tuples spilled nothing", what, len(in.Tuples))
 					}
 				}
 			}
@@ -226,7 +221,7 @@ func TestMergeRejectsCorruptRuns(t *testing.T) {
 	}
 	for _, tc := range cases {
 		dir := t.TempDir()
-		s := &spiller{dir: dir, cmp: func(a, b int) int { return b - a }, parallelism: 1}
+		s := &spiller{dir: dir, cmp: func(a, b int) int { return b - a }}
 		if err := s.flush(0, 3, 1); err != nil {
 			t.Fatal(err)
 		}

@@ -1,191 +1,59 @@
-// Package exec is the engine's intra-query parallelism runtime: a
-// morsel-driven worker pool over a process-wide worker budget.
+// Package exec holds the engine's one concurrent mechanism: Pair runs two
+// functions at once, one of them on a second goroutine. The merge join
+// sorts its two sides with it and then probes the two halves of its sorted
+// outer with it; everything else evaluates serially on the query's own
+// goroutine.
 //
-// The execution model follows the morsel-driven design of HyPer: a Run
-// call owns a fixed set of independently executable tasks (morsels), the
-// calling goroutine always works, and up to parallelism-1 extra workers
-// are borrowed from a global budget shared by every concurrent query in
-// the process. Workers pull task indices from one atomic counter, so load
-// balances itself; callers that need ordered output index their result
-// slots by task number, which makes the combined result independent of
-// scheduling.
-//
-// The budget never blocks: when the process is already running at its
-// worker limit, Run simply proceeds with fewer (possibly zero) extra
-// workers. Correctness therefore never depends on how many workers a call
-// was granted — only wall time does.
+// The pair needs no process-wide budget. The evaluator is serial, so a
+// query has at most one pair in flight, and admission control already
+// bounds how many queries run. InFlight, HighWater and ResetHighWater
+// count the second goroutines, so leak checks can assert that every pair
+// has finished.
 package exec
 
-import (
-	"runtime"
-	"strconv"
-	"sync"
-	"sync/atomic"
+import "sync/atomic"
 
-	"dixq/internal/obs"
-)
+// inFlight counts the pairs' second goroutines currently running;
+// highWater tracks its maximum since the last ResetHighWater.
+var inFlight, highWater atomic.Int64
 
-// DefaultParallelism is the resolved worker bound for Parallelism <= 0:
-// one worker per available CPU.
-func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
-
-// Resolve canonicalizes a Parallelism knob value: values <= 0 select the
-// default (GOMAXPROCS), 1 keeps evaluation single-threaded, and larger
-// values bound the query's workers directly. Every layer that interprets
-// the knob (the evaluator, the server's plan-cache key, the flag parsing)
-// goes through this one function so the semantics cannot drift.
-func Resolve(parallelism int) int {
-	if parallelism <= 0 {
-		return DefaultParallelism()
-	}
-	return parallelism
-}
-
-// limit is the process-wide budget of extra workers (goroutines beyond
-// the callers themselves) that Run calls may hold concurrently.
-var limit atomic.Int64
-
-// inFlight counts extra workers currently running; highWater tracks its
-// maximum since the last ResetHighWater.
-var (
-	inFlight  atomic.Int64
-	highWater atomic.Int64
-)
-
-func init() {
-	limit.Store(int64(runtime.GOMAXPROCS(0)))
-}
-
-// SetLimit replaces the process-wide extra-worker budget and returns the
-// previous value. The default is GOMAXPROCS at init. A limit of 0 forces
-// every Run call serial regardless of its parallelism argument.
-func SetLimit(n int) int {
-	return int(limit.Swap(int64(n)))
-}
-
-// Limit returns the current process-wide extra-worker budget.
-func Limit() int { return int(limit.Load()) }
-
-// Effective clamps a requested Parallelism knob value by the configured
-// worker budget: the caller plus Limit() extra workers is the most
-// concurrency any Run call can see, so partitioning an input more finely
-// than that only buys per-partition overhead. Operators that split work
-// by key range (the exchange sort merge, the partitioned probe) size
-// their partition count with this, which keeps a 1-worker budget on the
-// plain serial code path. The clamp depends only on the configured
-// budget — stable for the life of the process — never on the
-// instantaneous grant, so partition counts stay deterministic for a
-// given configuration.
-func Effective(parallelism int) int {
-	return min(Resolve(parallelism), Limit()+1)
-}
-
-// InFlight returns the number of extra workers currently running.
+// InFlight returns the number of pairs' second goroutines running now.
 func InFlight() int { return int(inFlight.Load()) }
 
-// HighWater returns the maximum number of concurrently running extra
-// workers observed since the last ResetHighWater.
+// HighWater returns the most second goroutines that ran at once since the
+// last ResetHighWater.
 func HighWater() int { return int(highWater.Load()) }
 
 // ResetHighWater zeroes the high-water mark (tests bracket a scenario
 // with it).
 func ResetHighWater() { highWater.Store(0) }
 
-// acquire takes up to n extra-worker slots from the global budget and
-// returns how many it got. It never waits.
-func acquire(n int) int {
-	granted := 0
-	for granted < n {
-		cur := inFlight.Load()
-		if cur >= limit.Load() {
+// Pair runs a on a second goroutine and b on the caller's, and returns
+// once both have. A panic in a is recovered on its goroutine and raised
+// again on the caller once b is done, so a panicking side neither ends the
+// process nor outlives the call; a panic in b waits for a before it
+// unwinds the caller.
+func Pair(a, b func()) {
+	n := inFlight.Add(1)
+	for {
+		hw := highWater.Load()
+		if n <= hw || highWater.CompareAndSwap(hw, n) {
 			break
 		}
-		if !inFlight.CompareAndSwap(cur, cur+1) {
-			continue
+	}
+	done := make(chan any, 1)
+	go func() {
+		defer func() {
+			p := recover()
+			inFlight.Add(-1)
+			done <- p
+		}()
+		a()
+	}()
+	defer func() {
+		if p := <-done; p != nil {
+			panic(p)
 		}
-		granted++
-		for {
-			hw := highWater.Load()
-			if cur+1 <= hw || highWater.CompareAndSwap(hw, cur+1) {
-				break
-			}
-		}
-	}
-	return granted
-}
-
-// release returns n extra-worker slots to the budget.
-func release(n int) {
-	inFlight.Add(int64(-n))
-	obs.ParallelWorkersActive.Add(int64(-n))
-}
-
-// maxWorkerLabel caps the per-worker metric label space; worker slots at
-// or above it share one overflow label so the label cardinality stays
-// bounded no matter the configured parallelism.
-const maxWorkerLabel = 16
-
-// WorkerLabel is the metrics label for a worker slot; operators that
-// record per-worker counters (exchange partitions, probe pairs) share it
-// so the label space stays uniform across every per-worker series.
-func WorkerLabel(w int) string {
-	if w >= maxWorkerLabel {
-		return strconv.Itoa(maxWorkerLabel) + "+"
-	}
-	return strconv.Itoa(w)
-}
-
-// Run executes fn(task, worker) for every task in [0, tasks), using the
-// calling goroutine as worker 0 plus up to parallelism-1 extra workers
-// borrowed from the process budget. Worker indices are dense in
-// [0, workers); tasks are pulled from a shared counter, so any worker may
-// run any task and fn must not rely on a task-to-worker mapping beyond
-// using the worker index for scratch-space reuse. Run returns the number
-// of workers that participated (>= 1).
-//
-// fn runs concurrently with itself when workers > 1 and must only touch
-// shared state through the task index (e.g. writing result slot i from
-// task i).
-func Run(tasks, parallelism int, fn func(task, worker int)) int {
-	if tasks <= 0 {
-		return 0
-	}
-	want := min(Resolve(parallelism), tasks) - 1
-	extra := 0
-	if want > 0 {
-		extra = acquire(want)
-	}
-	if extra == 0 {
-		for t := 0; t < tasks; t++ {
-			fn(t, 0)
-			obs.ParallelTasks.With(WorkerLabel(0)).Inc()
-		}
-		return 1
-	}
-	obs.ParallelWorkersActive.Add(int64(extra))
-	var next atomic.Int64
-	work := func(worker int) {
-		for {
-			t := int(next.Add(1)) - 1
-			if t >= tasks {
-				return
-			}
-			fn(t, worker)
-			obs.ParallelTasks.With(WorkerLabel(worker)).Inc()
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w <= extra; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			// A finished worker hands its slot back immediately, so other
-			// queries can pick it up while the stragglers here drain.
-			defer release(1)
-			work(worker)
-		}(w)
-	}
-	work(0)
-	wg.Wait()
-	return extra + 1
+	}()
+	b()
 }

@@ -1,134 +1,66 @@
 package exec
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// withLimit runs fn under a temporary process budget; exec state is
-// global, so these tests cannot run in parallel with each other.
-func withLimit(t *testing.T, n int, fn func()) {
-	t.Helper()
-	prev := SetLimit(n)
-	defer SetLimit(prev)
+// TestPairRunsBoth checks that Pair runs each side exactly once, returns
+// only after both finished, and leaves no second goroutine counted.
+func TestPairRunsBoth(t *testing.T) {
 	ResetHighWater()
-	fn()
-}
-
-func TestResolve(t *testing.T) {
-	if got := Resolve(0); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Resolve(0) = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
+	var a, b atomic.Int32
+	Pair(func() { a.Add(1) }, func() { b.Add(1) })
+	if a.Load() != 1 || b.Load() != 1 {
+		t.Fatalf("sides ran %d and %d times, want 1 and 1", a.Load(), b.Load())
 	}
-	if got := Resolve(-3); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Resolve(-3) = %d, want GOMAXPROCS", got)
+	if n := InFlight(); n != 0 {
+		t.Fatalf("InFlight() = %d after Pair returned, want 0", n)
 	}
-	if got := Resolve(1); got != 1 {
-		t.Errorf("Resolve(1) = %d, want 1", got)
-	}
-	if got := Resolve(7); got != 7 {
-		t.Errorf("Resolve(7) = %d, want 7", got)
+	if hw := HighWater(); hw != 1 {
+		t.Fatalf("HighWater() = %d, want 1", hw)
 	}
 }
 
-func TestRunCoversEveryTaskOnce(t *testing.T) {
-	withLimit(t, 8, func() {
-		const tasks = 1000
-		var hits [tasks]atomic.Int32
-		workers := Run(tasks, 4, func(task, worker int) {
-			hits[task].Add(1)
-		})
-		if workers < 1 || workers > 4 {
-			t.Fatalf("workers = %d, want 1..4", workers)
-		}
-		for i := range hits {
-			if n := hits[i].Load(); n != 1 {
-				t.Fatalf("task %d ran %d times", i, n)
+// TestPairPanicReachesCaller checks that a panic on the second goroutine
+// is raised again on the caller, after the caller's side has finished and
+// with the goroutine's count released.
+func TestPairPanicReachesCaller(t *testing.T) {
+	var bDone bool
+	func() {
+		defer func() {
+			if p := recover(); p != "side a" {
+				t.Fatalf("recovered %v, want the second goroutine's panic", p)
 			}
-		}
-	})
-}
-
-func TestRunSerialWhenParallelismOne(t *testing.T) {
-	withLimit(t, 8, func() {
-		order := []int{}
-		workers := Run(5, 1, func(task, worker int) {
-			if worker != 0 {
-				t.Errorf("serial run used worker %d", worker)
-			}
-			order = append(order, task)
-		})
-		if workers != 1 {
-			t.Fatalf("workers = %d, want 1", workers)
-		}
-		for i, v := range order {
-			if v != i {
-				t.Fatalf("serial run visited tasks out of order: %v", order)
-			}
-		}
-	})
-}
-
-func TestRunDegradesWhenBudgetExhausted(t *testing.T) {
-	withLimit(t, 0, func() {
-		workers := Run(100, 8, func(task, worker int) {})
-		if workers != 1 {
-			t.Fatalf("workers = %d under a zero budget, want 1", workers)
-		}
-		if hw := HighWater(); hw != 0 {
-			t.Fatalf("high water = %d under a zero budget, want 0", hw)
-		}
-	})
-}
-
-func TestHighWaterRespectsLimit(t *testing.T) {
-	const lim = 3
-	withLimit(t, lim, func() {
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for r := 0; r < 20; r++ {
-					Run(64, 4, func(task, worker int) {})
-				}
-			}()
-		}
-		wg.Wait()
-		if hw := HighWater(); hw > lim {
-			t.Fatalf("high water %d exceeds limit %d", hw, lim)
-		}
-		if f := InFlight(); f != 0 {
-			t.Fatalf("in-flight workers leaked: %d", f)
-		}
-	})
-}
-
-func TestRunZeroTasks(t *testing.T) {
-	if workers := Run(0, 4, func(task, worker int) { t.Fatal("fn called") }); workers != 0 {
-		t.Fatalf("workers = %d for zero tasks, want 0", workers)
+		}()
+		Pair(func() { panic("side a") }, func() { bDone = true })
+		t.Fatal("Pair returned normally after a side panicked")
+	}()
+	if !bDone {
+		t.Fatal("the caller's side did not run to completion")
+	}
+	if n := InFlight(); n != 0 {
+		t.Fatalf("InFlight() = %d after a panicking pair, want 0", n)
 	}
 }
 
-// TestOrderedSlots pins the ordering contract parallel consumers rely on:
-// writing slot i from task i and concatenating yields the serial order no
-// matter how tasks interleave.
-func TestOrderedSlots(t *testing.T) {
-	withLimit(t, 8, func() {
-		const tasks = 500
-		out := make([][]int, tasks)
-		Run(tasks, 8, func(task, worker int) {
-			out[task] = []int{task * 2, task*2 + 1}
-		})
-		var flat []int
-		for _, s := range out {
-			flat = append(flat, s...)
-		}
-		for i, v := range flat {
-			if v != i {
-				t.Fatalf("flattened slot order broken at %d: got %d", i, v)
+// TestPairCallerPanicWaits checks that a panic on the caller's side still
+// waits for the second goroutine before it unwinds.
+func TestPairCallerPanicWaits(t *testing.T) {
+	var aDone atomic.Bool
+	release := make(chan struct{})
+	func() {
+		defer func() {
+			if p := recover(); p != "side b" {
+				t.Fatalf("recovered %v, want the caller's panic", p)
 			}
-		}
-	})
+		}()
+		Pair(func() { <-release; aDone.Store(true) }, func() { close(release); panic("side b") })
+	}()
+	if !aDone.Load() {
+		t.Fatal("Pair unwound before its second goroutine finished")
+	}
+	if n := InFlight(); n != 0 {
+		t.Fatalf("InFlight() = %d, want 0", n)
+	}
 }

@@ -15,9 +15,9 @@ import (
 	"dixq/internal/obs"
 )
 
-// settle bounds how long Check waits for goroutines and workers to wind
-// down: they exit asynchronously after the call that started them has
-// returned.
+// settle bounds how long Check waits for goroutines to wind down: some
+// (an HTTP handler's, say) exit asynchronously after the call that
+// started them has returned.
 const settle = 5 * time.Second
 
 // State is what the process looked like before the work a test checks.
@@ -35,8 +35,8 @@ func Take() State {
 	}
 }
 
-// Check fails t unless the process is back to s: no exec worker in
-// flight, no more goroutines than before, no file in spillDir (skipped
+// Check fails t unless the process is back to s: no pair goroutine
+// (exec.Pair) in flight, no more goroutines than before, no file in spillDir (skipped
 // when empty), dixq_snapshots_pinned and dixq_admission_queue_depth back
 // at their earlier values, and — when admitted is non-nil — no request
 // still holding an admission slot. It polls for up to settle before
@@ -68,7 +68,7 @@ func (s State) left(spillDir string, admitted func() int) []string {
 		}
 	}
 	n := exec.InFlight()
-	add(n != 0, "%d exec workers in flight", n)
+	add(n != 0, "%d pair goroutines in flight", n)
 	g := runtime.NumGoroutine()
 	add(g > s.goroutines, "%d goroutines, %d before", g, s.goroutines)
 	p := obs.SnapshotsPinned.Value()

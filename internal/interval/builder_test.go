@@ -136,17 +136,12 @@ func randomRelation(rng *rand.Rand, n, maxLen int) *Relation {
 }
 
 func TestSortPermStable(t *testing.T) {
-	old := ParallelSortThreshold
-	ParallelSortThreshold = 8
-	defer func() { ParallelSortThreshold = old }()
 	vals := []int{3, 1, 3, 1, 2, 3, 1, 2, 2, 3, 1, 0}
-	for _, parallelism := range []int{1, 3} {
-		order := SortPerm(len(vals), parallelism, func(a, b int) int { return vals[a] - vals[b] })
-		for i := 1; i < len(order); i++ {
-			va, vb := vals[order[i-1]], vals[order[i]]
-			if va > vb || (va == vb && order[i-1] > order[i]) {
-				t.Fatalf("parallelism %d: unstable or unsorted at %d: %v", parallelism, i, order)
-			}
+	order := SortPerm(len(vals), func(a, b int) int { return vals[a] - vals[b] })
+	for i := 1; i < len(order); i++ {
+		va, vb := vals[order[i-1]], vals[order[i]]
+		if va > vb || (va == vb && order[i-1] > order[i]) {
+			t.Fatalf("unstable or unsorted at %d: %v", i, order)
 		}
 	}
 }
@@ -167,20 +162,13 @@ func BenchmarkKeyCompare(b *testing.B) {
 }
 
 // BenchmarkStructuralSort measures the index-permutation sort of a
-// relation's rows by L key, serial and parallel.
+// relation's rows by L key.
 func BenchmarkStructuralSort(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 20000
 	rel := randomRelation(rng, n, 4)
-	for _, bc := range []struct {
-		name        string
-		parallelism int
-	}{{"serial", 1}, {"parallel8", 8}} {
-		b.Run("tuples/"+bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				SortPerm(n, bc.parallelism, func(x, y int) int { return Compare(rel.Tuples[x].L, rel.Tuples[y].L) })
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		SortPerm(n, func(x, y int) int { return Compare(rel.Tuples[x].L, rel.Tuples[y].L) })
 	}
 }

@@ -15,7 +15,7 @@
 // Concretely: a Registry owns named metrics and renders them on demand;
 // Default is the process-wide registry that package server exposes at GET
 // /metrics and cmd/dibench snapshots with -metricsdump. The engine layers
-// (core executor, engine budget and spill runs, parallel runtime) record into
+// (core executor, engine budget and spill runs) record into
 // the process-wide metrics of obs.go directly — counters are monotonic, so
 // concurrent evaluations compose by addition.
 package obs

@@ -57,27 +57,10 @@ var (
 	// TracesSampled counts queries that produced a trace.
 	TracesSampled = Default.NewCounter("dixq_traces_sampled_total",
 		"Queries sampled into the trace ring buffer.")
-	// ParallelWorkersActive is the number of extra intra-query workers
-	// (goroutines beyond the query's own) currently running across the
-	// process — bounded by the exec package's process-wide budget.
-	ParallelWorkersActive = Default.NewGauge("dixq_parallel_workers_active",
-		"Extra intra-query worker goroutines currently running.")
-	// ParallelTasks counts tasks executed by the worker pool — sort
-	// chunks, exchange-merge partitions and probe partitions — by worker
-	// slot within a Run call: the per-worker view of how evenly task
-	// pulling balanced the work.
-	ParallelTasks = Default.NewCounterVec("dixq_parallel_tasks_total",
-		"Tasks (sort chunks, merge and probe partitions) executed by the intra-query worker pool, by worker slot.", "worker")
-	// ExchangePartitions counts key-range partitions merged by the
-	// exchange repartitioning of the parallel structural sort, by worker
-	// slot — how the sort's merge phase spread across workers.
-	ExchangePartitions = Default.NewCounterVec("dixq_exchange_partitions_total",
-		"Key-range partitions merged by the exchange sort repartitioning, by worker slot.", "worker")
 	// ProbePairs counts merge-join output pairs produced by the probe
-	// phase, by worker slot; at parallelism 1 every pair lands on worker
-	// 0, so the label spread is the direct view of probe partitioning.
-	ProbePairs = Default.NewCounterVec("dixq_probe_pairs_total",
-		"Merge-join pairs produced by the probe phase, by worker slot.", "worker")
+	// phase.
+	ProbePairs = Default.NewCounter("dixq_probe_pairs_total",
+		"Merge-join pairs produced by the probe phase.")
 	// IndexSeeks counts path chains served from a document's structural
 	// index as range reads instead of relation scans.
 	IndexSeeks = Default.NewCounter("dixq_index_seeks_total",
@@ -102,6 +85,10 @@ var (
 	// server, by operation ("put", "update", "drop").
 	DocUpdates = Default.NewCounterVec("dixq_doc_updates_total",
 		"Document lifecycle operations applied to the catalog, by operation.", "op")
+	// HandlerPanics counts requests whose handler panicked; the server
+	// recovered each panic and answered 500.
+	HandlerPanics = Default.NewCounter("dixq_handler_panics_total",
+		"Requests whose handler panicked, recovered and answered 500.")
 	// AdmissionRejections counts requests refused by admission control, by
 	// reason ("queue_full", "queue_timeout", "tenant_concurrency",
 	// "tenant_memory", "draining", "canceled": the request's context

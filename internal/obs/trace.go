@@ -26,8 +26,8 @@ type Span struct {
 	// Skipped is the number of relation tuples an index access path never
 	// read (index seeks and dataguide-pruned chains).
 	Skipped int64 `json:"skipped,omitempty"`
-	// Workers is the largest pool-worker count one of the operator's
-	// parallel phases observed (0: no parallel phase ran).
+	// Workers is the goroutines the operator ran on at once: 2 for a
+	// merge join, whose side sorts and probe halves run as pairs, else 0.
 	Workers int `json:"workers,omitempty"`
 	// Attrs carries small string annotations (e.g. plan-cache "hit").
 	Attrs    map[string]string `json:"attrs,omitempty"`

@@ -464,12 +464,11 @@ func (n *Node) write(b *strings.Builder, indent int, role string, rs *RunStats) 
 	}
 	if rs != nil {
 		s := rs.Node(n.ID)
-		// Deterministic actuals first (locked by the analyze goldens; parts
-		// depends only on the requested parallelism, so it qualifies), the
-		// run-dependent group last so tests can mask it in one pass
-		// (workers depends on the process worker budget at run time).
-		fmt.Fprintf(b, " (act=%d calls=%d spilled=%d skipped=%d parts=%d workers=%d time=%s allocs=%d)",
-			s.Rows, s.Calls, s.Spilled, s.Skipped, s.Partitions, s.Workers, s.Time, s.Allocs)
+		// The row and spill counts first (locked by the analyze goldens),
+		// workers and the measured group last, so tests can mask them in
+		// one pass.
+		fmt.Fprintf(b, " (act=%d calls=%d spilled=%d skipped=%d workers=%d time=%s allocs=%d)",
+			s.Rows, s.Calls, s.Spilled, s.Skipped, s.Workers, s.Time, s.Allocs)
 	}
 	b.WriteByte('\n')
 	labels := n.inputLabels()

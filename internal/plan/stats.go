@@ -29,19 +29,10 @@ type NodeStats struct {
 	// — document rows outside the served ranges (the whole document for a
 	// pruned path). 0 for scan-backed and non-source operators.
 	Skipped int64
-	// Workers is the largest number of pool workers that participated in
-	// one of the operator's parallel phases (the concurrent merge-join
-	// sorts, the partitioned probe); 0 for operators that ran
-	// no parallel phase. The process-wide worker budget may grant fewer
-	// workers than Options.Parallelism requested, so this is an observed
-	// actual.
+	// Workers is the number of goroutines the operator ran on at once: 2
+	// for a merge join, whose side sorts and probe halves run as pairs
+	// (exec.Pair), 0 for every other operator.
 	Workers int
-	// Partitions is the largest key-range partition count of the
-	// operator's exchange or probe repartitioning (1 when a join probe ran
-	// serial, 0 for operators that never partition). Unlike Workers it
-	// depends only on the input and the requested parallelism, never on
-	// the budget's grant.
-	Partitions int
 }
 
 // RunStats holds one execution's per-node actuals, indexed by Node.ID.
@@ -82,16 +73,15 @@ func (rs *RunStats) PhaseTimes(root *Node) (paths, join, construction time.Durat
 
 // OperatorStat is one row of the flattened analyze report.
 type OperatorStat struct {
-	ID         int
-	Op         string
-	Calls      int
-	Rows       int64
-	Time       time.Duration
-	Allocs     int64
-	Spilled    int64
-	Skipped    int64
-	Workers    int
-	Partitions int
+	ID      int
+	Op      string
+	Calls   int
+	Rows    int64
+	Time    time.Duration
+	Allocs  int64
+	Spilled int64
+	Skipped int64
+	Workers int
 }
 
 // Operators flattens a plan and its run stats into report rows in
@@ -105,16 +95,15 @@ func Operators(root *Node, rs *RunStats) []OperatorStat {
 			name += " [" + d + "]"
 		}
 		out = append(out, OperatorStat{
-			ID:         n.ID,
-			Op:         name,
-			Calls:      s.Calls,
-			Rows:       s.Rows,
-			Time:       s.Time,
-			Allocs:     s.Allocs,
-			Spilled:    s.Spilled,
-			Skipped:    s.Skipped,
-			Workers:    s.Workers,
-			Partitions: s.Partitions,
+			ID:      n.ID,
+			Op:      name,
+			Calls:   s.Calls,
+			Rows:    s.Rows,
+			Time:    s.Time,
+			Allocs:  s.Allocs,
+			Spilled: s.Spilled,
+			Skipped: s.Skipped,
+			Workers: s.Workers,
 		})
 	})
 	return out

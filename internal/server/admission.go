@@ -36,11 +36,11 @@ type tenantBudget struct {
 
 // admitter is the server's admission controller: a bounded execution
 // semaphore with a bounded, time-limited wait queue in front of it, plus
-// per-tenant concurrency and memory reservations. It layers on top of
-// the process-wide exec worker budget — that budget bounds how many
-// *workers* admitted queries can draw (degrading them toward serial),
-// while the admitter bounds how many *requests* execute or wait at all,
-// turning overload into fast 429s instead of goroutine pileup.
+// per-tenant concurrency and memory reservations. It bounds how many
+// requests execute or wait at all, turning overload into fast 429s
+// instead of goroutine pileup; since a query runs on at most two
+// goroutines (its merge joins' pairs, exec.Pair), that also bounds the
+// engine's goroutines.
 type admitter struct {
 	// sem is the execution semaphore (send = acquire); nil when
 	// MaxConcurrent is 0, meaning unlimited.

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"dixq"
+	"dixq/internal/exec"
+	"dixq/internal/obs"
 )
 
 // jsonBody marshals v for a request body.
@@ -314,5 +316,53 @@ func TestAdmitterConcurrentStress(t *testing.T) {
 	defer a.mu.Unlock()
 	if a.active != 0 || a.queued != 0 || len(a.tenants) != 0 {
 		t.Errorf("not drained: active=%d queued=%d tenants=%d", a.active, a.queued, len(a.tenants))
+	}
+}
+
+// TestRecoveredPanicAnswers500 panics inside an admitted handler, on the
+// second goroutine of a pair (exec.Pair re-raises it on the handler's),
+// behind the recover middleware and admission with one execution slot
+// and no queue. Each such request gets a JSON 500 and is counted, the pair
+// leaves no goroutine running, and the slot comes back: the server then
+// answers a query, which would get 429 if the slot had leaked.
+func TestRecoveredPanicAnswers500(t *testing.T) {
+	doc, err := dixq.ParseDocument(dixq.XMarkFigure1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(map[string]*dixq.Document{"auction.xml": doc},
+		Config{MaxConcurrent: 1, QueueDepth: -1})
+	defer srv.Close()
+	mux := http.NewServeMux()
+	mux.Handle("/", srv.Handler())
+	mux.HandleFunc("POST /panic", srv.admitted(func(http.ResponseWriter, *http.Request) {
+		exec.Pair(func() { panic("side sort failed") }, func() {})
+	}))
+	ts := httptest.NewServer(recovered(mux))
+	defer ts.Close()
+
+	panics := obs.HandlerPanics.Value()
+	for i := 0; i < 2; i++ {
+		resp, body := postJSON(t, ts.URL+"/panic", QueryRequest{Query: dixq.XMarkQ8})
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("status = %d (%s), want 500", resp.StatusCode, body)
+		}
+		var e errorResponse
+		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+			t.Fatalf("500 body %q is not a JSON error (%v)", body, err)
+		}
+	}
+	if n := obs.HandlerPanics.Value() - panics; n != 2 {
+		t.Errorf("dixq_handler_panics_total rose by %d, want 2", n)
+	}
+	if n := exec.InFlight(); n != 0 {
+		t.Errorf("%d pair goroutines still running after the panics", n)
+	}
+	if n := srv.adm.admitted(); n != 0 {
+		t.Errorf("%d requests still admitted after the panics", n)
+	}
+	resp, body := postJSON(t, ts.URL+"/query", QueryRequest{Query: dixq.XMarkQ8})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query after the panics: status %d (%s)", resp.StatusCode, body)
 	}
 }

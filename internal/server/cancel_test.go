@@ -126,7 +126,7 @@ func TestClientDisconnectCancelsQuery(t *testing.T) {
 // released its slot and removed its run files, and the query answers 503.
 func TestCloseCancelsInFlight(t *testing.T) {
 	dir := t.TempDir()
-	ts, srv := slowServer(t, 0.05, Config{MemBudget: 1, SpillDir: dir, Parallelism: 4})
+	ts, srv := slowServer(t, 0.05, Config{MemBudget: 1, SpillDir: dir})
 	before := exitcheck.Take()
 	canceled := obs.Queries.With("di-msj", "canceled")
 	wasCanceled := canceled.Value()

@@ -44,8 +44,7 @@ func newPlanCache(capacity int) *planCache {
 // component is the parsed engine's wire name, so "" and "di-msj" are one
 // slot. Nothing else enters the key: a cached dixq.Query memoizes its
 // plans per join mode, index set and statistics set, none of which a
-// request option changes, and each run takes its worker bound from the
-// request (effectiveParallelism), not from the cache. The catalog version
+// request option changes. The catalog version
 // folds every document change into the key: loads, structural updates
 // (which publish the spliced index and statistics in the same version),
 // drops and reindexes each publish a fresh version, so a plan compiled

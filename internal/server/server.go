@@ -23,14 +23,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"dixq"
-	"dixq/internal/exec"
 	"dixq/internal/obs"
 )
 
@@ -48,13 +49,6 @@ type Config struct {
 	// SpillDir is where a budgeted sort writes its spill runs (files of
 	// sorted positions) under MemBudget; empty means the OS temp directory.
 	SpillDir string
-	// Parallelism is the per-query worker bound applied when a request
-	// leaves its parallelism field 0: it resolves like dixq.Options
-	// (0 → runtime.GOMAXPROCS(0), 1 → serial, larger → that many
-	// workers). Whatever each query requests, the workers of all
-	// concurrent queries are drawn from one process-wide budget (package
-	// exec), so total parallel workers never exceed that budget.
-	Parallelism int
 	// PlanCacheSize caps the LRU cache of compiled query plans, keyed by
 	// (query text, engine). 0 means the default of 128; negative disables
 	// caching.
@@ -71,9 +65,7 @@ type Config struct {
 	// MaxConcurrent bounds the requests (queries and document writes)
 	// executing simultaneously; excess requests wait in a bounded
 	// admission queue and overflow gets 429 + Retry-After. 0 means
-	// unlimited (no admission queue). This layers on the process-wide
-	// exec worker budget: that budget bounds the workers admitted
-	// queries draw, this bounds how many requests run at all.
+	// unlimited (no admission queue).
 	MaxConcurrent int
 	// QueueDepth bounds the requests waiting for an execution slot when
 	// MaxConcurrent is set: 0 means the default of 64, negative disables
@@ -91,10 +83,6 @@ type Config struct {
 	// reserves MemBudget (its per-query sort budget). 0 means unlimited;
 	// it only binds when MemBudget is set.
 	TenantMemBudget int64
-	// TenantWorkers caps the effective per-query parallelism of every
-	// tenant's requests, under the process-wide exec budget. 0 means no
-	// extra cap.
-	TenantWorkers int
 	// DocDir, when set, permits PUT /docs/{name}?file=relative-path to
 	// load .xml or .dixq files from this directory. Empty disables
 	// server-side file loading.
@@ -191,7 +179,7 @@ func (s *Server) Drain() {
 
 // Close drains, cancels every admitted or queued request, and returns
 // once each has released its admission slot: a cancelled query (503) has
-// then given back its workers and removed its spill files.
+// then finished its merge-join pairs and removed its spill files.
 func (s *Server) Close() {
 	s.Drain()
 	s.cancel()
@@ -211,40 +199,17 @@ type QueryRequest struct {
 	// the plan annotated with per-operator actuals instead of the static
 	// description.
 	Analyze bool `json:"analyze,omitempty"`
-	// Parallelism bounds the query's intra-query workers (DI engines):
-	// 1 means serial, larger values bound the workers directly, and 0
-	// falls back to the server's configured default (which itself
-	// resolves 0 to runtime.GOMAXPROCS(0)). Results are identical at
-	// any setting.
-	Parallelism int `json:"parallelism,omitempty"`
 }
 
-// effectiveParallelism resolves the worker bound for a request: an
-// explicit request value wins, 0 falls back to the server default, the
-// canonical resolution (<= 0 → runtime.GOMAXPROCS(0)) applies, and the
-// per-tenant worker cap clamps last — the same resolution the executor
-// performs, so the value is also usable as a trace attribute.
-func effectiveParallelism(req *QueryRequest, cfg Config) int {
-	par := req.Parallelism
-	if par == 0 {
-		par = cfg.Parallelism
-	}
-	par = exec.Resolve(par)
-	if cfg.TenantWorkers > 0 && par > cfg.TenantWorkers {
-		par = cfg.TenantWorkers
-	}
-	return par
-}
-
-// options maps the request's engine knobs onto dixq.Options.
-func (req *QueryRequest) options(engine dixq.Engine, cfg Config) *dixq.Options {
+// options maps the server's per-query limits and the request's engine
+// onto dixq.Options.
+func (cfg Config) options(engine dixq.Engine) *dixq.Options {
 	return &dixq.Options{
-		Engine:      engine,
-		Timeout:     cfg.Timeout,
-		MaxTuples:   cfg.MaxTuples,
-		MemBudget:   cfg.MemBudget,
-		SpillDir:    cfg.SpillDir,
-		Parallelism: effectiveParallelism(req, cfg),
+		Engine:    engine,
+		Timeout:   cfg.Timeout,
+		MaxTuples: cfg.MaxTuples,
+		MemBudget: cfg.MemBudget,
+		SpillDir:  cfg.SpillDir,
 	}
 }
 
@@ -301,7 +266,8 @@ type TracesResponse struct {
 // Queries and document writes pass admission control (429 + Retry-After
 // on overload, 503 while draining); the read-only endpoints do not.
 // Every error body is JSON ({"error": ...}): unknown paths get 404,
-// wrong-method hits on registered paths get 405 with an Allow header.
+// wrong-method hits on registered paths get 405 with an Allow header, and
+// a handler that panics gets 500 (recovered).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	metrics := obs.Default.Handler()
@@ -345,7 +311,30 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such endpoint: " + r.URL.Path})
 	})
-	return mux
+	return recovered(mux)
+}
+
+// recovered answers 500 for a request whose handler panics, logs the
+// panic with its stack and counts it, so the panic never reaches net/http,
+// which would drop the connection unanswered. The handler's own deferred
+// calls run first as the panic unwinds, admission's slot release among
+// them. http.ErrAbortHandler, net/http's deliberate abort, passes through.
+func recovered(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			p := recover()
+			if p == nil {
+				return
+			}
+			if p == http.ErrAbortHandler {
+				panic(p)
+			}
+			obs.HandlerPanics.Inc()
+			log.Printf("server: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
+			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "internal error"})
+		}()
+		h.ServeHTTP(w, r)
+	})
 }
 
 // admitted wraps a handler with admission control: the request passes the
@@ -496,14 +485,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	engine = info.engine.Label()
 
 	execStart := time.Now()
-	res, err := q.Run(r.Context(), snap, req.options(info.engine, s.cfg))
+	res, err := q.Run(r.Context(), snap, s.cfg.options(info.engine))
 	if tr != nil {
 		span := obs.Span{
 			Name:       "execute",
 			DurationNS: int64(time.Since(execStart)),
-			Attrs: map[string]string{
-				"parallel_workers": strconv.Itoa(effectiveParallelism(req, s.cfg)),
-			},
 		}
 		// A DI run records its per-operator actuals whether or not it was
 		// sampled; the trace carries them as one child span per operator
@@ -520,7 +506,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 		if err != nil {
-			span.Attrs["error"] = err.Error()
+			span.Attrs = map[string]string{"error": err.Error()}
 		}
 		tr.Spans = append(tr.Spans, span)
 	}
@@ -598,14 +584,10 @@ type OperatorJSON struct {
 	Spilled int64  `json:"spilled"`
 	// Skipped is the number of relation tuples an index access path never
 	// read (index seeks and dataguide-pruned chains).
-	Skipped int64 `json:"skipped,omitempty"`
-	Workers int   `json:"workers,omitempty"`
-	// Partitions is the key-range partition count of the operator's
-	// exchange or probe repartitioning (omitted for operators that never
-	// partition).
-	Partitions int     `json:"partitions,omitempty"`
-	TimeMS     float64 `json:"time_ms"`
-	Allocs     int64   `json:"allocs"`
+	Skipped int64   `json:"skipped,omitempty"`
+	Workers int     `json:"workers,omitempty"`
+	TimeMS  float64 `json:"time_ms"`
+	Allocs  int64   `json:"allocs"`
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -616,7 +598,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	opts := req.options(info.engine, s.cfg)
+	opts := s.cfg.options(info.engine)
 	tree, err := q.Explain(snap, opts)
 	if err != nil {
 		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: err.Error()})
@@ -633,16 +615,15 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		out.AnalyzedPlan = text
 		for _, op := range ops {
 			j := OperatorJSON{
-				ID:         op.ID,
-				Op:         op.Op,
-				Calls:      op.Calls,
-				Rows:       op.Rows,
-				Spilled:    op.Spilled,
-				Skipped:    op.Skipped,
-				Workers:    op.Workers,
-				Partitions: op.Partitions,
-				TimeMS:     ms(op.Time),
-				Allocs:     op.Allocs,
+				ID:      op.ID,
+				Op:      op.Op,
+				Calls:   op.Calls,
+				Rows:    op.Rows,
+				Spilled: op.Spilled,
+				Skipped: op.Skipped,
+				Workers: op.Workers,
+				TimeMS:  ms(op.Time),
+				Allocs:  op.Allocs,
 			}
 			out.Operators = append(out.Operators, j)
 			// The reported total is the sum of the reported per-operator

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"dixq"
-	"dixq/internal/exec"
 	"dixq/internal/obs"
 )
 
@@ -208,69 +206,6 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestSharedWorkerBudget locks the process-wide parallelism contract:
-// however many queries run concurrently and whatever Parallelism each
-// requests, the extra workers drawn at any instant never exceed the one
-// process budget — concurrent requests degrade toward serial instead of
-// multiplying goroutines. It also checks the worker gauge drains to zero
-// and every parallel result matches the serial one digit for digit.
-func TestSharedWorkerBudget(t *testing.T) {
-	const budget = 3
-	prev := exec.SetLimit(budget)
-	defer exec.SetLimit(prev)
-	exec.ResetHighWater()
-
-	ts := testServer(t, Config{})
-	serialResp, serialBody := postJSON(t, ts.URL+"/query", QueryRequest{Query: dixq.XMarkQ8, Parallelism: 1})
-	if serialResp.StatusCode != http.StatusOK {
-		t.Fatalf("serial query failed: %s", serialBody)
-	}
-	var serial QueryResponse
-	if err := json.Unmarshal(serialBody, &serial); err != nil {
-		t.Fatal(err)
-	}
-
-	const n = 8
-	type outcome struct {
-		xml string
-		err error
-	}
-	results := make(chan outcome, n)
-	for i := 0; i < n; i++ {
-		go func() {
-			resp, body := postJSON(t, ts.URL+"/query", QueryRequest{Query: dixq.XMarkQ8, Parallelism: 4})
-			if resp.StatusCode != http.StatusOK {
-				results <- outcome{err: fmt.Errorf("status %d: %s", resp.StatusCode, body)}
-				return
-			}
-			var out QueryResponse
-			if err := json.Unmarshal(body, &out); err != nil {
-				results <- outcome{err: err}
-				return
-			}
-			results <- outcome{xml: out.XML}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		got := <-results
-		if got.err != nil {
-			t.Fatal(got.err)
-		}
-		if got.xml != serial.XML {
-			t.Fatal("parallel result diverged from the serial result")
-		}
-	}
-	if hw := exec.HighWater(); hw > budget {
-		t.Errorf("extra workers peaked at %d, over the process budget %d", hw, budget)
-	}
-	if in := exec.InFlight(); in != 0 {
-		t.Errorf("%d worker slots still held after all queries finished", in)
-	}
-	if g := obs.ParallelWorkersActive.Value(); g != 0 {
-		t.Errorf("dixq_parallel_workers_active = %d after all queries finished, want 0", g)
-	}
-}
-
 func TestPlanCache(t *testing.T) {
 	ts := testServer(t, Config{})
 	query := `for $x in document("auction.xml")/site/regions return count($x/*)`
@@ -310,8 +245,8 @@ func TestPlanCache(t *testing.T) {
 // key: requests that differ in an option that changes the plan — the
 // engine, the catalog version — must occupy distinct cache slots, while
 // requests that differ only in a spelling of the same engine or in an
-// option that shapes the run but not the plan (parallelism, analyze,
-// indent) must share one.
+// option that shapes the response but not the plan (analyze, indent)
+// must share one.
 func TestPlanCacheKeyIncludesOptions(t *testing.T) {
 	planKey := func(req *QueryRequest, version uint64) string {
 		t.Helper()
@@ -335,12 +270,8 @@ func TestPlanCacheKeyIncludesOptions(t *testing.T) {
 	if got, want := planKey(&base, 1), planKey(&base, 0); got == want {
 		t.Errorf("catalog version change kept cache key %q", got)
 	}
-	// Parallelism, Analyze and Indent shape the run or the response, not
-	// the plan.
+	// Analyze and Indent shape the response, not the plan.
 	for _, req := range []QueryRequest{
-		{Query: "q", Engine: "di-msj", Parallelism: -1},
-		{Query: "q", Engine: "di-msj", Parallelism: 1},
-		{Query: "q", Engine: "di-msj", Parallelism: 2},
 		{Query: "q", Engine: "di-msj", Analyze: true},
 		{Query: "q", Engine: "di-msj", Indent: true},
 	} {
@@ -352,10 +283,9 @@ func TestPlanCacheKeyIncludesOptions(t *testing.T) {
 
 // TestPlanCacheOptionsEndToEnd drives the regression through the HTTP
 // layer: the same query under a different engine must miss the cache,
-// while one under another worker bound hits it and answers identically,
-// and a body still carrying the removed "legacy_keys" / "no_pipeline"
-// fields is accepted, answers identically and lands in the slot of the
-// body without them; the default engine's two spellings share one slot,
+// and a body still carrying the removed "legacy_keys", "no_pipeline" and
+// "parallelism" fields is accepted, answers identically and lands in the
+// slot of the body without them; the default engine's two spellings share one slot,
 // and an unknown engine is rejected before any cache traffic.
 func TestPlanCacheOptionsEndToEnd(t *testing.T) {
 	ts, srv := lifecycleServer(t, Config{}, map[string]string{"auction.xml": dixq.XMarkFigure1})
@@ -375,16 +305,12 @@ func TestPlanCacheOptionsEndToEnd(t *testing.T) {
 		}
 		return out
 	}
-	first := run(QueryRequest{Query: query, Parallelism: 1})
-	if out := run(QueryRequest{Query: query, Parallelism: 2}); out.Stats.PlanCacheHits != 1 || out.Stats.PlanCacheMiss != 1 || out.XML != first.XML {
-		t.Fatalf("parallelism change: %d hits, %d misses, answer %q; want 1, 1 and %q",
-			out.Stats.PlanCacheHits, out.Stats.PlanCacheMiss, out.XML, first.XML)
-	}
+	first := run(QueryRequest{Query: query})
 	if out := run(QueryRequest{Query: query, Engine: "di-nlj"}); out.Stats.PlanCacheMiss != 2 {
 		t.Fatalf("engine change should miss: %d misses", out.Stats.PlanCacheMiss)
 	}
-	old := run(map[string]any{"query": query, "legacy_keys": true, "no_pipeline": true})
-	if old.Stats.PlanCacheHits != 2 || old.Stats.PlanCacheMiss != 2 {
+	old := run(map[string]any{"query": query, "legacy_keys": true, "no_pipeline": true, "parallelism": 4})
+	if old.Stats.PlanCacheHits != 1 || old.Stats.PlanCacheMiss != 2 {
 		t.Fatalf("body with removed fields should hit the first request's slot: %d hits, %d misses",
 			old.Stats.PlanCacheHits, old.Stats.PlanCacheMiss)
 	}
@@ -396,11 +322,11 @@ func TestPlanCacheOptionsEndToEnd(t *testing.T) {
 		status             int
 		hits, misses, size uint64
 	}{
-		{"di-msj", http.StatusOK, 3, 2, 2},         // the slot of the first request's ""
-		{"", http.StatusOK, 4, 2, 2},               // ... and back
-		{"nope", http.StatusBadRequest, 4, 2, 2},   // rejected: no lookup, no insert
-		{"di-opt", http.StatusBadRequest, 4, 2, 2}, // unknown, like any other name
-		{"DI-MSJ", http.StatusBadRequest, 4, 2, 2}, // display names are not wire names
+		{"di-msj", http.StatusOK, 2, 2, 2},         // the slot of the first request's ""
+		{"", http.StatusOK, 3, 2, 2},               // ... and back
+		{"nope", http.StatusBadRequest, 3, 2, 2},   // rejected: no lookup, no insert
+		{"di-opt", http.StatusBadRequest, 3, 2, 2}, // unknown, like any other name
+		{"DI-MSJ", http.StatusBadRequest, 3, 2, 2}, // display names are not wire names
 	} {
 		resp, body := postJSON(t, ts.URL+"/query", QueryRequest{Query: query, Engine: tc.engine})
 		if resp.StatusCode != tc.status {

@@ -10,9 +10,9 @@ import (
 // TestSnapshotIsolationUnderConcurrentUpdates is the MVCC differential
 // stress test: writers continuously mutate, reload, reindex and drop
 // documents while readers pin snapshots and evaluate queries against
-// them with several engines and parallelism settings. Every reader
-// asserts that all runs against its pinned snapshot agree digit for
-// digit (XML and result encoding) with the serial merge-join run on the
+// them with several engines. Every reader asserts that all runs against
+// its pinned snapshot agree digit for digit (XML and result encoding)
+// with the merge-join run on the
 // same snapshot — a reader observing a concurrent writer's partial state
 // would diverge. The CI race-stress job runs this under -race, where the
 // copy-on-write discipline itself is checked: any writer mutating a
@@ -121,13 +121,12 @@ func TestSnapshotIsolationUnderConcurrentUpdates(t *testing.T) {
 			for i := 0; i < iterations; i++ {
 				snap := cat.Snapshot()
 				q := parsed[(r+i)%len(parsed)]
-				ref, err := q.Run(context.Background(), snap, &Options{Engine: MergeJoin, Parallelism: 1})
+				ref, err := q.Run(context.Background(), snap, &Options{Engine: MergeJoin})
 				if err != nil {
 					errs <- fmt.Errorf("reader %d iter %d serial: %w", r, i, err)
 					return
 				}
 				variants := []*Options{
-					{Engine: MergeJoin, Parallelism: 4},
 					{},
 					{Engine: NestedLoop},
 					{Engine: Interpreter},
@@ -155,7 +154,7 @@ func TestSnapshotIsolationUnderConcurrentUpdates(t *testing.T) {
 				}
 				// The pinned snapshot still answers identically after all
 				// the writes that happened during this iteration.
-				again, err := q.Run(context.Background(), snap, &Options{Engine: MergeJoin, Parallelism: 1})
+				again, err := q.Run(context.Background(), snap, &Options{Engine: MergeJoin})
 				if err != nil {
 					errs <- fmt.Errorf("reader %d iter %d re-run: %w", r, i, err)
 					return
