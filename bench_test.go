@@ -28,7 +28,6 @@ import (
 	"dixq/internal/index"
 	"dixq/internal/interval"
 	"dixq/internal/sqlgen"
-	"dixq/internal/stats"
 	"dixq/internal/store"
 	"dixq/internal/xmark"
 	"dixq/internal/xmltree"
@@ -293,10 +292,10 @@ func BenchmarkStore(b *testing.B) {
 
 // BenchmarkUpdate measures one catalog write cycle on the XMark sf 0.05
 // document: an append under the root element and the delete that undoes
-// it, each publishing the relation with its spliced index and the
-// statistics read off it. The rebuild sub-benchmark times index.Build +
-// stats.Of over the same document, what each write would cost if the
-// index were derived again instead.
+// it, each publishing the relation with its spliced index, whose classes
+// carry the statistics. The rebuild sub-benchmark times index.Build over
+// the same document, what each write would cost if the index were
+// derived again instead.
 func BenchmarkUpdate(b *testing.B) {
 	const sf, seed = 0.05, 5
 	cat := dixq.NewCatalog()
@@ -332,7 +331,7 @@ func BenchmarkUpdate(b *testing.B) {
 	b.Run("rebuild", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			stats.Of(index.Build(rel))
+			index.Build(rel)
 		}
 	})
 }

@@ -12,7 +12,6 @@ import (
 	"dixq/internal/index"
 	"dixq/internal/interval"
 	"dixq/internal/obs"
-	"dixq/internal/stats"
 	"dixq/internal/update"
 	"dixq/internal/xmltree"
 )
@@ -36,8 +35,8 @@ type View interface {
 
 // Snapshot is one immutable published version of a catalog: each
 // document's interval relation — the only form a catalog document takes —
-// and the structural-index and statistics sets derived from them, all
-// consistent with one another.
+// and the structural-index set derived from them, whose dataguide classes
+// carry the statistics the estimator reads.
 // Snapshots are copy-on-write — writers never mutate one in place — so a
 // pinned snapshot answers queries identically no matter how many
 // versions have been published since, and reading never blocks writing.
@@ -45,11 +44,9 @@ type Snapshot struct {
 	version uint64
 	enc     core.Catalog
 	// idx holds every document's structural index, derived from exactly
-	// the relation in enc (built by Add, spliced by Update), and st the
-	// statistics read off those indexes (stats.Of). Both sets carry the
-	// catalog version at which they last changed as their epoch.
+	// the relation in enc (built by Add, spliced by Update). The set
+	// carries the catalog version at which it last changed as its epoch.
 	idx *index.Set
-	st  *stats.Set
 }
 
 func (s *Snapshot) view() *Snapshot { return s }
@@ -99,29 +96,23 @@ func (s *Snapshot) clone() *Snapshot {
 	for k, v := range s.enc {
 		enc[k] = v
 	}
-	return &Snapshot{version: s.version + 1, enc: enc, idx: s.idx, st: s.st}
+	return &Snapshot{version: s.version + 1, enc: enc, idx: s.idx}
 }
 
-// withIndex gives the clone new index and statistics sets: the old
-// entries with name set to di and the statistics read off it (or both
-// removed when di is nil), under the clone's version as their epoch. Old
-// sets stay untouched — memoized plans may still hold them, and the
-// executor's pointer-identity gates keep those correct.
+// withIndex gives the clone a new index set: the old entries with name
+// set to di (or removed when di is nil), under the clone's version as its
+// epoch. The old set stays untouched — memoized plans may still hold it,
+// and the executor's pointer-identity gates keep those correct.
 func (s *Snapshot) withIndex(name string, di *index.DocIndex) {
 	docs := make(map[string]*index.DocIndex, len(s.enc))
-	st := make(map[string]*stats.DocStats, len(s.enc))
 	if s.idx != nil {
 		maps.Copy(docs, s.idx.Docs)
-		maps.Copy(st, s.st.Docs)
 	}
+	docs[name] = di
 	if di == nil {
 		delete(docs, name)
-		delete(st, name)
-	} else {
-		docs[name], st[name] = di, stats.Of(di)
 	}
 	s.idx = &index.Set{Docs: docs, Epoch: s.version}
-	s.st = &stats.Set{Docs: st, Epoch: s.version}
 }
 
 // Catalog supplies the documents a query's document(...) calls reference.

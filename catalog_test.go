@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"dixq/internal/index"
-	"dixq/internal/stats"
 	"dixq/internal/update"
 )
 
@@ -174,12 +173,12 @@ func TestCatalogUpdatePublishesIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := cat.Snapshot()
-	ix, st := snap.idx.Docs["d"], snap.st.Docs["d"]
-	if ix == nil || st == nil {
-		t.Fatal("Update published the document without its index or statistics")
+	ix := snap.idx.Docs["d"]
+	if ix == nil {
+		t.Fatal("Update published the document without its index")
 	}
-	if snap.idx.Epoch != v || snap.st.Epoch != v {
-		t.Errorf("index/stats epochs %d/%d, want the update's version %d", snap.idx.Epoch, snap.st.Epoch, v)
+	if snap.idx.Epoch != v {
+		t.Errorf("index epoch %d, want the update's version %d", snap.idx.Epoch, v)
 	}
 	rel := snap.enc["d"]
 	if ix.Rel != rel {
@@ -188,8 +187,8 @@ func TestCatalogUpdatePublishesIndex(t *testing.T) {
 	if want := index.Build(rel); !slices.Equal(ix.End, want.End) || !slices.Equal(ix.Paths(), want.Paths()) {
 		t.Errorf("spliced index differs from a rebuild: End %v, want %v", ix.End, want.End)
 	}
-	if want := stats.Collect(rel); !reflect.DeepEqual(st, want) {
-		t.Errorf("spliced statistics %+v, want %+v", st, want)
+	if got, want := classAnnotations(ix), classAnnotations(index.Build(rel)); !reflect.DeepEqual(got, want) {
+		t.Errorf("spliced statistics %+v, want %+v", got, want)
 	}
 	q, err := ParseQuery(`document("d")/r/a`)
 	if err != nil {
@@ -343,4 +342,20 @@ func TestCatalogHeapPerXMLByte(t *testing.T) {
 	if perByte > 8.5 {
 		t.Errorf("catalog keeps %.2f bytes per XML byte, want <= 8.5", perByte)
 	}
+}
+
+// classAnnotations renders every dataguide class of ix with its
+// annotations — instance count, subtree rows, distinct text values —
+// keyed by its class path: the statistics the estimator reads.
+func classAnnotations(ix *index.DocIndex) map[string][3]int64 {
+	out := map[string][3]int64{}
+	var walk func([]*index.Class)
+	walk = func(classes []*index.Class) {
+		for _, c := range classes {
+			out[c.Path()] = [3]int64{c.Count(), c.SubtreeRows(), c.DistinctText()}
+			walk(c.Children())
+		}
+	}
+	walk(ix.TopClasses())
+	return out
 }

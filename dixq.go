@@ -265,7 +265,7 @@ func resolve(cat View, opts *Options) (o *Options, snap *Snapshot, copts core.Op
 	return opts, snap, core.Options{
 		ForceJoinMode: mode,
 		Indexes:       snap.idx,
-		DocStats:      snap.st,
+		DocStats:      snap.idx,
 		MaxTuples:     opts.MaxTuples,
 		MemBudget:     opts.MemBudget,
 		SpillDir:      opts.SpillDir,

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"dixq/internal/stats"
 )
 
 func figureCatalog(t *testing.T) *Catalog {
@@ -287,23 +285,27 @@ func TestResultOperators(t *testing.T) {
 
 // TestCatalogStatsEpochs pins the catalog's one-epoch contract: every
 // write that publishes a version — Add, Update, Reindex, Drop —
-// publishes index and statistics sets whose epochs are that version, and
-// every document's statistics are exactly those read off its index.
+// publishes an index set whose epoch is that version, with one index per
+// document over its own relation, and the DI engines estimate from the
+// annotations of exactly that set.
 func TestCatalogStatsEpochs(t *testing.T) {
 	cat := figureCatalog(t)
 	check := func(what string) {
 		t.Helper()
 		snap := cat.Snapshot()
-		if snap.idx.Epoch != snap.version || snap.st.Epoch != snap.version {
-			t.Errorf("%s: epochs %d/%d, want the version %d", what, snap.idx.Epoch, snap.st.Epoch, snap.version)
+		if snap.idx.Epoch != snap.version {
+			t.Errorf("%s: epoch %d, want the version %d", what, snap.idx.Epoch, snap.version)
 		}
-		if len(snap.idx.Docs) != len(snap.enc) || len(snap.st.Docs) != len(snap.enc) {
-			t.Errorf("%s: %d indexes and %d statistics for %d documents", what, len(snap.idx.Docs), len(snap.st.Docs), len(snap.enc))
+		if len(snap.idx.Docs) != len(snap.enc) {
+			t.Errorf("%s: %d indexes for %d documents", what, len(snap.idx.Docs), len(snap.enc))
 		}
 		for name, ix := range snap.idx.Docs {
-			if !reflect.DeepEqual(snap.st.Docs[name], stats.Of(ix)) {
-				t.Errorf("%s: statistics of %s are not its index's", what, name)
+			if ix.Rel != snap.enc[name] {
+				t.Errorf("%s: the index of %s describes another relation", what, name)
 			}
+		}
+		if _, _, copts, _ := resolve(snap, &Options{Engine: MergeJoin}); copts.DocStats != snap.idx || copts.Indexes != snap.idx {
+			t.Errorf("%s: the plan reads statistics %p and indexes %p, want the snapshot's %p", what, copts.DocStats, copts.Indexes, snap.idx)
 		}
 	}
 	check("add")
@@ -343,7 +345,7 @@ func TestStoreStatsRideAlong(t *testing.T) {
 	cat, fresh := NewCatalog(), NewCatalog()
 	cat.Add("doc", loaded)
 	fresh.Add("doc", doc)
-	if got, want := cat.Snapshot().st.Docs["doc"], fresh.Snapshot().st.Docs["doc"]; !reflect.DeepEqual(got, want) {
+	if got, want := classAnnotations(cat.Snapshot().idx.Docs["doc"]), classAnnotations(fresh.Snapshot().idx.Docs["doc"]); !reflect.DeepEqual(got, want) {
 		t.Errorf("loaded document's statistics %+v, want %+v", got, want)
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"dixq/internal/core"
 	"dixq/internal/index"
 	"dixq/internal/interval"
-	"dixq/internal/stats"
 	"dixq/internal/store"
 	"dixq/internal/update"
 	"dixq/internal/xmltree"
@@ -64,9 +63,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := stats.Of(index.Splice(ix, rel, edit))
+	// The spliced index's dataguide classes carry the statistics.
+	persons := index.Splice(ix, rel, edit).TopClasses()[0].Child("<people>").Child("<person>")
 	fmt.Printf("\nInsertAfter replaced rows [%d, %d) by %d rows; the spliced statistics count %d persons\n",
-		edit.At, edit.At+edit.Removed, edit.Inserted, st.Labels["<person>"])
+		edit.At, edit.At+edit.Removed, edit.Inserted, persons.Count())
 	fmt.Println("\nafter InsertAfter, the new person's keys extend its neighbor's:")
 	for _, t := range rel.Tuples {
 		if t.S == "<person>" {

@@ -9,7 +9,6 @@ import (
 
 	"dixq/internal/index"
 	"dixq/internal/plan"
-	"dixq/internal/stats"
 	"dixq/internal/xmark"
 	"dixq/internal/xq"
 )
@@ -63,11 +62,11 @@ func TestAnalyzeGoldenPlans(t *testing.T) {
 	modes := []struct {
 		name   string
 		mode   Mode
-		stats  *stats.Set
+		stats  *index.Set
 		golden string
 		strip  bool
 	}{
-		{"opt", ModeMSJ, stats.CollectSet(cat), "msj", false},
+		{"opt", ModeMSJ, index.BuildSet(cat), "msj", false},
 		{"msj", ModeMSJ, nil, "msj", true},
 		{"nlj", ModeNLJ, nil, "nlj", false},
 	}

@@ -30,7 +30,6 @@ import (
 	"dixq/internal/index"
 	"dixq/internal/interval"
 	"dixq/internal/plan"
-	"dixq/internal/stats"
 	"dixq/internal/xmltree"
 	"dixq/internal/xq"
 )
@@ -108,13 +107,15 @@ type Options struct {
 	// relation fails the run with an error, so results are digit-identical
 	// with and without indexes.
 	Indexes *index.Set
-	// DocStats, when non-nil, has the estimator annotate every node of the
-	// plan, in either mode, with a row estimate fed by these per-document
-	// statistics (cardinalities, posting counts, distinct values); nil
-	// leaves the plan unestimated. It changes estimates, never the plan; a
-	// document the set lacks is estimated at a nominal size. Sets are
-	// immutable, so a plan memoized against one set stays valid for it.
-	DocStats *stats.Set
+	// DocStats, when non-nil, has the estimator annotate every plan node,
+	// in either mode, with a row estimate fed by the indexes' class
+	// annotations (counts, subtree rows, distinct texts); nil leaves the
+	// plan unestimated. Scans read this set's classes; a seek reads the
+	// classes of the Indexes set it was compiled with, and needs only its
+	// document here (the public API passes one set as both). Estimates
+	// never change the plan; a document the set lacks is nominal-sized.
+	// Sets are immutable, so a plan memoized against one set stays valid.
+	DocStats *index.Set
 }
 
 // Stats is the per-phase cost breakdown reported in Figure 10 of the
@@ -196,7 +197,7 @@ type Query struct {
 type planVariant struct {
 	mode    Mode
 	indexes *index.Set
-	stats   *stats.Set
+	stats   *index.Set
 }
 
 func variantKey(opts Options) planVariant {

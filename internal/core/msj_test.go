@@ -5,10 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"dixq/internal/index"
 	"dixq/internal/interp"
 	"dixq/internal/interval"
 	"dixq/internal/obs"
-	"dixq/internal/stats"
 	"dixq/internal/xmark"
 	"dixq/internal/xmltree"
 	"dixq/internal/xq"
@@ -265,7 +265,7 @@ func TestPositionalVariableAcrossEngines(t *testing.T) {
 // person into every auction environment.
 func TestThetaJoinWorkCounts(t *testing.T) {
 	cat, _ := generatedCatalog(0.01, 2)
-	st := stats.CollectSet(cat)
+	st := index.BuildSet(cat)
 	for _, tc := range []struct {
 		name        string
 		query       string
@@ -284,7 +284,7 @@ func TestThetaJoinWorkCounts(t *testing.T) {
 		if nljStats.EmbeddedTuples != tc.nljEmbedded {
 			t.Errorf("%s DI-NLJ: %d embedded tuples, want %d", tc.name, nljStats.EmbeddedTuples, tc.nljEmbedded)
 		}
-		for mode, docStats := range map[string]*stats.Set{"DI-MSJ": nil, "DI-MSJ with statistics": st} {
+		for mode, docStats := range map[string]*index.Set{"DI-MSJ": nil, "DI-MSJ with statistics": st} {
 			s := &Stats{}
 			before := obs.ProbePairs.Value()
 			got, err := q.Eval(cat, Options{DocStats: docStats, Stats: s})
@@ -332,7 +332,7 @@ func TestAutoModeDigitIdentity(t *testing.T) {
 	}
 	for trial := 0; trial < 10; trial++ {
 		cat := EncodeCatalog(map[string]xmltree.Forest{"d": joinDocs(rng, 3+rng.Intn(8))})
-		st := stats.CollectSet(cat)
+		st := index.BuildSet(cat)
 		for qi, text := range queries {
 			q := Compile(xq.MustParse(text), Options{})
 			want, err := q.Eval(cat, Options{})

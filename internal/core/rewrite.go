@@ -498,7 +498,7 @@ func pruneAbsent(head *plan.Node, chain []*plan.Node, set *index.Set) *plan.Node
 func prunedNode(head *plan.Node, doc string, ix *index.DocIndex, widen int, path string, classes bool) *plan.Node {
 	sk := &plan.Seek{Doc: doc, Path: path, Rel: ix.Rel, Pruned: true, WidenBy: widen}
 	if classes {
-		sk.Classes = []string{}
+		sk.Classes = []*index.Class{}
 	}
 	return &plan.Node{Op: plan.OpIndexPath, Depth: head.Depth, Digits: head.Digits, Seek: sk}
 }

@@ -9,7 +9,6 @@ import (
 	"dixq/internal/difftest"
 	"dixq/internal/index"
 	"dixq/internal/plan"
-	"dixq/internal/stats"
 	"dixq/internal/xmark"
 	"dixq/internal/xmltree"
 	"dixq/internal/xq"
@@ -37,7 +36,7 @@ func planConfigs(cat core.Catalog) map[string]core.Options {
 // with statistics is the plan compiled without, byte for byte once its
 // estimates are stripped; that every node of the plan with statistics
 // carries an estimate; and that no node of the plan without carries one.
-func assertStatisticsOnlyEstimate(t *testing.T, what string, e xq.Expr, opts core.Options, st *stats.Set) {
+func assertStatisticsOnlyEstimate(t *testing.T, what string, e xq.Expr, opts core.Options, st *index.Set) {
 	t.Helper()
 	q := core.Compile(e, core.Options{})
 	bare := q.Plan(opts)
@@ -72,7 +71,7 @@ func TestAutoPlanIsEstimatedMSJPlan(t *testing.T) {
 	for _, sf := range []float64{0.0005, 0.002, 0.01, 0.04} {
 		doc := xmark.Generate(xmark.Config{ScaleFactor: sf, Seed: 1})
 		cat := core.EncodeCatalog(map[string]xmltree.Forest{"auction.xml": doc})
-		st := stats.CollectSet(cat)
+		st := index.BuildSet(cat)
 		for name, opts := range planConfigs(cat) {
 			for i, query := range xmarkQueries {
 				assertStatisticsOnlyEstimate(t, fmt.Sprintf("sf %g Q%d %s", sf, i+1, name), xq.MustParse(query), opts, st)
@@ -80,7 +79,7 @@ func TestAutoPlanIsEstimatedMSJPlan(t *testing.T) {
 		}
 	}
 	cat, _ := difftest.Docs(t, 0.002, 17)
-	st := stats.CollectSet(cat)
+	st := index.BuildSet(cat)
 	for name, opts := range planConfigs(cat) {
 		for _, c := range difftest.Corpus() {
 			assertStatisticsOnlyEstimate(t, c.Name+" "+name, xq.MustParse(c.Query), opts, st)
@@ -95,7 +94,7 @@ func TestAutoPlanIsEstimatedMSJPlan(t *testing.T) {
 // doc-rooted, an invalid operator.
 func TestAutoEstimatesAnnotated(t *testing.T) {
 	cat, _ := difftest.Docs(t, 0.002, 17)
-	empty := &stats.Set{Docs: map[string]*stats.DocStats{}}
+	empty := &index.Set{Docs: map[string]*index.DocIndex{}}
 	shapes := []xq.Expr{
 		xq.MustParse(`<r>{document("d")/a/nosuch}</r>`),
 		xq.MustParse(`for $x in document("d")//b where $x = "t" or $x = "u" return $x`),
@@ -119,14 +118,14 @@ func TestAutoEstimatesAnnotated(t *testing.T) {
 func TestAutoWorkMatchesMSJWithoutStats(t *testing.T) {
 	doc := xmark.Generate(xmark.Config{ScaleFactor: 0.01, Seed: 1})
 	cat := core.EncodeCatalog(map[string]xmltree.Forest{"auction.xml": doc})
-	st := stats.CollectSet(cat)
+	st := index.BuildSet(cat)
 	for _, tc := range []struct{ name, query string }{
 		{"Q8", xmark.Q8}, {"Q9", xmark.Q9}, {"Q11", xmark.Q11}, {"Q12", xmark.Q12},
 	} {
 		q := core.Compile(xq.MustParse(tc.query), core.Options{})
 		var work [2]core.Stats
 		var results [2]string
-		for i, docStats := range []*stats.Set{st, nil} {
+		for i, docStats := range []*index.Set{st, nil} {
 			rel, err := q.Eval(cat, core.Options{DocStats: docStats, Stats: &work[i]})
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
@@ -153,7 +152,7 @@ func assertKeepsMergeJoin(t *testing.T, sf float64, seed int64, indexed bool) {
 	t.Helper()
 	doc := xmark.Generate(xmark.Config{ScaleFactor: sf, Seed: seed})
 	cat := core.EncodeCatalog(map[string]xmltree.Forest{"auction.xml": doc})
-	opts := core.Options{DocStats: stats.CollectSet(cat)}
+	opts := core.Options{DocStats: index.BuildSet(cat)}
 	if indexed {
 		opts.Indexes = index.BuildSet(cat)
 	}
@@ -194,7 +193,7 @@ func TestAutoKeepsMergeJoinOverIndexSeeks(t *testing.T) {
 // and no set do not.
 func TestAutoPlanCacheKeysOnStatsEpoch(t *testing.T) {
 	cat, _ := difftest.Docs(t, 0.0005, 17)
-	st1, st2 := stats.CollectSet(cat), stats.CollectSet(cat)
+	st1, st2 := index.BuildSet(cat), index.BuildSet(cat)
 	st1.Epoch, st2.Epoch = 1, 2
 	q := core.Compile(xq.MustParse(xmark.Q8), core.Options{})
 	p1 := q.Plan(core.Options{DocStats: st1})

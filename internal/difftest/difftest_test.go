@@ -9,7 +9,6 @@ import (
 	"dixq/internal/interp"
 	"dixq/internal/interval"
 	"dixq/internal/plan"
-	"dixq/internal/stats"
 	"dixq/internal/xq"
 )
 
@@ -23,7 +22,7 @@ import (
 func TestEnginesAgreeOnCorpus(t *testing.T) {
 	t.Parallel()
 	cat, icat := Docs(t, 0.002, 17)
-	variants := Variants(t.TempDir(), index.BuildSet(cat), stats.CollectSet(cat))
+	variants := Variants(t.TempDir(), index.BuildSet(cat))
 	for _, c := range Corpus() {
 		t.Run(c.Name, func(t *testing.T) {
 			oracle, oerr := interp.Run(c.Query, icat)

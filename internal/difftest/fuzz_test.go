@@ -7,7 +7,6 @@ import (
 
 	"dixq/internal/core"
 	"dixq/internal/index"
-	"dixq/internal/stats"
 	"dixq/internal/xmark"
 	"dixq/internal/xq"
 )
@@ -141,7 +140,7 @@ func FuzzOptimizedExecute(f *testing.F) {
 	}
 
 	cat, _ := Docs(f, 0.0005, 17)
-	collected, nominal := stats.CollectSet(cat), &stats.Set{Docs: map[string]*stats.DocStats{}}
+	collected, nominal := index.BuildSet(cat), &index.Set{Docs: map[string]*index.DocIndex{}}
 
 	f.Fuzz(func(t *testing.T, src string, withStats bool) {
 		e, err := xq.Parse(src)

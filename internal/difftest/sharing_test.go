@@ -9,7 +9,6 @@ import (
 	"dixq/internal/core"
 	"dixq/internal/index"
 	"dixq/internal/interval"
-	"dixq/internal/stats"
 )
 
 // catalogDigest hashes every relation of a catalog: its name, its tuple
@@ -60,7 +59,7 @@ func TestCorpusLeavesCatalogIntact(t *testing.T) {
 	cat, _ := Docs(t, 0.002, 17)
 	before := catalogDigest(cat)
 	variants := append([]Variant{{"DI-MSJ-baseline", Baseline()}},
-		Variants(t.TempDir(), index.BuildSet(cat), stats.CollectSet(cat))...)
+		Variants(t.TempDir(), index.BuildSet(cat))...)
 	type kept struct {
 		what string
 		rel  *interval.Relation

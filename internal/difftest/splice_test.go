@@ -2,41 +2,54 @@ package difftest
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"dixq/internal/core"
 	"dixq/internal/index"
 	"dixq/internal/interp"
 	"dixq/internal/interval"
-	"dixq/internal/stats"
 	"dixq/internal/update"
 	"dixq/internal/xmltree"
 )
 
 // TestSplicedIndexAgreesOnCorpus runs the corpus over an updated XMark
-// document three ways: with the index and statistics the updates spliced
-// (what the catalog publishes), with both rebuilt from the updated
-// relation, and with neither. The updates shift every row (a
-// front-of-document insert with negative digits, a prepend under the
-// root), add instances to classes the corpus seeks (a person, a closed
-// auction) and remove one. After every update the statistics read off the
-// spliced index must equal those of an independent stack pass over the
-// updated relation (pathStats). All three DI-MSJ runs must be
+// document three ways: with the index the updates spliced (what the
+// catalog publishes), with the index rebuilt from the updated relation,
+// and with neither; the indexed runs estimate from their index's
+// annotations. The updates shift every row (a front-of-document insert
+// with negative digits, a prepend under the root), add instances to
+// classes the corpus seeks (a person, a closed auction) and remove one.
+// After every update the annotations of the spliced index's classes must
+// equal those of an independent stack pass over the updated relation
+// (pathStats). All three DI-MSJ runs must be
 // digit-identical, and the unindexed run must agree with the interpreter
 // over the decoded document.
 func TestSplicedIndexAgreesOnCorpus(t *testing.T) {
 	t.Parallel()
 	cat, icat := Docs(t, 0.002, 17)
 	ix := index.Build(cat["auction.xml"])
-	first := func(path string) int {
-		rows := ix.PathRows(path)
-		if len(rows) == 0 {
+	// rows returns the instance rows of the class at path.
+	rows := func(path string) []int32 {
+		var out []int32
+		var walk func([]*index.Class)
+		walk = func(classes []*index.Class) {
+			for _, c := range classes {
+				if c.Path() == path {
+					out = c.Rows()
+				}
+				walk(c.Children())
+			}
+		}
+		walk(ix.TopClasses())
+		if len(out) == 0 {
 			t.Fatalf("no instance of %s", path)
 		}
-		return int(rows[0])
+		return out
 	}
+	first := func(path string) int { return int(rows(path)[0]) }
 	copyOf := func(path string) xmltree.Forest {
-		rows := ix.PathRows(path)
+		rows := rows(path)
 		r := rows[len(rows)-1]
 		return interval.MustDecode(&interval.Relation{Tuples: ix.Rel.Tuples[r:ix.End[r]]})
 	}
@@ -53,14 +66,18 @@ func TestSplicedIndexAgreesOnCorpus(t *testing.T) {
 			t.Fatalf("%s: %v", what, err)
 		}
 		ix = index.Splice(ix, next, e)
-		if got, want := stats.Of(ix), pathStats(next); !reflect.DeepEqual(got, want) {
-			for _, p := range want.PathNames() {
-				if got.Paths[p] != want.Paths[p] {
-					t.Fatalf("%s: spliced statistics of %s %+v, want %+v", what, p, got.Paths[p], want.Paths[p])
+		if got, want := classStats(ix), pathStats(next); !reflect.DeepEqual(got, want) {
+			paths := make([]string, 0, len(want))
+			for p := range want {
+				paths = append(paths, p)
+			}
+			sort.Strings(paths)
+			for _, p := range paths {
+				if got[p] != want[p] {
+					t.Fatalf("%s: spliced annotations of %s %+v, want %+v", what, p, got[p], want[p])
 				}
 			}
-			t.Fatalf("%s: spliced statistics differ: %d/%d tuples, %d/%d paths, %d/%d labels", what,
-				got.Tuples, want.Tuples, len(got.Paths), len(want.Paths), len(got.Labels), len(want.Labels))
+			t.Fatalf("%s: spliced annotations of %d paths, want %d", what, len(got), len(want))
 		}
 	}
 	next, e, err := update.AppendChild(ix.Rel, ix.End, first("/<site>/<people>"), copyOf("/<site>/<people>/<person>"))
@@ -80,8 +97,7 @@ func TestSplicedIndexAgreesOnCorpus(t *testing.T) {
 	updated := core.Catalog{"d": cat["d"], "auction.xml": ix.Rel}
 	icat = interp.Catalog{"d": icat["d"], "auction.xml": interval.MustDecode(ix.Rel)}
 	spliced := &index.Set{Docs: map[string]*index.DocIndex{"d": index.Build(cat["d"]), "auction.xml": ix}}
-	splicedStats := &stats.Set{Docs: map[string]*stats.DocStats{"d": stats.Collect(cat["d"]), "auction.xml": stats.Of(ix)}}
-	rebuilt, rebuiltStats := index.BuildSet(updated), stats.CollectSet(updated)
+	rebuilt := index.BuildSet(updated)
 	for _, c := range Corpus() {
 		t.Run(c.Name, func(t *testing.T) {
 			oracle, oerr := interp.Run(c.Query, icat)
@@ -99,10 +115,9 @@ func TestSplicedIndexAgreesOnCorpus(t *testing.T) {
 			for _, v := range []struct {
 				name string
 				ix   *index.Set
-				st   *stats.Set
-			}{{"spliced", spliced, splicedStats}, {"rebuilt", rebuilt, rebuiltStats}} {
+			}{{"spliced", spliced}, {"rebuilt", rebuilt}} {
 				opts := none
-				opts.Indexes, opts.DocStats = v.ix, v.st
+				opts.Indexes, opts.DocStats = v.ix, v.ix
 				got, err := RunCase(t, c, updated, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", v.name, err)
@@ -113,11 +128,30 @@ func TestSplicedIndexAgreesOnCorpus(t *testing.T) {
 	}
 }
 
-// pathStats derives a relation's statistics in a stack pass of its own,
-// rendering every row's dataguide path as a string: the oracle for the
-// index's annotations.
-func pathStats(rel *interval.Relation) *stats.DocStats {
-	s := &stats.DocStats{Tuples: int64(rel.Len()), Labels: map[string]int64{}, Paths: map[string]stats.PathStats{}}
+// annotation is one dataguide class's annotations: instance count,
+// subtree rows and distinct text values.
+type annotation struct{ count, subtreeRows, distinct int64 }
+
+// classStats renders every class of ix with its annotations, keyed by its
+// class path.
+func classStats(ix *index.DocIndex) map[string]annotation {
+	out := map[string]annotation{}
+	var walk func([]*index.Class)
+	walk = func(classes []*index.Class) {
+		for _, c := range classes {
+			out[c.Path()] = annotation{c.Count(), c.SubtreeRows(), c.DistinctText()}
+			walk(c.Children())
+		}
+	}
+	walk(ix.TopClasses())
+	return out
+}
+
+// pathStats derives a relation's class annotations in a stack pass of its
+// own, rendering every row's dataguide path as a string: the oracle for
+// the index's annotations.
+func pathStats(rel *interval.Relation) map[string]annotation {
+	s := map[string]annotation{}
 	type frame struct {
 		row  int
 		path string
@@ -127,10 +161,10 @@ func pathStats(rel *interval.Relation) *stats.DocStats {
 	pop := func(end int) {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		ps := s.Paths[f.path]
-		ps.Count++
-		ps.SubtreeRows += int64(end - f.row)
-		s.Paths[f.path] = ps
+		ps := s[f.path]
+		ps.count++
+		ps.subtreeRows += int64(end - f.row)
+		s[f.path] = ps
 	}
 	for i, tu := range rel.Tuples {
 		for len(stack) > 0 && interval.Compare(rel.Tuples[stack[len(stack)-1].row].R, tu.L) < 0 {
@@ -148,7 +182,6 @@ func pathStats(rel *interval.Relation) *stats.DocStats {
 			distinct[path][tu.S] = true
 		} else {
 			path += "/" + tu.S
-			s.Labels[tu.S]++
 		}
 		stack = append(stack, frame{i, path})
 	}
@@ -156,9 +189,9 @@ func pathStats(rel *interval.Relation) *stats.DocStats {
 		pop(rel.Len())
 	}
 	for path, values := range distinct {
-		ps := s.Paths[path]
-		ps.DistinctText = int64(len(values))
-		s.Paths[path] = ps
+		ps := s[path]
+		ps.distinct = int64(len(values))
+		s[path] = ps
 	}
 	return s
 }

@@ -15,10 +15,11 @@
 //     document is one trie node (a "class"), holding the sorted rows of all
 //     its instances. Text nodes collapse into a single "" class per parent
 //     path, because the query algebra never selects text by content — only
-//     by kind (seltext). Each class is annotated with the summaries the
-//     plan estimator reads (PathStats: instance count, subtree rows,
-//     distinct text values) — an annotated strong dataguide, which package
-//     stats reads off without another pass.
+//     by kind (seltext). Each class is annotated with the statistics the
+//     plan estimator reads off it (instance count, subtree rows, distinct
+//     text values) — an annotated strong dataguide. A class keeps its
+//     label and its parent's key, not its rendered path, so the trie is
+//     linear in the document however deeply it nests.
 //   - postings: element/attribute label → sorted rows of all instances.
 //     Used for absent-label pruning: a path step whose label appears
 //     nowhere in the document can only produce the empty forest.
@@ -36,6 +37,7 @@
 package index
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"strings"
@@ -44,36 +46,66 @@ import (
 	"dixq/internal/xmltree"
 )
 
-// class is one dataguide trie node: a distinct root-to-node label path,
-// rendered as Paths renders it, with the rows (in ascending order) of
-// every instance of that path and its annotations: subtreeRows, the sum
-// of End[r]-r over the rows, and distinct, the number of distinct text
-// values among the rows of a text class (0 for any other).
-type class struct {
-	label, path string
-	rows        []int32
-	children    []*class
-	child       map[string]*class
+// Class is one dataguide trie node: a distinct root-to-node label path,
+// with the rows (in ascending order) of every instance of that path and
+// its annotations: subtreeRows, the sum of End[r]-r over the rows, and
+// distinct, the number of distinct text values among the rows of a text
+// class (0 for any other). A class is immutable once its index is
+// returned, so a *Class is a handle plans and estimates may hold.
+type Class struct {
+	key      *classKey
+	rows     []int32
+	children []*Class
+	child    map[string]*Class
 
 	subtreeRows, distinct int64
 }
 
-// PathStats summarizes one dataguide class: the annotations of an
-// annotated strong dataguide.
-type PathStats struct {
-	// Count is the number of instances of the path (rows whose
-	// root-to-node class path equals it).
-	Count int64
-	// SubtreeRows is the total relation rows covered by the subtrees of
-	// all instances, instances included. For a text path this equals
-	// Count. SubtreeRows/Count is the mean fan-out of the path and the
-	// cost of materializing one instance forest.
-	SubtreeRows int64
-	// DistinctText is the number of distinct text values among the
-	// instances of a text path ("#text" leaf), and 0 for element and
-	// attribute paths. 1/DistinctText is the equality selectivity of a
-	// value join whose side resolves to this path.
-	DistinctText int64
+// classKey is a class's label and its parent's key: the class path as a
+// chain, O(1) per class where the rendered path is O(depth). Every
+// version of a class Splice makes shares its key, so a spliced trie holds
+// no pointer into an earlier version's classes.
+type classKey struct {
+	label  string
+	parent *classKey // nil for the synthetic root
+}
+
+// Label is the class label: an element or attribute label, or "" for
+// the text class.
+func (c *Class) Label() string { return c.key.label }
+
+// Count is the number of instances of the class.
+func (c *Class) Count() int64 { return int64(len(c.rows)) }
+
+// Rows returns the instances' rows, ascending and shared: read only.
+func (c *Class) Rows() []int32 { return c.rows }
+
+// SubtreeRows is the total relation rows covered by the subtrees of all
+// instances, instances included; for a text class it equals Count.
+// SubtreeRows/Count is the mean fan-out of the class and the cost of
+// materializing one instance forest.
+func (c *Class) SubtreeRows() int64 { return c.subtreeRows }
+
+// DistinctText is the number of distinct text values among the instances
+// of a text class, and 0 for any other. 1/DistinctText is the equality
+// selectivity of a value join whose side resolves to the class.
+func (c *Class) DistinctText() int64 { return c.distinct }
+
+// Children returns the child classes, in the order the trie holds them.
+func (c *Class) Children() []*Class { return c.children }
+
+// Child returns the child class labelled label ("" for text), or nil.
+func (c *Class) Child(label string) *Class { return c.child[label] }
+
+// Path renders the class path: "/"-joined class labels from the root,
+// with text classes shown as "#text".
+func (c *Class) Path() string {
+	var segs []string
+	for k := c.key; k.parent != nil; k = k.parent {
+		segs = append(segs, cmp.Or(k.label, "#text"))
+	}
+	slices.Reverse(segs)
+	return "/" + strings.Join(segs, "/")
 }
 
 // DocIndex is the structural index of a single document relation.
@@ -87,8 +119,11 @@ type DocIndex struct {
 	End []int32
 
 	postings map[string][]int32
-	root     *class // synthetic; children are the level-1 classes
+	root     *Class // synthetic; children are the level-1 classes
 }
+
+// TopClasses returns the level-1 classes: those of the document's roots.
+func (ix *DocIndex) TopClasses() []*Class { return ix.root.children }
 
 // classLabel maps a tuple label to its dataguide class label. Elements and
 // attributes classify by their full label; all text collapses into the ""
@@ -109,15 +144,15 @@ func Build(rel *interval.Relation) *DocIndex {
 		Rel:      rel,
 		End:      make([]int32, n),
 		postings: map[string][]int32{},
-		root:     &class{child: map[string]*class{}},
+		root:     &Class{key: &classKey{}, child: map[string]*Class{}},
 	}
-	classify(rel, 0, n, ix.root, ix.End, func(parent *class, row int32) *class {
+	classify(rel, 0, n, ix.root, ix.End, func(parent *Class, row int32) *Class {
 		label := rel.Tuples[row].S
 		cl := classLabel(label)
 		c := parent.child[cl]
 		if c == nil {
 			c = newClass(parent, cl)
-			c.child = map[string]*class{}
+			c.child = map[string]*Class{}
 			parent.child[cl] = c
 			parent.children = append(parent.children, c)
 		}
@@ -132,17 +167,17 @@ func Build(rel *interval.Relation) *DocIndex {
 }
 
 // newClass returns an empty class with the given label below parent.
-func newClass(parent *class, label string) *class {
-	return &class{label: label, path: parent.path + "/" + segment(label)}
+func newClass(parent *Class, label string) *Class {
+	return &Class{key: &classKey{label, parent.key}}
 }
 
 // annotate sets the annotations of c and every class below it from their
 // rows and End.
-func (ix *DocIndex) annotate(c *class) {
+func (ix *DocIndex) annotate(c *Class) {
 	for _, r := range c.rows {
 		c.subtreeRows += int64(ix.End[r] - r)
 	}
-	if c.label == "" {
+	if c.Label() == "" {
 		c.distinct = distinctText(ix.Rel.Tuples, c.rows)
 	}
 	for _, ch := range c.children {
@@ -165,10 +200,10 @@ func distinctText(tuples []interval.Tuple, rows []int32) int64 {
 // classes. It sets end[i] for every row of the range and calls visit with
 // each row, in row order, and the class of its parent; visit returns the
 // row's own class.
-func classify(rel *interval.Relation, lo, hi int, top *class, end []int32, visit func(parent *class, row int32) *class) {
+func classify(rel *interval.Relation, lo, hi int, top *Class, end []int32, visit func(parent *Class, row int32) *Class) {
 	type frame struct {
 		row int32
-		cls *class
+		cls *Class
 	}
 	var stack []frame
 	for i := lo; i < hi; i++ {
@@ -214,7 +249,7 @@ func Splice(ix *DocIndex, next *interval.Relation, e interval.Edit) *DocIndex {
 	// whose subtree contains it. The ancestors lie at distinct depths, so
 	// each has a class of its own.
 	var anc []int32
-	var ancClasses []*class
+	var ancClasses []*Class
 	top := ix.root
 	for r := 0; r < e.At; {
 		end := int(ix.End[r])
@@ -241,11 +276,11 @@ func Splice(ix *DocIndex, next *interval.Relation, e interval.Edit) *DocIndex {
 	// The inserted rows, by class. Classes the document lacks are created
 	// on the side (fresh), so the classes of ix stay untouched.
 	s := splicer{
-		e: e, added: map[*class][]int32{}, fresh: map[*class][]*class{},
+		e: e, added: map[*Class][]int32{}, fresh: map[*Class][]*Class{},
 		ancestors: ancClasses, oldEnd: ix.End, end: ends, tuples: next.Tuples,
 	}
 	addedPostings := map[string][]int32{}
-	classify(next, e.At, e.At+e.Inserted, top, ends, func(parent *class, row int32) *class {
+	classify(next, e.At, e.At+e.Inserted, top, ends, func(parent *Class, row int32) *Class {
 		label := next.Tuples[row].S
 		cl := classLabel(label)
 		c := s.child(parent, cl)
@@ -274,26 +309,26 @@ func Splice(ix *DocIndex, next *interval.Relation, e interval.Edit) *DocIndex {
 type splicer struct {
 	e interval.Edit
 	// added holds the inserted rows of each class, existing or fresh.
-	added map[*class][]int32
+	added map[*Class][]int32
 	// fresh holds the classes the inserted rows create, by parent, in
 	// order of creation.
-	fresh map[*class][]*class
+	fresh map[*Class][]*Class
 	// ancestors are the classes of the nodes whose subtrees contain the
 	// edit; oldEnd and end are the subtree ends before and after it, and
 	// tuples the rows after it.
-	ancestors   []*class
+	ancestors   []*Class
 	oldEnd, end []int32
 	tuples      []interval.Tuple
 }
 
 // child returns parent's child class with the given label, creating a
 // fresh one when neither the trie nor the edit has it yet.
-func (s *splicer) child(parent *class, label string) *class {
+func (s *splicer) child(parent *Class, label string) *Class {
 	if c := parent.child[label]; c != nil {
 		return c
 	}
 	for _, c := range s.fresh[parent] {
-		if c.label == label {
+		if c.Label() == label {
 			return c
 		}
 	}
@@ -305,17 +340,17 @@ func (s *splicer) child(parent *class, label string) *class {
 // class returns c with the edit applied: c itself when neither it nor any
 // class below it changes, nil when it is left without instances (its
 // subclasses then are too), and a new class otherwise.
-func (s *splicer) class(c *class) *class {
+func (s *splicer) class(c *Class) *Class {
 	rows, changed := spliceRows(c.rows, s.e, s.added[c])
 	if len(rows) == 0 && len(c.rows) > 0 {
 		return nil
 	}
 	fresh := s.fresh[c]
-	var kids []*class // nil while the children are c's own
+	var kids []*Class // nil while the children are c's own
 	for i, ch := range c.children {
 		k := s.class(ch)
 		if k != ch && kids == nil {
-			kids = make([]*class, i, len(c.children)+len(fresh))
+			kids = make([]*Class, i, len(c.children)+len(fresh))
 			copy(kids, c.children)
 		}
 		if kids != nil && k != nil {
@@ -323,7 +358,7 @@ func (s *splicer) class(c *class) *class {
 		}
 	}
 	if len(fresh) > 0 && kids == nil {
-		kids = append(make([]*class, 0, len(c.children)+len(fresh)), c.children...)
+		kids = append(make([]*Class, 0, len(c.children)+len(fresh)), c.children...)
 	}
 	for _, ch := range fresh {
 		kids = append(kids, s.class(ch))
@@ -331,13 +366,13 @@ func (s *splicer) class(c *class) *class {
 	if !changed && kids == nil {
 		return c
 	}
-	out := &class{label: c.label, path: c.path, rows: rows, children: c.children, child: c.child}
+	out := &Class{key: c.key, rows: rows, children: c.children, child: c.child}
 	s.annotate(out, c)
 	if kids != nil {
 		out.children = slices.Clip(kids)
-		out.child = make(map[string]*class, len(kids))
+		out.child = make(map[string]*Class, len(kids))
 		for _, k := range kids {
-			out.child[k.label] = k
+			out.child[k.Label()] = k
 		}
 	}
 	return out
@@ -346,7 +381,7 @@ func (s *splicer) class(c *class) *class {
 // annotate sets the annotations of out, the class c becomes under the
 // edit, from c's: only the removed and inserted rows change the subtree
 // size of their own instances, and only an ancestor's grows by the delta.
-func (s *splicer) annotate(out, c *class) {
+func (s *splicer) annotate(out, c *Class) {
 	lo, _ := slices.BinarySearch(c.rows, int32(s.e.At))
 	hi, _ := slices.BinarySearch(c.rows, int32(s.e.At+s.e.Removed))
 	added := s.added[c]
@@ -361,7 +396,7 @@ func (s *splicer) annotate(out, c *class) {
 		out.subtreeRows += int64(s.e.Delta())
 	}
 	out.distinct = c.distinct
-	if c.label == "" && (lo < hi || len(added) > 0) {
+	if c.Label() == "" && (lo < hi || len(added) > 0) {
 		out.distinct = distinctText(s.tuples, out.rows)
 	}
 }
@@ -388,21 +423,6 @@ func spliceRows(rows []int32, e interval.Edit, add []int32) (out []int32, change
 	return out, true
 }
 
-// PathRows returns the rows of the class at a class path rendered as
-// Paths renders it, or nil when the document has no such path.
-func (ix *DocIndex) PathRows(path string) []int32 {
-	c := ix.root
-	for _, seg := range strings.Split(path, "/")[1:] {
-		if seg == "#text" {
-			seg = ""
-		}
-		if c = c.child[seg]; c == nil {
-			return nil
-		}
-	}
-	return c.rows
-}
-
 // HasLabel reports whether any element or attribute in the document carries
 // the label. Text-shaped labels always report true: the postings carry no
 // text rows, so absence of a text label proves nothing.
@@ -420,48 +440,16 @@ func (ix *DocIndex) HasLabel(label string) bool {
 // tests compare it against paths recomputed from the decoded forest.
 func (ix *DocIndex) Paths() []string {
 	var out []string
-	for p := range ix.Annotations() {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Annotations returns the annotations of every class, keyed by its class
-// path as Paths renders it.
-func (ix *DocIndex) Annotations() map[string]PathStats {
-	var classes []*class
-	var walk func(c *class)
-	walk = func(c *class) {
-		for _, ch := range c.children {
-			classes = append(classes, ch)
-			walk(ch)
+	var walk func(classes []*Class)
+	walk = func(classes []*Class) {
+		for _, c := range classes {
+			out = append(out, c.Path())
+			walk(c.children)
 		}
 	}
-	walk(ix.root)
-	out := make(map[string]PathStats, len(classes))
-	for _, c := range classes {
-		out[c.path] = PathStats{Count: int64(len(c.rows)), SubtreeRows: c.subtreeRows, DistinctText: c.distinct}
-	}
+	walk(ix.root.children)
+	sort.Strings(out)
 	return out
-}
-
-// LabelCounts returns the instance count of every element and attribute
-// label of the document: its posting length.
-func (ix *DocIndex) LabelCounts() map[string]int64 {
-	out := make(map[string]int64, len(ix.postings))
-	for label, rows := range ix.postings {
-		out[label] = int64(len(rows))
-	}
-	return out
-}
-
-// segment renders a class label as a Paths segment.
-func segment(label string) string {
-	if label == "" {
-		return "#text"
-	}
-	return label
 }
 
 // StepKind identifies one absorbable path-chain operation, in the engine's
@@ -512,10 +500,10 @@ type Resolution struct {
 	// Pruned reports that the class set became empty: the whole chain
 	// (and anything derived from it) evaluates to the empty forest.
 	Pruned bool
-	// Classes are the class paths, rendered as Paths renders them, whose
-	// instances are the answer's top-level trees; nil after a descendant
-	// step, whose answer is a set of subtrees, not of class instances.
-	Classes []string
+	// Classes are the classes whose instances are the answer's top-level
+	// trees; nil after a descendant step, whose answer is a set of
+	// subtrees, not of class instances.
+	Classes []*Class
 	// Roots reports that the chain went through StepRoots: each answer
 	// tree is an instance's root alone.
 	Roots bool
@@ -553,7 +541,7 @@ func (ix *DocIndex) Resolve(steps []Step) Resolution {
 			classes = filterClasses(classes, "")
 		case StepChildren:
 			// After roots() the children are stripped: nothing remains.
-			var next []*class
+			var next []*Class
 			if !singleton {
 				for _, c := range classes {
 					next = append(next, c.children...)
@@ -597,11 +585,11 @@ func descendantLabel(rest []Step) (label string, ok bool) {
 // position digit. Anchors may nest (a listitem inside a listitem), and
 // each nested one is a subtree of its own under its own digit, so the
 // ranges overlap and are not coalesced.
-func (ix *DocIndex) descendants(classes []*class, label string, consumed int) Resolution {
+func (ix *DocIndex) descendants(classes []*Class, label string, consumed int) Resolution {
 	var anchors []int32
-	var walk func(c *class)
-	walk = func(c *class) {
-		if c.label == label {
+	var walk func(c *Class)
+	walk = func(c *Class) {
+		if c.Label() == label {
 			anchors = append(anchors, c.rows...)
 		}
 		for _, ch := range c.children {
@@ -637,10 +625,10 @@ func (ix *DocIndex) descendants(classes []*class, label string, consumed int) Re
 }
 
 // filterClasses keeps the classes with the given label.
-func filterClasses(classes []*class, label string) []*class {
-	var out []*class
+func filterClasses(classes []*Class, label string) []*Class {
+	var out []*Class
 	for _, c := range classes {
-		if c.label == label {
+		if c.Label() == label {
 			out = append(out, c)
 		}
 	}
@@ -650,7 +638,7 @@ func filterClasses(classes []*class, label string) []*class {
 // resolution materializes the row ranges of a class set. Instances of
 // same-depth classes are roots of disjoint subtrees, so after sorting the
 // merged rows the ranges are disjoint and in document order.
-func (ix *DocIndex) resolution(classes []*class, singleton bool, consumed int) Resolution {
+func (ix *DocIndex) resolution(classes []*Class, singleton bool, consumed int) Resolution {
 	total := 0
 	for _, c := range classes {
 		total += len(c.rows)
@@ -662,7 +650,7 @@ func (ix *DocIndex) resolution(classes []*class, singleton bool, consumed int) R
 	res := Resolution{Consumed: consumed, Roots: singleton}
 	for _, c := range classes {
 		rows = append(rows, c.rows...)
-		res.Classes = append(res.Classes, c.path)
+		res.Classes = append(res.Classes, c)
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
 	var runs interval.Runs

@@ -52,13 +52,15 @@ func sameIndex(t *testing.T, what string, got, want *index.DocIndex) {
 	if gp := got.Paths(); !slices.Equal(gp, paths) {
 		t.Fatalf("%s: %d class paths, want %d", what, len(gp), len(paths))
 	}
-	ga, wa := got.Annotations(), want.Annotations()
+	gc, wc := classesByPath(got), classesByPath(want)
 	for _, p := range paths {
-		if !slices.Equal(got.PathRows(p), want.PathRows(p)) {
+		g, w := gc[p], wc[p]
+		if !slices.Equal(g.Rows(), w.Rows()) {
 			t.Fatalf("%s: rows of class %s differ", what, p)
 		}
-		if ga[p] != wa[p] {
-			t.Fatalf("%s: class %s annotated %+v, want %+v", what, p, ga[p], wa[p])
+		if g.SubtreeRows() != w.SubtreeRows() || g.DistinctText() != w.DistinctText() {
+			t.Fatalf("%s: class %s annotated %d subtree rows and %d distinct texts, want %d and %d",
+				what, p, g.SubtreeRows(), g.DistinctText(), w.SubtreeRows(), w.DistinctText())
 		}
 	}
 	if gp, wp := index.Postings(got), index.Postings(want); !reflect.DeepEqual(gp, wp) {
@@ -120,12 +122,12 @@ func TestSpliceMatchesRebuild(t *testing.T) {
 	}
 	// The shallowest single-instance path with classes below it: deleting
 	// its instance empties all of them.
-	names, annotations := ix.Paths(), ix.Annotations()
+	names, classes := ix.Paths(), classesByPath(ix)
 	sort.SliceStable(names, func(i, j int) bool { return len(names[i]) < len(names[j]) })
 	var victim string
 	for _, p := range names {
-		if ps := annotations[p]; ps.Count == 1 && ps.SubtreeRows > 1 && len(ix.PathRows(p)) == 1 && p != names[0] {
-			if row := int(ix.PathRows(p)[0]); row > 0 && int(ix.End[row])-row < len(ix.End)/4 {
+		if c := classes[p]; c.Count() == 1 && c.SubtreeRows() > 1 && p != names[0] {
+			if row := int(c.Rows()[0]); row > 0 && int(ix.End[row])-row < len(ix.End)/4 {
 				victim = p
 				break
 			}
@@ -134,8 +136,8 @@ func TestSpliceMatchesRebuild(t *testing.T) {
 	if victim == "" {
 		t.Fatal("no single-instance path to delete")
 	}
-	step("delete emptying "+victim, opDelete, int(ix.PathRows(victim)[0]), nil)
-	if ix.PathRows(victim) != nil {
+	step("delete emptying "+victim, opDelete, int(classes[victim].Rows()[0]), nil)
+	if classesByPath(ix)[victim] != nil {
 		t.Fatalf("class %s survived the delete of its only instance", victim)
 	}
 

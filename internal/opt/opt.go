@@ -1,19 +1,20 @@
 // Package opt is the plan estimator: it walks a compiled physical plan
-// (internal/plan) against per-document statistics (internal/stats) and
-// writes every node's row estimate into Node.Est. It never rewrites the
-// plan — a DI-MSJ or DI-NLJ plan compiled with statistics is the plan
-// compiled without, annotated — and the analyzed plan renders each
-// estimate beside the actual row count, so misestimates are visible per
-// operator end to end. See DESIGN.md §4.12.
+// (internal/plan) and writes every node's row estimate into Node.Est. It
+// reads the statistics off the index's dataguide classes (index.Class),
+// tracking which classes a value instantiates and mapping a path step
+// over their labels and children. It never rewrites the plan — a DI-MSJ
+// or DI-NLJ plan compiled with statistics is the plan compiled without,
+// annotated — and the analyzed plan renders each estimate beside the
+// actual row count, so misestimates are visible per operator end to end.
+// See DESIGN.md §4.12.
 package opt
 
 import (
 	"math"
-	"strings"
 
+	"dixq/internal/index"
 	"dixq/internal/obs"
 	"dixq/internal/plan"
-	"dixq/internal/stats"
 )
 
 // Estimation constants, used where the statistics do not resolve a value.
@@ -29,13 +30,16 @@ const (
 )
 
 // Optimize writes the statistics-fed row estimate of every node of a
-// compiled plan into Node.Est (nil st degrades every estimate to a nominal
-// document). It leaves the plan's shape untouched.
-func Optimize(root *plan.Node, st *stats.Set) {
+// compiled plan into Node.Est, leaving the plan's shape untouched. Scans
+// read st's classes, a seek the handles it was compiled with (st need only
+// hold its document); nil st degrades every estimate to a nominal document.
+func Optimize(root *plan.Node, st *index.Set) {
 	o := &estimator{
-		st:   st,
 		vars: map[string]varEst{},
 		envs: []depthEnvs{{depth: 0, envs: 1}},
+	}
+	if st != nil {
+		o.docs = st.Docs
 	}
 	obs.OptPlans.Inc()
 	o.est(root, 1)
@@ -43,7 +47,7 @@ func Optimize(root *plan.Node, st *stats.Set) {
 
 // estimator carries the state of one Optimize call.
 type estimator struct {
-	st   *stats.Set
+	docs map[string]*index.DocIndex // nil without statistics
 	vars map[string]varEst
 	// envs is the stack of (static depth, estimated environment count)
 	// pairs pushed at loop entries; envsAt walks it to recover the
@@ -71,12 +75,17 @@ type varEst struct {
 // selectivities for value joins.
 type prov struct {
 	doc string
-	// counts and rows are per class path, scaled by upstream selectivity
-	// (so they are totals across all current environments of one env).
-	paths map[string]provPath
+	// classes holds each class once, in trie order, so sums over them
+	// run in a fixed order.
+	classes []provClass
 }
 
-type provPath struct {
+// provClass is one class of a provenance, with its instance count and
+// subtree rows scaled by upstream selectivity (so they are totals across
+// all current environments of one env). c is nil for the nominal class of
+// a document without an index.
+type provClass struct {
+	c     *index.Class
 	count float64
 	rows  float64
 }
@@ -85,14 +94,12 @@ func (p *prov) total() (count, rows float64) {
 	if p == nil {
 		return 0, 0
 	}
-	for _, pp := range p.paths {
-		count += pp.count
-		rows += pp.rows
+	for _, pc := range p.classes {
+		count += pc.count
+		rows += pc.rows
 	}
 	return count, rows
 }
-
-func (o *estimator) doc(name string) *stats.DocStats { return o.st.Doc(name) }
 
 func (o *estimator) envsAt(depth int) float64 {
 	for i := len(o.envs) - 1; i >= 0; i-- {
@@ -243,41 +250,51 @@ func (o *estimator) est(n *plan.Node, envs float64) (rows, count float64, pv *pr
 // scanProv builds the provenance of a document scan: every top-level
 // dataguide class with its statistics.
 func (o *estimator) scanProv(doc string) *prov {
-	pv := &prov{doc: doc, paths: map[string]provPath{}}
-	if ds := o.doc(doc); ds != nil {
-		for p, ps := range ds.Paths {
-			if strings.Count(p, "/") == 1 { // top-level class
-				pv.paths[p] = provPath{count: float64(ps.Count), rows: float64(ps.SubtreeRows)}
-			}
-		}
-	} else {
-		pv.paths["/?"] = provPath{count: 1, rows: nominalDocTuples}
+	ix := o.docs[doc]
+	if ix == nil {
+		return &prov{doc: doc, classes: []provClass{{count: 1, rows: nominalDocTuples}}}
+	}
+	return classProv(doc, ix.TopClasses(), 1)
+}
+
+// classProv is the provenance of every instance of classes, scaled by f.
+func classProv(doc string, classes []*index.Class, f float64) *prov {
+	pv := &prov{doc: doc, classes: make([]provClass, 0, len(classes))}
+	for _, c := range classes {
+		pv.classes = append(pv.classes, provClass{c, float64(c.Count()) * f, float64(c.SubtreeRows()) * f})
 	}
 	return pv
 }
 
-func scaleProv(p *prov, f float64) *prov {
+// mapProv applies fn to every class of p, keeping the classes it returns
+// true for; nil stays nil.
+func mapProv(p *prov, fn func(pc *provClass) bool) *prov {
 	if p == nil {
 		return nil
 	}
-	out := &prov{doc: p.doc, paths: make(map[string]provPath, len(p.paths))}
-	for k, v := range p.paths {
-		out.paths[k] = provPath{count: v.count * f, rows: v.rows * f}
+	out := &prov{doc: p.doc, classes: make([]provClass, 0, len(p.classes))}
+	for _, pc := range p.classes {
+		if fn(&pc) {
+			out.classes = append(out.classes, pc)
+		}
 	}
 	return out
+}
+
+func scaleProv(p *prov, f float64) *prov {
+	return mapProv(p, func(pc *provClass) bool {
+		pc.count, pc.rows = pc.count*f, pc.rows*f
+		return true
+	})
 }
 
 // singletonProv is provenance after roots(): same classes, but each
 // instance is a bare node, so subtree rows collapse to the count.
 func singletonProv(p *prov) *prov {
-	if p == nil {
-		return nil
-	}
-	out := &prov{doc: p.doc, paths: make(map[string]provPath, len(p.paths))}
-	for k, v := range p.paths {
-		out.paths[k] = provPath{count: v.count, rows: v.count}
-	}
-	return out
+	return mapProv(p, func(pc *provClass) bool {
+		pc.rows = pc.count
+		return true
+	})
 }
 
 // instanceProv is the provenance of a loop variable: one instance of the
@@ -289,23 +306,11 @@ func instanceProv(p *prov, totalCount float64) *prov {
 	return scaleProv(p, 1/totalCount)
 }
 
-// lastSegment returns the final "/"-separated segment of a class path.
-func lastSegment(p string) string {
-	if i := strings.LastIndex(p, "/"); i >= 0 {
-		return p[i+1:]
-	}
-	return p
-}
-
 // estPathStep estimates one path operator, tracking dataguide provenance
 // through select/seltext/children/data chains for exact counts.
 func (o *estimator) estPathStep(n *plan.Node, envs float64) (float64, float64, *prov) {
 	inRows, inCount, inProv := o.est(n.Inputs[0], envs)
-	ds := (*stats.DocStats)(nil)
-	if inProv != nil {
-		ds = o.doc(inProv.doc)
-	}
-	if inProv == nil || ds == nil {
+	if inProv == nil || o.docs[inProv.doc] == nil {
 		// No provenance: fall back to the compiler's shape heuristics.
 		switch n.Step {
 		case plan.StepSelect, plan.StepSelText:
@@ -318,64 +323,43 @@ func (o *estimator) estPathStep(n *plan.Node, envs float64) (float64, float64, *
 			return inRows/2 + 1, inCount/2 + 1, nil
 		}
 	}
+	var out *prov
 	switch n.Step {
 	case plan.StepSelect:
-		out := filterProv(inProv, n.Label)
-		c, r := out.total()
-		return r, c, out
+		out = filterProv(inProv, n.Label)
 	case plan.StepSelText:
-		out := filterProv(inProv, "#text")
-		c, r := out.total()
-		return r, c, out
+		out = filterProv(inProv, "")
 	case plan.StepChildren:
-		out := childrenProv(inProv, ds)
-		c, r := out.total()
-		return r, c, out
+		out = childrenProv(inProv)
 	case plan.StepData:
-		out := childrenProv(inProv, ds)
-		out = filterProv(out, "#text")
-		c, r := out.total()
-		return r, c, out
+		out = filterProv(childrenProv(inProv), "")
 	case plan.StepHead, plan.StepTail:
 		// Keeps at most one (resp. all but one) tree per environment;
 		// provenance fractions stop being meaningful.
 		return inRows/2 + 1, math.Min(inCount, envs), nil
+	default:
+		return inRows, inCount, nil
 	}
-	return inRows, inCount, nil
+	c, r := out.total()
+	return r, c, out
 }
 
-// filterProv keeps the classes whose own label matches (select /
-// seltext semantics over the dataguide).
+// filterProv keeps the classes with the given label: select semantics
+// over the dataguide, or seltext's for "", the text class label.
 func filterProv(p *prov, label string) *prov {
-	out := &prov{doc: p.doc, paths: map[string]provPath{}}
-	for k, v := range p.paths {
-		if lastSegment(k) == label {
-			out.paths[k] = v
-		}
-	}
-	return out
+	return mapProv(p, func(pc *provClass) bool { return pc.c.Label() == label })
 }
 
 // childrenProv replaces each class by its child classes, scaling child
 // counts by the fraction of parent instances present.
-func childrenProv(p *prov, ds *stats.DocStats) *prov {
-	out := &prov{doc: p.doc, paths: map[string]provPath{}}
-	for parent, pv := range p.paths {
-		base := ds.Paths[parent]
-		if base.Count == 0 {
+func childrenProv(p *prov) *prov {
+	out := &prov{doc: p.doc}
+	for _, pc := range p.classes {
+		if pc.c.Count() == 0 {
 			continue
 		}
-		frac := pv.count / float64(base.Count)
-		prefix := parent + "/"
-		for k, ks := range ds.Paths {
-			if !strings.HasPrefix(k, prefix) || strings.Contains(k[len(prefix):], "/") {
-				continue
-			}
-			pp := out.paths[k]
-			pp.count += float64(ks.Count) * frac
-			pp.rows += float64(ks.SubtreeRows) * frac
-			out.paths[k] = pp
-		}
+		kids := classProv(p.doc, pc.c.Children(), pc.count/float64(pc.c.Count()))
+		out.classes = append(out.classes, kids.classes...)
 	}
 	return out
 }
@@ -383,24 +367,20 @@ func childrenProv(p *prov, ds *stats.DocStats) *prov {
 // distinctOf returns the distinct-value count of a provenance that
 // resolves to text classes, or 0 when unknown.
 func (o *estimator) distinctOf(p *prov) float64 {
-	if p == nil {
-		return 0
-	}
-	ds := o.doc(p.doc)
-	if ds == nil {
+	if p == nil || o.docs[p.doc] == nil {
 		return 0
 	}
 	var d float64
-	for k := range p.paths {
-		if lastSegment(k) != "#text" {
+	for _, pc := range p.classes {
+		if pc.c.Label() != "" {
 			// Element content: its string value is still its text
 			// descendants; approximate with the direct text child class.
-			if ts, ok := ds.Paths[k+"/#text"]; ok {
-				d += float64(ts.DistinctText)
+			if t := pc.c.Child(""); t != nil {
+				d += float64(t.DistinctText())
 			}
 			continue
 		}
-		d += float64(ds.Paths[k].DistinctText)
+		d += float64(pc.c.DistinctText())
 	}
 	return d
 }
@@ -506,11 +486,7 @@ func (o *estimator) estIndexPath(n *plan.Node, envs float64) (float64, float64, 
 	sk := n.Seek
 	pv := o.seekProv(sk)
 	if sk.Pruned {
-		empty := &prov{paths: map[string]provPath{}}
-		if pv != nil {
-			empty.doc = pv.doc
-		}
-		return 0, 0, empty
+		return 0, 0, pv // a pruned seek's class set is empty
 	}
 	// Without provenance (a descendant seek, or a document without
 	// statistics) out is nil, and what consumes the seek falls back to the
@@ -529,24 +505,15 @@ func (o *estimator) estIndexPath(n *plan.Node, envs float64) (float64, float64, 
 }
 
 // seekProv is the provenance of an index seek: its classes with their
-// statistics, nil when the seek has no classes or its document no
-// statistics.
+// annotations, nil when the seek has no classes or the estimator no index
+// of its document.
 func (o *estimator) seekProv(sk *plan.Seek) *prov {
-	ds := o.doc(sk.Doc)
-	if ds == nil || sk.Classes == nil {
+	if o.docs[sk.Doc] == nil || sk.Classes == nil {
 		return nil
 	}
-	pv := &prov{doc: sk.Doc, paths: make(map[string]provPath, len(sk.Classes))}
-	for _, p := range sk.Classes {
-		ps, ok := ds.Paths[p]
-		if !ok {
-			continue
-		}
-		rows := ps.SubtreeRows
-		if sk.Roots {
-			rows = ps.Count
-		}
-		pv.paths[p] = provPath{count: float64(ps.Count), rows: float64(rows)}
+	pv := classProv(sk.Doc, sk.Classes, 1)
+	if sk.Roots {
+		return singletonProv(pv)
 	}
 	return pv
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dixq/internal/plan"
-	"dixq/internal/stats"
 )
 
 func TestAnnotateEstClamps(t *testing.T) {
@@ -50,7 +49,7 @@ func TestOptimizeNilStats(t *testing.T) {
 // TestEnvsAt walks the depth/environment stack the way estMSJ recovers
 // the domain's ancestor environment count.
 func TestEnvsAt(t *testing.T) {
-	o := &estimator{st: &stats.Set{}, envs: []depthEnvs{{0, 1}, {1, 10}, {3, 40}}}
+	o := &estimator{envs: []depthEnvs{{0, 1}, {1, 10}, {3, 40}}}
 	for _, tc := range []struct {
 		depth int
 		want  float64

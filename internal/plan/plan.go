@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"strings"
 
+	"dixq/internal/index"
 	"dixq/internal/interval"
 	"dixq/internal/xmltree"
 )
@@ -186,13 +187,12 @@ type Seek struct {
 	Rows int64
 	// Pruned reports a dataguide-proven empty answer (Ranges is nil).
 	Pruned bool
-	// Classes are the dataguide class paths (rendered as index.DocIndex
-	// Paths renders them) whose instances are the answer's top-level trees:
-	// the provenance the estimator reads the document's statistics for. A
-	// pruned seek has the empty class set. Nil when no class set describes
-	// the answer: a descendant seek, or a chain pruned through head, tail or
-	// subtrees-dfs.
-	Classes []string
+	// Classes are the dataguide classes whose instances are the answer's
+	// top-level trees: the provenance whose annotations the estimator
+	// reads. A pruned seek has the empty class set. Nil when no class set
+	// describes the answer: a descendant seek, or a chain pruned through
+	// head, tail or subtrees-dfs.
+	Classes []*index.Class
 	// Roots marks a chain through roots(): each answer tree is its root
 	// node alone, not the class instance's subtree.
 	Roots bool
@@ -249,9 +249,9 @@ type Node struct {
 	// as the runtime d0.
 	DomainVars []string
 	// Est is the estimator's expected output rows (for a predicate:
-	// verdicts), computed from per-document statistics (internal/stats);
-	// -1 when no estimator saw the node (a plan compiled without
-	// statistics). The rendered plan shows it beside the actual row count
+	// verdicts), computed from the annotations of the dataguide classes
+	// (index.Class); -1 when no estimator saw the node (a plan compiled
+	// without statistics). The rendered plan shows it beside the actual row count
 	// of an analyzed run, so misestimates are visible per operator.
 	Est int64
 	// Seek is the index resolution of an OpIndexPath node.

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -27,70 +28,106 @@ func handForest() xmltree.Forest {
 	}
 }
 
+// annotation is one dataguide class's annotations: instance count,
+// subtree rows and distinct text values.
+type annotation struct{ count, subtreeRows, distinct int64 }
+
+// eachClass calls fn with every class of ix, parents first.
+func eachClass(ix *DocStats, fn func(*index.Class)) {
+	var walk func([]*index.Class)
+	walk = func(classes []*index.Class) {
+		for _, c := range classes {
+			fn(c)
+			walk(c.Children())
+		}
+	}
+	walk(ix.TopClasses())
+}
+
+// annotations renders every class of ix with its annotations, keyed by
+// its class path.
+func annotations(ix *DocStats) map[string]annotation {
+	out := map[string]annotation{}
+	eachClass(ix, func(c *index.Class) {
+		out[c.Path()] = annotation{c.Count(), c.SubtreeRows(), c.DistinctText()}
+	})
+	return out
+}
+
+func sortedPaths(a map[string]annotation) []string {
+	paths := make([]string, 0, len(a))
+	for p := range a {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	return paths
+}
+
+// labelCounts sums the instance counts of the classes of every element
+// and attribute label, and of all text classes under "#text".
+func labelCounts(ix *DocStats) map[string]int64 {
+	out := map[string]int64{}
+	eachClass(ix, func(c *index.Class) { out[cmp.Or(c.Label(), "#text")] += c.Count() })
+	return out
+}
+
 func TestCollectHandDoc(t *testing.T) {
 	rel := interval.Encode(handForest())
 	s := Collect(rel)
-	if s.Tuples != int64(len(rel.Tuples)) {
-		t.Fatalf("Tuples = %d, want %d", s.Tuples, len(rel.Tuples))
+	if len(s.End) != len(rel.Tuples) {
+		t.Fatalf("End covers %d rows, want %d", len(s.End), len(rel.Tuples))
 	}
-	wantLabels := map[string]int64{"<a>": 1, "<b>": 3, "<c>": 1, "@x": 1}
-	if !reflect.DeepEqual(s.Labels, wantLabels) {
-		t.Fatalf("Labels = %v, want %v", s.Labels, wantLabels)
+	// All text rows count under #text: "1", t, u, t.
+	wantLabels := map[string]int64{"<a>": 1, "<b>": 3, "<c>": 1, "@x": 1, "#text": 4}
+	if got := labelCounts(s); !reflect.DeepEqual(got, wantLabels) {
+		t.Fatalf("label counts = %v, want %v", got, wantLabels)
 	}
+	a := annotations(s)
 	// /a/b occurs twice, each subtree is the b plus one text child.
-	ab := s.Paths["/<a>/<b>"]
-	if ab.Count != 2 || ab.SubtreeRows != 4 {
-		t.Fatalf("/<a>/<b> = %+v, want Count 2 SubtreeRows 4", ab)
+	if ab := a["/<a>/<b>"]; ab.count != 2 || ab.subtreeRows != 4 {
+		t.Fatalf("/<a>/<b> = %+v, want count 2 subtreeRows 4", ab)
 	}
 	// The two /a/b texts are "t" and "u": distinct 2.
-	abt := s.Paths["/<a>/<b>/#text"]
-	if abt.Count != 2 || abt.DistinctText != 2 || abt.SubtreeRows != 2 {
-		t.Fatalf("/<a>/<b>/#text = %+v, want Count 2 DistinctText 2 SubtreeRows 2", abt)
+	if abt := a["/<a>/<b>/#text"]; abt.count != 2 || abt.distinct != 2 || abt.subtreeRows != 2 {
+		t.Fatalf("/<a>/<b>/#text = %+v, want count 2 distinct 2 subtreeRows 2", abt)
 	}
 	// The single /a/c/b text is "t": distinct 1.
-	acbt := s.Paths["/<a>/<c>/<b>/#text"]
-	if acbt.Count != 1 || acbt.DistinctText != 1 {
-		t.Fatalf("/<a>/<c>/<b>/#text = %+v, want Count 1 DistinctText 1", acbt)
+	if acbt := a["/<a>/<c>/<b>/#text"]; acbt.count != 1 || acbt.distinct != 1 {
+		t.Fatalf("/<a>/<c>/<b>/#text = %+v, want count 1 distinct 1", acbt)
 	}
-	if got := s.LabelCount("<b>"); got != 3 {
-		t.Fatalf("LabelCount(<b>) = %d, want 3", got)
-	}
-	if got := s.LabelCount("t"); got != 4 { // all text rows: "1", t, u, t
-		t.Fatalf("LabelCount(text) = %d, want 4", got)
-	}
-	if got := s.LabelCount("<zzz>"); got != 0 {
-		t.Fatalf("LabelCount(<zzz>) = %d, want 0", got)
+	// The handle reads what the rendered view shows.
+	b := s.TopClasses()[0].Child("<b>")
+	if b == nil || b.Count() != 2 || b.Child("").DistinctText() != 2 || b.Child("<zzz>") != nil {
+		t.Fatalf("class /<a>/<b> read through its handle: %+v", b)
 	}
 }
 
 // TestCollectMatchesIndex is the cross-structure property: over random
-// forests the stats paths are exactly the dataguide paths, per-path
-// counts equal the class instance counts, per-label counts equal the
-// posting lengths, and SubtreeRows equals the sum of End-range sizes.
+// forests the annotated classes are exactly the dataguide paths of an
+// index built apart, every element and attribute label counted has a
+// posting, and the instance counts sum to the relation's rows.
 func TestCollectMatchesIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(20030609))
 	for i := 0; i < 200; i++ {
 		f := xmltree.RandomForest(rng, 60)
 		rel := interval.Encode(f)
-		s := Collect(rel)
+		a := annotations(Collect(rel))
 		ix := index.Build(rel)
-		if got, want := s.PathNames(), ix.Paths(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("forest %d %s:\nstats paths     %q\ndataguide paths %q", i, f, got, want)
+		paths := sortedPaths(a)
+		if want := ix.Paths(); !reflect.DeepEqual(paths, want) {
+			t.Fatalf("forest %d %s:\nannotated paths %q\ndataguide paths %q", i, f, paths, want)
 		}
-		for label, count := range s.Labels {
-			res := ix.Resolve(nil)
-			_ = res
-			if !ix.HasLabel(label) {
-				t.Fatalf("forest %d: stats label %q missing from postings", i, label)
+		for label := range labelCounts(ix) {
+			if label != "#text" && !ix.HasLabel(label) {
+				t.Fatalf("forest %d: label %q missing from postings", i, label)
 			}
-			_ = count
 		}
 		var pathRows int64
-		for _, ps := range s.Paths {
-			pathRows += ps.Count
+		for _, ps := range a {
+			pathRows += ps.count
 		}
-		if pathRows != s.Tuples {
-			t.Fatalf("forest %d: path counts sum to %d, want %d", i, pathRows, s.Tuples)
+		if pathRows != int64(rel.Len()) {
+			t.Fatalf("forest %d: path counts sum to %d, want %d", i, pathRows, rel.Len())
 		}
 	}
 }
@@ -125,52 +162,46 @@ func TestCollectSubtreeRowsAgainstEnd(t *testing.T) {
 			want[p] += int64(ix.End[r] - int32(r))
 			stack = append(stack, frame{r, p})
 		}
-		for p, ps := range s.Paths {
-			if ps.SubtreeRows != want[p] {
-				t.Fatalf("forest %d path %s: SubtreeRows %d, want %d", i, p, ps.SubtreeRows, want[p])
+		for p, ps := range annotations(s) {
+			if ps.subtreeRows != want[p] {
+				t.Fatalf("forest %d path %s: subtree rows %d, want %d", i, p, ps.subtreeRows, want[p])
 			}
 		}
 	}
 }
 
+// TestCollectSet: the statistics of a catalog are its index set, one
+// index per document over that document's own relation.
 func TestCollectSet(t *testing.T) {
 	cat := map[string]*interval.Relation{
 		"d1": interval.Encode(handForest()),
 		"d2": interval.Encode(xmltree.Forest{xmltree.NewElement("r")}),
 	}
-	set := CollectSet(cat)
+	var set *Set = index.BuildSet(cat)
 	if len(set.Docs) != 2 {
-		t.Fatalf("CollectSet produced %d docs, want 2", len(set.Docs))
+		t.Fatalf("BuildSet produced %d docs, want 2", len(set.Docs))
 	}
-	if set.Doc("d2").Tuples != 1 {
-		t.Fatalf("d2 tuples = %d, want 1", set.Doc("d2").Tuples)
+	if d2 := set.Docs["d2"]; d2.Rel != cat["d2"] || len(d2.End) != 1 || d2.TopClasses()[0].Count() != 1 {
+		t.Fatalf("d2 indexed as %+v, want its one-row relation", d2)
 	}
-	if set.Doc("missing") != nil {
-		t.Fatal("Doc(missing) should be nil")
-	}
-	var nilSet *Set
-	if nilSet.Doc("d1") != nil {
-		t.Fatal("nil Set.Doc should be nil")
+	if set.Docs["missing"] != nil {
+		t.Fatal("a missing document has an index")
 	}
 }
 
 func TestPathNamesSorted(t *testing.T) {
 	s := Collect(interval.Encode(handForest()))
-	names := s.PathNames()
-	if !sort.StringsAreSorted(names) {
-		t.Fatalf("PathNames not sorted: %q", names)
+	names := s.Paths()
+	if !sort.StringsAreSorted(names) || len(names) != len(annotations(s)) {
+		t.Fatalf("Paths not sorted or not one per class: %q", names)
 	}
 }
 
-// collectByString computes the statistics in a stack pass of its own
+// collectByString computes the annotations in a stack pass of its own
 // over the relation, rendering every tuple's path as a string: the oracle
 // the index's annotations must match, however they were derived.
-func collectByString(rel *interval.Relation) *DocStats {
-	s := &DocStats{
-		Tuples: int64(len(rel.Tuples)),
-		Labels: map[string]int64{},
-		Paths:  map[string]PathStats{},
-	}
+func collectByString(rel *interval.Relation) map[string]annotation {
+	s := map[string]annotation{}
 	type frame struct {
 		row  int
 		path string
@@ -178,10 +209,10 @@ func collectByString(rel *interval.Relation) *DocStats {
 	distinct := map[string]map[string]struct{}{}
 	var stack []frame
 	pop := func(f frame, end int) {
-		ps := s.Paths[f.path]
-		ps.Count++
-		ps.SubtreeRows += int64(end - f.row)
-		s.Paths[f.path] = ps
+		ps := s[f.path]
+		ps.count++
+		ps.subtreeRows += int64(end - f.row)
+		s[f.path] = ps
 	}
 	for i, t := range rel.Tuples {
 		for len(stack) > 0 && interval.Compare(rel.Tuples[stack[len(stack)-1].row].R, t.L) < 0 {
@@ -194,7 +225,7 @@ func collectByString(rel *interval.Relation) *DocStats {
 		}
 		var path string
 		if xmltree.LabelKind(t.S) == xmltree.Text {
-			path = prefix + "/" + textSegment
+			path = prefix + "/#text"
 			set := distinct[path]
 			if set == nil {
 				set = map[string]struct{}{}
@@ -203,7 +234,6 @@ func collectByString(rel *interval.Relation) *DocStats {
 			set[t.S] = struct{}{}
 		} else {
 			path = prefix + "/" + t.S
-			s.Labels[t.S]++
 		}
 		stack = append(stack, frame{i, path})
 	}
@@ -211,23 +241,23 @@ func collectByString(rel *interval.Relation) *DocStats {
 		pop(f, len(rel.Tuples))
 	}
 	for path, set := range distinct {
-		ps := s.Paths[path]
-		ps.DistinctText = int64(len(set))
-		s.Paths[path] = ps
+		ps := s[path]
+		ps.distinct = int64(len(set))
+		s[path] = ps
 	}
 	return s
 }
 
-// TestCollectMatchesStringPaths checks Collect against the string-path
-// oracle on random forests, on an XMark document, and on relations whose
-// keys grew to several digits through random updates — and, after every
-// one of those updates, the statistics of the index the updates spliced
-// (Of over index.Splice), so a derivation shared by Build and Splice
-// cannot hide a wrong annotation.
+// TestCollectMatchesStringPaths checks the class annotations of Collect
+// against the string-path oracle on random forests, on an XMark
+// document, and on relations whose keys grew to several digits through
+// random updates — and, after every one of those updates, those of the
+// index the updates spliced (index.Splice), so a derivation shared by
+// Build and Splice cannot hide a wrong annotation.
 func TestCollectMatchesStringPaths(t *testing.T) {
 	check := func(what string, rel *interval.Relation) {
 		t.Helper()
-		same(t, what, Collect(rel), collectByString(rel))
+		same(t, what, annotations(Collect(rel)), collectByString(rel))
 	}
 	check("empty", &interval.Relation{})
 	check("xmark", interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: 0.002, Seed: 3})))
@@ -261,7 +291,7 @@ func TestCollectMatchesStringPaths(t *testing.T) {
 				t.Fatal(err)
 			}
 			ix = index.Splice(ix, rel, e)
-			same(t, fmt.Sprintf("relation %d spliced by update %d", i, u), Of(ix), collectByString(rel))
+			same(t, fmt.Sprintf("relation %d spliced by update %d", i, u), annotations(ix), collectByString(rel))
 		}
 		if rel.MaxKeyLen() < 2 {
 			t.Fatalf("updated relation %d kept one-digit keys", i)
@@ -272,22 +302,22 @@ func TestCollectMatchesStringPaths(t *testing.T) {
 
 // same fails unless got equals want exactly, naming the first differing
 // path.
-func same(t *testing.T, what string, got, want *DocStats) {
+func same(t *testing.T, what string, got, want map[string]annotation) {
 	t.Helper()
 	if reflect.DeepEqual(got, want) {
 		return
 	}
-	for _, p := range want.PathNames() {
-		if got.Paths[p] != want.Paths[p] {
-			t.Fatalf("%s: path %s %+v, want %+v", what, p, got.Paths[p], want.Paths[p])
+	for _, p := range sortedPaths(want) {
+		if got[p] != want[p] {
+			t.Fatalf("%s: path %s %+v, want %+v", what, p, got[p], want[p])
 		}
 	}
-	t.Fatalf("%s:\ngot  %+v\nwant %+v", what, got, want)
+	t.Fatalf("%s: %d annotated paths, want %d", what, len(got), len(want))
 }
 
 // BenchmarkCollect derives the statistics of the XMark sf 0.1 document
 // (143k tuples) as a catalog add does: the index build that annotates the
-// dataguide, then Of.
+// dataguide.
 func BenchmarkCollect(b *testing.B) {
 	rel := interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: 0.1, Seed: 1}))
 	b.ReportAllocs()

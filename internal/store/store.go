@@ -11,9 +11,9 @@
 // varint-encoded; keys store their digit vectors verbatim, so documents
 // at any environment depth round-trip — and last the CRC-32C
 // (Castagnoli) of every byte before it, little-endian. A file holds the
-// relation only: the structural index and its statistics are derived
-// again on load (index.Build, stats.Of), which costs about as much as
-// decoding them did. Loading checks the checksum, then validates the
+// relation only: the structural index, whose dataguide classes carry the
+// statistics, is built again on load (index.Build), which costs about as
+// much as decoding it did. Loading checks the checksum, then validates the
 // body's interval nesting: a store is the one way a relation enters the
 // catalog from outside the encoder.
 package store
@@ -30,7 +30,6 @@ import (
 
 	"dixq/internal/index"
 	"dixq/internal/interval"
-	"dixq/internal/stats"
 )
 
 // magic identifies the file format. The retired DIXQS1–3 formats, which
@@ -70,10 +69,10 @@ func Write(w io.Writer, rel *interval.Relation) error {
 	return err
 }
 
-// WriteFull is Write for callers that hold a document's index and
-// statistics too. It does not write ix or st: the format holds the
-// relation only, and ReadFull derives both again.
-func WriteFull(w io.Writer, rel *interval.Relation, ix *index.DocIndex, st *stats.DocStats) error {
+// WriteFull is Write for callers that hold a document's index and its
+// statistics, which are the index too. It writes neither: the format
+// holds the relation only, and ReadFull builds the index again.
+func WriteFull(w io.Writer, rel *interval.Relation, ix, st *index.DocIndex) error {
 	return Write(w, rel)
 }
 
@@ -134,12 +133,12 @@ func writeBody(bw *bufio.Writer, rel *interval.Relation) error {
 	return nil
 }
 
-// ReadFull deserializes a relation written by Write and derives its
-// structural index and statistics (index.Build, stats.Of). A short or
-// unknown header is ErrFormat, a checksum mismatch or an undecodable or
-// invalid body (interval.Validate) ErrCorrupt, and a failing reader's
-// error is returned wrapped.
-func ReadFull(r io.Reader) (*interval.Relation, *index.DocIndex, *stats.DocStats, error) {
+// ReadFull deserializes a relation written by Write and builds its
+// structural index, returned twice: as the index and as the statistics
+// its classes carry. A short or unknown header is ErrFormat, a checksum
+// mismatch or an undecodable or invalid body (interval.Validate)
+// ErrCorrupt, and a failing reader's error is returned wrapped.
+func ReadFull(r io.Reader) (*interval.Relation, *index.DocIndex, *index.DocIndex, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("store: read: %w", err)
@@ -149,7 +148,7 @@ func ReadFull(r io.Reader) (*interval.Relation, *index.DocIndex, *stats.DocStats
 		return nil, nil, nil, err
 	}
 	ix := index.Build(rel)
-	return rel, ix, stats.Of(ix), nil
+	return rel, ix, ix, nil
 }
 
 func decode(data []byte) (*interval.Relation, error) {

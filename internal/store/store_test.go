@@ -17,7 +17,6 @@ import (
 
 	"dixq/internal/index"
 	"dixq/internal/interval"
-	"dixq/internal/stats"
 	"dixq/internal/xmark"
 	"dixq/internal/xmltree"
 )
@@ -136,15 +135,14 @@ func TestRoundTripEmpty(t *testing.T) {
 }
 
 // TestFullRoundTrip checks that WriteFull/ReadFull preserve the relation,
-// rebuild the index and statistics, and bind the index to the decoded
-// relation; WriteFull writes exactly what Write does.
+// rebuild the index, whose classes carry the statistics, and bind it to
+// the decoded relation; WriteFull writes exactly what Write does.
 func TestFullRoundTrip(t *testing.T) {
 	rel := interval.Encode(xmark.Generate(xmark.Config{ScaleFactor: 0.001, Seed: 4}))
 	ix := index.Build(rel)
-	st := stats.Collect(rel)
 
 	var full bytes.Buffer
-	if err := WriteFull(&full, rel, ix, st); err != nil {
+	if err := WriteFull(&full, rel, ix, ix); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(full.Bytes(), encode(t, rel)) {
@@ -160,8 +158,11 @@ func TestFullRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(gotIx.Paths(), ix.Paths()) {
 		t.Fatal("full round trip changed the dataguide")
 	}
-	if !reflect.DeepEqual(gotSt, st) {
-		t.Fatalf("full round trip changed the statistics:\ngot  %+v\nwant %+v", gotSt, st)
+	if gotSt != gotIx {
+		t.Fatal("the statistics ReadFull returns are not its index's annotations")
+	}
+	if !reflect.DeepEqual(gotSt, ix) {
+		t.Fatal("full round trip changed the statistics")
 	}
 	if gotIx.Rel != gotRel {
 		t.Fatal("decoded index is not bound to the decoded relation")

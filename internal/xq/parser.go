@@ -157,6 +157,22 @@ type qparser struct {
 	gensym  int      // counter for generated variables (predicates)
 	context []string // stack of context-item variables for predicates
 	funcs   map[string]funcDef
+	depth   int // nesting levels entered (nest)
+}
+
+// maxNesting bounds how deeply expressions, conditions and constructors
+// nest: the parser recurses per level, and a stack overflow is fatal, not
+// a panic it could recover. XMark's queries nest 13 levels deep.
+const maxNesting = 1000
+
+// nest enters one nesting level, failing past maxNesting, and returns the
+// call that leaves it; every recursive descent passes through it.
+func (p *qparser) nest() func() {
+	if p.depth == maxNesting {
+		p.fail("query nests deeper than %d levels", maxNesting)
+	}
+	p.depth++
+	return func() { p.depth-- }
 }
 
 type parseBail struct{ err error }
@@ -293,6 +309,7 @@ func (p *qparser) parseVarName() string {
 // --- expression grammar ---
 
 func (p *qparser) parseExpr() Expr {
+	defer p.nest()()
 	if p.peekKeyword("for") || p.peekKeyword("let") {
 		return p.parseFLWR()
 	}
@@ -448,6 +465,7 @@ done:
 // parseExprNoFLWRTail parses the right-hand side of a let clause: a full
 // expression, including a nested FLWR when it starts with for/let.
 func (p *qparser) parseExprNoFLWRTail() Expr {
+	defer p.nest()()
 	if p.peekKeyword("for") || p.peekKeyword("let") {
 		return p.parseFLWR()
 	}
@@ -469,6 +487,7 @@ func (p *qparser) parseOrAsExpr() Expr {
 // expression in condition position takes its effective boolean value:
 // not(empty(e)).
 func (p *qparser) parseCond() Cond {
+	defer p.nest()()
 	c := p.parseCondAnd()
 	for p.eatKeyword("or") {
 		c = Or{L: c, R: p.parseCondAnd()}
@@ -1146,6 +1165,7 @@ func (p *qparser) parseFunctionCall(name string) (Expr, Cond) {
 // parseConstructor parses a literal element constructor with embedded
 // {expr} holes, producing node/concat core expressions.
 func (p *qparser) parseConstructor() Expr {
+	defer p.nest()()
 	p.expect("<")
 	tag := p.parseName()
 	var parts []Expr

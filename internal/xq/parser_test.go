@@ -279,6 +279,39 @@ func TestSyntaxErrorPosition(t *testing.T) {
 	}
 }
 
+// TestNestingLimit: parentheses, constructors, predicates, conditions
+// and let chains nested past maxNesting are a *SyntaxError positioned in
+// the query, found without descending further — a million parentheses
+// would otherwise overflow the goroutine stack — while nesting well below
+// the limit parses.
+func TestNestingLimit(t *testing.T) {
+	const ok, over = maxNesting / 3, maxNesting + 1
+	for _, tc := range []struct {
+		name                            string
+		head, open, inner, closer, tail string
+	}{
+		{"parentheses", "", "(", "1", ")", ""},
+		{"constructors", "", "<a>", "", "</a>", ""},
+		{"predicates", `document("d")/a`, "[b", "", "]", ""},
+		{"conditions", `for $x in document("d")/a where `, "(", "$x", ")", " return $x"},
+		{"lets", "", "let $x := ", "1", " return $x", ""},
+	} {
+		nest := func(n int) string {
+			return tc.head + strings.Repeat(tc.open, n) + tc.inner + strings.Repeat(tc.closer, n) + tc.tail
+		}
+		if _, err := Parse(nest(ok)); err != nil {
+			t.Errorf("%s nested %d deep: %v", tc.name, ok, err)
+		}
+		for _, n := range []int{over, 1_000_000} {
+			_, err := Parse(nest(n))
+			se, isSyntax := err.(*SyntaxError)
+			if !isSyntax || !strings.Contains(se.Msg, "nests deeper") || se.Line != 1 || se.Col < 2 {
+				t.Errorf("%s nested %d deep: %v, want a positioned nesting-limit syntax error", tc.name, n, err)
+			}
+		}
+	}
+}
+
 func TestMustParsePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
