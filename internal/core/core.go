@@ -184,41 +184,33 @@ type Query struct {
 	// Original is the expression as parsed, before rewrites.
 	Original xq.Expr
 
-	// plans memoizes the physical plans per variant; compiled plans are
-	// immutable, so concurrent evaluations share them.
-	mu    sync.Mutex
-	plans map[planVariant]*plan.Node
-}
-
-// planVariant keys the memoized plans: the join mode changes loop
-// strategies, an index set changes the access paths, and a statistics set
-// changes the estimates. Both sets are immutable (a catalog
-// publishes new ones with each version), so their pointers identify them.
-type planVariant struct {
-	mode    Mode
+	// plans memoizes the physical plans, one per join mode, all compiled
+	// against the latest (Indexes, DocStats) pair; compiled plans are
+	// immutable, so concurrent evaluations share them. Both sets are
+	// immutable (a catalog publishes new ones with each version), so their
+	// pointers identify them, and a new pair drops the plans of the old
+	// one: a long-lived query must not pin every version it ever ran on.
+	mu      sync.Mutex
 	indexes *index.Set
 	stats   *index.Set
-}
-
-func variantKey(opts Options) planVariant {
-	return planVariant{mode: opts.ForceJoinMode, indexes: opts.Indexes, stats: opts.DocStats}
+	plans   map[Mode]*plan.Node
 }
 
 // Plan returns the physical plan the query executes under the given
 // options — the same tree Eval runs, so Explain cannot diverge from the
 // execution. The returned plan is immutable and shared.
 func (q *Query) Plan(opts Options) *plan.Node {
-	key := variantKey(opts)
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if p, ok := q.plans[key]; ok {
-		return p
+	if q.plans == nil || q.indexes != opts.Indexes || q.stats != opts.DocStats {
+		q.indexes, q.stats = opts.Indexes, opts.DocStats
+		q.plans = map[Mode]*plan.Node{}
 	}
-	p := buildPlan(q.Expr, opts)
-	if q.plans == nil {
-		q.plans = map[planVariant]*plan.Node{}
+	p, ok := q.plans[opts.ForceJoinMode]
+	if !ok {
+		p = buildPlan(q.Expr, opts)
+		q.plans[opts.ForceJoinMode] = p
 	}
-	q.plans[key] = p
 	return p
 }
 

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -592,4 +594,57 @@ func TestQueryingUpdatedRelations(t *testing.T) {
 			t.Fatalf("%s: got %s, want %s", mode, got, want.String())
 		}
 	}
+}
+
+// TestPlanMemoReleasesSupersededSets: a query keeps the plans of the latest
+// (Indexes, DocStats) pair only, one per join mode, shared by concurrent
+// callers. Once a newer pair is planned, the superseded index set — and
+// with it that catalog version's relation and dataguide — is unreachable
+// from the query, so the collector reclaims it.
+func TestPlanMemoReleasesSupersededSets(t *testing.T) {
+	cat, _ := generatedCatalog(0.0005, 3)
+	q := Compile(xq.MustParse(xmark.Q8), Options{})
+	released := make(chan struct{})
+	planConcurrently := func(set *index.Set) map[Mode]*plan.Node {
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		got := map[Mode]*plan.Node{}
+		for i := 0; i < 8; i++ {
+			mode := Mode(i % 2)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p := q.Plan(Options{ForceJoinMode: mode, Indexes: set, DocStats: set})
+				mu.Lock()
+				defer mu.Unlock()
+				if prev, ok := got[mode]; ok && prev != p {
+					t.Errorf("%s: concurrent callers got different plans for one pair", mode)
+				}
+				got[mode] = p
+			}()
+		}
+		wg.Wait()
+		return got
+	}
+	func() {
+		old := index.BuildSet(cat)
+		runtime.SetFinalizer(old, func(*index.Set) { close(released) })
+		planConcurrently(old)
+	}()
+	cur := index.BuildSet(cat)
+	plans := planConcurrently(cur)
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-released:
+			for mode, p := range plans {
+				if q.Plan(Options{ForceJoinMode: mode, Indexes: cur, DocStats: cur}) != p {
+					t.Errorf("%s: the current pair's plan was not kept", mode)
+				}
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the query still pins a superseded index set after its plans were replaced")
 }

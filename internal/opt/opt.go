@@ -66,7 +66,10 @@ type varEst struct {
 	perEnvRows float64
 	// perEnvCount is the average top-level tree count per environment.
 	perEnvCount float64
-	prov        *prov
+	// prov is the value's provenance per environment, like the two
+	// averages; a read scales it by the reading environments, so every
+	// provenance est returns is a total over the run, the unit of Est.
+	prov *prov
 }
 
 // prov tracks the dataguide provenance of a doc-rooted value: which
@@ -81,9 +84,10 @@ type prov struct {
 }
 
 // provClass is one class of a provenance, with its instance count and
-// subtree rows scaled by upstream selectivity (so they are totals across
-// all current environments of one env). c is nil for the nominal class of
-// a document without an index.
+// subtree rows: totals over every environment the value is computed in,
+// scaled by upstream selectivity, except in a variable binding, which
+// holds them per environment. c is nil for the nominal class of a
+// document without an index.
 type provClass struct {
 	c     *index.Class
 	count float64
@@ -154,34 +158,32 @@ func (o *estimator) est(n *plan.Node, envs float64) (rows, count float64, pv *pr
 
 	switch n.Op {
 	case plan.OpScan:
-		pv = o.scanProv(n.Label)
+		pv = scaleProv(o.scanProv(n.Label), envs)
 		c, r := pv.total()
-		return envs * r, envs * c, pv
+		return r, c, pv
 
 	case plan.OpConst:
-		rows := float64(2 * n.Value.Size())
-		return envs * rows, envs * float64(len(n.Value)), nil
+		return envs * float64(n.Value.Size()), envs * float64(len(n.Value)), nil
 
 	case plan.OpVar, plan.OpEmbedOuter:
 		ve, ok := o.vars[n.Label]
 		if !ok {
 			ve = varEst{perEnvRows: nominalDocTuples, perEnvCount: nominalDocTuples / 2}
 		}
-		return envs * ve.perEnvRows, envs * ve.perEnvCount, ve.prov
+		return envs * ve.perEnvRows, envs * ve.perEnvCount, scaleProv(ve.prov, envs)
 
 	case plan.OpLet:
 		vRows, vCount, vProv := o.est(n.Inputs[0], envs)
 		var bRows, bCount float64
 		var bProv *prov
-		o.withVar(n.Label, varEst{perEnvRows: safeDiv(vRows, envs), perEnvCount: safeDiv(vCount, envs), prov: vProv}, func() {
+		o.withVar(n.Label, varEst{perEnvRows: safeDiv(vRows, envs), perEnvCount: safeDiv(vCount, envs), prov: scaleProv(vProv, safeDiv(1, envs))}, func() {
 			bRows, bCount, bProv = o.est(n.Inputs[1], envs)
 		})
 		return bRows, bCount, bProv
 
 	case plan.OpFilter:
 		sel := o.selectivity(n.Inputs[0], envs)
-		bRows, bCount, bProv := o.est(n.Inputs[1], envs*sel)
-		return bRows, bCount, scaleProv(bProv, sel)
+		return o.est(n.Inputs[1], envs*sel)
 
 	case plan.OpBindVar:
 		return o.estBindVar(n, envs)
@@ -213,21 +215,18 @@ func (o *estimator) est(n *plan.Node, envs float64) (rows, count float64, pv *pr
 
 	case plan.OpConstruct:
 		inRows, _, _ := o.est(n.Inputs[0], envs)
-		return inRows + 2*envs, envs, nil
+		return inRows + envs, envs, nil
 
 	case plan.OpConcat:
 		aRows, aCount, _ := o.est(n.Inputs[0], envs)
 		bRows, bCount, _ := o.est(n.Inputs[1], envs)
 		return aRows + bRows, aCount + bCount, nil
 
-	case plan.OpCount, plan.OpAggregate:
-		o.est(n.Inputs[0], envs)
-		return 2 * envs, envs, nil
-
-	case plan.OpArith:
-		o.est(n.Inputs[0], envs)
-		o.est(n.Inputs[1], envs)
-		return 2 * envs, envs, nil
+	case plan.OpCount, plan.OpAggregate, plan.OpArith:
+		for _, c := range n.Inputs {
+			o.est(c, envs)
+		}
+		return envs, envs, nil
 
 	case plan.OpTake, plan.OpDrop:
 		inRows, inCount, _ := o.est(n.Inputs[0], envs)
